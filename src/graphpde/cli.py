@@ -35,7 +35,13 @@ from .nonlinearity import (
     check_h,
     parse_nonlinearity,
 )
-from .solver import SolverConfig, SolverError, mountain_pass, two_solutions
+from .solver import (
+    SolverConfig,
+    SolverError,
+    mountain_pass,
+    ps_diagnostic,
+    two_solutions,
+)
 from .spectral import embedding_constants, first_eigenvalue
 from .variational import (
     Problem,
@@ -360,10 +366,6 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
     )
 
 
-def _finite_trace(rows) -> bool:
-    return all(math.isfinite(a) and math.isfinite(b) for a, b in rows)
-
-
 def _write_profile(cfg: RunConfig, snapshots) -> None:
     if cfg.emit_path_profile is None or snapshots is None:
         return
@@ -554,7 +556,7 @@ def _cmd_solve(cfg: RunConfig, gf: GraphFile, nl, emit: _Report) -> int:
             emit.add(_constants_record(constants))
     emit.add(_solution_record(gf.graph, sol, 1))
     emit.add(_trace_record("mountain_pass", trace))
-    ps = bool(trace) and _finite_trace(trace) and sol.residual_max <= config.newton_tol
+    ps = ps_diagnostic((trace,), (sol,), config.newton_tol)
     emit.add({"record": "summary", "solutions": 1, "ps_diagnostic": ps})
     _write_profile(cfg, profile)
     return 0

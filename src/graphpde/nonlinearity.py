@@ -147,7 +147,8 @@ def parse_nonlinearity(spec: str) -> Nonlinearity:
     raise ValueError(f"unknown nonlinearity family {family!r}")
 
 
-def _f_raw(nl: Nonlinearity, u):
+def reaction(nl: Nonlinearity, u):
+    """f at the values u (an array of any shape), elementwise."""
     if nl.family in ("power", "power_plus_const"):
         a = np.abs(u)
         out = a ** (nl.p - 2.0) * u
@@ -160,7 +161,8 @@ def _f_raw(nl: Nonlinearity, u):
     return out
 
 
-def _F_raw(nl: Nonlinearity, u):
+def antiderivative(nl: Nonlinearity, u):
+    """F, the antiderivative of f with F(0) = 0, elementwise."""
     if nl.family in ("power", "power_plus_const"):
         a = np.abs(u)
         out = a ** nl.p / nl.p
@@ -173,7 +175,8 @@ def _F_raw(nl: Nonlinearity, u):
     return out
 
 
-def _fu_raw(nl: Nonlinearity, u):
+def reaction_derivative(nl: Nonlinearity, u):
+    """f_u, the u-derivative of f, elementwise."""
     if nl.family in ("power", "power_plus_const"):
         return (nl.p - 1.0) * np.abs(u) ** (nl.p - 2.0)
     out = np.zeros_like(u)
@@ -189,11 +192,12 @@ def evaluate(nl: Nonlinearity, x, u):
     """Return (f, F, f_u) at u; scalar in, scalar out.
 
     x is accepted for forward compatibility with x-dependent families;
-    the built-in families ignore it.
+    the built-in families ignore it.  Callers that need one quantity
+    call reaction, antiderivative or reaction_derivative directly.
     """
     scalar = np.isscalar(u) or np.ndim(u) == 0
     arr = np.asarray(u, dtype=float)
-    f, F, fu = _f_raw(nl, arr), _F_raw(nl, arr), _fu_raw(nl, arr)
+    f, F, fu = reaction(nl, arr), antiderivative(nl, arr), reaction_derivative(nl, arr)
     if scalar:
         return float(f), float(F), float(fu)
     return f, F, fu

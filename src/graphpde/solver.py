@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import H_NORM, _interior_matrix, norm
+from .calculus import _interior_matrix
 from .nonlinearity import (
     GridSpec,
     HypothesisVerdict,
@@ -42,6 +42,7 @@ from .variational import (
     ball_kappa,
     energy,
     gradient,
+    h_norm,
     pointwise_residual,
 )
 
@@ -167,8 +168,15 @@ class SolveReport:
     ps_diagnostic: bool
 
 
-def _h_norm(problem: Problem, u) -> float:
-    return norm(problem.graph, problem.partition, u, H_NORM, h=problem.interior_h())
+def ps_diagnostic(traces, solutions, newton_tol: float) -> bool:
+    """The SolveReport flag: every iteration trace is nonempty with
+    finite levels and gradient norms, and every solution reached the
+    Newton tolerance."""
+    return bool(
+        all(traces)
+        and all(math.isfinite(a) and math.isfinite(b) for rows in traces for a, b in rows)
+        and all(sol.residual_max <= newton_tol for sol in solutions)
+    )
 
 
 def _gate_grid(problem: Problem, config: SolverConfig) -> GridSpec:
@@ -365,7 +373,7 @@ def _is_trivial_collapse(problem: Problem, u) -> bool:
 
 
 def _finish_solution(problem, u, res_max, kind, config, shifted) -> Solution:
-    hn = _h_norm(problem, u)
+    hn = h_norm(problem, u)
     rho = config.rho
     return Solution(
         u=u,
@@ -418,7 +426,7 @@ def mountain_pass(
     stalled = False
     u_best = None
     for k in range(config.deform_steps):
-        values = np.array([energy(problem, point) for point in path])
+        values = energy(problem, path)
         i = int(np.argmax(values))
         level = min(level, float(values[i]))
         if profile_out is not None and k % 50 == 0:
@@ -453,12 +461,12 @@ def mountain_pass(
         path[i] = step[0]
         path = _resample_path(path)
     if u_best is None:
-        values = np.array([energy(problem, point) for point in path])
+        values = energy(problem, path)
         i = int(np.argmax(values))
         u_best = path[i].copy()
         stalled = True
     if profile_out is not None:
-        values = np.array([energy(problem, point) for point in path])
+        values = energy(problem, path)
         profile_out.append((len(trace), np.linspace(0.0, 1.0, npts), values))
     if trace_out is not None:
         trace_out.extend(trace)
@@ -517,7 +525,7 @@ def ball_minimize(
         moved = None
         if rule.kind == "fixed":
             cand = u - rule.alpha * gvec
-            hn = _h_norm(problem, cand)
+            hn = h_norm(problem, cand)
             if hn > radius:
                 cand = cand * (radius / hn)
             moved = (cand, energy(problem, cand))
@@ -526,7 +534,7 @@ def ball_minimize(
             alpha = rule.alpha
             while alpha >= 1e-18:
                 cand = u - alpha * gvec
-                hn = _h_norm(problem, cand)
+                hn = h_norm(problem, cand)
                 if hn > radius:
                     cand = cand * (radius / hn)
                 val = energy(problem, cand)
@@ -539,7 +547,7 @@ def ball_minimize(
         u, value = moved
     if trace_out is not None:
         trace_out.extend(trace)
-    hn = _h_norm(problem, u)
+    hn = h_norm(problem, u)
     if hn >= radius - SPHERE_MARGIN:
         raise SolverError(
             "no interior minimizer found: descent terminated on the constraint "
@@ -550,7 +558,7 @@ def ball_minimize(
         zero = np.zeros(problem.graph.n)
         return _finish_solution(problem, zero, 0.0, "trivial", config, False)
     u, res_max, shifted = _newton_polish(problem, u, config)
-    hn = _h_norm(problem, u)
+    hn = h_norm(problem, u)
     if hn >= radius - SPHERE_MARGIN:
         raise SolverError(
             "no interior minimizer found: Newton refinement moved the "
@@ -704,15 +712,6 @@ def two_solutions(
         problem.graph, problem.partition, problem.h, problem.h0,
         hypothesis=hypothesis, eigen=eigen,
     )
-    finite = all(
-        math.isfinite(a) and math.isfinite(b)
-        for rows in trace.values() for a, b in rows
-    )
-    ps_diagnostic = bool(
-        ball_trace and pass_trace and finite
-        and ball_sol.residual_max <= config.newton_tol
-        and pass_sol.residual_max <= config.newton_tol
-    )
     return SolveReport(
         solutions=(ball_sol, pass_sol),
         hypothesis_verdicts=tuple(verdicts),
@@ -720,5 +719,7 @@ def two_solutions(
         constants=constants,
         ball=ball,
         iteration_trace=trace,
-        ps_diagnostic=ps_diagnostic,
+        ps_diagnostic=ps_diagnostic(
+            (ball_trace, pass_trace), (ball_sol, pass_sol), config.newton_tol
+        ),
     )

@@ -8,25 +8,48 @@ The energy of a Dirichlet function u is
 with F the antiderivative of the reaction term.  Critical points are
 weak solutions; on a finite graph they are also vertexwise solutions of
 the equation, which is what the residual functions measure.
+
+energy assembles the gradient term per edge: for Dirichlet u the
+closure integral of |grad u|^2 is the sum of w_xy (u(x) - u(y))^2 over
+the edges with an interior endpoint (every other edge joins two zeros),
+so
+
+    energy(u) = 1/2 (sum_e w_e d_e^2 + sum_omega mu h u^2) - sum_omega mu F(u)
+
+with d_e the difference across edge e.  The same code takes one function
+of shape (n,) or a stack of P functions of shape (P, n), one per row,
+and returns a float or a (P,) array; the path deformation evaluates its
+whole path in one call.  The per-vertex route (calculus.dirichlet_energy)
+computes the same number and is kept as the cross-check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .calculus import (
-    H_NORM,
-    dirichlet_energy,
-    gradient_form,
-    integrate,
-    laplacian,
-    norm,
-)
-from .graphs import DomainPartition, WeightedGraph, is_dirichlet
-from .nonlinearity import Nonlinearity, evaluate
+from .calculus import H_NORM, gradient_form, integrate, laplacian, norm
+from .graphs import DomainPartition, WeightedGraph
+from .nonlinearity import Nonlinearity, antiderivative, evaluate, reaction
+
+
+@dataclass(frozen=True, eq=False)
+class _EnergyForm:
+    """Index and weight arrays of the per-edge energy assembly: the
+    endpoints i, j and weights w of the edges with an interior
+    endpoint, the interior indices with mu and mu h there, and the
+    off-interior indices where a Dirichlet function vanishes."""
+
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+    omega: np.ndarray
+    mu: np.ndarray
+    mu_h: np.ndarray
+    off: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,23 +94,62 @@ class Problem:
         """
         return np.where(self.partition.omega_mask, self.h, 0.0)
 
+    @cached_property
+    def _form(self) -> _EnergyForm:
+        g = self.graph
+        mask = self.partition.omega_mask
+        i, j = g.edge_index[:, 0], g.edge_index[:, 1]
+        touch = mask[i] | mask[j]
+        omega = self.partition.omega
+        mu = g.measure[omega]
+        return _EnergyForm(
+            i=i[touch], j=j[touch], w=g.edge_weight[touch],
+            omega=omega, mu=mu, mu_h=mu * self.h[omega],
+            off=np.flatnonzero(~mask),
+        )
 
-def _require_dirichlet(problem: Problem, u, name: str = "u"):
+
+def _require_dirichlet(problem: Problem, u, name: str = "u", stack: bool = False):
+    """u as a float array of one value per vertex, or with stack=True
+    also a (P, n) stack of such rows, each vanishing off the interior."""
     u = np.asarray(u, dtype=float)
-    if not is_dirichlet(problem.partition, u):
+    if u.ndim not in ((1, 2) if stack else (1,)) or u.shape[-1] != problem.graph.n:
+        raise ValueError(
+            f"{name} must hold one value per vertex ({problem.graph.n}), got shape {u.shape}"
+        )
+    if not np.all(u[..., problem._form.off] == 0.0):
         raise ValueError(f"{name} must vanish outside the interior")
     return u
 
 
-def energy(problem: Problem, u) -> float:
-    """Value of the energy functional at a Dirichlet function."""
-    u = _require_dirichlet(problem, u)
-    g = problem.graph
-    omega = problem.partition.omega
-    quad = dirichlet_energy(g, problem.partition, u)
-    mass = integrate(g, problem.interior_h() * u * u, omega)
-    _, big_f, _ = evaluate(problem.nl, None, u)
-    return 0.5 * (quad + mass) - integrate(g, big_f, omega)
+def _h_square(problem: Problem, u, stack: bool = False):
+    """Squared h-norm int_closure |grad u|^2 + int_omega h u^2, summed
+    per edge, of one Dirichlet function or (stack=True) of each row of
+    a stack; returned with the interior values of u."""
+    u = _require_dirichlet(problem, u, stack=stack)
+    form = problem._form
+    d = u[..., form.i] - u[..., form.j]
+    inner = u[..., form.omega]
+    return (d * d) @ form.w + (inner * inner) @ form.mu_h, inner
+
+
+def energy(problem: Problem, u):
+    """Value of the energy functional at a Dirichlet function u of shape
+    (n,), as a float, or at each row of a stack of shape (P, n), as a
+    (P,) array.  Raises ValueError when any row is nonzero off the
+    interior."""
+    quad, inner = _h_square(problem, u, stack=True)
+    value = 0.5 * quad - antiderivative(problem.nl, inner) @ problem._form.mu
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def h_norm(problem: Problem, u) -> float:
+    """Weighted Sobolev norm sqrt(int_closure |grad u|^2 + int_omega h u^2)
+    of a Dirichlet function, assembled like the energy."""
+    radicand = float(_h_square(problem, u)[0])
+    if radicand < 0.0:
+        raise ValueError(f"h-norm radicand is negative ({radicand}); h is not admissible")
+    return math.sqrt(radicand)
 
 
 def pointwise_residual(problem: Problem, u) -> np.ndarray:
@@ -96,8 +158,7 @@ def pointwise_residual(problem: Problem, u) -> np.ndarray:
     u = _require_dirichlet(problem, u)
     g = problem.graph
     mask = problem.partition.omega_mask
-    f, _, _ = evaluate(problem.nl, None, u)
-    r = -laplacian(g, u) + problem.interior_h() * u - f
+    r = -laplacian(g, u) + problem.interior_h() * u - reaction(problem.nl, u)
     return np.where(mask, r, 0.0)
 
 

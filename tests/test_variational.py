@@ -11,6 +11,7 @@ from graphpde import (
     ball_kappa,
     build_graph,
     compute_boundary,
+    dirichlet_energy,
     directional_derivative,
     embedding_constants,
     energy,
@@ -24,6 +25,7 @@ from graphpde import (
     power_plus_const,
 )
 from graphpde.calculus import H_NORM, norm
+from graphpde.variational import h_norm
 from util import (
     random_connected_graph,
     random_dirichlet,
@@ -43,6 +45,29 @@ def random_problem(rng, nl, n_max=12, h_low=0.5, h_high=2.0):
     part = random_partition(rng, graph)
     h = rng.uniform(h_low, h_high, size=graph.n)
     return Problem(graph=graph, partition=part, h=h, nl=nl, h0=h_low)
+
+
+def problem_with_exterior(rng, nl):
+    """Random problem whose partition leaves exterior vertices, with h
+    set to inf and nan off the interior."""
+    while True:
+        graph = random_connected_graph(rng, n_min=8, n_max=30)
+        part = random_partition(rng, graph)
+        if part.exterior.size:
+            break
+    h = rng.uniform(0.5, 2.0, size=graph.n)
+    off = np.flatnonzero(~part.omega_mask)
+    h[off[::2]] = np.inf
+    h[off[1::2]] = np.nan
+    return Problem(graph=graph, partition=part, h=h, nl=nl, h0=0.5)
+
+
+def per_vertex_energy(problem, u):
+    """The energy through the per-vertex gradient form."""
+    graph, part = problem.graph, problem.partition
+    _, big_f, _ = evaluate(problem.nl, None, u)
+    mass = integrate(graph, problem.interior_h() * u * u, part.omega)
+    return 0.5 * (dirichlet_energy(graph, part, u) + mass) - integrate(graph, big_f, part.omega)
 
 
 def test_energy_oracle_power():
@@ -273,3 +298,53 @@ def test_mountain_pass_geometry_positive_on_small_spheres(rng):
             continue
         u = (r / nh) * d
         assert energy(problem, u) > 0.0
+
+
+def test_stacked_energy_matches_per_vertex_oracle(rng):
+    families = [power(4), power_plus_const(3, 0.1), odd_poly({1: -1.0, 3: 1.0})]
+    for trial in range(12):
+        problem = problem_with_exterior(rng, families[trial % len(families)])
+        stack = np.array([
+            random_dirichlet(rng, problem.graph, problem.partition) for _ in range(7)
+        ])
+        values = energy(problem, stack)
+        assert values.shape == (7,)
+        for u, value in zip(stack, values):
+            assert value == pytest.approx(per_vertex_energy(problem, u), rel=1e-12)
+
+
+def test_energy_of_one_function_is_a_float(rng):
+    problem = problem_with_exterior(rng, power(4))
+    u = random_dirichlet(rng, problem.graph, problem.partition)
+    value = energy(problem, u)
+    assert type(value) is float
+    assert value == pytest.approx(per_vertex_energy(problem, u), rel=1e-12)
+    assert energy(problem, u[None, :]) == pytest.approx([value], rel=1e-14)
+
+
+def test_stacked_energy_rejects_a_non_dirichlet_row(rng):
+    problem = problem_with_exterior(rng, power(4))
+    graph, part = problem.graph, problem.partition
+    for vertex in (part.boundary[0], part.exterior[0]):
+        stack = np.array([random_dirichlet(rng, graph, part) for _ in range(5)])
+        stack[3, vertex] = 1e-300
+        with pytest.raises(ValueError, match="vanish outside the interior"):
+            energy(problem, stack)
+    with pytest.raises(ValueError, match="one value per vertex"):
+        energy(problem, np.zeros((2, 2, graph.n)))
+    with pytest.raises(ValueError, match="one value per vertex"):
+        energy(problem, np.zeros(graph.n + 1))
+
+
+def test_h_norm_matches_calculus_norm(rng):
+    for _ in range(12):
+        problem = problem_with_exterior(rng, power(4))
+        graph, part = problem.graph, problem.partition
+        u = random_dirichlet(rng, graph, part)
+        expect = norm(graph, part, u, H_NORM, h=problem.interior_h())
+        assert h_norm(problem, u) == pytest.approx(expect, rel=1e-12)
+    with pytest.raises(ValueError):
+        h_norm(problem, np.ones(graph.n))
+    negative = three_path_problem(power(4), h_value=-10.0)
+    with pytest.raises(ValueError, match="radicand is negative"):
+        h_norm(negative, spike(negative, 1.0))
