@@ -185,20 +185,23 @@ def green_residual(
 def _interior_matrix(graph: WeightedGraph, partition: DomainPartition) -> np.ndarray:
     """Dense weighted Dirichlet Laplacian on interior unknowns.
 
-    Row x: the diagonal holds the full incident weight sum of x, the
-    off-diagonal entries are -w_xy for interior neighbors y; boundary
-    values are pinned at zero.  Internal assembly helper, not a public
-    interface.
+    Row x: the diagonal holds the full incident weight sum of x,
+    accumulated in stored edge order; the off-diagonal entries are
+    -w_xy for interior neighbors y; boundary values are pinned at zero.
+    Assembled from the flattened adjacency: build_graph rejects
+    duplicate edges, so each off-diagonal entry is written once.
+    Internal assembly helper, not a public interface.
     """
     idx = partition.omega
-    pos = {int(i): k for k, i in enumerate(idx)}
     nint = len(idx)
-    mat = np.zeros((nint, nint))
-    for k, i in enumerate(idx):
-        nbr, w = graph.neighbors(int(i))
-        mat[k, k] = float(np.sum(w))
-        for j, wj in zip(nbr, w):
-            kk = pos.get(int(j))
-            if kk is not None:
-                mat[k, kk] -= wj
+    pos = np.full(graph.n, -1, dtype=np.int64)
+    pos[idx] = np.arange(nint)
+    row = pos[graph.adj_center]
+    col = pos[graph.adj_nbr]
+    inside = row >= 0
+    diag = np.zeros(nint)
+    np.add.at(diag, row[inside], graph.adj_w[inside])
+    mat = np.diag(diag)
+    both = inside & (col >= 0)
+    mat[row[both], col[both]] = -graph.adj_w[both]
     return mat

@@ -6,12 +6,15 @@ The first eigenvalue is the minimum of the Rayleigh quotient
 
 over Dirichlet functions, computed as the smallest eigenvalue of the
 generalized problem L u = lambda M u on interior unknowns, where L is
-the weighted Dirichlet Laplacian and M = diag(mu).
+the weighted Dirichlet Laplacian and M = diag(mu).  Small problems are
+solved densely with eigh; large ones by inverse iteration that factors
+L once (Cholesky) and then only back-substitutes.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +42,34 @@ def rayleigh_quotient(graph: WeightedGraph, partition: DomainPartition, u: np.nd
     return dirichlet_energy(graph, partition, u) / mass
 
 
+# Row/column block size of the triangular solves in _cholesky_solver.
+_BLOCK = 64
+
+
+def _cholesky_solver(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the symmetric positive definite a once; return y -> a^(-1) y.
+
+    a = C C^T with C lower triangular.  Each solve is a blocked forward
+    substitution with C followed by a blocked back substitution with
+    C^T; the diagonal blocks of C are inverted once, here, so a solve
+    costs two triangular sweeps of matrix-vector products.
+    """
+    c = np.linalg.cholesky(a)
+    n = c.shape[0]
+    blocks = [slice(k, min(k + _BLOCK, n)) for k in range(0, n, _BLOCK)]
+    inv_diag = [np.linalg.inv(c[b, b]) for b in blocks]
+
+    def solve(y: np.ndarray) -> np.ndarray:
+        z = np.array(y, dtype=float)
+        for b, inv in zip(blocks, inv_diag):
+            z[b] = inv @ (z[b] - c[b, : b.start] @ z[: b.start])
+        for b, inv in zip(reversed(blocks), reversed(inv_diag)):
+            z[b] = inv.T @ (z[b] - c[b.stop :, b].T @ z[b.stop :])
+        return z
+
+    return solve
+
+
 def first_eigenvalue(
     graph: WeightedGraph,
     partition: DomainPartition,
@@ -49,8 +80,12 @@ def first_eigenvalue(
     """Smallest Dirichlet eigenvalue of the domain.
 
     Up to dense_cutoff interior vertices the dense symmetric problem
-    M^(-1/2) L M^(-1/2) is solved directly; above that, inverse power
-    iteration with a Rayleigh quotient stopping rule is used.
+    M^(-1/2) L M^(-1/2) is solved directly.  Above that, inverse
+    iteration runs on L u = lambda M u from the constant function of
+    unit mass: u <- L^(-1) M u, rescaled to int_omega u^2 dmu = 1, with
+    lambda = u^T L u, until successive lambdas differ by at most
+    tolerance * max(1, |lambda|).  L is factored once; each iteration
+    only back-substitutes.
     """
     if partition.boundary.size == 0:
         raise ValueError(
@@ -63,24 +98,24 @@ def first_eigenvalue(
     idx = partition.omega
     lmat = _interior_matrix(graph, partition)
     mdiag = graph.measure[idx]
-    d = 1.0 / np.sqrt(mdiag)
-    smat = lmat * d[:, None] * d[None, :]
-    smat = 0.5 * (smat + smat.T)
 
     if len(idx) <= dense_cutoff:
+        d = 1.0 / np.sqrt(mdiag)
+        smat = lmat * d[:, None] * d[None, :]
+        smat = 0.5 * (smat + smat.T)
         evals, evecs = np.linalg.eigh(smat)
         lam = float(evals[0])
-        y = evecs[:, 0]
+        u_int = d * evecs[:, 0]  # back to the generalized problem; int u^2 dmu = 1
         iterations = 0
     else:
-        y = np.sqrt(mdiag)
-        y /= np.linalg.norm(y)
-        lam = float(y @ smat @ y)
+        solve = _cholesky_solver(lmat)
+        u_int = np.full(len(idx), 1.0 / math.sqrt(float(np.sum(mdiag))))
+        lam = float(u_int @ lmat @ u_int)
         iterations = 0
         for iterations in range(1, max_iterations + 1):
-            z = np.linalg.solve(smat, y)
-            y = z / np.linalg.norm(z)
-            lam_new = float(y @ smat @ y)
+            z = solve(mdiag * u_int)
+            u_int = z / math.sqrt(float(z @ (mdiag * z)))
+            lam_new = float(u_int @ lmat @ u_int)
             if abs(lam_new - lam) <= tolerance * max(1.0, abs(lam_new)):
                 lam = lam_new
                 break
@@ -90,7 +125,6 @@ def first_eigenvalue(
                 f"inverse power iteration did not converge in {max_iterations} iterations"
             )
 
-    u_int = d * y  # back to the generalized problem; y unit => int u^2 dmu = 1
     scale = np.max(np.abs(u_int))
     for val in u_int:
         if abs(val) > 1e-14 * scale:

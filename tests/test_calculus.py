@@ -13,6 +13,7 @@ from graphpde import (
     H_NORM,
     GraphError,
     NormKind,
+    build_graph,
     compute_boundary,
     dirichlet_energy,
     edge_energy,
@@ -26,11 +27,14 @@ from graphpde import (
     lp,
     norm,
 )
+from graphpde.calculus import _interior_matrix
 from util import (
+    interior_matrix_loop,
     path_graph,
     random_connected_graph,
     random_dirichlet,
     random_partition,
+    random_subset_partition,
 )
 
 
@@ -211,3 +215,41 @@ def test_energy_scales_quadratically(t):
     e1 = dirichlet_energy(graph, part, base)
     et = dirichlet_energy(graph, part, t * base)
     assert et == pytest.approx(t * t * e1, rel=1e-12, abs=1e-300)
+
+
+def _omega_connected(graph, part):
+    start = int(part.omega[0])
+    seen = {start}
+    stack = [start]
+    while stack:
+        nbr, _ = graph.neighbors(stack.pop())
+        for j in map(int, nbr):
+            if part.omega_mask[j] and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == part.omega.size
+
+
+def _hub_graph(rng, n=20):
+    """Vertex v0 joined to every other vertex, plus a path through them."""
+    ids = [f"v{i}" for i in range(n)]
+    edges = [(ids[0], ids[i], float(rng.uniform(0.1, 10.0))) for i in range(1, n)]
+    edges += [(ids[i], ids[i + 1], float(rng.uniform(0.1, 10.0))) for i in range(1, n - 1)]
+    return build_graph(ids, edges)
+
+
+def test_interior_matrix_matches_per_vertex_loop(rng):
+    seen = {"exterior": 0, "split": 0, "hub": 0}
+    for trial in range(80):
+        graph = _hub_graph(rng) if trial % 4 == 0 else random_connected_graph(rng, n_max=40)
+        part = random_subset_partition(rng, graph)
+        got = _interior_matrix(graph, part)
+        want = interior_matrix_loop(graph, part)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        # np.sum adds fewer than 8 terms in order, like the accumulation
+        few = np.diff(graph.adj_ptr)[part.omega] < 8
+        assert np.array_equal(got[few], want[few])
+        seen["exterior"] += part.exterior.size > 0
+        seen["split"] += not _omega_connected(graph, part)
+        seen["hub"] += not np.all(few)
+    assert all(seen.values()), seen

@@ -23,7 +23,13 @@ from graphpde import (
     two_solutions,
 )
 import graphpde.solver
-from util import bisect, random_connected_graph, random_partition, three_path_problem
+from util import (
+    bisect,
+    lattice_problem,
+    random_connected_graph,
+    random_partition,
+    three_path_problem,
+)
 
 POWER4 = power(4, theta=4.0, M=1.0)
 POWER3 = power(3, theta=3.0, M=1.0)
@@ -147,17 +153,6 @@ def test_mountain_pass_on_random_graph(rng):
     assert float(np.max(np.abs(sol.u))) > 1e-6
     levels = [lv for lv, _ in trace]
     assert all(b <= a + 1e-15 for a, b in zip(levels, levels[1:]))
-
-
-def lattice_problem(k, nl):
-    """k x k unit lattice with the non-edge vertices as interior; its
-    corners are exterior and its rim carries boundary-boundary edges."""
-    ids = [f"{r},{c}" for r in range(k) for c in range(k)]
-    edges = [(f"{r},{c}", f"{r},{c + 1}", 1.0) for r in range(k) for c in range(k - 1)]
-    edges += [(f"{r},{c}", f"{r + 1},{c}", 1.0) for r in range(k - 1) for c in range(k)]
-    graph = build_graph(ids, edges)
-    part = compute_boundary(graph, [f"{r},{c}" for r in range(1, k - 1) for c in range(1, k - 1)])
-    return Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=nl, h0=1.0)
 
 
 @pytest.mark.parametrize("make", [

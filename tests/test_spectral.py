@@ -13,11 +13,14 @@ from graphpde import (
     compute_boundary,
     embedding_constants,
     first_eigenvalue,
+    integrate,
     lp,
     norm,
     rayleigh_quotient,
 )
+from graphpde.spectral import _cholesky_solver
 from util import (
+    lattice,
     path_graph,
     random_connected_graph,
     random_dirichlet,
@@ -113,6 +116,56 @@ def test_iterative_agrees_with_dense(rng):
     assert dense.iterations == 0
     assert iterative.iterations >= 1
     assert iterative.lambda1 == pytest.approx(dense.lambda1, rel=1e-9)
+
+
+def test_iterative_factors_once(monkeypatch, rng):
+    graph = random_connected_graph(rng, n_min=25, n_max=35)
+    part = random_partition(rng, graph)
+    if part.omega.size < 2:
+        part = compute_boundary(graph, [graph.vertex_ids[i] for i in range(10)])
+    dense = first_eigenvalue(graph, part)
+
+    factorizations = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        factorizations.append(a.shape)
+        return cholesky(a)
+
+    def refactoring_solve(*args, **kwargs):
+        raise AssertionError("np.linalg.solve factors the matrix again")
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(np.linalg, "solve", refactoring_solve)
+    iterative = first_eigenvalue(graph, part, dense_cutoff=0)
+    assert factorizations == [(part.omega.size, part.omega.size)]
+    assert iterative.iterations >= 1
+    assert iterative.lambda1 == pytest.approx(dense.lambda1, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+def test_cholesky_solver_matches_dense_solve(rng, n):
+    b = rng.standard_normal((n, n))
+    a = b @ b.T + n * np.eye(n)
+    y = rng.standard_normal(n)
+    y_before = y.copy()
+    x = _cholesky_solver(a)(y)
+    assert np.array_equal(y, y_before)
+    assert np.linalg.norm(a @ x - y) <= 1e-12 * np.linalg.norm(y)
+    ref = np.linalg.solve(a, y)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_default_iterative_branch_lattice_oracle():
+    graph, part = lattice(17)
+    assert part.omega.size == 225  # above the default dense_cutoff of 200
+    res = first_eigenvalue(graph, part)
+    assert res.iterations >= 1
+    assert res.lambda1 == pytest.approx(1.0 - math.cos(math.pi / 16), rel=1e-10)
+    u = res.eigenfunction
+    assert np.all(u[part.boundary] == 0.0) and np.all(u[part.exterior] == 0.0)
+    assert integrate(graph, u * u, part.omega) == pytest.approx(1.0, rel=1e-12)
+    assert rayleigh_quotient(graph, part, u) == pytest.approx(res.lambda1, rel=1e-10)
 
 
 def test_eigen_rejects_empty_boundary(path3):

@@ -51,6 +51,35 @@ def random_partition(rng, graph):
     return compute_boundary(graph, omega)
 
 
+def random_subset_partition(rng, graph, p_omega=0.4):
+    """Random interior set, possibly disconnected, with nonempty boundary;
+    vertices farther out are exterior."""
+    while True:
+        omega = [vid for vid in graph.vertex_ids if rng.random() < p_omega]
+        if omega:
+            part = compute_boundary(graph, omega)
+            if part.boundary.size:
+                return part
+
+
+def interior_matrix_loop(graph, partition):
+    """Per-vertex assembly of the interior Dirichlet Laplacian: the
+    diagonal is np.sum of the incident weights, each interior neighbor
+    subtracts its weight off the diagonal."""
+    idx = partition.omega
+    pos = {int(i): k for k, i in enumerate(idx)}
+    nint = len(idx)
+    mat = np.zeros((nint, nint))
+    for k, i in enumerate(idx):
+        nbr, w = graph.neighbors(int(i))
+        mat[k, k] = float(np.sum(w))
+        for j, wj in zip(nbr, w):
+            kk = pos.get(int(j))
+            if kk is not None:
+                mat[k, kk] -= wj
+    return mat
+
+
 def random_dirichlet(rng, graph, partition, scale=2.0):
     u = np.zeros(graph.n)
     u[partition.omega] = rng.uniform(-scale, scale, size=partition.omega.size)
@@ -71,6 +100,24 @@ def three_path_problem(nl, h0=1.0, h_value=1.0):
     partition = compute_boundary(graph, ["b"])
     h = np.full(3, float(h_value))
     return Problem(graph=graph, partition=partition, h=h, nl=nl, h0=h0)
+
+
+def lattice(k):
+    """k x k unit lattice with the non-edge vertices as interior; its
+    corners are exterior and its rim carries boundary-boundary edges.
+    Its first Dirichlet eigenvalue is 1 - cos(pi / (k - 1))."""
+    ids = [f"{r},{c}" for r in range(k) for c in range(k)]
+    edges = [(f"{r},{c}", f"{r},{c + 1}", 1.0) for r in range(k) for c in range(k - 1)]
+    edges += [(f"{r},{c}", f"{r + 1},{c}", 1.0) for r in range(k - 1) for c in range(k)]
+    graph = build_graph(ids, edges)
+    part = compute_boundary(graph, [f"{r},{c}" for r in range(1, k - 1) for c in range(1, k - 1)])
+    return graph, part
+
+
+def lattice_problem(k, nl):
+    """The k x k lattice with h = 1 and reaction term nl."""
+    graph, part = lattice(k)
+    return Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=nl, h0=1.0)
 
 
 def bisect(fn, lo, hi, tol=1e-15, max_iter=200):
