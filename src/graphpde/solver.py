@@ -3,14 +3,22 @@
 Three entry points:
 
     mountain_pass   deforms a polygonal path from 0 to a spike endpoint
-                    with nonpositive energy, lowering its energy maximum
-                    until the maximizing point can be refined by Newton
-                    iteration into a positive-level critical point
+                    with nonpositive energy, climbing its maximizing
+                    point up to the saddle, which Newton iteration then
+                    refines into a positive-level critical point
     ball_minimize   projected gradient descent inside the energy ball
                     of radius sqrt(rho), refined unconstrained when the
                     minimizer is interior
     two_solutions   verifies the two-solution hypotheses, then runs
                     both and checks the results are distinct
+
+Both loops step along the Sobolev gradient: the Riesz representative
+P^(-1) g of the Euclidean gradient g in the inner product of
+P = L + diag(mu |h|) on interior unknowns, with L the interior
+Laplacian.  Where h > 0, P is the Gram matrix of the h-norm, the metric
+the energy is posed in, so one unit step undoes the quadratic part of
+the energy whatever the weights and measures.  P is factored once per
+loop (Cholesky) and only back-substituted per step.
 
 All loops are deterministic: no randomness, fixed tie-breaking (lowest
 input order), and a certified nonincreasing record of the path level.
@@ -34,7 +42,7 @@ from .nonlinearity import (
     f1_verdict,
     F6_DEFAULT_THRESHOLD,
 )
-from .spectral import ConstantsReport, embedding_constants, first_eigenvalue
+from .spectral import ConstantsReport, _cholesky_solver, embedding_constants, first_eigenvalue
 from .variational import (
     BallConstants,
     Problem,
@@ -61,7 +69,11 @@ class SolverError(RuntimeError):
 class StepRule:
     """Descent step selection: a fixed step of length alpha, or
     backtracking from alpha by the shrink factor until the sufficient
-    decrease test with slope fraction armijo passes."""
+    decrease test with slope fraction armijo passes.  The steps are
+    multiples of the Sobolev gradient, so alpha = 1 is the natural
+    scale.  The path deformation uses alpha only, as a fixed step
+    capped by the path spacing; kind, shrink and armijo act in the ball
+    minimizer."""
 
     kind: str = "backtracking"
     alpha: float = 1.0
@@ -289,27 +301,90 @@ def _resample_path(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def _descent_step(problem: Problem, u, gvec, value, rule: StepRule, max_step=None):
-    """One descent move from u along -gvec.  Returns (new point, new
-    energy), or None when backtracking exhausts the step length.
+def _arc_positions(path: np.ndarray) -> np.ndarray:
+    """Euclidean arc length from the start to each path point, as a
+    fraction of the whole path's length."""
+    seg = np.sqrt(np.sum(np.diff(path, axis=0) ** 2, axis=1))
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    return cum / cum[-1]
 
-    max_step caps the displacement length.  Without it a single
-    backtracking trial can accept a huge move (far out the energy drops
-    without bound, so plain Armijo gladly teleports the point); the
-    path deformation needs pointwise-small moves to stay a path.
+
+def _resample_about(path: np.ndarray, i: int) -> None:
+    """Redistribute each side of path point i by arc length, in place.
+    Point i (the climbing image) and both endpoints stay exactly; a
+    whole-path resample would interpolate the image away."""
+    path[: i + 1] = _resample_path(path[: i + 1])
+    path[i:] = _resample_path(path[i:])
+
+
+def _sobolev_direction(problem: Problem):
+    """Factor P = L + diag(mu |h|) on the interior unknowns once and
+    return g -> P^(-1) g on the interior, zero elsewhere.
+
+    L is symmetric positive definite for every admissible problem (a
+    nonempty boundary and a connected closure), and the |h| keeps P so
+    where h is negative.  Only the factor is kept, not P itself.
     """
-    gn = float(np.linalg.norm(gvec))
-    alpha = rule.alpha
-    if max_step is not None and gn > 0.0 and alpha * gn > max_step:
-        alpha = max_step / gn
-    if rule.kind == "fixed":
-        cand = u - alpha * gvec
+    omega = problem.partition.omega
+    pmat = _interior_matrix(problem.graph, problem.partition)
+    pmat[np.diag_indices_from(pmat)] += np.abs(problem._form.mu_h)
+    solve = _cholesky_solver(pmat)
+    del pmat
+
+    def direction(gvec: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(gvec)
+        out[omega] = solve(gvec[omega])
+        return out
+
+    return direction
+
+
+def _p_square(problem: Problem, v: np.ndarray) -> float:
+    """v^T P v of a Dirichlet function, summed per edge like the
+    h-norm but with mu |h| in the zero-order term."""
+    form = problem._form
+    d = v[form.i] - v[form.j]
+    inner = v[form.omega]
+    return float((d * d) @ form.w + (inner * inner) @ np.abs(form.mu_h))
+
+
+def _climbing_move(problem: Problem, precondition, gvec, tau) -> np.ndarray:
+    """Climbing-image direction P^(-1) g - 2 (g . tau)/(tau^T P tau) tau:
+    the Sobolev gradient with its part along the path tangent tau, in
+    the P inner product, reversed, so that a move against it descends
+    across the path and climbs along it.  A zero tau (coincident
+    neighbours) gives no tangent and no reflection."""
+    move = precondition(gvec)
+    tpt = _p_square(problem, tau)
+    if tpt > 0.0:
+        move -= (2.0 * float(gvec @ tau) / tpt) * tau
+    return move
+
+
+def _descent_step(problem: Problem, u, gvec, direction, value, rule: StepRule, project=None):
+    """One descent move from u along -direction, a descent direction
+    for the Euclidean gradient gvec.  Returns (new point, new energy),
+    or None when backtracking exhausts the step length.
+
+    The Armijo slope is gvec . direction.  project, when given, maps
+    each trial point back into the feasible set before it is
+    evaluated.  A backtracking trial is accepted only when it also
+    lowers the energy strictly.
+    """
+
+    def trial(alpha):
+        cand = u - alpha * direction
+        if project is not None:
+            cand = project(cand)
         return cand, energy(problem, cand)
-    gsq = gn * gn
+
+    if rule.kind == "fixed":
+        return trial(rule.alpha)
+    slope = float(gvec @ direction)
+    alpha = rule.alpha
     while alpha >= 1e-18:
-        cand = u - alpha * gvec
-        val = energy(problem, cand)
-        if val <= value - rule.armijo * alpha * gsq:
+        cand, val = trial(alpha)
+        if val <= value - rule.armijo * alpha * slope and val < value:
             return cand, val
         alpha *= rule.shrink
     return None
@@ -319,14 +394,16 @@ def _newton_polish(problem: Problem, u0: np.ndarray, config: SolverConfig):
     """Refine a candidate to vertexwise residual <= newton_tol.
 
     The linearization at u restricted to interior unknowns is the
-    interior Laplacian matrix plus diag(mu (h - f_u)); a singular or
-    non-finite solve falls back once per iteration to a 1e-10 diagonal
-    shift and flags it.  Returns (u, residual_max, shifted).
+    interior Laplacian matrix plus diag(mu (h - f_u)), written into the
+    diagonal of one matrix in place; a singular or non-finite solve
+    falls back once per iteration to a 1e-10 diagonal shift and flags
+    it.  Returns (u, residual_max, shifted).
     """
     omega = problem.partition.omega
     mu = problem.graph.measure[omega]
-    lmat = _interior_matrix(problem.graph, problem.partition)
-    ident = np.eye(len(omega))
+    jac = _interior_matrix(problem.graph, problem.partition)
+    diag = np.diag_indices_from(jac)
+    base = jac[diag]
     u = np.array(u0, dtype=float, copy=True)
     shifted = False
     prev = math.inf
@@ -347,7 +424,7 @@ def _newton_polish(problem: Problem, u0: np.ndarray, config: SolverConfig):
             rises = 0
         prev = res_max
         _, _, fu = evaluate(problem.nl, None, u[omega])
-        jac = lmat + np.diag(mu * (problem.h[omega] - fu))
+        jac[diag] = base + mu * (problem.h[omega] - fu)
         rhs = -(mu * r)
         try:
             delta = np.linalg.solve(jac, rhs)
@@ -355,7 +432,8 @@ def _newton_polish(problem: Problem, u0: np.ndarray, config: SolverConfig):
                 raise np.linalg.LinAlgError("non-finite Newton update")
         except np.linalg.LinAlgError:
             shifted = True
-            delta = np.linalg.solve(jac + 1e-10 * ident, rhs)
+            jac[diag] += 1e-10
+            delta = np.linalg.solve(jac, rhs)
         u[omega] += delta
     r = pointwise_residual(problem, u)[omega]
     res_max = float(np.max(np.abs(r)))
@@ -402,11 +480,14 @@ def mountain_pass(
     path_points points.  Each iteration evaluates the energy along the
     path, records the certified level (the running minimum over
     iterations of the pre-move path maximum, nonincreasing by
-    construction), moves the maximizing point one descent step, and
-    redistributes the points by arc length.  The loop leaves for Newton
-    refinement when the maximizer's gradient norm reaches deform_tol,
-    or when the certified level stalls; refinement failure after a
-    stall is reported as a stall.
+    construction) and moves the maximizing point as a climbing image:
+    down the Sobolev gradient across the path and up it along the path
+    tangent, by a fixed step of step_rule.alpha capped at the path
+    spacing.  Each side of the image is then redistributed by arc
+    length, keeping the image where it moved.  The loop leaves for
+    Newton refinement when the image's Euclidean gradient norm reaches
+    deform_tol, or when the certified level stalls; refinement failure
+    after a stall is reported as a stall.
 
     trace_out collects (certified level, gradient norm) per iteration;
     profile_out collects (iteration, arc positions, energies) snapshots
@@ -419,6 +500,7 @@ def mountain_pass(
         if verdicts_out is not None:
             verdicts_out.extend(verdicts)
     endpoint = build_spike_endpoint(problem, config)
+    precondition = _sobolev_direction(problem)
     npts = config.path_points
     path = np.linspace(0.0, 1.0, npts)[:, None] * endpoint[None, :]
     trace: list[tuple[float, float]] = []
@@ -430,7 +512,7 @@ def mountain_pass(
         i = int(np.argmax(values))
         level = min(level, float(values[i]))
         if profile_out is not None and k % 50 == 0:
-            profile_out.append((k, np.linspace(0.0, 1.0, npts), values.copy()))
+            profile_out.append((k, _arc_positions(path), values.copy()))
         gvec = gradient(problem, path[i])
         gn = float(np.linalg.norm(gvec))
         trace.append((level, gn))
@@ -448,18 +530,16 @@ def mountain_pass(
             stalled = True
             u_best = path[i].copy()
             break
+        move = _climbing_move(problem, precondition, gvec, path[i + 1] - path[i - 1])
         deltas = np.diff(path, axis=0)
         spacing = float(np.sum(np.sqrt(np.sum(deltas * deltas, axis=1)))) / (npts - 1)
-        step = _descent_step(
-            problem, path[i], gvec, float(values[i]), config.step_rule,
-            max_step=spacing if spacing > 0.0 else None,
-        )
-        if step is None:
-            stalled = True
-            u_best = path[i].copy()
-            break
-        path[i] = step[0]
-        path = _resample_path(path)
+        alpha = config.step_rule.alpha
+        mn = float(np.linalg.norm(move))
+        if alpha * mn > spacing:
+            alpha = spacing / mn
+        path[i] -= alpha * move
+        _resample_about(path, i)
+    del precondition
     if u_best is None:
         values = energy(problem, path)
         i = int(np.argmax(values))
@@ -467,7 +547,7 @@ def mountain_pass(
         stalled = True
     if profile_out is not None:
         values = energy(problem, path)
-        profile_out.append((len(trace), np.linspace(0.0, 1.0, npts), values))
+        profile_out.append((len(trace), _arc_positions(path), values))
     if trace_out is not None:
         trace_out.extend(trace)
     try:
@@ -496,10 +576,11 @@ def ball_minimize(
 ) -> Solution:
     """Minimize the energy over the closed ball h-norm <= sqrt(rho).
 
-    Projected gradient descent from the zero function: a step leaving
-    the ball is pulled back radially.  A minimizer strictly inside the
-    sphere (by 1e-8) is refined unconstrained; a minimizer pinned to
-    the sphere raises "no interior minimizer found".  When f(x,0) = 0
+    Projected Sobolev-gradient descent from the zero function, one
+    _descent_step per iteration: a trial point leaving the ball is
+    pulled back radially before it is evaluated.  A minimizer strictly
+    inside the sphere (by 1e-8) is refined unconstrained; a minimizer
+    pinned to the sphere raises "no interior minimizer found".  When f(x,0) = 0
     the zero function is a genuine solution and descent never leaves
     it; that outcome is returned with kind="trivial" rather than
     treated as an error.
@@ -512,7 +593,12 @@ def ball_minimize(
         if verdicts_out is not None:
             verdicts_out.extend(verdicts)
     radius = math.sqrt(config.rho)
-    rule = config.step_rule
+    precondition = _sobolev_direction(problem)
+
+    def into_ball(cand):
+        hn = h_norm(problem, cand)
+        return cand * (radius / hn) if hn > radius else cand
+
     u = np.zeros(problem.graph.n)
     trace: list[tuple[float, float]] = []
     value = energy(problem, u)
@@ -522,29 +608,14 @@ def ball_minimize(
         trace.append((value, gn))
         if gn <= config.deform_tol:
             break
-        moved = None
-        if rule.kind == "fixed":
-            cand = u - rule.alpha * gvec
-            hn = h_norm(problem, cand)
-            if hn > radius:
-                cand = cand * (radius / hn)
-            moved = (cand, energy(problem, cand))
-        else:
-            gsq = gn * gn
-            alpha = rule.alpha
-            while alpha >= 1e-18:
-                cand = u - alpha * gvec
-                hn = h_norm(problem, cand)
-                if hn > radius:
-                    cand = cand * (radius / hn)
-                val = energy(problem, cand)
-                if val <= value - rule.armijo * alpha * gsq and val < value:
-                    moved = (cand, val)
-                    break
-                alpha *= rule.shrink
+        moved = _descent_step(
+            problem, u, gvec, precondition(gvec), value, config.step_rule,
+            project=into_ball,
+        )
         if moved is None:
             break
         u, value = moved
+    del precondition
     if trace_out is not None:
         trace_out.extend(trace)
     hn = h_norm(problem, u)

@@ -7,10 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphpde
 from graphpde.cli import run
+from graphpde.graphs import format_graph_text
+from util import lattice
 
 PATH3 = (
     "v a auto 0 boundary\n"
@@ -236,6 +239,21 @@ def test_solve2_byte_identical_runs(graph_file, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first  # nonempty
+
+
+def test_solve_byte_identical_runs_on_lattice(graph_file, capsys):
+    graph, part = lattice(12)
+    path = graph_file(format_graph_text(graph, part, np.ones(graph.n)))
+    args = [
+        "solve", path, "--nl", "power:p=4", "--theta", "4", "--M", "1",
+        "--format", "jsonl",
+    ]
+    assert run(args) == 0
+    first = capsys.readouterr().out
+    assert run(args) == 0
+    second = capsys.readouterr().out
+    assert first == second
+    assert any(json.loads(line)["record"] == "trace" for line in first.splitlines())
 
 
 def test_out_file_matches_stdout(graph_file, tmp_path, capsys):

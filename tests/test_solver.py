@@ -23,10 +23,21 @@ from graphpde import (
     two_solutions,
 )
 import graphpde.solver
+from graphpde.calculus import _interior_matrix
+from graphpde.nonlinearity import evaluate
+from graphpde.solver import (
+    _climbing_move,
+    _newton_polish,
+    _resample_about,
+    _sobolev_direction,
+)
 from util import (
     bisect,
+    interior_matrix_loop,
     lattice_problem,
+    morse_index,
     random_connected_graph,
+    random_dirichlet,
     random_partition,
     three_path_problem,
 )
@@ -387,3 +398,186 @@ def test_mountain_pass_in_ball_flag():
     sol = mountain_pass(problem, SolverConfig(rho=100.0))
     assert sol.in_ball and sol.rho_used == 100.0
     assert sol.h_norm == pytest.approx(2 * math.sqrt(2), rel=1e-9)
+
+
+def test_ball_minimize_sobolev_steps_converge_fast():
+    # 2038 Euclidean steps; the Sobolev step is a contraction here
+    trace: list = []
+    sol = ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0), trace_out=trace)
+    assert abs(sol.u[1] - SMALL_ROOT) <= 1e-8
+    assert len(trace) <= 10
+
+
+def test_mountain_pass_lattice_exits_by_tolerance():
+    config = SolverConfig()
+    trace: list = []
+    sol = mountain_pass(lattice_problem(12, POWER4), config, trace_out=trace)
+    assert trace[-1][1] <= config.deform_tol
+    assert len(trace) < graphpde.solver.STALL_WINDOW
+    assert sol.residual_max <= config.newton_tol
+
+
+def _p_matrix(problem):
+    omega = problem.partition.omega
+    mu = problem.graph.measure[omega]
+    return interior_matrix_loop(problem.graph, problem.partition) + np.diag(
+        mu * np.abs(problem.h[omega])
+    )
+
+
+def _mixed_sign_problem(rng):
+    graph = random_connected_graph(rng, n_min=4, n_max=30, measure_mode="given")
+    part = random_partition(rng, graph)
+    h = rng.uniform(-2.0, 2.0, size=graph.n)
+    return Problem(graph=graph, partition=part, h=h, nl=POWER4)
+
+
+def test_sobolev_direction_solves_the_h_gram_matrix(rng):
+    for _ in range(20):
+        problem = _mixed_sign_problem(rng)
+        omega = problem.partition.omega
+        g = random_dirichlet(rng, problem.graph, problem.partition)
+        d = _sobolev_direction(problem)(g)
+        expect = np.linalg.solve(_p_matrix(problem), g[omega])
+        assert np.allclose(d[omega], expect, rtol=1e-10, atol=1e-12 * np.max(np.abs(expect)))
+        assert np.all(d[~problem.partition.omega_mask] == 0.0)
+
+
+def test_climbing_move_reverses_the_tangential_part(rng):
+    for _ in range(20):
+        problem = _mixed_sign_problem(rng)
+        part = problem.partition
+        pmat = _p_matrix(problem)
+        precondition = _sobolev_direction(problem)
+        g = random_dirichlet(rng, problem.graph, part)
+        tau = random_dirichlet(rng, problem.graph, part)
+        move = _climbing_move(problem, precondition, g, tau)
+        base = precondition(g)
+        # the change is along tau, and the P-component along tau flips
+        coef = (move - base)[part.omega] / tau[part.omega]
+        assert np.allclose(coef, coef[0], rtol=1e-9)
+        t = tau[part.omega]
+        assert t @ pmat @ move[part.omega] == pytest.approx(-(g @ tau), rel=1e-9)
+
+
+def test_climbing_move_without_tangent_does_not_reflect(rng):
+    problem = lattice_problem(5, POWER4)
+    precondition = _sobolev_direction(problem)
+    g = random_dirichlet(rng, problem.graph, problem.partition)
+    with np.errstate(all="raise"):
+        move = _climbing_move(problem, precondition, g, np.zeros(problem.graph.n))
+    assert np.array_equal(move, precondition(g))
+
+
+@pytest.mark.parametrize("i", [1, 7, 20, 39])
+def test_resample_about_keeps_the_image(rng, i):
+    # two straight legs 0 -> image -> end, points unevenly spread on each
+    image, end = rng.normal(size=6), rng.normal(size=6)
+    left = np.sort(rng.uniform(size=i - 1))
+    right = np.sort(rng.uniform(size=39 - i))
+    path = np.vstack([
+        np.zeros(6), left[:, None] * image, image,
+        image + right[:, None] * (end - image), end,
+    ])
+    before = path.copy()
+    _resample_about(path, i)
+    for k in (0, i, 40):
+        assert np.array_equal(path[k], before[k])
+    for side in (path[: i + 1], path[i:]):
+        seg = np.linalg.norm(np.diff(side, axis=0), axis=1)
+        assert np.allclose(seg, seg.mean(), rtol=1e-9)
+    assert not np.allclose(path, before)
+
+
+def test_newton_shift_fallback(monkeypatch):
+    original = np.linalg.solve
+    calls = []
+
+    def fail_first(a, b):
+        calls.append(a.copy())
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("singular matrix")
+        return original(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", fail_first)
+    config = SolverConfig()
+    sol = mountain_pass(lattice_problem(5, POWER4), config)
+    assert len(calls) >= 2
+    # the retry solves the same Jacobian shifted by 1e-10 on the diagonal
+    assert np.array_equal(calls[1], calls[0] + 1e-10 * np.eye(len(calls[0])))
+    assert sol.newton_shifted
+    assert sol.residual_max <= config.newton_tol
+
+
+def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
+    original = np.linalg.solve
+    jacobians, points = [], []
+
+    def record_solve(a, b):
+        jacobians.append(a.copy())
+        return original(a, b)
+
+    def record_evaluate(nl, x, u):
+        points.append(np.array(u, copy=True))
+        return evaluate(nl, x, u)
+
+    checked = 0
+    for _ in range(10):
+        graph = random_connected_graph(rng, n_min=6, n_max=20)
+        part = random_partition(rng, graph)
+        problem = Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER4, h0=1.0)
+        config = SolverConfig()
+        start = mountain_pass(problem, config).u
+        start[part.omega] *= 1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=part.omega.size)
+        jacobians.clear()
+        points.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", record_solve)
+            m.setattr(graphpde.solver, "evaluate", record_evaluate)
+            _newton_polish(problem, start, config)
+        assert len(jacobians) == len(points) >= 1
+        lmat = _interior_matrix(graph, part)
+        mu = graph.measure[part.omega]
+        for jac, u_omega in zip(jacobians, points):
+            _, _, fu = evaluate(problem.nl, None, u_omega)
+            assert np.array_equal(jac, lmat + np.diag(mu * (problem.h[part.omega] - fu)))
+            checked += 1
+    assert checked >= 10
+
+
+def test_solutions_have_the_expected_morse_index():
+    rng = np.random.default_rng(7)
+    tolerance_exits = 0
+    for _ in range(12):
+        graph = random_connected_graph(rng, n_min=5, n_max=25)
+        part = random_partition(rng, graph)
+        h = np.ones(graph.n)
+        config = SolverConfig()
+        trace: list = []
+        pass_problem = Problem(graph=graph, partition=part, h=h, nl=POWER4, h0=1.0)
+        sol = mountain_pass(pass_problem, config, trace_out=trace)
+        if trace[-1][1] <= config.deform_tol:
+            tolerance_exits += 1
+            assert morse_index(pass_problem, sol.u) == 1
+        ball_problem = Problem(
+            graph=graph, partition=part, h=h, nl=power_plus_const(4, 0.01), h0=1.0
+        )
+        ball = ball_minimize(ball_problem, SolverConfig(rho=1.0))
+        assert ball.kind == "ball_min"
+        assert morse_index(ball_problem, ball.u) == 0
+    assert tolerance_exits >= 6
+
+
+def test_mountain_pass_profile_reports_arc_positions():
+    profile: list = []
+    mountain_pass(lattice_problem(12, POWER4), profile_out=profile)
+    for _, positions, _ in profile:
+        assert positions[0] == 0.0 and positions[-1] == 1.0
+        assert np.all(np.diff(positions) > 0.0)
+    # the last path was resampled about its maximizer: uniform on each side
+    _, positions, values = profile[-1]
+    i = int(np.argmax(values))
+    right = len(positions) - 1 - i
+    assert np.allclose(np.diff(positions[: i + 1]), positions[i] / i, rtol=1e-9)
+    assert np.allclose(np.diff(positions[i:]), (1.0 - positions[i]) / right, rtol=1e-9)
+    assert not np.allclose(positions, np.linspace(0.0, 1.0, len(positions)))

@@ -5,6 +5,7 @@ from collections import deque
 import numpy as np
 
 from graphpde import Problem, build_graph, compute_boundary
+from graphpde.nonlinearity import reaction_derivative
 
 
 def random_connected_graph(rng, n_min=5, n_max=50, measure_mode="derived"):
@@ -78,6 +79,18 @@ def interior_matrix_loop(graph, partition):
             if kk is not None:
                 mat[k, kk] -= wj
     return mat
+
+
+def morse_index(problem, u):
+    """Number of negative eigenvalues of the energy's Hessian at u in
+    the interior unknowns, L_int + diag(mu (h - f_u)), with L_int from
+    the per-vertex assembly."""
+    omega = problem.partition.omega
+    mu = problem.graph.measure[omega]
+    fu = reaction_derivative(problem.nl, np.asarray(u, dtype=float)[omega])
+    hess = interior_matrix_loop(problem.graph, problem.partition)
+    hess += np.diag(mu * (problem.h[omega] - fu))
+    return int(np.sum(np.linalg.eigvalsh(hess) < 0.0))
 
 
 def random_dirichlet(rng, graph, partition, scale=2.0):
