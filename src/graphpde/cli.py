@@ -362,7 +362,6 @@ def _solver_config(cfg: RunConfig) -> SolverConfig:
         rho=cfg.rho,
         beta=cfg.beta,
         m0=cfg.m0,
-        seed=cfg.seed,
     )
 
 

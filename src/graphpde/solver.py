@@ -18,7 +18,11 @@ P = L + diag(mu |h|) on interior unknowns, with L the interior
 Laplacian.  Where h > 0, P is the Gram matrix of the h-norm, the metric
 the energy is posed in, so one unit step undoes the quadratic part of
 the energy whatever the weights and measures.  P is factored once per
-loop (Cholesky) and only back-substituted per step.
+loop (Cholesky) and only back-substituted per step.  Along the path
+tangent the climbing image does not take the Sobolev step: where the
+energy's exact curvature there is negative it takes the 1-D Newton step
+to the maximum along the tangent, and otherwise reflects the tangential
+part of the Sobolev gradient.
 
 All loops are deterministic: no randomness, fixed tie-breaking (lowest
 input order), and a certified nonincreasing record of the path level.
@@ -40,6 +44,7 @@ from .nonlinearity import (
     check_h,
     evaluate,
     f1_verdict,
+    reaction_derivative,
     F6_DEFAULT_THRESHOLD,
 )
 from .spectral import ConstantsReport, _cholesky_solver, embedding_constants, first_eigenvalue
@@ -101,8 +106,6 @@ class SolverConfig:
     two-solution pipeline to the mode where the pointwise range bound
     m0 is given and the ball radius is derived as m0^2/(mu_min h0).
     check_grid overrides the sampling grid of the hypothesis checks.
-    seed is reserved for callers that randomize test directions; the
-    solvers themselves draw no random numbers.
     """
 
     path_points: int = 41
@@ -114,7 +117,6 @@ class SolverConfig:
     rho: float | None = None
     beta: float | None = None
     m0: float | None = None
-    seed: int = 0
     verify_hypotheses: bool = True
     check_grid: GridSpec | None = None
     f6_threshold: float = F6_DEFAULT_THRESHOLD
@@ -281,26 +283,6 @@ def build_spike_endpoint(problem: Problem, config: SolverConfig | None = None) -
     )
 
 
-def _resample_path(points: np.ndarray) -> np.ndarray:
-    """Redistribute the polygonal path points uniformly by Euclidean
-    arc length, keeping both endpoints exactly.  Keeps the path from
-    bunching up around the moved maximizer."""
-    deltas = np.diff(points, axis=0)
-    seg = np.sqrt(np.sum(deltas * deltas, axis=1))
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    total = cum[-1]
-    if not total > 0.0:
-        return points
-    targets = np.linspace(0.0, total, len(points))
-    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
-    safe = np.where(seg[idx] > 0.0, seg[idx], 1.0)
-    local = np.where(seg[idx] > 0.0, (targets - cum[idx]) / safe, 0.0)
-    out = points[idx] + local[:, None] * deltas[idx]
-    out[0] = points[0]
-    out[-1] = points[-1]
-    return out
-
-
 def _arc_positions(path: np.ndarray) -> np.ndarray:
     """Euclidean arc length from the start to each path point, as a
     fraction of the whole path's length."""
@@ -309,12 +291,26 @@ def _arc_positions(path: np.ndarray) -> np.ndarray:
     return cum / cum[-1]
 
 
-def _resample_about(path: np.ndarray, i: int) -> None:
-    """Redistribute each side of path point i by arc length, in place.
-    Point i (the climbing image) and both endpoints stay exactly; a
-    whole-path resample would interpolate the image away."""
-    path[: i + 1] = _resample_path(path[: i + 1])
-    path[i:] = _resample_path(path[i:])
+def _resample_path(path: np.ndarray, i: int, deltas: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """The path with the points on each side of point i redistributed
+    uniformly by Euclidean arc length, both sides in one pass; deltas
+    and seg hold the segment vectors and their lengths.  Point i (the
+    climbing image) and both endpoints stay exactly; a whole-path
+    resample would interpolate the image away."""
+    npts = len(path)
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    k = np.arange(npts, dtype=float)
+    right = (cum[-1] - cum[i]) / (npts - 1 - i)
+    targets = np.where(k < i, k * (cum[i] / i), cum[i] + (k - i) * right)
+    idx = np.minimum(np.searchsorted(cum, targets, side="right") - 1, npts - 2)
+    length = seg[idx]
+    local = np.divide(targets - cum[idx], length, out=np.zeros(npts), where=length > 0.0)
+    out = deltas.take(idx, axis=0)
+    out *= local[:, None]
+    out += path.take(idx, axis=0)
+    for j in (0, i, npts - 1):
+        out[j] = path[j]
+    return out
 
 
 def _sobolev_direction(problem: Problem):
@@ -339,25 +335,33 @@ def _sobolev_direction(problem: Problem):
     return direction
 
 
-def _p_square(problem: Problem, v: np.ndarray) -> float:
-    """v^T P v of a Dirichlet function, summed per edge like the
-    h-norm but with mu |h| in the zero-order term."""
-    form = problem._form
-    d = v[form.i] - v[form.j]
-    inner = v[form.omega]
-    return float((d * d) @ form.w + (inner * inner) @ np.abs(form.mu_h))
+def _climbing_move(problem: Problem, precondition, gvec, tau, u) -> np.ndarray:
+    """Climbing-image move at u along the path tangent tau: the
+    Sobolev gradient P^(-1) g with its part along tau, in the P inner
+    product, replaced, so that a step against the move descends across
+    the path and climbs along it.
 
-
-def _climbing_move(problem: Problem, precondition, gvec, tau) -> np.ndarray:
-    """Climbing-image direction P^(-1) g - 2 (g . tau)/(tau^T P tau) tau:
-    the Sobolev gradient with its part along the path tangent tau, in
-    the P inner product, reversed, so that a move against it descends
-    across the path and climbs along it.  A zero tau (coincident
-    neighbours) gives no tangent and no reflection."""
+    Across the path the move keeps P^(-1) g - (g . tau)/(tau^T P tau) tau.
+    Along tau it is the 1-D Newton step (g . tau)/c tau when the exact
+    curvature c = tau^T H tau is negative, H = L + diag(mu (h - f_u)) the
+    energy's Hessian at u; otherwise the tangential part is reflected,
+    -(g . tau)/(tau^T P tau) tau.  tau^T P tau and c come from one edge
+    pass.  A zero tau (coincident neighbours) gives no tangent: the move
+    is P^(-1) g."""
     move = precondition(gvec)
-    tpt = _p_square(problem, tau)
+    form = problem._form
+    d = tau[form.i] - tau[form.j]
+    sq = tau[form.omega] ** 2
+    grad = float((d * d) @ form.w)
+    tpt = grad + float(sq @ np.abs(form.mu_h))
     if tpt > 0.0:
-        move -= (2.0 * float(gvec @ tau) / tpt) * tau
+        fu = reaction_derivative(problem.nl, u[form.omega])
+        curv = grad + float(sq @ (form.mu_h - form.mu * fu))
+        slope = float(gvec @ tau)
+        if curv < 0.0:
+            move += (slope / curv - slope / tpt) * tau
+        else:
+            move -= (2.0 * slope / tpt) * tau
     return move
 
 
@@ -480,11 +484,13 @@ def mountain_pass(
     path_points points.  Each iteration evaluates the energy along the
     path, records the certified level (the running minimum over
     iterations of the pre-move path maximum, nonincreasing by
-    construction) and moves the maximizing point as a climbing image:
-    down the Sobolev gradient across the path and up it along the path
-    tangent, by a fixed step of step_rule.alpha capped at the path
-    spacing.  Each side of the image is then redistributed by arc
-    length, keeping the image where it moved.  The loop leaves for
+    construction) and moves the maximizing point as a climbing image
+    (_climbing_move): down the Sobolev gradient across the path and, along
+    the path tangent, by the 1-D Newton step where the energy's curvature
+    along it is negative (otherwise up the reflected Sobolev gradient),
+    by a fixed step of step_rule.alpha capped at the path spacing.  Both
+    sides of the image are then redistributed by arc length in one pass,
+    keeping the image where it moved.  The loop leaves for
     Newton refinement when the image's Euclidean gradient norm reaches
     deform_tol, or when the certified level stalls; refinement failure
     after a stall is reported as a stall.
@@ -514,7 +520,7 @@ def mountain_pass(
         if profile_out is not None and k % 50 == 0:
             profile_out.append((k, _arc_positions(path), values.copy()))
         gvec = gradient(problem, path[i])
-        gn = float(np.linalg.norm(gvec))
+        gn = math.sqrt(gvec @ gvec)
         trace.append((level, gn))
         if i == 0 or i == npts - 1:
             if trace_out is not None:
@@ -530,15 +536,19 @@ def mountain_pass(
             stalled = True
             u_best = path[i].copy()
             break
-        move = _climbing_move(problem, precondition, gvec, path[i + 1] - path[i - 1])
-        deltas = np.diff(path, axis=0)
-        spacing = float(np.sum(np.sqrt(np.sum(deltas * deltas, axis=1)))) / (npts - 1)
+        move = _climbing_move(problem, precondition, gvec, path[i + 1] - path[i - 1], path[i])
+        deltas = path[1:] - path[:-1]
+        seg = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
+        spacing = float(np.sum(seg)) / (npts - 1)
         alpha = config.step_rule.alpha
-        mn = float(np.linalg.norm(move))
+        mn = math.sqrt(move @ move)
         if alpha * mn > spacing:
             alpha = spacing / mn
         path[i] -= alpha * move
-        _resample_about(path, i)
+        for j in (i - 1, i):
+            deltas[j] = path[j + 1] - path[j]
+            seg[j] = math.sqrt(deltas[j] @ deltas[j])
+        path = _resample_path(path, i, deltas, seg)
     del precondition
     if u_best is None:
         values = energy(problem, path)

@@ -28,17 +28,19 @@ from graphpde.nonlinearity import evaluate
 from graphpde.solver import (
     _climbing_move,
     _newton_polish,
-    _resample_about,
+    _resample_path,
     _sobolev_direction,
 )
 from util import (
     bisect,
+    hessian,
     interior_matrix_loop,
     lattice_problem,
     morse_index,
     random_connected_graph,
     random_dirichlet,
     random_partition,
+    resample_about,
     three_path_problem,
 )
 
@@ -444,14 +446,19 @@ def test_sobolev_direction_solves_the_h_gram_matrix(rng):
 
 
 def test_climbing_move_reverses_the_tangential_part(rng):
+    # at u = 0 with h > 0 the curvature along tau is tau^T P tau > 0
     for _ in range(20):
         problem = _mixed_sign_problem(rng)
+        problem = Problem(
+            graph=problem.graph, partition=problem.partition,
+            h=np.abs(problem.h) + 0.1, nl=POWER4,
+        )
         part = problem.partition
         pmat = _p_matrix(problem)
         precondition = _sobolev_direction(problem)
         g = random_dirichlet(rng, problem.graph, part)
         tau = random_dirichlet(rng, problem.graph, part)
-        move = _climbing_move(problem, precondition, g, tau)
+        move = _climbing_move(problem, precondition, g, tau, np.zeros(problem.graph.n))
         base = precondition(g)
         # the change is along tau, and the P-component along tau flips
         coef = (move - base)[part.omega] / tau[part.omega]
@@ -460,13 +467,42 @@ def test_climbing_move_reverses_the_tangential_part(rng):
         assert t @ pmat @ move[part.omega] == pytest.approx(-(g @ tau), rel=1e-9)
 
 
+def test_climbing_move_takes_the_newton_step_along_negative_curvature(rng):
+    checked = 0
+    for _ in range(40):
+        problem = _mixed_sign_problem(rng)
+        part = problem.partition
+        pmat = _p_matrix(problem)
+        precondition = _sobolev_direction(problem)
+        u = random_dirichlet(rng, problem.graph, part)
+        g = random_dirichlet(rng, problem.graph, part)
+        tau = random_dirichlet(rng, problem.graph, part)
+        t = tau[part.omega]
+        curv = t @ hessian(problem, u) @ t
+        if not curv < 0.0:
+            continue
+        move = _climbing_move(problem, precondition, g, tau, u)
+        coef = (move - precondition(g))[part.omega] / t
+        assert np.allclose(coef, coef[0], rtol=1e-9)
+        tpt = t @ pmat @ t
+        assert t @ pmat @ move[part.omega] == pytest.approx((g @ tau) * tpt / curv, rel=1e-9)
+        checked += 1
+    assert checked >= 10
+
+
 def test_climbing_move_without_tangent_does_not_reflect(rng):
     problem = lattice_problem(5, POWER4)
     precondition = _sobolev_direction(problem)
     g = random_dirichlet(rng, problem.graph, problem.partition)
+    u = random_dirichlet(rng, problem.graph, problem.partition)
     with np.errstate(all="raise"):
-        move = _climbing_move(problem, precondition, g, np.zeros(problem.graph.n))
+        move = _climbing_move(problem, precondition, g, np.zeros(problem.graph.n), u)
     assert np.array_equal(move, precondition(g))
+
+
+def _segments(path):
+    deltas = np.diff(path, axis=0)
+    return deltas, np.sqrt(np.sum(deltas * deltas, axis=1))
 
 
 @pytest.mark.parametrize("i", [1, 7, 20, 39])
@@ -479,14 +515,61 @@ def test_resample_about_keeps_the_image(rng, i):
         np.zeros(6), left[:, None] * image, image,
         image + right[:, None] * (end - image), end,
     ])
-    before = path.copy()
-    _resample_about(path, i)
+    out = _resample_path(path, i, *_segments(path))
     for k in (0, i, 40):
-        assert np.array_equal(path[k], before[k])
-    for side in (path[: i + 1], path[i:]):
+        assert np.array_equal(out[k], path[k])
+    for side in (out[: i + 1], out[i:]):
         seg = np.linalg.norm(np.diff(side, axis=0), axis=1)
         assert np.allclose(seg, seg.mean(), rtol=1e-9)
-    assert not np.allclose(path, before)
+    assert not np.allclose(out, path)
+
+
+@pytest.mark.parametrize("npts", [3, 5, 41])
+def test_resample_path_matches_the_per_side_reference(rng, npts):
+    for trial in range(30):
+        path = np.cumsum(rng.normal(size=(npts, 8)), axis=0)
+        path[0] = 0.0
+        if trial % 3 == 1:
+            # coincident points, one of them next to the middle image
+            for k in [npts // 2, *rng.integers(0, npts - 1, size=npts // 4)]:
+                path[k + 1] = path[k]
+        for i in sorted({1, npts // 2, npts - 2}):
+            out = _resample_path(path, i, *_segments(path))
+            expect = resample_about(path, i)
+            for k in (0, i, npts - 1):
+                assert np.array_equal(out[k], path[k])
+            scale = np.max(np.abs(expect))
+            assert np.allclose(out, expect, rtol=1e-13, atol=1e-13 * scale)
+
+
+def test_mountain_pass_path3_climbs_to_the_saddle():
+    # the Sobolev reflection oscillated here (multiplier -1 at p = 4) and
+    # stalled after 101 iterations; the Newton step along tau converges
+    config = SolverConfig()
+    trace: list = []
+    sol = mountain_pass(three_path_problem(POWER4), config, trace_out=trace)
+    assert trace[-1][1] <= config.deform_tol
+    assert len(trace) <= 5
+    assert sol.u[1] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def test_mountain_pass_lattice_takes_few_iterations():
+    trace: list = []
+    mountain_pass(lattice_problem(12, POWER4), SolverConfig(), trace_out=trace)
+    assert len(trace) <= 45
+
+
+def test_mountain_pass_random_graphs_do_not_stall():
+    rng = np.random.default_rng(11)
+    config = SolverConfig()
+    for _ in range(40):
+        graph = random_connected_graph(rng, n_min=5, n_max=25)
+        part = random_partition(rng, graph)
+        problem = Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER4, h0=1.0)
+        trace: list = []
+        sol = mountain_pass(problem, config, trace_out=trace)
+        assert trace[-1][1] <= config.deform_tol
+        assert sol.residual_max <= config.newton_tol
 
 
 def test_newton_shift_fallback(monkeypatch):

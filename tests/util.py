@@ -81,16 +81,48 @@ def interior_matrix_loop(graph, partition):
     return mat
 
 
-def morse_index(problem, u):
-    """Number of negative eigenvalues of the energy's Hessian at u in
-    the interior unknowns, L_int + diag(mu (h - f_u)), with L_int from
-    the per-vertex assembly."""
+def resample_side(points):
+    """Per-side reference for the solver's one-pass resample: the points
+    redistributed uniformly by Euclidean arc length along their polygon,
+    both ends kept exactly."""
+    deltas = np.diff(points, axis=0)
+    seg = np.sqrt(np.sum(deltas * deltas, axis=1))
+    cum = np.concatenate(([0.0], np.cumsum(seg)))
+    total = cum[-1]
+    if not total > 0.0:
+        return points
+    targets = np.linspace(0.0, total, len(points))
+    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
+    safe = np.where(seg[idx] > 0.0, seg[idx], 1.0)
+    local = np.where(seg[idx] > 0.0, (targets - cum[idx]) / safe, 0.0)
+    out = points[idx] + local[:, None] * deltas[idx]
+    out[0] = points[0]
+    out[-1] = points[-1]
+    return out
+
+
+def resample_about(path, i):
+    """Each side of path point i resampled on its own by resample_side."""
+    out = path.copy()
+    out[: i + 1] = resample_side(path[: i + 1])
+    out[i:] = resample_side(path[i:])
+    return out
+
+
+def hessian(problem, u):
+    """The energy's Hessian at u in the interior unknowns,
+    L_int + diag(mu (h - f_u)), with L_int from the per-vertex assembly."""
     omega = problem.partition.omega
     mu = problem.graph.measure[omega]
     fu = reaction_derivative(problem.nl, np.asarray(u, dtype=float)[omega])
     hess = interior_matrix_loop(problem.graph, problem.partition)
     hess += np.diag(mu * (problem.h[omega] - fu))
-    return int(np.sum(np.linalg.eigvalsh(hess) < 0.0))
+    return hess
+
+
+def morse_index(problem, u):
+    """Number of negative eigenvalues of the energy's Hessian at u."""
+    return int(np.sum(np.linalg.eigvalsh(hessian(problem, u)) < 0.0))
 
 
 def random_dirichlet(rng, graph, partition, scale=2.0):
