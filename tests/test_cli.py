@@ -392,3 +392,78 @@ def test_console_script_entry_point(graph_file, tmp_path):
     )
     assert result.returncode == 0
     assert "lambda1 1" in result.stdout
+
+
+# Every reaction term and constant combination the CLI can express, on
+# path3 with h0 = 1 (solve2 with rho = 1): the exit code and the ordered
+# (name, holds) list of the hypothesis records of each command, written
+# "name+" when the verdict holds and "name-" when it fails.
+HYPOTHESIS_RECORDS = [
+    (("power:p=4",), {
+        "check": (1, "H1+ H2+ H3- F2+ F5+ F6- F7-"),
+        "solve": (1, ""),
+        "solve2": (1, ""),
+    }),
+    (("power:p=4", "--theta", "4", "--M", "1"), {
+        "check": (0, "H1+ H2+ H3- F2+ F5+ F6- F7- F4+ AR-bound+"),
+        "solve": (0, "H1+ H2+ F1+ F2+ F4+"),
+        "solve2": (1, ""),
+    }),
+    (("power:p=4", "--theta", "5", "--M", "20"), {
+        "check": (0, "H1+ H2+ H3- F2+ F5+ F6+ F7- F4- AR-bound-"),
+        "solve": (1, ""),
+        "solve2": (1, ""),
+    }),
+    (("power:p=4", "--theta", "4"), {
+        "check": (1, "H1+ H2+ H3- F2+ F5+ F6- F7-"),
+        "solve": (1, ""),
+        "solve2": (1, ""),
+    }),
+    (("power:p=4", "--M", "1"), {
+        "check": (1, "H1+ H2+ H3- F2+ F5+ F6- F7-"),
+        "solve": (1, ""),
+        "solve2": (1, ""),
+    }),
+    (("power_plus_const:p=4,eps=0.1",), {
+        "check": (0, "H1+ H2+ H3- F2- F5- F6- F7+"),
+        "solve": (1, ""),
+        "solve2": (0, "H1+ H2+ H3- F7+ F1+ beta-range+"),
+    }),
+    (("power_plus_const:p=4,eps=0.1", "--theta", "3", "--M", "2"), {
+        "check": (0, "H1+ H2+ H3- F2- F5- F6- F7+ F4+ AR-bound+"),
+        "solve": (1, ""),
+        "solve2": (0, "H1+ H2+ H3- F7+ F1+ F4+ beta-range+"),
+    }),
+    (("power_plus_const:p=4,eps=0.1", "--theta", "4", "--M", "1"), {
+        "check": (1, "H1+ H2+ H3- F2- F5- F6- F7+ F4- AR-bound-"),
+        "solve": (1, ""),
+        "solve2": (1, ""),
+    }),
+    (("odd_poly:c1=-1,c3=1",), {
+        "check": (1, "H1+ H2+ H3- F2- F5+ F6- F7-"),
+        "solve": (1, ""),
+        "solve2": (1, ""),
+    }),
+    (("odd_poly:c1=-1,c3=1", "--theta", "3", "--M", "2"), {
+        "check": (1, "H1+ H2+ H3- F2- F5+ F6- F7- F4+ AR-bound+"),
+        "solve": (1, ""),
+        "solve2": (1, ""),
+    }),
+]
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "solve2"])
+@pytest.mark.parametrize(
+    "nl_args,expected", HYPOTHESIS_RECORDS,
+    ids=[" ".join(nl) for nl, _ in HYPOTHESIS_RECORDS],
+)
+def test_hypothesis_records_in_order(command, nl_args, expected, graph_file, capsys):
+    extra = ["--rho", "1"] if command == "solve2" else []
+    argv = [command, graph_file(PATH3), "--nl", *nl_args, "--h0", "1", *extra,
+            "--format", "jsonl"]
+    code = run(argv)
+    recs = jsonl_records(capsys.readouterr().out)
+    got = " ".join(
+        r["name"] + ("+" if r["holds"] else "-") for r in recs if r["record"] == "hypothesis"
+    )
+    assert (code, got) == expected[command]
