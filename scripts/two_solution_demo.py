@@ -54,7 +54,7 @@ def main():
     for verdict in report.hypothesis_verdicts:
         state = "holds" if verdict.holds else "fails"
         print(f"hypothesis {verdict.name} {state}: {verdict.witness}")
-    print(f"lambda1 {report.lambda1:.12g}")
+    print(f"lambda1 {report.constants.lambda1:.12g}")
     ball = report.ball
     print(f"ball: rho {ball.rho:.12g}  beta_max {ball.beta_max:.12g}  "
           f"max|F| {ball.max_abs_F:.12g}")

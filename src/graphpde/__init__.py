@@ -81,7 +81,6 @@ from .solver import (
     SolveReport,
     SolverConfig,
     SolverError,
-    StepRule,
     ball_minimize,
     build_spike_endpoint,
     mountain_pass,
@@ -95,7 +94,7 @@ __all__ = [
     "EigenResult", "EnergyReport", "FULL_W12", "GraphError", "GraphFile",
     "GraphParseError", "GridSpec", "H_NORM", "HypothesisVerdict",
     "Nonlinearity", "NormKind", "Problem", "Solution",
-    "SolveReport", "SolverConfig", "SolverError", "StepRule", "WeightedGraph",
+    "SolveReport", "SolverConfig", "SolverError", "WeightedGraph",
     "ar_lower_bound", "ball_constants", "ball_kappa", "ball_minimize",
     "build_graph", "build_spike_endpoint", "check_f", "check_h",
     "compute_boundary", "dirichlet_energy", "directional_derivative",

@@ -23,23 +23,20 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .graphs import GraphError, GraphFile, parse_graph_file
-from .nonlinearity import (
-    GridSpec,
-    ar_lower_bound,
-    check_f,
-    check_h,
-    parse_nonlinearity,
-)
+from .nonlinearity import GridSpec, ar_lower_bound, parse_nonlinearity
 from .solver import (
     SolverConfig,
     SolverError,
+    coefficient_verdicts,
+    embedding_hypothesis,
     mountain_pass,
     ps_diagnostic,
+    route_verdicts,
     two_solutions,
 )
 from .spectral import embedding_constants, first_eigenvalue
@@ -50,27 +47,6 @@ from .variational import (
     gradient,
     pointwise_residual,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: the command, its input files and every flag."""
-
-    command: str
-    graph_path: str
-    nl_spec: str | None = None
-    h0: float | None = None
-    theta: float | None = None
-    ar_scale: float | None = None    # the --M flag
-    rho: float | None = None
-    beta: float | None = None
-    m0: float | None = None          # the --M0 flag
-    tol: float | None = None
-    max_iter: int | None = None
-    seed: int = 0
-    out: str | None = None
-    format: str = "text"
-    emit_path_profile: str | None = None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -153,15 +129,17 @@ class _Report:
         return "".join(line + "\n" for line in lines)
 
 
-_META_TEXT_KEYS = ("nonlinearity", "h0", "theta", "M", "rho", "beta", "M0",
-                   "tol", "max_iter", "seed")
+# meta record key -> the flag's argparse destination, in text-report order
+_META_KEYS = {"nonlinearity": "nl", "h0": "h0", "theta": "theta", "M": "ar_scale",
+              "rho": "rho", "beta": "beta", "M0": "m0", "tol": "tol",
+              "max_iter": "max_iter", "seed": "seed"}
 
 
 def _text_lines(r: dict) -> list[str]:
     kind = r["record"]
     if kind == "meta":
         lines = [f"command {r['command']}", f"graph {r['graph']}"]
-        for key in _META_TEXT_KEYS:
+        for key in _META_KEYS:
             if r.get(key) is not None:
                 lines.append(f"{key} {_fmt(r[key])}")
         return lines
@@ -234,22 +212,9 @@ def _text_lines(r: dict) -> list[str]:
     return [f"{kind} {json.dumps(r, sort_keys=True)}"]
 
 
-def _meta(cfg: RunConfig) -> dict:
-    return {
-        "record": "meta",
-        "command": cfg.command,
-        "graph": cfg.graph_path,
-        "nonlinearity": cfg.nl_spec,
-        "h0": cfg.h0,
-        "theta": cfg.theta,
-        "M": cfg.ar_scale,
-        "rho": cfg.rho,
-        "beta": cfg.beta,
-        "M0": cfg.m0,
-        "tol": cfg.tol,
-        "max_iter": cfg.max_iter,
-        "seed": cfg.seed,
-    }
+def _meta(ns: argparse.Namespace) -> dict:
+    flags = {key: getattr(ns, dest) for key, dest in _META_KEYS.items()}
+    return {"record": "meta", "command": ns.command, "graph": ns.graph, **flags}
 
 
 def _verdict_record(v) -> dict:
@@ -263,30 +228,10 @@ def _verdict_record(v) -> dict:
     }
 
 
-def _constants_record(c) -> dict:
-    return {
-        "record": "constants",
-        "hypothesis": c.hypothesis,
-        "lambda1": _fin(c.lambda1),
-        "equiv_upper": _fin(c.equiv_upper),
-        "mu_min": _fin(c.mu_min),
-        "h0": _fin(c.h0),
-        "sup_embedding": _fin(c.sup_embedding),
-        "kappa": _fin(c.kappa),
-        "omega_measure": _fin(c.omega_measure),
-    }
-
-
-def _ball_record(b) -> dict:
-    return {
-        "record": "ball",
-        "kappa": _fin(b.kappa),
-        "beta_max": _fin(b.beta_max),
-        "max_abs_F": _fin(b.max_abs_F),
-        "u_bound": _fin(b.u_bound),
-        "rho": _fin(b.rho),
-        "kappa_choice": b.kappa_choice,
-    }
+def _fields_record(kind: str, obj) -> dict:
+    """A record of every field of a constants dataclass, floats JSON-safe."""
+    fields = {k: _fin(v) if isinstance(v, float) else v for k, v in vars(obj).items()}
+    return {"record": kind, **fields}
 
 
 def _u_map(graph, u) -> dict:
@@ -323,163 +268,117 @@ def _input_error(message: str) -> int:
     return 2
 
 
-def _structural_check(gf: GraphFile) -> str | None:
-    if len(gf.partition.omega) == 0:
-        return "the graph file declares no interior vertices"
-    if len(gf.partition.boundary) == 0:
-        return "the interior has no boundary vertices"
-    if not gf.partition.connected:
-        return "interior plus boundary is not connected"
-    return None
-
-
-def _attach_constants(nl, cfg: RunConfig):
-    if cfg.theta is not None:
-        if not cfg.theta > 2.0:
-            raise ValueError(f"--theta must exceed 2, got {cfg.theta:g}")
-        nl = replace(nl, ar_theta=cfg.theta)
-    if cfg.ar_scale is not None:
-        if not cfg.ar_scale > 0.0:
-            raise ValueError(f"--M must be positive, got {cfg.ar_scale:g}")
-        nl = replace(nl, ar_M=cfg.ar_scale)
+def _attach_constants(nl, ns: argparse.Namespace):
+    if ns.theta is not None:
+        if not ns.theta > 2.0:
+            raise ValueError(f"--theta must exceed 2, got {ns.theta:g}")
+        nl = replace(nl, ar_theta=ns.theta)
+    if ns.ar_scale is not None:
+        if not ns.ar_scale > 0.0:
+            raise ValueError(f"--M must be positive, got {ns.ar_scale:g}")
+        nl = replace(nl, ar_M=ns.ar_scale)
     return nl
 
 
-def _pick_hypothesis(gf: GraphFile, h0: float):
-    h1 = check_h(gf.graph, gf.partition, gf.h, "H1", h0=h0)
-    h3 = check_h(gf.graph, gf.partition, gf.h, "H3", h0=h0)
-    if h1.holds:
-        return "H1", h1, h3
-    if h3.holds:
-        return "H3", h1, h3
-    return None, h1, h3
-
-
-def _solver_config(cfg: RunConfig) -> SolverConfig:
+def _solver_config(ns: argparse.Namespace) -> SolverConfig:
     return SolverConfig(
-        deform_tol=cfg.tol if cfg.tol is not None else 1e-8,
-        deform_steps=cfg.max_iter if cfg.max_iter is not None else 5000,
-        rho=cfg.rho,
-        beta=cfg.beta,
-        m0=cfg.m0,
+        deform_tol=ns.tol if ns.tol is not None else 1e-8,
+        deform_steps=ns.max_iter if ns.max_iter is not None else 5000,
+        rho=ns.rho,
+        beta=ns.beta,
+        m0=ns.m0,
     )
 
 
-def _write_profile(cfg: RunConfig, snapshots) -> None:
-    if cfg.emit_path_profile is None or snapshots is None:
+def _write_profile(ns: argparse.Namespace, snapshots) -> None:
+    if ns.emit_path_profile is None or snapshots is None:
         return
     lines = ["snapshot,s,energy"]
     for snap, positions, values in snapshots:
         for s, val in zip(positions, values):
             lines.append(f"{snap},{s:.17g},{val:.17g}")
-    with open(cfg.emit_path_profile, "w") as fh:
+    with open(ns.emit_path_profile, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-# ----- commands ----- #
-
-def _cmd_check(cfg: RunConfig, gf: GraphFile, nl, emit: _Report) -> int:
-    structural = _structural_check(gf)
-    if structural is not None:
-        return _input_error(structural)
-    emit.add(_meta(cfg))
-    code = 0
-    hyp = None
-    h1 = h3 = None
-    if cfg.h0 is not None:
-        hyp, h1, h3 = _pick_hypothesis(gf, cfg.h0)
-    h2 = check_h(gf.graph, gf.partition, gf.h, "H2")
-    for v in (h1, h2, h3):
-        if v is not None:
-            emit.add(_verdict_record(v))
-    if not h2.holds:
-        code = 1
-    if cfg.h0 is not None and hyp is None:
-        code = 1
+def _eigen_records(
+    emit: _Report, gf: GraphFile, h0, hypothesis, tol=None, max_iter=None,
+    eigenfunction=False,
+) -> bool:
+    """Emit the eigenvalue record (and the eigenfunction when asked),
+    then the constants record when a hypothesis on h supports them.
+    Returns False when the constants cannot be formed; an error record
+    stands in their place."""
     eigen = first_eigenvalue(
         gf.graph, gf.partition,
-        tolerance=cfg.tol if cfg.tol is not None else 1e-12,
-        max_iterations=cfg.max_iter if cfg.max_iter is not None else 500,
+        tolerance=tol if tol is not None else 1e-12,
+        max_iterations=max_iter if max_iter is not None else 500,
     )
     emit.add({
         "record": "eigenvalue", "lambda1": _fin(eigen.lambda1),
         "iterations": eigen.iterations, "residual": _fin(eigen.residual),
     })
-    if cfg.h0 is not None and hyp is not None:
-        try:
-            constants = embedding_constants(
-                gf.graph, gf.partition, gf.h, cfg.h0, hypothesis=hyp, eigen=eigen
-            )
-            emit.add(_constants_record(constants))
-        except ValueError as exc:
-            emit.add({"record": "error", "message": str(exc)})
-            code = 1
+    if eigenfunction:
+        emit.add({"record": "eigenfunction", "u": _u_map(gf.graph, eigen.eigenfunction)})
+    if hypothesis is None:
+        return True
+    try:
+        constants = embedding_constants(
+            gf.graph, gf.partition, gf.h, h0, hypothesis=hypothesis, eigen=eigen
+        )
+    except ValueError as exc:
+        emit.add({"record": "error", "message": str(exc)})
+        return False
+    emit.add(_fields_record("constants", constants))
+    return True
+
+
+# ----- commands ----- #
+
+def _cmd_check(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
+    emit.add(_meta(ns))
+    verdicts = coefficient_verdicts(gf, ns.h0)
+    for v in verdicts:
+        emit.add(_verdict_record(v))
+    hyp = embedding_hypothesis(verdicts)
+    h2 = all(v.holds for v in verdicts if v.name == "H2")
+    code = 0 if h2 and (ns.h0 is None or hyp is not None) else 1
+    if not _eigen_records(emit, gf, ns.h0, hyp, ns.tol, ns.max_iter):
+        code = 1
     if nl is not None:
-        grid = GridSpec.default(M=nl.ar_M, M0=cfg.m0)
-        has_ar = nl.ar_theta is not None and nl.ar_M is not None
-        names = ["F2", "F5", "F6", "F7"] + (["F4"] if has_ar else [])
-        holds: dict[str, bool] = {}
-        for name in names:
-            v = check_f(nl, name, grid)
+        grid = GridSpec.default(M=nl.ar_M, M0=ns.m0)
+        verdicts, holds = route_verdicts(nl, grid)
+        for v in verdicts:
             emit.add(_verdict_record(v))
-            holds[name] = v.holds
-        if has_ar:
+        if nl.ar_theta is not None and nl.ar_M is not None:
             try:
                 v = ar_lower_bound(nl, nl.ar_theta, nl.ar_M, grid)
                 emit.add(_verdict_record(v))
             except ValueError as exc:
                 emit.add({"record": "error", "message": str(exc)})
-        route_one_ar = holds["F2"] and holds.get("F4", False)
-        route_one_monotone = holds["F5"] and holds["F6"]
-        route_two = holds["F7"] and holds.get("F4", True)
-        if not (route_one_ar or route_one_monotone or route_two):
+        if not holds:
             code = 1
     emit.add({"record": "summary", "exit_code": code})
     return code
 
 
-def _cmd_eigen(cfg: RunConfig, gf: GraphFile, nl, emit: _Report) -> int:
-    structural = _structural_check(gf)
-    if structural is not None:
-        return _input_error(structural)
-    emit.add(_meta(cfg))
-    try:
-        eigen = first_eigenvalue(
-            gf.graph, gf.partition,
-            tolerance=cfg.tol if cfg.tol is not None else 1e-12,
-            max_iterations=cfg.max_iter if cfg.max_iter is not None else 500,
-        )
-    except ValueError as exc:
-        emit.add({"record": "error", "message": str(exc)})
-        return 1
-    emit.add({
-        "record": "eigenvalue", "lambda1": _fin(eigen.lambda1),
-        "iterations": eigen.iterations, "residual": _fin(eigen.residual),
-    })
-    emit.add({"record": "eigenfunction", "u": _u_map(gf.graph, eigen.eigenfunction)})
-    if cfg.h0 is not None:
-        hyp, _, _ = _pick_hypothesis(gf, cfg.h0)
-        if hyp is not None:
-            constants = embedding_constants(
-                gf.graph, gf.partition, gf.h, cfg.h0, hypothesis=hyp, eigen=eigen
-            )
-            emit.add(_constants_record(constants))
-    return 0
+def _cmd_eigen(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
+    emit.add(_meta(ns))
+    hyp = embedding_hypothesis(coefficient_verdicts(gf, ns.h0, ("H1", "H3")))
+    ok = _eigen_records(emit, gf, ns.h0, hyp, ns.tol, ns.max_iter, eigenfunction=True)
+    return 0 if ok else 1
 
 
-def _cmd_gradcheck(cfg: RunConfig, gf: GraphFile, nl, emit: _Report) -> int:
+def _cmd_gradcheck(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
     if nl is None:
         return _input_error("gradcheck needs --nl")
-    structural = _structural_check(gf)
-    if structural is not None:
-        return _input_error(structural)
     try:
-        problem = Problem(gf.graph, gf.partition, gf.h, nl, h0=cfg.h0)
+        problem = Problem(gf.graph, gf.partition, gf.h, nl, h0=ns.h0)
     except ValueError as exc:
         return _input_error(str(exc))
-    emit.add(_meta(cfg))
-    tol = cfg.tol if cfg.tol is not None else 1e-6
-    rng = np.random.default_rng(cfg.seed)
+    emit.add(_meta(ns))
+    tol = ns.tol if ns.tol is not None else 1e-6
+    rng = np.random.default_rng(ns.seed)
     omega = problem.partition.omega
     n = problem.graph.n
     overall = True
@@ -513,21 +412,18 @@ def _cmd_gradcheck(cfg: RunConfig, gf: GraphFile, nl, emit: _Report) -> int:
     return 0 if overall else 1
 
 
-def _cmd_solve(cfg: RunConfig, gf: GraphFile, nl, emit: _Report) -> int:
+def _cmd_solve(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
     if nl is None:
         return _input_error("solve needs --nl")
-    structural = _structural_check(gf)
-    if structural is not None:
-        return _input_error(structural)
     try:
-        problem = Problem(gf.graph, gf.partition, gf.h, nl, h0=cfg.h0)
-        config = _solver_config(cfg)
+        problem = Problem(gf.graph, gf.partition, gf.h, nl, h0=ns.h0)
+        config = _solver_config(ns)
     except ValueError as exc:
         return _input_error(str(exc))
-    emit.add(_meta(cfg))
+    emit.add(_meta(ns))
     verdicts: list = []
     trace: list = []
-    profile = [] if cfg.emit_path_profile is not None else None
+    profile = [] if ns.emit_path_profile is not None else None
     try:
         sol = mountain_pass(
             problem, config,
@@ -537,47 +433,35 @@ def _cmd_solve(cfg: RunConfig, gf: GraphFile, nl, emit: _Report) -> int:
         for v in verdicts:
             emit.add(_verdict_record(v))
         emit.add({"record": "error", "message": str(exc)})
-        _write_profile(cfg, profile)
+        _write_profile(ns, profile)
         return 1
     for v in verdicts:
         emit.add(_verdict_record(v))
-    eigen = first_eigenvalue(gf.graph, gf.partition)
-    emit.add({
-        "record": "eigenvalue", "lambda1": _fin(eigen.lambda1),
-        "iterations": eigen.iterations, "residual": _fin(eigen.residual),
-    })
-    if cfg.h0 is not None:
-        hyp, _, _ = _pick_hypothesis(gf, cfg.h0)
-        if hyp is not None:
-            constants = embedding_constants(
-                gf.graph, gf.partition, gf.h, cfg.h0, hypothesis=hyp, eigen=eigen
-            )
-            emit.add(_constants_record(constants))
+    hyp = embedding_hypothesis(coefficient_verdicts(gf, ns.h0, ("H1", "H3")))
+    if not _eigen_records(emit, gf, ns.h0, hyp):
+        return 1
     emit.add(_solution_record(gf.graph, sol, 1))
     emit.add(_trace_record("mountain_pass", trace))
-    ps = ps_diagnostic((trace,), (sol,), config.newton_tol)
+    ps = ps_diagnostic((trace,), (sol,))
     emit.add({"record": "summary", "solutions": 1, "ps_diagnostic": ps})
-    _write_profile(cfg, profile)
+    _write_profile(ns, profile)
     return 0
 
 
-def _cmd_solve2(cfg: RunConfig, gf: GraphFile, nl, emit: _Report) -> int:
+def _cmd_solve2(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
     if nl is None:
         return _input_error("solve2 needs --nl")
-    if cfg.h0 is None:
+    if ns.h0 is None:
         return _input_error("solve2 needs --h0")
-    if (cfg.rho is None) == (cfg.m0 is None):
+    if (ns.rho is None) == (ns.m0 is None):
         return _input_error("solve2 needs exactly one of --rho or --M0")
-    structural = _structural_check(gf)
-    if structural is not None:
-        return _input_error(structural)
     try:
-        problem = Problem(gf.graph, gf.partition, gf.h, nl, h0=cfg.h0)
-        config = _solver_config(cfg)
+        problem = Problem(gf.graph, gf.partition, gf.h, nl, h0=ns.h0)
+        config = _solver_config(ns)
     except ValueError as exc:
         return _input_error(str(exc))
-    emit.add(_meta(cfg))
-    profile = [] if cfg.emit_path_profile is not None else None
+    emit.add(_meta(ns))
+    profile = [] if ns.emit_path_profile is not None else None
     try:
         report = two_solutions(problem, config, profile_out=profile)
     except SolverError as exc:
@@ -586,12 +470,12 @@ def _cmd_solve2(cfg: RunConfig, gf: GraphFile, nl, emit: _Report) -> int:
             for name in sorted(attached):
                 emit.add(_trace_record(name, attached[name]))
         emit.add({"record": "error", "message": str(exc)})
-        _write_profile(cfg, profile)
+        _write_profile(ns, profile)
         return 1
     for v in report.hypothesis_verdicts:
         emit.add(_verdict_record(v))
-    emit.add(_constants_record(report.constants))
-    emit.add(_ball_record(report.ball))
+    emit.add(_fields_record("constants", report.constants))
+    emit.add(_fields_record("ball", report.ball))
     for i, sol in enumerate(report.solutions, 1):
         emit.add(_solution_record(gf.graph, sol, i))
     for name in sorted(report.iteration_trace):
@@ -601,7 +485,7 @@ def _cmd_solve2(cfg: RunConfig, gf: GraphFile, nl, emit: _Report) -> int:
         "record": "summary", "solutions": len(report.solutions),
         "distinct_gap": _fin(gap), "ps_diagnostic": report.ps_diagnostic,
     })
-    _write_profile(cfg, profile)
+    _write_profile(ns, profile)
     return 0
 
 
@@ -619,36 +503,36 @@ def run(argv=None) -> int:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    cfg = RunConfig(
-        command=ns.command, graph_path=ns.graph, nl_spec=ns.nl, h0=ns.h0,
-        theta=ns.theta, ar_scale=ns.ar_scale, rho=ns.rho, beta=ns.beta,
-        m0=ns.m0, tol=ns.tol, max_iter=ns.max_iter, seed=ns.seed, out=ns.out,
-        format=ns.format, emit_path_profile=ns.emit_path_profile,
-    )
-    if cfg.h0 is not None and not cfg.h0 > 0.0:
-        return _input_error(f"--h0 must be positive, got {cfg.h0:g}")
+    if ns.h0 is not None and not ns.h0 > 0.0:
+        return _input_error(f"--h0 must be positive, got {ns.h0:g}")
     try:
-        gf = parse_graph_file(cfg.graph_path)
+        gf = parse_graph_file(ns.graph)
     except OSError as exc:
         return _input_error(str(exc))
     except GraphError as exc:
-        return _input_error(f"{cfg.graph_path}: {exc}")
+        return _input_error(f"{ns.graph}: {exc}")
     nl = None
-    if cfg.nl_spec is not None:
+    if ns.nl is not None:
         try:
-            nl = _attach_constants(parse_nonlinearity(cfg.nl_spec), cfg)
+            nl = _attach_constants(parse_nonlinearity(ns.nl), ns)
         except ValueError as exc:
             return _input_error(str(exc))
-    emit = _Report(cfg.format)
+    if len(gf.partition.omega) == 0:
+        return _input_error("the graph file declares no interior vertices")
+    if len(gf.partition.boundary) == 0:
+        return _input_error("the interior has no boundary vertices")
+    if not gf.partition.connected:
+        return _input_error("interior plus boundary is not connected")
+    emit = _Report(ns.format)
     try:
-        code = _COMMANDS[cfg.command](cfg, gf, nl, emit)
+        code = _COMMANDS[ns.command](ns, gf, nl, emit)
     except (SolverError, ValueError) as exc:
         emit.add({"record": "error", "message": str(exc)})
         code = 1
     text = emit.render()
     sys.stdout.write(text)
-    if cfg.out is not None:
-        with open(cfg.out, "w") as fh:
+    if ns.out is not None:
+        with open(ns.out, "w") as fh:
             fh.write(text)
     return code
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +45,12 @@ from .nonlinearity import (
     evaluate,
     f1_verdict,
     reaction_derivative,
-    F6_DEFAULT_THRESHOLD,
 )
 from .spectral import ConstantsReport, _cholesky_solver, embedding_constants, first_eigenvalue
 from .variational import (
     BallConstants,
     Problem,
     ball_constants,
-    ball_kappa,
     energy,
     gradient,
     h_norm,
@@ -64,6 +62,27 @@ DISTINCT_SUP = 1e-6    # sup-norm gap two reported solutions must exceed
 SPHERE_MARGIN = 1e-8   # how far inside the constraint sphere "interior" starts
 STALL_WINDOW = 100     # iterations over which path-level progress is measured
 STALL_DROP = 1e-15     # minimum certified-level progress per window
+PATH_POINTS = 41       # points of the deformation path, both endpoints included
+NEWTON_TOL = 1e-12     # vertexwise residual Newton refinement must reach
+NEWTON_MAX = 50        # Newton iterations before refinement gives up
+SPIKE_DOUBLINGS = 60   # doublings of the spike height before the endpoint search gives up
+SHRINK = 0.5           # backtracking factor of the ball minimizer's step
+ARMIJO = 1e-4          # slope fraction of its sufficient-decrease test
+
+# The alternative hypothesis sets on f under which the existence
+# theorems hold, tried in this order: (theorem, the verdicts the route
+# requires, the verdicts it attaches only when their constants exist).
+# Theorem "one" gives a pass-level solution, "two" a ball minimizer and
+# a pass-level solution.  A route that requires a verdict whose
+# constants are absent does not apply; an attached verdict, once
+# checked, must hold too.
+ROUTES = (
+    ("one", ("F2", "F4"), ("F3",)),
+    ("one", ("F5", "F6"), ("F3",)),
+    ("two", ("F7",), ("F3", "F4")),
+)
+# the constants of the nonlinearity each check needs, by verdict name
+_CONSTANTS = {"F3": ("growth_C", "growth_p"), "F4": ("ar_theta", "ar_M")}
 
 
 class SolverError(RuntimeError):
@@ -71,76 +90,34 @@ class SolverError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class StepRule:
-    """Descent step selection: a fixed step of length alpha, or
-    backtracking from alpha by the shrink factor until the sufficient
-    decrease test with slope fraction armijo passes.  The steps are
-    multiples of the Sobolev gradient, so alpha = 1 is the natural
-    scale.  The path deformation uses alpha only, as a fixed step
-    capped by the path spacing; kind, shrink and armijo act in the ball
-    minimizer."""
-
-    kind: str = "backtracking"
-    alpha: float = 1.0
-    shrink: float = 0.5
-    armijo: float = 1e-4
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "backtracking"):
-            raise ValueError(f"step rule kind must be fixed or backtracking, got {self.kind!r}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"step length alpha must be positive, got {self.alpha}")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError(f"shrink factor must lie in (0, 1), got {self.shrink}")
-        if not 0.0 < self.armijo < 1.0:
-            raise ValueError(f"armijo fraction must lie in (0, 1), got {self.armijo}")
-
-
-@dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the deformation, descent and refinement loops.
+    """Budgets of the deformation and descent loops and the ball setup.
 
-    rho is the squared radius of the constraint ball (weighted Sobolev
-    norm); beta the smallness parameter for the two-solution setup
-    (computed from the ball constants when absent); m0 switches the
-    two-solution pipeline to the mode where the pointwise range bound
-    m0 is given and the ball radius is derived as m0^2/(mu_min h0).
-    check_grid overrides the sampling grid of the hypothesis checks.
+    Both loops stop when the Euclidean gradient norm reaches deform_tol
+    or after deform_steps iterations.  rho is the squared radius of the
+    constraint ball (weighted Sobolev norm); beta the smallness
+    parameter for the two-solution setup (computed from the ball
+    constants when absent); m0 switches the two-solution pipeline to the
+    mode where the pointwise range bound m0 is given and the ball radius
+    is derived as m0^2/(mu_min h0).
     """
 
-    path_points: int = 41
     deform_steps: int = 5000
     deform_tol: float = 1e-8
-    newton_tol: float = 1e-12
-    newton_max: int = 50
-    step_rule: StepRule = field(default_factory=StepRule)
     rho: float | None = None
     beta: float | None = None
     m0: float | None = None
     verify_hypotheses: bool = True
-    check_grid: GridSpec | None = None
-    f6_threshold: float = F6_DEFAULT_THRESHOLD
-    spike_max_doublings: int = 60
 
     def __post_init__(self):
-        if self.path_points < 3:
-            raise ValueError(f"path_points must be at least 3, got {self.path_points}")
         if self.deform_steps < 1:
             raise ValueError(f"deform_steps must be positive, got {self.deform_steps}")
-        for name in ("deform_tol", "newton_tol", "f6_threshold"):
-            val = getattr(self, name)
-            if not val > 0.0:
-                raise ValueError(f"{name} must be positive, got {val}")
-        if self.newton_max < 1:
-            raise ValueError(f"newton_max must be positive, got {self.newton_max}")
+        if not self.deform_tol > 0.0:
+            raise ValueError(f"deform_tol must be positive, got {self.deform_tol}")
         for name in ("rho", "beta", "m0"):
             val = getattr(self, name)
             if val is not None and not val > 0.0:
                 raise ValueError(f"{name} must be positive when given, got {val}")
-        if self.spike_max_doublings < 1:
-            raise ValueError(
-                f"spike_max_doublings must be positive, got {self.spike_max_doublings}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,95 +141,109 @@ class Solution:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Bundle returned by the two-solution pipeline (and assembled by
-    the CLI for single solves): solutions, the hypothesis verdicts that
-    gated them, the first eigenvalue and embedding constants, the ball
-    constants when a ball was used, per-iteration traces keyed by
-    solver name (each entry is (level, gradient norm)), and a flag
-    recording that gradient norms fell to tolerance while the energy
-    stayed bounded along the iterates.  The flag is an observation
-    about this run, not a proof of a compactness property."""
+    """Bundle returned by the two-solution pipeline: solutions, the
+    hypothesis verdicts that gated them, the embedding constants (with
+    the first eigenvalue), the ball constants, per-iteration traces
+    keyed by solver name (each entry is (level, gradient norm)), and a
+    flag recording that gradient norms fell to tolerance while the
+    energy stayed bounded along the iterates.  The flag is an
+    observation about this run, not a proof of a compactness property."""
 
     solutions: tuple[Solution, ...]
     hypothesis_verdicts: tuple[HypothesisVerdict, ...]
-    lambda1: float | None
-    constants: ConstantsReport | None
-    ball: BallConstants | None
+    constants: ConstantsReport
+    ball: BallConstants
     iteration_trace: dict[str, list[tuple[float, float]]]
     ps_diagnostic: bool
 
 
-def ps_diagnostic(traces, solutions, newton_tol: float) -> bool:
+def ps_diagnostic(traces, solutions) -> bool:
     """The SolveReport flag: every iteration trace is nonempty with
     finite levels and gradient norms, and every solution reached the
     Newton tolerance."""
     return bool(
         all(traces)
         and all(math.isfinite(a) and math.isfinite(b) for rows in traces for a, b in rows)
-        and all(sol.residual_max <= newton_tol for sol in solutions)
+        and all(sol.residual_max <= NEWTON_TOL for sol in solutions)
     )
 
 
-def _gate_grid(problem: Problem, config: SolverConfig) -> GridSpec:
-    if config.check_grid is not None:
-        return config.check_grid
-    return GridSpec.default(M=problem.nl.ar_M, M0=config.m0)
+def coefficient_verdicts(source, h0, names=("H1", "H2", "H3")):
+    """The check_h verdicts of names for the coefficient h of source (a
+    Problem or a GraphFile), in order; H1 and H3 compare h with h0 and
+    are left out when it is not given."""
+    return [
+        check_h(source.graph, source.partition, source.h, name, h0=h0)
+        for name in names if h0 is not None or name == "H2"
+    ]
 
 
-def _raise_on_failures(failures):
-    if failures:
-        detail = "; ".join(f"{v.name}: {v.witness}" for v in failures)
-        raise SolverError(f"hypothesis verification failed before solving: {detail}")
+def embedding_hypothesis(verdicts) -> str | None:
+    """The bound on h the embedding constants rest on: H1 when its
+    verdict holds, else H3 when its verdict holds, else None."""
+    return next((v.name for v in verdicts if v.name in ("H1", "H3") and v.holds), None)
 
 
-def _coefficient_verdicts(problem: Problem, verdicts, failures):
-    """H2 always; H1 only when the caller supplied h0."""
-    if problem.h0 is not None:
-        v = check_h(problem.graph, problem.partition, problem.h, "H1", h0=problem.h0)
-        verdicts.append(v)
-        if not v.holds:
-            failures.append(v)
-    v = check_h(problem.graph, problem.partition, problem.h, "H2")
-    verdicts.append(v)
-    if not v.holds:
-        failures.append(v)
+def _f_verdicts(nl, names, grid):
+    """check_f verdicts of names, in order, leaving out the names whose
+    constants nl lacks."""
+    return [
+        check_f(nl, name, grid) for name in names
+        if all(getattr(nl, attr) is not None for attr in _CONSTANTS.get(name, ()))
+    ]
+
+
+def _routes(nl, theorem: str, grid):
+    """Lazily, for each route of theorem whose required checks nl has
+    the constants for: the verdicts it requires and those it attaches."""
+    for thm, requires, attaches in ROUTES:
+        required = _f_verdicts(nl, requires, grid) if thm == theorem else ()
+        if len(required) == len(requires):
+            yield required, _f_verdicts(nl, attaches, grid)
+
+
+def route_verdicts(nl, grid):
+    """Every f-verdict the table names, for reporting them all (first
+    the checks that need no constants, then the others, each in table
+    order), and whether some route holds."""
+    names = dict.fromkeys(name for _, req, att in ROUTES for name in req + att)
+    names = sorted(names, key=_CONSTANTS.__contains__)
+    checked = {v.name: v for v in _f_verdicts(nl, names, grid)}
+    holds = any(
+        all(name in checked and checked[name].holds for name in req)
+        and all(checked[name].holds for name in att if name in checked)
+        for _, req, att in ROUTES
+    )
+    return list(checked.values()), holds
+
+
+def _gate_error(failures) -> SolverError:
+    detail = "; ".join(f"{v.name}: {v.witness}" for v in failures)
+    return SolverError(f"hypothesis verification failed before solving: {detail}")
 
 
 def _mountain_pass_gate(problem: Problem, config: SolverConfig):
-    """One-solution hypotheses.  With superquadratic growth constants
-    present the route is F2 + F4 (+F3 when growth constants exist);
-    without them the monotone-ratio route F5 + F6 is used."""
-    verdicts: list[HypothesisVerdict] = []
-    failures: list[HypothesisVerdict] = []
-    _coefficient_verdicts(problem, verdicts, failures)
+    """One-solution hypotheses: H1 (when h0 is given) and H2 on h, F1,
+    and the one-solution routes of ROUTES, each tried only when the
+    ones before it fail.  When none holds the error lists the failures
+    of the first."""
     nl = problem.nl
+    verdicts = coefficient_verdicts(problem, problem.h0, ("H1", "H2"))
+    h_failures = [v for v in verdicts if not v.holds]
     verdicts.append(f1_verdict(nl))
-    grid = _gate_grid(problem, config)
-    route_a = nl.ar_theta is not None and nl.ar_M is not None
-    names = ["F2", "F4"] if route_a else ["F5", "F6"]
-    if nl.growth_C is not None and nl.growth_p is not None:
-        names.append("F3")
-    for name in names:
-        kwargs = {"threshold": config.f6_threshold} if name == "F6" else {}
-        v = check_f(nl, name, grid, **kwargs)
-        verdicts.append(v)
-        if not v.holds:
-            failures.append(v)
-    _raise_on_failures(failures)
-    return verdicts
+    first = None
+    for requires, attaches in _routes(nl, "one", GridSpec.default(M=nl.ar_M, M0=config.m0)):
+        verdicts += [v for v in requires + attaches if v not in verdicts]
+        failures = h_failures + [v for v in requires + attaches if not v.holds]
+        if not failures:
+            return verdicts
+        first = first or failures
+        if h_failures:
+            break
+    raise _gate_error(first)
 
 
-def _ball_gate(problem: Problem, config: SolverConfig):
-    # no reaction-term gate here: with f(x,0) = 0 the ball minimizer is
-    # legitimately the zero function and is reported as kind="trivial"
-    verdicts: list[HypothesisVerdict] = []
-    failures: list[HypothesisVerdict] = []
-    _coefficient_verdicts(problem, verdicts, failures)
-    _raise_on_failures(failures)
-    return verdicts
-
-
-def build_spike_endpoint(problem: Problem, config: SolverConfig | None = None) -> np.ndarray:
+def build_spike_endpoint(problem: Problem) -> np.ndarray:
     """Single-vertex spike t at the interior vertex of largest measure
     (ties to the earliest input vertex), with t doubled from 1 until the
     energy is nonpositive.
@@ -262,12 +253,11 @@ def build_spike_endpoint(problem: Problem, config: SolverConfig | None = None) -
     made.  Failure to terminate within the doubling budget signals a
     reaction term without superquadratic growth.
     """
-    config = config or SolverConfig()
     omega = problem.partition.omega
     x0 = int(omega[int(np.argmax(problem.graph.measure[omega]))])
     t = 1.0
     samples = []
-    for _ in range(config.spike_max_doublings + 1):
+    for _ in range(SPIKE_DOUBLINGS + 1):
         e = np.zeros(problem.graph.n)
         e[x0] = t
         val = energy(problem, e)
@@ -278,7 +268,7 @@ def build_spike_endpoint(problem: Problem, config: SolverConfig | None = None) -
     tail = ", ".join(f"energy({s:g} * spike) = {v:g}" for s, v in samples[-4:])
     raise SolverError(
         "spike energy stayed positive through "
-        f"{config.spike_max_doublings} doublings; the reaction term does not "
+        f"{SPIKE_DOUBLINGS} doublings; the reaction term does not "
         f"look superquadratic ({tail})"
     )
 
@@ -365,37 +355,31 @@ def _climbing_move(problem: Problem, precondition, gvec, tau, u) -> np.ndarray:
     return move
 
 
-def _descent_step(problem: Problem, u, gvec, direction, value, rule: StepRule, project=None):
+def _descent_step(problem: Problem, u, gvec, direction, value, project):
     """One descent move from u along -direction, a descent direction
     for the Euclidean gradient gvec.  Returns (new point, new energy),
     or None when backtracking exhausts the step length.
 
-    The Armijo slope is gvec . direction.  project, when given, maps
-    each trial point back into the feasible set before it is
-    evaluated.  A backtracking trial is accepted only when it also
-    lowers the energy strictly.
+    Backtracking starts from the unit step, the natural scale of a
+    Sobolev-gradient step, and shrinks it by SHRINK until the trial
+    passes the sufficient-decrease test with slope fraction ARMIJO
+    (slope gvec . direction) and lowers the energy strictly.  project
+    maps each trial point back into the feasible set before it is
+    evaluated.
     """
-
-    def trial(alpha):
-        cand = u - alpha * direction
-        if project is not None:
-            cand = project(cand)
-        return cand, energy(problem, cand)
-
-    if rule.kind == "fixed":
-        return trial(rule.alpha)
     slope = float(gvec @ direction)
-    alpha = rule.alpha
+    alpha = 1.0
     while alpha >= 1e-18:
-        cand, val = trial(alpha)
-        if val <= value - rule.armijo * alpha * slope and val < value:
+        cand = project(u - alpha * direction)
+        val = energy(problem, cand)
+        if val <= value - ARMIJO * alpha * slope and val < value:
             return cand, val
-        alpha *= rule.shrink
+        alpha *= SHRINK
     return None
 
 
-def _newton_polish(problem: Problem, u0: np.ndarray, config: SolverConfig):
-    """Refine a candidate to vertexwise residual <= newton_tol.
+def _newton_polish(problem: Problem, u0: np.ndarray):
+    """Refine a candidate to vertexwise residual <= NEWTON_TOL.
 
     The linearization at u restricted to interior unknowns is the
     interior Laplacian matrix plus diag(mu (h - f_u)), written into the
@@ -412,10 +396,10 @@ def _newton_polish(problem: Problem, u0: np.ndarray, config: SolverConfig):
     shifted = False
     prev = math.inf
     rises = 0
-    for _ in range(config.newton_max):
+    for _ in range(NEWTON_MAX):
         r = pointwise_residual(problem, u)[omega]
         res_max = float(np.max(np.abs(r)))
-        if res_max <= config.newton_tol:
+        if res_max <= NEWTON_TOL:
             return u, res_max, shifted
         if res_max > prev:
             rises += 1
@@ -441,11 +425,11 @@ def _newton_polish(problem: Problem, u0: np.ndarray, config: SolverConfig):
         u[omega] += delta
     r = pointwise_residual(problem, u)[omega]
     res_max = float(np.max(np.abs(r)))
-    if res_max <= config.newton_tol:
+    if res_max <= NEWTON_TOL:
         return u, res_max, shifted
     raise SolverError(
-        f"Newton refinement did not reach residual {config.newton_tol:g} in "
-        f"{config.newton_max} iterations (residual {res_max:g})"
+        f"Newton refinement did not reach residual {NEWTON_TOL:g} in "
+        f"{NEWTON_MAX} iterations (residual {res_max:g})"
     )
 
 
@@ -481,19 +465,19 @@ def mountain_pass(
     """Pass-level critical point via path deformation plus Newton.
 
     The segment from 0 to the spike endpoint is discretized into
-    path_points points.  Each iteration evaluates the energy along the
+    PATH_POINTS points.  Each iteration evaluates the energy along the
     path, records the certified level (the running minimum over
     iterations of the pre-move path maximum, nonincreasing by
     construction) and moves the maximizing point as a climbing image
     (_climbing_move): down the Sobolev gradient across the path and, along
     the path tangent, by the 1-D Newton step where the energy's curvature
     along it is negative (otherwise up the reflected Sobolev gradient),
-    by a fixed step of step_rule.alpha capped at the path spacing.  Both
-    sides of the image are then redistributed by arc length in one pass,
-    keeping the image where it moved.  The loop leaves for
-    Newton refinement when the image's Euclidean gradient norm reaches
-    deform_tol, or when the certified level stalls; refinement failure
-    after a stall is reported as a stall.
+    by a unit step capped at the path spacing.  Both sides of the image
+    are then redistributed by arc length in one pass, keeping the image
+    where it moved.  The loop leaves for Newton refinement when the
+    image's Euclidean gradient norm reaches deform_tol, or when the
+    certified level stalls; refinement failure after a stall is
+    reported as a stall.
 
     trace_out collects (certified level, gradient norm) per iteration;
     profile_out collects (iteration, arc positions, energies) snapshots
@@ -505,9 +489,9 @@ def mountain_pass(
         verdicts = _mountain_pass_gate(problem, config)
         if verdicts_out is not None:
             verdicts_out.extend(verdicts)
-    endpoint = build_spike_endpoint(problem, config)
+    endpoint = build_spike_endpoint(problem)
     precondition = _sobolev_direction(problem)
-    npts = config.path_points
+    npts = PATH_POINTS
     path = np.linspace(0.0, 1.0, npts)[:, None] * endpoint[None, :]
     trace: list[tuple[float, float]] = []
     level = math.inf
@@ -540,9 +524,9 @@ def mountain_pass(
         deltas = path[1:] - path[:-1]
         seg = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
         spacing = float(np.sum(seg)) / (npts - 1)
-        alpha = config.step_rule.alpha
+        alpha = 1.0
         mn = math.sqrt(move @ move)
-        if alpha * mn > spacing:
+        if mn > spacing:
             alpha = spacing / mn
         path[i] -= alpha * move
         for j in (i - 1, i):
@@ -561,7 +545,7 @@ def mountain_pass(
     if trace_out is not None:
         trace_out.extend(trace)
     try:
-        u, res_max, shifted = _newton_polish(problem, u_best, config)
+        u, res_max, shifted = _newton_polish(problem, u_best)
     except SolverError as exc:
         if stalled:
             raise SolverError(
@@ -599,7 +583,12 @@ def ball_minimize(
     if config.rho is None:
         raise SolverError("ball minimization needs rho, the squared ball radius")
     if config.verify_hypotheses:
-        verdicts = _ball_gate(problem, config)
+        # no reaction-term gate here: with f(x,0) = 0 the ball minimizer
+        # is legitimately the zero function and is reported as "trivial"
+        verdicts = coefficient_verdicts(problem, problem.h0, ("H1", "H2"))
+        failures = [v for v in verdicts if not v.holds]
+        if failures:
+            raise _gate_error(failures)
         if verdicts_out is not None:
             verdicts_out.extend(verdicts)
     radius = math.sqrt(config.rho)
@@ -618,10 +607,7 @@ def ball_minimize(
         trace.append((value, gn))
         if gn <= config.deform_tol:
             break
-        moved = _descent_step(
-            problem, u, gvec, precondition(gvec), value, config.step_rule,
-            project=into_ball,
-        )
+        moved = _descent_step(problem, u, gvec, precondition(gvec), value, into_ball)
         if moved is None:
             break
         u, value = moved
@@ -638,7 +624,7 @@ def ball_minimize(
     if _is_trivial_collapse(problem, u):
         zero = np.zeros(problem.graph.n)
         return _finish_solution(problem, zero, 0.0, "trivial", config, False)
-    u, res_max, shifted = _newton_polish(problem, u, config)
+    u, res_max, shifted = _newton_polish(problem, u)
     hn = h_norm(problem, u)
     if hn >= radius - SPHERE_MARGIN:
         raise SolverError(
@@ -651,20 +637,16 @@ def ball_minimize(
 
 def _two_solution_gate(problem: Problem, config: SolverConfig):
     """Hypotheses for the two-solution pipeline: h0 present, H2, at
-    least one of H1/H3, and F7 (so the zero function is not a
-    solution); F1 always attached; F3/F4 attached and required exactly
-    when their constants are available."""
+    least one of H1/H3, the verdicts the two-solution route of ROUTES
+    requires (so the zero function is not a solution), F1, and the ones
+    it attaches."""
     nl = problem.nl
-    verdicts: list[HypothesisVerdict] = []
     if problem.h0 is None:
         raise SolverError(
             "the two-solution pipeline needs h0, the asserted lower bound of h"
         )
-    g, part = problem.graph, problem.partition
-    h1 = check_h(g, part, problem.h, "H1", h0=problem.h0)
-    h2 = check_h(g, part, problem.h, "H2")
-    h3 = check_h(g, part, problem.h, "H3", h0=problem.h0)
-    verdicts += [h1, h2, h3]
+    verdicts = coefficient_verdicts(problem, problem.h0)
+    h1, h2, h3 = verdicts
     if not h2.holds:
         raise SolverError(f"hypothesis H2 fails: {h2.witness}")
     if not (h1.holds or h3.holds):
@@ -672,30 +654,22 @@ def _two_solution_gate(problem: Problem, config: SolverConfig):
             "neither the uniform lower bound H1 nor the integral bound H3 "
             f"holds for h ({h1.witness}; {h3.witness})"
         )
-    grid = _gate_grid(problem, config)
-    f7 = check_f(nl, "F7", grid)
-    verdicts.append(f7)
-    if not f7.holds:
-        raise SolverError(
-            "precondition F7 fails: the two-solution setup requires "
-            "f(x, 0) != 0 so that every solution is nontrivial, but "
-            f"{f7.witness}"
-        )
+    grid = GridSpec.default(M=nl.ar_M, M0=config.m0)
+    requires, attaches = next(_routes(nl, "two", grid))
+    verdicts += requires
+    for v in requires:
+        if not v.holds:
+            raise SolverError(
+                f"precondition {v.name} fails: the two-solution setup requires "
+                "f(x, 0) != 0 so that every solution is nontrivial, but "
+                f"{v.witness}"
+            )
     verdicts.append(f1_verdict(nl))
-    failures: list[HypothesisVerdict] = []
-    if nl.growth_C is not None and nl.growth_p is not None:
-        v = check_f(nl, "F3", grid)
-        verdicts.append(v)
-        if not v.holds:
-            failures.append(v)
-    if nl.ar_theta is not None and nl.ar_M is not None:
-        v = check_f(nl, "F4", grid)
-        verdicts.append(v)
-        if not v.holds:
-            failures.append(v)
-    _raise_on_failures(failures)
-    hypothesis = "H1" if h1.holds else "H3"
-    return verdicts, hypothesis, grid
+    verdicts += attaches
+    failures = [v for v in attaches if not v.holds]
+    if failures:
+        raise _gate_error(failures)
+    return verdicts, embedding_hypothesis(verdicts), grid
 
 
 def two_solutions(
@@ -707,10 +681,10 @@ def two_solutions(
     """Run the full two-solution pipeline and report both solutions.
 
     Ball specification is either rho directly, or m0 (pointwise range
-    bound), in which case the squared ball radius is m0^2/(mu_min h0)
-    and the antiderivative smallness check F8 must pass.  beta defaults
-    to the largest admissible value from the ball constants and must
-    satisfy 0 < beta <= that bound.
+    bound), in which case the squared ball radius is m0^2/(mu_min h0),
+    the antiderivative is scanned on [-m0, m0] and the smallness check
+    F8 must pass.  beta defaults to the largest admissible value from
+    the ball constants and must satisfy 0 < beta <= that bound.
     """
     config = config or SolverConfig()
     if config.rho is not None and config.m0 is not None:
@@ -718,22 +692,28 @@ def two_solutions(
             "rho and m0 are alternative ball specifications; give exactly one"
         )
     verdicts, hypothesis, grid = _two_solution_gate(problem, config)
-    nl = problem.nl
-    mu_h0 = problem.graph.mu_min * problem.h0
-    if config.m0 is not None:
-        m0 = config.m0
-        rho_eff = m0 * m0 / mu_h0
-        us = np.linspace(-m0, m0, grid.points)
-        _, big_f, _ = evaluate(nl, None, us)
-        max_abs = float(np.max(np.abs(big_f)))
-        beta_max = math.inf if max_abs == 0.0 else rho_eff / (2.0 * max_abs) - 1.0
-        ball = BallConstants(
-            kappa=ball_kappa(problem, hypothesis), beta_max=beta_max,
-            max_abs_F=max_abs, u_bound=m0, rho=rho_eff, kappa_choice=hypothesis,
+    m0 = config.m0
+    if m0 is not None:
+        rho = m0 * m0 / (problem.graph.mu_min * problem.h0)
+    elif config.rho is None:
+        raise SolverError(
+            "the two-solution pipeline needs rho (squared ball radius) or m0"
         )
-        beta = beta_max if config.beta is None else config.beta
+    else:
+        rho = config.rho
+    ball = ball_constants(
+        problem, rho, kappa_choice=hypothesis, grid_points=grid.points, u_bound=m0
+    )
+    beta = ball.beta_max if config.beta is None else config.beta
+    no_beta = SolverError(
+        "no valid beta: the smallness condition needs 0 < beta <= "
+        f"rho/(2 max|F|) - 1 = {ball.beta_max:g}, got beta = {beta:g}"
+    )
+    if not beta > 0.0:
+        raise no_beta
+    if m0 is not None:
         f8 = check_f(
-            nl, "F8", grid, M0=m0, beta=beta,
+            problem.nl, "F8", grid, M0=m0, beta=beta,
             mu_min=problem.graph.mu_min, h0=problem.h0,
         )
         verdicts.append(f8)
@@ -741,36 +721,20 @@ def two_solutions(
             raise SolverError(
                 f"the antiderivative smallness condition F8 fails: {f8.witness}"
             )
-    else:
-        if config.rho is None:
-            raise SolverError(
-                "the two-solution pipeline needs rho (squared ball radius) or m0"
-            )
-        rho_eff = config.rho
-        ball = ball_constants(
-            problem, rho_eff, kappa_choice=hypothesis, grid_points=grid.points
-        )
-        beta_max = ball.beta_max
-        beta = beta_max if config.beta is None else config.beta
-    if not (beta > 0.0 and beta <= beta_max * (1.0 + 1e-12)):
-        raise SolverError(
-            "no valid beta: the smallness condition needs 0 < beta <= "
-            f"rho/(2 max|F|) - 1 = {beta_max:g}, got beta = {beta:g}"
-        )
+    if not beta <= ball.beta_max * (1.0 + 1e-12):
+        raise no_beta
     verdicts.append(HypothesisVerdict(
         "beta-range", True,
-        f"1 < beta + 1 = {beta + 1.0:g} <= {beta_max + 1.0:g} = rho/(2 max|F|)",
-        data={"beta": float(beta), "beta_max": float(beta_max), "rho": float(rho_eff)},
+        f"1 < beta + 1 = {beta + 1.0:g} <= {ball.beta_max + 1.0:g} = rho/(2 max|F|)",
+        data={"beta": float(beta), "beta_max": float(ball.beta_max), "rho": float(rho)},
     ))
 
-    sub = dataclasses.replace(config, verify_hypotheses=False, rho=rho_eff, m0=None)
-    trace: dict[str, list[tuple[float, float]]] = {}
+    sub = dataclasses.replace(config, verify_hypotheses=False, rho=rho, m0=None)
     ball_trace: list[tuple[float, float]] = []
     pass_trace: list[tuple[float, float]] = []
+    trace = {"ball_min": ball_trace, "mountain_pass": pass_trace}
     ball_sol = ball_minimize(problem, sub, trace_out=ball_trace)
     pass_sol = mountain_pass(problem, sub, trace_out=pass_trace, profile_out=profile_out)
-    trace["ball_min"] = ball_trace
-    trace["mountain_pass"] = pass_trace
 
     for sol in (ball_sol, pass_sol):
         if sol.kind == "trivial" or float(np.max(np.abs(sol.u))) < TRIVIAL_SUP:
@@ -796,11 +760,8 @@ def two_solutions(
     return SolveReport(
         solutions=(ball_sol, pass_sol),
         hypothesis_verdicts=tuple(verdicts),
-        lambda1=eigen.lambda1,
         constants=constants,
         ball=ball,
         iteration_trace=trace,
-        ps_diagnostic=ps_diagnostic(
-            (ball_trace, pass_trace), (ball_sol, pass_sol), config.newton_tol
-        ),
+        ps_diagnostic=ps_diagnostic((ball_trace, pass_trace), (ball_sol, pass_sol)),
     )

@@ -169,6 +169,22 @@ class ConstantsReport:
         return self.omega_measure ** (1.0 / q) * self.sup_embedding
 
 
+def embedding_kappa(graph, partition, h, h0: float, hypothesis: str) -> float:
+    """The radius scale sqrt(mu_min h0) under H1; under H3 that value
+    divided by sqrt(1 - mu_min h0 int_omega h dmu), which must be
+    positive."""
+    mu_h0 = graph.mu_min * h0
+    if hypothesis == "H1":
+        return math.sqrt(mu_h0)
+    radicand = 1.0 - mu_h0 * integrate(graph, np.asarray(h, dtype=float), partition.omega)
+    if radicand <= 0.0:
+        raise ValueError(
+            "H3 kappa undefined: 1 - mu_min * h0 * int_omega h dmu = "
+            f"{radicand} is not positive"
+        )
+    return math.sqrt(mu_h0) / math.sqrt(radicand)
+
+
 def embedding_constants(
     graph: WeightedGraph,
     partition: DomainPartition,
@@ -187,25 +203,13 @@ def embedding_constants(
     if eigen is None:
         eigen = first_eigenvalue(graph, partition)
     mu_min = graph.mu_min
-    base = math.sqrt(mu_min * h0)
-    if hypothesis == "H1":
-        kappa = base
-    else:
-        h_int = integrate(graph, np.asarray(h, dtype=float), partition.omega)
-        denom = 1.0 - mu_min * h0 * h_int
-        if denom <= 0.0:
-            raise ValueError(
-                "H3 kappa undefined: 1 - mu_min * h0 * int_omega h dmu = "
-                f"{denom} is not positive"
-            )
-        kappa = base / math.sqrt(denom)
     return ConstantsReport(
         lambda1=eigen.lambda1,
         equiv_upper=1.0 + 1.0 / eigen.lambda1,
         mu_min=mu_min,
         h0=h0,
         sup_embedding=math.sqrt(1.0 / (mu_min * h0)),
-        kappa=kappa,
+        kappa=embedding_kappa(graph, partition, h, h0, hypothesis),
         hypothesis=hypothesis,
         omega_measure=integrate(graph, np.ones(graph.n), partition.omega),
     )

@@ -34,6 +34,7 @@ import numpy as np
 from .calculus import H_NORM, gradient_form, integrate, laplacian, norm
 from .graphs import DomainPartition, WeightedGraph
 from .nonlinearity import Nonlinearity, antiderivative, evaluate, reaction
+from .spectral import embedding_kappa
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,20 +260,12 @@ def ball_kappa(problem: Problem, kappa_choice: str) -> float:
     """
     if problem.h0 is None:
         raise ValueError("ball constants need the lower bound h0 on the problem")
-    mu_h0 = problem.graph.mu_min * problem.h0
-    if kappa_choice == "H1":
-        return math.sqrt(mu_h0)
     if kappa_choice == "proof":
-        return 1.0 / math.sqrt(mu_h0)
-    if kappa_choice == "H3":
-        h_int = integrate(problem.graph, problem.h, problem.partition.omega)
-        radicand = 1.0 - mu_h0 * h_int
-        if radicand <= 0.0:
-            raise ValueError(
-                f"1 - mu_min h0 int h = {radicand:g} is not positive; the H3 "
-                "conversion constant is undefined for this coefficient"
-            )
-        return math.sqrt(mu_h0) / math.sqrt(radicand)
+        return 1.0 / math.sqrt(problem.graph.mu_min * problem.h0)
+    if kappa_choice in ("H1", "H3"):
+        return embedding_kappa(
+            problem.graph, problem.partition, problem.h, problem.h0, kappa_choice
+        )
     raise ValueError(f"kappa_choice must be H1, H3 or proof, got {kappa_choice!r}")
 
 
@@ -281,17 +274,20 @@ def ball_constants(
     rho: float,
     kappa_choice: str = "H1",
     grid_points: int = 10001,
+    u_bound: float | None = None,
 ) -> BallConstants:
     """Largest admissible beta for the energy ball of radius sqrt(rho).
 
-    Scans |F| on a uniform grid over [-kappa sqrt(rho), kappa sqrt(rho)]
-    and inverts the smallness condition
-    beta + 1 <= rho / (2 max |F|).
+    Scans |F| on a uniform grid over [-u_bound, u_bound] and inverts the
+    smallness condition beta + 1 <= rho / (2 max |F|).  u_bound is the
+    pointwise range of the ball, kappa sqrt(rho), unless the caller
+    gives the pointwise bound itself.
     """
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
     kappa = ball_kappa(problem, kappa_choice)
-    u_bound = kappa * math.sqrt(rho)
+    if u_bound is None:
+        u_bound = kappa * math.sqrt(rho)
     us = np.linspace(-u_bound, u_bound, grid_points)
     _, big_f, _ = evaluate(problem.nl, None, us)
     max_abs = float(np.max(np.abs(big_f)))

@@ -146,6 +146,18 @@ def test_solve_gate_failure_reports_verdicts(graph_file, capsys):
     assert "not a proof" in error_lines[0]
 
 
+def test_solve_falls_back_to_the_route_check_accepts(graph_file, capsys):
+    # F4 fails for theta = 5 > p, the monotone route F5 + F6 holds on the
+    # grid [-40, 40] that M = 20 asks for: check and solve both accept
+    args = [graph_file(PATH3), "--nl", "power:p=4", "--theta", "5", "--M", "20"]
+    assert run(["check", *args]) == 0
+    assert "exit_code 0" in capsys.readouterr().out
+    assert run(["solve", *args]) == 0
+    out = capsys.readouterr().out
+    assert "hypothesis F4 fails" in out and "hypothesis F6 holds" in out
+    assert "solution 1 kind mountain_pass" in out
+
+
 def test_solve2_text_report(graph_file, capsys):
     path = graph_file(PATH3)
     code = run([
@@ -411,7 +423,7 @@ HYPOTHESIS_RECORDS = [
     }),
     (("power:p=4", "--theta", "5", "--M", "20"), {
         "check": (0, "H1+ H2+ H3- F2+ F5+ F6+ F7- F4- AR-bound-"),
-        "solve": (1, ""),
+        "solve": (0, "H1+ H2+ F1+ F2+ F4- F5+ F6+"),
         "solve2": (1, ""),
     }),
     (("power:p=4", "--theta", "4"), {

@@ -9,7 +9,6 @@ from graphpde import (
     Problem,
     SolverConfig,
     SolverError,
-    StepRule,
     build_graph,
     build_spike_endpoint,
     ball_minimize,
@@ -73,9 +72,8 @@ def test_spike_endpoint_prefers_heavier_vertex():
 
 def test_spike_endpoint_rejects_subquadratic_growth():
     problem = three_path_problem(odd_poly({1: 1.0}))
-    config = SolverConfig(spike_max_doublings=8, verify_hypotheses=False)
     with pytest.raises(SolverError) as err:
-        build_spike_endpoint(problem, config)
+        build_spike_endpoint(problem)
     assert "superquadratic" in str(err.value)
     assert "energy(" in str(err.value)
 
@@ -124,12 +122,24 @@ def test_mountain_pass_trace_and_verdicts():
 
 
 def test_mountain_pass_monotone_route_uses_f5_f6():
-    problem = three_path_problem(power(4))  # no growth constants attached
+    problem = three_path_problem(power(5))  # no growth constants attached
     verdicts: list = []
-    config = SolverConfig(check_grid=None, f6_threshold=50.0)
-    mountain_pass(problem, config, verdicts_out=verdicts)
+    mountain_pass(problem, verdicts_out=verdicts)  # F6: f(10)/10 = 1000
     names = [v.name for v in verdicts]
     assert "F5" in names and "F6" in names and "F2" not in names
+
+
+def test_mountain_pass_falls_back_to_the_monotone_route():
+    # F4 fails for theta = 5 > p; M = 20 widens the grid to [-40, 40],
+    # where the F6 proxy reads 1600; F3 is attached to both routes
+    problem = three_path_problem(power(4, theta=5.0, M=20.0, C=1.0, growth_p=4.0))
+    verdicts: list = []
+    sol = mountain_pass(problem, verdicts_out=verdicts)
+    assert [(v.name, v.holds) for v in verdicts] == [
+        ("H1", True), ("H2", True), ("F1", True), ("F2", True), ("F4", False),
+        ("F3", True), ("F5", True), ("F6", True),
+    ]
+    assert abs(sol.u[1] - math.sqrt(2)) <= 1e-8
 
 
 def test_mountain_pass_gate_failure_is_reported():
@@ -185,7 +195,7 @@ def test_mountain_pass_evaluates_the_path_in_one_batch(monkeypatch, make):
     trace: list = []
     sol = mountain_pass(make(), config, trace_out=trace)
     assert sol.residual_max <= 1e-12
-    assert len(calls) < config.path_points * len(trace)
+    assert len(calls) < graphpde.solver.PATH_POINTS * len(trace)
     assert calls.count(2) == len(trace)
 
 
@@ -198,13 +208,6 @@ def test_ball_minimize_plus_const():
     assert sol.h_norm < 1.0
     assert sol.residual_max <= 1e-12
     assert sol.energy_value < 0.0  # strictly below the zero function
-
-
-def test_ball_minimize_fixed_step_rule():
-    problem = three_path_problem(PLUS_CONST)
-    config = SolverConfig(rho=1.0, step_rule=StepRule(kind="fixed", alpha=0.25))
-    sol = ball_minimize(problem, config)
-    assert abs(sol.u[1] - SMALL_ROOT) <= 1e-8
 
 
 def test_ball_minimize_trivial_when_zero_is_solution():
@@ -237,7 +240,7 @@ def test_two_solutions_plus_const():
     assert abs(ball_sol.u[1] - SMALL_ROOT) <= 1e-8
     assert abs(pass_sol.u[1] - LARGE_ROOT) <= 1e-8
     assert ball_sol.in_ball and not pass_sol.in_ball
-    assert report.lambda1 == pytest.approx(1.0, abs=1e-10)
+    assert report.constants.lambda1 == pytest.approx(1.0, abs=1e-10)
     assert report.constants is not None and report.constants.hypothesis == "H1"
     assert report.ball is not None
     assert report.ball.beta_max == pytest.approx(1.0 / 0.7 - 1.0, rel=1e-9)
@@ -273,6 +276,14 @@ def test_two_solutions_rho_mode_rejects_large_beta():
     problem = three_path_problem(PLUS_CONST)
     with pytest.raises(SolverError) as err:
         two_solutions(problem, SolverConfig(rho=1.0, beta=1.0))
+    assert "no valid beta" in str(err.value)
+
+
+def test_two_solutions_m0_mode_rejects_nonpositive_beta():
+    # on [-2, 2] max|F| = 4.2 exceeds rho/2 = 2: beta_max = -0.52 before F8 runs
+    problem = three_path_problem(PLUS_CONST)
+    with pytest.raises(SolverError) as err:
+        two_solutions(problem, SolverConfig(m0=2.0))
     assert "no valid beta" in str(err.value)
 
 
@@ -362,7 +373,7 @@ def test_solver_scaling_equivariance():
 def test_weak_residual_at_solutions(rng):
     problem = three_path_problem(PLUS_CONST)
     report = two_solutions(problem, SolverConfig(rho=1.0))
-    tol = SolverConfig().newton_tol
+    tol = graphpde.solver.NEWTON_TOL
     for sol in report.solutions:
         for _ in range(50):
             phi = np.zeros(3)
@@ -374,25 +385,11 @@ def test_weak_residual_at_solutions(rng):
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(path_points=2)
-    with pytest.raises(ValueError):
         SolverConfig(deform_steps=0)
     with pytest.raises(ValueError):
         SolverConfig(deform_tol=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(newton_max=0)
-    with pytest.raises(ValueError):
         SolverConfig(rho=-1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(spike_max_doublings=0)
-    with pytest.raises(ValueError):
-        StepRule(kind="mystery")
-    with pytest.raises(ValueError):
-        StepRule(alpha=0.0)
-    with pytest.raises(ValueError):
-        StepRule(shrink=1.0)
-    with pytest.raises(ValueError):
-        StepRule(armijo=0.0)
 
 
 def test_mountain_pass_in_ball_flag():
@@ -416,7 +413,7 @@ def test_mountain_pass_lattice_exits_by_tolerance():
     sol = mountain_pass(lattice_problem(12, POWER4), config, trace_out=trace)
     assert trace[-1][1] <= config.deform_tol
     assert len(trace) < graphpde.solver.STALL_WINDOW
-    assert sol.residual_max <= config.newton_tol
+    assert sol.residual_max <= graphpde.solver.NEWTON_TOL
 
 
 def _p_matrix(problem):
@@ -569,7 +566,7 @@ def test_mountain_pass_random_graphs_do_not_stall():
         trace: list = []
         sol = mountain_pass(problem, config, trace_out=trace)
         assert trace[-1][1] <= config.deform_tol
-        assert sol.residual_max <= config.newton_tol
+        assert sol.residual_max <= graphpde.solver.NEWTON_TOL
 
 
 def test_newton_shift_fallback(monkeypatch):
@@ -589,7 +586,7 @@ def test_newton_shift_fallback(monkeypatch):
     # the retry solves the same Jacobian shifted by 1e-10 on the diagonal
     assert np.array_equal(calls[1], calls[0] + 1e-10 * np.eye(len(calls[0])))
     assert sol.newton_shifted
-    assert sol.residual_max <= config.newton_tol
+    assert sol.residual_max <= graphpde.solver.NEWTON_TOL
 
 
 def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
@@ -617,7 +614,7 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "solve", record_solve)
             m.setattr(graphpde.solver, "evaluate", record_evaluate)
-            _newton_polish(problem, start, config)
+            _newton_polish(problem, start)
         assert len(jacobians) == len(points) >= 1
         lmat = _interior_matrix(graph, part)
         mu = graph.measure[part.omega]
