@@ -20,8 +20,6 @@ from .graphs import (
     compute_boundary,
     enforce_dirichlet,
     format_graph_text,
-    function_from_dict,
-    graph_distance,
     is_dirichlet,
     parse_graph_file,
     parse_graph_text,
@@ -34,9 +32,7 @@ from .calculus import (
     dirichlet_energy,
     edge_energy,
     gradient_form,
-    gradient_length,
     green_residual,
-    inner_product,
     integrate,
     laplacian,
     lp,
@@ -47,7 +43,6 @@ from .spectral import (
     EigenResult,
     embedding_constants,
     first_eigenvalue,
-    rayleigh_quotient,
 )
 from .nonlinearity import (
     GridSpec,
@@ -66,17 +61,16 @@ from .nonlinearity import (
 )
 from .variational import (
     BallConstants,
-    EnergyReport,
     Problem,
     ball_constants,
     ball_kappa,
     directional_derivative,
     energy,
-    energy_report,
     gradient,
     pointwise_residual,
 )
 from .solver import (
+    RunLog,
     Solution,
     SolveReport,
     SolverConfig,
@@ -91,19 +85,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BallConstants", "ConstantsReport", "DIRICHLET_W12", "DomainPartition",
-    "EigenResult", "EnergyReport", "FULL_W12", "GraphError", "GraphFile",
+    "EigenResult", "FULL_W12", "GraphError", "GraphFile",
     "GraphParseError", "GridSpec", "H_NORM", "HypothesisVerdict",
-    "Nonlinearity", "NormKind", "Problem", "Solution",
+    "Nonlinearity", "NormKind", "Problem", "RunLog", "Solution",
     "SolveReport", "SolverConfig", "SolverError", "WeightedGraph",
     "ar_lower_bound", "ball_constants", "ball_kappa", "ball_minimize",
     "build_graph", "build_spike_endpoint", "check_f", "check_h",
     "compute_boundary", "dirichlet_energy", "directional_derivative",
-    "edge_energy", "embedding_constants", "energy", "energy_report",
+    "edge_energy", "embedding_constants", "energy",
     "enforce_dirichlet", "evaluate", "f1_verdict", "first_eigenvalue",
-    "format_graph_text", "function_from_dict", "gradient", "gradient_form",
-    "gradient_length", "graph_distance", "green_residual", "inner_product",
-    "integrate", "is_dirichlet", "laplacian", "lp", "mountain_pass", "norm",
-    "odd_poly", "parse_graph_file", "parse_graph_text", "parse_nonlinearity",
-    "pointwise_residual", "power", "power_plus_const", "rayleigh_quotient",
-    "smoothness_note", "two_solutions",
+    "format_graph_text", "gradient", "gradient_form",
+    "green_residual", "integrate", "is_dirichlet", "laplacian", "lp",
+    "mountain_pass", "norm", "odd_poly", "parse_graph_file",
+    "parse_graph_text", "parse_nonlinearity", "pointwise_residual", "power",
+    "power_plus_const", "smoothness_note", "two_solutions",
 ]

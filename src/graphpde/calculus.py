@@ -4,7 +4,6 @@ With w_xy the edge weights and mu the vertex measure:
 
     laplacian(u)(x)       = (1/mu(x)) * sum_{y~x} w_xy (u(y) - u(x))
     gradient_form(u,v)(x) = (1/(2 mu(x))) * sum_{y~x} w_xy (u(y)-u(x)) (v(y)-v(x))
-    gradient_length(u)(x) = sqrt(gradient_form(u,u)(x))
 
 Integrals are measure-weighted sums over a vertex set.  The energy
 seminorm integrates |grad u|^2 over the closure (interior plus
@@ -46,10 +45,6 @@ def gradient_form(graph: WeightedGraph, u: np.ndarray, v: np.ndarray) -> np.ndar
     return _neighbor_sum(graph, graph.adj_w * du * dv) / (2.0 * graph.measure)
 
 
-def gradient_length(graph: WeightedGraph, u: np.ndarray) -> np.ndarray:
-    return np.sqrt(gradient_form(graph, u, u))
-
-
 def integrate(graph: WeightedGraph, f: np.ndarray, region: np.ndarray) -> float:
     """Measure-weighted sum of f over the given vertex indices."""
     region = np.asarray(region, dtype=np.int64)
@@ -77,7 +72,7 @@ def edge_energy(graph: WeightedGraph, partition: DomainPartition, u: np.ndarray)
     return float(np.sum(graph.edge_weight[both] * d[both] ** 2))
 
 
-# ----- norms and inner products ----- #
+# ----- norms ----- #
 
 @dataclass(frozen=True)
 class NormKind:
@@ -136,33 +131,6 @@ def norm(
             raise ValueError(f"h-norm radicand is negative ({radicand}); h is not admissible")
         return math.sqrt(radicand)
     raise ValueError(f"unknown norm kind {kind.tag!r}")
-
-
-def inner_product(
-    graph: WeightedGraph,
-    partition: DomainPartition,
-    u: np.ndarray,
-    v: np.ndarray,
-    kind: str = "w12",
-    h: np.ndarray | None = None,
-) -> float:
-    """Bilinear form pairing two Dirichlet functions.
-
-    kind "w12": int_closure gradient_form(u,v) + int_omega u v
-    kind "h":   int_closure gradient_form(u,v) + int_omega h u v
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if not (is_dirichlet(partition, u) and is_dirichlet(partition, v)):
-        raise ValueError("inner_product requires Dirichlet functions")
-    base = integrate(graph, gradient_form(graph, u, v), partition.closure)
-    if kind == "w12":
-        return base + integrate(graph, u * v, partition.omega)
-    if kind == "h":
-        if h is None:
-            raise ValueError("kind 'h' requires the coefficient h")
-        return base + integrate(graph, np.asarray(h, dtype=float) * u * v, partition.omega)
-    raise ValueError(f"unknown inner product kind {kind!r}")
 
 
 def green_residual(

@@ -30,6 +30,7 @@ import numpy as np
 from .graphs import GraphError, GraphFile, parse_graph_file
 from .nonlinearity import GridSpec, ar_lower_bound, parse_nonlinearity
 from .solver import (
+    RunLog,
     SolverConfig,
     SolverError,
     coefficient_verdicts,
@@ -56,15 +57,21 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Dirichlet reaction-diffusion problems on weighted graphs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "check": "verify coefficient and reaction-term hypotheses",
-        "eigen": "first eigenvalue and eigenfunction of the interior Laplacian",
-        "gradcheck": "audit the energy gradient against finite differences",
-        "solve": "find one pass-level solution",
-        "solve2": "find a ball minimizer and a pass-level solution",
+    # per command: its help, what --tol means, what --max-iter means
+    eigen = ("eigen tolerance (default 1e-12)", "eigen iteration budget (default 500)")
+    loops = ("gradient-norm stop of the path deformation and, in solve2, of the ball "
+             "descent (default 1e-8); the eigen step keeps its defaults",
+             "iteration budget of each of those loops (default 5000)")
+    commands = {
+        "check": ("verify coefficient and reaction-term hypotheses", *eigen),
+        "eigen": ("first eigenvalue and eigenfunction of the interior Laplacian", *eigen),
+        "gradcheck": ("audit the energy gradient against finite differences",
+                      "relative-error threshold of the audit (default 1e-6)", "not used"),
+        "solve": ("find one pass-level solution", *loops),
+        "solve2": ("find a ball minimizer and a pass-level solution", *loops),
     }
-    for name in ("check", "eigen", "gradcheck", "solve", "solve2"):
-        p = sub.add_parser(name, help=helps[name], allow_abbrev=False)
+    for name, (text, tol_help, iter_help) in commands.items():
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
         p.add_argument("graph", help="graph file")
         p.add_argument("--nl", metavar="SPEC",
                        help="reaction term, e.g. power:p=4 or power_plus_const:p=4,eps=0.1")
@@ -77,10 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, help="smallness parameter for the ball setup")
         p.add_argument("--M0", type=float, dest="m0",
                        help="pointwise range bound; switches solve2 to the derived-ball mode")
-        p.add_argument("--tol", type=float,
-                       help="eigen tolerance / gradient-audit threshold / descent stop")
-        p.add_argument("--max-iter", type=int, dest="max_iter",
-                       help="iteration budget of the main loop")
+        p.add_argument("--tol", type=float, help=tol_help)
+        p.add_argument("--max-iter", type=int, dest="max_iter", help=iter_help)
         p.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
         p.add_argument("--out", help="also write the report to this file")
         p.add_argument("--format", choices=("text", "jsonl"), default="text")
@@ -291,7 +296,7 @@ def _solver_config(ns: argparse.Namespace) -> SolverConfig:
 
 
 def _write_profile(ns: argparse.Namespace, snapshots) -> None:
-    if ns.emit_path_profile is None or snapshots is None:
+    if ns.emit_path_profile is None:
         return
     lines = ["snapshot,s,energy"]
     for snap, positions, values in snapshots:
@@ -331,6 +336,18 @@ def _eigen_records(
         return False
     emit.add(_fields_record("constants", constants))
     return True
+
+
+def _solve_failure(ns: argparse.Namespace, log: RunLog, exc, emit: _Report) -> int:
+    """Report a failed solve: the run log's verdicts, its traces by
+    solver name and the error; write its path profile."""
+    for v in log.verdicts:
+        emit.add(_verdict_record(v))
+    for name in sorted(log.traces):
+        emit.add(_trace_record(name, log.traces[name]))
+    emit.add({"record": "error", "message": str(exc)})
+    _write_profile(ns, log.profile)
+    return 1
 
 
 # ----- commands ----- #
@@ -421,30 +438,21 @@ def _cmd_solve(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
     except ValueError as exc:
         return _input_error(str(exc))
     emit.add(_meta(ns))
-    verdicts: list = []
-    trace: list = []
-    profile = [] if ns.emit_path_profile is not None else None
+    log = RunLog()
     try:
-        sol = mountain_pass(
-            problem, config,
-            trace_out=trace, verdicts_out=verdicts, profile_out=profile,
-        )
+        sol = mountain_pass(problem, config, log=log)
     except SolverError as exc:
-        for v in verdicts:
-            emit.add(_verdict_record(v))
-        emit.add({"record": "error", "message": str(exc)})
-        _write_profile(ns, profile)
-        return 1
-    for v in verdicts:
+        return _solve_failure(ns, log, exc, emit)
+    for v in log.verdicts:
         emit.add(_verdict_record(v))
     hyp = embedding_hypothesis(coefficient_verdicts(gf, ns.h0, ("H1", "H3")))
     if not _eigen_records(emit, gf, ns.h0, hyp):
         return 1
     emit.add(_solution_record(gf.graph, sol, 1))
-    emit.add(_trace_record("mountain_pass", trace))
-    ps = ps_diagnostic((trace,), (sol,))
+    emit.add(_trace_record("mountain_pass", log.traces["mountain_pass"]))
+    ps = ps_diagnostic(log.traces.values(), (sol,))
     emit.add({"record": "summary", "solutions": 1, "ps_diagnostic": ps})
-    _write_profile(ns, profile)
+    _write_profile(ns, log.profile)
     return 0
 
 
@@ -461,31 +469,25 @@ def _cmd_solve2(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int
     except ValueError as exc:
         return _input_error(str(exc))
     emit.add(_meta(ns))
-    profile = [] if ns.emit_path_profile is not None else None
+    log = RunLog()
     try:
-        report = two_solutions(problem, config, profile_out=profile)
+        report = two_solutions(problem, config, log=log)
     except SolverError as exc:
-        attached = getattr(exc, "iteration_trace", None)
-        if attached:
-            for name in sorted(attached):
-                emit.add(_trace_record(name, attached[name]))
-        emit.add({"record": "error", "message": str(exc)})
-        _write_profile(ns, profile)
-        return 1
+        return _solve_failure(ns, log, exc, emit)
     for v in report.hypothesis_verdicts:
         emit.add(_verdict_record(v))
     emit.add(_fields_record("constants", report.constants))
     emit.add(_fields_record("ball", report.ball))
     for i, sol in enumerate(report.solutions, 1):
         emit.add(_solution_record(gf.graph, sol, i))
-    for name in sorted(report.iteration_trace):
-        emit.add(_trace_record(name, report.iteration_trace[name]))
+    for name in sorted(log.traces):
+        emit.add(_trace_record(name, log.traces[name]))
     gap = float(np.max(np.abs(report.solutions[0].u - report.solutions[1].u)))
     emit.add({
         "record": "summary", "solutions": len(report.solutions),
         "distinct_gap": _fin(gap), "ps_diagnostic": report.ps_diagnostic,
     })
-    _write_profile(ns, profile)
+    _write_profile(ns, log.profile)
     return 0
 
 

@@ -123,7 +123,6 @@ def build_graph(
     pairs: list[tuple[int, int]] = []
     weights: list[float] = []
     seen: dict[tuple[int, int], float] = {}
-    adj_lists: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for a, b, w in edges:
         if a not in index:
             raise GraphError(f"edge references unknown vertex id {a!r}")
@@ -143,8 +142,10 @@ def build_graph(
         seen[key] = w
         pairs.append((i, j))
         weights.append(w)
-        adj_lists[i].append((j, w))
-        adj_lists[j].append((i, w))
+    edge_index = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    # every incidence (center, neighbour, weight), edge by edge
+    center = edge_index.ravel()
+    inc_w = np.repeat(np.asarray(weights), 2)
 
     if measure_mode == "given":
         if measures is None:
@@ -158,32 +159,20 @@ def build_graph(
                 raise GraphError(f"vertex {vid!r} has nonpositive measure {mu[k]}")
     else:
         # mu(x) = sum of incident weights, accumulated in stored edge
-        # order so the value is bit-for-bit the in-order adjacency sum.
+        # order (np.add.at is unbuffered and goes in index order) so the
+        # value is bit-for-bit the in-order adjacency sum.
         mu = np.zeros(n)
-        for (i, j), w in zip(pairs, weights):
-            mu[i] += w
-            mu[j] += w
+        np.add.at(mu, center, inc_w)
         for k in range(n):
             if not mu[k] > 0.0:
                 raise GraphError(
                     f"vertex {ids[k]!r} has no incident edge; derived measure would be zero"
                 )
 
+    # grouped by center; the stable sort keeps stored edge order within a group
+    order = np.argsort(center, kind="stable")
     ptr = np.zeros(n + 1, dtype=np.int64)
-    for k in range(n):
-        ptr[k + 1] = ptr[k] + len(adj_lists[k])
-    nbr = np.empty(ptr[-1], dtype=np.int64)
-    adj_w = np.empty(ptr[-1])
-    center = np.empty(ptr[-1], dtype=np.int64)
-    pos = 0
-    for k in range(n):
-        for j, w in adj_lists[k]:
-            nbr[pos] = j
-            adj_w[pos] = w
-            center[pos] = k
-            pos += 1
-
-    edge_index = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    np.cumsum(np.bincount(center, minlength=n), out=ptr[1:])
     return WeightedGraph(
         vertex_ids=ids,
         edge_index=edge_index,
@@ -192,9 +181,9 @@ def build_graph(
         measure_mode=measure_mode,
         mu_min=float(mu.min()),
         adj_ptr=ptr,
-        adj_nbr=nbr,
-        adj_w=adj_w,
-        adj_center=center,
+        adj_nbr=edge_index[:, ::-1].ravel()[order],
+        adj_w=inc_w[order],
+        adj_center=center[order],
         _index=index,
     )
 
@@ -230,11 +219,8 @@ def compute_boundary(graph: WeightedGraph, omega: Iterable[str]) -> DomainPartit
     omega_mask[omega_idx] = True
 
     boundary_mask = np.zeros(graph.n, dtype=bool)
-    for i in omega_idx:
-        nbr, _ = graph.neighbors(i)
-        for j in nbr:
-            if not omega_mask[j]:
-                boundary_mask[j] = True
+    boundary_mask[graph.adj_nbr[omega_mask[graph.adj_center]]] = True
+    boundary_mask &= ~omega_mask
     closure_mask = omega_mask | boundary_mask
     exterior_mask = ~closure_mask
 
@@ -264,36 +250,7 @@ def _closure_connected(graph: WeightedGraph, closure_mask: np.ndarray) -> bool:
     return bool(np.all(seen[closure_mask]))
 
 
-def graph_distance(graph: WeightedGraph, x: str, y: str) -> int | None:
-    """Hop-count distance between two vertices; None when unreachable."""
-    i, j = graph.index_of(x), graph.index_of(y)
-    if i == j:
-        return 0
-    dist = np.full(graph.n, -1, dtype=np.int64)
-    dist[i] = 0
-    queue = deque([i])
-    while queue:
-        k = queue.popleft()
-        nbr, _ = graph.neighbors(k)
-        for t in nbr:
-            if dist[t] < 0:
-                dist[t] = dist[k] + 1
-                if t == j:
-                    return int(dist[t])
-                queue.append(int(t))
-    return None
-
-
 # ----- graph functions ----- #
-
-def function_from_dict(
-    graph: WeightedGraph, values: Mapping[str, float], default: float = 0.0
-) -> np.ndarray:
-    u = np.full(graph.n, float(default))
-    for vid, val in values.items():
-        u[graph.index_of(vid)] = float(val)
-    return u
-
 
 def enforce_dirichlet(partition: DomainPartition, u: np.ndarray) -> np.ndarray:
     """Zero-extend: copy of u with exact zeros off the interior."""

@@ -46,14 +46,6 @@ class Nonlinearity:
     growth_C: float | None = None
     growth_p: float | None = None
 
-    def spec_string(self) -> str:
-        if self.family == "power":
-            return f"power:p={self.p:g}"
-        if self.family == "power_plus_const":
-            return f"power_plus_const:p={self.p:g},eps={self.eps:g}"
-        params = ",".join(f"c{k}={c:g}" for k, c in self.coeffs)
-        return f"odd_poly:{params}"
-
 
 def _check_optional(theta, M, C, growth_p):
     if theta is not None and not theta > 2.0:
@@ -181,10 +173,7 @@ def reaction_derivative(nl: Nonlinearity, u):
         return (nl.p - 1.0) * np.abs(u) ** (nl.p - 2.0)
     out = np.zeros_like(u)
     for k, c in nl.coeffs:
-        if k == 1:
-            out = out + c
-        else:
-            out = out + k * c * u ** (k - 1)
+        out = out + k * c * u ** (k - 1)
     return out
 
 
@@ -265,32 +254,30 @@ def check_h(graph, partition, h, which: str, h0: float | None = None) -> Hypothe
     """Check H1 (h >= h0 on the interior), H2 (no zeros of h on the
     interior, with the summed 1/|h| reported) or H3 (the h integral is
     at most 1/(mu_min h0))."""
-    from .calculus import integrate  # local import to avoid a cycle at module load
-
     h = np.asarray(h, dtype=float)
     omega = partition.omega
-    ids = [graph.vertex_ids[int(i)] for i in omega]
+    h_omega = h[omega]
     if which == "H1":
         if h0 is None or not h0 > 0.0:
             raise ValueError("H1 needs a positive h0")
-        k = int(np.argmin(h[omega]))
-        hmin = float(h[omega][k])
-        holds = hmin >= h0
+        k = int(np.argmin(h_omega))
+        hmin = float(h_omega[k])
+        vid = graph.vertex_ids[int(omega[k])]
         return HypothesisVerdict(
-            "H1", holds,
-            f"min h on the interior is {hmin:g} at vertex {ids[k]!r} (required >= h0 = {h0:g})",
+            "H1", hmin >= h0,
+            f"min h on the interior is {hmin:g} at vertex {vid!r} (required >= h0 = {h0:g})",
             sampled_range="interior vertices",
             data={"h_min": hmin, "h0": float(h0)},
         )
     if which == "H2":
-        zeros = [ids[k] for k in range(len(omega)) if h[omega][k] == 0.0]
-        if zeros:
+        zeros = np.flatnonzero(h_omega == 0.0)
+        if zeros.size:
+            vid = graph.vertex_ids[int(omega[zeros[0]])]
             return HypothesisVerdict(
-                "H2", False,
-                f"h vanishes at vertex {zeros[0]!r}; 1/h is not summable",
+                "H2", False, f"h vanishes at vertex {vid!r}; 1/h is not summable",
                 sampled_range="interior vertices",
             )
-        l1 = float(np.dot(graph.measure[omega], 1.0 / np.abs(h[omega])))
+        l1 = float(np.dot(graph.measure[omega], 1.0 / np.abs(h_omega)))
         return HypothesisVerdict(
             "H2", True,
             f"h has no interior zeros; int 1/|h| dmu = {l1:g}",
@@ -300,7 +287,7 @@ def check_h(graph, partition, h, which: str, h0: float | None = None) -> Hypothe
     if which == "H3":
         if h0 is None or not h0 > 0.0:
             raise ValueError("H3 needs a positive h0")
-        h_int = integrate(graph, h, omega)
+        h_int = float(graph.measure[omega] @ h_omega)
         bound = 1.0 / (graph.mu_min * h0)
         holds = h_int <= bound
         return HypothesisVerdict(
@@ -363,6 +350,26 @@ def check_f(
         holds = f0 != 0.0
         return HypothesisVerdict(
             "F7", holds, f"f(0) = {f0:g} (must be nonzero)", data={"f0": f0}
+        )
+    if which == "F8":
+        if M0 is None or beta is None or mu_min is None or h0 is None:
+            raise ValueError("F8 needs M0, beta, mu_min and h0")
+        if not (M0 > 0.0 and mu_min > 0.0 and h0 > 0.0):
+            raise ValueError("F8 needs positive M0, mu_min and h0")
+        if not beta > 0.0:
+            raise ValueError(f"F8 needs beta > 0, got {beta}")
+        uu = np.linspace(-M0, M0, grid.points)
+        _, FF, _ = evaluate(nl, None, uu)
+        k = int(np.argmax(np.abs(FF)))
+        max_abs = float(np.abs(FF[k]))
+        bound = M0 ** 2 / (2.0 * (beta + 1.0) * mu_min * h0)
+        holds = max_abs <= bound * (1.0 + _REL_GUARD)
+        return HypothesisVerdict(
+            "F8", holds,
+            f"max |F| on [-M0, M0] is {max_abs:g} at u = {uu[k]:g} vs bound "
+            f"M0^2/(2(beta+1) mu_min h0) = {bound:g}",
+            sampled_range=f"[-{M0:g}, {M0:g}] with {grid.points} points",
+            data={"max_abs_F": max_abs, "bound": bound, "beta": beta},
         )
 
     us = grid.values()
@@ -447,26 +454,6 @@ def check_f(
             f"threshold {threshold:g} (sampled evidence, not a proof)",
             sampled_range=grid.label(),
             data={"ratio": ratio, "threshold": threshold},
-        )
-    if which == "F8":
-        if M0 is None or beta is None or mu_min is None or h0 is None:
-            raise ValueError("F8 needs M0, beta, mu_min and h0")
-        if not (M0 > 0.0 and mu_min > 0.0 and h0 > 0.0):
-            raise ValueError("F8 needs positive M0, mu_min and h0")
-        if not beta > 0.0:
-            raise ValueError(f"F8 needs beta > 0, got {beta}")
-        uu = np.linspace(-M0, M0, grid.points)
-        _, FF, _ = evaluate(nl, None, uu)
-        k = int(np.argmax(np.abs(FF)))
-        max_abs = float(np.abs(FF[k]))
-        bound = M0 ** 2 / (2.0 * (beta + 1.0) * mu_min * h0)
-        holds = max_abs <= bound * (1.0 + _REL_GUARD)
-        return HypothesisVerdict(
-            "F8", holds,
-            f"max |F| on [-M0, M0] is {max_abs:g} at u = {uu[k]:g} vs bound "
-            f"M0^2/(2(beta+1) mu_min h0) = {bound:g}",
-            sampled_range=f"[-{M0:g}, {M0:g}] with {grid.points} points",
-            data={"max_abs_F": max_abs, "bound": bound, "beta": beta},
         )
     raise ValueError(f"unknown f-hypothesis {which!r}")
 

@@ -12,6 +12,9 @@ Three entry points:
     two_solutions   verifies the two-solution hypotheses, then runs
                     both and checks the results are distinct
 
+Each writes what it sees into an optional RunLog as it runs, so the
+record of a run survives a SolverError.
+
 Both loops step along the Sobolev gradient: the Riesz representative
 P^(-1) g of the Euclidean gradient g in the inner product of
 P = L + diag(mu |h|) on interior unknowns, with L the interior
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -143,18 +146,29 @@ class Solution:
 class SolveReport:
     """Bundle returned by the two-solution pipeline: solutions, the
     hypothesis verdicts that gated them, the embedding constants (with
-    the first eigenvalue), the ball constants, per-iteration traces
-    keyed by solver name (each entry is (level, gradient norm)), and a
-    flag recording that gradient norms fell to tolerance while the
-    energy stayed bounded along the iterates.  The flag is an
-    observation about this run, not a proof of a compactness property."""
+    the first eigenvalue), the ball constants, and a flag recording
+    that gradient norms fell to tolerance while the energy stayed
+    bounded along the iterates.  The flag is an observation about this
+    run, not a proof of a compactness property; the iteration traces it
+    rests on are in the RunLog."""
 
     solutions: tuple[Solution, ...]
     hypothesis_verdicts: tuple[HypothesisVerdict, ...]
     constants: ConstantsReport
     ball: BallConstants
-    iteration_trace: dict[str, list[tuple[float, float]]]
     ps_diagnostic: bool
+
+
+@dataclass
+class RunLog:
+    """What the solvers saw: the verdicts of the gates that passed, the
+    (certified level, gradient norm) rows of each loop by solver name
+    (set afresh as the loop starts), and (iteration, arc positions,
+    energies) snapshots of the path every 50 iterations and at the end."""
+
+    verdicts: list[HypothesisVerdict] = field(default_factory=list)
+    traces: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
+    profile: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def ps_diagnostic(traces, solutions) -> bool:
@@ -458,9 +472,7 @@ def mountain_pass(
     problem: Problem,
     config: SolverConfig | None = None,
     *,
-    trace_out: list | None = None,
-    verdicts_out: list | None = None,
-    profile_out: list | None = None,
+    log: RunLog | None = None,
 ) -> Solution:
     """Pass-level critical point via path deformation plus Newton.
 
@@ -479,21 +491,18 @@ def mountain_pass(
     certified level stalls; refinement failure after a stall is
     reported as a stall.
 
-    trace_out collects (certified level, gradient norm) per iteration;
-    profile_out collects (iteration, arc positions, energies) snapshots
-    every 50 iterations; verdicts_out collects hypothesis verdicts when
-    verification is on.
+    log receives the gate's verdicts, the "mountain_pass" trace and the
+    path profile.
     """
     config = config or SolverConfig()
+    log = RunLog() if log is None else log
     if config.verify_hypotheses:
-        verdicts = _mountain_pass_gate(problem, config)
-        if verdicts_out is not None:
-            verdicts_out.extend(verdicts)
+        log.verdicts += _mountain_pass_gate(problem, config)
     endpoint = build_spike_endpoint(problem)
     precondition = _sobolev_direction(problem)
     npts = PATH_POINTS
     path = np.linspace(0.0, 1.0, npts)[:, None] * endpoint[None, :]
-    trace: list[tuple[float, float]] = []
+    trace = log.traces["mountain_pass"] = []
     level = math.inf
     stalled = False
     u_best = None
@@ -501,14 +510,12 @@ def mountain_pass(
         values = energy(problem, path)
         i = int(np.argmax(values))
         level = min(level, float(values[i]))
-        if profile_out is not None and k % 50 == 0:
-            profile_out.append((k, _arc_positions(path), values.copy()))
+        if k % 50 == 0:
+            log.profile.append((k, _arc_positions(path), values))
         gvec = gradient(problem, path[i])
         gn = math.sqrt(gvec @ gvec)
         trace.append((level, gn))
         if i == 0 or i == npts - 1:
-            if trace_out is not None:
-                trace_out.extend(trace)
             raise SolverError(
                 "the path maximum sits at an endpoint; no interior energy "
                 "barrier separates 0 from the spike endpoint"
@@ -539,11 +546,8 @@ def mountain_pass(
         i = int(np.argmax(values))
         u_best = path[i].copy()
         stalled = True
-    if profile_out is not None:
-        values = energy(problem, path)
-        profile_out.append((len(trace), _arc_positions(path), values))
-    if trace_out is not None:
-        trace_out.extend(trace)
+    # values holds the energies of the final path on every way out of the loop
+    log.profile.append((len(trace), _arc_positions(path), values))
     try:
         u, res_max, shifted = _newton_polish(problem, u_best)
     except SolverError as exc:
@@ -565,8 +569,7 @@ def ball_minimize(
     problem: Problem,
     config: SolverConfig | None = None,
     *,
-    trace_out: list | None = None,
-    verdicts_out: list | None = None,
+    log: RunLog | None = None,
 ) -> Solution:
     """Minimize the energy over the closed ball h-norm <= sqrt(rho).
 
@@ -577,9 +580,11 @@ def ball_minimize(
     pinned to the sphere raises "no interior minimizer found".  When f(x,0) = 0
     the zero function is a genuine solution and descent never leaves
     it; that outcome is returned with kind="trivial" rather than
-    treated as an error.
+    treated as an error.  log receives the gate's verdicts and the
+    "ball_min" trace.
     """
     config = config or SolverConfig()
+    log = RunLog() if log is None else log
     if config.rho is None:
         raise SolverError("ball minimization needs rho, the squared ball radius")
     if config.verify_hypotheses:
@@ -589,8 +594,7 @@ def ball_minimize(
         failures = [v for v in verdicts if not v.holds]
         if failures:
             raise _gate_error(failures)
-        if verdicts_out is not None:
-            verdicts_out.extend(verdicts)
+        log.verdicts += verdicts
     radius = math.sqrt(config.rho)
     precondition = _sobolev_direction(problem)
 
@@ -599,7 +603,7 @@ def ball_minimize(
         return cand * (radius / hn) if hn > radius else cand
 
     u = np.zeros(problem.graph.n)
-    trace: list[tuple[float, float]] = []
+    trace = log.traces["ball_min"] = []
     value = energy(problem, u)
     for _ in range(config.deform_steps):
         gvec = gradient(problem, u)
@@ -612,8 +616,6 @@ def ball_minimize(
             break
         u, value = moved
     del precondition
-    if trace_out is not None:
-        trace_out.extend(trace)
     hn = h_norm(problem, u)
     if hn >= radius - SPHERE_MARGIN:
         raise SolverError(
@@ -676,7 +678,7 @@ def two_solutions(
     problem: Problem,
     config: SolverConfig | None = None,
     *,
-    profile_out: list | None = None,
+    log: RunLog | None = None,
 ) -> SolveReport:
     """Run the full two-solution pipeline and report both solutions.
 
@@ -685,8 +687,12 @@ def two_solutions(
     the antiderivative is scanned on [-m0, m0] and the smallness check
     F8 must pass.  beta defaults to the largest admissible value from
     the ball constants and must satisfy 0 < beta <= that bound.
+
+    log receives the verdicts once the whole gate has passed, then what
+    both solvers write.
     """
     config = config or SolverConfig()
+    log = RunLog() if log is None else log
     if config.rho is not None and config.m0 is not None:
         raise SolverError(
             "rho and m0 are alternative ball specifications; give exactly one"
@@ -729,12 +735,10 @@ def two_solutions(
         data={"beta": float(beta), "beta_max": float(ball.beta_max), "rho": float(rho)},
     ))
 
+    log.verdicts += verdicts
     sub = dataclasses.replace(config, verify_hypotheses=False, rho=rho, m0=None)
-    ball_trace: list[tuple[float, float]] = []
-    pass_trace: list[tuple[float, float]] = []
-    trace = {"ball_min": ball_trace, "mountain_pass": pass_trace}
-    ball_sol = ball_minimize(problem, sub, trace_out=ball_trace)
-    pass_sol = mountain_pass(problem, sub, trace_out=pass_trace, profile_out=profile_out)
+    ball_sol = ball_minimize(problem, sub, log=log)
+    pass_sol = mountain_pass(problem, sub, log=log)
 
     for sol in (ball_sol, pass_sol):
         if sol.kind == "trivial" or float(np.max(np.abs(sol.u))) < TRIVIAL_SUP:
@@ -745,12 +749,10 @@ def two_solutions(
             )
     gap = float(np.max(np.abs(ball_sol.u - pass_sol.u)))
     if gap < DISTINCT_SUP:
-        exc = SolverError(
+        raise SolverError(
             f"the two routes converged to the same function (sup-norm gap "
-            f"{gap:g} < {DISTINCT_SUP:g}); both iteration traces are attached"
+            f"{gap:g} < {DISTINCT_SUP:g}); both iteration traces are in the run log"
         )
-        exc.iteration_trace = trace
-        raise exc
 
     eigen = first_eigenvalue(problem.graph, problem.partition)
     constants = embedding_constants(
@@ -762,6 +764,5 @@ def two_solutions(
         hypothesis_verdicts=tuple(verdicts),
         constants=constants,
         ball=ball,
-        iteration_trace=trace,
-        ps_diagnostic=ps_diagnostic((ball_trace, pass_trace), (ball_sol, pass_sol)),
+        ps_diagnostic=ps_diagnostic(log.traces.values(), (ball_sol, pass_sol)),
     )

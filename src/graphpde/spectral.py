@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _interior_matrix, dirichlet_energy, integrate
+from .calculus import _interior_matrix, integrate
 from .graphs import DomainPartition, WeightedGraph
 
 
@@ -32,14 +32,6 @@ class EigenResult:
     eigenfunction: np.ndarray
     iterations: int
     residual: float
-
-
-def rayleigh_quotient(graph: WeightedGraph, partition: DomainPartition, u: np.ndarray) -> float:
-    u = np.asarray(u, dtype=float)
-    mass = integrate(graph, u * u, partition.omega)
-    if mass == 0.0:
-        raise ValueError("Rayleigh quotient needs u nonzero on the interior")
-    return dirichlet_energy(graph, partition, u) / mass
 
 
 # Row/column block size of the triangular solves in _cholesky_solver.

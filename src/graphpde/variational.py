@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import H_NORM, gradient_form, integrate, laplacian, norm
+from .calculus import gradient_form, integrate, laplacian
 from .graphs import DomainPartition, WeightedGraph
 from .nonlinearity import Nonlinearity, antiderivative, evaluate, reaction
 from .spectral import embedding_kappa
@@ -194,32 +194,6 @@ def directional_derivative(problem: Problem, u, test) -> float:
 
 
 @dataclass(frozen=True)
-class EnergyReport:
-    """Scalar diagnostics of one candidate function: energy value,
-    Euclidean gradient norm, weighted Sobolev norm and the largest
-    vertexwise residual.  At an exact solution the last two of
-    grad_norm and residual_max are zero."""
-
-    value: float
-    grad_norm: float
-    h_norm_u: float
-    residual_max: float
-
-
-def energy_report(problem: Problem, u) -> EnergyReport:
-    u = _require_dirichlet(problem, u)
-    r = pointwise_residual(problem, u)
-    grad = problem.graph.measure * r
-    h_norm_u = norm(problem.graph, problem.partition, u, H_NORM, h=problem.interior_h())
-    return EnergyReport(
-        value=energy(problem, u),
-        grad_norm=float(np.linalg.norm(grad)),
-        h_norm_u=h_norm_u,
-        residual_max=float(np.max(np.abs(r))) if len(r) else 0.0,
-    )
-
-
-@dataclass(frozen=True)
 class BallConstants:
     """Constants for the small-ball branch of the two-solution setup.
 
@@ -236,10 +210,6 @@ class BallConstants:
     u_bound: float
     rho: float
     kappa_choice: str
-
-    @property
-    def valid(self) -> bool:
-        return self.beta_max > 0.0
 
 
 def ball_kappa(problem: Problem, kappa_choice: str) -> float:

@@ -19,9 +19,7 @@ from graphpde import (
     edge_energy,
     enforce_dirichlet,
     gradient_form,
-    gradient_length,
     green_residual,
-    inner_product,
     integrate,
     laplacian,
     lp,
@@ -60,7 +58,6 @@ def test_gradient_form_oracle(path3):
     u = spike(graph, part, 1.5)
     got = gradient_form(graph, u, u)
     assert got.tolist() == [1.125, 1.125, 1.125]
-    assert gradient_length(graph, u).tolist() == [math.sqrt(1.125)] * 3
 
 
 def test_gradient_form_constant_argument(rng):
@@ -173,37 +170,6 @@ def test_lp_ignores_off_interior_values():
     u = np.array([9.0, 9.0, 2.0, 9.0, 9.0])
     assert norm(graph, part, u, lp(math.inf)) == 2.0
     assert norm(graph, part, u, lp(2)) == pytest.approx(2.0 * math.sqrt(2), rel=1e-15)
-
-
-def test_inner_product_matches_norms(rng):
-    graph = random_connected_graph(rng, n_max=20)
-    part = random_partition(rng, graph)
-    h = rng.uniform(0.5, 2.0, size=graph.n)
-    u = random_dirichlet(rng, graph, part)
-    v = random_dirichlet(rng, graph, part)
-    w = random_dirichlet(rng, graph, part)
-
-    nw = norm(graph, part, u, FULL_W12)
-    assert inner_product(graph, part, u, u, kind="w12") == pytest.approx(nw * nw, rel=1e-12)
-    nh = norm(graph, part, u, H_NORM, h=h)
-    assert inner_product(graph, part, u, u, kind="h", h=h) == pytest.approx(nh * nh, rel=1e-12)
-
-    left = inner_product(graph, part, u, v + 2.0 * w, kind="w12")
-    right = inner_product(graph, part, u, v, kind="w12") + 2.0 * inner_product(
-        graph, part, u, w, kind="w12"
-    )
-    assert left == pytest.approx(right, rel=1e-12, abs=1e-12)
-
-
-def test_inner_product_validation(path3):
-    graph, part = path3
-    u = spike(graph, part, 1.0)
-    with pytest.raises(ValueError):
-        inner_product(graph, part, u, np.ones(3))
-    with pytest.raises(ValueError):
-        inner_product(graph, part, u, u, kind="h")
-    with pytest.raises(ValueError):
-        inner_product(graph, part, u, u, kind="bogus")
 
 
 @settings(max_examples=40, deadline=None)

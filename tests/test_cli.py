@@ -297,6 +297,32 @@ def test_emit_path_profile(graph_file, tmp_path, capsys):
     assert 0 in snapshots and len(snapshots) >= 2
 
 
+def test_solve2_failure_after_the_gate_reports_the_run_log(graph_file, capsys):
+    # 8 x 8 lattice keeping only the edges that touch the interior, so the
+    # corners drop out and mu_min = 1: the gate passes, then the ball
+    # minimizer ends on the constraint sphere
+    k = 8
+    cells = [(r, c) for r in range(k) for c in range(k) if {r, c} - {0, k - 1}]
+    inner = {(r, c) for r, c in cells if 0 < r < k - 1 and 0 < c < k - 1}
+    name = "{0[0]}_{0[1]}".format
+    edges = [
+        (name(a), name(b), 1.0) for a in cells for b in ((a[0] + 1, a[1]), (a[0], a[1] + 1))
+        if b in cells and (a in inner or b in inner)
+    ]
+    graph = graphpde.build_graph([name(c) for c in cells], edges)
+    part = graphpde.compute_boundary(graph, [name(c) for c in sorted(inner)])
+    path = graph_file(format_graph_text(graph, part, np.ones(graph.n)))
+    code = run(["solve2", path, "--nl", "power_plus_const:p=4,eps=0.1", "--rho", "1",
+                "--h0", "1", "--format", "jsonl"])
+    assert code == 1
+    recs = jsonl_records(capsys.readouterr().out)
+    assert [r["record"] for r in recs] == ["meta"] + ["hypothesis"] * 6 + ["trace", "error"]
+    names = [r["name"] for r in recs if r["record"] == "hypothesis"]
+    assert names == ["H1", "H2", "H3", "F7", "F1", "beta-range"]
+    assert recs[-2]["solver"] == "ball_min" and recs[-2]["levels"]
+    assert recs[-1]["message"].startswith("no interior minimizer found")
+
+
 def test_solve2_m0_mode(graph_file, capsys):
     code = run([
         "solve2", graph_file(PATH3), "--nl", "power_plus_const:p=4,eps=0.1",

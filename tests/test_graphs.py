@@ -10,8 +10,6 @@ from graphpde import (
     compute_boundary,
     enforce_dirichlet,
     format_graph_text,
-    function_from_dict,
-    graph_distance,
     is_dirichlet,
     parse_graph_text,
 )
@@ -128,25 +126,16 @@ def test_partition_properties(rng):
             assert not (omega & {int(j) for j in nbr})
 
 
-def test_graph_distance():
-    graph = path_graph("abcde")
-    assert graph_distance(graph, "a", "a") == 0
-    assert graph_distance(graph, "a", "e") == 4
-    assert graph_distance(graph, "b", "d") == 2
-    split = build_graph(["a", "b", "c", "d"], [("a", "b", 1.0), ("c", "d", 1.0)])
-    assert graph_distance(split, "a", "c") is None
-
-
 def test_dirichlet_helpers():
     graph = path_graph("abcde")
     part = compute_boundary(graph, ["c"])
-    u = function_from_dict(graph, {"b": 1.5, "c": 2.0}, default=0.0)
+    u = np.array([0.0, 1.5, 2.0, 0.0, 0.0])
     assert not is_dirichlet(part, u)
     v = enforce_dirichlet(part, u)
     assert is_dirichlet(part, v)
     assert v.tolist() == [0.0, 0.0, 2.0, 0.0, 0.0]
     with pytest.raises(GraphError):
-        function_from_dict(graph, {"zz": 1.0})
+        graph.index_of("zz")
 
 
 GOOD_FILE = """\

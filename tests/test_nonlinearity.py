@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphpde.nonlinearity
 from graphpde import (
     GridSpec,
     ar_lower_bound,
     check_f,
     check_h,
+    compute_boundary,
     evaluate,
     f1_verdict,
     odd_poly,
@@ -20,6 +22,7 @@ from graphpde import (
     power_plus_const,
     smoothness_note,
 )
+from util import path_graph
 
 GRID = GridSpec(10.0)
 
@@ -110,8 +113,14 @@ def test_factory_validation():
      "odd_poly:c1=-1,c3=1", "odd_poly:c5=0.25"],
 )
 def test_parse_roundtrip(spec):
+    # the parsed fields, fed back to the family constructor, rebuild it
     nl = parse_nonlinearity(spec)
-    assert parse_nonlinearity(nl.spec_string()) == nl
+    rebuild = {
+        "power": lambda: power(nl.p),
+        "power_plus_const": lambda: power_plus_const(nl.p, nl.eps),
+        "odd_poly": lambda: odd_poly(dict(nl.coeffs)),
+    }
+    assert rebuild[nl.family]() == nl
 
 
 @pytest.mark.parametrize(
@@ -161,6 +170,15 @@ def test_check_h_h2(path3):
     bad = check_h(graph, part, np.zeros(3), "H2")
     assert not bad.holds
     assert "'b'" in bad.witness
+
+
+def test_check_h_h2_names_the_earliest_interior_zero():
+    graph = path_graph("abcdef")
+    part = compute_boundary(graph, ["b", "c", "d", "e"])
+    # zeros at c and e inside, and at the boundary vertex a, which H2 ignores
+    v = check_h(graph, part, np.array([0.0, 1.0, 0.0, 2.0, 0.0, 1.0]), "H2")
+    assert not v.holds
+    assert v.witness == "h vanishes at vertex 'c'; 1/h is not summable"
 
 
 def test_check_h_h3(path3):
@@ -238,6 +256,18 @@ def test_f8_smallness():
         assert check_f(power(4), "F8", GRID, M0=1.0, beta=beta, mu_min=1.0, h0=1.0).holds
     with pytest.raises(ValueError):
         check_f(power(4), "F8", GRID, M0=1.0)
+
+
+def test_f8_scans_only_its_own_range(monkeypatch):
+    calls = []
+
+    def counted(nl, x, u):
+        calls.append(np.size(u))
+        return evaluate(nl, x, u)
+
+    monkeypatch.setattr(graphpde.nonlinearity, "evaluate", counted)
+    check_f(power(4), "F8", GRID, M0=1.0, beta=1.0, mu_min=1.0, h0=1.0)
+    assert calls == [GRID.points]
 
 
 def test_check_f_unknown():

@@ -7,6 +7,7 @@ import pytest
 
 from graphpde import (
     Problem,
+    RunLog,
     SolverConfig,
     SolverError,
     build_graph,
@@ -106,9 +107,9 @@ def test_mountain_pass_plus_const_matches_bisection():
 
 def test_mountain_pass_trace_and_verdicts():
     problem = three_path_problem(POWER4)
-    trace: list = []
-    verdicts: list = []
-    sol = mountain_pass(problem, trace_out=trace, verdicts_out=verdicts)
+    log = RunLog()
+    sol = mountain_pass(problem, log=log)
+    trace, verdicts = log.traces["mountain_pass"], log.verdicts
     assert sol.residual_max <= 1e-12
     levels = [lv for lv, _ in trace]
     assert all(b <= a + 1e-15 for a, b in zip(levels, levels[1:]))
@@ -123,9 +124,9 @@ def test_mountain_pass_trace_and_verdicts():
 
 def test_mountain_pass_monotone_route_uses_f5_f6():
     problem = three_path_problem(power(5))  # no growth constants attached
-    verdicts: list = []
-    mountain_pass(problem, verdicts_out=verdicts)  # F6: f(10)/10 = 1000
-    names = [v.name for v in verdicts]
+    log = RunLog()
+    mountain_pass(problem, log=log)  # F6: f(10)/10 = 1000
+    names = [v.name for v in log.verdicts]
     assert "F5" in names and "F6" in names and "F2" not in names
 
 
@@ -133,9 +134,9 @@ def test_mountain_pass_falls_back_to_the_monotone_route():
     # F4 fails for theta = 5 > p; M = 20 widens the grid to [-40, 40],
     # where the F6 proxy reads 1600; F3 is attached to both routes
     problem = three_path_problem(power(4, theta=5.0, M=20.0, C=1.0, growth_p=4.0))
-    verdicts: list = []
-    sol = mountain_pass(problem, verdicts_out=verdicts)
-    assert [(v.name, v.holds) for v in verdicts] == [
+    log = RunLog()
+    sol = mountain_pass(problem, log=log)
+    assert [(v.name, v.holds) for v in log.verdicts] == [
         ("H1", True), ("H2", True), ("F1", True), ("F2", True), ("F4", False),
         ("F3", True), ("F5", True), ("F6", True),
     ]
@@ -165,12 +166,26 @@ def test_mountain_pass_no_barrier():
     assert "endpoint" in str(err.value)
 
 
+def test_mountain_pass_failure_keeps_its_trace_in_the_log():
+    log = RunLog()
+    with pytest.raises(SolverError, match="endpoint"):
+        mountain_pass(
+            three_path_problem(power_plus_const(4, 10.0)),
+            SolverConfig(verify_hypotheses=False), log=log,
+        )
+    rows = log.traces["mountain_pass"]
+    assert len(rows) >= 1
+    assert all(math.isfinite(a) and math.isfinite(b) for a, b in rows)
+    assert log.profile[0][0] == 0
+
+
 def test_mountain_pass_on_random_graph(rng):
     graph = random_connected_graph(rng, n_min=6, n_max=10)
     part = random_partition(rng, graph)
     problem = Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER4, h0=1.0)
-    trace: list = []
-    sol = mountain_pass(problem, trace_out=trace)
+    log = RunLog()
+    sol = mountain_pass(problem, log=log)
+    trace = log.traces["mountain_pass"]
     assert sol.residual_max <= 1e-12
     assert sol.energy_value > 0.0
     assert float(np.max(np.abs(sol.u))) > 1e-6
@@ -192,8 +207,9 @@ def test_mountain_pass_evaluates_the_path_in_one_batch(monkeypatch, make):
 
     monkeypatch.setattr(graphpde.solver, "energy", counted)
     config = SolverConfig()
-    trace: list = []
-    sol = mountain_pass(make(), config, trace_out=trace)
+    log = RunLog()
+    sol = mountain_pass(make(), config, log=log)
+    trace = log.traces["mountain_pass"]
     assert sol.residual_max <= 1e-12
     assert len(calls) < graphpde.solver.PATH_POINTS * len(trace)
     assert calls.count(2) == len(trace)
@@ -234,7 +250,8 @@ def test_ball_minimize_needs_rho():
 
 def test_two_solutions_plus_const():
     problem = three_path_problem(PLUS_CONST)
-    report = two_solutions(problem, SolverConfig(rho=1.0))
+    log = RunLog()
+    report = two_solutions(problem, SolverConfig(rho=1.0), log=log)
     ball_sol, pass_sol = report.solutions
     assert ball_sol.kind == "ball_min" and pass_sol.kind == "mountain_pass"
     assert abs(ball_sol.u[1] - SMALL_ROOT) <= 1e-8
@@ -247,8 +264,9 @@ def test_two_solutions_plus_const():
     names = [v.name for v in report.hypothesis_verdicts]
     for expected in ("H1", "H2", "H3", "F7", "F1", "beta-range"):
         assert expected in names
-    assert set(report.iteration_trace) == {"ball_min", "mountain_pass"}
-    assert all(len(rows) > 0 for rows in report.iteration_trace.values())
+    assert log.verdicts == list(report.hypothesis_verdicts)
+    assert set(log.traces) == {"ball_min", "mountain_pass"}
+    assert all(len(rows) > 0 for rows in log.traces.values())
     assert report.ps_diagnostic
 
 
@@ -339,9 +357,10 @@ def test_two_solutions_attaches_f4_when_constants_present():
 
 def test_two_solutions_deterministic():
     problem = three_path_problem(PLUS_CONST)
-    a = two_solutions(problem, SolverConfig(rho=1.0))
-    b = two_solutions(problem, SolverConfig(rho=1.0))
-    assert a.iteration_trace == b.iteration_trace
+    log_a, log_b = RunLog(), RunLog()
+    a = two_solutions(problem, SolverConfig(rho=1.0), log=log_a)
+    b = two_solutions(problem, SolverConfig(rho=1.0), log=log_b)
+    assert log_a.traces == log_b.traces
     for sa, sb in zip(a.solutions, b.solutions):
         assert np.array_equal(sa.u, sb.u)
         assert sa.energy_value == sb.energy_value
@@ -401,16 +420,18 @@ def test_mountain_pass_in_ball_flag():
 
 def test_ball_minimize_sobolev_steps_converge_fast():
     # 2038 Euclidean steps; the Sobolev step is a contraction here
-    trace: list = []
-    sol = ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0), trace_out=trace)
+    log = RunLog()
+    sol = ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0), log=log)
+    trace = log.traces["ball_min"]
     assert abs(sol.u[1] - SMALL_ROOT) <= 1e-8
     assert len(trace) <= 10
 
 
 def test_mountain_pass_lattice_exits_by_tolerance():
     config = SolverConfig()
-    trace: list = []
-    sol = mountain_pass(lattice_problem(12, POWER4), config, trace_out=trace)
+    log = RunLog()
+    sol = mountain_pass(lattice_problem(12, POWER4), config, log=log)
+    trace = log.traces["mountain_pass"]
     assert trace[-1][1] <= config.deform_tol
     assert len(trace) < graphpde.solver.STALL_WINDOW
     assert sol.residual_max <= graphpde.solver.NEWTON_TOL
@@ -543,16 +564,18 @@ def test_mountain_pass_path3_climbs_to_the_saddle():
     # the Sobolev reflection oscillated here (multiplier -1 at p = 4) and
     # stalled after 101 iterations; the Newton step along tau converges
     config = SolverConfig()
-    trace: list = []
-    sol = mountain_pass(three_path_problem(POWER4), config, trace_out=trace)
+    log = RunLog()
+    sol = mountain_pass(three_path_problem(POWER4), config, log=log)
+    trace = log.traces["mountain_pass"]
     assert trace[-1][1] <= config.deform_tol
     assert len(trace) <= 5
     assert sol.u[1] == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
 
 def test_mountain_pass_lattice_takes_few_iterations():
-    trace: list = []
-    mountain_pass(lattice_problem(12, POWER4), SolverConfig(), trace_out=trace)
+    log = RunLog()
+    mountain_pass(lattice_problem(12, POWER4), SolverConfig(), log=log)
+    trace = log.traces["mountain_pass"]
     assert len(trace) <= 45
 
 
@@ -563,8 +586,9 @@ def test_mountain_pass_random_graphs_do_not_stall():
         graph = random_connected_graph(rng, n_min=5, n_max=25)
         part = random_partition(rng, graph)
         problem = Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER4, h0=1.0)
-        trace: list = []
-        sol = mountain_pass(problem, config, trace_out=trace)
+        log = RunLog()
+        sol = mountain_pass(problem, config, log=log)
+        trace = log.traces["mountain_pass"]
         assert trace[-1][1] <= config.deform_tol
         assert sol.residual_max <= graphpde.solver.NEWTON_TOL
 
@@ -633,9 +657,10 @@ def test_solutions_have_the_expected_morse_index():
         part = random_partition(rng, graph)
         h = np.ones(graph.n)
         config = SolverConfig()
-        trace: list = []
+        log = RunLog()
         pass_problem = Problem(graph=graph, partition=part, h=h, nl=POWER4, h0=1.0)
-        sol = mountain_pass(pass_problem, config, trace_out=trace)
+        sol = mountain_pass(pass_problem, config, log=log)
+        trace = log.traces["mountain_pass"]
         if trace[-1][1] <= config.deform_tol:
             tolerance_exits += 1
             assert morse_index(pass_problem, sol.u) == 1
@@ -649,8 +674,9 @@ def test_solutions_have_the_expected_morse_index():
 
 
 def test_mountain_pass_profile_reports_arc_positions():
-    profile: list = []
-    mountain_pass(lattice_problem(12, POWER4), profile_out=profile)
+    log = RunLog()
+    mountain_pass(lattice_problem(12, POWER4), log=log)
+    profile = log.profile
     for _, positions, _ in profile:
         assert positions[0] == 0.0 and positions[-1] == 1.0
         assert np.all(np.diff(positions) > 0.0)

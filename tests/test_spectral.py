@@ -16,7 +16,6 @@ from graphpde import (
     integrate,
     lp,
     norm,
-    rayleigh_quotient,
 )
 from graphpde.spectral import _cholesky_solver
 from util import (
@@ -25,6 +24,7 @@ from util import (
     random_connected_graph,
     random_dirichlet,
     random_partition,
+    rayleigh_quotient,
 )
 
 

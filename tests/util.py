@@ -4,7 +4,7 @@ from collections import deque
 
 import numpy as np
 
-from graphpde import Problem, build_graph, compute_boundary
+from graphpde import Problem, build_graph, compute_boundary, dirichlet_energy, integrate
 from graphpde.nonlinearity import reaction_derivative
 
 
@@ -123,6 +123,15 @@ def hessian(problem, u):
 def morse_index(problem, u):
     """Number of negative eigenvalues of the energy's Hessian at u."""
     return int(np.sum(np.linalg.eigvalsh(hessian(problem, u)) < 0.0))
+
+
+def rayleigh_quotient(graph, partition, u):
+    """int_closure |grad u|^2 / int_omega u^2, the quotient lambda1 minimizes."""
+    u = np.asarray(u, dtype=float)
+    mass = integrate(graph, u * u, partition.omega)
+    if mass == 0.0:
+        raise ValueError("Rayleigh quotient needs u nonzero on the interior")
+    return dirichlet_energy(graph, partition, u) / mass
 
 
 def random_dirichlet(rng, graph, partition, scale=2.0):
