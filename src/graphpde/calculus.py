@@ -150,14 +150,18 @@ def green_residual(
     return gamma_side + other
 
 
-def _interior_matrix(graph: WeightedGraph, partition: DomainPartition) -> np.ndarray:
-    """Dense weighted Dirichlet Laplacian on interior unknowns.
+def _interior_matrix(
+    graph: WeightedGraph, partition: DomainPartition
+) -> tuple[np.ndarray, int]:
+    """Dense weighted Dirichlet Laplacian on interior unknowns, and its
+    bandwidth: the largest |i - j| of a nonzero entry (i, j).
 
     Row x: the diagonal holds the full incident weight sum of x,
     accumulated in stored edge order; the off-diagonal entries are
     -w_xy for interior neighbors y; boundary values are pinned at zero.
     Assembled from the flattened adjacency: build_graph rejects
-    duplicate edges, so each off-diagonal entry is written once.
+    duplicate edges, so each off-diagonal entry is written once, and
+    the bandwidth is read off the same edge indices.
     Internal assembly helper, not a public interface.
     """
     idx = partition.omega
@@ -172,4 +176,4 @@ def _interior_matrix(graph: WeightedGraph, partition: DomainPartition) -> np.nda
     mat = np.diag(diag)
     both = inside & (col >= 0)
     mat[row[both], col[both]] = -graph.adj_w[both]
-    return mat
+    return mat, int(np.max(np.abs(row[both] - col[both]), initial=0))

@@ -21,11 +21,12 @@ P = L + diag(mu |h|) on interior unknowns, with L the interior
 Laplacian.  Where h > 0, P is the Gram matrix of the h-norm, the metric
 the energy is posed in, so one unit step undoes the quadratic part of
 the energy whatever the weights and measures.  P is factored once per
-loop (Cholesky) and only back-substituted per step.  Along the path
-tangent the climbing image does not take the Sobolev step: where the
-energy's exact curvature there is negative it takes the 1-D Newton step
-to the maximum along the tangent, and otherwise reflects the tangential
-part of the Sobolev gradient.
+loop, by a blocked Cholesky confined to the band of L, and only
+back-substituted per step.  Along the path tangent the climbing image
+does not take the Sobolev step: where the energy's exact curvature
+there is negative it takes the 1-D Newton step to the maximum along the
+tangent, and otherwise reflects the tangential part of the Sobolev
+gradient.
 
 All loops are deterministic: no randomness, fixed tie-breaking (lowest
 input order), and a certified nonincreasing record of the path level.
@@ -326,9 +327,9 @@ def _sobolev_direction(problem: Problem):
     where h is negative.  Only the factor is kept, not P itself.
     """
     omega = problem.partition.omega
-    pmat = _interior_matrix(problem.graph, problem.partition)
+    pmat, bw = _interior_matrix(problem.graph, problem.partition)
     pmat[np.diag_indices_from(pmat)] += np.abs(problem._form.mu_h)
-    solve = _cholesky_solver(pmat)
+    solve = _cholesky_solver(pmat, bw)
     del pmat
 
     def direction(gvec: np.ndarray) -> np.ndarray:
@@ -403,7 +404,7 @@ def _newton_polish(problem: Problem, u0: np.ndarray):
     """
     omega = problem.partition.omega
     mu = problem.graph.measure[omega]
-    jac = _interior_matrix(problem.graph, problem.partition)
+    jac, _ = _interior_matrix(problem.graph, problem.partition)
     diag = np.diag_indices_from(jac)
     base = jac[diag]
     u = np.array(u0, dtype=float, copy=True)

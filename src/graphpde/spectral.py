@@ -34,29 +34,43 @@ class EigenResult:
     residual: float
 
 
-# Row/column block size of the triangular solves in _cholesky_solver.
+# Row/column block size of the factor and of the triangular solves in
+# _cholesky_solver; no np.linalg.cholesky call sees a larger matrix.
 _BLOCK = 64
 
 
-def _cholesky_solver(a: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def _cholesky_solver(a: np.ndarray, bw: int) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the symmetric positive definite a once; return y -> a^(-1) y.
 
-    a = C C^T with C lower triangular.  Each solve is a blocked forward
+    bw is the bandwidth of a: a[i, j] = 0 for |i - j| > bw.  a = C C^T
+    with C lower triangular, and C keeps that band.  C is computed
+    left-looking, one block b of _BLOCK columns at a time: the panel of
+    a on b and the bw rows below it, minus the products of the band of
+    C left of b, is factored in its top block, whose inverse is kept,
+    and scaled by that inverse below.  A solve is a blocked forward
     substitution with C followed by a blocked back substitution with
-    C^T; the diagonal blocks of C are inverted once, here, so a solve
-    costs two triangular sweeps of matrix-vector products.
+    C^T.  Factor and solves touch C only within bw rows below each
+    diagonal block, so the factor costs O(n bw _BLOCK) and a solve
+    O(n (bw + _BLOCK)).  A full band (bw >= n - 1) is the dense blocked
+    Cholesky.  y may be a vector or an (n, k) matrix.
     """
-    c = np.linalg.cholesky(a)
-    n = c.shape[0]
-    blocks = [slice(k, min(k + _BLOCK, n)) for k in range(0, n, _BLOCK)]
-    inv_diag = [np.linalg.inv(c[b, b]) for b in blocks]
+    n = a.shape[0]
+    c = np.zeros(a.shape)  # C below its diagonal blocks, whose inverses are kept
+    blocks = []
+    for k in range(0, n, _BLOCK):
+        b = slice(k, min(k + _BLOCK, n))
+        lo, hi = max(0, k - bw), min(n, b.stop + bw)
+        panel = a[k:hi, b] - c[k:hi, lo:k] @ c[b, lo:k].T
+        inv = np.linalg.inv(np.linalg.cholesky(panel[: b.stop - k]))
+        c[b.stop : hi, b] = panel[b.stop - k :] @ inv.T
+        blocks.append((b, lo, hi, inv))
 
     def solve(y: np.ndarray) -> np.ndarray:
         z = np.array(y, dtype=float)
-        for b, inv in zip(blocks, inv_diag):
-            z[b] = inv @ (z[b] - c[b, : b.start] @ z[: b.start])
-        for b, inv in zip(reversed(blocks), reversed(inv_diag)):
-            z[b] = inv.T @ (z[b] - c[b.stop :, b].T @ z[b.stop :])
+        for b, lo, _, inv in blocks:
+            z[b] = inv @ (z[b] - c[b, lo : b.start] @ z[lo : b.start])
+        for b, _, hi, inv in reversed(blocks):
+            z[b] = inv.T @ (z[b] - c[b.stop : hi, b].T @ z[b.stop : hi])
         return z
 
     return solve
@@ -88,7 +102,7 @@ def first_eigenvalue(
         raise ValueError("interior plus boundary must be connected")
 
     idx = partition.omega
-    lmat = _interior_matrix(graph, partition)
+    lmat, bw = _interior_matrix(graph, partition)
     mdiag = graph.measure[idx]
 
     if len(idx) <= dense_cutoff:
@@ -100,7 +114,7 @@ def first_eigenvalue(
         u_int = d * evecs[:, 0]  # back to the generalized problem; int u^2 dmu = 1
         iterations = 0
     else:
-        solve = _cholesky_solver(lmat)
+        solve = _cholesky_solver(lmat, bw)
         u_int = np.full(len(idx), 1.0 / math.sqrt(float(np.sum(mdiag))))
         lam = float(u_int @ lmat @ u_int)
         iterations = 0

@@ -209,9 +209,11 @@ def test_interior_matrix_matches_per_vertex_loop(rng):
     for trial in range(80):
         graph = _hub_graph(rng) if trial % 4 == 0 else random_connected_graph(rng, n_max=40)
         part = random_subset_partition(rng, graph)
-        got = _interior_matrix(graph, part)
+        got, bw = _interior_matrix(graph, part)
         want = interior_matrix_loop(graph, part)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        i, j = np.nonzero(want)
+        assert bw == np.max(np.abs(i - j), initial=0)
         # np.sum adds fewer than 8 terms in order, like the accumulation
         few = np.diff(graph.adj_ptr)[part.omega] < 8
         assert np.array_equal(got[few], want[few])

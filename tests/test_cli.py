@@ -239,33 +239,43 @@ def test_solve2_text_jsonl_numeric_agreement(graph_file, capsys):
     assert float(maxf_line.split()[1]) == pytest.approx(ball["max_abs_F"], rel=1e-11)
 
 
-def test_solve2_byte_identical_runs(graph_file, capsys):
-    path = graph_file(PATH3)
-    args = [
-        "solve2", path, "--nl", "power_plus_const:p=4,eps=0.1",
-        "--rho", "1", "--h0", "1", "--format", "jsonl",
-    ]
+def _identical_reports(args, capsys):
+    """Run args twice; assert exit 0 and byte-identical output."""
     assert run(args) == 0
     first = capsys.readouterr().out
     assert run(args) == 0
     second = capsys.readouterr().out
     assert first == second
     assert first  # nonempty
+    return first
+
+
+def test_solve2_byte_identical_runs(graph_file, capsys):
+    path = graph_file(PATH3)
+    args = [
+        "solve2", path, "--nl", "power_plus_const:p=4,eps=0.1",
+        "--rho", "1", "--h0", "1", "--format", "jsonl",
+    ]
+    _identical_reports(args, capsys)
 
 
 def test_solve_byte_identical_runs_on_lattice(graph_file, capsys):
+    # 100 and 225 interior unknowns: the banded factor spans several
+    # blocks in the Sobolev direction of solve and in eigen's iteration
     graph, part = lattice(12)
     path = graph_file(format_graph_text(graph, part, np.ones(graph.n)))
     args = [
         "solve", path, "--nl", "power:p=4", "--theta", "4", "--M", "1",
         "--format", "jsonl",
     ]
-    assert run(args) == 0
-    first = capsys.readouterr().out
-    assert run(args) == 0
-    second = capsys.readouterr().out
-    assert first == second
+    first = _identical_reports(args, capsys)
     assert any(json.loads(line)["record"] == "trace" for line in first.splitlines())
+
+    graph, part = lattice(17)
+    path = graph_file(format_graph_text(graph, part, np.ones(graph.n)), "g17.graph")
+    first = _identical_reports(["eigen", path, "--h0", "1", "--format", "jsonl"], capsys)
+    eigen = [r for r in jsonl_records(first) if r["record"] == "eigenvalue"]
+    assert eigen and eigen[0]["iterations"] >= 1
 
 
 def test_out_file_matches_stdout(graph_file, tmp_path, capsys):

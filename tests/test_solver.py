@@ -35,6 +35,7 @@ from util import (
     bisect,
     hessian,
     interior_matrix_loop,
+    lattice,
     lattice_problem,
     morse_index,
     random_connected_graph,
@@ -453,8 +454,15 @@ def _mixed_sign_problem(rng):
 
 
 def test_sobolev_direction_solves_the_h_gram_matrix(rng):
-    for _ in range(20):
-        problem = _mixed_sign_problem(rng)
+    problems = [_mixed_sign_problem(rng) for _ in range(20)]
+    # 100 interior unknowns, two factor blocks: in row order (bandwidth
+    # 10) and shuffled (a full band)
+    for graph, part in (lattice(12), lattice(12, rng)):
+        h = rng.uniform(-2.0, 2.0, size=graph.n)
+        problems.append(Problem(graph=graph, partition=part, h=h, nl=POWER4))
+    bandwidths = [_interior_matrix(p.graph, p.partition)[1] for p in problems[-2:]]
+    assert bandwidths[0] == 10 and bandwidths[1] > 64
+    for problem in problems:
         omega = problem.partition.omega
         g = random_dirichlet(rng, problem.graph, problem.partition)
         d = _sobolev_direction(problem)(g)
@@ -640,7 +648,7 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
             m.setattr(graphpde.solver, "evaluate", record_evaluate)
             _newton_polish(problem, start)
         assert len(jacobians) == len(points) >= 1
-        lmat = _interior_matrix(graph, part)
+        lmat, _ = _interior_matrix(graph, part)
         mu = graph.measure[part.omega]
         for jac, u_omega in zip(jacobians, points):
             _, _, fu = evaluate(problem.nl, None, u_omega)

@@ -17,7 +17,7 @@ from graphpde import (
     lp,
     norm,
 )
-from graphpde.spectral import _cholesky_solver
+from graphpde.spectral import _BLOCK, _cholesky_solver
 from util import (
     lattice,
     path_graph,
@@ -124,6 +124,8 @@ def test_iterative_factors_once(monkeypatch, rng):
     if part.omega.size < 2:
         part = compute_boundary(graph, [graph.vertex_ids[i] for i in range(10)])
     dense = first_eigenvalue(graph, part)
+    # 225 interior unknowns of bandwidth 15: four blocks, one factor each
+    big_graph, big_part = lattice(17)
 
     factorizations = []
     cholesky = np.linalg.cholesky
@@ -142,18 +144,40 @@ def test_iterative_factors_once(monkeypatch, rng):
     assert iterative.iterations >= 1
     assert iterative.lambda1 == pytest.approx(dense.lambda1, rel=1e-9)
 
+    factorizations.clear()
+    big = first_eigenvalue(big_graph, big_part, dense_cutoff=0)
+    assert len(factorizations) == math.ceil(225 / _BLOCK) == 4
+    assert all(rows == cols <= _BLOCK for rows, cols in factorizations)
+    assert big.lambda1 == pytest.approx(1.0 - math.cos(math.pi / 16), rel=1e-10)
+
+
+def _banded_spd(rng, n, bandwidth):
+    i, j = np.indices((n, n))
+    low = np.where((i >= j) & (i - j <= bandwidth), rng.standard_normal((n, n)), 0.0)
+    return low @ low.T + n * np.eye(n)
+
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
 def test_cholesky_solver_matches_dense_solve(rng, n):
-    b = rng.standard_normal((n, n))
-    a = b @ b.T + n * np.eye(n)
-    y = rng.standard_normal(n)
-    y_before = y.copy()
-    x = _cholesky_solver(a)(y)
-    assert np.array_equal(y, y_before)
-    assert np.linalg.norm(a @ x - y) <= 1e-12 * np.linalg.norm(y)
-    ref = np.linalg.solve(a, y)
-    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    for bandwidth in sorted({min(bw, n - 1) for bw in (1, 15, 63, 64, 65, n - 1)}):
+        a = _banded_spd(rng, n, bandwidth)
+        solve = _cholesky_solver(a, bandwidth)
+        for y in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            y_before = y.copy()
+            x = solve(y)
+            assert x.shape == y.shape
+            assert np.array_equal(y, y_before)
+            assert np.linalg.norm(a @ x - y) <= 1e-12 * np.linalg.norm(y)
+            ref = np.linalg.solve(a, y)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+        # one negative pivot in the last block: indefinite, and refused
+        # like the dense factor refuses it
+        a[-1, -1] = -a[-1, -1]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a)
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_solver(a, bandwidth)
 
 
 def test_default_iterative_branch_lattice_oracle():

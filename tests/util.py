@@ -156,11 +156,16 @@ def three_path_problem(nl, h0=1.0, h_value=1.0):
     return Problem(graph=graph, partition=partition, h=h, nl=nl, h0=h0)
 
 
-def lattice(k):
+def lattice(k, rng=None):
     """k x k unit lattice with the non-edge vertices as interior; its
     corners are exterior and its rim carries boundary-boundary edges.
-    Its first Dirichlet eigenvalue is 1 - cos(pi / (k - 1))."""
+    Its first Dirichlet eigenvalue is 1 - cos(pi / (k - 1)).  The
+    vertices are listed row by row, so the interior Laplacian has
+    bandwidth k - 2; with rng they are listed in a random order, which
+    spreads it over nearly its full band."""
     ids = [f"{r},{c}" for r in range(k) for c in range(k)]
+    if rng is not None:
+        ids = [ids[i] for i in rng.permutation(len(ids))]
     edges = [(f"{r},{c}", f"{r},{c + 1}", 1.0) for r in range(k) for c in range(k - 1)]
     edges += [(f"{r},{c}", f"{r + 1},{c}", 1.0) for r in range(k - 1) for c in range(k)]
     graph = build_graph(ids, edges)
