@@ -23,7 +23,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -37,8 +37,8 @@ from .solver import (
     embedding_hypothesis,
     mountain_pass,
     ps_diagnostic,
-    route_verdicts,
     two_solutions,
+    verify,
 )
 from .spectral import embedding_constants, first_eigenvalue
 from .variational import (
@@ -217,6 +217,12 @@ def _text_lines(r: dict) -> list[str]:
     return [f"{kind} {json.dumps(r, sort_keys=True)}"]
 
 
+# flags whose value, when given, must be positive and finite for every
+# command -> their argparse destination
+_POSITIVE_FLAGS = {"--h0": "h0", "--M": "ar_scale", "--rho": "rho", "--beta": "beta",
+                   "--M0": "m0", "--tol": "tol", "--max-iter": "max_iter"}
+
+
 def _meta(ns: argparse.Namespace) -> dict:
     flags = {key: getattr(ns, dest) for key, dest in _META_KEYS.items()}
     return {"record": "meta", "command": ns.command, "graph": ns.graph, **flags}
@@ -235,8 +241,8 @@ def _verdict_record(v) -> dict:
 
 def _fields_record(kind: str, obj) -> dict:
     """A record of every field of a constants dataclass, floats JSON-safe."""
-    fields = {k: _fin(v) if isinstance(v, float) else v for k, v in vars(obj).items()}
-    return {"record": kind, **fields}
+    values = ((f.name, getattr(obj, f.name)) for f in fields(obj) if f.repr)
+    return {"record": kind, **{k: _fin(v) if isinstance(v, float) else v for k, v in values}}
 
 
 def _u_map(graph, u) -> dict:
@@ -271,18 +277,6 @@ def _trace_record(name: str, rows) -> dict:
 def _input_error(message: str) -> int:
     print(f"input error: {message}", file=sys.stderr)
     return 2
-
-
-def _attach_constants(nl, ns: argparse.Namespace):
-    if ns.theta is not None:
-        if not ns.theta > 2.0:
-            raise ValueError(f"--theta must exceed 2, got {ns.theta:g}")
-        nl = replace(nl, ar_theta=ns.theta)
-    if ns.ar_scale is not None:
-        if not ns.ar_scale > 0.0:
-            raise ValueError(f"--M must be positive, got {ns.ar_scale:g}")
-        nl = replace(nl, ar_M=ns.ar_scale)
-    return nl
 
 
 def _solver_config(ns: argparse.Namespace) -> SolverConfig:
@@ -353,28 +347,28 @@ def _solve_failure(ns: argparse.Namespace, log: RunLog, exc, emit: _Report) -> i
 # ----- commands ----- #
 
 def _cmd_check(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
+    """Every verdict the one- and two-solution routes name, h first;
+    exit 0 exactly when one of those routes holds (on h alone without
+    --nl) and the eigen step succeeds.  F1 holds by construction and is
+    not reported."""
     emit.add(_meta(ns))
-    verdicts = coefficient_verdicts(gf, ns.h0)
+    verdicts, failures = verify(gf, nl, ns.h0, ("one", "two"), ns.m0, every=True)
+    code = 0 if failures is None else 1
     for v in verdicts:
-        emit.add(_verdict_record(v))
+        if v.name[0] == "H":
+            emit.add(_verdict_record(v))
     hyp = embedding_hypothesis(verdicts)
-    h2 = all(v.holds for v in verdicts if v.name == "H2")
-    code = 0 if h2 and (ns.h0 is None or hyp is not None) else 1
     if not _eigen_records(emit, gf, ns.h0, hyp, ns.tol, ns.max_iter):
         code = 1
-    if nl is not None:
-        grid = GridSpec.default(M=nl.ar_M, M0=ns.m0)
-        verdicts, holds = route_verdicts(nl, grid)
-        for v in verdicts:
+    for v in verdicts:
+        if v.name[0] == "F" and v.name != "F1":
             emit.add(_verdict_record(v))
-        if nl.ar_theta is not None and nl.ar_M is not None:
-            try:
-                v = ar_lower_bound(nl, nl.ar_theta, nl.ar_M, grid)
-                emit.add(_verdict_record(v))
-            except ValueError as exc:
-                emit.add({"record": "error", "message": str(exc)})
-        if not holds:
-            code = 1
+    if nl is not None and nl.ar_theta is not None and nl.ar_M is not None:
+        try:
+            grid = GridSpec.default(M=nl.ar_M, M0=ns.m0)
+            emit.add(_verdict_record(ar_lower_bound(nl, nl.ar_theta, nl.ar_M, grid)))
+        except ValueError as exc:
+            emit.add({"record": "error", "message": str(exc)})
     emit.add({"record": "summary", "exit_code": code})
     return code
 
@@ -505,8 +499,12 @@ def run(argv=None) -> int:
         ns = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if ns.h0 is not None and not ns.h0 > 0.0:
-        return _input_error(f"--h0 must be positive, got {ns.h0:g}")
+    for flag, dest in _POSITIVE_FLAGS.items():
+        value = getattr(ns, dest)
+        if value is not None and not 0 < value < math.inf:
+            return _input_error(f"{flag} must be positive and finite, got {value:g}")
+    if ns.theta is not None and not 2.0 < ns.theta < math.inf:
+        return _input_error(f"--theta must be finite and exceed 2, got {ns.theta:g}")
     try:
         gf = parse_graph_file(ns.graph)
     except OSError as exc:
@@ -516,7 +514,7 @@ def run(argv=None) -> int:
     nl = None
     if ns.nl is not None:
         try:
-            nl = _attach_constants(parse_nonlinearity(ns.nl), ns)
+            nl = replace(parse_nonlinearity(ns.nl), ar_theta=ns.theta, ar_M=ns.ar_scale)
         except ValueError as exc:
             return _input_error(str(exc))
     if len(gf.partition.omega) == 0:

@@ -177,19 +177,25 @@ def reaction_derivative(nl: Nonlinearity, u):
     return out
 
 
-def evaluate(nl: Nonlinearity, x, u):
-    """Return (f, F, f_u) at u; scalar in, scalar out.
-
-    x is accepted for forward compatibility with x-dependent families;
-    the built-in families ignore it.  Callers that need one quantity
-    call reaction, antiderivative or reaction_derivative directly.
-    """
+def evaluate(nl: Nonlinearity, u):
+    """Return (f, F, f_u) at u; scalar in, scalar out.  Callers that
+    need one quantity call reaction, antiderivative or
+    reaction_derivative directly."""
     scalar = np.isscalar(u) or np.ndim(u) == 0
     arr = np.asarray(u, dtype=float)
     f, F, fu = reaction(nl, arr), antiderivative(nl, arr), reaction_derivative(nl, arr)
     if scalar:
         return float(f), float(F), float(fu)
     return f, F, fu
+
+
+def antiderivative_peak(nl: Nonlinearity, u_max: float, points: int):
+    """max |F| over `points` uniform grid points on [-u_max, u_max], and
+    the first of them where it is attained."""
+    us = np.linspace(-u_max, u_max, points)
+    big_f = np.abs(antiderivative(nl, us))
+    k = int(np.argmax(big_f))
+    return float(big_f[k]), float(us[k])
 
 
 def smoothness_note(nl: Nonlinearity) -> str:
@@ -339,14 +345,14 @@ def check_f(
     p = nl.growth_p if p is None else p
 
     if which == "F2":
-        f0, _, fu0 = evaluate(nl, None, 0.0)
+        f0, _, fu0 = evaluate(nl, 0.0)
         holds = f0 == 0.0 and fu0 == 0.0
         return HypothesisVerdict(
             "F2", holds, f"f(0) = {f0:g}, f_u(0) = {fu0:g} (both must vanish)",
             data={"f0": f0, "fu0": fu0},
         )
     if which == "F7":
-        f0, _, _ = evaluate(nl, None, 0.0)
+        f0 = float(reaction(nl, 0.0))
         holds = f0 != 0.0
         return HypothesisVerdict(
             "F7", holds, f"f(0) = {f0:g} (must be nonzero)", data={"f0": f0}
@@ -358,22 +364,11 @@ def check_f(
             raise ValueError("F8 needs positive M0, mu_min and h0")
         if not beta > 0.0:
             raise ValueError(f"F8 needs beta > 0, got {beta}")
-        uu = np.linspace(-M0, M0, grid.points)
-        _, FF, _ = evaluate(nl, None, uu)
-        k = int(np.argmax(np.abs(FF)))
-        max_abs = float(np.abs(FF[k]))
-        bound = M0 ** 2 / (2.0 * (beta + 1.0) * mu_min * h0)
-        holds = max_abs <= bound * (1.0 + _REL_GUARD)
-        return HypothesisVerdict(
-            "F8", holds,
-            f"max |F| on [-M0, M0] is {max_abs:g} at u = {uu[k]:g} vs bound "
-            f"M0^2/(2(beta+1) mu_min h0) = {bound:g}",
-            sampled_range=f"[-{M0:g}, {M0:g}] with {grid.points} points",
-            data={"max_abs_F": max_abs, "bound": bound, "beta": beta},
-        )
+        max_abs, u_at = antiderivative_peak(nl, M0, grid.points)
+        return f8_verdict(max_abs, u_at, M0, beta, mu_min, h0, grid.points)
 
     us = grid.values()
-    f, F, _ = evaluate(nl, None, us)
+    f, F = reaction(nl, us), antiderivative(nl, us)
 
     if which == "F3":
         if C is None or p is None:
@@ -458,6 +453,20 @@ def check_f(
     raise ValueError(f"unknown f-hypothesis {which!r}")
 
 
+def f8_verdict(max_abs, u_at, M0, beta, mu_min, h0, points) -> HypothesisVerdict:
+    """F8 from max_abs, the largest |F| on `points` uniform grid points
+    over [-M0, M0], attained first at u_at (see antiderivative_peak)."""
+    bound = M0 ** 2 / (2.0 * (beta + 1.0) * mu_min * h0)
+    holds = max_abs <= bound * (1.0 + _REL_GUARD)
+    return HypothesisVerdict(
+        "F8", holds,
+        f"max |F| on [-M0, M0] is {max_abs:g} at u = {u_at:g} vs bound "
+        f"M0^2/(2(beta+1) mu_min h0) = {bound:g}",
+        sampled_range=f"[-{M0:g}, {M0:g}] with {points} points",
+        data={"max_abs_F": max_abs, "bound": bound, "beta": beta},
+    )
+
+
 def ar_lower_bound(
     nl: Nonlinearity, theta: float, M: float, grid: GridSpec
 ) -> HypothesisVerdict:
@@ -471,8 +480,8 @@ def ar_lower_bound(
     """
     if not (theta > 2.0 and M > 0.0):
         raise ValueError(f"need theta > 2 and M > 0, got theta={theta}, M={M}")
-    _, F_plus, _ = evaluate(nl, None, float(M))
-    _, F_minus, _ = evaluate(nl, None, -float(M))
+    F_plus = float(antiderivative(nl, float(M)))
+    F_minus = float(antiderivative(nl, -float(M)))
     if F_plus <= 0.0:
         raise ValueError(
             f"F(M) = {F_plus:g} is not positive at M = {M:g}: the superquadratic "
@@ -487,7 +496,7 @@ def ar_lower_bound(
     c_minus = theta * math.log(M) - math.log(F_minus)
 
     us = grid.values()
-    _, F, _ = evaluate(nl, None, us)
+    F = antiderivative(nl, us)
     holds = True
     witness = f"F(u) >= exp(-c) |u|^theta on the grid for |u| >= {M:g}, equality at u = {M:g}"
     for sel, c in ((us >= M, c_plus), (us <= -M, c_minus)):

@@ -46,8 +46,9 @@ from .nonlinearity import (
     HypothesisVerdict,
     check_f,
     check_h,
-    evaluate,
     f1_verdict,
+    f8_verdict,
+    reaction,
     reaction_derivative,
 )
 from .spectral import ConstantsReport, _cholesky_solver, embedding_constants, first_eigenvalue
@@ -73,20 +74,27 @@ SPIKE_DOUBLINGS = 60   # doublings of the spike height before the endpoint searc
 SHRINK = 0.5           # backtracking factor of the ball minimizer's step
 ARMIJO = 1e-4          # slope fraction of its sufficient-decrease test
 
-# The alternative hypothesis sets on f under which the existence
-# theorems hold, tried in this order: (theorem, the verdicts the route
-# requires, the verdicts it attaches only when their constants exist).
-# Theorem "one" gives a pass-level solution, "two" a ball minimizer and
-# a pass-level solution.  A route that requires a verdict whose
+# The alternative hypothesis sets under which the existence theorems
+# hold, on the coefficient h (H1-H3) and on the reaction term f (F1-F8),
+# tried in this order: (theorem, the verdicts the route requires, the
+# verdicts it attaches only when their constants exist).  Theorem "one"
+# gives a pass-level solution, "two" a ball minimizer and a pass-level
+# solution, "ball" the ball minimizer alone.  H1 and H3 need h0, F3 and
+# F4 the constants of f.  A route that requires a verdict whose
 # constants are absent does not apply; an attached verdict, once
 # checked, must hold too.
 ROUTES = (
-    ("one", ("F2", "F4"), ("F3",)),
-    ("one", ("F5", "F6"), ("F3",)),
-    ("two", ("F7",), ("F3", "F4")),
+    ("one", ("H2", "F1", "F2", "F4"), ("H1", "F3")),
+    ("one", ("H2", "F1", "F5", "F6"), ("H1", "F3")),
+    ("two", ("H2", "F7", "F1"), ("H1", "F3", "F4")),
+    ("two", ("H2", "F7", "F1"), ("H3", "F3", "F4")),
+    ("ball", ("H2",), ("H1",)),
 )
-# the constants of the nonlinearity each check needs, by verdict name
-_CONSTANTS = {"F3": ("growth_C", "growth_p"), "F4": ("ar_theta", "ar_M")}
+# the constants of f that the F checks need, by verdict name
+_F_CONSTANTS = {"F3": ("growth_C", "growth_p"), "F4": ("ar_theta", "ar_M")}
+# why a failed verdict blocks its route, where its witness does not say
+_WHY = {"F7": "the two-solution setup requires f(x, 0) != 0 so that every "
+              "solution is nontrivial"}
 
 
 class SolverError(RuntimeError):
@@ -183,7 +191,7 @@ def ps_diagnostic(traces, solutions) -> bool:
     )
 
 
-def coefficient_verdicts(source, h0, names=("H1", "H2", "H3")):
+def coefficient_verdicts(source, h0, names):
     """The check_h verdicts of names for the coefficient h of source (a
     Problem or a GraphFile), in order; H1 and H3 compare h with h0 and
     are left out when it is not given."""
@@ -199,63 +207,65 @@ def embedding_hypothesis(verdicts) -> str | None:
     return next((v.name for v in verdicts if v.name in ("H1", "H3") and v.holds), None)
 
 
-def _f_verdicts(nl, names, grid):
-    """check_f verdicts of names, in order, leaving out the names whose
-    constants nl lacks."""
-    return [
-        check_f(nl, name, grid) for name in names
-        if all(getattr(nl, attr) is not None for attr in _CONSTANTS.get(name, ()))
-    ]
+def verify(source, nl, h0, theorems, m0=None, every=False):
+    """Judge the routes of ROUTES for theorems on the coefficient h of
+    source (a Problem or a GraphFile) with lower bound h0, and on nl
+    sampled on GridSpec.default(M=nl.ar_M, M0=m0); when nl is None, on
+    the h side of each route alone.
 
-
-def _routes(nl, theorem: str, grid):
-    """Lazily, for each route of theorem whose required checks nl has
-    the constants for: the verdicts it requires and those it attaches."""
-    for thm, requires, attaches in ROUTES:
-        required = _f_verdicts(nl, requires, grid) if thm == theorem else ()
-        if len(required) == len(requires):
-            yield required, _f_verdicts(nl, attaches, grid)
-
-
-def route_verdicts(nl, grid):
-    """Every f-verdict the table names, for reporting them all (first
-    the checks that need no constants, then the others, each in table
-    order), and whether some route holds."""
-    names = dict.fromkeys(name for _, req, att in ROUTES for name in req + att)
-    names = sorted(names, key=_CONSTANTS.__contains__)
-    checked = {v.name: v for v in _f_verdicts(nl, names, grid)}
-    holds = any(
-        all(name in checked and checked[name].holds for name in req)
-        and all(checked[name].holds for name in att if name in checked)
-        for _, req, att in ROUTES
+    The h verdicts are checked first, by name.  Then each route in turn
+    checks the f verdicts it names, and the first route that holds ends
+    the search; with every, all the f verdicts the routes name are
+    checked before any route is judged, first those that need no
+    constants, each in table order.  Returns the verdicts checked, in
+    that order, and None when a route holds, else the failures of every
+    route that applies, one list per route, h first.
+    """
+    rows = [(req, att) for thm, req, att in ROUTES if thm in theorems]
+    names = dict.fromkeys(
+        n for req, att in rows for n in req + att if nl is not None or n[0] == "H"
     )
-    return list(checked.values()), holds
+    h_names = sorted(n for n in names if n[0] == "H")
+    checked = {v.name: v for v in coefficient_verdicts(source, h0, h_names)}
+    known = [
+        n for n in names if n in checked
+        or (n[0] == "F" and all(getattr(nl, c) is not None for c in _F_CONSTANTS.get(n, ())))
+    ]
+    grid = None if nl is None else GridSpec.default(M=nl.ar_M, M0=m0)
+
+    def verdict(name):
+        if name not in checked:
+            checked[name] = f1_verdict(nl) if name == "F1" else check_f(nl, name, grid)
+        return checked[name]
+
+    if every:
+        for name in sorted(known, key=_F_CONSTANTS.__contains__):
+            verdict(name)
+    failures = []
+    for req, att in rows:
+        if any(n in names and n not in known for n in req):
+            continue
+        route = [verdict(n) for n in req + att if n in known]
+        failed = [v for v in checked.values() if v in route and not v.holds]
+        if not failed:
+            return list(checked.values()), None
+        failures.append(failed)
+    return list(checked.values()), failures
 
 
-def _gate_error(failures) -> SolverError:
-    detail = "; ".join(f"{v.name}: {v.witness}" for v in failures)
-    return SolverError(f"hypothesis verification failed before solving: {detail}")
-
-
-def _mountain_pass_gate(problem: Problem, config: SolverConfig):
-    """One-solution hypotheses: H1 (when h0 is given) and H2 on h, F1,
-    and the one-solution routes of ROUTES, each tried only when the
-    ones before it fail.  When none holds the error lists the failures
-    of the first."""
-    nl = problem.nl
-    verdicts = coefficient_verdicts(problem, problem.h0, ("H1", "H2"))
-    h_failures = [v for v in verdicts if not v.holds]
-    verdicts.append(f1_verdict(nl))
-    first = None
-    for requires, attaches in _routes(nl, "one", GridSpec.default(M=nl.ar_M, M0=config.m0)):
-        verdicts += [v for v in requires + attaches if v not in verdicts]
-        failures = h_failures + [v for v in requires + attaches if not v.holds]
-        if not failures:
-            return verdicts
-        first = first or failures
-        if h_failures:
-            break
-    raise _gate_error(first)
+def _gate(problem: Problem, theorem: str, m0=None):
+    """The verdicts behind the first route of theorem that holds for
+    problem; a SolverError that lists every route's failures when none
+    does, and why a failure blocks where its witness does not say."""
+    verdicts, failures = verify(problem, problem.nl, problem.h0, (theorem,), m0)
+    if failures is None:
+        return verdicts
+    detail = " | ".join("; ".join(f"{v.name}: {v.witness}" for v in f) for f in failures)
+    why = dict.fromkeys(_WHY[v.name] for f in failures for v in f if v.name in _WHY)
+    raise SolverError(
+        f"hypothesis verification failed before solving: {detail}"
+        + "".join(f" ({w})" for w in why)
+    )
 
 
 def build_spike_endpoint(problem: Problem) -> np.ndarray:
@@ -426,7 +436,7 @@ def _newton_polish(problem: Problem, u0: np.ndarray):
         else:
             rises = 0
         prev = res_max
-        _, _, fu = evaluate(problem.nl, None, u[omega])
+        fu = reaction_derivative(problem.nl, u[omega])
         jac[diag] = base + mu * (problem.h[omega] - fu)
         rhs = -(mu * r)
         try:
@@ -449,8 +459,7 @@ def _newton_polish(problem: Problem, u0: np.ndarray):
 
 
 def _is_trivial_collapse(problem: Problem, u) -> bool:
-    f0, _, _ = evaluate(problem.nl, None, 0.0)
-    return f0 == 0.0 and float(np.max(np.abs(u))) < TRIVIAL_SUP
+    return reaction(problem.nl, 0.0) == 0.0 and float(np.max(np.abs(u))) < TRIVIAL_SUP
 
 
 def _finish_solution(problem, u, res_max, kind, config, shifted) -> Solution:
@@ -498,7 +507,7 @@ def mountain_pass(
     config = config or SolverConfig()
     log = RunLog() if log is None else log
     if config.verify_hypotheses:
-        log.verdicts += _mountain_pass_gate(problem, config)
+        log.verdicts += _gate(problem, "one", config.m0)
     endpoint = build_spike_endpoint(problem)
     precondition = _sobolev_direction(problem)
     npts = PATH_POINTS
@@ -589,13 +598,9 @@ def ball_minimize(
     if config.rho is None:
         raise SolverError("ball minimization needs rho, the squared ball radius")
     if config.verify_hypotheses:
-        # no reaction-term gate here: with f(x,0) = 0 the ball minimizer
-        # is legitimately the zero function and is reported as "trivial"
-        verdicts = coefficient_verdicts(problem, problem.h0, ("H1", "H2"))
-        failures = [v for v in verdicts if not v.holds]
-        if failures:
-            raise _gate_error(failures)
-        log.verdicts += verdicts
+        # no reaction-term check on this route: with f(x,0) = 0 the ball
+        # minimizer is legitimately the zero function, reported as "trivial"
+        log.verdicts += _gate(problem, "ball")
     radius = math.sqrt(config.rho)
     precondition = _sobolev_direction(problem)
 
@@ -638,43 +643,6 @@ def ball_minimize(
     return _finish_solution(problem, u, res_max, "ball_min", config, shifted)
 
 
-def _two_solution_gate(problem: Problem, config: SolverConfig):
-    """Hypotheses for the two-solution pipeline: h0 present, H2, at
-    least one of H1/H3, the verdicts the two-solution route of ROUTES
-    requires (so the zero function is not a solution), F1, and the ones
-    it attaches."""
-    nl = problem.nl
-    if problem.h0 is None:
-        raise SolverError(
-            "the two-solution pipeline needs h0, the asserted lower bound of h"
-        )
-    verdicts = coefficient_verdicts(problem, problem.h0)
-    h1, h2, h3 = verdicts
-    if not h2.holds:
-        raise SolverError(f"hypothesis H2 fails: {h2.witness}")
-    if not (h1.holds or h3.holds):
-        raise SolverError(
-            "neither the uniform lower bound H1 nor the integral bound H3 "
-            f"holds for h ({h1.witness}; {h3.witness})"
-        )
-    grid = GridSpec.default(M=nl.ar_M, M0=config.m0)
-    requires, attaches = next(_routes(nl, "two", grid))
-    verdicts += requires
-    for v in requires:
-        if not v.holds:
-            raise SolverError(
-                f"precondition {v.name} fails: the two-solution setup requires "
-                "f(x, 0) != 0 so that every solution is nontrivial, but "
-                f"{v.witness}"
-            )
-    verdicts.append(f1_verdict(nl))
-    verdicts += attaches
-    failures = [v for v in attaches if not v.holds]
-    if failures:
-        raise _gate_error(failures)
-    return verdicts, embedding_hypothesis(verdicts), grid
-
-
 def two_solutions(
     problem: Problem,
     config: SolverConfig | None = None,
@@ -698,8 +666,14 @@ def two_solutions(
         raise SolverError(
             "rho and m0 are alternative ball specifications; give exactly one"
         )
-    verdicts, hypothesis, grid = _two_solution_gate(problem, config)
+    if problem.h0 is None:
+        raise SolverError(
+            "the two-solution pipeline needs h0, the asserted lower bound of h"
+        )
     m0 = config.m0
+    verdicts = _gate(problem, "two", m0)
+    hypothesis = embedding_hypothesis(verdicts)
+    grid = GridSpec.default(M=problem.nl.ar_M, M0=m0)
     if m0 is not None:
         rho = m0 * m0 / (problem.graph.mu_min * problem.h0)
     elif config.rho is None:
@@ -719,9 +693,9 @@ def two_solutions(
     if not beta > 0.0:
         raise no_beta
     if m0 is not None:
-        f8 = check_f(
-            problem.nl, "F8", grid, M0=m0, beta=beta,
-            mu_min=problem.graph.mu_min, h0=problem.h0,
+        f8 = f8_verdict(
+            ball.max_abs_F, ball.u_at_max, m0, beta,
+            problem.graph.mu_min, problem.h0, grid.points,
         )
         verdicts.append(f8)
         if not f8.holds:

@@ -26,14 +26,14 @@ computes the same number and is kept as the cross-check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .calculus import gradient_form, integrate, laplacian
 from .graphs import DomainPartition, WeightedGraph
-from .nonlinearity import Nonlinearity, antiderivative, evaluate, reaction
+from .nonlinearity import Nonlinearity, antiderivative, antiderivative_peak, reaction
 from .spectral import embedding_kappa
 
 
@@ -188,7 +188,7 @@ def directional_derivative(problem: Problem, u, test) -> float:
     part = problem.partition
     omega = part.omega
     form = integrate(g, gradient_form(g, u, test), part.closure)
-    f, _, _ = evaluate(problem.nl, None, u)
+    f = reaction(problem.nl, u)
     zero_order = integrate(g, (problem.interior_h() * u - f) * test, omega)
     return form + zero_order
 
@@ -201,7 +201,8 @@ class BallConstants:
     range |u| <= u_bound = kappa sqrt(rho) scanned for the antiderivative
     maximum; beta_max = rho / (2 max|F|) - 1 is the largest admissible
     beta, +inf when F vanishes identically on the range and not a valid
-    choice when <= 0.
+    choice when <= 0.  u_at_max, the first scanned point where |F| peaks,
+    feeds the F8 witness and is left out of reports (repr=False).
     """
 
     kappa: float
@@ -210,6 +211,7 @@ class BallConstants:
     u_bound: float
     rho: float
     kappa_choice: str
+    u_at_max: float = field(repr=False)
 
 
 def ball_kappa(problem: Problem, kappa_choice: str) -> float:
@@ -258,14 +260,12 @@ def ball_constants(
     kappa = ball_kappa(problem, kappa_choice)
     if u_bound is None:
         u_bound = kappa * math.sqrt(rho)
-    us = np.linspace(-u_bound, u_bound, grid_points)
-    _, big_f, _ = evaluate(problem.nl, None, us)
-    max_abs = float(np.max(np.abs(big_f)))
+    max_abs, u_at = antiderivative_peak(problem.nl, u_bound, grid_points)
     if max_abs == 0.0:
         beta_max = math.inf
     else:
         beta_max = rho / (2.0 * max_abs) - 1.0
     return BallConstants(
         kappa=kappa, beta_max=beta_max, max_abs_F=max_abs,
-        u_bound=u_bound, rho=float(rho), kappa_choice=kappa_choice,
+        u_bound=u_bound, rho=float(rho), kappa_choice=kappa_choice, u_at_max=u_at,
     )

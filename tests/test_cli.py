@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ import pytest
 
 import graphpde
 from graphpde.cli import run
-from graphpde.graphs import format_graph_text
+from graphpde.graphs import format_graph_text, parse_graph_file
+from graphpde.nonlinearity import parse_nonlinearity
+from graphpde.solver import verify
 from util import lattice
 
 PATH3 = (
@@ -500,14 +503,40 @@ HYPOTHESIS_RECORDS = [
 ]
 
 
+# The same on path3 with h(b) = 0.2 and h0 = 0.5, where H1 fails and H3
+# holds: only the two-solution routes accept this h.
+H_LOW = PATH3.replace("v b auto 1 omega", "v b auto 0.2 omega")
+H_LOW_RECORDS = [
+    (("power:p=4", "--theta", "4", "--M", "1"), {
+        "check": (1, "H1- H2+ H3+ F2+ F5+ F6- F7- F4+ AR-bound+"),
+        "solve": (1, ""),
+        "solve2": (1, ""),
+    }),
+    (("power:p=4", "--theta", "5", "--M", "20"), {
+        "check": (1, "H1- H2+ H3+ F2+ F5+ F6+ F7- F4- AR-bound-"),
+        "solve": (1, ""),
+        "solve2": (1, ""),
+    }),
+    (("power_plus_const:p=4,eps=0.1",), {
+        "check": (0, "H1- H2+ H3+ F2- F5- F6- F7+"),
+        "solve": (1, ""),
+        "solve2": (0, "H1- H2+ H3+ F7+ F1+ beta-range+"),
+    }),
+]
+RECORD_CASES = [
+    pytest.param(PATH3, "1", nl, expected, id=" ".join(nl))
+    for nl, expected in HYPOTHESIS_RECORDS
+] + [
+    pytest.param(H_LOW, "0.5", nl, expected, id="h(b)=0.2 h0=0.5 " + " ".join(nl))
+    for nl, expected in H_LOW_RECORDS
+]
+
+
 @pytest.mark.parametrize("command", ["check", "solve", "solve2"])
-@pytest.mark.parametrize(
-    "nl_args,expected", HYPOTHESIS_RECORDS,
-    ids=[" ".join(nl) for nl, _ in HYPOTHESIS_RECORDS],
-)
-def test_hypothesis_records_in_order(command, nl_args, expected, graph_file, capsys):
+@pytest.mark.parametrize("graph,h0,nl_args,expected", RECORD_CASES)
+def test_hypothesis_records_in_order(command, graph, h0, nl_args, expected, graph_file, capsys):
     extra = ["--rho", "1"] if command == "solve2" else []
-    argv = [command, graph_file(PATH3), "--nl", *nl_args, "--h0", "1", *extra,
+    argv = [command, graph_file(graph), "--nl", *nl_args, "--h0", h0, *extra,
             "--format", "jsonl"]
     code = run(argv)
     recs = jsonl_records(capsys.readouterr().out)
@@ -515,3 +544,38 @@ def test_hypothesis_records_in_order(command, nl_args, expected, graph_file, cap
         r["name"] + ("+" if r["holds"] else "-") for r in recs if r["record"] == "hypothesis"
     )
     assert (code, got) == expected[command]
+
+
+@pytest.mark.parametrize("graph,h0,nl_args,expected", RECORD_CASES)
+def test_check_exits_0_exactly_when_a_theorem_route_holds(
+    graph, h0, nl_args, expected, graph_file, capsys
+):
+    path = graph_file(graph)
+    code = run(["check", path, "--nl", *nl_args, "--h0", h0])
+    capsys.readouterr()
+    flags = dict(zip(nl_args[1::2], nl_args[2::2]))
+    nl = replace(
+        parse_nonlinearity(nl_args[0]),
+        ar_theta=float(flags["--theta"]) if "--theta" in flags else None,
+        ar_M=float(flags["--M"]) if "--M" in flags else None,
+    )
+    gf = parse_graph_file(path)
+    holds = [verify(gf, nl, float(h0), (thm,))[1] is None for thm in ("one", "two")]
+    assert (code == 0) == any(holds)
+
+
+@pytest.mark.parametrize("command", ["check", "eigen", "gradcheck", "solve", "solve2"])
+@pytest.mark.parametrize("flag,value,rule", [
+    ("--M0", "-1", "be positive and finite"), ("--M0", "0", "be positive and finite"),
+    ("--M0", "nan", "be positive and finite"), ("--rho", "-3", "be positive and finite"),
+    ("--beta", "-1", "be positive and finite"), ("--tol", "-1", "be positive and finite"),
+    ("--max-iter", "0", "be positive and finite"), ("--h0", "inf", "be positive and finite"),
+    ("--M", "-5", "be positive and finite"), ("--theta", "1", "be finite and exceed 2"),
+])
+def test_bad_flag_values_exit_2(command, flag, value, rule, graph_file, capsys):
+    # no --nl: the flag is refused before any command checks what it needs
+    argv = [command, graph_file(PATH3), "--h0", "1", flag, value]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {flag} must {rule}, got {value}\n"

@@ -29,17 +29,17 @@ GRID = GridSpec(10.0)
 
 def test_power_values():
     nl = power(4)
-    f, F, fu = evaluate(nl, None, 2.0)
+    f, F, fu = evaluate(nl, 2.0)
     assert (f, F, fu) == (8.0, 4.0, 12.0)
-    f, F, fu = evaluate(nl, None, -2.0)
+    f, F, fu = evaluate(nl, -2.0)
     assert (f, F, fu) == (-8.0, 4.0, 12.0)
-    f, F, fu = evaluate(nl, "vertex-name-ignored", 0.0)
+    f, F, fu = evaluate(nl, 0.0)
     assert (f, F, fu) == (0.0, 0.0, 0.0)
 
 
 def test_power_three_values():
     nl = power(3)
-    f, F, fu = evaluate(nl, None, -2.0)
+    f, F, fu = evaluate(nl, -2.0)
     assert f == -4.0
     assert F == pytest.approx(8.0 / 3.0, rel=1e-15)
     assert fu == 4.0
@@ -47,18 +47,18 @@ def test_power_three_values():
 
 def test_power_plus_const_values():
     nl = power_plus_const(4, 0.1)
-    f, F, fu = evaluate(nl, None, 2.0)
+    f, F, fu = evaluate(nl, 2.0)
     assert f == pytest.approx(8.1, rel=1e-15)
     assert F == pytest.approx(4.2, rel=1e-15)
     assert fu == 12.0
-    f0, F0, _ = evaluate(nl, None, 0.0)
+    f0, F0, _ = evaluate(nl, 0.0)
     assert f0 == 0.1
     assert F0 == 0.0
 
 
 def test_odd_poly_values():
     nl = odd_poly({1: -1.0, 3: 1.0})
-    f, F, fu = evaluate(nl, None, 2.0)
+    f, F, fu = evaluate(nl, 2.0)
     assert f == 6.0
     assert F == 2.0
     assert fu == 11.0
@@ -67,7 +67,7 @@ def test_odd_poly_values():
 def test_evaluate_vectorized():
     nl = power(4)
     u = np.array([-1.0, 0.0, 2.0])
-    f, F, fu = evaluate(nl, None, u)
+    f, F, fu = evaluate(nl, u)
     assert f.tolist() == [-1.0, 0.0, 8.0]
     assert F.tolist() == [0.25, 0.0, 4.0]
     assert fu.tolist() == [3.0, 0.0, 12.0]
@@ -81,13 +81,13 @@ def test_evaluate_vectorized():
 def test_derivative_consistency(u, pick):
     nl = [power(4), power_plus_const(3, 0.2), odd_poly({1: -1.0, 5: 0.5})][pick]
     step = 1e-6 * max(1.0, abs(u))
-    f, _, fu = evaluate(nl, None, u)
-    _, F_hi, _ = evaluate(nl, None, u + step)
-    _, F_lo, _ = evaluate(nl, None, u - step)
+    f, _, fu = evaluate(nl, u)
+    _, F_hi, _ = evaluate(nl, u + step)
+    _, F_lo, _ = evaluate(nl, u - step)
     fd_f = (F_hi - F_lo) / (2 * step)
     assert fd_f == pytest.approx(f, rel=1e-5, abs=1e-8)
-    f_hi, _, _ = evaluate(nl, None, u + step)
-    f_lo, _, _ = evaluate(nl, None, u - step)
+    f_hi, _, _ = evaluate(nl, u + step)
+    f_lo, _, _ = evaluate(nl, u - step)
     fd_fu = (f_hi - f_lo) / (2 * step)
     assert fd_fu == pytest.approx(fu, rel=1e-4, abs=1e-7)
 
@@ -260,12 +260,13 @@ def test_f8_smallness():
 
 def test_f8_scans_only_its_own_range(monkeypatch):
     calls = []
+    original = graphpde.nonlinearity.antiderivative
 
-    def counted(nl, x, u):
+    def counted(nl, u):
         calls.append(np.size(u))
-        return evaluate(nl, x, u)
+        return original(nl, u)
 
-    monkeypatch.setattr(graphpde.nonlinearity, "evaluate", counted)
+    monkeypatch.setattr(graphpde.nonlinearity, "antiderivative", counted)
     check_f(power(4), "F8", GRID, M0=1.0, beta=1.0, mu_min=1.0, h0=1.0)
     assert calls == [GRID.points]
 
@@ -281,7 +282,7 @@ def test_ar_lower_bound_power():
     assert verdict.data["c_plus"] == pytest.approx(math.log(4.0), rel=1e-12)
     assert verdict.data["slack_constant"] == 0.0
     # equality of the bound at u = M
-    _, F_at_M, _ = evaluate(power(4), None, 1.0)
+    _, F_at_M, _ = evaluate(power(4), 1.0)
     assert math.exp(-verdict.data["c_plus"]) * 1.0**4 == pytest.approx(F_at_M, rel=1e-12)
 
 

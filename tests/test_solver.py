@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphpde import (
+    GridSpec,
     Problem,
     RunLog,
     SolverConfig,
@@ -22,9 +23,10 @@ from graphpde import (
     power_plus_const,
     two_solutions,
 )
+import graphpde.nonlinearity
 import graphpde.solver
 from graphpde.calculus import _interior_matrix
-from graphpde.nonlinearity import evaluate
+from graphpde.nonlinearity import reaction_derivative
 from graphpde.solver import (
     _climbing_move,
     _newton_polish,
@@ -282,6 +284,24 @@ def test_two_solutions_m0_mode_matches_rho_mode():
     names = [v.name for v in by_m0.hypothesis_verdicts]
     assert "F8" in names
     assert "F8" not in [v.name for v in by_rho.hypothesis_verdicts]
+
+
+def test_two_solutions_m0_mode_scans_the_antiderivative_once(monkeypatch):
+    # the ball constants and F8 share one scan of F on [-M0, M0]
+    m0 = 1.0
+    scans = []
+    original = graphpde.nonlinearity.antiderivative
+
+    def counted(nl, u):
+        if np.ndim(u) == 1 and u.size > 1 and u[0] == -m0 and u[-1] == m0:
+            scans.append(u.size)
+        return original(nl, u)
+
+    monkeypatch.setattr(graphpde.nonlinearity, "antiderivative", counted)
+    report = two_solutions(three_path_problem(PLUS_CONST), SolverConfig(m0=m0))
+    assert scans == [GridSpec.default(M0=m0).points]
+    f8 = [v for v in report.hypothesis_verdicts if v.name == "F8"]
+    assert len(f8) == 1 and f8[0].holds
 
 
 def test_two_solutions_f8_blocks_large_beta():
@@ -629,9 +649,9 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
         jacobians.append(a.copy())
         return original(a, b)
 
-    def record_evaluate(nl, x, u):
+    def record_derivative(nl, u):
         points.append(np.array(u, copy=True))
-        return evaluate(nl, x, u)
+        return reaction_derivative(nl, u)
 
     checked = 0
     for _ in range(10):
@@ -645,13 +665,13 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
         points.clear()
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "solve", record_solve)
-            m.setattr(graphpde.solver, "evaluate", record_evaluate)
+            m.setattr(graphpde.solver, "reaction_derivative", record_derivative)
             _newton_polish(problem, start)
         assert len(jacobians) == len(points) >= 1
         lmat, _ = _interior_matrix(graph, part)
         mu = graph.measure[part.omega]
         for jac, u_omega in zip(jacobians, points):
-            _, _, fu = evaluate(problem.nl, None, u_omega)
+            fu = reaction_derivative(problem.nl, u_omega)
             assert np.array_equal(jac, lmat + np.diag(mu * (problem.h[part.omega] - fu)))
             checked += 1
     assert checked >= 10

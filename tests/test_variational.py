@@ -64,7 +64,7 @@ def problem_with_exterior(rng, nl):
 def per_vertex_energy(problem, u):
     """The energy through the per-vertex gradient form."""
     graph, part = problem.graph, problem.partition
-    _, big_f, _ = evaluate(problem.nl, None, u)
+    _, big_f, _ = evaluate(problem.nl, u)
     mass = integrate(graph, problem.interior_h() * u * u, part.omega)
     return 0.5 * (dirichlet_energy(graph, part, u) + mass) - integrate(graph, big_f, part.omega)
 
@@ -148,7 +148,7 @@ def test_directional_derivative_identities(rng):
         assert dd == pytest.approx(g[x], rel=1e-12, abs=1e-12)
 
     # pairing with u gives the h-norm square minus the reaction pairing
-    f, _, _ = evaluate(problem.nl, None, u)
+    f, _, _ = evaluate(problem.nl, u)
     expect = norm(graph, part, u, H_NORM, h=problem.h) ** 2 - integrate(
         graph, f * u, part.omega
     )
