@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 a verification or solve failed, 2 bad input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -50,6 +51,7 @@ from .variational import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphpde",
@@ -143,11 +145,9 @@ _META_KEYS = {"nonlinearity": "nl", "h0": "h0", "theta": "theta", "M": "ar_scale
 def _text_lines(r: dict) -> list[str]:
     kind = r["record"]
     if kind == "meta":
-        lines = [f"command {r['command']}", f"graph {r['graph']}"]
-        for key in _META_KEYS:
-            if r.get(key) is not None:
-                lines.append(f"{key} {_fmt(r[key])}")
-        return lines
+        return [f"command {r['command']}", f"graph {r['graph']}"] + [
+            f"{key} {_fmt(r[key])}" for key in _META_KEYS if r.get(key) is not None
+        ]
     if kind == "hypothesis":
         word = "holds" if r["holds"] else "fails"
         line = f"hypothesis {r['name']} {word}: {r['witness']}"
@@ -208,12 +208,8 @@ def _text_lines(r: dict) -> list[str]:
     if kind == "error":
         return [f"error {r['message']}"]
     if kind == "summary":
-        lines = []
-        for key in ("solutions", "distinct_gap", "ps_diagnostic", "tolerance",
-                    "pass", "exit_code"):
-            if key in r:
-                lines.append(f"{key} {_fmt(r[key])}")
-        return lines
+        keys = ("solutions", "distinct_gap", "ps_diagnostic", "tolerance", "pass", "exit_code")
+        return [f"{key} {_fmt(r[key])}" for key in keys if key in r]
     return [f"{kind} {json.dumps(r, sort_keys=True)}"]
 
 
@@ -517,8 +513,6 @@ def run(argv=None) -> int:
             nl = replace(parse_nonlinearity(ns.nl), ar_theta=ns.theta, ar_M=ns.ar_scale)
         except ValueError as exc:
             return _input_error(str(exc))
-    if len(gf.partition.omega) == 0:
-        return _input_error("the graph file declares no interior vertices")
     if len(gf.partition.boundary) == 0:
         return _input_error("the interior has no boundary vertices")
     if not gf.partition.connected:

@@ -20,11 +20,16 @@ derived measure; mixing "auto" with numeric measures is rejected.  The
 h column must parse as a real number; it is only meaningful on omega
 vertices.  Declared roles are cross-checked against the recomputed
 boundary of the declared omega set.
+
+Loading checks each line once, as it is read, and builds each array
+once.  A malformed line, a mix of "auto" and numeric measures and the
+first vertex in input order whose declared role the recomputed
+partition contradicts raise GraphParseError with the line number.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -119,15 +124,13 @@ def build_graph(
     if measure_mode not in ("given", "derived"):
         raise GraphError(f"measure_mode must be 'given' or 'derived', got {measure_mode!r}")
 
-    n = len(ids)
     pairs: list[tuple[int, int]] = []
     weights: list[float] = []
     seen: dict[tuple[int, int], float] = {}
     for a, b, w in edges:
-        if a not in index:
-            raise GraphError(f"edge references unknown vertex id {a!r}")
-        if b not in index:
-            raise GraphError(f"edge references unknown vertex id {b!r}")
+        for vid in (a, b):
+            if vid not in index:
+                raise GraphError(f"edge references unknown vertex id {vid!r}")
         i, j = index[a], index[b]
         if i == j:
             raise GraphError(f"self-loop at vertex {a!r} is not allowed")
@@ -142,32 +145,41 @@ def build_graph(
         seen[key] = w
         pairs.append((i, j))
         weights.append(w)
-    edge_index = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    # every incidence (center, neighbour, weight), edge by edge
-    center = edge_index.ravel()
-    inc_w = np.repeat(np.asarray(weights), 2)
 
+    mu = None
     if measure_mode == "given":
         if measures is None:
             raise GraphError("measure_mode='given' requires a measures mapping")
-        mu = np.empty(n)
+        mu = np.empty(len(ids))
         for vid, k in index.items():
             if vid not in measures:
                 raise GraphError(f"no measure given for vertex {vid!r}")
             mu[k] = float(measures[vid])
             if not mu[k] > 0.0:
                 raise GraphError(f"vertex {vid!r} has nonpositive measure {mu[k]}")
-    else:
+    return _assemble(index, np.array(pairs, dtype=np.int64).reshape(-1, 2), np.array(weights), mu)
+
+
+def _assemble(index: dict[str, int], edge_index, weight, mu) -> WeightedGraph:
+    """The graph on index's vertices and the checked edges; mu is the
+    given measure, None for the derived one, whose zeros it rejects."""
+    ids = tuple(index)
+    n = len(ids)
+    # every incidence (center, neighbour, weight), edge by edge
+    center = edge_index.ravel()
+    inc_w = np.repeat(weight, 2)
+    mode = "derived" if mu is None else "given"
+    if mu is None:
         # mu(x) = sum of incident weights, accumulated in stored edge
         # order (np.add.at is unbuffered and goes in index order) so the
         # value is bit-for-bit the in-order adjacency sum.
         mu = np.zeros(n)
         np.add.at(mu, center, inc_w)
-        for k in range(n):
-            if not mu[k] > 0.0:
-                raise GraphError(
-                    f"vertex {ids[k]!r} has no incident edge; derived measure would be zero"
-                )
+        isolated = np.flatnonzero(~(mu > 0.0))
+        if isolated.size:
+            raise GraphError(
+                f"vertex {ids[isolated[0]]!r} has no incident edge; derived measure would be zero"
+            )
 
     # grouped by center; the stable sort keeps stored edge order within a group
     order = np.argsort(center, kind="stable")
@@ -176,9 +188,9 @@ def build_graph(
     return WeightedGraph(
         vertex_ids=ids,
         edge_index=edge_index,
-        edge_weight=np.asarray(weights),
+        edge_weight=weight,
         measure=mu,
-        measure_mode=measure_mode,
+        measure_mode=mode,
         mu_min=float(mu.min()),
         adj_ptr=ptr,
         adj_nbr=edge_index[:, ::-1].ravel()[order],
@@ -212,42 +224,45 @@ class DomainPartition:
 
 def compute_boundary(graph: WeightedGraph, omega: Iterable[str]) -> DomainPartition:
     """Partition the graph around the given interior vertex set."""
-    omega_idx = sorted({graph.index_of(v) for v in omega})
-    if not omega_idx:
-        raise GraphError("omega must not be empty")
     omega_mask = np.zeros(graph.n, dtype=bool)
-    omega_mask[omega_idx] = True
+    omega_mask[[graph.index_of(v) for v in omega]] = True
+    if not omega_mask.any():
+        raise GraphError("omega must not be empty")
+    return _partition(graph, omega_mask)
 
+
+def _partition(graph: WeightedGraph, omega_mask: np.ndarray) -> DomainPartition:
     boundary_mask = np.zeros(graph.n, dtype=bool)
     boundary_mask[graph.adj_nbr[omega_mask[graph.adj_center]]] = True
     boundary_mask &= ~omega_mask
     closure_mask = omega_mask | boundary_mask
-    exterior_mask = ~closure_mask
-
-    connected = _closure_connected(graph, closure_mask)
     return DomainPartition(
-        omega=np.asarray(omega_idx, dtype=np.int64),
+        omega=np.flatnonzero(omega_mask),
         boundary=np.flatnonzero(boundary_mask),
-        exterior=np.flatnonzero(exterior_mask),
-        connected=connected,
+        exterior=np.flatnonzero(~closure_mask),
+        connected=_closure_connected(graph, closure_mask),
         omega_mask=omega_mask,
         closure_mask=closure_mask,
     )
 
 
 def _closure_connected(graph: WeightedGraph, closure_mask: np.ndarray) -> bool:
-    start = int(np.flatnonzero(closure_mask)[0])
-    seen = np.zeros(graph.n, dtype=bool)
-    seen[start] = True
-    queue = deque([start])
-    while queue:
-        i = queue.popleft()
-        nbr, _ = graph.neighbors(i)
-        for j in nbr:
-            if closure_mask[j] and not seen[j]:
-                seen[j] = True
-                queue.append(int(j))
-    return bool(np.all(seen[closure_mask]))
+    """Whether the subgraph induced on closure_mask is connected, by a
+    search over plain lists (numpy indexing per vertex costs more)."""
+    ptr, nbr = graph.adj_ptr.tolist(), graph.adj_nbr.tolist()
+    unseen = closure_mask.tolist()
+    start = unseen.index(True)
+    unseen[start] = False
+    stack = [start]
+    reached = 1
+    while stack:
+        i = stack.pop()
+        for j in nbr[ptr[i]:ptr[i + 1]]:
+            if unseen[j]:
+                unseen[j] = False
+                reached += 1
+                stack.append(j)
+    return reached == int(closure_mask.sum())
 
 
 # ----- graph functions ----- #
@@ -279,22 +294,37 @@ _ROLES = ("omega", "boundary", "outside")
 
 def parse_graph_text(text: str) -> GraphFile:
     """Parse the v/e line format; errors carry 1-based line numbers."""
-    v_ids: list[str] = []
-    v_measure: list[float | None] = []  # None means "auto"
-    v_h: list[float] = []
-    v_role: list[str] = []
-    v_line: dict[str, int] = {}
-    edges: list[tuple[str, str, float]] = []
-    seen_pairs: set[tuple[str, str]] = set()
-    seen_edge_line = False
+    index: dict[str, int] = {}
+    rows: list[tuple] = []  # per vertex: line, measure (None for "auto"), h, role code
+    pairs: list[int] = []  # endpoint indices, two per edge
+    weights: list[float] = []
+    seen: set[tuple[int, int]] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens:
             continue
-        tokens = line.split()
-        if tokens[0] == "v":
-            if seen_edge_line:
+        if tokens[0] == "e":
+            if len(tokens) != 4:
+                raise GraphParseError(
+                    f"e line needs 4 tokens 'e <id1> <id2> <weight>', got {len(tokens)}", lineno
+                )
+            _, a, b, wtok = tokens
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                unknown = a if i is None else b
+                raise GraphParseError(f"edge references unknown vertex id {unknown!r}", lineno)
+            if i == j:
+                raise GraphParseError(f"self-loop at vertex {a!r}", lineno)
+            w = _parse_real(wtok, "weight", lineno, positive=True)
+            key = (i, j) if i < j else (j, i)
+            if key in seen:
+                raise GraphParseError(f"duplicate edge ({a!r}, {b!r})", lineno)
+            seen.add(key)
+            pairs += (i, j)
+            weights.append(w)
+        elif tokens[0] == "v":
+            if weights:
                 raise GraphParseError("v line after first e line", lineno)
             if len(tokens) != 5:
                 raise GraphParseError(
@@ -302,93 +332,63 @@ def parse_graph_text(text: str) -> GraphFile:
                     lineno,
                 )
             _, vid, mtok, htok, role = tokens
-            if vid in v_line:
+            if vid in index:
                 raise GraphParseError(f"duplicate vertex id {vid!r}", lineno)
-            if mtok == "auto":
-                meas = None
-            else:
-                meas = _parse_real(mtok, "measure", lineno)
-                if not meas > 0.0:
-                    raise GraphParseError(f"measure must be positive, got {mtok}", lineno)
+            meas = None if mtok == "auto" else _parse_real(mtok, "measure", lineno, positive=True)
             hval = _parse_real(htok, "h-value", lineno)
             if role not in _ROLES:
                 raise GraphParseError(
                     f"role must be one of {', '.join(_ROLES)}, got {role!r}", lineno
                 )
-            v_line[vid] = lineno
-            v_ids.append(vid)
-            v_measure.append(meas)
-            v_h.append(hval)
-            v_role.append(role)
-        elif tokens[0] == "e":
-            if len(tokens) != 4:
-                raise GraphParseError(
-                    f"e line needs 4 tokens 'e <id1> <id2> <weight>', got {len(tokens)}", lineno
-                )
-            seen_edge_line = True
-            _, a, b, wtok = tokens
-            for vid in (a, b):
-                if vid not in v_line:
-                    raise GraphParseError(f"edge references unknown vertex id {vid!r}", lineno)
-            if a == b:
-                raise GraphParseError(f"self-loop at vertex {a!r}", lineno)
-            w = _parse_real(wtok, "weight", lineno)
-            if not w > 0.0:
-                raise GraphParseError(f"weight must be positive, got {wtok}", lineno)
-            key = (a, b) if a < b else (b, a)
-            if key in seen_pairs:
-                raise GraphParseError(f"duplicate edge ({a!r}, {b!r})", lineno)
-            seen_pairs.add(key)
-            edges.append((a, b, w))
-        else:
+            index[vid] = len(rows)
+            rows.append((lineno, meas, hval, _ROLES.index(role)))
+        elif not tokens[0].startswith("#"):
             raise GraphParseError(f"unknown record type {tokens[0]!r}", lineno)
 
-    if not v_ids:
+    if not index:
         raise GraphParseError("no vertices in file")
-    auto = [m is None for m in v_measure]
-    if all(auto):
-        mode, measures = "derived", None
-    elif not any(auto):
-        mode = "given"
-        measures = {vid: m for vid, m in zip(v_ids, v_measure)}
-    else:
-        first_auto = v_ids[auto.index(True)]
-        raise GraphParseError(
-            "mixing 'auto' and numeric measures is not allowed "
-            f"(vertex {first_auto!r} is 'auto')",
-            v_line[first_auto],
-        )
+    v_line, v_measure, v_h, v_role = zip(*rows)
+    if 0 < v_measure.count(None) < len(rows):
+        k = v_measure.index(None)
+        raise GraphParseError("mixing 'auto' and numeric measures is not allowed "
+                              f"(vertex {list(index)[k]!r} is 'auto')", v_line[k])
 
-    graph = build_graph(v_ids, edges, measure_mode=mode, measures=measures)
-    omega_ids = [vid for vid, role in zip(v_ids, v_role) if role == "omega"]
-    if not omega_ids:
+    edge_index = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    mu = None if v_measure[0] is None else np.array(v_measure)
+    graph = _assemble(index, edge_index, np.array(weights), mu)
+    declared = np.array(v_role)
+    if not (declared == 0).any():
         raise GraphParseError("file declares no omega vertices")
-    partition = compute_boundary(graph, omega_ids)
+    partition = _partition(graph, declared == 0)
 
     # declared roles must match the recomputed partition
-    role_of = np.empty(graph.n, dtype=object)
-    role_of[partition.omega] = "omega"
-    role_of[partition.boundary] = "boundary"
-    role_of[partition.exterior] = "outside"
-    for vid, role in zip(v_ids, v_role):
-        actual = role_of[graph.index_of(vid)]
-        if actual != role:
-            raise GraphParseError(
-                f"vertex {vid!r} declared {role!r} but the declared omega set makes it {actual!r}",
-                v_line[vid],
-            )
+    actual = _role_codes(partition)
+    wrong = np.flatnonzero(declared != actual)
+    if wrong.size:
+        k = int(wrong[0])
+        raise GraphParseError(
+            f"vertex {graph.vertex_ids[k]!r} declared {_ROLES[v_role[k]]!r} "
+            f"but the declared omega set makes it {_ROLES[actual[k]]!r}", v_line[k],
+        )
 
-    return GraphFile(graph=graph, partition=partition, h=np.asarray(v_h, dtype=float))
+    return GraphFile(graph=graph, partition=partition, h=np.array(v_h))
 
 
-def _parse_real(token: str, what: str, lineno: int) -> float:
+def _parse_real(token: str, what: str, lineno: int, positive: bool = False) -> float:
     try:
         val = float(token)
     except ValueError:
         raise GraphParseError(f"{what} must be a real number, got {token!r}", lineno) from None
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise GraphParseError(f"{what} must be finite, got {token!r}", lineno)
+    if positive and not val > 0.0:
+        raise GraphParseError(f"{what} must be positive, got {token}", lineno)
     return val
+
+
+def _role_codes(partition: DomainPartition) -> np.ndarray:
+    """Each vertex's position in _ROLES under partition."""
+    return np.where(partition.omega_mask, 0, np.where(partition.closure_mask, 1, 2))
 
 
 def parse_graph_file(path) -> GraphFile:
@@ -400,10 +400,7 @@ def format_graph_text(
     graph: WeightedGraph, partition: DomainPartition, h: np.ndarray
 ) -> str:
     """Write the v/e format; re-parsing reproduces the graph exactly."""
-    role_of = np.empty(graph.n, dtype=object)
-    role_of[partition.omega] = "omega"
-    role_of[partition.boundary] = "boundary"
-    role_of[partition.exterior] = "outside"
+    role_of = [_ROLES[k] for k in _role_codes(partition)]
     lines = []
     derived = graph.measure_mode == "derived"
     for k, vid in enumerate(graph.vertex_ids):

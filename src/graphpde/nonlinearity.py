@@ -311,6 +311,7 @@ def f1_verdict(nl: Nonlinearity) -> HypothesisVerdict:
     return HypothesisVerdict("F1", True, smoothness_note(nl))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_f(
     nl: Nonlinearity,
     which: str,
@@ -337,7 +338,8 @@ def check_f(
     F8  max |F| on [-M0, M0] <= M0^2/(2 (beta+1) mu_min h0)
                                                  needs M0, beta, mu_min, h0
 
-    Constants default to the ones stored on the nonlinearity.
+    Constants default to the ones stored on the nonlinearity.  F3..F6
+    fail at the first grid point where f or F is not finite.
     """
     theta = nl.ar_theta if theta is None else theta
     M = nl.ar_M if M is None else M
@@ -367,14 +369,28 @@ def check_f(
         max_abs, u_at = antiderivative_peak(nl, M0, grid.points)
         return f8_verdict(max_abs, u_at, M0, beta, mu_min, h0, grid.points)
 
+    if which == "F3" and (C is None or p is None):
+        raise ValueError("F3 needs the growth constants C and p")
+    if which == "F3" and not (C > 0.0 and p > 2.0):
+        raise ValueError(f"F3 needs C > 0 and p > 2, got C={C}, p={p}")
+    if which == "F4" and (theta is None or M is None):
+        raise ValueError("F4 needs the constants theta and M")
+    if which == "F4" and not (theta > 2.0 and M > 0.0):
+        raise ValueError(f"F4 needs theta > 2 and M > 0, got theta={theta}, M={M}")
+    if which == "F6" and not threshold > 0.0:
+        raise ValueError(f"F6 threshold must be positive, got {threshold}")
     us = grid.values()
+    if which == "F4" and not (np.abs(us) >= M).any():
+        raise ValueError(f"grid {grid.label()} does not reach |u| >= M = {M:g}")
     f, F = reaction(nl, us), antiderivative(nl, us)
+    finite = np.isfinite(f) & np.isfinite(F)
+    if which in ("F3", "F4", "F5", "F6") and not finite.all():
+        return HypothesisVerdict(
+            which, False, f"f or F is not finite at u = {us[np.argmin(finite)]:g}, the first "
+            "such grid point", sampled_range=grid.label(),
+        )
 
     if which == "F3":
-        if C is None or p is None:
-            raise ValueError("F3 needs the growth constants C and p")
-        if not (C > 0.0 and p > 2.0):
-            raise ValueError(f"F3 needs C > 0 and p > 2, got C={C}, p={p}")
         bound = C * (1.0 + np.abs(us) ** (p - 1.0))
         slack = bound * (1.0 + _REL_GUARD)
         bad = np.abs(f) > slack
@@ -392,13 +408,7 @@ def check_f(
             sampled_range=grid.label(), data={"C": C, "p": p},
         )
     if which == "F4":
-        if theta is None or M is None:
-            raise ValueError("F4 needs the constants theta and M")
-        if not (theta > 2.0 and M > 0.0):
-            raise ValueError(f"F4 needs theta > 2 and M > 0, got theta={theta}, M={M}")
         sel = np.abs(us) >= M
-        if not sel.any():
-            raise ValueError(f"grid {grid.label()} does not reach |u| >= M = {M:g}")
         lhs = theta * F[sel]
         rhs = us[sel] * f[sel]
         uu = us[sel]
@@ -438,8 +448,6 @@ def check_f(
             sampled_range=grid.label(),
         )
     if which == "F6":
-        if not threshold > 0.0:
-            raise ValueError(f"F6 threshold must be positive, got {threshold}")
         edge = float(us[-1])
         ratio = float(f[-1] / edge)
         holds = ratio >= threshold
@@ -467,6 +475,7 @@ def f8_verdict(max_abs, u_at, M0, beta, mu_min, h0, points) -> HypothesisVerdict
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ar_lower_bound(
     nl: Nonlinearity, theta: float, M: float, grid: GridSpec
 ) -> HypothesisVerdict:
@@ -476,22 +485,22 @@ def ar_lower_bound(
     F(u) >= exp(-c_side) |u|^theta for grid points with |u| >= M (the
     additive slack constant is zero on this range), with equality at
     u = M by construction.  Requires F(+-M) > 0; a nonpositive value
-    means the AR condition already fails at M.
+    means the AR condition already fails at M, and one that is not
+    finite leaves the bound undefined.
     """
     if not (theta > 2.0 and M > 0.0):
         raise ValueError(f"need theta > 2 and M > 0, got theta={theta}, M={M}")
     F_plus = float(antiderivative(nl, float(M)))
     F_minus = float(antiderivative(nl, -float(M)))
-    if F_plus <= 0.0:
-        raise ValueError(
-            f"F(M) = {F_plus:g} is not positive at M = {M:g}: the superquadratic "
-            "lower bound is undefined (AR condition fails at M)"
-        )
-    if F_minus <= 0.0:
-        raise ValueError(
-            f"F(-M) = {F_minus:g} is not positive at -M = {-M:g}: the superquadratic "
-            "lower bound is undefined (AR condition fails at -M)"
-        )
+    for side, u, value in (("M", M, F_plus), ("-M", -M, F_minus)):
+        if not math.isfinite(value):
+            raise ValueError(f"F({side}) is not finite at {side} = {u:g}: the "
+                             "superquadratic lower bound is undefined")
+        if value <= 0.0:
+            raise ValueError(
+                f"F({side}) = {value:g} is not positive at {side} = {u:g}: the superquadratic "
+                f"lower bound is undefined (AR condition fails at {side})"
+            )
     c_plus = theta * math.log(M) - math.log(F_plus)
     c_minus = theta * math.log(M) - math.log(F_minus)
 

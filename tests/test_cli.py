@@ -292,6 +292,48 @@ def test_out_file_matches_stdout(graph_file, tmp_path, capsys):
     assert out_path.read_text() == stdout
 
 
+def test_commands_in_one_process_match_fresh_runs(graph_file, tmp_path, capsys):
+    # the parser is built once per process: no flag of one command may
+    # carry over into the next
+    path = graph_file(PATH3)
+    out = tmp_path / "report.jsonl"
+    commands = [
+        ["eigen", path, "--h0", "1", "--out", str(out), "--format", "jsonl"],
+        ["eigen", path],
+        ["check", path],
+    ]
+    reports = []
+    for argv in commands:
+        code = run(argv)
+        reports.append((code, capsys.readouterr().out))
+        if argv == commands[0]:
+            assert out.read_text() == reports[0][1]
+            out.unlink()
+        assert not out.exists()
+    env = dict(os.environ, PYTHONPATH=str(Path(graphpde.__file__).resolve().parents[1]))
+    for argv, report in zip(commands, reports):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "graphpde.cli", *argv], capture_output=True, text=True, env=env,
+        )
+        assert (fresh.returncode, fresh.stdout) == report
+
+
+@pytest.mark.parametrize("flags", [["--M0", "1e200"], ["--M", "1e200", "--theta", "4"]])
+def test_check_fails_where_the_samples_overflow(flags, graph_file, capsys):
+    # f and F overflow on the sampled grid [-2e200, 2e200]: the verdicts
+    # that read them fail, and no warning or non-finite number gets out
+    argv = ["check", graph_file(PATH3), "--h0", "1", "--nl", "power:p=4", *flags,
+            "--format", "jsonl"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    records = [r for r in jsonl_records(captured.out) if r["record"] != "meta"]
+    body = json.dumps(records)
+    assert "inf" not in body and "nan" not in body
+    failed = {r["name"] for r in records if r["record"] == "hypothesis" and not r["holds"]}
+    assert {"F5", "F6"} <= failed
+
+
 def test_emit_path_profile(graph_file, tmp_path, capsys):
     profile = tmp_path / "profile.csv"
     code = run([

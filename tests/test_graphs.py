@@ -13,7 +13,13 @@ from graphpde import (
     is_dirichlet,
     parse_graph_text,
 )
-from util import path_graph, random_connected_graph, random_partition
+from util import (
+    lattice,
+    path_graph,
+    random_connected_graph,
+    random_partition,
+    random_subset_partition,
+)
 
 
 def test_derived_measure_on_path(path3):
@@ -230,3 +236,75 @@ def test_format_parse_roundtrip(rng, mode):
         assert gf.partition.omega.tolist() == part.omega.tolist()
         assert gf.partition.boundary.tolist() == part.boundary.tolist()
         assert gf.h.tolist() == h.tolist()
+
+
+GRAPH_ARRAYS = ("edge_index", "edge_weight", "measure", "adj_ptr", "adj_nbr", "adj_w", "adj_center")
+PARTITION_ARRAYS = ("omega", "boundary", "exterior")
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_loads_as_built(graph, part, h):
+    """Parsing the written file gives build_graph's and compute_boundary's
+    arrays bit for bit, dtypes included."""
+    gf = parse_graph_text(format_graph_text(graph, part, h))
+    for name in GRAPH_ARRAYS:
+        assert_same_bits(getattr(gf.graph, name), getattr(graph, name))
+    for name in PARTITION_ARRAYS:
+        assert_same_bits(getattr(gf.partition, name), getattr(part, name))
+    assert type(gf.graph.mu_min) is float and gf.graph.mu_min == graph.mu_min
+    assert gf.partition.connected is part.connected
+    assert gf.graph.vertex_ids == graph.vertex_ids
+    assert_same_bits(gf.h, h)
+
+
+def test_parse_matches_build_on_lattices():
+    graph, part = lattice(40)
+    assert_loads_as_built(graph, part, np.ones(graph.n))
+    graph, part = lattice(40, np.random.default_rng(5))
+    assert_loads_as_built(graph, part, np.linspace(-1.0, 2.0, graph.n))
+
+
+@pytest.mark.parametrize("mode", ["derived", "given"])
+def test_parse_matches_build_on_random_graphs(rng, mode):
+    connected = []
+    for _ in range(50):
+        graph = random_connected_graph(rng, measure_mode=mode)
+        part = random_subset_partition(rng, graph)
+        connected.append(part.connected)
+        assert_loads_as_built(graph, part, rng.uniform(-3.0, 3.0, size=graph.n))
+    assert not all(connected) and any(connected)
+
+
+@pytest.mark.parametrize(
+    "text,cls,message",
+    [
+        # two bad lines: the earlier one is reported
+        ("v a auto zz omega\nv b auto 0 nowhere\n", GraphParseError,
+         "line 1: h-value must be a real number, got 'zz'"),
+        ("v a auto 0 omega\nv b auto 0 boundary\ne a b 1\ne b a 1\ne a c 1\n",
+         GraphParseError, "line 4: duplicate edge ('b', 'a')"),
+        ("v a 1 0 omega\nv b 1 inf boundary\nv c auto 0 boundary\n", GraphParseError,
+         "line 2: h-value must be finite, got 'inf'"),
+        ("v a auto 0 omega\nv b auto 0 boundary\ne a b nan\ne a b -1\n", GraphParseError,
+         "line 3: weight must be finite, got 'nan'"),
+        # two role mismatches: the first vertex in input order is reported
+        ("v e auto 0 outside\nv d auto 0 outside\nv c auto 0 omega\nv b auto 0 boundary\n"
+         "v a auto 0 boundary\ne a b 1\ne b c 1\ne c d 1\ne d e 1\n", GraphParseError,
+         "line 2: vertex 'd' declared 'outside' but the declared omega set makes it 'boundary'"),
+        ("v z auto 0 omega\nv y auto 0 outside\nv x auto 0 boundary\nv w auto 0 omega\n"
+         "v u auto 0 boundary\ne z y 1\ne x w 1\ne y x 1\ne u y 1\n", GraphParseError,
+         "line 2: vertex 'y' declared 'outside' but the declared omega set makes it 'boundary'"),
+        # a vertex without edges under the derived measure: build_graph's error
+        ("v a auto 0 omega\nv b auto 0 boundary\nv c auto 0 outside\ne a b 1\n", GraphError,
+         "vertex 'c' has no incident edge; derived measure would be zero"),
+    ],
+)
+def test_parse_error_order(text, cls, message):
+    with pytest.raises(GraphError) as err:
+        parse_graph_text(text)
+    assert type(err.value) is cls
+    assert str(err.value) == message

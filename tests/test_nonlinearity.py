@@ -298,6 +298,19 @@ def test_ar_lower_bound_rejects_nonpositive_F():
         ar_lower_bound(power(4), 2.0, 1.0, GRID)
 
 
+def test_sampled_checks_fail_where_f_or_F_overflows():
+    # |u|^4 / 4 overflows on [-2e200, 2e200]; warnings are errors here
+    grid = GridSpec(2e200)
+    for which, constants in [("F3", {"C": 2.0, "p": 4.0}), ("F4", {"theta": 4.0, "M": 1.0}),
+                             ("F5", {}), ("F6", {})]:
+        verdict = check_f(power(4), which, grid, **constants)
+        assert not verdict.holds
+        assert verdict.witness == "f or F is not finite at u = -2e+200, the first such grid point"
+        assert verdict.data == {}
+    with pytest.raises(ValueError, match=r"^F\(M\) is not finite at M = 1e\+200"):
+        ar_lower_bound(power(4), 4.0, 1e200, grid)
+
+
 def test_grid_spec():
     with pytest.raises(ValueError):
         GridSpec(-1.0)
