@@ -22,11 +22,9 @@ from .graphs import DomainPartition, GraphError, WeightedGraph, is_dirichlet
 
 
 def _neighbor_sum(graph: WeightedGraph, contrib: np.ndarray) -> np.ndarray:
-    # np.add.at is unbuffered and applies contributions in index order,
-    # so each vertex accumulates its incidences in stored edge order.
-    out = np.zeros(graph.n)
-    np.add.at(out, graph.adj_center, contrib)
-    return out
+    # np.bincount adds the weights in index order, so each vertex
+    # accumulates its incidences in stored edge order.
+    return np.bincount(graph.adj_center, weights=contrib, minlength=graph.n)
 
 
 def laplacian(graph: WeightedGraph, u: np.ndarray) -> np.ndarray:
@@ -171,9 +169,7 @@ def _interior_matrix(
     row = pos[graph.adj_center]
     col = pos[graph.adj_nbr]
     inside = row >= 0
-    diag = np.zeros(nint)
-    np.add.at(diag, row[inside], graph.adj_w[inside])
-    mat = np.diag(diag)
+    mat = np.diag(np.bincount(row[inside], weights=graph.adj_w[inside], minlength=nint))
     both = inside & (col >= 0)
     mat[row[both], col[both]] = -graph.adj_w[both]
     return mat, int(np.max(np.abs(row[both] - col[both]), initial=0))

@@ -171,10 +171,9 @@ def _assemble(index: dict[str, int], edge_index, weight, mu) -> WeightedGraph:
     mode = "derived" if mu is None else "given"
     if mu is None:
         # mu(x) = sum of incident weights, accumulated in stored edge
-        # order (np.add.at is unbuffered and goes in index order) so the
-        # value is bit-for-bit the in-order adjacency sum.
-        mu = np.zeros(n)
-        np.add.at(mu, center, inc_w)
+        # order (np.bincount adds in index order) so the value is
+        # bit-for-bit the in-order adjacency sum.
+        mu = np.bincount(center, weights=inc_w, minlength=n)
         isolated = np.flatnonzero(~(mu > 0.0))
         if isolated.size:
             raise GraphError(

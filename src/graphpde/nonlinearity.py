@@ -486,7 +486,8 @@ def ar_lower_bound(
     additive slack constant is zero on this range), with equality at
     u = M by construction.  Requires F(+-M) > 0; a nonpositive value
     means the AR condition already fails at M, and one that is not
-    finite leaves the bound undefined.
+    finite leaves the bound undefined.  Fails at the first grid point
+    where F or the bound is not finite.
     """
     if not (theta > 2.0 and M > 0.0):
         raise ValueError(f"need theta > 2 and M > 0, got theta={theta}, M={M}")
@@ -506,22 +507,26 @@ def ar_lower_bound(
 
     us = grid.values()
     F = antiderivative(nl, us)
-    holds = True
-    witness = f"F(u) >= exp(-c) |u|^theta on the grid for |u| >= {M:g}, equality at u = {M:g}"
-    for sel, c in ((us >= M, c_plus), (us <= -M, c_minus)):
-        if not sel.any():
-            continue
-        lower = math.exp(-c) * np.abs(us[sel]) ** theta
-        slack = 1e-9 * (1.0 + np.abs(lower))
-        bad = F[sel] < lower - slack
-        if bad.any():
-            k = int(np.argmax(bad))
-            uu = us[sel][k]
-            holds = False
-            witness = (
-                f"F({uu:g}) = {F[sel][k]:g} falls below exp(-c) |u|^theta = {lower[k]:g}"
-            )
-            break
+    sides = [(sel, math.exp(-c) * np.abs(us[sel]) ** theta)
+             for sel, c in ((us >= M, c_plus), (us <= -M, c_minus))]
+    finite = np.isfinite(F)
+    for sel, lower in sides:
+        finite[sel] &= np.isfinite(lower)
+    holds = bool(finite.all())
+    if not holds:
+        witness = (f"F or its lower bound is not finite at u = {us[np.argmin(finite)]:g}, "
+                   "the first such grid point")
+    else:
+        witness = f"F(u) >= exp(-c) |u|^theta on the grid for |u| >= {M:g}, equality at u = {M:g}"
+        for sel, lower in sides:
+            slack = 1e-9 * (1.0 + np.abs(lower))
+            bad = F[sel] < lower - slack
+            if bad.any():
+                k = int(np.argmax(bad))
+                holds = False
+                witness = (f"F({us[sel][k]:g}) = {F[sel][k]:g} falls below "
+                           f"exp(-c) |u|^theta = {lower[k]:g}")
+                break
     return HypothesisVerdict(
         "AR-bound", holds, witness, sampled_range=grid.label(),
         data={"theta": float(theta), "M": float(M),

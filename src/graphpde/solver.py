@@ -21,8 +21,8 @@ P = L + diag(mu |h|) on interior unknowns, with L the interior
 Laplacian.  Where h > 0, P is the Gram matrix of the h-norm, the metric
 the energy is posed in, so one unit step undoes the quadratic part of
 the energy whatever the weights and measures.  P is factored once per
-loop, by a blocked Cholesky confined to the band of L, and only
-back-substituted per step.  Along the path tangent the climbing image
+loop, and Newton's indefinite Jacobian once per step, by the band
+factor spectral._band_solver.  Along the path tangent the climbing image
 does not take the Sobolev step: where the energy's exact curvature
 there is negative it takes the 1-D Newton step to the maximum along the
 tangent, and otherwise reflects the tangential part of the Sobolev
@@ -51,7 +51,7 @@ from .nonlinearity import (
     reaction,
     reaction_derivative,
 )
-from .spectral import ConstantsReport, _cholesky_solver, embedding_constants, first_eigenvalue
+from .spectral import ConstantsReport, _band_solver, embedding_constants, first_eigenvalue
 from .variational import (
     BallConstants,
     Problem,
@@ -339,8 +339,7 @@ def _sobolev_direction(problem: Problem):
     omega = problem.partition.omega
     pmat, bw = _interior_matrix(problem.graph, problem.partition)
     pmat[np.diag_indices_from(pmat)] += np.abs(problem._form.mu_h)
-    solve = _cholesky_solver(pmat, bw)
-    del pmat
+    solve = _band_solver(pmat, bw)
 
     def direction(gvec: np.ndarray) -> np.ndarray:
         out = np.zeros_like(gvec)
@@ -408,50 +407,45 @@ def _newton_polish(problem: Problem, u0: np.ndarray):
 
     The linearization at u restricted to interior unknowns is the
     interior Laplacian matrix plus diag(mu (h - f_u)), written into the
-    diagonal of one matrix in place; a singular or non-finite solve
-    falls back once per iteration to a 1e-10 diagonal shift and flags
-    it.  Returns (u, residual_max, shifted).
+    diagonal of one matrix in place and factored by _band_solver; a
+    singular or non-finite solve falls back once per iteration to a
+    1e-10 diagonal shift and flags it.  Returns (u, residual_max, shifted).
     """
     omega = problem.partition.omega
     mu = problem.graph.measure[omega]
-    jac, _ = _interior_matrix(problem.graph, problem.partition)
+    jac, bw = _interior_matrix(problem.graph, problem.partition)
     diag = np.diag_indices_from(jac)
     base = jac[diag]
     u = np.array(u0, dtype=float, copy=True)
     shifted = False
     prev = math.inf
     rises = 0
-    for _ in range(NEWTON_MAX):
+    for step in range(NEWTON_MAX + 1):
         r = pointwise_residual(problem, u)[omega]
         res_max = float(np.max(np.abs(r)))
         if res_max <= NEWTON_TOL:
             return u, res_max, shifted
-        if res_max > prev:
-            rises += 1
-            if rises >= 5:
-                raise SolverError(
-                    "Newton refinement diverged: the residual rose five "
-                    f"consecutive iterations (latest {res_max:g})"
-                )
-        else:
-            rises = 0
+        if step == NEWTON_MAX:
+            break
+        rises = rises + 1 if res_max > prev else 0
+        if rises >= 5:
+            raise SolverError(
+                "Newton refinement diverged: the residual rose five "
+                f"consecutive iterations (latest {res_max:g})"
+            )
         prev = res_max
         fu = reaction_derivative(problem.nl, u[omega])
         jac[diag] = base + mu * (problem.h[omega] - fu)
         rhs = -(mu * r)
         try:
-            delta = np.linalg.solve(jac, rhs)
+            delta = _band_solver(jac, bw)(rhs)
             if not np.all(np.isfinite(delta)):
                 raise np.linalg.LinAlgError("non-finite Newton update")
         except np.linalg.LinAlgError:
             shifted = True
             jac[diag] += 1e-10
-            delta = np.linalg.solve(jac, rhs)
+            delta = _band_solver(jac, bw)(rhs)
         u[omega] += delta
-    r = pointwise_residual(problem, u)[omega]
-    res_max = float(np.max(np.abs(r)))
-    if res_max <= NEWTON_TOL:
-        return u, res_max, shifted
     raise SolverError(
         f"Newton refinement did not reach residual {NEWTON_TOL:g} in "
         f"{NEWTON_MAX} iterations (residual {res_max:g})"

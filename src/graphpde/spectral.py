@@ -8,7 +8,8 @@ over Dirichlet functions, computed as the smallest eigenvalue of the
 generalized problem L u = lambda M u on interior unknowns, where L is
 the weighted Dirichlet Laplacian and M = diag(mu).  Small problems are
 solved densely with eigh; large ones by inverse iteration that factors
-L once (Cholesky) and then only back-substitutes.
+L once, by _band_solver (a = C S C^T, S = +-1: Cholesky blocks, or eigh
+where Cholesky fails), and then only back-substitutes.
 """
 
 from __future__ import annotations
@@ -34,41 +35,58 @@ class EigenResult:
     residual: float
 
 
-# Row/column block size of the factor and of the triangular solves in
-# _cholesky_solver; no np.linalg.cholesky call sees a larger matrix.
+# Row/column block size of _band_solver: no np.linalg.cholesky or eigh
+# call sees a larger matrix, and below an eigh block C fills the block.
 _BLOCK = 64
 
 
-def _cholesky_solver(a: np.ndarray, bw: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the symmetric positive definite a once; return y -> a^(-1) y.
+def _band_solver(a: np.ndarray, bw: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the symmetric nonsingular a once; return y -> a^(-1) y.
 
-    bw is the bandwidth of a: a[i, j] = 0 for |i - j| > bw.  a = C C^T
-    with C lower triangular, and C keeps that band.  C is computed
-    left-looking, one block b of _BLOCK columns at a time: the panel of
-    a on b and the bw rows below it, minus the products of the band of
-    C left of b, is factored in its top block, whose inverse is kept,
-    and scaled by that inverse below.  A solve is a blocked forward
-    substitution with C followed by a blocked back substitution with
-    C^T.  Factor and solves touch C only within bw rows below each
-    diagonal block, so the factor costs O(n bw _BLOCK) and a solve
+    bw is the bandwidth of a: a[i, j] = 0 for |i - j| > bw.  a = C S C^T
+    with S diagonal +-1 and C block lower triangular, computed
+    left-looking one block b of _BLOCK columns at a time: the panel of a
+    on b and the bw rows below it, minus the products of the band of
+    C S C^T left of b, is factored in its top block, whose inverse is
+    kept, and scaled by that inverse and S_b below.  The top block is
+    factored by np.linalg.cholesky (S_b = I), or where that fails by
+    np.linalg.eigh (C_bb = Q |Lambda|^(1/2), S_b = sign Lambda; the rows
+    of C below it fill that block, so a later panel whose left edge
+    k - bw falls in it starts at its first column).  So C is the banded
+    Cholesky factor of a positive definite a, and the -1s of S count the
+    negative eigenvalues of a (Haynsworth).  An exactly singular top
+    block raises LinAlgError.  A solve is a blocked forward substitution
+    with C, a product with S and a blocked back substitution with C^T.
+    Factor and solves touch C only within bw rows below each diagonal
+    block, so the factor costs O(n bw _BLOCK) and a solve
     O(n (bw + _BLOCK)).  A full band (bw >= n - 1) is the dense blocked
-    Cholesky.  y may be a vector or an (n, k) matrix.
+    factor.  y may be a vector or an (n, k) matrix.
     """
     n = a.shape[0]
     c = np.zeros(a.shape)  # C below its diagonal blocks, whose inverses are kept
+    s = np.ones(n)  # the diagonal of S
+    edge = np.arange(n)  # column j, or the first column of j's block if eigh factored it
     blocks = []
     for k in range(0, n, _BLOCK):
         b = slice(k, min(k + _BLOCK, n))
-        lo, hi = max(0, k - bw), min(n, b.stop + bw)
-        panel = a[k:hi, b] - c[k:hi, lo:k] @ c[b, lo:k].T
-        inv = np.linalg.inv(np.linalg.cholesky(panel[: b.stop - k]))
-        c[b.stop : hi, b] = panel[b.stop - k :] @ inv.T
+        lo, hi = int(edge[max(0, k - bw)]), min(n, b.stop + bw)
+        # C S on b's rows; unscaled while S = I, so P and L keep numpy's A @ A.T path
+        left = c[b, lo:k] * s[lo:k] if s.min() < 0.0 else c[b, lo:k]
+        panel = a[k:hi, b] - c[k:hi, lo:k] @ left.T
+        try:
+            cbb = np.linalg.cholesky(panel[: b.stop - k])
+        except np.linalg.LinAlgError:
+            lam, q = np.linalg.eigh(panel[: b.stop - k])
+            cbb, s[b], edge[b] = q * np.sqrt(np.abs(lam)), np.sign(lam), k
+        inv = np.linalg.inv(cbb)
+        c[b.stop : hi, b] = panel[b.stop - k :] @ inv.T * s[b]
         blocks.append((b, lo, hi, inv))
 
     def solve(y: np.ndarray) -> np.ndarray:
         z = np.array(y, dtype=float)
         for b, lo, _, inv in blocks:
             z[b] = inv @ (z[b] - c[b, lo : b.start] @ z[lo : b.start])
+        z.T[...] *= s  # S on every column of z
         for b, _, hi, inv in reversed(blocks):
             z[b] = inv.T @ (z[b] - c[b.stop : hi, b].T @ z[b.stop : hi])
         return z
@@ -104,7 +122,7 @@ def first_eigenvalue(
     idx = partition.omega
     lmat, bw = _interior_matrix(graph, partition)
     mdiag = graph.measure[idx]
-
+    iterations = 0
     if len(idx) <= dense_cutoff:
         d = 1.0 / np.sqrt(mdiag)
         smat = lmat * d[:, None] * d[None, :]
@@ -112,31 +130,24 @@ def first_eigenvalue(
         evals, evecs = np.linalg.eigh(smat)
         lam = float(evals[0])
         u_int = d * evecs[:, 0]  # back to the generalized problem; int u^2 dmu = 1
-        iterations = 0
     else:
-        solve = _cholesky_solver(lmat, bw)
+        solve = _band_solver(lmat, bw)
         u_int = np.full(len(idx), 1.0 / math.sqrt(float(np.sum(mdiag))))
         lam = float(u_int @ lmat @ u_int)
-        iterations = 0
         for iterations in range(1, max_iterations + 1):
             z = solve(mdiag * u_int)
             u_int = z / math.sqrt(float(z @ (mdiag * z)))
-            lam_new = float(u_int @ lmat @ u_int)
-            if abs(lam_new - lam) <= tolerance * max(1.0, abs(lam_new)):
-                lam = lam_new
+            lam, lam_old = float(u_int @ lmat @ u_int), lam
+            if abs(lam - lam_old) <= tolerance * max(1.0, abs(lam)):
                 break
-            lam = lam_new
         else:
             raise ValueError(
                 f"inverse power iteration did not converge in {max_iterations} iterations"
             )
 
-    scale = np.max(np.abs(u_int))
-    for val in u_int:
-        if abs(val) > 1e-14 * scale:
-            if val < 0.0:
-                u_int = -u_int
-            break
+    size = np.abs(u_int)
+    if u_int[np.argmax(size > 1e-14 * np.max(size))] < 0.0:  # first nonzero entry
+        u_int = -u_int
     u = np.zeros(graph.n)
     u[idx] = u_int
     residual = float(np.max(np.abs(lmat @ u_int - lam * mdiag * u_int)))

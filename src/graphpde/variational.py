@@ -260,7 +260,11 @@ def ball_constants(
     kappa = ball_kappa(problem, kappa_choice)
     if u_bound is None:
         u_bound = kappa * math.sqrt(rho)
-    max_abs, u_at = antiderivative_peak(problem.nl, u_bound, grid_points)
+    with np.errstate(over="ignore", invalid="ignore"):
+        max_abs, u_at = antiderivative_peak(problem.nl, u_bound, grid_points)
+    if not math.isfinite(max_abs):
+        raise ValueError(f"max |F| on [-{u_bound:g}, {u_bound:g}] is not finite "
+                         f"(at u = {u_at:g}): the smallness condition is undefined")
     if max_abs == 0.0:
         beta_max = math.inf
     else:

@@ -204,6 +204,20 @@ def _hub_graph(rng, n=20):
     return build_graph(ids, edges)
 
 
+def test_laplacian_is_the_in_order_neighbour_sum(rng):
+    # bit for bit the plain sum over the stored edges, in their order;
+    # hub vertices add up to 19 incidences
+    for trial in range(40):
+        graph = _hub_graph(rng) if trial % 4 == 0 else random_connected_graph(rng, n_max=40)
+        u = rng.standard_normal(graph.n)
+        sums = [0.0] * graph.n
+        for (i, j), w in zip(graph.edge_index.tolist(), graph.edge_weight.tolist()):
+            sums[i] += w * (u[j] - u[i])
+            sums[j] += w * (u[i] - u[j])
+        want = np.array(sums) / graph.measure
+        assert np.array_equal(laplacian(graph, u), want)
+
+
 def test_interior_matrix_matches_per_vertex_loop(rng):
     seen = {"exterior": 0, "split": 0, "hub": 0}
     for trial in range(80):

@@ -334,6 +334,31 @@ def test_check_fails_where_the_samples_overflow(flags, graph_file, capsys):
     assert {"F5", "F6"} <= failed
 
 
+def _refused_without_overflow(argv, capsys):
+    assert run([*argv, "--format", "jsonl"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    body = json.dumps([r for r in jsonl_records(captured.out) if r["record"] != "meta"])
+    assert "inf" not in body and "nan" not in body
+    return captured.out
+
+
+def test_ar_bound_fails_where_F_overflows(graph_file, capsys):
+    # F(+-M) is finite, F on the grid beyond M = 1e77 is not
+    out = _refused_without_overflow(
+        ["check", graph_file(PATH3), "--h0", "1", "--nl", "power:p=4",
+         "--M", "1e77", "--theta", "4"], capsys)
+    assert "AR-bound holds" not in out
+    assert "F or its lower bound is not finite at u = -2e+77" in out
+
+
+def test_ball_constants_refuse_an_overflowed_max(graph_file, capsys):
+    out = _refused_without_overflow(
+        ["solve2", graph_file(PATH3), "--nl", "power_plus_const:p=4,eps=0.1",
+         "--h0", "1", "--M0", "1e200"], capsys)
+    assert "max |F| on [-1e+200, 1e+200] is not finite" in out
+
+
 def test_emit_path_profile(graph_file, tmp_path, capsys):
     profile = tmp_path / "profile.csv"
     code = run([

@@ -622,32 +622,43 @@ def test_mountain_pass_random_graphs_do_not_stall():
 
 
 def test_newton_shift_fallback(monkeypatch):
-    original = np.linalg.solve
+    original = graphpde.solver._band_solver
     calls = []
 
-    def fail_first(a, b):
+    def fail_first_newton(a, bw):
         calls.append(a.copy())
-        if len(calls) == 1:
+        if len(calls) == 2:  # calls[0] is P, factored once before the deformation
             raise np.linalg.LinAlgError("singular matrix")
-        return original(a, b)
+        return original(a, bw)
 
-    monkeypatch.setattr(np.linalg, "solve", fail_first)
-    config = SolverConfig()
-    sol = mountain_pass(lattice_problem(5, POWER4), config)
-    assert len(calls) >= 2
-    # the retry solves the same Jacobian shifted by 1e-10 on the diagonal
-    assert np.array_equal(calls[1], calls[0] + 1e-10 * np.eye(len(calls[0])))
+    monkeypatch.setattr(graphpde.solver, "_band_solver", fail_first_newton)
+    problem = lattice_problem(5, POWER4)
+    sol = mountain_pass(problem, SolverConfig())
+    assert np.allclose(calls[0], _p_matrix(problem), rtol=1e-14, atol=0.0)
+    assert len(calls) >= 3
+    # the retry factors the same Jacobian shifted by 1e-10 on the diagonal
+    assert np.array_equal(calls[2], calls[1] + 1e-10 * np.eye(len(calls[1])))
     assert sol.newton_shifted
     assert sol.residual_max <= graphpde.solver.NEWTON_TOL
 
 
+def test_newton_needs_no_dense_solve(monkeypatch):
+    # the indefinite Jacobian at the saddle goes through the band factor
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    sol = mountain_pass(lattice_problem(12, POWER4), SolverConfig())
+    assert sol.residual_max <= graphpde.solver.NEWTON_TOL
+
+
 def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
-    original = np.linalg.solve
+    original = graphpde.solver._band_solver
     jacobians, points = [], []
 
-    def record_solve(a, b):
+    def record_factor(a, bw):
         jacobians.append(a.copy())
-        return original(a, b)
+        return original(a, bw)
 
     def record_derivative(nl, u):
         points.append(np.array(u, copy=True))
@@ -664,7 +675,7 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
         jacobians.clear()
         points.clear()
         with monkeypatch.context() as m:
-            m.setattr(np.linalg, "solve", record_solve)
+            m.setattr(graphpde.solver, "_band_solver", record_factor)
             m.setattr(graphpde.solver, "reaction_derivative", record_derivative)
             _newton_polish(problem, start)
         assert len(jacobians) == len(points) >= 1

@@ -17,7 +17,7 @@ from graphpde import (
     lp,
     norm,
 )
-from graphpde.spectral import _BLOCK, _cholesky_solver
+from graphpde.spectral import _BLOCK, _band_solver
 from util import (
     lattice,
     path_graph,
@@ -157,27 +157,51 @@ def _banded_spd(rng, n, bandwidth):
     return low @ low.T + n * np.eye(n)
 
 
+def _check_solver(rng, a, bandwidth):
+    solve = _band_solver(a, bandwidth)
+    for y in (rng.standard_normal(len(a)), rng.standard_normal((len(a), 3))):
+        y_before = y.copy()
+        x = solve(y)
+        assert x.shape == y.shape
+        assert np.array_equal(y, y_before)
+        assert np.linalg.norm(a @ x - y) <= 1e-12 * np.linalg.norm(y)
+        ref = np.linalg.solve(a, y)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+_BANDWIDTHS = (1, 15, 63, 64, 65)
+
+
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
 def test_cholesky_solver_matches_dense_solve(rng, n):
-    for bandwidth in sorted({min(bw, n - 1) for bw in (1, 15, 63, 64, 65, n - 1)}):
-        a = _banded_spd(rng, n, bandwidth)
-        solve = _cholesky_solver(a, bandwidth)
-        for y in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-            y_before = y.copy()
-            x = solve(y)
-            assert x.shape == y.shape
-            assert np.array_equal(y, y_before)
-            assert np.linalg.norm(a @ x - y) <= 1e-12 * np.linalg.norm(y)
-            ref = np.linalg.solve(a, y)
-            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    # positive definite: every block of the band solver is a Cholesky block
+    for bandwidth in sorted({min(bw, n - 1) for bw in (*_BANDWIDTHS, n - 1)}):
+        _check_solver(rng, _banded_spd(rng, n, bandwidth), bandwidth)
 
-        # one negative pivot in the last block: indefinite, and refused
-        # like the dense factor refuses it
-        a[-1, -1] = -a[-1, -1]
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(a)
-        with pytest.raises(np.linalg.LinAlgError):
-            _cholesky_solver(a, bandwidth)
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+def test_band_solver_factors_indefinite_matrices(monkeypatch, rng, n):
+    # negative pivots in the first, a middle and the last block; each of
+    # those blocks, and only those, goes to eigh
+    negative = sorted({0, (n // _BLOCK // 2) * _BLOCK, n - 1})
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for bandwidth in sorted({min(bw, n - 1) for bw in (*_BANDWIDTHS, n - 1)}):
+        a = _banded_spd(rng, n, bandwidth)
+        a[negative, negative] -= 3 * n + 4 * a[negative, negative]
+        calls.clear()
+        _check_solver(rng, a, bandwidth)
+        assert len(calls) == len({i // _BLOCK for i in negative})
+
+    # an exactly singular block stops the factor
+    with pytest.raises(np.linalg.LinAlgError):
+        _band_solver(np.diag([1.0, 0.0, -1.0]), 0)
 
 
 def test_default_iterative_branch_lattice_oracle():
