@@ -148,18 +148,19 @@ def green_residual(
     return gamma_side + other
 
 
-def _interior_matrix(
-    graph: WeightedGraph, partition: DomainPartition
-) -> tuple[np.ndarray, int]:
-    """Dense weighted Dirichlet Laplacian on interior unknowns, and its
-    bandwidth: the largest |i - j| of a nonzero entry (i, j).
+def _interior_matrix(graph: WeightedGraph, partition: DomainPartition) -> np.ndarray:
+    """Weighted Dirichlet Laplacian on interior unknowns, as its lower
+    band: a (bw + 1, n) array whose row d holds the entries (j + d, j),
+    band[d, j], with bw the bandwidth (the largest |i - j| of a nonzero
+    entry (i, j)) and zeros past the matrix's end.  The matrix is
+    symmetric, so this is all of it.
 
-    Row x: the diagonal holds the full incident weight sum of x,
-    accumulated in stored edge order; the off-diagonal entries are
-    -w_xy for interior neighbors y; boundary values are pinned at zero.
-    Assembled from the flattened adjacency: build_graph rejects
-    duplicate edges, so each off-diagonal entry is written once, and
-    the bandwidth is read off the same edge indices.
+    Row 0, the diagonal, holds the full incident weight sum of each
+    interior vertex, accumulated in stored edge order; below it sit the
+    entries -w_xy of interior neighbors y; boundary values are pinned at
+    zero.  Assembled from the flattened adjacency: build_graph rejects
+    duplicate edges, so each entry is written once, and the bandwidth is
+    read off the same edge indices.  No n x n array is formed.
     Internal assembly helper, not a public interface.
     """
     idx = partition.omega
@@ -169,7 +170,9 @@ def _interior_matrix(
     row = pos[graph.adj_center]
     col = pos[graph.adj_nbr]
     inside = row >= 0
-    mat = np.diag(np.bincount(row[inside], weights=graph.adj_w[inside], minlength=nint))
-    both = inside & (col >= 0)
-    mat[row[both], col[both]] = -graph.adj_w[both]
-    return mat, int(np.max(np.abs(row[both] - col[both]), initial=0))
+    lower = (col >= 0) & (row > col)
+    offset = row[lower] - col[lower]
+    band = np.zeros((int(np.max(offset, initial=0)) + 1, nint))
+    band[0] = np.bincount(row[inside], weights=graph.adj_w[inside], minlength=nint)
+    band[offset, col[lower]] = -graph.adj_w[lower]
+    return band

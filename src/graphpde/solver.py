@@ -334,12 +334,13 @@ def _sobolev_direction(problem: Problem):
 
     L is symmetric positive definite for every admissible problem (a
     nonempty boundary and a connected closure), and the |h| keeps P so
-    where h is negative.  Only the factor is kept, not P itself.
+    where h is negative.  P is assembled as its lower band, and only
+    its factor is kept.
     """
     omega = problem.partition.omega
-    pmat, bw = _interior_matrix(problem.graph, problem.partition)
-    pmat[np.diag_indices_from(pmat)] += np.abs(problem._form.mu_h)
-    solve = _band_solver(pmat, bw)
+    pband = _interior_matrix(problem.graph, problem.partition)
+    pband[0] += np.abs(problem._form.mu_h)
+    solve = _band_solver(pband)
 
     def direction(gvec: np.ndarray) -> np.ndarray:
         out = np.zeros_like(gvec)
@@ -364,7 +365,8 @@ def _climbing_move(problem: Problem, precondition, gvec, tau, u) -> np.ndarray:
     is P^(-1) g."""
     move = precondition(gvec)
     form = problem._form
-    d = tau[form.i] - tau[form.j]
+    ends = tau[form.ends]
+    d = ends[0] - ends[1]
     sq = tau[form.omega] ** 2
     grad = float((d * d) @ form.w)
     tpt = grad + float(sq @ np.abs(form.mu_h))
@@ -407,15 +409,15 @@ def _newton_polish(problem: Problem, u0: np.ndarray):
 
     The linearization at u restricted to interior unknowns is the
     interior Laplacian matrix plus diag(mu (h - f_u)), written into the
-    diagonal of one matrix in place and factored by _band_solver; a
-    singular or non-finite solve falls back once per iteration to a
-    1e-10 diagonal shift and flags it.  Returns (u, residual_max, shifted).
+    diagonal, row 0 of one lower band, in place and factored by
+    _band_solver; a singular or non-finite solve falls back once per
+    iteration to a 1e-10 diagonal shift and flags it.  Returns
+    (u, residual_max, shifted).
     """
     omega = problem.partition.omega
     mu = problem.graph.measure[omega]
-    jac, bw = _interior_matrix(problem.graph, problem.partition)
-    diag = np.diag_indices_from(jac)
-    base = jac[diag]
+    jac = _interior_matrix(problem.graph, problem.partition)
+    base = jac[0].copy()
     u = np.array(u0, dtype=float, copy=True)
     shifted = False
     prev = math.inf
@@ -435,16 +437,16 @@ def _newton_polish(problem: Problem, u0: np.ndarray):
             )
         prev = res_max
         fu = reaction_derivative(problem.nl, u[omega])
-        jac[diag] = base + mu * (problem.h[omega] - fu)
+        jac[0] = base + mu * (problem.h[omega] - fu)
         rhs = -(mu * r)
         try:
-            delta = _band_solver(jac, bw)(rhs)
+            delta = _band_solver(jac)(rhs)
             if not np.all(np.isfinite(delta)):
                 raise np.linalg.LinAlgError("non-finite Newton update")
         except np.linalg.LinAlgError:
             shifted = True
-            jac[diag] += 1e-10
-            delta = _band_solver(jac, bw)(rhs)
+            jac[0] += 1e-10
+            delta = _band_solver(jac)(rhs)
         u[omega] += delta
     raise SolverError(
         f"Newton refinement did not reach residual {NEWTON_TOL:g} in "

@@ -6,10 +6,14 @@ The first eigenvalue is the minimum of the Rayleigh quotient
 
 over Dirichlet functions, computed as the smallest eigenvalue of the
 generalized problem L u = lambda M u on interior unknowns, where L is
-the weighted Dirichlet Laplacian and M = diag(mu).  Small problems are
-solved densely with eigh; large ones by inverse iteration that factors
-L once, by _band_solver (a = C S C^T, S = +-1: Cholesky blocks, or eigh
-where Cholesky fails), and then only back-substitutes.
+the weighted Dirichlet Laplacian and M = diag(mu).  L is kept as its
+lower band (calculus._interior_matrix).  Small problems are solved
+densely with eigh; large ones by inverse iteration that factors L once,
+by _band_solver (a = C S C^T, S = +-1: Cholesky blocks, or eigh where
+Cholesky fails), and then only back-substitutes.  The Rayleigh quotient
+u^T L u of a unit-mass u is the edge sum of w_xy (u(x) - u(y))^2 with u
+= 0 off the interior (calculus.edge_energy), and L u is -mu times the
+graph Laplacian of u on the interior, so neither applies L as a matrix.
 """
 
 from __future__ import annotations
@@ -20,14 +24,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _interior_matrix, integrate
+from .calculus import _interior_matrix, edge_energy, integrate, laplacian
 from .graphs import DomainPartition, WeightedGraph
 
 
 @dataclass(frozen=True, eq=False)
 class EigenResult:
     """lambda1 with its eigenfunction (Dirichlet, normalized so that
-    int_omega u^2 dmu = 1, first nonzero entry positive)."""
+    int_omega u^2 dmu = 1, first nonzero entry positive), the number of
+    inverse iterations (0 on the dense branch) and the residual
+    max |L u - lambda1 M u| over the interior unknowns, absolute."""
 
     lambda1: float
     eigenfunction: np.ndarray
@@ -40,55 +46,81 @@ class EigenResult:
 _BLOCK = 64
 
 
-def _band_solver(a: np.ndarray, bw: int) -> Callable[[np.ndarray], np.ndarray]:
-    """Factor the symmetric nonsingular a once; return y -> a^(-1) y.
+def _band_panel(band: np.ndarray, k: int, m: int) -> np.ndarray:
+    """Rows k .. k + m + bw - 1 and columns k .. k + m - 1 of the
+    symmetric matrix whose lower band is band, with zeros above the
+    diagonal, as an (m + bw, m) array; rows past the matrix's end hold
+    band's padding.  Column c is band[:, k + c] shifted down by c: rows
+    of length m + bw + 1, zero-padded, read back at length m + bw."""
+    bw = len(band) - 1
+    skew = np.zeros((m, bw + 1 + m))
+    skew[:, : bw + 1] = band[:, k : k + m].T
+    return skew.ravel()[: m * (bw + m)].reshape(m, bw + m).T
 
-    bw is the bandwidth of a: a[i, j] = 0 for |i - j| > bw.  a = C S C^T
-    with S diagonal +-1 and C block lower triangular, computed
-    left-looking one block b of _BLOCK columns at a time: the panel of a
-    on b and the bw rows below it, minus the products of the band of
-    C S C^T left of b, is factored in its top block, whose inverse is
-    kept, and scaled by that inverse and S_b below.  The top block is
-    factored by np.linalg.cholesky (S_b = I), or where that fails by
-    np.linalg.eigh (C_bb = Q |Lambda|^(1/2), S_b = sign Lambda; the rows
-    of C below it fill that block, so a later panel whose left edge
-    k - bw falls in it starts at its first column).  So C is the banded
-    Cholesky factor of a positive definite a, and the -1s of S count the
-    negative eigenvalues of a (Haynsworth).  An exactly singular top
-    block raises LinAlgError.  A solve is a blocked forward substitution
-    with C, a product with S and a blocked back substitution with C^T.
-    Factor and solves touch C only within bw rows below each diagonal
-    block, so the factor costs O(n bw _BLOCK) and a solve
+
+def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Factor the symmetric nonsingular matrix a once; return
+    y -> a^(-1) y.
+
+    a is given by its lower band, as _interior_matrix returns it: a
+    (bw + 1, n) array with band[d, j] = a[j + d, j], the diagonal in
+    row 0 and bw the bandwidth of a (a[i, j] = 0 for |i - j| > bw).
+    a = C S C^T with S diagonal +-1 and C block lower triangular,
+    computed left-looking one block b of _BLOCK columns at a time: the
+    panel of a on b and the bw rows below it, read off the band by
+    _band_panel, minus the products of the band of C S C^T left of b,
+    is factored in its top block, whose inverse is kept, and scaled by
+    that inverse and S_b below.  The top block is factored by
+    np.linalg.cholesky (S_b = I), or where that fails by np.linalg.eigh
+    (C_bb = Q |Lambda|^(1/2), S_b = sign Lambda; the rows of C below it
+    fill that block, so a later panel whose left edge k - bw falls in it
+    starts at its first column).  So C is the banded Cholesky factor of
+    a positive definite a, and the -1s of S count the negative
+    eigenvalues of a (Haynsworth).  An exactly singular top block raises
+    LinAlgError.
+
+    C is kept as two panels per block b, never as an n x n array:
+    below, C on b's columns and the rows from b's end to
+    hi = min(n, b's end + bw); and row, C on b's rows and the columns
+    lo .. b's start - 1.  Each panel's update gathers C on b's rows and
+    the bw rows below, left of b, from the below panels of the blocks
+    it crosses.  A solve is a blocked forward substitution with the row
+    panels, a product with S and a blocked back substitution with the
+    below panels.  So the factor costs O(n bw _BLOCK) and a solve
     O(n (bw + _BLOCK)).  A full band (bw >= n - 1) is the dense blocked
     factor.  y may be a vector or an (n, k) matrix.
     """
-    n = a.shape[0]
-    c = np.zeros(a.shape)  # C below its diagonal blocks, whose inverses are kept
+    bw, n = len(band) - 1, band.shape[1]
     s = np.ones(n)  # the diagonal of S
     edge = np.arange(n)  # column j, or the first column of j's block if eigh factored it
     blocks = []
     for k in range(0, n, _BLOCK):
         b = slice(k, min(k + _BLOCK, n))
+        m = b.stop - k
         lo, hi = int(edge[max(0, k - bw)]), min(n, b.stop + bw)
+        left = np.zeros((hi - k, k - lo))  # C on rows k .. hi - 1, columns lo .. k - 1
+        for b2, _, hi2, _, _, below in blocks[lo // _BLOCK :]:
+            start = max(b2.start, lo)
+            left[: hi2 - k, start - lo : b2.stop - lo] = below[k - b2.stop :, start - b2.start :]
+        row = left[:m]
         # C S on b's rows; unscaled while S = I, so P and L keep numpy's A @ A.T path
-        left = c[b, lo:k] * s[lo:k] if s.min() < 0.0 else c[b, lo:k]
-        panel = a[k:hi, b] - c[k:hi, lo:k] @ left.T
+        scaled = row * s[lo:k] if s.min() < 0.0 else row
+        panel = _band_panel(band, k, m)[: hi - k] - left @ scaled.T
         try:
-            cbb = np.linalg.cholesky(panel[: b.stop - k])
+            cbb = np.linalg.cholesky(panel[:m])
         except np.linalg.LinAlgError:
-            lam, q = np.linalg.eigh(panel[: b.stop - k])
+            lam, q = np.linalg.eigh(panel[:m])
             cbb, s[b], edge[b] = q * np.sqrt(np.abs(lam)), np.sign(lam), k
         inv = np.linalg.inv(cbb)
-        c[b.stop : hi, b] = panel[b.stop - k :] @ inv.T * s[b]
-        blocks.append((b, lo, hi, inv))
+        blocks.append((b, lo, hi, inv, row, panel[m:] @ inv.T * s[b]))
 
     def solve(y: np.ndarray) -> np.ndarray:
         z = np.array(y, dtype=float)
-        for b, lo, _, inv in blocks:
-            z[b] = inv @ (z[b] - c[b, lo : b.start] @ z[lo : b.start])
+        for b, lo, _, inv, row, _ in blocks:
+            z[b] = inv @ (z[b] - row @ z[lo : b.start])
         z.T[...] *= s  # S on every column of z
-        for b, _, hi, inv in reversed(blocks):
-            z[b] = inv.T @ (z[b] - c[b.stop : hi, b].T @ z[b.stop : hi])
+        for b, _, hi, inv, _, below in reversed(blocks):
+            z[b] = inv.T @ (z[b] - below.T @ z[b.stop : hi])
         return z
 
     return solve
@@ -109,7 +141,10 @@ def first_eigenvalue(
     unit mass: u <- L^(-1) M u, rescaled to int_omega u^2 dmu = 1, with
     lambda = u^T L u, until successive lambdas differ by at most
     tolerance * max(1, |lambda|).  L is factored once; each iteration
-    only back-substitutes.
+    only back-substitutes, and takes lambda as the edge sum
+    edge_energy(u), which is u^T L u because u vanishes off the
+    interior.  The residual is max |L u - lambda M u| on the interior,
+    with L u = -mu laplacian(u) read off the adjacency.
     """
     if partition.boundary.size == 0:
         raise ValueError(
@@ -120,24 +155,26 @@ def first_eigenvalue(
         raise ValueError("interior plus boundary must be connected")
 
     idx = partition.omega
-    lmat, bw = _interior_matrix(graph, partition)
+    band = _interior_matrix(graph, partition)
     mdiag = graph.measure[idx]
+    u = np.zeros(graph.n)
     iterations = 0
     if len(idx) <= dense_cutoff:
+        low = _band_panel(band, 0, len(idx))[: len(idx)]
         d = 1.0 / np.sqrt(mdiag)
-        smat = lmat * d[:, None] * d[None, :]
+        smat = (low + np.tril(low, -1).T) * d[:, None] * d[None, :]
         smat = 0.5 * (smat + smat.T)
         evals, evecs = np.linalg.eigh(smat)
         lam = float(evals[0])
-        u_int = d * evecs[:, 0]  # back to the generalized problem; int u^2 dmu = 1
+        u[idx] = d * evecs[:, 0]  # back to the generalized problem; int u^2 dmu = 1
     else:
-        solve = _band_solver(lmat, bw)
-        u_int = np.full(len(idx), 1.0 / math.sqrt(float(np.sum(mdiag))))
-        lam = float(u_int @ lmat @ u_int)
+        solve = _band_solver(band)
+        u[idx] = 1.0 / math.sqrt(float(np.sum(mdiag)))
+        lam = edge_energy(graph, partition, u)
         for iterations in range(1, max_iterations + 1):
-            z = solve(mdiag * u_int)
-            u_int = z / math.sqrt(float(z @ (mdiag * z)))
-            lam, lam_old = float(u_int @ lmat @ u_int), lam
+            z = solve(mdiag * u[idx])
+            u[idx] = z / math.sqrt(float(z @ (mdiag * z)))
+            lam, lam_old = edge_energy(graph, partition, u), lam
             if abs(lam - lam_old) <= tolerance * max(1.0, abs(lam)):
                 break
         else:
@@ -145,12 +182,12 @@ def first_eigenvalue(
                 f"inverse power iteration did not converge in {max_iterations} iterations"
             )
 
+    u_int = u[idx]
     size = np.abs(u_int)
     if u_int[np.argmax(size > 1e-14 * np.max(size))] < 0.0:  # first nonzero entry
-        u_int = -u_int
-    u = np.zeros(graph.n)
-    u[idx] = u_int
-    residual = float(np.max(np.abs(lmat @ u_int - lam * mdiag * u_int)))
+        u[idx] = -u_int
+    lu = -graph.measure[idx] * laplacian(graph, u)[idx]  # L u, as u = 0 off omega
+    residual = float(np.max(np.abs(lu - lam * mdiag * u[idx])))
     return EigenResult(lambda1=lam, eigenfunction=u, iterations=iterations, residual=residual)
 
 

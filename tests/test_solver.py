@@ -1,6 +1,7 @@
 """Mountain-pass search, ball minimization and the two-solution pipeline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from graphpde import (
     compute_boundary,
     directional_derivative,
     energy,
+    first_eigenvalue,
     mountain_pass,
     odd_poly,
     power,
@@ -34,6 +36,7 @@ from graphpde.solver import (
     _sobolev_direction,
 )
 from util import (
+    band_matrix,
     bisect,
     hessian,
     interior_matrix_loop,
@@ -480,7 +483,7 @@ def test_sobolev_direction_solves_the_h_gram_matrix(rng):
     for graph, part in (lattice(12), lattice(12, rng)):
         h = rng.uniform(-2.0, 2.0, size=graph.n)
         problems.append(Problem(graph=graph, partition=part, h=h, nl=POWER4))
-    bandwidths = [_interior_matrix(p.graph, p.partition)[1] for p in problems[-2:]]
+    bandwidths = [len(_interior_matrix(p.graph, p.partition)) - 1 for p in problems[-2:]]
     assert bandwidths[0] == 10 and bandwidths[1] > 64
     for problem in problems:
         omega = problem.partition.omega
@@ -625,11 +628,11 @@ def test_newton_shift_fallback(monkeypatch):
     original = graphpde.solver._band_solver
     calls = []
 
-    def fail_first_newton(a, bw):
-        calls.append(a.copy())
+    def fail_first_newton(band):
+        calls.append(band_matrix(band))
         if len(calls) == 2:  # calls[0] is P, factored once before the deformation
             raise np.linalg.LinAlgError("singular matrix")
-        return original(a, bw)
+        return original(band)
 
     monkeypatch.setattr(graphpde.solver, "_band_solver", fail_first_newton)
     problem = lattice_problem(5, POWER4)
@@ -652,13 +655,30 @@ def test_newton_needs_no_dense_solve(monkeypatch):
     assert sol.residual_max <= graphpde.solver.NEWTON_TOL
 
 
+def test_lattice40_allocates_no_dense_interior_matrix():
+    # 1444 interior unknowns: one n x n array of floats takes 15.9 MiB
+    problem = lattice_problem(40, POWER4)
+    graph, part = problem.graph, problem.partition
+    for run, mib in (
+        (lambda: first_eigenvalue(graph, part), 4),
+        (lambda: mountain_pass(problem, SolverConfig()), 8),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= mib * 2**20
+
+
 def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
     original = graphpde.solver._band_solver
     jacobians, points = [], []
 
-    def record_factor(a, bw):
-        jacobians.append(a.copy())
-        return original(a, bw)
+    def record_factor(band):
+        jacobians.append(band_matrix(band))
+        return original(band)
 
     def record_derivative(nl, u):
         points.append(np.array(u, copy=True))
@@ -679,7 +699,7 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
             m.setattr(graphpde.solver, "reaction_derivative", record_derivative)
             _newton_polish(problem, start)
         assert len(jacobians) == len(points) >= 1
-        lmat, _ = _interior_matrix(graph, part)
+        lmat = band_matrix(_interior_matrix(graph, part))
         mu = graph.measure[part.omega]
         for jac, u_omega in zip(jacobians, points):
             fu = reaction_derivative(problem.nl, u_omega)

@@ -19,7 +19,10 @@ from graphpde import (
 )
 from graphpde.spectral import _BLOCK, _band_solver
 from util import (
+    band_matrix,
+    interior_matrix_loop,
     lattice,
+    lower_band,
     path_graph,
     random_connected_graph,
     random_dirichlet,
@@ -106,16 +109,51 @@ def test_norm_equivalence_and_embeddings(rng):
             assert norm(graph, part, u, lp(q)) <= rep.lq_embedding(q) * nh * (1 + 1e-12)
 
 
+def _log_uniform_weights(rng, graph):
+    """graph with given measures and its edge weights redrawn
+    log-uniform over [1e-6, 1e6]."""
+    ids = list(graph.vertex_ids)
+    edges = [
+        (ids[int(i)], ids[int(j)], float(10.0 ** rng.uniform(-6.0, 6.0)))
+        for i, j in graph.edge_index
+    ]
+    measures = {vid: float(m) for vid, m in zip(ids, graph.measure)}
+    return build_graph(ids, edges, measure_mode="given", measures=measures)
+
+
 def test_iterative_agrees_with_dense(rng):
-    graph = random_connected_graph(rng, n_min=25, n_max=35)
-    part = random_partition(rng, graph)
-    if part.omega.size < 2:
-        part = compute_boundary(graph, [graph.vertex_ids[i] for i in range(10)])
-    dense = first_eigenvalue(graph, part)
-    iterative = first_eigenvalue(graph, part, dense_cutoff=0)
-    assert dense.iterations == 0
-    assert iterative.iterations >= 1
-    assert iterative.lambda1 == pytest.approx(dense.lambda1, rel=1e-9)
+    cases = []
+    for k in range(22):
+        # weights in [0.1, 10] with derived (k = 0) and given (k = 1)
+        # measures, then given measures and log-uniform weights
+        mode, wide = ("derived" if k == 0 else "given"), k > 1
+        graph = random_connected_graph(rng, n_min=25, n_max=35, measure_mode=mode)
+        if wide:
+            graph = _log_uniform_weights(rng, graph)
+        part = random_partition(rng, graph)
+        if part.omega.size < 2:
+            part = compute_boundary(graph, [graph.vertex_ids[i] for i in range(10)])
+        cases.append((graph, part, wide))
+    eps = np.finfo(float).eps
+    for graph, part, wide in cases:
+        dense = first_eigenvalue(graph, part)
+        iterative = first_eigenvalue(graph, part, dense_cutoff=0)
+        assert dense.iterations == 0
+        assert iterative.iterations >= 1
+        if wide:
+            # the kept stop rule |dlambda| <= tol max(1, |lambda|) is absolute
+            # for lambda < 1, so small eigenvalues agree on that scale only
+            assert abs(iterative.lambda1 - dense.lambda1) <= 1e-9 * max(1.0, dense.lambda1)
+        else:
+            assert iterative.lambda1 == pytest.approx(dense.lambda1, rel=1e-9)
+        # the residual is the dense max |L u - lambda M u|, up to rounding
+        lmat = interior_matrix_loop(graph, part)
+        mu = graph.measure[part.omega]
+        for res in (dense, iterative):
+            u = res.eigenfunction[part.omega]
+            want = np.max(np.abs(lmat @ u - res.lambda1 * mu * u))
+            scale = np.max(np.abs(lmat) @ np.abs(u) + abs(res.lambda1) * mu * np.abs(u))
+            assert abs(res.residual - want) <= (graph.n + 4) * eps * scale
 
 
 def test_iterative_factors_once(monkeypatch, rng):
@@ -158,7 +196,9 @@ def _banded_spd(rng, n, bandwidth):
 
 
 def _check_solver(rng, a, bandwidth):
-    solve = _band_solver(a, bandwidth)
+    band = lower_band(a, bandwidth)
+    assert np.array_equal(band_matrix(band), a)
+    solve = _band_solver(band)
     for y in (rng.standard_normal(len(a)), rng.standard_normal((len(a), 3))):
         y_before = y.copy()
         x = solve(y)
@@ -201,7 +241,7 @@ def test_band_solver_factors_indefinite_matrices(monkeypatch, rng, n):
 
     # an exactly singular block stops the factor
     with pytest.raises(np.linalg.LinAlgError):
-        _band_solver(np.diag([1.0, 0.0, -1.0]), 0)
+        _band_solver(np.array([[1.0, 0.0, -1.0]]))
 
 
 def test_default_iterative_branch_lattice_oracle():

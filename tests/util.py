@@ -81,6 +81,27 @@ def interior_matrix_loop(graph, partition):
     return mat
 
 
+def band_matrix(band):
+    """The symmetric matrix stored by its lower band, as
+    _interior_matrix returns it and _band_solver takes it:
+    a[j + d, j] = a[j, j + d] = band[d, j]."""
+    n = band.shape[1]
+    a = np.zeros((n, n))
+    for d, diagonal in enumerate(band):
+        j = np.arange(n - d)
+        a[j + d, j] = a[j, j + d] = diagonal[: n - d]
+    return a
+
+
+def lower_band(a, bandwidth):
+    """The lower band of the symmetric a, the inverse of band_matrix."""
+    n = len(a)
+    band = np.zeros((bandwidth + 1, n))
+    for d in range(bandwidth + 1):
+        band[d, : n - d] = np.diagonal(a, -d)
+    return band
+
+
 def resample_side(points):
     """Per-side reference for the solver's one-pass resample: the points
     redistributed uniformly by Euclidean arc length along their polygon,
