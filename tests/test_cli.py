@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -646,3 +647,20 @@ def test_bad_flag_values_exit_2(command, flag, value, rule, graph_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {flag} must {rule}, got {value}\n"
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "solve2", "gradcheck"])
+@pytest.mark.parametrize("spec", [
+    "power:p=inf", "power_plus_const:p=inf,eps=0.1", "odd_poly:c3=nan", "odd_poly:c3=inf",
+])
+def test_non_finite_nonlinearity_parameters_exit_2(command, spec, graph_file, capsys):
+    extra = ["--rho", "1"] if command == "solve2" else []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would raise out of run()
+        code = run([command, graph_file(PATH3), "--h0", "1", "--nl", spec, *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: ")
+    assert "finite" in lines[0]

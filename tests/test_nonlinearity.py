@@ -1,6 +1,7 @@
 """Reaction term families, the spec string parser and the sampled checks."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,9 +23,11 @@ from graphpde import (
     power_plus_const,
     smoothness_note,
 )
+from graphpde.nonlinearity import _abs_pow
 from util import path_graph
 
 GRID = GridSpec(10.0)
+TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def test_power_values():
@@ -35,6 +38,14 @@ def test_power_values():
     assert (f, F, fu) == (-8.0, 4.0, 12.0)
     f, F, fu = evaluate(nl, 0.0)
     assert (f, F, fu) == (0.0, 0.0, 0.0)
+    # exact at the other integral p as well, odd p - 2 included
+    for p, u, expected in [
+        (3, 3.0, (9.0, 9.0, 6.0)), (3, -3.0, (-9.0, 9.0, 6.0)),
+        (5, 5.0, (625.0, 625.0, 500.0)), (5, -5.0, (-625.0, 625.0, 500.0)),
+        (6, 6.0, (7776.0, 7776.0, 6480.0)), (6, -6.0, (-7776.0, 7776.0, 6480.0)),
+        (3, 0.0, (0.0, 0.0, 0.0)), (5, 0.0, (0.0, 0.0, 0.0)), (6, -0.0, (0.0, 0.0, 0.0)),
+    ]:
+        assert evaluate(power(p), u) == expected, (p, u)
 
 
 def test_power_three_values():
@@ -54,6 +65,10 @@ def test_power_plus_const_values():
     f0, F0, _ = evaluate(nl, 0.0)
     assert f0 == 0.1
     assert F0 == 0.0
+    nl = power_plus_const(5, 0.5)
+    assert evaluate(nl, 5.0) == (625.5, 627.5, 500.0)
+    assert evaluate(nl, -5.0) == (-624.5, 622.5, 500.0)
+    assert evaluate(nl, 0.0) == (0.5, 0.0, 0.0)
 
 
 def test_odd_poly_values():
@@ -71,6 +86,92 @@ def test_evaluate_vectorized():
     assert f.tolist() == [-1.0, 0.0, 8.0]
     assert F.tolist() == [0.25, 0.0, 4.0]
     assert fu.tolist() == [3.0, 0.0, 12.0]
+
+
+@st.composite
+def _normal_power_cases(draw):
+    # |u| in [1e-30, 1e30], cut so that |u|^k stays a normal float
+    k = draw(st.integers(1, 64))
+    lim = min(30.0, 300.0 / k)
+    u = draw(st.lists(st.floats(-lim, lim), min_size=1, max_size=8))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(u), max_size=len(u)))
+    return k, np.array(signs) * 10.0 ** np.array(u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_normal_power_cases())
+def test_abs_pow_integral_k_matches_float_pow(case):
+    k, u = case
+    got, want = _abs_pow(u, float(k)), np.abs(u) ** float(k)
+    assert np.all((want >= TINY) & np.isfinite(want))
+    assert np.all(np.abs(got - want) <= k * 2.0 ** -52 * want)
+
+
+@pytest.mark.parametrize("k", range(2, 65))
+def test_abs_pow_edge_values_match_float_pow(k):
+    u = np.array([0.0, -0.0, 1e-200, -1e-200, 1e300, -1e300])
+    with np.errstate(over="ignore"):
+        got, want = _abs_pow(u, float(k)), np.abs(u) ** float(k)
+    assert got.tolist() == want.tolist() == [0.0, 0.0, 0.0, 0.0, math.inf, math.inf]
+
+
+@pytest.mark.parametrize("k", [2.5, 3.5, 4.5])
+def test_abs_pow_non_integral_k_is_float_pow(k):
+    u = np.random.default_rng(7).standard_normal(500) * 10.0 ** np.arange(-5, 5).repeat(50)
+    u[::50] = 0.0
+    got = _abs_pow(u, k)
+    assert got.tobytes() == (np.abs(u) ** k).tobytes()
+
+
+def _zero_or_at_least(floor, top):
+    # keeps every term c_k u^k a normal float, so rounding stays relative
+    return st.floats(-top, top).filter(lambda x: x == 0.0 or abs(x) >= floor)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    coeffs=st.dictionaries(
+        st.sampled_from(range(1, 22, 2)), _zero_or_at_least(1e-10, 10.0), min_size=1, max_size=6
+    ),
+    u=st.lists(_zero_or_at_least(1e-12, 2.0), min_size=1, max_size=6),
+)
+def test_odd_poly_matches_exact_evaluation(coeffs, u):
+    nl = odd_poly(coeffs)
+    u = np.array(u)
+    f, F, fu = evaluate(nl, u)
+    for i, x in enumerate(u.tolist()):
+        xq = Fraction(x)
+        items = [(k, Fraction(c)) for k, c in coeffs.items()]
+        exact = (
+            sum(c * xq ** k for k, c in items),
+            sum(c * xq ** (k + 1) / (k + 1) for k, c in items),
+            sum(k * c * xq ** (k - 1) for k, c in items),
+        )
+        scale = (
+            sum(abs(c) * abs(x) ** k for k, c in coeffs.items()),
+            sum(abs(c) * abs(x) ** (k + 1) / (k + 1) for k, c in coeffs.items()),
+            sum(k * abs(c) * abs(x) ** (k - 1) for k, c in coeffs.items()),
+        )
+        for got, want, s in zip((f[i], F[i], fu[i]), exact, scale):
+            assert abs(Fraction(float(got)) - want) <= Fraction(1e-13) * Fraction(s)
+
+
+def test_odd_poly_cube_equals_power_four():
+    # c_3 u^3 and |u|^2 u go through the same kernel products
+    u = np.random.default_rng(3).standard_normal(400) * 10.0 ** np.arange(-80, 80, 40).repeat(100)
+    u[::7] = 0.0
+    with np.errstate(under="ignore"):
+        for got, want in zip(evaluate(odd_poly({3: 1.0}), u), evaluate(power(4), u)):
+            assert got.tolist() == want.tolist()
+
+
+def test_odd_poly_degree_past_the_kernel_cap():
+    # the degree-10001 term is past the kernel's cap and takes float pow
+    nl = odd_poly({1: 2.0, 10001: 1.0})
+    f, F, fu = evaluate(nl, np.array([-1.0, 0.0, 0.5, 1.0]))
+    assert f.tolist() == [-3.0, 0.0, 1.0, 3.0]
+    assert F.tolist() == [1.0 + 1.0 / 10002, 0.0, 0.25, 1.0 + 1.0 / 10002]
+    assert fu.tolist() == [10003.0, 2.0, 2.0, 10003.0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -105,6 +206,22 @@ def test_factory_validation():
         power(4, theta=2.0, M=1.0)
     with pytest.raises(ValueError):
         power(4, theta=3.0, M=-1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: power(math.inf),
+    lambda: power(math.nan),
+    lambda: power_plus_const(math.inf, 0.1),
+    lambda: odd_poly({3: math.nan}),
+    lambda: odd_poly({3: math.inf}),
+    lambda: odd_poly({1: 1.0, 3: -math.inf}),
+    lambda: odd_poly({3: 1e308}),  # finite c_3, but 3 c_3 overflows
+    lambda: odd_poly({10 ** 400 + 1: 0.0}),  # a degree beyond the float range
+], ids=["power-inf", "power-nan", "power_plus_const-inf", "c3-nan", "c3-inf", "c3-minus-inf",
+        "c3-1e308", "huge-degree"])
+def test_factories_reject_non_finite_parameters(build):
+    with pytest.raises(ValueError, match="finite"):
+        build()
 
 
 @pytest.mark.parametrize(
@@ -321,3 +438,10 @@ def test_grid_spec():
     assert GridSpec.default(M0=30.0).u_max == 60.0
     vals = GridSpec(2.0, points=5).values()
     assert vals.tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+
+def test_odd_poly_zero_values_are_unsigned():
+    # as a sum of the terms gives them: F2 and F7 print "0", not "-0"
+    for coeffs in ({1: -1.0, 3: 1.0}, {3: -1.0}, {3: 1.0}, {1: -2.0}):
+        for value in evaluate(odd_poly(coeffs), np.array([0.0, -0.0, -1e-200])):
+            assert not np.signbit(value[value == 0.0]).any()
