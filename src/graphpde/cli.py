@@ -392,23 +392,26 @@ def _cmd_gradcheck(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> 
     for trial in range(1, 6):
         u = np.zeros(n)
         u[omega] = rng.uniform(-2.0, 2.0, size=len(omega))
-        grad = gradient(problem, u)
-        resid = pointwise_residual(problem, u)
-        max_rel = 0.0
-        max_delta = 0.0
-        for x in omega:
-            step = 1e-6 * (1.0 + abs(u[x]))
-            up = u.copy(); up[x] += step
-            dn = u.copy(); dn[x] -= step
-            fd = (energy(problem, up) - energy(problem, dn)) / (2.0 * step)
-            rel = abs(grad[x] - fd) / max(1.0, abs(grad[x]), abs(fd))
-            max_rel = max(max_rel, rel)
-            test = np.zeros(n)
-            test[x] = 1.0
-            dd = directional_derivative(problem, u, test)
-            expect = problem.graph.measure[x] * resid[x]
-            max_delta = max(max_delta, abs(dd - expect) / max(1.0, abs(expect)))
-        ok = max_rel <= tol and max_delta <= 1e-12
+        # a non-finite number fails the trial; np.max keeps a nan error (max() drops it)
+        rels, deltas, finite = [0.0], [0.0], True
+        with np.errstate(all="ignore"):
+            grad = gradient(problem, u)
+            resid = pointwise_residual(problem, u)
+            for x in omega:
+                step = 1e-6 * (1.0 + abs(u[x]))
+                up = u.copy(); up[x] += step
+                dn = u.copy(); dn[x] -= step
+                e_up, e_dn = energy(problem, up), energy(problem, dn)
+                fd = (e_up - e_dn) / (2.0 * step)
+                rels.append(abs(grad[x] - fd) / max(1.0, abs(grad[x]), abs(fd)))
+                test = np.zeros(n)
+                test[x] = 1.0
+                dd = directional_derivative(problem, u, test)
+                expect = problem.graph.measure[x] * resid[x]
+                deltas.append(abs(dd - expect) / max(1.0, abs(expect)))
+                finite = finite and bool(np.all(np.isfinite([e_up, e_dn, grad[x], fd, dd, expect])))
+        max_rel, max_delta = float(np.max(rels)), float(np.max(deltas))
+        ok = finite and max_rel <= tol and max_delta <= 1e-12
         overall = overall and ok
         emit.add({
             "record": "gradcheck", "trial": trial,

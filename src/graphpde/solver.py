@@ -28,6 +28,12 @@ there is negative it takes the 1-D Newton step to the maximum along the
 tangent, and otherwise reflects the tangential part of the Sobolev
 gradient.
 
+The loops iterate on interior values only: the path is a (P, |omega|)
+array and every iterate an (|omega|,) vector.  They evaluate through
+variational._kernel, which checks nothing, and expand only the reported
+Solution's u to every vertex; the Dirichlet check of the public energy
+functions runs on calls from outside the solvers.
+
 All loops are deterministic: no randomness, fixed tie-breaking (lowest
 input order), and a certified nonincreasing record of the path level.
 """
@@ -52,15 +58,7 @@ from .nonlinearity import (
     reaction_derivative,
 )
 from .spectral import ConstantsReport, _band_solver, embedding_constants, first_eigenvalue
-from .variational import (
-    BallConstants,
-    Problem,
-    ball_constants,
-    energy,
-    gradient,
-    h_norm,
-    pointwise_residual,
-)
+from .variational import BallConstants, Problem, _expand, _h_norm, _kernel, ball_constants
 
 TRIVIAL_SUP = 1e-10    # sup-norm below which an iterate counts as the zero function
 DISTINCT_SUP = 1e-6    # sup-norm gap two reported solutions must exceed
@@ -73,6 +71,7 @@ NEWTON_MAX = 50        # Newton iterations before refinement gives up
 SPIKE_DOUBLINGS = 60   # doublings of the spike height before the endpoint search gives up
 SHRINK = 0.5           # backtracking factor of the ball minimizer's step
 ARMIJO = 1e-4          # slope fraction of its sufficient-decrease test
+BALL_FLOOR = 2.0**-51  # relative energy drop at or below which a ball step is the last
 
 # The alternative hypothesis sets under which the existence theorems
 # hold, on the coefficient h (H1-H3) and on the reaction term f (F1-F8),
@@ -278,17 +277,17 @@ def build_spike_endpoint(problem: Problem) -> np.ndarray:
     made.  Failure to terminate within the doubling budget signals a
     reaction term without superquadratic growth.
     """
-    omega = problem.partition.omega
-    x0 = int(omega[int(np.argmax(problem.graph.measure[omega]))])
+    mu = problem._form.mu
+    x0 = int(np.argmax(mu))
     t = 1.0
     samples = []
     for _ in range(SPIKE_DOUBLINGS + 1):
-        e = np.zeros(problem.graph.n)
+        e = np.zeros(len(mu))
         e[x0] = t
-        val = energy(problem, e)
+        val = float(_kernel(problem, e)[1])
         samples.append((t, val))
         if val <= 0.0:
-            return e
+            return _expand(problem, e)
         t *= 2.0
     tail = ", ".join(f"energy({s:g} * spike) = {v:g}" for s, v in samples[-4:])
     raise SolverError(
@@ -330,24 +329,16 @@ def _resample_path(path: np.ndarray, i: int, deltas: np.ndarray, seg: np.ndarray
 
 def _sobolev_direction(problem: Problem):
     """Factor P = L + diag(mu |h|) on the interior unknowns once and
-    return g -> P^(-1) g on the interior, zero elsewhere.
+    return its solve g -> P^(-1) g on interior vectors.
 
     L is symmetric positive definite for every admissible problem (a
     nonempty boundary and a connected closure), and the |h| keeps P so
     where h is negative.  P is assembled as its lower band, and only
     its factor is kept.
     """
-    omega = problem.partition.omega
     pband = _interior_matrix(problem.graph, problem.partition)
     pband[0] += np.abs(problem._form.mu_h)
-    solve = _band_solver(pband)
-
-    def direction(gvec: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(gvec)
-        out[omega] = solve(gvec[omega])
-        return out
-
-    return direction
+    return _band_solver(pband)
 
 
 def _climbing_move(problem: Problem, precondition, gvec, tau, u) -> np.ndarray:
@@ -367,11 +358,11 @@ def _climbing_move(problem: Problem, precondition, gvec, tau, u) -> np.ndarray:
     form = problem._form
     ends = tau[form.ends]
     d = ends[0] - ends[1]
-    sq = tau[form.omega] ** 2
-    grad = float((d * d) @ form.w)
+    sq = tau * tau
+    grad = float((d * d) @ form.w + sq @ form.w_off)
     tpt = grad + float(sq @ np.abs(form.mu_h))
     if tpt > 0.0:
-        fu = reaction_derivative(problem.nl, u[form.omega])
+        fu = reaction_derivative(problem.nl, u)
         curv = grad + float(sq @ (form.mu_h - form.mu * fu))
         slope = float(gvec @ tau)
         if curv < 0.0:
@@ -397,7 +388,7 @@ def _descent_step(problem: Problem, u, gvec, direction, value, project):
     alpha = 1.0
     while alpha >= 1e-18:
         cand = project(u - alpha * direction)
-        val = energy(problem, cand)
+        val = float(_kernel(problem, cand)[1])
         if val <= value - ARMIJO * alpha * slope and val < value:
             return cand, val
         alpha *= SHRINK
@@ -405,7 +396,8 @@ def _descent_step(problem: Problem, u, gvec, direction, value, project):
 
 
 def _newton_polish(problem: Problem, u0: np.ndarray):
-    """Refine a candidate to vertexwise residual <= NEWTON_TOL.
+    """Refine a candidate, given by its interior values, to vertexwise
+    residual <= NEWTON_TOL.
 
     The linearization at u restricted to interior unknowns is the
     interior Laplacian matrix plus diag(mu (h - f_u)), written into the
@@ -414,8 +406,7 @@ def _newton_polish(problem: Problem, u0: np.ndarray):
     iteration to a 1e-10 diagonal shift and flags it.  Returns
     (u, residual_max, shifted).
     """
-    omega = problem.partition.omega
-    mu = problem.graph.measure[omega]
+    mu, h = problem._form.mu, problem.h[problem._form.omega]
     jac = _interior_matrix(problem.graph, problem.partition)
     base = jac[0].copy()
     u = np.array(u0, dtype=float, copy=True)
@@ -423,7 +414,7 @@ def _newton_polish(problem: Problem, u0: np.ndarray):
     prev = math.inf
     rises = 0
     for step in range(NEWTON_MAX + 1):
-        r = pointwise_residual(problem, u)[omega]
+        r = _kernel(problem, u, value=False, residual=True)[2]
         res_max = float(np.max(np.abs(r)))
         if res_max <= NEWTON_TOL:
             return u, res_max, shifted
@@ -436,8 +427,8 @@ def _newton_polish(problem: Problem, u0: np.ndarray):
                 f"consecutive iterations (latest {res_max:g})"
             )
         prev = res_max
-        fu = reaction_derivative(problem.nl, u[omega])
-        jac[0] = base + mu * (problem.h[omega] - fu)
+        fu = reaction_derivative(problem.nl, u)
+        jac[0] = base + mu * (h - fu)
         rhs = -(mu * r)
         try:
             delta = _band_solver(jac)(rhs)
@@ -447,7 +438,7 @@ def _newton_polish(problem: Problem, u0: np.ndarray):
             shifted = True
             jac[0] += 1e-10
             delta = _band_solver(jac)(rhs)
-        u[omega] += delta
+        u += delta
     raise SolverError(
         f"Newton refinement did not reach residual {NEWTON_TOL:g} in "
         f"{NEWTON_MAX} iterations (residual {res_max:g})"
@@ -459,12 +450,14 @@ def _is_trivial_collapse(problem: Problem, u) -> bool:
 
 
 def _finish_solution(problem, u, res_max, kind, config, shifted) -> Solution:
-    hn = h_norm(problem, u)
+    """The Solution at interior values u, expanded to every vertex."""
+    hn = _h_norm(problem, u)
+    _, value, r = _kernel(problem, u, residual=True)
     rho = config.rho
     return Solution(
-        u=u,
-        energy_value=energy(problem, u),
-        grad_norm=float(np.linalg.norm(gradient(problem, u))),
+        u=_expand(problem, u),
+        energy_value=float(value),
+        grad_norm=float(np.linalg.norm(problem._form.mu * r)),
         residual_max=res_max,
         kind=kind,
         in_ball=(rho is not None and hn < math.sqrt(rho)),
@@ -504,7 +497,8 @@ def mountain_pass(
     log = RunLog() if log is None else log
     if config.verify_hypotheses:
         log.verdicts += _gate(problem, "one", config.m0)
-    endpoint = build_spike_endpoint(problem)
+    mu = problem._form.mu
+    endpoint = build_spike_endpoint(problem)[problem._form.omega]
     precondition = _sobolev_direction(problem)
     npts = PATH_POINTS
     path = np.linspace(0.0, 1.0, npts)[:, None] * endpoint[None, :]
@@ -513,12 +507,12 @@ def mountain_pass(
     stalled = False
     u_best = None
     for k in range(config.deform_steps):
-        values = energy(problem, path)
+        values = _kernel(problem, path)[1]
         i = int(np.argmax(values))
         level = min(level, float(values[i]))
         if k % 50 == 0:
             log.profile.append((k, _arc_positions(path), values))
-        gvec = gradient(problem, path[i])
+        gvec = mu * _kernel(problem, path[i], value=False, residual=True)[2]
         gn = math.sqrt(gvec @ gvec)
         trace.append((level, gn))
         if i == 0 or i == npts - 1:
@@ -548,7 +542,7 @@ def mountain_pass(
         path = _resample_path(path, i, deltas, seg)
     del precondition
     if u_best is None:
-        values = energy(problem, path)
+        values = _kernel(problem, path)[1]
         i = int(np.argmax(values))
         u_best = path[i].copy()
         stalled = True
@@ -598,17 +592,18 @@ def ball_minimize(
         # minimizer is legitimately the zero function, reported as "trivial"
         log.verdicts += _gate(problem, "ball")
     radius = math.sqrt(config.rho)
+    mu = problem._form.mu
     precondition = _sobolev_direction(problem)
 
     def into_ball(cand):
-        hn = h_norm(problem, cand)
+        hn = _h_norm(problem, cand)
         return cand * (radius / hn) if hn > radius else cand
 
-    u = np.zeros(problem.graph.n)
+    u = np.zeros(len(mu))
     trace = log.traces["ball_min"] = []
-    value = energy(problem, u)
+    value = float(_kernel(problem, u)[1])
     for _ in range(config.deform_steps):
-        gvec = gradient(problem, u)
+        gvec = mu * _kernel(problem, u, value=False, residual=True)[2]
         gn = float(np.linalg.norm(gvec))
         trace.append((value, gn))
         if gn <= config.deform_tol:
@@ -616,9 +611,12 @@ def ball_minimize(
         moved = _descent_step(problem, u, gvec, precondition(gvec), value, into_ball)
         if moved is None:
             break
+        drop = value - moved[1]
         u, value = moved
+        if drop <= BALL_FLOOR * abs(value):
+            break
     del precondition
-    hn = h_norm(problem, u)
+    hn = _h_norm(problem, u)
     if hn >= radius - SPHERE_MARGIN:
         raise SolverError(
             "no interior minimizer found: descent terminated on the constraint "
@@ -626,10 +624,9 @@ def ball_minimize(
             "over this ball sits on its boundary"
         )
     if _is_trivial_collapse(problem, u):
-        zero = np.zeros(problem.graph.n)
-        return _finish_solution(problem, zero, 0.0, "trivial", config, False)
+        return _finish_solution(problem, np.zeros(len(mu)), 0.0, "trivial", config, False)
     u, res_max, shifted = _newton_polish(problem, u)
-    hn = h_norm(problem, u)
+    hn = _h_norm(problem, u)
     if hn >= radius - SPHERE_MARGIN:
         raise SolverError(
             "no interior minimizer found: Newton refinement moved the "

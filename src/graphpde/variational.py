@@ -9,18 +9,20 @@ with F the antiderivative of the reaction term.  Critical points are
 weak solutions; on a finite graph they are also vertexwise solutions of
 the equation, which is what the residual functions measure.
 
-energy assembles the gradient term per edge: for Dirichlet u the
-closure integral of |grad u|^2 is the sum of w_xy (u(x) - u(y))^2 over
-the edges with an interior endpoint (every other edge joins two zeros),
-so
+One kernel (_kernel) computes all of it from the interior values v of
+u alone.  For Dirichlet u the closure integral of |grad u|^2 is the sum
+of w_xy (v(x) - v(y))^2 over the edges inside omega plus w_off v^2, with
+w_off(x) the weight of the edges from x out of omega, so
 
-    energy(u) = 1/2 (sum_e w_e d_e^2 + sum_omega mu h u^2) - sum_omega mu F(u)
+    energy(u) = 1/2 (sum_e w_e d_e^2 + sum_omega (w_off + mu h) v^2) - sum_omega mu F(v)
 
-with d_e the difference across edge e.  The same code takes one function
-of shape (n,) or a stack of P functions of shape (P, n), one per row,
-and returns a float or a (P,) array; the path deformation evaluates its
-whole path in one call.  The per-vertex route (calculus.dirichlet_energy)
-computes the same number and is kept as the cross-check.
+and the residual is (L v + mu h v)/mu - f(v), with L the interior
+Laplacian; mu times it is the Euclidean gradient.  The kernel takes a
+vector (k,) or a stack (P, k) of interior values and checks nothing;
+the solvers iterate on such arrays and call it directly.  energy (of a
+function (n,) or a stack (P, n)), gradient, h_norm and
+pointwise_residual check that u vanishes off the interior, then call
+it.  The per-vertex route (calculus.dirichlet_energy) is the cross-check.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import gradient_form, integrate, laplacian
+from .calculus import gradient_form, integrate
 from .graphs import DomainPartition, WeightedGraph
 from .nonlinearity import Nonlinearity, antiderivative, antiderivative_peak, reaction
 from .spectral import embedding_kappa
@@ -39,17 +41,20 @@ from .spectral import embedding_kappa
 
 @dataclass(frozen=True, eq=False)
 class _EnergyForm:
-    """Index and weight arrays of the per-edge energy assembly: the
-    endpoints of the edges with an interior endpoint, as a (2, m) array
-    whose rows are the ends i and j, and their weights w, the interior
-    indices with mu and mu h there, and the off-interior indices where
-    a Dirichlet function vanishes."""
+    """The energy in interior coordinates (position k of a vertex in
+    omega): the ends of the edges joining two interior vertices, as a
+    (2, m) array whose rows are the ends i and j, and their weights w;
+    w_off, the summed weight of the edges from each interior vertex to
+    the rest of the graph; mu and mu h on the interior; and the vertex
+    indices of the interior and of the vertices off it, where a
+    Dirichlet function vanishes."""
 
     ends: np.ndarray
     w: np.ndarray
-    omega: np.ndarray
+    w_off: np.ndarray
     mu: np.ndarray
     mu_h: np.ndarray
+    omega: np.ndarray
     off: np.ndarray
 
 
@@ -98,20 +103,26 @@ class Problem:
     @cached_property
     def _form(self) -> _EnergyForm:
         g = self.graph
-        mask = self.partition.omega_mask
-        touch = mask[g.edge_index[:, 0]] | mask[g.edge_index[:, 1]]
         omega = self.partition.omega
+        pos = np.full(g.n, -1)
+        pos[omega] = np.arange(len(omega))
+        ends = pos[g.edge_index.T]
+        inner = np.all(ends >= 0, axis=0)
+        cut = (ends >= 0) & ~inner       # the interior end of each edge leaving omega
+        weights = np.broadcast_to(g.edge_weight, ends.shape)
         mu = g.measure[omega]
         return _EnergyForm(
-            ends=np.ascontiguousarray(g.edge_index[touch].T), w=g.edge_weight[touch],
-            omega=omega, mu=mu, mu_h=mu * self.h[omega],
-            off=np.flatnonzero(~mask),
+            ends=np.ascontiguousarray(ends[:, inner]), w=g.edge_weight[inner],
+            w_off=np.bincount(ends[cut], weights[cut], len(omega)),
+            mu=mu, mu_h=mu * self.h[omega], omega=omega,
+            off=np.flatnonzero(~self.partition.omega_mask),
         )
 
 
 def _require_dirichlet(problem: Problem, u, name: str = "u", stack: bool = False):
-    """u as a float array of one value per vertex, or with stack=True
-    also a (P, n) stack of such rows, each vanishing off the interior."""
+    """The interior values of u, one float per vertex, or with stack=True
+    also of a (P, n) stack of such rows, each checked to vanish off the
+    interior."""
     u = np.asarray(u, dtype=float)
     if u.ndim not in ((1, 2) if stack else (1,)) or u.shape[-1] != problem.graph.n:
         raise ValueError(
@@ -119,25 +130,45 @@ def _require_dirichlet(problem: Problem, u, name: str = "u", stack: bool = False
         )
     if not np.all(u[..., problem._form.off] == 0.0):
         raise ValueError(f"{name} must vanish outside the interior")
+    return u[..., problem._form.omega]
+
+
+def _expand(problem: Problem, v) -> np.ndarray:
+    """The function on every vertex with interior values v, zero elsewhere."""
+    u = np.zeros(problem.graph.n)
+    u[problem._form.omega] = v
     return u
 
 
-def _h_square(problem: Problem, u, stack: bool = False):
-    """Squared h-norm int_closure |grad u|^2 + int_omega h u^2, summed
-    per edge, of one Dirichlet function or (stack=True) of each row of
-    a stack; returned with the interior values of u."""
-    u = _require_dirichlet(problem, u, stack=stack)
+def _kernel(problem: Problem, v, value: bool = True, residual: bool = False):
+    """The energy kernel, on interior values v of shape (k,) or a stack
+    (P, k): (squared h-norm, energy, pointwise residual), None for an
+    energy or residual not asked for; the residual needs shape (k,).
+    mu times the residual is the Euclidean gradient."""
     form = problem._form
     # Both ends of every edge in one gather, freed at once.  glibc malloc
     # maps each block above its threshold (128 KiB at start) afresh until
     # a larger one is freed; freeing this one, the largest of the call,
     # keeps the later temporaries of a stacked call on the heap (mapping
     # them tripled the time of a 41-point path at 784 unknowns).
-    ends = u[..., form.ends]
+    ends = v[..., form.ends]
     d = ends[..., 0, :] - ends[..., 1, :]
     del ends
-    inner = u[..., form.omega]
-    return (d * d) @ form.w + (inner * inner) @ form.mu_h, inner
+    diag = form.w_off + form.mu_h
+    quad = (d * d) @ form.w + (v * v) @ diag
+    val = 0.5 * quad - antiderivative(problem.nl, v) @ form.mu if value else None
+    if not residual:
+        return quad, val, None
+    wd, k = form.w * d, len(v)
+    lv = np.bincount(form.ends[0], wd, k) - np.bincount(form.ends[1], wd, k) + diag * v
+    return quad, val, lv / form.mu - reaction(problem.nl, v)
+
+
+def _h_norm(problem: Problem, v) -> float:
+    radicand = float(_kernel(problem, v, value=False)[0])
+    if radicand < 0.0:
+        raise ValueError(f"h-norm radicand is negative ({radicand}); h is not admissible")
+    return math.sqrt(radicand)
 
 
 def energy(problem: Problem, u):
@@ -145,28 +176,21 @@ def energy(problem: Problem, u):
     (n,), as a float, or at each row of a stack of shape (P, n), as a
     (P,) array.  Raises ValueError when any row is nonzero off the
     interior."""
-    quad, inner = _h_square(problem, u, stack=True)
-    value = 0.5 * quad - antiderivative(problem.nl, inner) @ problem._form.mu
+    value = _kernel(problem, _require_dirichlet(problem, u, stack=True))[1]
     return float(value) if np.ndim(value) == 0 else value
 
 
 def h_norm(problem: Problem, u) -> float:
     """Weighted Sobolev norm sqrt(int_closure |grad u|^2 + int_omega h u^2)
     of a Dirichlet function, assembled like the energy."""
-    radicand = float(_h_square(problem, u)[0])
-    if radicand < 0.0:
-        raise ValueError(f"h-norm radicand is negative ({radicand}); h is not admissible")
-    return math.sqrt(radicand)
+    return _h_norm(problem, _require_dirichlet(problem, u))
 
 
 def pointwise_residual(problem: Problem, u) -> np.ndarray:
     """Vertexwise equation residual -laplacian(u) + h u - f(x, u) on the
     interior, zero elsewhere.  Vanishes exactly at a solution."""
-    u = _require_dirichlet(problem, u)
-    g = problem.graph
-    mask = problem.partition.omega_mask
-    r = -laplacian(g, u) + problem.interior_h() * u - reaction(problem.nl, u)
-    return np.where(mask, r, 0.0)
+    v = _require_dirichlet(problem, u)
+    return _expand(problem, _kernel(problem, v, value=False, residual=True)[2])
 
 
 def gradient(problem: Problem, u) -> np.ndarray:
@@ -188,8 +212,8 @@ def directional_derivative(problem: Problem, u, test) -> float:
     Equals sum(gradient(problem, u) * test); both routes are kept so
     they can be checked against each other.
     """
-    u = _require_dirichlet(problem, u)
-    test = _require_dirichlet(problem, test, name="test")
+    u = _expand(problem, _require_dirichlet(problem, u))
+    test = _expand(problem, _require_dirichlet(problem, test, name="test"))
     g = problem.graph
     part = problem.partition
     omega = part.omega

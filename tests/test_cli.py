@@ -120,6 +120,24 @@ def test_gradcheck_command(graph_file, capsys):
     assert "tolerance 1e-06" in out
 
 
+def test_gradcheck_fails_trials_with_non_finite_numbers(graph_file, capsys):
+    # the energies of trials 3-5 overflow; nan errors must not pass
+    argv = ["gradcheck", graph_file(PATH3), "--h0", "1", "--nl", "odd_poly:c999999999=1",
+            "--format", "jsonl"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would raise out of run()
+        code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    records = [json.loads(line) for line in captured.out.splitlines()]
+    trials = [r for r in records if r["record"] == "gradcheck"]
+    assert [r["pass"] for r in trials] == [True, True, False, False, False]
+    for r in trials[2:]:
+        assert "nan" in (r["max_rel_error"], r["max_delta_error"])
+    assert records[-1] == {"record": "summary", "tolerance": 1e-06, "pass": False}
+
+
 def test_gradcheck_requires_nl(graph_file, capsys):
     assert run(["gradcheck", graph_file(PATH3)]) == 2
 

@@ -27,6 +27,7 @@ from graphpde import (
 )
 import graphpde.nonlinearity
 import graphpde.solver
+import graphpde.variational
 from graphpde.calculus import _interior_matrix
 from graphpde.nonlinearity import reaction_derivative
 from graphpde.solver import (
@@ -205,13 +206,13 @@ def test_mountain_pass_on_random_graph(rng):
 ], ids=["path3", "grid5"])
 def test_mountain_pass_evaluates_the_path_in_one_batch(monkeypatch, make):
     calls = []
-    original = graphpde.solver.energy
+    original = graphpde.solver._kernel
 
-    def counted(problem, u):
-        calls.append(np.ndim(u))
-        return original(problem, u)
+    def counted(problem, v, *args, **kwargs):
+        calls.append(np.ndim(v))
+        return original(problem, v, *args, **kwargs)
 
-    monkeypatch.setattr(graphpde.solver, "energy", counted)
+    monkeypatch.setattr(graphpde.solver, "_kernel", counted)
     config = SolverConfig()
     log = RunLog()
     sol = mountain_pass(make(), config, log=log)
@@ -219,6 +220,48 @@ def test_mountain_pass_evaluates_the_path_in_one_batch(monkeypatch, make):
     assert sol.residual_max <= 1e-12
     assert len(calls) < graphpde.solver.PATH_POINTS * len(trace)
     assert calls.count(2) == len(trace)
+
+
+def test_mountain_pass_loop_holds_interior_vectors_only(monkeypatch):
+    # the loops validate no Dirichlet vector per iteration, and every
+    # energy evaluation sees interior values only (100 of 144 vertices)
+    problem = lattice_problem(12, POWER4)
+    checks, widths = [], set()
+    require, kernel = graphpde.variational._require_dirichlet, graphpde.solver._kernel
+
+    def counted_require(*args, **kwargs):
+        checks.append(1)
+        return require(*args, **kwargs)
+
+    def recorded_kernel(problem, v, *args, **kwargs):
+        widths.add(np.shape(v)[-1])
+        return kernel(problem, v, *args, **kwargs)
+
+    monkeypatch.setattr(graphpde.variational, "_require_dirichlet", counted_require)
+    monkeypatch.setattr(graphpde.solver, "_kernel", recorded_kernel)
+    log = RunLog()
+    sol = mountain_pass(problem, SolverConfig(), log=log)
+    assert len(log.traces["mountain_pass"]) > 20
+    assert len(checks) <= 2
+    assert widths == {problem.partition.omega.size}
+    assert sol.u.shape == (problem.graph.n,)
+
+
+def test_ball_minimize_stops_after_a_last_bit_decrease():
+    # on lattice(40) the second step lowers the energy by two ulps; the
+    # descent stops there instead of backtracking through 60 halvings
+    log = RunLog()
+    with pytest.raises(SolverError, match="no interior minimizer found"):
+        ball_minimize(lattice_problem(40, PLUS_CONST), SolverConfig(rho=1.0), log=log)
+    assert len(log.traces["ball_min"]) == 2
+    # traces whose steps all drop by more keep their length
+    for problem, rows in (
+        (lattice_problem(12, power_plus_const(4, 0.01)), 3),
+        (three_path_problem(PLUS_CONST), 4),
+    ):
+        log = RunLog()
+        ball_minimize(problem, SolverConfig(rho=1.0), log=log)
+        assert len(log.traces["ball_min"]) == rows
 
 
 def test_ball_minimize_plus_const():
@@ -486,12 +529,11 @@ def test_sobolev_direction_solves_the_h_gram_matrix(rng):
     bandwidths = [len(_interior_matrix(p.graph, p.partition)) - 1 for p in problems[-2:]]
     assert bandwidths[0] == 10 and bandwidths[1] > 64
     for problem in problems:
-        omega = problem.partition.omega
-        g = random_dirichlet(rng, problem.graph, problem.partition)
+        g = random_dirichlet(rng, problem.graph, problem.partition)[problem.partition.omega]
         d = _sobolev_direction(problem)(g)
-        expect = np.linalg.solve(_p_matrix(problem), g[omega])
-        assert np.allclose(d[omega], expect, rtol=1e-10, atol=1e-12 * np.max(np.abs(expect)))
-        assert np.all(d[~problem.partition.omega_mask] == 0.0)
+        expect = np.linalg.solve(_p_matrix(problem), g)
+        assert np.allclose(d, expect, rtol=1e-10, atol=1e-12 * np.max(np.abs(expect)))
+        assert d.shape == g.shape
 
 
 def test_climbing_move_reverses_the_tangential_part(rng):
@@ -505,15 +547,14 @@ def test_climbing_move_reverses_the_tangential_part(rng):
         part = problem.partition
         pmat = _p_matrix(problem)
         precondition = _sobolev_direction(problem)
-        g = random_dirichlet(rng, problem.graph, part)
-        tau = random_dirichlet(rng, problem.graph, part)
-        move = _climbing_move(problem, precondition, g, tau, np.zeros(problem.graph.n))
+        g = random_dirichlet(rng, problem.graph, part)[part.omega]
+        tau = random_dirichlet(rng, problem.graph, part)[part.omega]
+        move = _climbing_move(problem, precondition, g, tau, np.zeros(part.omega.size))
         base = precondition(g)
         # the change is along tau, and the P-component along tau flips
-        coef = (move - base)[part.omega] / tau[part.omega]
+        coef = (move - base) / tau
         assert np.allclose(coef, coef[0], rtol=1e-9)
-        t = tau[part.omega]
-        assert t @ pmat @ move[part.omega] == pytest.approx(-(g @ tau), rel=1e-9)
+        assert tau @ pmat @ move == pytest.approx(-(g @ tau), rel=1e-9)
 
 
 def test_climbing_move_takes_the_newton_step_along_negative_curvature(rng):
@@ -524,17 +565,16 @@ def test_climbing_move_takes_the_newton_step_along_negative_curvature(rng):
         pmat = _p_matrix(problem)
         precondition = _sobolev_direction(problem)
         u = random_dirichlet(rng, problem.graph, part)
-        g = random_dirichlet(rng, problem.graph, part)
-        tau = random_dirichlet(rng, problem.graph, part)
-        t = tau[part.omega]
+        g = random_dirichlet(rng, problem.graph, part)[part.omega]
+        t = random_dirichlet(rng, problem.graph, part)[part.omega]
         curv = t @ hessian(problem, u) @ t
         if not curv < 0.0:
             continue
-        move = _climbing_move(problem, precondition, g, tau, u)
-        coef = (move - precondition(g))[part.omega] / t
+        move = _climbing_move(problem, precondition, g, t, u[part.omega])
+        coef = (move - precondition(g)) / t
         assert np.allclose(coef, coef[0], rtol=1e-9)
         tpt = t @ pmat @ t
-        assert t @ pmat @ move[part.omega] == pytest.approx((g @ tau) * tpt / curv, rel=1e-9)
+        assert t @ pmat @ move == pytest.approx((g @ t) * tpt / curv, rel=1e-9)
         checked += 1
     assert checked >= 10
 
@@ -542,10 +582,11 @@ def test_climbing_move_takes_the_newton_step_along_negative_curvature(rng):
 def test_climbing_move_without_tangent_does_not_reflect(rng):
     problem = lattice_problem(5, POWER4)
     precondition = _sobolev_direction(problem)
-    g = random_dirichlet(rng, problem.graph, problem.partition)
-    u = random_dirichlet(rng, problem.graph, problem.partition)
+    omega = problem.partition.omega
+    g = random_dirichlet(rng, problem.graph, problem.partition)[omega]
+    u = random_dirichlet(rng, problem.graph, problem.partition)[omega]
     with np.errstate(all="raise"):
-        move = _climbing_move(problem, precondition, g, np.zeros(problem.graph.n), u)
+        move = _climbing_move(problem, precondition, g, np.zeros(omega.size), u)
     assert np.array_equal(move, precondition(g))
 
 
@@ -697,7 +738,7 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
         with monkeypatch.context() as m:
             m.setattr(graphpde.solver, "_band_solver", record_factor)
             m.setattr(graphpde.solver, "reaction_derivative", record_derivative)
-            _newton_polish(problem, start)
+            _newton_polish(problem, start[part.omega])
         assert len(jacobians) == len(points) >= 1
         lmat = band_matrix(_interior_matrix(graph, part))
         mu = graph.measure[part.omega]

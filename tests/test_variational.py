@@ -23,8 +23,9 @@ from graphpde import (
     power,
     power_plus_const,
 )
-from graphpde.calculus import H_NORM, norm
-from graphpde.variational import h_norm
+from graphpde.calculus import H_NORM, laplacian, norm
+from graphpde.nonlinearity import reaction
+from graphpde.variational import _kernel, h_norm
 from util import (
     random_connected_graph,
     random_dirichlet,
@@ -338,3 +339,52 @@ def test_h_norm_matches_calculus_norm(rng):
     negative = three_path_problem(power(4), h_value=-10.0)
     with pytest.raises(ValueError, match="radicand is negative"):
         h_norm(negative, spike(negative, 1.0))
+
+
+def test_kernel_matches_the_public_functions_and_per_vertex_references(rng):
+    # given measures, h of both signs, h = nan off the interior and
+    # exterior vertices; the public functions slice to the interior and
+    # call the kernel, so they agree with it exactly
+    families = [power(4), power_plus_const(3, 0.1), odd_poly({1: -1.0, 3: 1.0})]
+    for trial in range(24):
+        while True:
+            graph = random_connected_graph(rng, n_min=8, n_max=30, measure_mode="given")
+            part = random_partition(rng, graph)
+            if part.exterior.size:
+                break
+        h = np.where(part.omega_mask, rng.uniform(-2.0, 2.0, size=graph.n), np.nan)
+        problem = Problem(graph=graph, partition=part, h=h, nl=families[trial % 3])
+        omega, mu = part.omega, graph.measure[part.omega]
+        stack = np.array([random_dirichlet(rng, graph, part) for _ in range(5)])
+        quads, values, none = _kernel(problem, stack[:, omega])
+        assert none is None and values.shape == quads.shape == (5,)
+        assert np.array_equal(values, energy(problem, stack))
+        for u, quad, value in zip(stack, quads, values):
+            q1, value1, r = _kernel(problem, u[omega], residual=True)
+            assert value1 == energy(problem, u)
+            assert q1 == pytest.approx(quad, rel=1e-14, abs=1e-14 * abs(value))
+            assert value1 == pytest.approx(value, rel=1e-14, abs=1e-14 * q1)
+            assert np.array_equal(pointwise_residual(problem, u)[omega], r)
+            assert np.array_equal(gradient(problem, u)[omega], mu * r)
+            assert np.all(pointwise_residual(problem, u)[~part.omega_mask] == 0.0)
+            assert np.all(gradient(problem, u)[~part.omega_mask] == 0.0)
+            # per-vertex references, within rounding of the summed magnitudes
+            grad_sq = dirichlet_energy(graph, part, u)
+            mass = integrate(graph, np.abs(h) * u * u, omega)
+            radicand = grad_sq + integrate(graph, np.nan_to_num(h) * u * u, omega)
+            assert q1 == pytest.approx(radicand, abs=1e-13 * (grad_sq + mass))
+            if radicand > 0.0:
+                assert h_norm(problem, u) == math.sqrt(q1)
+            else:
+                with pytest.raises(ValueError, match="radicand is negative"):
+                    h_norm(problem, u)
+            _, big_f, _ = evaluate(problem.nl, u)
+            expect = 0.5 * radicand - integrate(graph, big_f, omega)
+            scale = grad_sq + mass + integrate(graph, np.abs(big_f), omega)
+            assert value1 == pytest.approx(expect, abs=1e-13 * scale)
+            f = reaction(problem.nl, u)
+            ref = (-laplacian(graph, u) + np.nan_to_num(h) * u - f)[omega]
+            spread = np.abs(u[graph.adj_nbr] - u[graph.adj_center]) * graph.adj_w
+            size = np.bincount(graph.adj_center, spread, graph.n) / graph.measure
+            size = (size + np.abs(h * u) + np.abs(f))[omega]
+            assert np.all(np.abs(r - ref) <= 1e-13 * size)
