@@ -199,6 +199,8 @@ def _text_lines(r: dict) -> list[str]:
                 f"trace {r['solver']} final_level {_fmt(r['levels'][-1])} "
                 f"final_grad_norm {_fmt(r['grad_norms'][-1])}"
             )
+        if r["stop"] is not None:
+            lines.append(f"trace {r['solver']} stop {r['stop']}")
         return lines
     if kind == "gradcheck":
         return [
@@ -261,12 +263,13 @@ def _solution_record(graph, sol, index: int) -> dict:
     }
 
 
-def _trace_record(name: str, rows) -> dict:
+def _trace_record(log: RunLog, name: str) -> dict:
     return {
         "record": "trace",
         "solver": name,
-        "levels": [_fin(a) for a, _ in rows],
-        "grad_norms": [_fin(b) for _, b in rows],
+        "levels": [_fin(a) for a, _ in log.traces[name]],
+        "grad_norms": [_fin(b) for _, b in log.traces[name]],
+        "stop": log.stops.get(name),
     }
 
 
@@ -334,7 +337,7 @@ def _solve_failure(ns: argparse.Namespace, log: RunLog, exc, emit: _Report) -> i
     for v in log.verdicts:
         emit.add(_verdict_record(v))
     for name in sorted(log.traces):
-        emit.add(_trace_record(name, log.traces[name]))
+        emit.add(_trace_record(log, name))
     emit.add({"record": "error", "message": str(exc)})
     _write_profile(ns, log.profile)
     return 1
@@ -442,7 +445,7 @@ def _cmd_solve(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
     if not _eigen_records(emit, gf, ns.h0, hyp):
         return 1
     emit.add(_solution_record(gf.graph, sol, 1))
-    emit.add(_trace_record("mountain_pass", log.traces["mountain_pass"]))
+    emit.add(_trace_record(log, "mountain_pass"))
     ps = ps_diagnostic(log.traces.values(), (sol,))
     emit.add({"record": "summary", "solutions": 1, "ps_diagnostic": ps})
     _write_profile(ns, log.profile)
@@ -474,7 +477,7 @@ def _cmd_solve2(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int
     for i, sol in enumerate(report.solutions, 1):
         emit.add(_solution_record(gf.graph, sol, i))
     for name in sorted(log.traces):
-        emit.add(_trace_record(name, log.traces[name]))
+        emit.add(_trace_record(log, name))
     gap = float(np.max(np.abs(report.solutions[0].u - report.solutions[1].u)))
     emit.add({
         "record": "summary", "solutions": len(report.solutions),

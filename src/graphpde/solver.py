@@ -35,7 +35,7 @@ Solution's u to every vertex; the Dirichlet check of the public energy
 functions runs on calls from outside the solvers.
 
 All loops are deterministic: no randomness, fixed tie-breaking (lowest
-input order), and a certified nonincreasing record of the path level.
+input order), and a nonincreasing record of the sampled path level.
 """
 
 from __future__ import annotations
@@ -64,10 +64,12 @@ TRIVIAL_SUP = 1e-10    # sup-norm below which an iterate counts as the zero func
 DISTINCT_SUP = 1e-6    # sup-norm gap two reported solutions must exceed
 SPHERE_MARGIN = 1e-8   # how far inside the constraint sphere "interior" starts
 STALL_WINDOW = 100     # iterations over which path-level progress is measured
-STALL_DROP = 1e-15     # minimum certified-level progress per window
+STALL_DROP = 1e-15     # minimum sampled-level progress per window
 PATH_POINTS = 41       # points of the deformation path, both endpoints included
 NEWTON_TOL = 1e-12     # vertexwise residual Newton refinement must reach
 NEWTON_MAX = 50        # Newton iterations before refinement gives up
+NEWTON_TRY = 8         # Newton iterations of the mountain pass's hand-off attempt
+NEWTON_CUT = 0.1       # residual factor each attempt step after the first must reach
 SPIKE_DOUBLINGS = 60   # doublings of the spike height before the endpoint search gives up
 SHRINK = 0.5           # backtracking factor of the ball minimizer's step
 ARMIJO = 1e-4          # slope fraction of its sufficient-decrease test
@@ -170,12 +172,18 @@ class SolveReport:
 @dataclass
 class RunLog:
     """What the solvers saw: the verdicts of the gates that passed, the
-    (certified level, gradient norm) rows of each loop by solver name
-    (set afresh as the loop starts), and (iteration, arc positions,
-    energies) snapshots of the path every 50 iterations and at the end."""
+    (level, gradient norm) rows of each loop by solver name (set afresh
+    as the loop starts; mountain_pass's is the sampled level, a running
+    minimum of path samples, not a bound on the saddle), why each loop
+    stopped by solver name ("newton_handoff", "tolerance", "stall",
+    "budget" or "endpoint_maximum" for mountain_pass; "tolerance",
+    "floor", "backtracking" or "budget" for ball_min), and (iteration,
+    arc positions, energies) snapshots of the path every 50 iterations
+    and at the end."""
 
     verdicts: list[HypothesisVerdict] = field(default_factory=list)
     traces: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
+    stops: dict[str, str] = field(default_factory=dict)
     profile: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
@@ -395,7 +403,7 @@ def _descent_step(problem: Problem, u, gvec, direction, value, project):
     return None
 
 
-def _newton_polish(problem: Problem, u0: np.ndarray):
+def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False):
     """Refine a candidate, given by its interior values, to vertexwise
     residual <= NEWTON_TOL.
 
@@ -404,22 +412,31 @@ def _newton_polish(problem: Problem, u0: np.ndarray):
     diagonal, row 0 of one lower band, in place and factored by
     _band_solver; a singular or non-finite solve falls back once per
     iteration to a 1e-10 diagonal shift and flags it.  Returns
-    (u, residual_max, shifted).
+    (u, residual_max, shifted, index).  An attempt takes at most
+    NEWTON_TRY iterations and gives up with a SolverError when one after
+    the first cuts the residual by less than NEWTON_CUT; converged, it
+    factors the Hessian at u, and index is its Morse index, the number of
+    negative eigenvalues.  Otherwise index is None.
     """
     mu, h = problem._form.mu, problem.h[problem._form.omega]
     jac = _interior_matrix(problem.graph, problem.partition)
     base = jac[0].copy()
     u = np.array(u0, dtype=float, copy=True)
+    budget = NEWTON_TRY if attempt else NEWTON_MAX
     shifted = False
     prev = math.inf
     rises = 0
-    for step in range(NEWTON_MAX + 1):
+    for step in range(budget + 1):
         r = _kernel(problem, u, value=False, residual=True)[2]
         res_max = float(np.max(np.abs(r)))
         if res_max <= NEWTON_TOL:
-            return u, res_max, shifted
-        if step == NEWTON_MAX:
+            if attempt:
+                jac[0] = base + mu * (h - reaction_derivative(problem.nl, u))
+            return u, res_max, shifted, _band_solver(jac).negatives if attempt else None
+        if step == budget:
             break
+        if attempt and step >= 2 and not res_max <= NEWTON_CUT * prev:
+            raise SolverError(f"Newton attempt cut the residual only from {prev:g} to {res_max:g}")
         rises = rises + 1 if res_max > prev else 0
         if rises >= 5:
             raise SolverError(
@@ -441,15 +458,27 @@ def _newton_polish(problem: Problem, u0: np.ndarray):
         u += delta
     raise SolverError(
         f"Newton refinement did not reach residual {NEWTON_TOL:g} in "
-        f"{NEWTON_MAX} iterations (residual {res_max:g})"
+        f"{budget} iterations (residual {res_max:g})"
     )
+
+
+def _newton_handoff(problem: Problem, u0: np.ndarray, level: float):
+    """Newton from u0 as an attempt (_newton_polish), accepted as
+    (u, residual_max, shifted) only when it converges to a nonzero point
+    of Morse index 1 whose energy is at most level; None otherwise."""
+    try:
+        u, res_max, shifted, index = _newton_polish(problem, u0, attempt=True)
+    except (SolverError, np.linalg.LinAlgError):
+        return None
+    ok = index == 1 and np.max(np.abs(u)) >= TRIVIAL_SUP and _kernel(problem, u)[1] <= level
+    return (u, res_max, shifted) if ok else None
 
 
 def _is_trivial_collapse(problem: Problem, u) -> bool:
     return reaction(problem.nl, 0.0) == 0.0 and float(np.max(np.abs(u))) < TRIVIAL_SUP
 
 
-def _finish_solution(problem, u, res_max, kind, config, shifted) -> Solution:
+def _finish_solution(problem, kind, config, u, res_max, shifted) -> Solution:
     """The Solution at interior values u, expanded to every vertex."""
     hn = _h_norm(problem, u)
     _, value, r = _kernel(problem, u, residual=True)
@@ -477,9 +506,10 @@ def mountain_pass(
 
     The segment from 0 to the spike endpoint is discretized into
     PATH_POINTS points.  Each iteration evaluates the energy along the
-    path, records the certified level (the running minimum over
-    iterations of the pre-move path maximum, nonincreasing by
-    construction) and moves the maximizing point as a climbing image
+    path, records the sampled level (the running minimum over
+    iterations of the pre-move maximum of the path's samples,
+    nonincreasing by construction, and below the saddle's energy by up
+    to the sampling gap) and moves the maximizing point as a climbing image
     (_climbing_move): down the Sobolev gradient across the path and, along
     the path tangent, by the 1-D Newton step where the energy's curvature
     along it is negative (otherwise up the reflected Sobolev gradient),
@@ -487,11 +517,17 @@ def mountain_pass(
     are then redistributed by arc length in one pass, keeping the image
     where it moved.  The loop leaves for Newton refinement when the
     image's Euclidean gradient norm reaches deform_tol, or when the
-    certified level stalls; refinement failure after a stall is
+    sampled level stalls; refinement failure after a stall is
     reported as a stall.
 
-    log receives the gate's verdicts, the "mountain_pass" trace and the
-    path profile.
+    Before the first move, Newton runs from the initial path's maximizer
+    as an attempt (_newton_handoff).  When it reaches NEWTON_TOL at a
+    nonzero point of Morse index 1, read off the Hessian's factor there,
+    with energy at most the iteration-0 level, that is the solution and
+    neither the deformation nor P's factor runs.
+
+    log receives the gate's verdicts, the "mountain_pass" trace, its
+    stop reason and the path profile.
     """
     config = config or SolverConfig()
     log = RunLog() if log is None else log
@@ -499,13 +535,12 @@ def mountain_pass(
         log.verdicts += _gate(problem, "one", config.m0)
     mu = problem._form.mu
     endpoint = build_spike_endpoint(problem)[problem._form.omega]
-    precondition = _sobolev_direction(problem)
+    precondition = None
     npts = PATH_POINTS
     path = np.linspace(0.0, 1.0, npts)[:, None] * endpoint[None, :]
     trace = log.traces["mountain_pass"] = []
     level = math.inf
-    stalled = False
-    u_best = None
+    stop = "budget"
     for k in range(config.deform_steps):
         values = _kernel(problem, path)[1]
         i = int(np.argmax(values))
@@ -516,17 +551,23 @@ def mountain_pass(
         gn = math.sqrt(gvec @ gvec)
         trace.append((level, gn))
         if i == 0 or i == npts - 1:
+            log.stops["mountain_pass"] = "endpoint_maximum"
             raise SolverError(
                 "the path maximum sits at an endpoint; no interior energy "
                 "barrier separates 0 from the spike endpoint"
             )
         if gn <= config.deform_tol:
-            u_best = path[i].copy()
+            stop = "tolerance"
             break
         if k >= STALL_WINDOW and trace[k - STALL_WINDOW][0] - level < STALL_DROP:
-            stalled = True
-            u_best = path[i].copy()
+            stop = "stall"
             break
+        if k == 0:
+            handed = _newton_handoff(problem, path[i], level)
+            if handed is not None:
+                log.stops["mountain_pass"] = "newton_handoff"
+                return _finish_solution(problem, "mountain_pass", config, *handed)
+            precondition = _sobolev_direction(problem)
         move = _climbing_move(problem, precondition, gvec, path[i + 1] - path[i - 1], path[i])
         deltas = path[1:] - path[:-1]
         seg = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
@@ -541,19 +582,18 @@ def mountain_pass(
             seg[j] = math.sqrt(deltas[j] @ deltas[j])
         path = _resample_path(path, i, deltas, seg)
     del precondition
-    if u_best is None:
+    log.stops["mountain_pass"] = stop
+    if stop == "budget":
         values = _kernel(problem, path)[1]
         i = int(np.argmax(values))
-        u_best = path[i].copy()
-        stalled = True
     # values holds the energies of the final path on every way out of the loop
     log.profile.append((len(trace), _arc_positions(path), values))
     try:
-        u, res_max, shifted = _newton_polish(problem, u_best)
+        u, res_max, shifted, _ = _newton_polish(problem, path[i])
     except SolverError as exc:
-        if stalled:
+        if stop != "tolerance":
             raise SolverError(
-                f"path deformation stalled at certified level {level:.17g} and "
+                f"path deformation stalled at sampled level {level:.17g} and "
                 f"Newton refinement from the maximizer failed: {exc}"
             ) from exc
         raise
@@ -562,7 +602,7 @@ def mountain_pass(
             "deformation collapsed to the zero function; no pass-level "
             "critical point was isolated"
         )
-    return _finish_solution(problem, u, res_max, "mountain_pass", config, shifted)
+    return _finish_solution(problem, "mountain_pass", config, u, res_max, shifted)
 
 
 def ball_minimize(
@@ -602,20 +642,25 @@ def ball_minimize(
     u = np.zeros(len(mu))
     trace = log.traces["ball_min"] = []
     value = float(_kernel(problem, u)[1])
+    stop = "budget"
     for _ in range(config.deform_steps):
         gvec = mu * _kernel(problem, u, value=False, residual=True)[2]
         gn = float(np.linalg.norm(gvec))
         trace.append((value, gn))
         if gn <= config.deform_tol:
+            stop = "tolerance"
             break
         moved = _descent_step(problem, u, gvec, precondition(gvec), value, into_ball)
         if moved is None:
+            stop = "backtracking"
             break
         drop = value - moved[1]
         u, value = moved
         if drop <= BALL_FLOOR * abs(value):
+            stop = "floor"
             break
     del precondition
+    log.stops["ball_min"] = stop
     hn = _h_norm(problem, u)
     if hn >= radius - SPHERE_MARGIN:
         raise SolverError(
@@ -624,8 +669,8 @@ def ball_minimize(
             "over this ball sits on its boundary"
         )
     if _is_trivial_collapse(problem, u):
-        return _finish_solution(problem, np.zeros(len(mu)), 0.0, "trivial", config, False)
-    u, res_max, shifted = _newton_polish(problem, u)
+        return _finish_solution(problem, "trivial", config, np.zeros(len(mu)), 0.0, False)
+    u, res_max, shifted, _ = _newton_polish(problem, u)
     hn = _h_norm(problem, u)
     if hn >= radius - SPHERE_MARGIN:
         raise SolverError(
@@ -633,7 +678,7 @@ def ball_minimize(
             f"candidate onto or past the constraint sphere (h-norm {hn:.6g} "
             f"against radius {radius:.6g})"
         )
-    return _finish_solution(problem, u, res_max, "ball_min", config, shifted)
+    return _finish_solution(problem, "ball_min", config, u, res_max, shifted)
 
 
 def two_solutions(

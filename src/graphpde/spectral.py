@@ -60,7 +60,7 @@ def _band_panel(band: np.ndarray, k: int, m: int) -> np.ndarray:
 
 def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the symmetric nonsingular matrix a once; return
-    y -> a^(-1) y.
+    y -> a^(-1) y, whose attribute negatives counts the -1s of S.
 
     a is given by its lower band, as _interior_matrix returns it: a
     (bw + 1, n) array with band[d, j] = a[j + d, j], the diagonal in
@@ -123,6 +123,7 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             z[b] = inv.T @ (z[b] - below.T @ z[b.stop : hi])
         return z
 
+    solve.negatives = int(np.count_nonzero(s < 0.0))
     return solve
 
 

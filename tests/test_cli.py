@@ -419,7 +419,44 @@ def test_solve2_failure_after_the_gate_reports_the_run_log(graph_file, capsys):
     names = [r["name"] for r in recs if r["record"] == "hypothesis"]
     assert names == ["H1", "H2", "H3", "F7", "F1", "beta-range"]
     assert recs[-2]["solver"] == "ball_min" and recs[-2]["levels"]
+    assert recs[-2]["stop"] == "floor"
     assert recs[-1]["message"].startswith("no interior minimizer found")
+
+
+def test_solve_on_a_lattice_reports_the_newton_handoff(graph_file, tmp_path, capsys):
+    # Newton from the initial path's maximum lands on the index-1 point:
+    # one trace row, whose gradient norm is far above the tolerance, and
+    # the stop reason that says the deformation was skipped
+    graph, part = lattice(12)
+    path = graph_file(format_graph_text(graph, part, np.ones(graph.n)))
+    profile = tmp_path / "profile.csv"
+    args = ["solve", path, "--nl", "power:p=4", "--theta", "4", "--M", "1"]
+    assert run([*args, "--format", "jsonl", "--emit-path-profile", str(profile)]) == 0
+    recs = jsonl_records(capsys.readouterr().out)
+    [trace] = [r for r in recs if r["record"] == "trace"]
+    assert trace["solver"] == "mountain_pass" and trace["stop"] == "newton_handoff"
+    assert len(trace["levels"]) == len(trace["grad_norms"]) == 1
+    assert trace["grad_norms"][0] > 1.0
+    assert {row.split(",")[0] for row in profile.read_text().splitlines()[1:]} == {"0"}
+    assert run(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "trace mountain_pass iterations 1" in out
+    assert "trace mountain_pass stop newton_handoff" in out
+
+
+def test_solve2_reports_why_each_loop_stopped(graph_file, capsys):
+    # path3's hand-off is refused: the 41 samples straddle the saddle, so
+    # Newton's point lies above the sampled level
+    args = ["solve2", graph_file(PATH3), "--nl", "power_plus_const:p=4,eps=0.1",
+            "--rho", "1", "--h0", "1"]
+    assert run([*args, "--format", "jsonl"]) == 0
+    recs = jsonl_records(capsys.readouterr().out)
+    stops = {r["solver"]: r["stop"] for r in recs if r["record"] == "trace"}
+    assert stops == {"ball_min": "tolerance", "mountain_pass": "tolerance"}
+    assert run(args) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "trace ball_min stop tolerance" in out
+    assert "trace mountain_pass stop tolerance" in out
 
 
 def test_solve2_m0_mode(graph_file, capsys):

@@ -60,6 +60,13 @@ SMALL_ROOT = bisect(lambda t: 2 * t - t**3 - 0.1, 0.0, 0.5)
 LARGE_ROOT = bisect(lambda t: 2 * t - t**3 - 0.1, 1.0, 1.4)
 
 
+@pytest.fixture
+def deform_only(monkeypatch):
+    """The mountain pass with its Newton hand-off refused, so that the
+    deformation loop runs on inputs that would otherwise skip it."""
+    monkeypatch.setattr(graphpde.solver, "_newton_handoff", lambda *args: None)
+
+
 def test_spike_endpoint_oracle():
     problem = three_path_problem(POWER4)
     e = build_spike_endpoint(problem)
@@ -121,7 +128,7 @@ def test_mountain_pass_trace_and_verdicts():
     levels = [lv for lv, _ in trace]
     assert all(b <= a + 1e-15 for a, b in zip(levels, levels[1:]))
     # the discrete path max undershoots the exact saddle by at most the
-    # sampling gap; the certified level must still land near it
+    # sampling gap; the sampled level must still land near it
     assert abs(levels[-1] - sol.energy_value) <= 0.05
     names = [v.name for v in verdicts]
     assert "H1" in names and "H2" in names and "F1" in names
@@ -222,7 +229,7 @@ def test_mountain_pass_evaluates_the_path_in_one_batch(monkeypatch, make):
     assert calls.count(2) == len(trace)
 
 
-def test_mountain_pass_loop_holds_interior_vectors_only(monkeypatch):
+def test_mountain_pass_loop_holds_interior_vectors_only(monkeypatch, deform_only):
     # the loops validate no Dirichlet vector per iteration, and every
     # energy evaluation sees interior values only (100 of 144 vertices)
     problem = lattice_problem(12, POWER4)
@@ -494,7 +501,7 @@ def test_ball_minimize_sobolev_steps_converge_fast():
     assert len(trace) <= 10
 
 
-def test_mountain_pass_lattice_exits_by_tolerance():
+def test_mountain_pass_lattice_exits_by_tolerance(deform_only):
     config = SolverConfig()
     log = RunLog()
     sol = mountain_pass(lattice_problem(12, POWER4), config, log=log)
@@ -651,7 +658,7 @@ def test_mountain_pass_lattice_takes_few_iterations():
     assert len(trace) <= 45
 
 
-def test_mountain_pass_random_graphs_do_not_stall():
+def test_mountain_pass_random_graphs_do_not_stall(deform_only):
     rng = np.random.default_rng(11)
     config = SolverConfig()
     for _ in range(40):
@@ -665,13 +672,13 @@ def test_mountain_pass_random_graphs_do_not_stall():
         assert sol.residual_max <= graphpde.solver.NEWTON_TOL
 
 
-def test_newton_shift_fallback(monkeypatch):
+def test_newton_shift_fallback(monkeypatch, deform_only):
     original = graphpde.solver._band_solver
     calls = []
 
     def fail_first_newton(band):
         calls.append(band_matrix(band))
-        if len(calls) == 2:  # calls[0] is P, factored once before the deformation
+        if len(calls) == 2:  # calls[0] is P, factored once at the deformation's first move
             raise np.linalg.LinAlgError("singular matrix")
         return original(band)
 
@@ -749,7 +756,7 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
     assert checked >= 10
 
 
-def test_solutions_have_the_expected_morse_index():
+def test_solutions_have_the_expected_morse_index(deform_only):
     rng = np.random.default_rng(7)
     tolerance_exits = 0
     for _ in range(12):
@@ -773,7 +780,7 @@ def test_solutions_have_the_expected_morse_index():
     assert tolerance_exits >= 6
 
 
-def test_mountain_pass_profile_reports_arc_positions():
+def test_mountain_pass_profile_reports_arc_positions(deform_only):
     log = RunLog()
     mountain_pass(lattice_problem(12, POWER4), log=log)
     profile = log.profile
@@ -787,3 +794,195 @@ def test_mountain_pass_profile_reports_arc_positions():
     assert np.allclose(np.diff(positions[: i + 1]), positions[i] / i, rtol=1e-9)
     assert np.allclose(np.diff(positions[i:]), (1.0 - positions[i]) / right, rtol=1e-9)
     assert not np.allclose(positions, np.linspace(0.0, 1.0, len(positions)))
+
+
+def _deformed(problem, config=None):
+    """mountain_pass with the hand-off refused: (solution, log)."""
+    log = RunLog()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(graphpde.solver, "_newton_handoff", lambda *args: None)
+        sol = mountain_pass(problem, config or SolverConfig(), log=log)
+    return sol, log
+
+
+def _never_factor_p(problem):
+    raise AssertionError("P factored")
+
+
+def test_mountain_pass_hands_off_to_newton_on_the_lattice(monkeypatch):
+    problem = lattice_problem(12, POWER4)
+    deformed, full = _deformed(problem)
+    assert full.stops["mountain_pass"] == "tolerance"
+    assert len(full.traces["mountain_pass"]) > 20
+    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
+    log = RunLog()
+    sol = mountain_pass(problem, SolverConfig(), log=log)
+    assert log.stops["mountain_pass"] == "newton_handoff"
+    assert log.traces["mountain_pass"] == full.traces["mountain_pass"][:1]
+    # the profile holds the initial path alone
+    assert [snap for snap, _, _ in log.profile] == [0]
+    assert np.allclose(log.profile[0][1], np.linspace(0.0, 1.0, graphpde.solver.PATH_POINTS))
+    assert float(np.max(np.abs(sol.u - deformed.u))) <= 1e-15
+    assert sol.energy_value == pytest.approx(deformed.energy_value, rel=1e-14)
+    assert sol.residual_max <= graphpde.solver.NEWTON_TOL
+    assert morse_index(problem, sol.u) == 1
+
+
+def _corpus_s10rand2():
+    """perfbench.corpus.random_graph(default_rng(10)), third draw: the
+    corpus generator and the tests' random_connected_graph with
+    random_partition take the same draws in the same order."""
+    rng = np.random.default_rng(10)
+    for _ in range(3):
+        graph = random_connected_graph(rng)
+        part = random_partition(rng, graph)
+    return Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER4, h0=1.0)
+
+
+def test_handoff_refuses_a_point_of_index_two(monkeypatch):
+    # with the convergence monitor off, Newton from the initial maximum
+    # converges below the level, to a point of Morse index 2; the index
+    # gate alone refuses it, and the deformation runs as without a hand-off
+    problem = _corpus_s10rand2()
+    assert problem.partition.omega.size == 40
+    deformed, full = _deformed(problem)
+    monkeypatch.setattr(graphpde.solver, "NEWTON_CUT", math.inf)
+    monkeypatch.setattr(graphpde.solver, "NEWTON_TRY", graphpde.solver.NEWTON_MAX)
+    attempts = []
+    polish = graphpde.solver._newton_polish
+
+    def recorded(problem, u0, attempt=False):
+        out = polish(problem, u0, attempt)
+        if attempt:
+            attempts.append(out)
+        return out
+
+    monkeypatch.setattr(graphpde.solver, "_newton_polish", recorded)
+    log = RunLog()
+    sol = mountain_pass(problem, SolverConfig(), log=log)
+    [(u_omega, res_max, _, index)] = attempts
+    u = np.zeros(problem.graph.n)
+    u[problem.partition.omega] = u_omega
+    assert res_max <= graphpde.solver.NEWTON_TOL and float(np.max(np.abs(u))) > 1.0
+    assert index == morse_index(problem, u) == 2
+    assert energy(problem, u) <= log.traces["mountain_pass"][0][0]
+    assert log.stops == full.stops == {"mountain_pass": "tolerance"}
+    assert log.traces == full.traces
+    assert np.array_equal(sol.u, deformed.u)
+    assert morse_index(problem, sol.u) == 1
+
+
+def test_handoff_refuses_a_point_above_the_level():
+    # on path3 Newton from the initial maximum, at 1.4, reaches the saddle
+    # sqrt(2) of energy 2; the 41 samples straddle it, so the level is lower
+    problem = three_path_problem(POWER4)
+    log = RunLog()
+    sol = mountain_pass(problem, SolverConfig(), log=log)
+    level = log.traces["mountain_pass"][0][0]
+    assert log.stops["mountain_pass"] == "tolerance"
+    assert level < sol.energy_value == pytest.approx(2.0, rel=1e-12)
+    start = np.array([1.4])
+    assert graphpde.solver._newton_handoff(problem, start, level) is None
+    u, res_max, shifted = graphpde.solver._newton_handoff(problem, start, 2.0 + 1e-12)
+    assert u[0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    assert res_max <= graphpde.solver.NEWTON_TOL and not shifted
+
+
+def test_handoff_refuses_the_zero_function(monkeypatch):
+    problem = three_path_problem(POWER4)
+    for u, accepted in ((np.zeros(1), False), (np.full(1, 1e-9), True)):
+        monkeypatch.setattr(
+            graphpde.solver, "_newton_polish", lambda *args, u=u, **kwargs: (u, 0.0, False, 1)
+        )
+        assert (graphpde.solver._newton_handoff(problem, np.ones(1), 2.0) is not None) == accepted
+
+
+def test_handoff_attempt_gives_up_after_two_factors(monkeypatch):
+    # h = 0.01 spreads the solution over the whole lattice; Newton from the
+    # initial maximum cuts the residual eightfold, then fivefold
+    graph, part = lattice(12)
+    problem = Problem(graph=graph, partition=part, h=np.full(graph.n, 0.01), nl=POWER4, h0=0.01)
+    factors = []
+    original = graphpde.solver._band_solver
+
+    def counted(band):
+        factors.append(band.shape)
+        return original(band)
+
+    monkeypatch.setattr(graphpde.solver, "_band_solver", counted)
+    with monkeypatch.context() as m:
+        m.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
+        with pytest.raises(AssertionError, match="P factored"):
+            mountain_pass(problem, SolverConfig(verify_hypotheses=False))
+    assert len(factors) == 2
+
+
+def test_accepted_handoffs_have_index_one(monkeypatch):
+    # every run that reaches the first move is cut there
+    class Moved(Exception):
+        pass
+
+    def refuse(problem):
+        raise Moved
+
+    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", refuse)
+    handoffs = 0
+    for seed in (11, 12):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            graph = random_connected_graph(rng, n_min=5, n_max=25)
+            part = random_partition(rng, graph)
+            problem = Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER4, h0=1.0)
+            log = RunLog()
+            try:
+                sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+            except Moved:
+                continue
+            assert log.stops["mountain_pass"] == "newton_handoff"
+            assert morse_index(problem, sol.u) == 1
+            handoffs += 1
+    assert handoffs >= 150
+
+
+def test_loops_record_why_they_stopped(monkeypatch):
+    cases = [
+        (lattice_problem(12, POWER4), SolverConfig(), "newton_handoff"),
+        (three_path_problem(POWER4), SolverConfig(), "tolerance"),
+    ]
+    for problem, config, stop in cases:
+        log = RunLog()
+        mountain_pass(problem, config, log=log)
+        assert log.stops == {"mountain_pass": stop}
+    log = RunLog()
+    with pytest.raises(SolverError, match="endpoint"):
+        mountain_pass(
+            three_path_problem(power_plus_const(4, 10.0)),
+            SolverConfig(verify_hypotheses=False), log=log,
+        )
+    assert log.stops == {"mountain_pass": "endpoint_maximum"}
+    # the budget and a stall, on the loop itself
+    _, log = _deformed(lattice_problem(12, POWER4), SolverConfig(deform_steps=3))
+    assert log.stops == {"mountain_pass": "budget"}
+    assert len(log.traces["mountain_pass"]) == 3
+    rng = np.random.default_rng(12)
+    for _ in range(96):
+        graph = random_connected_graph(rng, n_min=5, n_max=25)
+        part = random_partition(rng, graph)
+    stalled = Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER4, h0=1.0)
+    log = RunLog()
+    mountain_pass(stalled, SolverConfig(verify_hypotheses=False), log=log)
+    assert log.stops == {"mountain_pass": "stall"}
+
+    ball = power_plus_const(4, 0.01)
+    for problem, config, stop in (
+        (lattice_problem(12, ball), SolverConfig(rho=1.0), "tolerance"),
+        (lattice_problem(12, ball), SolverConfig(rho=1.0, deform_tol=1e-300), "floor"),
+        (three_path_problem(PLUS_CONST), SolverConfig(rho=1.0, deform_steps=2), "budget"),
+    ):
+        log = RunLog()
+        ball_minimize(problem, config, log=log)
+        assert log.stops == {"ball_min": stop}
+    monkeypatch.setattr(graphpde.solver, "_descent_step", lambda *args: None)
+    log = RunLog()
+    ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0), log=log)
+    assert log.stops == {"ball_min": "backtracking"}

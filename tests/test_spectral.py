@@ -17,6 +17,7 @@ from graphpde import (
     lp,
     norm,
 )
+from graphpde.calculus import _interior_matrix
 from graphpde.spectral import _BLOCK, _band_solver
 from util import (
     band_matrix,
@@ -242,6 +243,64 @@ def test_band_solver_factors_indefinite_matrices(monkeypatch, rng, n):
     # an exactly singular block stops the factor
     with pytest.raises(np.linalg.LinAlgError):
         _band_solver(np.array([[1.0, 0.0, -1.0]]))
+
+
+def _negatives(a):
+    return int(np.sum(np.linalg.eigvalsh(a) < 0.0))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+def test_band_solver_counts_negative_eigenvalues(monkeypatch, rng, n):
+    # the -1s of S are the inertia of a: symmetric random bands shifted
+    # to between two eigenvalues, so a block-by-block sweep of Cholesky
+    # and eigh blocks meets every sign pattern of pivots
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    for bandwidth in sorted({min(bw, n - 1) for bw in (*_BANDWIDTHS, n - 1)}):
+        i, j = np.indices((n, n))
+        low = np.where((i >= j) & (i - j <= bandwidth), rng.standard_normal((n, n)), 0.0)
+        sym = low + low.T
+        evals = np.linalg.eigvalsh(sym)
+        middle = sorted(k for k in {n // 3, n // 2, n - 2} if 0 <= k < n - 1)
+        shifts = [evals[0] - 1.0, evals[-1] + 1.0] + [0.5 * (evals[k] + evals[k + 1]) for k in middle]
+        for sigma in shifts:
+            a = sym - sigma * np.eye(n)
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigh", counted)
+                negatives = _band_solver(lower_band(a, bandwidth)).negatives
+            assert negatives == _negatives(a)
+            assert (len(calls) > 0) == (negatives > 0)
+        # a positive definite band, and the indefinite ones above, too
+        a = _banded_spd(rng, n, bandwidth)
+        assert _band_solver(lower_band(a, bandwidth)).negatives == 0
+        a[0, 0] -= 3 * n + 4 * a[0, 0]
+        assert _band_solver(lower_band(a, bandwidth)).negatives == _negatives(a) == 1
+
+
+def test_band_solver_counts_eigenvalues_below_a_shift_on_the_lattice():
+    # L - sigma M has as many negative eigenvalues as L u = lambda M u
+    # has eigenvalues below sigma (Sylvester)
+    graph, part = lattice(12)
+    band = _interior_matrix(graph, part)
+    mu = graph.measure[part.omega]
+    d = 1.0 / np.sqrt(mu)
+    lam = np.linalg.eigvalsh(band_matrix(band) * d[:, None] * d[None, :])
+    gaps = np.flatnonzero(np.diff(lam) > 1e-6)  # the lattice has repeated eigenvalues
+    sigmas = [lam[0] - 1.0, lam[-1] + 1.0] + [0.5 * (lam[k] + lam[k + 1]) for k in gaps[::5]]
+    counts = set()
+    for sigma in sigmas:
+        shifted = band.copy()
+        shifted[0] -= sigma * mu
+        expected = int(np.sum(lam < sigma))
+        assert _band_solver(shifted).negatives == _negatives(band_matrix(shifted)) == expected
+        counts.add(expected)
+    assert {0, 1, part.omega.size} <= counts and len(counts) >= 12
 
 
 def test_default_iterative_branch_lattice_oracle():
