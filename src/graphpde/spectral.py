@@ -9,8 +9,8 @@ generalized problem L u = lambda M u on interior unknowns, where L is
 the weighted Dirichlet Laplacian and M = diag(mu).  L is kept as its
 lower band (calculus._interior_matrix).  Small problems are solved
 densely with eigh; large ones by inverse iteration that factors L once,
-by _band_solver (a = C S C^T, S = +-1: Cholesky blocks, or eigh where
-Cholesky fails), and then only back-substitutes.  The Rayleigh quotient
+by _band_solver (a = C S C^T, S = +-1: Cholesky windows, or eigh blocks
+where Cholesky fails), and then only back-substitutes.  The Rayleigh quotient
 u^T L u of a unit-mass u is the edge sum of w_xy (u(x) - u(y))^2 with u
 = 0 off the interior (calculus.edge_energy), and L u is -mu times the
 graph Laplacian of u on the interior, so neither applies L as a matrix.
@@ -41,8 +41,8 @@ class EigenResult:
     residual: float
 
 
-# Row/column block size of _band_solver: no np.linalg.cholesky or eigh
-# call sees a larger matrix, and below an eigh block C fills the block.
+# Row/column block size of _band_solver; np.linalg.cholesky sees at most
+# a block's window of 2 _BLOCK rows, and below an eigh block C fills it.
 _BLOCK = 64
 
 
@@ -58,6 +58,22 @@ def _band_panel(band: np.ndarray, k: int, m: int) -> np.ndarray:
     return skew.ravel()[: m * (bw + m)].reshape(m, bw + m).T
 
 
+def _invert_lower(t: np.ndarray) -> None:
+    """Invert the C-contiguous stack t of nonsingular lower triangular
+    N x N matrices in place, N a power of two, by recursive doubling
+    (Du Croz & Higham, IMA J. Numer. Anal. 12, 1992): the reciprocal
+    diagonal, then for s = 1, 2, .. N/2 at once on every diagonal 2s
+    block [[X11, 0], [A21, X22]], X21 = -X22 A21 X11."""
+    size = t.shape[-1]
+    diagonal = t.reshape(len(t), size * size)[:, :: size + 1]
+    diagonal[...] = 1.0 / diagonal
+    for s in (2**j for j in range(size.bit_length() - 1)):
+        q = size // (2 * s)
+        blocks = np.einsum("kiaib->kiab", t.reshape(len(t), q, 2 * s, q, 2 * s))
+        a21 = blocks[..., s:, :s]
+        a21[...] = -(blocks[..., s:, s:] @ a21 @ blocks[..., :s, :s])
+
+
 def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the symmetric nonsingular matrix a once; return
     y -> a^(-1) y, whose attribute negatives counts the -1s of S.
@@ -66,58 +82,81 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     (bw + 1, n) array with band[d, j] = a[j + d, j], the diagonal in
     row 0 and bw the bandwidth of a (a[i, j] = 0 for |i - j| > bw).
     a = C S C^T with S diagonal +-1 and C block lower triangular,
-    computed left-looking one block b of _BLOCK columns at a time: the
-    panel of a on b and the bw rows below it, read off the band by
-    _band_panel, minus the products of the band of C S C^T left of b,
-    is factored in its top block, whose inverse is kept, and scaled by
-    that inverse and S_b below.  The top block is factored by
-    np.linalg.cholesky (S_b = I), or where that fails by np.linalg.eigh
-    (C_bb = Q |Lambda|^(1/2), S_b = sign Lambda; the rows of C below it
-    fill that block, so a later panel whose left edge k - bw falls in it
-    starts at its first column).  So C is the banded Cholesky factor of
-    a positive definite a, and the -1s of S count the negative
-    eigenvalues of a (Haynsworth).  An exactly singular top block raises
-    LinAlgError.
+    computed left-looking one block b of _BLOCK columns at a time: b's
+    window, a on rows and columns b's start .. hi - 1, hi = min(n, b's
+    end + bw), read off the band by _band_panel, minus the band of
+    C S C^T left of b, which reaches only its first bw rows.  While
+    bw <= _BLOCK np.linalg.cholesky factors the whole window; its first
+    columns are C on b and below (S_b = I).  Where that fails, and at
+    every block when bw > _BLOCK (a window costs (bw + _BLOCK)^3 / 3),
+    the window's first columns are factored in their top block and
+    scaled below by its inverse and S_b: np.linalg.cholesky (S_b = I),
+    or where that fails np.linalg.eigh (C_bb = Q |Lambda|^(1/2), inverse
+    (Q |Lambda|^(-1/2))^T, S_b = sign Lambda; the rows of C below it
+    fill that block, so a later window whose left edge k - bw falls in
+    it starts at its first column; a zero eigenvalue raises LinAlgError).
+    So C is the banded Cholesky factor of a positive definite a, and the
+    -1s of S count its negative eigenvalues (Haynsworth).
 
     C is kept as two panels per block b, never as an n x n array:
-    below, C on b's columns and the rows from b's end to
-    hi = min(n, b's end + bw); and row, C on b's rows and the columns
-    lo .. b's start - 1.  Each panel's update gathers C on b's rows and
-    the bw rows below, left of b, from the below panels of the blocks
-    it crosses.  A solve is a blocked forward substitution with the row
-    panels, a product with S and a blocked back substitution with the
-    below panels.  So the factor costs O(n bw _BLOCK) and a solve
-    O(n (bw + _BLOCK)).  A full band (bw >= n - 1) is the dense blocked
-    factor.  y may be a vector or an (n, k) matrix.
+    below, C on b's columns and rows b's end .. hi - 1; and row, C on
+    b's rows and columns lo .. b's start - 1, gathered for the update
+    from the below panels it crosses.  The windows' C_bb wait in one
+    identity-padded stack that the first solve inverts in place
+    (_invert_lower), so a factor asked only for negatives inverts
+    nothing.  A solve substitutes forward with the row panels,
+    multiplies by S and substitutes back with the below panels.  The
+    factor costs O(n (bw + _BLOCK)^2), about n^3 / 3 for a full band,
+    and a solve O(n (bw + _BLOCK)).  y may be a vector or an (n, k)
+    matrix.
     """
     bw, n = len(band) - 1, band.shape[1]
     s = np.ones(n)  # the diagonal of S
     edge = np.arange(n)  # column j, or the first column of j's block if eigh factored it
+    size = 1 << (min(n, _BLOCK) - 1).bit_length()
+    stack = np.tile(np.eye(size), (math.ceil(n / _BLOCK) if bw <= _BLOCK else 0, 1, 1))
     blocks = []
-    for k in range(0, n, _BLOCK):
+    for i, k in enumerate(range(0, n, _BLOCK)):
         b = slice(k, min(k + _BLOCK, n))
         m = b.stop - k
         lo, hi = int(edge[max(0, k - bw)]), min(n, b.stop + bw)
-        left = np.zeros((hi - k, k - lo))  # C on rows k .. hi - 1, columns lo .. k - 1
+        c = min(hi - k, bw)  # C left of b is zero below row k + bw
+        left = np.zeros((c, k - lo))  # C on rows k .. k + c - 1, columns lo .. k - 1
         for b2, _, hi2, _, _, below in blocks[lo // _BLOCK :]:
             start = max(b2.start, lo)
             left[: hi2 - k, start - lo : b2.stop - lo] = below[k - b2.stop :, start - b2.start :]
-        row = left[:m]
-        # C S on b's rows; unscaled while S = I, so P and L keep numpy's A @ A.T path
-        scaled = row * s[lo:k] if s.min() < 0.0 else row
-        panel = _band_panel(band, k, m)[: hi - k] - left @ scaled.T
+        # C S on those rows; unscaled while S = I, so P and L keep numpy's A @ A.T path
+        scaled = left * s[lo:k] if s.min() < 0.0 else left
+        width = hi - k if bw <= _BLOCK else m  # the window, or its first m columns
+        window = _band_panel(band, k, width)[: hi - k]
+        window[:c, : min(c, width)] -= left @ scaled[:width].T
+        if bw <= _BLOCK:
+            try:
+                cw = np.linalg.cholesky(window)
+            except np.linalg.LinAlgError:
+                pass
+            else:
+                stack[i, :m, :m] = cw[:m, :m]
+                blocks.append((b, lo, hi, stack[i, :m, :m], left[:m], cw[m:, :m].copy()))
+                continue
+        panel = window[:, :m]
         try:
-            cbb = np.linalg.cholesky(panel[:m])
+            inv = np.linalg.inv(np.linalg.cholesky(panel[:m]))
         except np.linalg.LinAlgError:
             lam, q = np.linalg.eigh(panel[:m])
-            cbb, s[b], edge[b] = q * np.sqrt(np.abs(lam)), np.sign(lam), k
-        inv = np.linalg.inv(cbb)
-        blocks.append((b, lo, hi, inv, row, panel[m:] @ inv.T * s[b]))
+            if not lam.all():
+                raise np.linalg.LinAlgError("Singular matrix") from None
+            inv, s[b], edge[b] = (q / np.sqrt(np.abs(lam))).T, np.sign(lam), k
+        blocks.append((b, lo, hi, inv, left[:m], panel[m:] @ inv.T * s[b]))
+    pending = [stack]  # inverted in place by the first solve
 
     def solve(y: np.ndarray) -> np.ndarray:
+        if pending:
+            _invert_lower(pending.pop())
         z = np.array(y, dtype=float)
         for b, lo, _, inv, row, _ in blocks:
-            z[b] = inv @ (z[b] - row @ z[lo : b.start])
+            z[b.start : b.start + len(row)] -= row @ z[lo : b.start]
+            z[b] = inv @ z[b]
         z.T[...] *= s  # S on every column of z
         for b, _, hi, inv, _, below in reversed(blocks):
             z[b] = inv.T @ (z[b] - below.T @ z[b.stop : hi])

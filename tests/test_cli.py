@@ -1,16 +1,20 @@
 """Command line interface: exit codes, report formats, determinism."""
 
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import graphpde
 from graphpde.cli import run
@@ -719,3 +723,83 @@ def test_non_finite_nonlinearity_parameters_exit_2(command, spec, graph_file, ca
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("input error: ")
     assert "finite" in lines[0]
+
+
+def _scalars(value):
+    """Every number, string, bool or null in a parsed JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for v in value for x in _scalars(v)]
+    return [value]
+
+
+_SCALE = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)  # log-uniform over 1e-6 .. 1e6
+_RANGE = st.floats(-6.0, 300.0).map(lambda e: 10.0**e)  # up to 1e300
+
+
+@st.composite
+def _cli_cases(draw):
+    """A small graph file, interior x0 .. x(k-1) on a path (with a chord
+    closing it into a cycle for k > 2) between boundary vertices y0 and
+    y1, its v lines and its e lines each in a drawn order, and the argv
+    of one command on it."""
+    k = draw(st.integers(1, 5))
+    edges = [(f"x{i}", f"x{i + 1}") for i in range(k - 1)] + [("y0", "x0"), (f"x{k - 1}", "y1")]
+    if k > 2 and draw(st.booleans()):
+        edges.append(("x0", f"x{k - 1}"))
+    vertices = [(f"x{i}", "omega") for i in range(k)] + [("y0", "boundary"), ("y1", "boundary")]
+    h = [draw(_SCALE) for _ in range(k)]
+    given = draw(st.booleans())
+    lines = [
+        f"v {v} {repr(draw(_SCALE)) if given else 'auto'} {hv!r} {part}"
+        for (v, part), hv in zip(vertices, h + [0.0, 0.0])
+    ]
+    edges = [f"e {a} {b} {draw(_SCALE)!r}" for a, b in edges]
+    p = draw(st.floats(2.0, 60.0, exclude_min=True))
+    odd = draw(st.lists(st.tuples(st.sampled_from([1, 3, 5, 7]), st.floats(-10.0, 10.0)),
+                        min_size=1, max_size=3, unique_by=lambda t: t[0]))
+    nl = draw(st.sampled_from([
+        f"power:p={p!r}",
+        f"power_plus_const:p={p!r},eps={draw(st.floats(-1.0, 1.0))!r}",
+        "odd_poly:" + ",".join(f"c{d}={c!r}" for d, c in odd),
+    ]))
+    command = draw(st.sampled_from(["check", "eigen", "solve", "solve2"]))
+    h0 = draw(st.sampled_from([min(h), draw(_SCALE)]))  # H1 holds, or h0 is arbitrary
+    argv = [command, "--nl", nl, "--h0", repr(h0), "--format", "jsonl"]
+    if command in ("solve", "solve2"):
+        argv += ["--max-iter", str(draw(st.integers(1, 30)))]
+    for flag in ("--theta", "--M", "--M0", "--rho"):
+        value = draw(st.none() | (st.floats(2.0, 60.0, exclude_min=True) if flag == "--theta"
+                                  else _RANGE))
+        if value is not None:
+            argv += [flag, repr(value)]
+    lines = draw(st.permutations(lines)) + draw(st.permutations(edges))
+    return "".join(line + "\n" for line in lines), argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_cli_cases())
+@example(case=(PATH3, ["check", "--h0", "1", "--nl", "power:p=4", "--M0", "1e200", "--format", "jsonl"]))
+def test_cli_fuzz_exits_cleanly(case, tmp_path_factory):
+    # badly scaled weights, measures and flags: every run ends in exit 0,
+    # 1 or 2 with nothing on stderr but an exit 2's one input error line,
+    # and a success report holds only finite numbers
+    text, argv = case
+    path = tmp_path_factory.mktemp("fuzz") / "g.graph"
+    path.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("error")  # a warning would raise out of run()
+        code = run([argv[0], str(path), *argv[1:]])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("input error: ")
+    else:
+        assert err.getvalue() == ""
+    if code == 0:
+        for record in jsonl_records(out.getvalue()):
+            for value in _scalars(record):
+                assert value not in ("inf", "-inf", "nan"), record
+                assert not isinstance(value, float) or math.isfinite(value), record

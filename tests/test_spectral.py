@@ -18,7 +18,7 @@ from graphpde import (
     norm,
 )
 from graphpde.calculus import _interior_matrix
-from graphpde.spectral import _BLOCK, _band_solver
+from graphpde.spectral import _BLOCK, _band_solver, _invert_lower
 from util import (
     band_matrix,
     interior_matrix_loop,
@@ -163,7 +163,8 @@ def test_iterative_factors_once(monkeypatch, rng):
     if part.omega.size < 2:
         part = compute_boundary(graph, [graph.vertex_ids[i] for i in range(10)])
     dense = first_eigenvalue(graph, part)
-    # 225 interior unknowns of bandwidth 15: four blocks, one factor each
+    # 225 interior unknowns of bandwidth 15: four blocks, one factor each,
+    # of the block's columns and the 15 rows below them
     big_graph, big_part = lattice(17)
 
     factorizations = []
@@ -176,8 +177,12 @@ def test_iterative_factors_once(monkeypatch, rng):
     def refactoring_solve(*args, **kwargs):
         raise AssertionError("np.linalg.solve factors the matrix again")
 
+    def inverse(*args, **kwargs):
+        raise AssertionError("np.linalg.inv called on a positive definite band")
+
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     monkeypatch.setattr(np.linalg, "solve", refactoring_solve)
+    monkeypatch.setattr(np.linalg, "inv", inverse)
     iterative = first_eigenvalue(graph, part, dense_cutoff=0)
     assert factorizations == [(part.omega.size, part.omega.size)]
     assert iterative.iterations >= 1
@@ -186,7 +191,7 @@ def test_iterative_factors_once(monkeypatch, rng):
     factorizations.clear()
     big = first_eigenvalue(big_graph, big_part, dense_cutoff=0)
     assert len(factorizations) == math.ceil(225 / _BLOCK) == 4
-    assert all(rows == cols <= _BLOCK for rows, cols in factorizations)
+    assert all(rows == cols <= _BLOCK + 15 for rows, cols in factorizations)
     assert big.lambda1 == pytest.approx(1.0 - math.cos(math.pi / 16), rel=1e-10)
 
 
@@ -210,14 +215,71 @@ def _check_solver(rng, a, bandwidth):
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-_BANDWIDTHS = (1, 15, 63, 64, 65)
+# the last three straddle the window factor's limit: bandwidth <= _BLOCK
+# factors each block's window whole, a wider band each block's top
+_BANDWIDTHS = (1, 15, _BLOCK - 1, _BLOCK, _BLOCK + 1)
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
-def test_cholesky_solver_matches_dense_solve(rng, n):
-    # positive definite: every block of the band solver is a Cholesky block
+def test_cholesky_solver_matches_dense_solve(monkeypatch, rng, n):
+    # positive definite: every block of the band solver is a Cholesky
+    # block, and only a wide band inverts a block while it factors
+    inv = np.linalg.inv
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
     for bandwidth in sorted({min(bw, n - 1) for bw in (*_BANDWIDTHS, n - 1)}):
+        calls.clear()
         _check_solver(rng, _banded_spd(rng, n, bandwidth), bandwidth)
+        assert len(calls) == (0 if bandwidth <= _BLOCK else math.ceil(n / _BLOCK))
+
+
+def test_band_solver_inverts_its_blocks_at_the_first_solve(monkeypatch, rng):
+    # a factor asked only for negatives inverts nothing; the first solve
+    # inverts every window block in one stacked pass, and later solves
+    # reuse it, bit for bit
+    graph, part = lattice(17)
+    band = _interior_matrix(graph, part)
+    passes = []
+
+    def counted(t):
+        passes.append(t.shape)
+        _invert_lower(t)
+
+    monkeypatch.setattr("graphpde.spectral._invert_lower", counted)
+    assert _band_solver(band).negatives == 0
+    assert passes == []
+    solve = _band_solver(band)
+    y = rng.standard_normal((225, 3))
+    x = solve(y)
+    assert passes == [(4, _BLOCK, _BLOCK)]
+    assert np.array_equal(solve(y), x)
+    assert passes == [(4, _BLOCK, _BLOCK)]
+    # a vector is one column of a matrix right-hand side, up to rounding
+    a = band_matrix(band)
+    for k in range(3):
+        assert np.allclose(solve(y[:, k]), x[:, k], rtol=1e-14, atol=1e-14 * np.abs(x[:, k]).max())
+    assert np.linalg.norm(a @ x - y) <= 1e-13 * np.linalg.norm(a) * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8, 13, 31, 32, 33, 50, 63, 64])
+def test_stacked_triangular_inverse_matches_inv(rng, m):
+    # well-conditioned lower triangular m x m blocks, identity-padded to
+    # the next power of two as the band solver stacks them
+    size = 1 << (m - 1).bit_length()
+    blocks = np.tril(rng.uniform(-1.0, 1.0, (5, m, m)) / m) + np.diag(rng.uniform(1.0, 2.0, m))
+    stack = np.tile(np.eye(size), (5, 1, 1))
+    stack[:, :m, :m] = blocks
+    _invert_lower(stack)
+    for block, inverse in zip(blocks, stack):
+        want = np.linalg.inv(block)
+        assert np.linalg.norm(inverse[:m, :m] - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.array_equal(inverse[m:, m:], np.eye(size - m))
+        assert not inverse[m:, :m].any() and not np.triu(inverse, 1).any()
 
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
