@@ -63,7 +63,6 @@ from .variational import (
     BallConstants,
     Problem,
     ball_constants,
-    ball_kappa,
     directional_derivative,
     energy,
     gradient,
@@ -89,7 +88,7 @@ __all__ = [
     "GraphParseError", "GridSpec", "H_NORM", "HypothesisVerdict",
     "Nonlinearity", "NormKind", "Problem", "RunLog", "Solution",
     "SolveReport", "SolverConfig", "SolverError", "WeightedGraph",
-    "ar_lower_bound", "ball_constants", "ball_kappa", "ball_minimize",
+    "ar_lower_bound", "ball_constants", "ball_minimize",
     "build_graph", "build_spike_endpoint", "check_f", "check_h",
     "compute_boundary", "dirichlet_energy", "directional_derivative",
     "edge_energy", "embedding_constants", "energy",

@@ -33,7 +33,8 @@ from typing import Mapping
 import numpy as np
 
 _REL_GUARD = 1e-12  # slack for closed-form equality cases in sampled checks
-F6_DEFAULT_THRESHOLD = 1e3
+F6_DEFAULT_THRESHOLD = 1e3  # f(u)/u at the range edge that the F6 proxy requires
+GRID_POINTS = 10001  # points of every sampling grid: GridSpec, the |F| scan, F8
 
 
 @dataclass(frozen=True)
@@ -228,10 +229,10 @@ def evaluate(nl: Nonlinearity, u):
     return f, F, fu
 
 
-def antiderivative_peak(nl: Nonlinearity, u_max: float, points: int):
-    """max |F| over `points` uniform grid points on [-u_max, u_max], and
-    the first of them where it is attained."""
-    us = np.linspace(-u_max, u_max, points)
+def antiderivative_peak(nl: Nonlinearity, u_max: float):
+    """max |F| over GRID_POINTS uniform grid points on [-u_max, u_max],
+    and the first of them where it is attained."""
+    us = np.linspace(-u_max, u_max, GRID_POINTS)
     big_f = np.abs(antiderivative(nl, us))
     k = int(np.argmax(big_f))
     return float(big_f[k]), float(us[k])
@@ -256,7 +257,7 @@ class GridSpec:
     """Uniform symmetric sampling grid on [-u_max, u_max]."""
 
     u_max: float
-    points: int = 10001
+    points: int = GRID_POINTS
 
     def __post_init__(self):
         if not self.u_max > 0.0:
@@ -360,25 +361,19 @@ def check_f(
     M: float | None = None,
     C: float | None = None,
     p: float | None = None,
-    M0: float | None = None,
-    beta: float | None = None,
-    mu_min: float | None = None,
-    h0: float | None = None,
-    threshold: float = F6_DEFAULT_THRESHOLD,
 ) -> HypothesisVerdict:
-    """Sampled checks F2..F8 on the nonlinearity.
+    """Sampled checks F2..F7 on the nonlinearity.
 
     F2  f(0) = 0 and f_u(0) = 0 (exact, from closed forms)
     F3  |f(u)| <= C (1 + |u|^(p-1))              needs C, p
     F4  0 < theta F(u) <= u f(u) for |u| >= M    needs theta, M
     F5  f(u)/u nondecreasing on u > 0
-    F6  proxy: f(u_max)/u_max >= threshold at the range edge
+    F6  proxy: f(u_max)/u_max >= F6_DEFAULT_THRESHOLD at the range edge
     F7  f(0) != 0 (exact)
-    F8  max |F| on [-M0, M0] <= M0^2/(2 (beta+1) mu_min h0)
-                                                 needs M0, beta, mu_min, h0
 
     Constants default to the ones stored on the nonlinearity.  F3..F6
-    fail at the first grid point where f or F is not finite.
+    fail at the first grid point where f or F is not finite.  F8 needs
+    the ball's constants and is decided by f8_verdict alone.
     """
     theta = nl.ar_theta if theta is None else theta
     M = nl.ar_M if M is None else M
@@ -398,15 +393,6 @@ def check_f(
         return HypothesisVerdict(
             "F7", holds, f"f(0) = {f0:g} (must be nonzero)", data={"f0": f0}
         )
-    if which == "F8":
-        if M0 is None or beta is None or mu_min is None or h0 is None:
-            raise ValueError("F8 needs M0, beta, mu_min and h0")
-        if not (M0 > 0.0 and mu_min > 0.0 and h0 > 0.0):
-            raise ValueError("F8 needs positive M0, mu_min and h0")
-        if not beta > 0.0:
-            raise ValueError(f"F8 needs beta > 0, got {beta}")
-        max_abs, u_at = antiderivative_peak(nl, M0, grid.points)
-        return f8_verdict(max_abs, u_at, M0, beta, mu_min, h0, grid.points)
 
     if which == "F3" and (C is None or p is None):
         raise ValueError("F3 needs the growth constants C and p")
@@ -416,8 +402,6 @@ def check_f(
         raise ValueError("F4 needs the constants theta and M")
     if which == "F4" and not (theta > 2.0 and M > 0.0):
         raise ValueError(f"F4 needs theta > 2 and M > 0, got theta={theta}, M={M}")
-    if which == "F6" and not threshold > 0.0:
-        raise ValueError(f"F6 threshold must be positive, got {threshold}")
     us = grid.values()
     if which == "F4" and not (np.abs(us) >= M).any():
         raise ValueError(f"grid {grid.label()} does not reach |u| >= M = {M:g}")
@@ -489,27 +473,28 @@ def check_f(
     if which == "F6":
         edge = float(us[-1])
         ratio = float(f[-1] / edge)
-        holds = ratio >= threshold
+        holds = ratio >= F6_DEFAULT_THRESHOLD
         return HypothesisVerdict(
             "F6", holds,
             f"proxy for f(u)/u -> infinity: f({edge:g})/{edge:g} = {ratio:g} vs "
-            f"threshold {threshold:g} (sampled evidence, not a proof)",
+            f"threshold {F6_DEFAULT_THRESHOLD:g} (sampled evidence, not a proof)",
             sampled_range=grid.label(),
-            data={"ratio": ratio, "threshold": threshold},
+            data={"ratio": ratio, "threshold": F6_DEFAULT_THRESHOLD},
         )
     raise ValueError(f"unknown f-hypothesis {which!r}")
 
 
-def f8_verdict(max_abs, u_at, M0, beta, mu_min, h0, points) -> HypothesisVerdict:
-    """F8 from max_abs, the largest |F| on `points` uniform grid points
-    over [-M0, M0], attained first at u_at (see antiderivative_peak)."""
+def f8_verdict(max_abs, u_at, M0, beta, mu_min, h0) -> HypothesisVerdict:
+    """F8, max |F| on [-M0, M0] <= M0^2/(2 (beta+1) mu_min h0), from
+    max_abs, the largest |F| on GRID_POINTS uniform grid points over
+    [-M0, M0], attained first at u_at (see antiderivative_peak)."""
     bound = M0 ** 2 / (2.0 * (beta + 1.0) * mu_min * h0)
     holds = max_abs <= bound * (1.0 + _REL_GUARD)
     return HypothesisVerdict(
         "F8", holds,
         f"max |F| on [-M0, M0] is {max_abs:g} at u = {u_at:g} vs bound "
         f"M0^2/(2(beta+1) mu_min h0) = {bound:g}",
-        sampled_range=f"[-{M0:g}, {M0:g}] with {points} points",
+        sampled_range=f"[-{M0:g}, {M0:g}] with {GRID_POINTS} points",
         data={"max_abs_F": max_abs, "bound": bound, "beta": beta},
     )
 

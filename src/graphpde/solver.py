@@ -517,8 +517,8 @@ def mountain_pass(
     are then redistributed by arc length in one pass, keeping the image
     where it moved.  The loop leaves for Newton refinement when the
     image's Euclidean gradient norm reaches deform_tol, or when the
-    sampled level stalls; refinement failure after a stall is
-    reported as a stall.
+    sampled level stalls, or when deform_steps iterations are spent;
+    refinement failure after a stall or a spent budget names that stop.
 
     Before the first move, Newton runs from the initial path's maximizer
     as an attempt (_newton_handoff).  When it reaches NEWTON_TOL at a
@@ -592,8 +592,9 @@ def mountain_pass(
         u, res_max, shifted, _ = _newton_polish(problem, path[i])
     except SolverError as exc:
         if stop != "tolerance":
+            how = "stalled" if stop == "stall" else "spent its iteration budget"
             raise SolverError(
-                f"path deformation stalled at sampled level {level:.17g} and "
+                f"path deformation {how} at sampled level {level:.17g} and "
                 f"Newton refinement from the maximizer failed: {exc}"
             ) from exc
         raise
@@ -711,7 +712,6 @@ def two_solutions(
     m0 = config.m0
     verdicts = _gate(problem, "two", m0)
     hypothesis = embedding_hypothesis(verdicts)
-    grid = GridSpec.default(M=problem.nl.ar_M, M0=m0)
     if m0 is not None:
         rho = m0 * m0 / (problem.graph.mu_min * problem.h0)
     elif config.rho is None:
@@ -720,9 +720,7 @@ def two_solutions(
         )
     else:
         rho = config.rho
-    ball = ball_constants(
-        problem, rho, kappa_choice=hypothesis, grid_points=grid.points, u_bound=m0
-    )
+    ball = ball_constants(problem, rho, kappa_choice=hypothesis, u_bound=m0)
     beta = ball.beta_max if config.beta is None else config.beta
     no_beta = SolverError(
         "no valid beta: the smallness condition needs 0 < beta <= "
@@ -732,8 +730,7 @@ def two_solutions(
         raise no_beta
     if m0 is not None:
         f8 = f8_verdict(
-            ball.max_abs_F, ball.u_at_max, m0, beta,
-            problem.graph.mu_min, problem.h0, grid.points,
+            ball.max_abs_F, ball.u_at_max, m0, beta, problem.graph.mu_min, problem.h0
         )
         verdicts.append(f8)
         if not f8.holds:

@@ -41,6 +41,8 @@ class EigenResult:
     residual: float
 
 
+# Most interior unknowns first_eigenvalue solves densely with eigh.
+DENSE_CUTOFF = 200
 # Row/column block size of _band_solver; np.linalg.cholesky sees at most
 # a block's window of 2 _BLOCK rows, and below an eigh block C fills it.
 _BLOCK = 64
@@ -90,8 +92,9 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     columns are C on b and below (S_b = I).  Where that fails, and at
     every block when bw > _BLOCK (a window costs (bw + _BLOCK)^3 / 3),
     the window's first columns are factored in their top block and
-    scaled below by its inverse and S_b: np.linalg.cholesky (S_b = I),
-    or where that fails np.linalg.eigh (C_bb = Q |Lambda|^(1/2), inverse
+    scaled below by its inverse and S_b: np.linalg.cholesky (S_b = I,
+    inverted by _invert_lower on an identity-padded copy), or where
+    that fails np.linalg.eigh (C_bb = Q |Lambda|^(1/2), inverse
     (Q |Lambda|^(-1/2))^T, S_b = sign Lambda; the rows of C below it
     fill that block, so a later window whose left edge k - bw falls in
     it starts at its first column; a zero eigenvalue raises LinAlgError).
@@ -140,8 +143,11 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
                 blocks.append((b, lo, hi, stack[i, :m, :m], left[:m], cw[m:, :m].copy()))
                 continue
         panel = window[:, :m]
+        t = np.eye(size)
         try:
-            inv = np.linalg.inv(np.linalg.cholesky(panel[:m]))
+            t[:m, :m] = np.linalg.cholesky(panel[:m])
+            _invert_lower(t[None])
+            inv = t[:m, :m]
         except np.linalg.LinAlgError:
             lam, q = np.linalg.eigh(panel[:m])
             if not lam.all():
@@ -171,20 +177,20 @@ def first_eigenvalue(
     partition: DomainPartition,
     tolerance: float = 1e-12,
     max_iterations: int = 500,
-    dense_cutoff: int = 200,
 ) -> EigenResult:
     """Smallest Dirichlet eigenvalue of the domain.
 
-    Up to dense_cutoff interior vertices the dense symmetric problem
-    M^(-1/2) L M^(-1/2) is solved directly.  Above that, inverse
-    iteration runs on L u = lambda M u from the constant function of
-    unit mass: u <- L^(-1) M u, rescaled to int_omega u^2 dmu = 1, with
-    lambda = u^T L u, until successive lambdas differ by at most
-    tolerance * max(1, |lambda|).  L is factored once; each iteration
-    only back-substitutes, and takes lambda as the edge sum
-    edge_energy(u), which is u^T L u because u vanishes off the
-    interior.  The residual is max |L u - lambda M u| on the interior,
-    with L u = -mu laplacian(u) read off the adjacency.
+    Up to DENSE_CUTOFF interior vertices the dense symmetric problem
+    M^(-1/2) L M^(-1/2) is solved by eigh (tolerance and max_iterations
+    unused).  Above that, inverse iteration runs on L u = lambda M u
+    from the constant function of unit mass: u <- L^(-1) M u, rescaled
+    to int_omega u^2 dmu = 1, with lambda = u^T L u, until successive
+    lambdas differ by at most tolerance * max(1, |lambda|).  L is
+    factored once; each iteration only back-substitutes, and takes
+    lambda as the edge sum edge_energy(u), which is u^T L u because u
+    vanishes off the interior.  The residual is max |L u - lambda M u|
+    on the interior, with L u = -mu laplacian(u) read off the
+    adjacency.  Raises ValueError when max_iterations pass unstopped.
     """
     if partition.boundary.size == 0:
         raise ValueError(
@@ -199,7 +205,7 @@ def first_eigenvalue(
     mdiag = graph.measure[idx]
     u = np.zeros(graph.n)
     iterations = 0
-    if len(idx) <= dense_cutoff:
+    if len(idx) <= DENSE_CUTOFF:
         low = _band_panel(band, 0, len(idx))[: len(idx)]
         d = 1.0 / np.sqrt(mdiag)
         smat = (low + np.tril(low, -1).T) * d[:, None] * d[None, :]
@@ -266,7 +272,9 @@ class ConstantsReport:
 def embedding_kappa(graph, partition, h, h0: float, hypothesis: str) -> float:
     """The radius scale sqrt(mu_min h0) under H1; under H3 that value
     divided by sqrt(1 - mu_min h0 int_omega h dmu), which must be
-    positive."""
+    positive.  Any other hypothesis is a ValueError."""
+    if hypothesis not in ("H1", "H3"):
+        raise ValueError(f"hypothesis must be 'H1' or 'H3', got {hypothesis!r}")
     mu_h0 = graph.mu_min * h0
     if hypothesis == "H1":
         return math.sqrt(mu_h0)
@@ -292,10 +300,8 @@ def embedding_constants(
     h0 = float(h0)
     if not h0 > 0.0:
         raise ValueError(f"h0 must be positive, got {h0}")
-    if hypothesis not in ("H1", "H3"):
-        raise ValueError(f"hypothesis must be 'H1' or 'H3', got {hypothesis!r}")
-    if eigen is None:
-        eigen = first_eigenvalue(graph, partition)
+    kappa = embedding_kappa(graph, partition, h, h0, hypothesis)  # before any eigen work
+    eigen = eigen or first_eigenvalue(graph, partition)
     mu_min = graph.mu_min
     return ConstantsReport(
         lambda1=eigen.lambda1,
@@ -303,7 +309,7 @@ def embedding_constants(
         mu_min=mu_min,
         h0=h0,
         sup_embedding=math.sqrt(1.0 / (mu_min * h0)),
-        kappa=embedding_kappa(graph, partition, h, h0, hypothesis),
+        kappa=kappa,
         hypothesis=hypothesis,
         omega_measure=integrate(graph, np.ones(graph.n), partition.omega),
     )

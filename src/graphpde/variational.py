@@ -244,54 +244,31 @@ class BallConstants:
     u_at_max: float = field(repr=False)
 
 
-def ball_kappa(problem: Problem, kappa_choice: str) -> float:
-    """Pointwise-range conversion constant for the ball argument.
-
-    Three conventions are exposed because the source formulas are
-    inconsistent with each other unless mu_min * h0 = 1:
-
-      "H1"     the stated constant sqrt(mu_min h0)
-      "H3"     the stated constant divided by
-               sqrt(1 - mu_min h0 int_omega h dmu), for coefficients
-               satisfying the integral-bound hypothesis
-      "proof"  the reciprocal convention 1/sqrt(mu_min h0), which is
-               the factor the sup-norm embedding bound actually yields
-
-    No guess is made about which was intended; callers pick one and the
-    reports label which was used.
-    """
-    if problem.h0 is None:
-        raise ValueError("ball constants need the lower bound h0 on the problem")
-    if kappa_choice == "proof":
-        return 1.0 / math.sqrt(problem.graph.mu_min * problem.h0)
-    if kappa_choice in ("H1", "H3"):
-        return embedding_kappa(
-            problem.graph, problem.partition, problem.h, problem.h0, kappa_choice
-        )
-    raise ValueError(f"kappa_choice must be H1, H3 or proof, got {kappa_choice!r}")
-
-
 def ball_constants(
     problem: Problem,
     rho: float,
     kappa_choice: str = "H1",
-    grid_points: int = 10001,
     u_bound: float | None = None,
 ) -> BallConstants:
     """Largest admissible beta for the energy ball of radius sqrt(rho).
 
-    Scans |F| on a uniform grid over [-u_bound, u_bound] and inverts the
-    smallness condition beta + 1 <= rho / (2 max |F|).  u_bound is the
-    pointwise range of the ball, kappa sqrt(rho), unless the caller
-    gives the pointwise bound itself.
+    Scans |F| over [-u_bound, u_bound] (antiderivative_peak) and inverts
+    the smallness condition beta + 1 <= rho / (2 max |F|).  u_bound is
+    the ball's pointwise range kappa sqrt(rho), kappa the embedding_kappa
+    of kappa_choice (H1 or H3), unless the caller gives it.  The proof's
+    constant 1/sqrt(mu_min h0) is ConstantsReport.sup_embedding.
     """
     if not rho > 0.0:
         raise ValueError(f"rho must be positive, got {rho}")
-    kappa = ball_kappa(problem, kappa_choice)
+    if problem.h0 is None:
+        raise ValueError("ball constants need the lower bound h0 on the problem")
+    kappa = embedding_kappa(
+        problem.graph, problem.partition, problem.h, problem.h0, kappa_choice
+    )
     if u_bound is None:
         u_bound = kappa * math.sqrt(rho)
     with np.errstate(over="ignore", invalid="ignore"):
-        max_abs, u_at = antiderivative_peak(problem.nl, u_bound, grid_points)
+        max_abs, u_at = antiderivative_peak(problem.nl, u_bound)
     if not math.isfinite(max_abs):
         raise ValueError(f"max |F| on [-{u_bound:g}, {u_bound:g}] is not finite "
                          f"(at u = {u_at:g}): the smallness condition is undefined")

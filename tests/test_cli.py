@@ -114,6 +114,17 @@ def test_eigen_command(graph_file, capsys):
     assert "kappa 1" in out
 
 
+def test_eigen_reports_non_convergence(graph_file, capsys):
+    # 225 interior unknowns take the inverse iteration, which needs more
+    # than one step
+    graph, part = lattice(17)
+    path = graph_file(format_graph_text(graph, part, np.ones(graph.n)))
+    assert run(["eigen", path, "--max-iter", "1", "--format", "jsonl"]) == 1
+    records = jsonl_records(capsys.readouterr().out)
+    assert [r["record"] for r in records] == ["meta", "error"]
+    assert records[-1]["message"] == "inverse power iteration did not converge in 1 iterations"
+
+
 def test_gradcheck_command(graph_file, capsys):
     path = graph_file(PATH3)
     code = run(["gradcheck", path, "--nl", "odd_poly:c1=-1,c3=1", "--seed", "7"])

@@ -23,7 +23,13 @@ from graphpde import (
     power_plus_const,
     smoothness_note,
 )
-from graphpde.nonlinearity import _abs_pow
+from graphpde.nonlinearity import (
+    F6_DEFAULT_THRESHOLD,
+    GRID_POINTS,
+    _abs_pow,
+    antiderivative_peak,
+    f8_verdict,
+)
 from util import path_graph
 
 GRID = GridSpec(10.0)
@@ -354,8 +360,7 @@ def test_f6_edge_ratio_proxy():
     wide = check_f(power(4), "F6", GridSpec(100.0))
     assert wide.holds                 # f(100)/100 = 10000
     assert "not a proof" in wide.witness
-    custom = check_f(power(4), "F6", GRID, threshold=50.0)
-    assert custom.holds
+    assert narrow.data == {"ratio": 100.0, "threshold": F6_DEFAULT_THRESHOLD}
 
 
 def test_f7_nonzero_at_origin():
@@ -365,14 +370,17 @@ def test_f7_nonzero_at_origin():
 
 def test_f8_smallness():
     # max |F| on [-1, 1] is 1/4; the bound 1/(2(beta+1)) equals 1/4 at beta = 1
-    eq = check_f(power(4), "F8", GRID, M0=1.0, beta=1.0, mu_min=1.0, h0=1.0)
+    max_abs, u_at = antiderivative_peak(power(4), 1.0)
+    assert (max_abs, u_at) == (0.25, -1.0)
+    eq = f8_verdict(max_abs, u_at, 1.0, 1.0, 1.0, 1.0)
     assert eq.holds
-    tight = check_f(power(4), "F8", GRID, M0=1.0, beta=1.2, mu_min=1.0, h0=1.0)
-    assert not tight.holds
+    assert eq.sampled_range == f"[-1, 1] with {GRID_POINTS} points"
+    assert not f8_verdict(max_abs, u_at, 1.0, 1.2, 1.0, 1.0).holds
     for beta in (0.1, 0.5, 0.99):
-        assert check_f(power(4), "F8", GRID, M0=1.0, beta=beta, mu_min=1.0, h0=1.0).holds
-    with pytest.raises(ValueError):
-        check_f(power(4), "F8", GRID, M0=1.0)
+        assert f8_verdict(max_abs, u_at, 1.0, beta, 1.0, 1.0).holds
+    # F8 needs the ball's constants, so check_f does not decide it
+    with pytest.raises(ValueError, match="unknown f-hypothesis 'F8'"):
+        check_f(power(4), "F8", GRID)
 
 
 def test_f8_scans_only_its_own_range(monkeypatch):
@@ -380,12 +388,12 @@ def test_f8_scans_only_its_own_range(monkeypatch):
     original = graphpde.nonlinearity.antiderivative
 
     def counted(nl, u):
-        calls.append(np.size(u))
+        calls.append((np.size(u), float(np.max(np.abs(u)))))
         return original(nl, u)
 
     monkeypatch.setattr(graphpde.nonlinearity, "antiderivative", counted)
-    check_f(power(4), "F8", GRID, M0=1.0, beta=1.0, mu_min=1.0, h0=1.0)
-    assert calls == [GRID.points]
+    antiderivative_peak(power(4), 1.0)
+    assert calls == [(GRID_POINTS, 1.0)]
 
 
 def test_check_f_unknown():
@@ -433,6 +441,7 @@ def test_grid_spec():
         GridSpec(-1.0)
     with pytest.raises(ValueError):
         GridSpec(1.0, points=2)
+    assert GridSpec(1.0).points == GRID_POINTS
     assert GridSpec.default().u_max == 10.0
     assert GridSpec.default(M=20.0).u_max == 40.0
     assert GridSpec.default(M0=30.0).u_max == 60.0

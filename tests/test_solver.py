@@ -1,6 +1,7 @@
 """Mountain-pass search, ball minimization and the two-solution pipeline."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -986,3 +987,19 @@ def test_loops_record_why_they_stopped(monkeypatch):
     log = RunLog()
     ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0), log=log)
     assert log.stops == {"ball_min": "backtracking"}
+
+
+def test_newton_failure_names_the_budget_stop(monkeypatch):
+    # the deformation spends its one iteration, then Newton from the
+    # maximizer spends its one step: both budget exits in one run
+    monkeypatch.setattr(graphpde.solver, "NEWTON_MAX", 1)
+    log = RunLog()
+    problem = three_path_problem(power(4, theta=4, M=1))
+    with pytest.raises(SolverError) as err:
+        mountain_pass(problem, SolverConfig(deform_steps=1), log=log)
+    assert log.stops == {"mountain_pass": "budget"}
+    message = str(err.value)
+    assert message.startswith("path deformation spent its iteration budget at sampled level ")
+    assert "stalled" not in message
+    assert re.search(r"Newton refinement did not reach residual 1e-12 in 1 iterations "
+                     r"\(residual [-+.0-9e]+\)$", message)

@@ -17,6 +17,7 @@ from graphpde import (
     lp,
     norm,
 )
+from graphpde import spectral
 from graphpde.calculus import _interior_matrix
 from graphpde.spectral import _BLOCK, _band_solver, _invert_lower
 from util import (
@@ -138,7 +139,9 @@ def test_iterative_agrees_with_dense(rng):
     eps = np.finfo(float).eps
     for graph, part, wide in cases:
         dense = first_eigenvalue(graph, part)
-        iterative = first_eigenvalue(graph, part, dense_cutoff=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "DENSE_CUTOFF", 0)
+            iterative = first_eigenvalue(graph, part)
         assert dense.iterations == 0
         assert iterative.iterations >= 1
         if wide:
@@ -183,13 +186,14 @@ def test_iterative_factors_once(monkeypatch, rng):
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     monkeypatch.setattr(np.linalg, "solve", refactoring_solve)
     monkeypatch.setattr(np.linalg, "inv", inverse)
-    iterative = first_eigenvalue(graph, part, dense_cutoff=0)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
+    iterative = first_eigenvalue(graph, part)
     assert factorizations == [(part.omega.size, part.omega.size)]
     assert iterative.iterations >= 1
     assert iterative.lambda1 == pytest.approx(dense.lambda1, rel=1e-9)
 
     factorizations.clear()
-    big = first_eigenvalue(big_graph, big_part, dense_cutoff=0)
+    big = first_eigenvalue(big_graph, big_part)
     assert len(factorizations) == math.ceil(225 / _BLOCK) == 4
     assert all(rows == cols <= _BLOCK + 15 for rows, cols in factorizations)
     assert big.lambda1 == pytest.approx(1.0 - math.cos(math.pi / 16), rel=1e-10)
@@ -223,19 +227,15 @@ _BANDWIDTHS = (1, 15, _BLOCK - 1, _BLOCK, _BLOCK + 1)
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
 def test_cholesky_solver_matches_dense_solve(monkeypatch, rng, n):
     # positive definite: every block of the band solver is a Cholesky
-    # block, and only a wide band inverts a block while it factors
-    inv = np.linalg.inv
+    # block, with no negative sign in S; a wide band inverts each block
+    # while it factors, by _invert_lower, so no bandwidth calls np.linalg.inv
     calls = []
-
-    def counted(a):
-        calls.append(a.shape)
-        return inv(a)
-
-    monkeypatch.setattr(np.linalg, "inv", counted)
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape))
     for bandwidth in sorted({min(bw, n - 1) for bw in (*_BANDWIDTHS, n - 1)}):
-        calls.clear()
-        _check_solver(rng, _banded_spd(rng, n, bandwidth), bandwidth)
-        assert len(calls) == (0 if bandwidth <= _BLOCK else math.ceil(n / _BLOCK))
+        a = _banded_spd(rng, n, bandwidth)
+        _check_solver(rng, a, bandwidth)
+        assert _band_solver(lower_band(a, bandwidth)).negatives == 0
+    assert calls == []
 
 
 def test_band_solver_inverts_its_blocks_at_the_first_solve(monkeypatch, rng):
@@ -367,7 +367,7 @@ def test_band_solver_counts_eigenvalues_below_a_shift_on_the_lattice():
 
 def test_default_iterative_branch_lattice_oracle():
     graph, part = lattice(17)
-    assert part.omega.size == 225  # above the default dense_cutoff of 200
+    assert part.omega.size == 225 > spectral.DENSE_CUTOFF
     res = first_eigenvalue(graph, part)
     assert res.iterations >= 1
     assert res.lambda1 == pytest.approx(1.0 - math.cos(math.pi / 16), rel=1e-10)
@@ -375,6 +375,12 @@ def test_default_iterative_branch_lattice_oracle():
     assert np.all(u[part.boundary] == 0.0) and np.all(u[part.exterior] == 0.0)
     assert integrate(graph, u * u, part.omega) == pytest.approx(1.0, rel=1e-12)
     assert rayleigh_quotient(graph, part, u) == pytest.approx(res.lambda1, rel=1e-10)
+
+
+def test_eigen_reports_non_convergence():
+    graph, part = lattice(17)
+    with pytest.raises(ValueError, match="did not converge in 1 iterations"):
+        first_eigenvalue(graph, part, max_iterations=1)
 
 
 def test_eigen_rejects_empty_boundary(path3):
@@ -429,6 +435,20 @@ def test_constants_validation(path3):
     rep = embedding_constants(graph, part, np.ones(3), 1.0)
     with pytest.raises(ValueError):
         rep.lq_embedding(0.5)
+
+
+def test_hypothesis_is_checked_before_any_eigen_work(monkeypatch, path3):
+    graph, part = path3
+
+    def refused(*args, **kwargs):
+        raise AssertionError("eigen work before the hypothesis check")
+
+    monkeypatch.setattr(spectral, "first_eigenvalue", refused)
+    for hypothesis in ("H2", "proof", None):
+        with pytest.raises(ValueError, match="'H1' or 'H3'"):
+            spectral.embedding_kappa(graph, part, np.ones(3), 1.0, hypothesis)
+        with pytest.raises(ValueError, match="'H1' or 'H3'"):
+            embedding_constants(graph, part, np.ones(3), 1.0, hypothesis=hypothesis)
 
 
 def test_constants_reuse_precomputed_eigen(path3):

@@ -8,7 +8,6 @@ import pytest
 from graphpde import (
     Problem,
     ball_constants,
-    ball_kappa,
     build_graph,
     compute_boundary,
     dirichlet_energy,
@@ -201,34 +200,41 @@ def test_h_only_needs_to_be_finite_inside():
     assert energy(q, spike(q, 1.0)) == pytest.approx(1.5, rel=1e-14)
 
 
+def _ball_kappa(problem, choice):
+    return ball_constants(problem, 1.0, kappa_choice=choice).kappa
+
+
 def test_ball_kappa_conventions():
     problem = three_path_problem(power(4))
-    assert ball_kappa(problem, "H1") == pytest.approx(1.0)
-    assert ball_kappa(problem, "proof") == pytest.approx(1.0)
+    assert _ball_kappa(problem, "H1") == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        ball_kappa(problem, "H3")  # 1 - mu_min h0 int h = -1
+        _ball_kappa(problem, "H3")  # 1 - mu_min h0 int h = -1
 
     small = three_path_problem(power(4), h0=0.1, h_value=0.1)
-    assert ball_kappa(small, "H1") == pytest.approx(math.sqrt(0.1), rel=1e-12)
-    assert ball_kappa(small, "H3") == pytest.approx(
+    assert _ball_kappa(small, "H1") == pytest.approx(math.sqrt(0.1), rel=1e-12)
+    assert _ball_kappa(small, "H3") == pytest.approx(
         math.sqrt(0.1) / math.sqrt(1.0 - 0.1 * 0.2), rel=1e-12
     )
-    assert ball_kappa(small, "proof") == pytest.approx(math.sqrt(10.0), rel=1e-12)
-    with pytest.raises(ValueError):
-        ball_kappa(problem, "H2")
+    # the proof's reciprocal convention is reported as sup_embedding
+    rep = embedding_constants(small.graph, small.partition, small.h, small.h0)
+    assert rep.sup_embedding == pytest.approx(math.sqrt(10.0), rel=1e-12)
+    for choice in ("H2", "proof"):
+        with pytest.raises(ValueError, match="'H1' or 'H3'"):
+            _ball_kappa(problem, choice)
     no_h0 = three_path_problem(power(4), h0=None)
-    with pytest.raises(ValueError):
-        ball_kappa(no_h0, "H1")
+    with pytest.raises(ValueError, match="h0"):
+        _ball_kappa(no_h0, "H1")
 
 
 def test_ball_kappa_matches_embedding_report():
     # the H1 radius conversion and the sup-norm embedding are reciprocal
-    # conventions; both are exposed and they agree on their product
+    # conventions; both are reported and they agree on their product
     problem = three_path_problem(power(4))
     rep = embedding_constants(problem.graph, problem.partition, problem.h, problem.h0)
-    kappa = ball_kappa(problem, "H1")
+    kappa = _ball_kappa(problem, "H1")
+    assert kappa == rep.kappa
     assert kappa * rep.sup_embedding == pytest.approx(1.0, rel=1e-12)
-    proof = ball_kappa(problem, "proof")
+    proof = 1.0 / math.sqrt(problem.graph.mu_min * problem.h0)
     assert proof == pytest.approx(rep.sup_embedding, rel=1e-12)
 
 
