@@ -188,7 +188,6 @@ def _text_lines(r: dict) -> list[str]:
             f"solution {i} residual_max {_fmt(r['residual_max'])}",
             f"solution {i} h_norm {_fmt(r['h_norm'])}",
             f"solution {i} in_ball {_fmt(r['in_ball'])}",
-            f"solution {i} newton_shifted {_fmt(r['newton_shifted'])}",
         ]
         lines += [f"u {vid} {val:.17g}" for vid, val in r["u"].items()]
         return lines
@@ -258,7 +257,6 @@ def _solution_record(graph, sol, index: int) -> dict:
         "h_norm": _fin(sol.h_norm),
         "in_ball": bool(sol.in_ball),
         "rho_used": None if sol.rho_used is None else _fin(sol.rho_used),
-        "newton_shifted": bool(sol.newton_shifted),
         "u": _u_map(graph, sol.u),
     }
 
@@ -278,14 +276,14 @@ def _input_error(message: str) -> int:
     return 2
 
 
+def _given(**flags) -> dict:
+    """The flags that were given, so that the callee keeps its defaults."""
+    return {key: value for key, value in flags.items() if value is not None}
+
+
 def _solver_config(ns: argparse.Namespace) -> SolverConfig:
-    return SolverConfig(
-        deform_tol=ns.tol if ns.tol is not None else 1e-8,
-        deform_steps=ns.max_iter if ns.max_iter is not None else 5000,
-        rho=ns.rho,
-        beta=ns.beta,
-        m0=ns.m0,
-    )
+    budget = _given(deform_tol=ns.tol, deform_steps=ns.max_iter)
+    return SolverConfig(rho=ns.rho, beta=ns.beta, m0=ns.m0, **budget)
 
 
 def _write_profile(ns: argparse.Namespace, snapshots) -> None:
@@ -307,11 +305,8 @@ def _eigen_records(
     then the constants record when a hypothesis on h supports them.
     Returns False when the constants cannot be formed; an error record
     stands in their place."""
-    eigen = first_eigenvalue(
-        gf.graph, gf.partition,
-        tolerance=tol if tol is not None else 1e-12,
-        max_iterations=max_iter if max_iter is not None else 500,
-    )
+    budget = _given(tolerance=tol, max_iterations=max_iter)
+    eigen = first_eigenvalue(gf.graph, gf.partition, **budget)
     emit.add({
         "record": "eigenvalue", "lambda1": _fin(eigen.lambda1),
         "iterations": eigen.iterations, "residual": _fin(eigen.residual),
@@ -507,11 +502,13 @@ def run(argv=None) -> int:
             return _input_error(f"{flag} must be positive and finite, got {value:g}")
     if ns.theta is not None and not 2.0 < ns.theta < math.inf:
         return _input_error(f"--theta must be finite and exceed 2, got {ns.theta:g}")
+    if ns.seed < 0:
+        return _input_error(f"--seed must be non-negative, got {ns.seed}")
     try:
         gf = parse_graph_file(ns.graph)
     except OSError as exc:
         return _input_error(str(exc))
-    except GraphError as exc:
+    except (GraphError, UnicodeDecodeError) as exc:
         return _input_error(f"{ns.graph}: {exc}")
     nl = None
     if ns.nl is not None:
@@ -529,11 +526,16 @@ def run(argv=None) -> int:
     except (SolverError, ValueError) as exc:
         emit.add({"record": "error", "message": str(exc)})
         code = 1
+    except OSError as exc:  # the --emit-path-profile file cannot be written
+        return _input_error(str(exc))
     text = emit.render()
-    sys.stdout.write(text)
     if ns.out is not None:
-        with open(ns.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(ns.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            return _input_error(str(exc))
+    sys.stdout.write(text)
     return code
 
 

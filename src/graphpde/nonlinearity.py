@@ -254,22 +254,20 @@ def smoothness_note(nl: Nonlinearity) -> str:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform symmetric sampling grid on [-u_max, u_max]."""
+    """Uniform symmetric sampling grid of GRID_POINTS points on
+    [-u_max, u_max]."""
 
     u_max: float
-    points: int = GRID_POINTS
 
     def __post_init__(self):
         if not self.u_max > 0.0:
             raise ValueError(f"u_max must be positive, got {self.u_max}")
-        if self.points < 3:
-            raise ValueError(f"points must be at least 3, got {self.points}")
 
     def values(self) -> np.ndarray:
-        return np.linspace(-self.u_max, self.u_max, self.points)
+        return np.linspace(-self.u_max, self.u_max, GRID_POINTS)
 
     def label(self) -> str:
-        return f"[-{self.u_max:g}, {self.u_max:g}] with {self.points} points"
+        return f"[-{self.u_max:g}, {self.u_max:g}] with {GRID_POINTS} points"
 
     @staticmethod
     def default(M: float | None = None, M0: float | None = None) -> "GridSpec":

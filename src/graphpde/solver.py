@@ -149,7 +149,6 @@ class Solution:
     in_ball: bool
     rho_used: float | None
     h_norm: float
-    newton_shifted: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,29 +409,34 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False):
     The linearization at u restricted to interior unknowns is the
     interior Laplacian matrix plus diag(mu (h - f_u)), written into the
     diagonal, row 0 of one lower band, in place and factored by
-    _band_solver; a singular or non-finite solve falls back once per
-    iteration to a 1e-10 diagonal shift and flags it.  Returns
-    (u, residual_max, shifted, index).  An attempt takes at most
-    NEWTON_TRY iterations and gives up with a SolverError when one after
-    the first cuts the residual by less than NEWTON_CUT; converged, it
-    factors the Hessian at u, and index is its Morse index, the number of
-    negative eigenvalues.  Otherwise index is None.
+    _band_solver once per step.  A singular Jacobian or a non-finite step
+    raises a SolverError that names it; no step is retried.  Returns
+    (u, residual_max, index).  An attempt takes at most NEWTON_TRY
+    iterations and gives up with a SolverError when one after the first
+    cuts the residual by less than NEWTON_CUT; converged, it factors the
+    Hessian at u, and index is its Morse index, the number of negative
+    eigenvalues.  Otherwise index is None.
     """
     mu, h = problem._form.mu, problem.h[problem._form.omega]
     jac = _interior_matrix(problem.graph, problem.partition)
     base = jac[0].copy()
     u = np.array(u0, dtype=float, copy=True)
     budget = NEWTON_TRY if attempt else NEWTON_MAX
-    shifted = False
     prev = math.inf
     rises = 0
+
+    def factor(step):
+        jac[0] = base + mu * (h - reaction_derivative(problem.nl, u))
+        try:
+            return _band_solver(jac)
+        except np.linalg.LinAlgError:
+            raise SolverError(f"Newton's Jacobian is singular at step {step}") from None
+
     for step in range(budget + 1):
         r = _kernel(problem, u, value=False, residual=True)[2]
         res_max = float(np.max(np.abs(r)))
         if res_max <= NEWTON_TOL:
-            if attempt:
-                jac[0] = base + mu * (h - reaction_derivative(problem.nl, u))
-            return u, res_max, shifted, _band_solver(jac).negatives if attempt else None
+            return u, res_max, factor(step).negatives if attempt else None
         if step == budget:
             break
         if attempt and step >= 2 and not res_max <= NEWTON_CUT * prev:
@@ -444,17 +448,9 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False):
                 f"consecutive iterations (latest {res_max:g})"
             )
         prev = res_max
-        fu = reaction_derivative(problem.nl, u)
-        jac[0] = base + mu * (h - fu)
-        rhs = -(mu * r)
-        try:
-            delta = _band_solver(jac)(rhs)
-            if not np.all(np.isfinite(delta)):
-                raise np.linalg.LinAlgError("non-finite Newton update")
-        except np.linalg.LinAlgError:
-            shifted = True
-            jac[0] += 1e-10
-            delta = _band_solver(jac)(rhs)
+        delta = factor(step)(-(mu * r))
+        if not np.all(np.isfinite(delta)):
+            raise SolverError(f"Newton step {step} is not finite")
         u += delta
     raise SolverError(
         f"Newton refinement did not reach residual {NEWTON_TOL:g} in "
@@ -464,21 +460,22 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False):
 
 def _newton_handoff(problem: Problem, u0: np.ndarray, level: float):
     """Newton from u0 as an attempt (_newton_polish), accepted as
-    (u, residual_max, shifted) only when it converges to a nonzero point
-    of Morse index 1 whose energy is at most level; None otherwise."""
+    (u, residual_max) only when it converges to a nonzero point of Morse
+    index 1 whose energy is at most level; None otherwise, also when
+    Newton fails (a SolverError, a singular Jacobian among them)."""
     try:
-        u, res_max, shifted, index = _newton_polish(problem, u0, attempt=True)
-    except (SolverError, np.linalg.LinAlgError):
+        u, res_max, index = _newton_polish(problem, u0, attempt=True)
+    except SolverError:
         return None
     ok = index == 1 and np.max(np.abs(u)) >= TRIVIAL_SUP and _kernel(problem, u)[1] <= level
-    return (u, res_max, shifted) if ok else None
+    return (u, res_max) if ok else None
 
 
 def _is_trivial_collapse(problem: Problem, u) -> bool:
     return reaction(problem.nl, 0.0) == 0.0 and float(np.max(np.abs(u))) < TRIVIAL_SUP
 
 
-def _finish_solution(problem, kind, config, u, res_max, shifted) -> Solution:
+def _finish_solution(problem, kind, config, u, res_max) -> Solution:
     """The Solution at interior values u, expanded to every vertex."""
     hn = _h_norm(problem, u)
     _, value, r = _kernel(problem, u, residual=True)
@@ -492,7 +489,6 @@ def _finish_solution(problem, kind, config, u, res_max, shifted) -> Solution:
         in_ball=(rho is not None and hn < math.sqrt(rho)),
         rho_used=rho,
         h_norm=hn,
-        newton_shifted=shifted,
     )
 
 
@@ -589,7 +585,7 @@ def mountain_pass(
     # values holds the energies of the final path on every way out of the loop
     log.profile.append((len(trace), _arc_positions(path), values))
     try:
-        u, res_max, shifted, _ = _newton_polish(problem, path[i])
+        u, res_max, _ = _newton_polish(problem, path[i])
     except SolverError as exc:
         if stop != "tolerance":
             how = "stalled" if stop == "stall" else "spent its iteration budget"
@@ -603,7 +599,7 @@ def mountain_pass(
             "deformation collapsed to the zero function; no pass-level "
             "critical point was isolated"
         )
-    return _finish_solution(problem, "mountain_pass", config, u, res_max, shifted)
+    return _finish_solution(problem, "mountain_pass", config, u, res_max)
 
 
 def ball_minimize(
@@ -670,8 +666,8 @@ def ball_minimize(
             "over this ball sits on its boundary"
         )
     if _is_trivial_collapse(problem, u):
-        return _finish_solution(problem, "trivial", config, np.zeros(len(mu)), 0.0, False)
-    u, res_max, shifted, _ = _newton_polish(problem, u)
+        return _finish_solution(problem, "trivial", config, np.zeros(len(mu)), 0.0)
+    u, res_max, _ = _newton_polish(problem, u)
     hn = _h_norm(problem, u)
     if hn >= radius - SPHERE_MARGIN:
         raise SolverError(
@@ -679,7 +675,7 @@ def ball_minimize(
             f"candidate onto or past the constraint sphere (h-norm {hn:.6g} "
             f"against radius {radius:.6g})"
         )
-    return _finish_solution(problem, "ball_min", config, u, res_max, shifted)
+    return _finish_solution(problem, "ball_min", config, u, res_max)
 
 
 def two_solutions(

@@ -511,24 +511,58 @@ def test_solve2_rejects_zero_preserving_reaction(graph_file, capsys):
         (["check", "{path}", "--h0", "0"], "--h0"),
         (["solve", "{path}", "--nl", "power:p=4", "--theta", "1", "--M", "1"], "theta"),
         (["check", "{disconnected}", "--h0", "1"], "connected"),
+        (["check", "{latin1}", "--h0", "1"], "{latin1}: 'utf-8' codec"),
+        (["check", "{path}", "--h0", "1", "--out", "{tmp}"], "{tmp}"),
+        (
+            ["solve", "{path}", "--nl", "power:p=4", "--theta", "4", "--M", "1",
+             "--emit-path-profile", "{tmp}/missing/profile.csv"],
+            "{tmp}/missing/profile.csv",
+        ),
     ],
 )
 def test_input_errors_exit_2(argv, needle, graph_file, tmp_path, capsys):
-    path = graph_file(PATH3)
-    bad = graph_file("v a auto 0 nowhere\n", name="bad.graph")
-    disconnected = graph_file(DISCONNECTED, name="disc.graph")
-    missing = str(tmp_path / "does-not-exist.graph")
-    argv = [
-        a.format(path=path, bad=bad, missing=missing, disconnected=disconnected)
-        for a in argv
-    ]
-    assert run(argv) == 2
+    latin1 = tmp_path / "latin1.graph"
+    latin1.write_bytes(b"\xff" + PATH3.encode())
+    names = {
+        "path": graph_file(PATH3),
+        "bad": graph_file("v a auto 0 nowhere\n", name="bad.graph"),
+        "disconnected": graph_file(DISCONNECTED, name="disc.graph"),
+        "missing": str(tmp_path / "does-not-exist.graph"),
+        "latin1": str(latin1),
+        "tmp": str(tmp_path),
+    }
+    assert run([a.format(**names) for a in argv]) == 2
     captured = capsys.readouterr()
-    assert needle in captured.err
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("input error: ") and needle.format(**names) in line
 
 
 def test_unknown_command_exits_2(graph_file, capsys):
     assert run(["frobnicate", graph_file(PATH3)]) == 2
+
+
+def test_singular_newton_jacobian_exits_1(graph_file, monkeypatch, capsys):
+    # every factor but P's is singular: the hand-off is refused, the
+    # deformation stops short of Newton's tolerance, and Newton from its
+    # maximizer fails at its first step
+    original = graphpde.solver._band_solver
+    calls = []
+
+    def singular_but_p(band):
+        calls.append(band.shape)
+        if len(calls) != 2:
+            raise np.linalg.LinAlgError("singular matrix")
+        return original(band)
+
+    monkeypatch.setattr(graphpde.solver, "_band_solver", singular_but_p)
+    code = run(["solve", graph_file(PATH3), "--nl", "power:p=4", "--theta", "4",
+                "--M", "1", "--tol", "1e-3", "--format", "jsonl"])
+    assert code == 1
+    recs = jsonl_records(capsys.readouterr().out)
+    assert recs[-1] == {"record": "error", "message": "Newton's Jacobian is singular at step 0"}
+    assert [r["record"] for r in recs].count("trace") == 1
+    assert len(calls) == 3
 
 
 def _console_scripts(bin_dir):
@@ -709,6 +743,7 @@ def test_check_exits_0_exactly_when_a_theorem_route_holds(
     ("--beta", "-1", "be positive and finite"), ("--tol", "-1", "be positive and finite"),
     ("--max-iter", "0", "be positive and finite"), ("--h0", "inf", "be positive and finite"),
     ("--M", "-5", "be positive and finite"), ("--theta", "1", "be finite and exceed 2"),
+    ("--seed", "-1", "be non-negative"),
 ])
 def test_bad_flag_values_exit_2(command, flag, value, rule, graph_file, capsys):
     # no --nl: the flag is refused before any command checks what it needs

@@ -439,14 +439,13 @@ def test_sampled_checks_fail_where_f_or_F_overflows():
 def test_grid_spec():
     with pytest.raises(ValueError):
         GridSpec(-1.0)
-    with pytest.raises(ValueError):
-        GridSpec(1.0, points=2)
-    assert GridSpec(1.0).points == GRID_POINTS
     assert GridSpec.default().u_max == 10.0
     assert GridSpec.default(M=20.0).u_max == 40.0
     assert GridSpec.default(M0=30.0).u_max == 60.0
-    vals = GridSpec(2.0, points=5).values()
-    assert vals.tolist() == [-2.0, -1.0, 0.0, 1.0, 2.0]
+    vals = GridSpec(2.0).values()
+    assert vals.tolist() == np.linspace(-2.0, 2.0, GRID_POINTS).tolist()
+    assert vals[0] == -2.0 and vals[GRID_POINTS // 2] == 0.0 and vals[-1] == 2.0
+    assert GridSpec(2.0).label() == f"[-2, 2] with {GRID_POINTS} points"
 
 
 def test_odd_poly_zero_values_are_unsigned():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from graphpde import (
-    GridSpec,
     Problem,
     RunLog,
     SolverConfig,
@@ -30,7 +29,7 @@ import graphpde.nonlinearity
 import graphpde.solver
 import graphpde.variational
 from graphpde.calculus import _interior_matrix
-from graphpde.nonlinearity import reaction_derivative
+from graphpde.nonlinearity import GRID_POINTS, reaction_derivative
 from graphpde.solver import (
     _climbing_move,
     _newton_polish,
@@ -102,7 +101,6 @@ def test_mountain_pass_power4():
     assert abs(sol.energy_value - 2.0) <= 1e-8
     assert sol.residual_max <= 1e-12
     assert sol.kind == "mountain_pass"
-    assert not sol.newton_shifted
     assert sol.rho_used is None and not sol.in_ball
     assert sol.h_norm == pytest.approx(2 * math.sqrt(2), rel=1e-9)
 
@@ -172,6 +170,15 @@ def test_mountain_pass_f2_blocks_shifted_reaction():
     with pytest.raises(SolverError) as err:
         mountain_pass(problem)
     assert "F2" in str(err.value)
+
+
+def test_mountain_pass_refuses_a_collapse_to_zero(monkeypatch, deform_only):
+    # f(x, 0) = 0 makes 0 a critical point; Newton landing there isolates no pass
+    monkeypatch.setattr(
+        graphpde.solver, "_newton_polish", lambda problem, u0: (np.zeros_like(u0), 0.0, None)
+    )
+    with pytest.raises(SolverError, match="^deformation collapsed to the zero function"):
+        mountain_pass(three_path_problem(POWER4))
 
 
 def test_mountain_pass_no_barrier():
@@ -299,6 +306,14 @@ def test_ball_minimize_pinned_to_sphere():
     assert "no interior minimizer found" in str(err.value)
 
 
+def test_ball_minimize_refuses_newton_leaving_the_ball(monkeypatch):
+    monkeypatch.setattr(
+        graphpde.solver, "_newton_polish", lambda problem, u0: (1e3 * u0, 0.0, None)
+    )
+    with pytest.raises(SolverError, match="Newton refinement moved the candidate onto or past"):
+        ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0))
+
+
 def test_ball_minimize_needs_rho():
     problem = three_path_problem(PLUS_CONST)
     with pytest.raises(SolverError):
@@ -353,7 +368,7 @@ def test_two_solutions_m0_mode_scans_the_antiderivative_once(monkeypatch):
 
     monkeypatch.setattr(graphpde.nonlinearity, "antiderivative", counted)
     report = two_solutions(three_path_problem(PLUS_CONST), SolverConfig(m0=m0))
-    assert scans == [GridSpec.default(M0=m0).points]
+    assert scans == [GRID_POINTS]
     f8 = [v for v in report.hypothesis_verdicts if v.name == "F8"]
     assert len(f8) == 1 and f8[0].holds
 
@@ -428,6 +443,16 @@ def test_two_solutions_attaches_f4_when_constants_present():
     with pytest.raises(SolverError) as err:
         two_solutions(three_path_problem(bad), SolverConfig(rho=1.0))
     assert "F4" in str(err.value)
+
+
+def test_two_solutions_refuses_one_function_twice(monkeypatch):
+    monkeypatch.setattr(
+        graphpde.solver, "mountain_pass",
+        lambda problem, config, log: ball_minimize(problem, config, log=log),
+    )
+    with pytest.raises(SolverError, match=r"^the two routes converged to the same function "
+                                          r"\(sup-norm gap 0 < 1e-06\)"):
+        two_solutions(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0))
 
 
 def test_two_solutions_deterministic():
@@ -673,7 +698,7 @@ def test_mountain_pass_random_graphs_do_not_stall(deform_only):
         assert sol.residual_max <= graphpde.solver.NEWTON_TOL
 
 
-def test_newton_shift_fallback(monkeypatch, deform_only):
+def test_newton_refuses_a_singular_jacobian(monkeypatch, deform_only):
     original = graphpde.solver._band_solver
     calls = []
 
@@ -685,13 +710,43 @@ def test_newton_shift_fallback(monkeypatch, deform_only):
 
     monkeypatch.setattr(graphpde.solver, "_band_solver", fail_first_newton)
     problem = lattice_problem(5, POWER4)
-    sol = mountain_pass(problem, SolverConfig())
+    with pytest.raises(SolverError, match="^Newton's Jacobian is singular at step 0$"):
+        mountain_pass(problem, SolverConfig())
     assert np.allclose(calls[0], _p_matrix(problem), rtol=1e-14, atol=0.0)
-    assert len(calls) >= 3
-    # the retry factors the same Jacobian shifted by 1e-10 on the diagonal
-    assert np.array_equal(calls[2], calls[1] + 1e-10 * np.eye(len(calls[1])))
-    assert sol.newton_shifted
-    assert sol.residual_max <= graphpde.solver.NEWTON_TOL
+    assert len(calls) == 2  # no second factor of the same step
+
+
+def test_newton_refuses_a_non_finite_step(monkeypatch):
+    monkeypatch.setattr(graphpde.solver, "_band_solver", lambda band: lambda y: y * np.nan)
+    with pytest.raises(SolverError, match="^Newton step 0 is not finite$"):
+        _newton_polish(three_path_problem(POWER4), np.array([1.4]))
+
+
+def test_newton_failure_refuses_the_handoff(monkeypatch):
+    # a singular Jacobian, at a step or at the converged point, is a refusal
+    problem = three_path_problem(POWER4)
+    start = np.array([1.4])
+    assert graphpde.solver._newton_handoff(problem, start, 3.0) is not None
+    original = graphpde.solver._band_solver
+    for fail_at in (1, 4):  # the first step's factor; the index factor after 3 steps
+        factors = []
+
+        def singular(band, fail_at=fail_at):
+            factors.append(band.shape)
+            if len(factors) == fail_at:
+                raise np.linalg.LinAlgError("singular matrix")
+            return original(band)
+
+        monkeypatch.setattr(graphpde.solver, "_band_solver", singular)
+        assert graphpde.solver._newton_handoff(problem, start, 3.0) is None
+        assert len(factors) == fail_at
+
+
+def test_newton_divergence_is_refused(monkeypatch):
+    # a unit step up from 1.4 moves away from the root sqrt(2): |2u - u^3| rises each step
+    monkeypatch.setattr(graphpde.solver, "_band_solver", lambda band: np.ones_like)
+    with pytest.raises(SolverError, match="^Newton refinement diverged: the residual rose five "):
+        _newton_polish(three_path_problem(POWER4), np.array([1.4]))
 
 
 def test_newton_needs_no_dense_solve(monkeypatch):
@@ -861,7 +916,7 @@ def test_handoff_refuses_a_point_of_index_two(monkeypatch):
     monkeypatch.setattr(graphpde.solver, "_newton_polish", recorded)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(), log=log)
-    [(u_omega, res_max, _, index)] = attempts
+    [(u_omega, res_max, index)] = attempts
     u = np.zeros(problem.graph.n)
     u[problem.partition.omega] = u_omega
     assert res_max <= graphpde.solver.NEWTON_TOL and float(np.max(np.abs(u))) > 1.0
@@ -884,16 +939,16 @@ def test_handoff_refuses_a_point_above_the_level():
     assert level < sol.energy_value == pytest.approx(2.0, rel=1e-12)
     start = np.array([1.4])
     assert graphpde.solver._newton_handoff(problem, start, level) is None
-    u, res_max, shifted = graphpde.solver._newton_handoff(problem, start, 2.0 + 1e-12)
+    u, res_max = graphpde.solver._newton_handoff(problem, start, 2.0 + 1e-12)
     assert u[0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    assert res_max <= graphpde.solver.NEWTON_TOL and not shifted
+    assert res_max <= graphpde.solver.NEWTON_TOL
 
 
 def test_handoff_refuses_the_zero_function(monkeypatch):
     problem = three_path_problem(POWER4)
     for u, accepted in ((np.zeros(1), False), (np.full(1, 1e-9), True)):
         monkeypatch.setattr(
-            graphpde.solver, "_newton_polish", lambda *args, u=u, **kwargs: (u, 0.0, False, 1)
+            graphpde.solver, "_newton_polish", lambda *args, u=u, **kwargs: (u, 0.0, 1)
         )
         assert (graphpde.solver._newton_handoff(problem, np.ones(1), 2.0) is not None) == accepted
 
