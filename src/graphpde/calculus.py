@@ -8,7 +8,10 @@ With w_xy the edge weights and mu the vertex measure:
 Integrals are measure-weighted sums over a vertex set.  The energy
 seminorm integrates |grad u|^2 over the closure (interior plus
 boundary); zero-order terms integrate over the interior only.  Neighbor
-sums accumulate in stored edge order.
+sums accumulate in stored edge order.  The Dirichlet unknowns are the
+values on the interior: _interior_laplacian, the one vertex -> unknown
+map, holds the Laplacian on them that the energy, the eigen step, P,
+Newton and the climbing move read (_interior_matrix: its band).
 """
 
 from __future__ import annotations
@@ -148,31 +151,62 @@ def green_residual(
     return gamma_side + other
 
 
-def _interior_matrix(graph: WeightedGraph, partition: DomainPartition) -> np.ndarray:
-    """Weighted Dirichlet Laplacian on interior unknowns, as its lower
-    band: a (bw + 1, n) array whose row d holds the entries (j + d, j),
-    band[d, j], with bw the bandwidth (the largest |i - j| of a nonzero
-    entry (i, j)) and zeros past the matrix's end.  The matrix is
-    symmetric, so this is all of it.
+@dataclass(frozen=True, eq=False)
+class _InteriorLaplacian:
+    """The Dirichlet Laplacian L on the interior unknowns, unknown k at
+    vertex omega[k]; a Dirichlet function vanishes on off.  ends holds
+    the unknowns at the two ends of each edge inside omega as (2, m), w
+    their weights, w_off the weight from each unknown out of omega, mu
+    the measure and diag, L's diagonal, each unknown's incident weight
+    summed in stored edge order.  Internal, not a public interface."""
 
-    Row 0, the diagonal, holds the full incident weight sum of each
-    interior vertex, accumulated in stored edge order; below it sit the
-    entries -w_xy of interior neighbors y; boundary values are pinned at
-    zero.  Assembled from the flattened adjacency: build_graph rejects
-    duplicate edges, so each entry is written once, and the bandwidth is
-    read off the same edge indices.  No n x n array is formed.
-    Internal assembly helper, not a public interface.
-    """
-    idx = partition.omega
-    nint = len(idx)
-    pos = np.full(graph.n, -1, dtype=np.int64)
-    pos[idx] = np.arange(nint)
-    row = pos[graph.adj_center]
-    col = pos[graph.adj_nbr]
-    inside = row >= 0
-    lower = (col >= 0) & (row > col)
-    offset = row[lower] - col[lower]
-    band = np.zeros((int(np.max(offset, initial=0)) + 1, nint))
-    band[0] = np.bincount(row[inside], weights=graph.adj_w[inside], minlength=nint)
-    band[offset, col[lower]] = -graph.adj_w[lower]
+    omega: np.ndarray
+    off: np.ndarray
+    ends: np.ndarray
+    w: np.ndarray
+    w_off: np.ndarray
+    mu: np.ndarray
+    diag: np.ndarray
+
+    def quadratic(self, v: np.ndarray) -> float:
+        """v^T L v = sum_e w_e (v(i_e) - v(j_e))^2 + sum w_off v^2."""
+        d = np.subtract(*v[self.ends])
+        return float((d * d) @ self.w + (v * v) @ self.w_off)
+
+    def expand(self, v: np.ndarray) -> np.ndarray:
+        """The function on every vertex with interior values v, zero on off."""
+        u = np.zeros(len(self.omega) + len(self.off))
+        u[self.omega] = v
+        return u
+
+
+def _interior_laplacian(graph: WeightedGraph, partition: DomainPartition) -> _InteriorLaplacian:
+    """The interior Laplacian of partition.omega."""
+    omega, k = partition.omega, len(partition.omega)
+    pos = np.full(graph.n, -1)
+    pos[omega] = np.arange(k)
+    ends = pos[graph.edge_index.T]  # -1 at an end off omega
+    inner = np.all(ends >= 0, axis=0)
+    cut = (ends >= 0) & ~inner  # the interior end of each edge leaving omega
+    weights = np.broadcast_to(graph.edge_weight, ends.shape)
+    inc = ends.T >= 0  # edge by edge: diag sums in stored edge order, not as w_off + inner sums
+    return _InteriorLaplacian(
+        omega=omega, off=np.flatnonzero(~partition.omega_mask),
+        ends=np.ascontiguousarray(ends[:, inner]), w=graph.edge_weight[inner],
+        w_off=np.bincount(ends[cut], weights[cut], k), mu=graph.measure[omega],
+        diag=np.bincount(ends.T[inc], weights.T[inc], k),
+    )
+
+
+def _interior_matrix(op: _InteriorLaplacian) -> np.ndarray:
+    """The interior Laplacian as its lower band: a (bw + 1, n) array,
+    band[d, j] the entry (j + d, j), bw the largest |i - j| of a nonzero
+    entry (i, j), zeros past the matrix's end.  Row 0 is op.diag; below
+    it each edge inside omega writes its -w once (build_graph rejects
+    duplicate edges).  No n x n array is formed."""
+    i, j = op.ends
+    offset = np.abs(i - j)
+    band = np.zeros((int(np.max(offset, initial=0)) + 1, len(op.diag)))
+    band[0] = op.diag
+    band[offset, np.minimum(i, j)] = -op.w
     return band

@@ -29,7 +29,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .graphs import GraphError, GraphFile, parse_graph_file
-from .nonlinearity import GridSpec, ar_lower_bound, parse_nonlinearity
+from .nonlinearity import GridSpec, HypothesisVerdict, ar_lower_bound, parse_nonlinearity
 from .solver import (
     RunLog,
     SolverConfig,
@@ -360,9 +360,10 @@ def _cmd_check(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
     if nl is not None and nl.ar_theta is not None and nl.ar_M is not None:
         try:
             grid = GridSpec.default(M=nl.ar_M, M0=ns.m0)
-            emit.add(_verdict_record(ar_lower_bound(nl, nl.ar_theta, nl.ar_M, grid)))
-        except ValueError as exc:
-            emit.add({"record": "error", "message": str(exc)})
+            bound = ar_lower_bound(nl, nl.ar_theta, nl.ar_M, grid)
+        except ValueError as exc:  # the bound is undefined; it is on no route
+            bound = HypothesisVerdict("AR-bound", False, str(exc))
+        emit.add(_verdict_record(bound))
     emit.add({"record": "summary", "exit_code": code})
     return code
 

@@ -509,7 +509,7 @@ def ar_lower_bound(
     u = M by construction.  Requires F(+-M) > 0; a nonpositive value
     means the AR condition already fails at M, and one that is not
     finite leaves the bound undefined.  Fails at the first grid point
-    where F or the bound is not finite.
+    where F or the bound is not finite, as where exp(-c_side) overflows.
     """
     if not (theta > 2.0 and M > 0.0):
         raise ValueError(f"need theta > 2 and M > 0, got theta={theta}, M={M}")
@@ -529,8 +529,13 @@ def ar_lower_bound(
 
     us = grid.values()
     F = antiderivative(nl, us)
-    sides = [(sel, math.exp(-c) * _abs_pow(us[sel], theta))
-             for sel, c in ((us >= M, c_plus), (us <= -M, c_minus))]
+    sides = []
+    for sel, c in ((us >= M, c_plus), (us <= -M, c_minus)):
+        try:
+            scale = math.exp(-c)
+        except OverflowError:  # the bound is not finite on this side
+            scale = math.inf
+        sides.append((sel, scale * _abs_pow(us[sel], theta)))
     finite = np.isfinite(F)
     for sel, lower in sides:
         finite[sel] &= np.isfinite(lower)

@@ -58,7 +58,7 @@ from .nonlinearity import (
     reaction_derivative,
 )
 from .spectral import ConstantsReport, _band_solver, embedding_constants, first_eigenvalue
-from .variational import BallConstants, Problem, _expand, _h_norm, _kernel, ball_constants
+from .variational import BallConstants, Problem, _h_norm, _kernel, ball_constants
 
 TRIVIAL_SUP = 1e-10    # sup-norm below which an iterate counts as the zero function
 DISTINCT_SUP = 1e-6    # sup-norm gap two reported solutions must exceed
@@ -294,7 +294,7 @@ def build_spike_endpoint(problem: Problem) -> np.ndarray:
         val = float(_kernel(problem, e)[1])
         samples.append((t, val))
         if val <= 0.0:
-            return _expand(problem, e)
+            return problem._form.expand(e)
         t *= 2.0
     tail = ", ".join(f"energy({s:g} * spike) = {v:g}" for s, v in samples[-4:])
     raise SolverError(
@@ -343,8 +343,8 @@ def _sobolev_direction(problem: Problem):
     where h is negative.  P is assembled as its lower band, and only
     its factor is kept.
     """
-    pband = _interior_matrix(problem.graph, problem.partition)
-    pband[0] += np.abs(problem._form.mu_h)
+    pband = _interior_matrix(problem._form)
+    pband[0] += np.abs(problem._mu_h)
     return _band_solver(pband)
 
 
@@ -358,19 +358,16 @@ def _climbing_move(problem: Problem, precondition, gvec, tau, u) -> np.ndarray:
     Along tau it is the 1-D Newton step (g . tau)/c tau when the exact
     curvature c = tau^T H tau is negative, H = L + diag(mu (h - f_u)) the
     energy's Hessian at u; otherwise the tangential part is reflected,
-    -(g . tau)/(tau^T P tau) tau.  tau^T P tau and c come from one edge
-    pass.  A zero tau (coincident neighbours) gives no tangent: the move
-    is P^(-1) g."""
+    -(g . tau)/(tau^T P tau) tau.  tau^T P tau and c add their diagonals
+    to tau^T L tau, the interior Laplacian's edge sum.  A zero tau
+    (coincident neighbours) gives no tangent: the move is P^(-1) g."""
     move = precondition(gvec)
-    form = problem._form
-    ends = tau[form.ends]
-    d = ends[0] - ends[1]
     sq = tau * tau
-    grad = float((d * d) @ form.w + sq @ form.w_off)
-    tpt = grad + float(sq @ np.abs(form.mu_h))
+    grad = problem._form.quadratic(tau)
+    tpt = grad + float(sq @ np.abs(problem._mu_h))
     if tpt > 0.0:
         fu = reaction_derivative(problem.nl, u)
-        curv = grad + float(sq @ (form.mu_h - form.mu * fu))
+        curv = grad + float(sq @ (problem._mu_h - problem._form.mu * fu))
         slope = float(gvec @ tau)
         if curv < 0.0:
             move += (slope / curv - slope / tpt) * tau
@@ -402,6 +399,7 @@ def _descent_step(problem: Problem, u, gvec, direction, value, project):
     return None
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging step fails as not finite
 def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False):
     """Refine a candidate, given by its interior values, to vertexwise
     residual <= NEWTON_TOL.
@@ -418,15 +416,14 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False):
     eigenvalues.  Otherwise index is None.
     """
     mu, h = problem._form.mu, problem.h[problem._form.omega]
-    jac = _interior_matrix(problem.graph, problem.partition)
-    base = jac[0].copy()
+    jac = _interior_matrix(problem._form)
     u = np.array(u0, dtype=float, copy=True)
     budget = NEWTON_TRY if attempt else NEWTON_MAX
     prev = math.inf
     rises = 0
 
     def factor(step):
-        jac[0] = base + mu * (h - reaction_derivative(problem.nl, u))
+        jac[0] = problem._form.diag + mu * (h - reaction_derivative(problem.nl, u))
         try:
             return _band_solver(jac)
         except np.linalg.LinAlgError:
@@ -481,7 +478,7 @@ def _finish_solution(problem, kind, config, u, res_max) -> Solution:
     _, value, r = _kernel(problem, u, residual=True)
     rho = config.rho
     return Solution(
-        u=_expand(problem, u),
+        u=problem._form.expand(u),
         energy_value=float(value),
         grad_norm=float(np.linalg.norm(problem._form.mu * r)),
         residual_max=res_max,

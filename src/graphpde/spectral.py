@@ -6,14 +6,14 @@ The first eigenvalue is the minimum of the Rayleigh quotient
 
 over Dirichlet functions, computed as the smallest eigenvalue of the
 generalized problem L u = lambda M u on interior unknowns, where L is
-the weighted Dirichlet Laplacian and M = diag(mu).  L is kept as its
-lower band (calculus._interior_matrix).  Small problems are solved
-densely with eigh; large ones by inverse iteration that factors L once,
-by _band_solver (a = C S C^T, S = +-1: Cholesky windows, or eigh blocks
-where Cholesky fails), and then only back-substitutes.  The Rayleigh quotient
-u^T L u of a unit-mass u is the edge sum of w_xy (u(x) - u(y))^2 with u
-= 0 off the interior (calculus.edge_energy), and L u is -mu times the
-graph Laplacian of u on the interior, so neither applies L as a matrix.
+the weighted Dirichlet Laplacian and M = diag(mu), both read off
+calculus._interior_laplacian, L kept as its band.  Small problems are
+solved densely with eigh; large ones by inverse iteration on interior
+values v that factors L once, by _band_solver (a = C S C^T, S = +-1:
+Cholesky windows, or eigh blocks where Cholesky fails), and then only
+back-substitutes.  v^T L v is the interior Laplacian's edge sum, and
+the residual's L u is -mu times the graph Laplacian of u, a second
+route, so neither applies L as a matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _interior_matrix, edge_energy, integrate, laplacian
+from .calculus import _interior_laplacian, _interior_matrix, integrate, laplacian
 from .graphs import DomainPartition, WeightedGraph
 
 
@@ -182,15 +182,14 @@ def first_eigenvalue(
 
     Up to DENSE_CUTOFF interior vertices the dense symmetric problem
     M^(-1/2) L M^(-1/2) is solved by eigh (tolerance and max_iterations
-    unused).  Above that, inverse iteration runs on L u = lambda M u
-    from the constant function of unit mass: u <- L^(-1) M u, rescaled
-    to int_omega u^2 dmu = 1, with lambda = u^T L u, until successive
-    lambdas differ by at most tolerance * max(1, |lambda|).  L is
-    factored once; each iteration only back-substitutes, and takes
-    lambda as the edge sum edge_energy(u), which is u^T L u because u
-    vanishes off the interior.  The residual is max |L u - lambda M u|
-    on the interior, with L u = -mu laplacian(u) read off the
-    adjacency.  Raises ValueError when max_iterations pass unstopped.
+    unused).  Above that, inverse iteration runs on the interior values
+    v from the constant of unit mass: v <- L^(-1) M v, rescaled to
+    int_omega v^2 dmu = 1, with lambda = v^T L v (an edge sum), until
+    successive lambdas differ by at most tolerance * max(1, |lambda|).
+    L is factored once; each iteration only back-substitutes.  u is v
+    with zeros off omega; the residual is max |L u - lambda M u| there,
+    with L u = -mu laplacian(u).  Raises ValueError when max_iterations
+    pass unstopped.
     """
     if partition.boundary.size == 0:
         raise ValueError(
@@ -200,27 +199,25 @@ def first_eigenvalue(
     if not partition.connected:
         raise ValueError("interior plus boundary must be connected")
 
-    idx = partition.omega
-    band = _interior_matrix(graph, partition)
-    mdiag = graph.measure[idx]
-    u = np.zeros(graph.n)
+    op = _interior_laplacian(graph, partition)
+    mu = op.mu
     iterations = 0
-    if len(idx) <= DENSE_CUTOFF:
-        low = _band_panel(band, 0, len(idx))[: len(idx)]
-        d = 1.0 / np.sqrt(mdiag)
+    if len(mu) <= DENSE_CUTOFF:
+        low = _band_panel(_interior_matrix(op), 0, len(mu))[: len(mu)]
+        d = 1.0 / np.sqrt(mu)
         smat = (low + np.tril(low, -1).T) * d[:, None] * d[None, :]
         smat = 0.5 * (smat + smat.T)
         evals, evecs = np.linalg.eigh(smat)
         lam = float(evals[0])
-        u[idx] = d * evecs[:, 0]  # back to the generalized problem; int u^2 dmu = 1
+        v = d * evecs[:, 0]  # back to the generalized problem; int u^2 dmu = 1
     else:
-        solve = _band_solver(band)
-        u[idx] = 1.0 / math.sqrt(float(np.sum(mdiag)))
-        lam = edge_energy(graph, partition, u)
+        solve = _band_solver(_interior_matrix(op))
+        v = np.full(len(mu), 1.0 / math.sqrt(float(np.sum(mu))))
+        lam = op.quadratic(v)
         for iterations in range(1, max_iterations + 1):
-            z = solve(mdiag * u[idx])
-            u[idx] = z / math.sqrt(float(z @ (mdiag * z)))
-            lam, lam_old = edge_energy(graph, partition, u), lam
+            z = solve(mu * v)
+            v = z / math.sqrt(float(z @ (mu * z)))
+            lam, lam_old = op.quadratic(v), lam
             if abs(lam - lam_old) <= tolerance * max(1.0, abs(lam)):
                 break
         else:
@@ -228,12 +225,12 @@ def first_eigenvalue(
                 f"inverse power iteration did not converge in {max_iterations} iterations"
             )
 
-    u_int = u[idx]
-    size = np.abs(u_int)
-    if u_int[np.argmax(size > 1e-14 * np.max(size))] < 0.0:  # first nonzero entry
-        u[idx] = -u_int
-    lu = -graph.measure[idx] * laplacian(graph, u)[idx]  # L u, as u = 0 off omega
-    residual = float(np.max(np.abs(lu - lam * mdiag * u[idx])))
+    size = np.abs(v)
+    if v[np.argmax(size > 1e-14 * np.max(size))] < 0.0:  # first nonzero entry
+        v = -v
+    u = op.expand(v)
+    lu = -mu * laplacian(graph, u)[op.omega]  # L u, as u = 0 off omega
+    residual = float(np.max(np.abs(lu - lam * mu * v)))
     return EigenResult(lambda1=lam, eigenfunction=u, iterations=iterations, residual=residual)
 
 

@@ -10,9 +10,10 @@ weak solutions; on a finite graph they are also vertexwise solutions of
 the equation, which is what the residual functions measure.
 
 One kernel (_kernel) computes all of it from the interior values v of
-u alone.  For Dirichlet u the closure integral of |grad u|^2 is the sum
-of w_xy (v(x) - v(y))^2 over the edges inside omega plus w_off v^2, with
-w_off(x) the weight of the edges from x out of omega, so
+u alone, read off Problem._form, the interior Laplacian.  For Dirichlet
+u the closure integral of |grad u|^2 is the sum of w_xy (v(x) - v(y))^2
+over the edges inside omega plus w_off v^2, with w_off(x) the weight of
+the edges from x out of omega, so
 
     energy(u) = 1/2 (sum_e w_e d_e^2 + sum_omega (w_off + mu h) v^2) - sum_omega mu F(v)
 
@@ -33,29 +34,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .calculus import gradient_form, integrate
+from .calculus import _interior_laplacian, _InteriorLaplacian, gradient_form, integrate
 from .graphs import DomainPartition, WeightedGraph
 from .nonlinearity import Nonlinearity, antiderivative, antiderivative_peak, reaction
 from .spectral import embedding_kappa
-
-
-@dataclass(frozen=True, eq=False)
-class _EnergyForm:
-    """The energy in interior coordinates (position k of a vertex in
-    omega): the ends of the edges joining two interior vertices, as a
-    (2, m) array whose rows are the ends i and j, and their weights w;
-    w_off, the summed weight of the edges from each interior vertex to
-    the rest of the graph; mu and mu h on the interior; and the vertex
-    indices of the interior and of the vertices off it, where a
-    Dirichlet function vanishes."""
-
-    ends: np.ndarray
-    w: np.ndarray
-    w_off: np.ndarray
-    mu: np.ndarray
-    mu_h: np.ndarray
-    omega: np.ndarray
-    off: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,22 +83,12 @@ class Problem:
         return np.where(self.partition.omega_mask, self.h, 0.0)
 
     @cached_property
-    def _form(self) -> _EnergyForm:
-        g = self.graph
-        omega = self.partition.omega
-        pos = np.full(g.n, -1)
-        pos[omega] = np.arange(len(omega))
-        ends = pos[g.edge_index.T]
-        inner = np.all(ends >= 0, axis=0)
-        cut = (ends >= 0) & ~inner       # the interior end of each edge leaving omega
-        weights = np.broadcast_to(g.edge_weight, ends.shape)
-        mu = g.measure[omega]
-        return _EnergyForm(
-            ends=np.ascontiguousarray(ends[:, inner]), w=g.edge_weight[inner],
-            w_off=np.bincount(ends[cut], weights[cut], len(omega)),
-            mu=mu, mu_h=mu * self.h[omega], omega=omega,
-            off=np.flatnonzero(~self.partition.omega_mask),
-        )
+    def _form(self) -> _InteriorLaplacian:
+        return _interior_laplacian(self.graph, self.partition)
+
+    @cached_property
+    def _mu_h(self) -> np.ndarray:
+        return self._form.mu * self.h[self._form.omega]
 
 
 def _require_dirichlet(problem: Problem, u, name: str = "u", stack: bool = False):
@@ -133,13 +105,6 @@ def _require_dirichlet(problem: Problem, u, name: str = "u", stack: bool = False
     return u[..., problem._form.omega]
 
 
-def _expand(problem: Problem, v) -> np.ndarray:
-    """The function on every vertex with interior values v, zero elsewhere."""
-    u = np.zeros(problem.graph.n)
-    u[problem._form.omega] = v
-    return u
-
-
 def _kernel(problem: Problem, v, value: bool = True, residual: bool = False):
     """The energy kernel, on interior values v of shape (k,) or a stack
     (P, k): (squared h-norm, energy, pointwise residual), None for an
@@ -154,7 +119,7 @@ def _kernel(problem: Problem, v, value: bool = True, residual: bool = False):
     ends = v[..., form.ends]
     d = ends[..., 0, :] - ends[..., 1, :]
     del ends
-    diag = form.w_off + form.mu_h
+    diag = form.w_off + problem._mu_h
     quad = (d * d) @ form.w + (v * v) @ diag
     val = 0.5 * quad - antiderivative(problem.nl, v) @ form.mu if value else None
     if not residual:
@@ -190,7 +155,7 @@ def pointwise_residual(problem: Problem, u) -> np.ndarray:
     """Vertexwise equation residual -laplacian(u) + h u - f(x, u) on the
     interior, zero elsewhere.  Vanishes exactly at a solution."""
     v = _require_dirichlet(problem, u)
-    return _expand(problem, _kernel(problem, v, value=False, residual=True)[2])
+    return problem._form.expand(_kernel(problem, v, value=False, residual=True)[2])
 
 
 def gradient(problem: Problem, u) -> np.ndarray:
@@ -212,8 +177,8 @@ def directional_derivative(problem: Problem, u, test) -> float:
     Equals sum(gradient(problem, u) * test); both routes are kept so
     they can be checked against each other.
     """
-    u = _expand(problem, _require_dirichlet(problem, u))
-    test = _expand(problem, _require_dirichlet(problem, test, name="test"))
+    u = problem._form.expand(_require_dirichlet(problem, u))
+    test = problem._form.expand(_require_dirichlet(problem, test, name="test"))
     g = problem.graph
     part = problem.partition
     omega = part.omega

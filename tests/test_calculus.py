@@ -25,7 +25,7 @@ from graphpde import (
     lp,
     norm,
 )
-from graphpde.calculus import _interior_matrix
+from graphpde.calculus import _interior_laplacian, _interior_matrix
 from util import (
     band_matrix,
     interior_matrix_loop,
@@ -224,7 +224,7 @@ def test_interior_matrix_matches_per_vertex_loop(rng):
     for trial in range(80):
         graph = _hub_graph(rng) if trial % 4 == 0 else random_connected_graph(rng, n_max=40)
         part = random_subset_partition(rng, graph)
-        band = _interior_matrix(graph, part)
+        band = _interior_matrix(_interior_laplacian(graph, part))
         got, bw = band_matrix(band), len(band) - 1
         want = interior_matrix_loop(graph, part)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
@@ -237,3 +237,24 @@ def test_interior_matrix_matches_per_vertex_loop(rng):
         seen["split"] += not _omega_connected(graph, part)
         seen["hub"] += not np.all(few)
     assert all(seen.values()), seen
+
+
+def test_interior_laplacian_holds_the_dirichlet_form(rng):
+    for _ in range(40):
+        graph = random_connected_graph(rng, n_max=40)
+        part = random_subset_partition(rng, graph)
+        op = _interior_laplacian(graph, part)
+        assert np.array_equal(op.omega, part.omega)
+        assert np.array_equal(op.off, np.flatnonzero(~part.omega_mask))
+        assert np.array_equal(op.mu, graph.measure[part.omega])
+        lmat = interior_matrix_loop(graph, part)
+        # the diagonal is the incident weight sum; w_off its part off omega
+        np.testing.assert_allclose(op.diag, np.diag(lmat), rtol=1e-15, atol=0.0)
+        inner = np.bincount(op.ends.ravel(), np.tile(op.w, 2), len(op.omega))
+        np.testing.assert_allclose(op.w_off + inner, op.diag, rtol=1e-13, atol=0.0)
+        # v^T L v of a Dirichlet function is its edge energy over the closure
+        u = random_dirichlet(rng, graph, part)
+        v = u[part.omega]
+        assert op.quadratic(v) == pytest.approx(edge_energy(graph, part, u), rel=1e-13)
+        scale = np.abs(v) @ np.abs(lmat) @ np.abs(v)
+        assert abs(op.quadratic(v) - v @ lmat @ v) <= 1e-13 * scale

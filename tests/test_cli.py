@@ -386,6 +386,39 @@ def test_ar_bound_fails_where_F_overflows(graph_file, capsys):
     assert "F or its lower bound is not finite at u = -2e+77" in out
 
 
+def _ar_bound_record(argv, capsys):
+    """The exit code and the AR-bound record of a jsonl check."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would raise out of run()
+        code = run([*argv, "--format", "jsonl"])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    records = jsonl_records(captured.out)
+    assert not any(r["record"] == "error" for r in records)
+    (bound,) = [r for r in records if r["record"] == "hypothesis" and r["name"] == "AR-bound"]
+    return code, bound
+
+
+def test_ar_bound_fails_where_its_scale_overflows(graph_file, capsys):
+    # exp(-c) = F(M) / M^theta overflows for theta = 1100, M = 0.5
+    code, bound = _ar_bound_record(
+        ["check", graph_file(PATH3), "--nl", "power:p=4", "--theta", "1100", "--M", "0.5"], capsys)
+    assert code == 1  # the F6 proxy fails on the default grid, as without --theta
+    assert not bound["holds"]
+    assert bound["witness"] == "F or its lower bound is not finite at u = -10, the first such grid point"
+
+
+def test_undefined_ar_bound_is_a_failed_verdict(graph_file, capsys):
+    # F(M) < 0: the bound is undefined, and the AR-bound is on no route,
+    # so the exit code is that of the routes
+    code, bound = _ar_bound_record(
+        ["check", graph_file(PATH3), "--nl", "odd_poly:c1=-1,c5=1", "--theta", "4", "--M", "0.5"],
+        capsys)
+    assert code == 0
+    assert not bound["holds"] and bound["data"] == {}
+    assert bound["witness"].startswith("F(M) = -0.122396 is not positive at M = 0.5: ")
+
+
 def test_ball_constants_refuse_an_overflowed_max(graph_file, capsys):
     out = _refused_without_overflow(
         ["solve2", graph_file(PATH3), "--nl", "power_plus_const:p=4,eps=0.1",
@@ -782,6 +815,7 @@ def _scalars(value):
 
 _SCALE = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)  # log-uniform over 1e-6 .. 1e6
 _RANGE = st.floats(-6.0, 300.0).map(lambda e: 10.0**e)  # up to 1e300
+_THETA = st.floats(2.0, 60.0, exclude_min=True) | _RANGE.filter(lambda theta: theta > 2.0)
 
 
 @st.composite
@@ -816,8 +850,7 @@ def _cli_cases(draw):
     if command in ("solve", "solve2"):
         argv += ["--max-iter", str(draw(st.integers(1, 30)))]
     for flag in ("--theta", "--M", "--M0", "--rho"):
-        value = draw(st.none() | (st.floats(2.0, 60.0, exclude_min=True) if flag == "--theta"
-                                  else _RANGE))
+        value = draw(st.none() | (_THETA if flag == "--theta" else _RANGE))
         if value is not None:
             argv += [flag, repr(value)]
     lines = draw(st.permutations(lines)) + draw(st.permutations(edges))
@@ -827,10 +860,20 @@ def _cli_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_cli_cases())
 @example(case=(PATH3, ["check", "--h0", "1", "--nl", "power:p=4", "--M0", "1e200", "--format", "jsonl"]))
+@example(case=(PATH3, ["check", "--nl", "power:p=4", "--theta", "1100", "--M", "0.5",
+                       "--format", "jsonl"]))
+@example(case=(PATH3, ["check", "--nl", "odd_poly:c1=-1,c5=1", "--theta", "4", "--M", "0.5",
+                       "--format", "jsonl"]))
+@example(case=(  # Newton from the maximizer overflows, and fails as not finite
+    "v x0 auto 1 omega\nv x1 auto 1 omega\nv x2 auto 0.1 omega\nv x3 auto 1 omega\n"
+    "v y0 auto 0 boundary\nv y1 auto 0 boundary\n"
+    "e x0 x1 1\ne x1 x2 0.01\ne x2 x3 1\ne y0 x0 1\ne x3 y1 1\n",
+    ["solve", "--nl", "power_plus_const:p=58.0,eps=-1.0", "--h0", "0.1", "--format", "jsonl",
+     "--max-iter", "1"]))
 def test_cli_fuzz_exits_cleanly(case, tmp_path_factory):
     # badly scaled weights, measures and flags: every run ends in exit 0,
     # 1 or 2 with nothing on stderr but an exit 2's one input error line,
-    # and a success report holds only finite numbers
+    # and a success report holds only finite numbers and no error record
     text, argv = case
     path = tmp_path_factory.mktemp("fuzz") / "g.graph"
     path.write_text(text)
@@ -846,6 +889,7 @@ def test_cli_fuzz_exits_cleanly(case, tmp_path_factory):
         assert err.getvalue() == ""
     if code == 0:
         for record in jsonl_records(out.getvalue()):
+            assert record["record"] != "error", record
             for value in _scalars(record):
                 assert value not in ("inf", "-inf", "nan"), record
                 assert not isinstance(value, float) or math.isfinite(value), record

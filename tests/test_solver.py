@@ -559,7 +559,7 @@ def test_sobolev_direction_solves_the_h_gram_matrix(rng):
     for graph, part in (lattice(12), lattice(12, rng)):
         h = rng.uniform(-2.0, 2.0, size=graph.n)
         problems.append(Problem(graph=graph, partition=part, h=h, nl=POWER4))
-    bandwidths = [len(_interior_matrix(p.graph, p.partition)) - 1 for p in problems[-2:]]
+    bandwidths = [len(_interior_matrix(p._form)) - 1 for p in problems[-2:]]
     assert bandwidths[0] == 10 and bandwidths[1] > 64
     for problem in problems:
         g = random_dirichlet(rng, problem.graph, problem.partition)[problem.partition.omega]
@@ -803,7 +803,7 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
             m.setattr(graphpde.solver, "reaction_derivative", record_derivative)
             _newton_polish(problem, start[part.omega])
         assert len(jacobians) == len(points) >= 1
-        lmat = band_matrix(_interior_matrix(graph, part))
+        lmat = band_matrix(_interior_matrix(problem._form))
         mu = graph.measure[part.omega]
         for jac, u_omega in zip(jacobians, points):
             fu = reaction_derivative(problem.nl, u_omega)

@@ -18,7 +18,7 @@ from graphpde import (
     norm,
 )
 from graphpde import spectral
-from graphpde.calculus import _interior_matrix
+from graphpde.calculus import _interior_laplacian, _interior_matrix
 from graphpde.spectral import _BLOCK, _band_solver, _invert_lower
 from util import (
     band_matrix,
@@ -243,7 +243,7 @@ def test_band_solver_inverts_its_blocks_at_the_first_solve(monkeypatch, rng):
     # inverts every window block in one stacked pass, and later solves
     # reuse it, bit for bit
     graph, part = lattice(17)
-    band = _interior_matrix(graph, part)
+    band = _interior_matrix(_interior_laplacian(graph, part))
     passes = []
 
     def counted(t):
@@ -349,7 +349,7 @@ def test_band_solver_counts_eigenvalues_below_a_shift_on_the_lattice():
     # L - sigma M has as many negative eigenvalues as L u = lambda M u
     # has eigenvalues below sigma (Sylvester)
     graph, part = lattice(12)
-    band = _interior_matrix(graph, part)
+    band = _interior_matrix(_interior_laplacian(graph, part))
     mu = graph.measure[part.omega]
     d = 1.0 / np.sqrt(mu)
     lam = np.linalg.eigvalsh(band_matrix(band) * d[:, None] * d[None, :])
@@ -375,6 +375,21 @@ def test_default_iterative_branch_lattice_oracle():
     assert np.all(u[part.boundary] == 0.0) and np.all(u[part.exterior] == 0.0)
     assert integrate(graph, u * u, part.omega) == pytest.approx(1.0, rel=1e-12)
     assert rayleigh_quotient(graph, part, u) == pytest.approx(res.lambda1, rel=1e-10)
+
+
+def test_inverse_iteration_reads_the_interior_laplacian(monkeypatch):
+    # v^T L v comes from the interior unknowns' edge arrays, not from an
+    # edge pass over every vertex of the graph
+    def closure_pass(*args):
+        raise AssertionError("edge_energy called by first_eigenvalue")
+
+    monkeypatch.setattr("graphpde.calculus.edge_energy", closure_pass)
+    monkeypatch.setattr(spectral, "edge_energy", closure_pass, raising=False)
+    graph, part = lattice(17)
+    assert part.omega.size > spectral.DENSE_CUTOFF
+    res = first_eigenvalue(graph, part)
+    assert res.iterations >= 1
+    assert res.lambda1 == pytest.approx(1.0 - math.cos(math.pi / 16), rel=1e-10)
 
 
 def test_eigen_reports_non_convergence():

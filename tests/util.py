@@ -83,8 +83,8 @@ def interior_matrix_loop(graph, partition):
 
 def band_matrix(band):
     """The symmetric matrix stored by its lower band, as
-    _interior_matrix returns it and _band_solver takes it:
-    a[j + d, j] = a[j, j + d] = band[d, j]."""
+    _interior_matrix returns it (from an _interior_laplacian) and
+    _band_solver takes it: a[j + d, j] = a[j, j + d] = band[d, j]."""
     n = band.shape[1]
     a = np.zeros((n, n))
     for d, diagonal in enumerate(band):
