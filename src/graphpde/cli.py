@@ -61,9 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # per command: its help, what --tol means, what --max-iter means
     eigen = ("eigen tolerance (default 1e-12)", "eigen iteration budget (default 500)")
-    loops = ("gradient-norm stop of the path deformation and, in solve2, of the ball "
-             "descent (default 1e-8); the eigen step keeps its defaults",
-             "iteration budget of each of those loops (default 5000)")
+    loops = ("gradient-norm stop of the path deformation (default 1e-8); the eigen "
+             "step and the ball minimizer's Newton iteration keep their defaults",
+             "iteration budget of the path deformation (default 5000)")
     commands = {
         "check": ("verify coefficient and reaction-term hypotheses", *eigen),
         "eigen": ("first eigenvalue and eigenfunction of the interior Laplacian", *eigen),

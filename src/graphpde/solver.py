@@ -6,29 +6,29 @@ Three entry points:
                     with nonpositive energy, climbing its maximizing
                     point up to the saddle, which Newton iteration then
                     refines into a positive-level critical point
-    ball_minimize   projected gradient descent inside the energy ball
-                    of radius sqrt(rho), refined unconstrained when the
-                    minimizer is interior
+    ball_minimize   Newton iteration from the zero function, accepted
+                    when it converges to a point of Morse index 0
+                    strictly inside the ball of radius sqrt(rho)
     two_solutions   verifies the two-solution hypotheses, then runs
                     both and checks the results are distinct
 
 Each writes what it sees into an optional RunLog as it runs, so the
 record of a run survives a SolverError.
 
-Both loops step along the Sobolev gradient: the Riesz representative
-P^(-1) g of the Euclidean gradient g in the inner product of
-P = L + diag(mu |h|) on interior unknowns, with L the interior
-Laplacian.  Where h > 0, P is the Gram matrix of the h-norm, the metric
-the energy is posed in, so one unit step undoes the quadratic part of
-the energy whatever the weights and measures.  P is factored once per
-loop, and Newton's indefinite Jacobian once per step, by the band
-factor spectral._band_solver.  Along the path tangent the climbing image
-does not take the Sobolev step: where the energy's exact curvature
-there is negative it takes the 1-D Newton step to the maximum along the
-tangent, and otherwise reflects the tangential part of the Sobolev
-gradient.
+The path deformation steps along the Sobolev gradient: the Riesz
+representative P^(-1) g of the Euclidean gradient g in the inner
+product of P = L + diag(mu |h|) on interior unknowns, with L the
+interior Laplacian.  Where h > 0, P is the Gram matrix of the h-norm,
+the metric the energy is posed in, so one unit step undoes the
+quadratic part of the energy whatever the weights and measures.  P is
+factored once per deformation, and Newton's indefinite Jacobian once
+per step, by the band factor spectral._band_solver.  Along the path
+tangent the climbing image does not take the Sobolev step: where the
+energy's exact curvature there is negative it takes the 1-D Newton step
+to the maximum along the tangent, and otherwise reflects the tangential
+part of the Sobolev gradient.
 
-The loops iterate on interior values only: the path is a (P, |omega|)
+The solvers iterate on interior values only: the path is a (P, |omega|)
 array and every iterate an (|omega|,) vector.  They evaluate through
 variational._kernel, which checks nothing, and expand only the reported
 Solution's u to every vertex; the Dirichlet check of the public energy
@@ -71,9 +71,6 @@ NEWTON_MAX = 50        # Newton iterations before refinement gives up
 NEWTON_TRY = 8         # Newton iterations of the mountain pass's hand-off attempt
 NEWTON_CUT = 0.1       # residual factor each attempt step after the first must reach
 SPIKE_DOUBLINGS = 60   # doublings of the spike height before the endpoint search gives up
-SHRINK = 0.5           # backtracking factor of the ball minimizer's step
-ARMIJO = 1e-4          # slope fraction of its sufficient-decrease test
-BALL_FLOOR = 2.0**-51  # relative energy drop at or below which a ball step is the last
 
 # The alternative hypothesis sets under which the existence theorems
 # hold, on the coefficient h (H1-H3) and on the reaction term f (F1-F8),
@@ -104,10 +101,11 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budgets of the deformation and descent loops and the ball setup.
+    """Budgets of the path deformation and the ball setup.
 
-    Both loops stop when the Euclidean gradient norm reaches deform_tol
-    or after deform_steps iterations.  rho is the squared radius of the
+    The deformation stops when the Euclidean gradient norm reaches
+    deform_tol or after deform_steps iterations; neither bounds the
+    ball minimizer's Newton iteration.  rho is the squared radius of the
     constraint ball (weighted Sobolev norm); beta the smallness
     parameter for the two-solution setup (computed from the ball
     constants when absent); m0 switches the two-solution pipeline to the
@@ -173,12 +171,12 @@ class RunLog:
     """What the solvers saw: the verdicts of the gates that passed, the
     (level, gradient norm) rows of each loop by solver name (set afresh
     as the loop starts; mountain_pass's is the sampled level, a running
-    minimum of path samples, not a bound on the saddle), why each loop
-    stopped by solver name ("newton_handoff", "tolerance", "stall",
-    "budget" or "endpoint_maximum" for mountain_pass; "tolerance",
-    "floor", "backtracking" or "budget" for ball_min), and (iteration,
-    arc positions, energies) snapshots of the path every 50 iterations
-    and at the end."""
+    minimum of path samples, not a bound on the saddle; ball_min's is
+    the energy of each Newton iterate), why each loop stopped by solver
+    name ("newton_handoff", "tolerance", "stall", "budget" or
+    "endpoint_maximum" for mountain_pass; "tolerance" or "newton_failed"
+    for ball_min), and (iteration, arc positions, energies) snapshots of
+    the path every 50 iterations and at the end."""
 
     verdicts: list[HypothesisVerdict] = field(default_factory=list)
     traces: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
@@ -376,31 +374,8 @@ def _climbing_move(problem: Problem, precondition, gvec, tau, u) -> np.ndarray:
     return move
 
 
-def _descent_step(problem: Problem, u, gvec, direction, value, project):
-    """One descent move from u along -direction, a descent direction
-    for the Euclidean gradient gvec.  Returns (new point, new energy),
-    or None when backtracking exhausts the step length.
-
-    Backtracking starts from the unit step, the natural scale of a
-    Sobolev-gradient step, and shrinks it by SHRINK until the trial
-    passes the sufficient-decrease test with slope fraction ARMIJO
-    (slope gvec . direction) and lowers the energy strictly.  project
-    maps each trial point back into the feasible set before it is
-    evaluated.
-    """
-    slope = float(gvec @ direction)
-    alpha = 1.0
-    while alpha >= 1e-18:
-        cand = project(u - alpha * direction)
-        val = float(_kernel(problem, cand)[1])
-        if val <= value - ARMIJO * alpha * slope and val < value:
-            return cand, val
-        alpha *= SHRINK
-    return None
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a diverging step fails as not finite
-def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False):
+def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trace=None):
     """Refine a candidate, given by its interior values, to vertexwise
     residual <= NEWTON_TOL.
 
@@ -413,7 +388,9 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False):
     iterations and gives up with a SolverError when one after the first
     cuts the residual by less than NEWTON_CUT; converged, it factors the
     Hessian at u, and index is its Morse index, the number of negative
-    eigenvalues.  Otherwise index is None.
+    eigenvalues.  Otherwise index is None.  A trace list receives the
+    (energy, Euclidean gradient norm) row of each iterate, also of one
+    that fails.
     """
     mu, h = problem._form.mu, problem.h[problem._form.omega]
     jac = _interior_matrix(problem._form)
@@ -430,7 +407,9 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False):
             raise SolverError(f"Newton's Jacobian is singular at step {step}") from None
 
     for step in range(budget + 1):
-        r = _kernel(problem, u, value=False, residual=True)[2]
+        _, value, r = _kernel(problem, u, value=trace is not None, residual=True)
+        if trace is not None:
+            trace.append((float(value), float(np.linalg.norm(mu * r))))
         res_max = float(np.max(np.abs(r)))
         if res_max <= NEWTON_TOL:
             return u, res_max, factor(step).negatives if attempt else None
@@ -605,17 +584,18 @@ def ball_minimize(
     *,
     log: RunLog | None = None,
 ) -> Solution:
-    """Minimize the energy over the closed ball h-norm <= sqrt(rho).
+    """Local minimizer of the energy strictly inside the ball h-norm <
+    sqrt(rho).
 
-    Projected Sobolev-gradient descent from the zero function, one
-    _descent_step per iteration: a trial point leaving the ball is
-    pulled back radially before it is evaluated.  A minimizer strictly
-    inside the sphere (by 1e-8) is refined unconstrained; a minimizer
-    pinned to the sphere raises "no interior minimizer found".  When f(x,0) = 0
-    the zero function is a genuine solution and descent never leaves
-    it; that outcome is returned with kind="trivial" rather than
-    treated as an error.  log receives the gate's verdicts and the
-    "ball_min" trace.
+    Newton runs from the zero function as an attempt (_newton_polish).
+    Its point is accepted when the Hessian there has Morse index 0 and
+    its h-norm lies inside the sphere by SPHERE_MARGIN; otherwise, and
+    when Newton fails, the error says "no interior minimizer found" and
+    why.  When f(x,0) = 0 the zero function is a genuine solution, where
+    Newton starts at residual 0; it is returned with kind="trivial"
+    rather than treated as an error.  log receives the gate's verdicts,
+    the "ball_min" trace (one row per Newton iterate) and its stop,
+    "tolerance" or "newton_failed".
     """
     config = config or SolverConfig()
     log = RunLog() if log is None else log
@@ -625,52 +605,27 @@ def ball_minimize(
         # no reaction-term check on this route: with f(x,0) = 0 the ball
         # minimizer is legitimately the zero function, reported as "trivial"
         log.verdicts += _gate(problem, "ball")
-    radius = math.sqrt(config.rho)
-    mu = problem._form.mu
-    precondition = _sobolev_direction(problem)
-
-    def into_ball(cand):
-        hn = _h_norm(problem, cand)
-        return cand * (radius / hn) if hn > radius else cand
-
-    u = np.zeros(len(mu))
     trace = log.traces["ball_min"] = []
-    value = float(_kernel(problem, u)[1])
-    stop = "budget"
-    for _ in range(config.deform_steps):
-        gvec = mu * _kernel(problem, u, value=False, residual=True)[2]
-        gn = float(np.linalg.norm(gvec))
-        trace.append((value, gn))
-        if gn <= config.deform_tol:
-            stop = "tolerance"
-            break
-        moved = _descent_step(problem, u, gvec, precondition(gvec), value, into_ball)
-        if moved is None:
-            stop = "backtracking"
-            break
-        drop = value - moved[1]
-        u, value = moved
-        if drop <= BALL_FLOOR * abs(value):
-            stop = "floor"
-            break
-    del precondition
-    log.stops["ball_min"] = stop
-    hn = _h_norm(problem, u)
-    if hn >= radius - SPHERE_MARGIN:
-        raise SolverError(
-            "no interior minimizer found: descent terminated on the constraint "
-            f"sphere (h-norm {hn:.6g} against radius {radius:.6g}); the minimum "
-            "over this ball sits on its boundary"
+    refused = "no interior minimizer found: Newton from the zero function"
+    try:
+        u, res_max, index = _newton_polish(
+            problem, np.zeros(len(problem._form.mu)), attempt=True, trace=trace
         )
+    except SolverError as exc:
+        log.stops["ball_min"] = "newton_failed"
+        raise SolverError(f"{refused} failed: {exc}") from exc
+    log.stops["ball_min"] = "tolerance"
     if _is_trivial_collapse(problem, u):
-        return _finish_solution(problem, "trivial", config, np.zeros(len(mu)), 0.0)
-    u, res_max, _ = _newton_polish(problem, u)
-    hn = _h_norm(problem, u)
+        return _finish_solution(problem, "trivial", config, u, res_max)
+    if index != 0:
+        raise SolverError(
+            f"{refused} converged to a critical point of Morse index {index}, not a minimizer"
+        )
+    hn, radius = _h_norm(problem, u), math.sqrt(config.rho)
     if hn >= radius - SPHERE_MARGIN:
         raise SolverError(
-            "no interior minimizer found: Newton refinement moved the "
-            f"candidate onto or past the constraint sphere (h-norm {hn:.6g} "
-            f"against radius {radius:.6g})"
+            f"{refused} converged on or past the constraint sphere (h-norm "
+            f"{hn:.6g} against radius {radius:.6g})"
         )
     return _finish_solution(problem, "ball_min", config, u, res_max)
 

@@ -446,8 +446,8 @@ def test_emit_path_profile(graph_file, tmp_path, capsys):
 
 def test_solve2_failure_after_the_gate_reports_the_run_log(graph_file, capsys):
     # 8 x 8 lattice keeping only the edges that touch the interior, so the
-    # corners drop out and mu_min = 1: the gate passes, then the ball
-    # minimizer ends on the constraint sphere
+    # corners drop out and mu_min = 1: the gate passes, then Newton from
+    # the zero function converges outside the ball
     k = 8
     cells = [(r, c) for r in range(k) for c in range(k) if {r, c} - {0, k - 1}]
     inner = {(r, c) for r, c in cells if 0 < r < k - 1 and 0 < c < k - 1}
@@ -467,8 +467,9 @@ def test_solve2_failure_after_the_gate_reports_the_run_log(graph_file, capsys):
     names = [r["name"] for r in recs if r["record"] == "hypothesis"]
     assert names == ["H1", "H2", "H3", "F7", "F1", "beta-range"]
     assert recs[-2]["solver"] == "ball_min" and recs[-2]["levels"]
-    assert recs[-2]["stop"] == "floor"
-    assert recs[-1]["message"].startswith("no interior minimizer found")
+    assert recs[-2]["stop"] == "tolerance"
+    assert recs[-1]["message"].startswith("no interior minimizer found: ")
+    assert recs[-1]["message"].endswith("(h-norm 1.12749 against radius 1)")
 
 
 def test_solve_on_a_lattice_reports_the_newton_handoff(graph_file, tmp_path, capsys):

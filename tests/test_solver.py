@@ -262,21 +262,29 @@ def test_mountain_pass_loop_holds_interior_vectors_only(monkeypatch, deform_only
     assert sol.u.shape == (problem.graph.n,)
 
 
-def test_ball_minimize_stops_after_a_last_bit_decrease():
-    # on lattice(40) the second step lowers the energy by two ulps; the
-    # descent stops there instead of backtracking through 60 halvings
-    log = RunLog()
-    with pytest.raises(SolverError, match="no interior minimizer found"):
-        ball_minimize(lattice_problem(40, PLUS_CONST), SolverConfig(rho=1.0), log=log)
-    assert len(log.traces["ball_min"]) == 2
-    # traces whose steps all drop by more keep their length
-    for problem, rows in (
-        (lattice_problem(12, power_plus_const(4, 0.01)), 3),
-        (three_path_problem(PLUS_CONST), 4),
+def test_ball_minimize_traces_one_row_per_newton_iterate():
+    # Newton from 0 on lattice(40) converges outside the ball; the other
+    # two converge inside it.  Each row is an iterate's (energy, |mu r|),
+    # the first at 0, where mu r = -eps mu
+    for problem, rows, accepted in (
+        (lattice_problem(40, PLUS_CONST), 4, False),
+        (lattice_problem(12, power_plus_const(4, 0.01)), 3, True),
+        (three_path_problem(PLUS_CONST), 4, True),
     ):
         log = RunLog()
-        ball_minimize(problem, SolverConfig(rho=1.0), log=log)
-        assert len(log.traces["ball_min"]) == rows
+        if accepted:
+            ball_minimize(problem, SolverConfig(rho=1.0), log=log)
+        else:
+            with pytest.raises(SolverError, match=r"^no interior minimizer found: .*"
+                                                  r"\(h-norm 7\.59121 against radius 1\)$"):
+                ball_minimize(problem, SolverConfig(rho=1.0), log=log)
+        trace = log.traces["ball_min"]
+        assert len(trace) == rows
+        assert log.stops == {"ball_min": "tolerance"}
+        mu = problem._form.mu
+        assert trace[0] == (0.0, pytest.approx(problem.nl.eps * np.linalg.norm(mu), rel=1e-14))
+        assert all(b < a for (_, a), (_, b) in zip(trace, trace[1:]))
+        assert trace[-1][1] <= graphpde.solver.NEWTON_TOL * np.linalg.norm(mu)
 
 
 def test_ball_minimize_plus_const():
@@ -292,26 +300,53 @@ def test_ball_minimize_plus_const():
 
 def test_ball_minimize_trivial_when_zero_is_solution():
     problem = three_path_problem(POWER4)
-    sol = ball_minimize(problem, SolverConfig(rho=1.0))
+    log = RunLog()
+    sol = ball_minimize(problem, SolverConfig(rho=1.0), log=log)
     assert sol.kind == "trivial"
+    # Newton starts at residual 0
+    assert log.traces["ball_min"] == [(0.0, 0.0)] and log.stops == {"ball_min": "tolerance"}
     assert np.all(sol.u == 0.0)
     assert sol.energy_value == 0.0
     assert sol.in_ball
 
 
 def test_ball_minimize_pinned_to_sphere():
+    # eps = 10 has no interior minimizer; Newton from 0 cuts the residual too little
     problem = three_path_problem(power_plus_const(4, 10.0))
+    log = RunLog()
     with pytest.raises(SolverError) as err:
-        ball_minimize(problem, SolverConfig(rho=1.0))
-    assert "no interior minimizer found" in str(err.value)
+        ball_minimize(problem, SolverConfig(rho=1.0), log=log)
+    assert str(err.value).startswith(
+        "no interior minimizer found: Newton from the zero function failed: "
+        "Newton attempt cut the residual"
+    )
+    assert log.stops == {"ball_min": "newton_failed"} and len(log.traces["ball_min"]) == 3
+
+
+def _converged_at(value, index):
+    """A stand-in for _newton_polish that converges at value everywhere
+    with Morse index index."""
+    return lambda problem, u0, attempt=False, trace=None: (np.full_like(u0, value), 0.0, index)
 
 
 def test_ball_minimize_refuses_newton_leaving_the_ball(monkeypatch):
-    monkeypatch.setattr(
-        graphpde.solver, "_newton_polish", lambda problem, u0: (1e3 * u0, 0.0, None)
-    )
-    with pytest.raises(SolverError, match="Newton refinement moved the candidate onto or past"):
+    monkeypatch.setattr(graphpde.solver, "_newton_polish", _converged_at(1e3, 0))
+    with pytest.raises(SolverError, match=r"^no interior minimizer found: Newton from the zero "
+                                          r"function converged on or past the constraint sphere "
+                                          r"\(h-norm 2000 against radius 1\)$"):
         ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0))
+
+
+def test_ball_minimize_refuses_a_saddle_inside_the_ball(monkeypatch):
+    monkeypatch.setattr(graphpde.solver, "_newton_polish", _converged_at(0.05, 1))
+    with pytest.raises(SolverError, match=r"^no interior minimizer found: Newton from the zero "
+                                          r"function converged to a critical point of Morse "
+                                          r"index 1, not a minimizer$"):
+        ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0))
+    # the same point at index 0 lies inside the ball and is accepted
+    monkeypatch.setattr(graphpde.solver, "_newton_polish", _converged_at(0.05, 0))
+    sol = ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0))
+    assert sol.kind == "ball_min" and sol.u[1] == 0.05 and sol.in_ball
 
 
 def test_ball_minimize_needs_rho():
@@ -518,13 +553,13 @@ def test_mountain_pass_in_ball_flag():
     assert sol.h_norm == pytest.approx(2 * math.sqrt(2), rel=1e-9)
 
 
-def test_ball_minimize_sobolev_steps_converge_fast():
-    # 2038 Euclidean steps; the Sobolev step is a contraction here
+def test_ball_minimize_newton_from_zero_converges_fast():
+    # Newton converges quadratically from 0 to the small root
     log = RunLog()
     sol = ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0), log=log)
     trace = log.traces["ball_min"]
     assert abs(sol.u[1] - SMALL_ROOT) <= 1e-8
-    assert len(trace) <= 10
+    assert len(trace) <= 5
 
 
 def test_mountain_pass_lattice_exits_by_tolerance(deform_only):
@@ -836,6 +871,33 @@ def test_solutions_have_the_expected_morse_index(deform_only):
     assert tolerance_exits >= 6
 
 
+def test_ball_minimize_accepts_only_interior_minima():
+    # the first 40 graphs of seed 11, derived and given measures in turn,
+    # x four reaction terms x three radii; the counts are those of the
+    # projected descent this minimizer replaced, which agreed case by case
+    rng = np.random.default_rng(11)
+    families = (power_plus_const(4, 0.01), power_plus_const(4, 0.3),
+                power_plus_const(3, -0.05), odd_poly({1: 0.02, 3: 1}))
+    kinds = {"ball_min": 0, "trivial": 0, "refused": 0}
+    for i in range(40):
+        graph = random_connected_graph(rng, 5, 25, measure_mode=("derived", "given")[i % 2])
+        part = random_partition(rng, graph)
+        for nl in families:
+            problem = Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=nl, h0=1.0)
+            for rho in (0.1, 1.0, 10.0):
+                try:
+                    sol = ball_minimize(problem, SolverConfig(rho=rho, verify_hypotheses=False))
+                except SolverError as exc:
+                    assert str(exc).startswith("no interior minimizer found: ")
+                    kinds["refused"] += 1
+                    continue
+                kinds[sol.kind] += 1
+                assert morse_index(problem, sol.u) == 0
+                assert sol.residual_max <= graphpde.solver.NEWTON_TOL
+                assert sol.h_norm < math.sqrt(rho) and sol.in_ball
+    assert kinds == {"ball_min": 258, "trivial": 120, "refused": 102}
+
+
 def test_mountain_pass_profile_reports_arc_positions(deform_only):
     log = RunLog()
     mountain_pass(lattice_problem(12, POWER4), log=log)
@@ -1000,7 +1062,7 @@ def test_accepted_handoffs_have_index_one(monkeypatch):
     assert handoffs >= 150
 
 
-def test_loops_record_why_they_stopped(monkeypatch):
+def test_loops_record_why_they_stopped():
     cases = [
         (lattice_problem(12, POWER4), SolverConfig(), "newton_handoff"),
         (three_path_problem(POWER4), SolverConfig(), "tolerance"),
@@ -1029,19 +1091,22 @@ def test_loops_record_why_they_stopped(monkeypatch):
     mountain_pass(stalled, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops == {"mountain_pass": "stall"}
 
+    # the ball's Newton converges, inside the ball or not, or fails; the
+    # deformation's budget and tolerance do not bound it
     ball = power_plus_const(4, 0.01)
     for problem, config, stop in (
         (lattice_problem(12, ball), SolverConfig(rho=1.0), "tolerance"),
-        (lattice_problem(12, ball), SolverConfig(rho=1.0, deform_tol=1e-300), "floor"),
-        (three_path_problem(PLUS_CONST), SolverConfig(rho=1.0, deform_steps=2), "budget"),
+        (lattice_problem(12, ball), SolverConfig(rho=1.0, deform_tol=1e-300), "tolerance"),
+        (three_path_problem(PLUS_CONST), SolverConfig(rho=1.0, deform_steps=1), "tolerance"),
+        (lattice_problem(12, PLUS_CONST), SolverConfig(rho=1.0), "tolerance"),
+        (three_path_problem(power_plus_const(4, 10.0)), SolverConfig(rho=1.0), "newton_failed"),
     ):
         log = RunLog()
-        ball_minimize(problem, config, log=log)
+        try:
+            ball_minimize(problem, config, log=log)
+        except SolverError as exc:
+            assert str(exc).startswith("no interior minimizer found: ")
         assert log.stops == {"ball_min": stop}
-    monkeypatch.setattr(graphpde.solver, "_descent_step", lambda *args: None)
-    log = RunLog()
-    ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0), log=log)
-    assert log.stops == {"ball_min": "backtracking"}
 
 
 def test_newton_failure_names_the_budget_stop(monkeypatch):
