@@ -398,13 +398,20 @@ def parse_graph_file(path) -> GraphFile:
 def format_graph_text(
     graph: WeightedGraph, partition: DomainPartition, h: np.ndarray
 ) -> str:
-    """Write the v/e format; re-parsing reproduces the graph exactly."""
-    role_of = [_ROLES[k] for k in _role_codes(partition)]
-    lines = []
-    derived = graph.measure_mode == "derived"
-    for k, vid in enumerate(graph.vertex_ids):
-        mtok = "auto" if derived else f"{graph.measure[k]:.17g}"
-        lines.append(f"v {vid} {mtok} {h[k]:.17g} {role_of[k]}")
-    for (i, j), w in zip(graph.edge_index, graph.edge_weight):
-        lines.append(f"e {graph.vertex_ids[i]} {graph.vertex_ids[j]} {w:.17g}")
+    """Write the v/e format; re-parsing reproduces the graph exactly.
+    The arrays are read as Python numbers, which format as numpy's
+    scalars do at a fraction of the cost, and the edge ends as
+    references to the id strings; each list lives only while its lines
+    are built, so the text is the largest thing held."""
+    ids, derived = graph.vertex_ids, graph.measure_mode == "derived"
+    lines = [
+        f"v {vid} {'auto' if derived else format(m, '.17g')} {hk:.17g} {_ROLES[code]}"
+        for vid, m, hk, code in zip(ids, graph.measure.tolist(), np.asarray(h).tolist(),
+                                    _role_codes(partition).tolist(), strict=True)
+    ]
+    lines += [
+        f"e {a} {b} {w:.17g}"
+        for a, b, w in zip(*np.array(ids, dtype=object)[graph.edge_index.T].tolist(),
+                           graph.edge_weight.tolist())
+    ]
     return "\n".join(lines) + "\n"

@@ -10,7 +10,8 @@ the weighted Dirichlet Laplacian and M = diag(mu), both read off
 calculus._interior_laplacian, L kept as its band.  Small problems are
 solved densely with eigh; large ones by inverse iteration on interior
 values v that factors L once, by _band_solver (a = C S C^T, S = +-1:
-Cholesky windows, or eigh blocks where Cholesky fails), and then only
+Cholesky windows; where Cholesky fails, 1x1 pivots at the window's rows
+that are not diagonally dominant, or else eigh blocks), and then only
 back-substitutes.  v^T L v is the interior Laplacian's edge sum, and
 the residual's L u is -mu times the graph Laplacian of u, a second
 route, so neither applies L as a matrix.
@@ -46,6 +47,10 @@ DENSE_CUTOFF = 200
 # Row/column block size of _band_solver; np.linalg.cholesky sees at most
 # a block's window of 2 _BLOCK rows, and below an eigh block C fills it.
 _BLOCK = 64
+# Most 1x1 pivots _pivoted_window takes in a window, and its growth bound:
+# it refuses a pivot |d| <= max|diag| / _GROWTH, or C^2 above _GROWTH max|diag|.
+_PIVOTS = 4
+_GROWTH = 100.0
 
 
 def _band_panel(band: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -76,6 +81,57 @@ def _invert_lower(t: np.ndarray) -> None:
         a21[...] = -(blocks[..., s:, s:] @ a21 @ blocks[..., :s, :s])
 
 
+def _pivoted_window(window: np.ndarray, m: int, s: np.ndarray) -> np.ndarray | None:
+    """Lower triangular C with window = C S C^T on its first m columns,
+    the window read from its lower triangle, or None.  A 1x1 pivot d
+    (C = |d|^(1/2), S = sign d, then a rank-1 Schur update) is taken at
+    each row j < m not strictly diagonally dominant, a_jj <= sum_(l != j)
+    |a_jl|; np.linalg.cholesky factors the rows between pivots, the last
+    segment down to the window's end, or to row m when the rows below
+    the block are not definite.  None without such a row, with more than
+    _PIVOTS, when a segment's Cholesky fails or a _GROWTH guard trips;
+    else s, the block's entries of S, takes the pivots' signs."""
+    a = window * np.tri(len(window))  # np.tril, at a third of its cost on one row
+    mag = np.abs(a)
+    # a_jj <= sum_(l != j) |a_jl| is 3 a_jj <= the sum of |a| along row j plus that down column j
+    (weak,) = np.nonzero(3.0 * a.diagonal()[:m] <= mag[:m].sum(1) + mag[:, :m].sum(0))
+    if not 0 < len(weak) <= _PIVOTS:
+        return None
+    scale = float(mag.diagonal().max())
+    c, signs, start = np.zeros_like(a), np.ones(m), 0
+
+    def segment(i, j):  # Cholesky on rows i .. j - 1, C below them and their update
+        c[i:j, i:j] = top = np.linalg.cholesky(a[i:j, i:j])
+        c[j:, i:j] = np.linalg.solve(top, a[j:, i:j].T).T
+        a[j:, j:] -= c[j:, i:j] @ c[j:, i:j].T
+
+    try:
+        for p in weak.tolist():
+            if p > start:
+                segment(start, p)
+            pivot = float(a[p, p])
+            if not abs(pivot) > scale / _GROWTH:
+                return None
+            signs[p] = sign = math.copysign(1.0, pivot)
+            c[p, p] = root = math.sqrt(abs(pivot))
+            start = p + 1
+            if start < len(a):
+                c[start:, p] = a[start:, p] * (sign / root)
+                a[start:, start:] -= sign * np.outer(c[start:, p], c[start:, p])
+        if start < len(a):
+            try:
+                c[start:, start:] = np.linalg.cholesky(a[start:, start:])
+            except np.linalg.LinAlgError:
+                if start < m:
+                    segment(start, m)
+    except np.linalg.LinAlgError:
+        return None
+    if np.abs(c[:, :m]).max() ** 2 > _GROWTH * scale:
+        return None
+    s[...] = signs
+    return c
+
+
 def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the symmetric nonsingular matrix a once; return
     y -> a^(-1) y, whose attribute negatives counts the -1s of S.
@@ -89,17 +145,21 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     end + bw), read off the band by _band_panel, minus the band of
     C S C^T left of b, which reaches only its first bw rows.  While
     bw <= _BLOCK np.linalg.cholesky factors the whole window; its first
-    columns are C on b and below (S_b = I).  Where that fails, and at
-    every block when bw > _BLOCK (a window costs (bw + _BLOCK)^3 / 3),
-    the window's first columns are factored in their top block and
-    scaled below by its inverse and S_b: np.linalg.cholesky (S_b = I,
-    inverted by _invert_lower on an identity-padded copy), or where
-    that fails np.linalg.eigh (C_bb = Q |Lambda|^(1/2), inverse
-    (Q |Lambda|^(-1/2))^T, S_b = sign Lambda; the rows of C below it
-    fill that block, so a later window whose left edge k - bw falls in
-    it starts at its first column; a zero eigenvalue raises LinAlgError).
-    So C is the banded Cholesky factor of a positive definite a, and the
-    -1s of S count its negative eigenvalues (Haynsworth).
+    columns are C on b and below (S_b = I).  Where that fails,
+    _pivoted_window takes guarded 1x1 pivots at the window's few rows
+    that are not diagonally dominant (Bunch & Kaufman, Math. Comp. 31,
+    1977); C stays triangular and S_b holds their signs.  Where it
+    refuses, and at every block when bw > _BLOCK (a window costs
+    (bw + _BLOCK)^3 / 3), the window's first columns are factored in
+    their top block and scaled below by its inverse and S_b:
+    np.linalg.cholesky (S_b = I, inverted by _invert_lower on an
+    identity-padded copy), or where that fails np.linalg.eigh (C_bb =
+    Q |Lambda|^(1/2), inverse (Q |Lambda|^(-1/2))^T, S_b = sign Lambda;
+    the rows of C below it fill that block, so a later window whose left
+    edge k - bw falls in it starts at its first column; a zero
+    eigenvalue raises LinAlgError).  So C is the banded Cholesky factor
+    of a positive definite a, and the -1s of S count the negative
+    eigenvalues of any a (Haynsworth, Linear Algebra Appl. 1, 1968).
 
     C is kept as two panels per block b, never as an n x n array:
     below, C on b's columns and rows b's end .. hi - 1; and row, C on
@@ -137,8 +197,8 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             try:
                 cw = np.linalg.cholesky(window)
             except np.linalg.LinAlgError:
-                pass
-            else:
+                cw = _pivoted_window(window, m, s[b])
+            if cw is not None:
                 stack[i, :m, :m] = cw[:m, :m]
                 blocks.append((b, lo, hi, stack[i, :m, :m], left[:m], cw[m:, :m].copy()))
                 continue

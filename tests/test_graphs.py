@@ -238,6 +238,42 @@ def test_format_parse_roundtrip(rng, mode):
         assert gf.h.tolist() == h.tolist()
 
 
+def _format_with_numpy_scalars(graph, part, h):
+    """The v/e text formatted element by element from numpy scalars."""
+    roles = ("omega", "boundary", "outside")
+    lines = []
+    for k, vid in enumerate(graph.vertex_ids):
+        role = roles[0 if part.omega_mask[k] else 1 if part.closure_mask[k] else 2]
+        mtok = "auto" if graph.measure_mode == "derived" else f"{graph.measure[k]:.17g}"
+        lines.append(f"v {vid} {mtok} {h[k]:.17g} {role}")
+    for (i, j), w in zip(graph.edge_index, graph.edge_weight):
+        lines.append(f"e {graph.vertex_ids[i]} {graph.vertex_ids[j]} {w:.17g}")
+    return "\n".join(lines) + "\n"
+
+
+def test_format_writes_the_bytes_of_numpy_scalars(rng):
+    graph = path_graph("abcd", weights=[0.1, 2.5, 1e-300], measure_mode="given",
+                       measures={"a": 1 / 3, "b": 2.0, "c": 1e300, "d": 0.7})
+    part = compute_boundary(graph, ["b"])
+    h = np.array([0.1, -1 / 7, 2.0, 5e-324])
+    assert format_graph_text(graph, part, h) == (
+        "v a 0.33333333333333331 0.10000000000000001 boundary\n"
+        "v b 2 -0.14285714285714285 omega\n"
+        "v c 1.0000000000000001e+300 2 boundary\n"
+        "v d 0.69999999999999996 4.9406564584124654e-324 outside\n"
+        "e a b 0.10000000000000001\n"
+        "e b c 2.5\n"
+        "e c d 1e-300\n"
+    )
+    for k in range(20):
+        graph = random_connected_graph(rng, n_max=30, measure_mode=("given", "derived")[k % 2])
+        part = random_partition(rng, graph)
+        h = rng.uniform(-3.0, 3.0, size=graph.n)
+        assert format_graph_text(graph, part, h) == _format_with_numpy_scalars(graph, part, h)
+        assert format_graph_text(graph, part, np.ones(graph.n, dtype=int)) == (
+            _format_with_numpy_scalars(graph, part, np.ones(graph.n, dtype=int)))
+
+
 GRAPH_ARRAYS = ("edge_index", "edge_weight", "measure", "adj_ptr", "adj_nbr", "adj_w", "adj_center")
 PARTITION_ARRAYS = ("omega", "boundary", "exterior")
 

@@ -946,6 +946,34 @@ def test_mountain_pass_hands_off_to_newton_on_the_lattice(monkeypatch):
     assert morse_index(problem, sol.u) == 1
 
 
+def test_lattice_handoff_factors_its_jacobians_without_eigh(monkeypatch):
+    # each Newton Jacobian of the hand-off has one row that is not
+    # diagonally dominant, the spike's unknown 0: the band factor takes a
+    # 1x1 pivot there, and its -1s still count the negative eigenvalues
+    problem = lattice_problem(12, POWER4)
+    eigh, band_solver = np.linalg.eigh, graphpde.solver._band_solver
+    calls, factors = [], []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    def recorded(band):
+        factors.append((band.copy(), band_solver(band)))
+        return factors[-1][1]
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(graphpde.solver, "_band_solver", recorded)
+    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
+    log = RunLog()
+    sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+    assert log.stops["mountain_pass"] == "newton_handoff"
+    assert calls == [] and len(factors) == 5
+    for band, solve in factors:
+        assert solve.negatives == int(np.sum(np.linalg.eigvalsh(band_matrix(band)) < 0.0))
+    assert factors[-1][1].negatives == morse_index(problem, sol.u) == 1
+
+
 def _corpus_s10rand2():
     """perfbench.corpus.random_graph(default_rng(10)), third draw: the
     corpus generator and the tests' random_connected_graph with

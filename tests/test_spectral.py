@@ -19,7 +19,7 @@ from graphpde import (
 )
 from graphpde import spectral
 from graphpde.calculus import _interior_laplacian, _interior_matrix
-from graphpde.spectral import _BLOCK, _band_solver, _invert_lower
+from graphpde.spectral import _BLOCK, _GROWTH, _PIVOTS, _band_solver, _invert_lower
 from util import (
     band_matrix,
     interior_matrix_loop,
@@ -284,8 +284,8 @@ def test_stacked_triangular_inverse_matches_inv(rng, m):
 
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
 def test_band_solver_factors_indefinite_matrices(monkeypatch, rng, n):
-    # negative pivots in the first, a middle and the last block; each of
-    # those blocks, and only those, goes to eigh
+    # negative pivots in the first, a middle and the last block; only
+    # those blocks may go to eigh, where their windows refuse 1x1 pivots
     negative = sorted({0, (n // _BLOCK // 2) * _BLOCK, n - 1})
     eigh = np.linalg.eigh
     calls = []
@@ -300,7 +300,12 @@ def test_band_solver_factors_indefinite_matrices(monkeypatch, rng, n):
         a[negative, negative] -= 3 * n + 4 * a[negative, negative]
         calls.clear()
         _check_solver(rng, a, bandwidth)
-        assert len(calls) == len({i // _BLOCK for i in negative})
+        # at bandwidth 1 the other rows are diagonally dominant, so no block
+        # goes to eigh; a denser window may have more weak rows than
+        # _PIVOTS, and a band wider than _BLOCK has no window factor
+        if bandwidth <= 1:
+            assert calls == []
+        assert len(calls) <= len({i // _BLOCK for i in negative})
 
     # an exactly singular block stops the factor
     with pytest.raises(np.linalg.LinAlgError):
@@ -311,17 +316,108 @@ def _negatives(a):
     return int(np.sum(np.linalg.eigvalsh(a) < 0.0))
 
 
-@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
-def test_band_solver_counts_negative_eigenvalues(monkeypatch, rng, n):
-    # the -1s of S are the inertia of a: symmetric random bands shifted
-    # to between two eigenvalues, so a block-by-block sweep of Cholesky
-    # and eigh blocks meets every sign pattern of pivots
-    eigh = np.linalg.eigh
+def _routes(monkeypatch):
+    """Record, from here on, each eigh call's shape and each
+    _pivoted_window result: "pivots" or None."""
+    eigh, pivoted = np.linalg.eigh, spectral._pivoted_window
     calls = []
 
     def counted(a):
         calls.append(a.shape)
         return eigh(a)
+
+    def recorded(*args):
+        c = pivoted(*args)
+        calls.append(None if c is None else "pivots")
+        return c
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(spectral, "_pivoted_window", recorded)
+    return calls
+
+
+def _dominant_band(rng, n, bandwidth):
+    # strictly diagonally dominant by a margin: the rows a test makes
+    # weak are the only weak rows of any window
+    i, j = np.indices((n, n))
+    low = np.where((i > j) & (i - j <= bandwidth), rng.uniform(-1.0, 1.0, (n, n)), 0.0)
+    a = low + low.T
+    return a + np.diag(np.abs(a).sum(1) + rng.uniform(1.0, 2.0, n))
+
+
+def test_band_solver_pivots_within_and_below_a_block(monkeypatch, rng):
+    # 150 unknowns of bandwidth 10: blocks 0 .. 63, 64 .. 127, 128 .. 149
+    calls = _routes(monkeypatch)
+    cases = [
+        # two adjacent pivots in mid-block, and the matrix's last row
+        ([96, 97, 149], ["pivots"] * 2),
+        # a negative and a positive weak row in mid-block, a negative row in
+        # the last block
+        ([90, 140], ["pivots"] * 2),
+        # a pivot in block 0, and a negative row of block 1 inside block 0's
+        # window: the last segment stops at the block's end
+        ([30, 70], ["pivots"] * 2),
+    ]
+    for negative, routes in cases:
+        a = _dominant_band(rng, 150, 10)
+        a[negative, negative] *= -2.0
+        if negative == [90, 140]:
+            a[100, 100] = 0.5 * (np.abs(a[100]).sum() - a[100, 100])  # weak, still positive
+        calls.clear()
+        _check_solver(rng, a, 10)
+        assert calls == routes
+        assert _band_solver(lower_band(a, 10)).negatives == _negatives(a)
+
+
+def test_band_solver_sends_what_the_pivots_refuse_to_eigh(monkeypatch, rng):
+    calls = _routes(monkeypatch)
+    # more weak rows than _PIVOTS in one window
+    a = _dominant_band(rng, 40, 3)
+    rows = list(range(3, 40, 8))[: _PIVOTS + 1]
+    a[rows, rows] *= -2.0
+    calls.clear()
+    _check_solver(rng, a, 3)
+    assert calls == [None, (40, 40)]
+    assert _band_solver(lower_band(a, 3)).negatives == _negatives(a) == _PIVOTS + 1
+    # a pivot at or below max|diag| / _GROWTH
+    a = _dominant_band(rng, 40, 3)
+    a[0, 0] = -np.abs(np.diag(a)).max() / (2 * _GROWTH)
+    calls.clear()
+    _check_solver(rng, a, 3)
+    assert calls == [None, (40, 40)]
+    # a pivot above the guard whose column grows C^2 past _GROWTH max|diag|
+    a = _dominant_band(rng, 40, 3)
+    scale = np.abs(np.diag(a)).max()
+    a[0, 0] = -scale / (0.5 * _GROWTH)
+    a[1, 0] = a[0, 1] = 2 * scale
+    calls.clear()
+    _check_solver(rng, a, 3)
+    assert calls == [None, (40, 40)]
+    # an exactly singular window: the pivot at its zero row is refused,
+    # and eigh's zero eigenvalue stops the factor
+    calls.clear()
+    with pytest.raises(np.linalg.LinAlgError):
+        _band_solver(np.array([[1.0, 0.0, -1.0]]))
+    assert calls == [None, (3, 3)]
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
+def test_band_solver_counts_negative_eigenvalues(monkeypatch, rng, n):
+    # the -1s of S are the inertia of a: symmetric random bands shifted
+    # to between two eigenvalues, so a block-by-block sweep of Cholesky
+    # windows, 1x1 pivots and eigh blocks meets every sign pattern of pivots
+    eigh, pivoted = np.linalg.eigh, spectral._pivoted_window
+    calls = []
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    def signed(window, m, s):
+        c = pivoted(window, m, s)
+        if c is not None and s.min() < 0.0:
+            calls.append("-1 pivot")
+        return c
 
     for bandwidth in sorted({min(bw, n - 1) for bw in (*_BANDWIDTHS, n - 1)}):
         i, j = np.indices((n, n))
@@ -335,6 +431,7 @@ def test_band_solver_counts_negative_eigenvalues(monkeypatch, rng, n):
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "eigh", counted)
+                m.setattr(spectral, "_pivoted_window", signed)
                 negatives = _band_solver(lower_band(a, bandwidth)).negatives
             assert negatives == _negatives(a)
             assert (len(calls) > 0) == (negatives > 0)
