@@ -20,10 +20,12 @@ of bands and of blocks, the bands whose count of -1s in S differs from
 the number of negative eigenvalues of np.linalg.eigvalsh, and the worst
 normwise backward error |a x - y| / (|a| |x| + |y|) (2-norms) of a
 solve, for bandwidths up to 64 and above.  It exits 1 on any inertia
-mismatch, or when a band at bandwidth <= 64 filed under cholesky or
-pivots has a backward error above --bound.  The eigh route is reported
-but not bounded: its blocks have no growth guard, and a block with an
-eigenvalue near zero amplifies the rounding of the rows below it.
+mismatch, when a band at bandwidth <= 64 filed under cholesky or pivots
+has a backward error above BOUND, or when a band of any bandwidth filed
+under eigh has one above EIGH_BOUND.  The eigh route has the looser
+bound because its blocks have no growth guard: a block with an
+eigenvalue near zero amplifies the rounding of the rows below it (4.3e-12
+on one shifted band at seed 0, before and after the pivots were added).
 """
 
 import argparse
@@ -36,6 +38,8 @@ from graphpde import spectral
 from graphpde.spectral import _BLOCK, _band_solver
 
 ROUTES = ("cholesky", "pivots", "eigh")
+BOUND = 1e-13  # cholesky and pivots, bandwidth <= 64
+EIGH_BOUND = 1e-11  # eigh, any bandwidth
 
 
 def random_lower(rng, n, bandwidth):
@@ -127,9 +131,6 @@ def main():
     ap.add_argument("--trials", type=int, default=400, help="bands per family")
     ap.add_argument("--n-max", type=int, default=300)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--bound", type=float, default=1e-13,
-                    help="largest backward error of the cholesky and pivots routes "
-                         "allowed at bandwidth <= 64")
     args = ap.parse_args()
 
     rng = np.random.default_rng(args.seed)
@@ -157,14 +158,13 @@ def main():
         print(f"{name:10s} {route:9s} {bands:6d} {blocks:7d} {mismatches:10d}"
               f" {error(narrow):>16s} {error(wide):>15s}")
     mismatches = sum(row[2] for row in rows.values())
-    worst = {route: max((row[3] for (_, r), row in rows.items() if r == route), default=-math.inf)
-             for route in ROUTES}
+    narrow = max((row[3] for (_, r), row in rows.items() if r != "eigh"), default=-math.inf)
+    eigh = max((max(row[3:]) for (_, r), row in rows.items() if r == "eigh"), default=-math.inf)
     print(f"inertia mismatches: {mismatches}")
-    print(f"worst backward error at bandwidth <= {_BLOCK}: "
-          + ", ".join(f"{route} {error(value)}" for route, value in worst.items())
-          + f" (bound {args.bound:g} on cholesky and pivots)")
-    ok = mismatches == 0 and max(worst["cholesky"], worst["pivots"]) <= args.bound
-    print(f"ok: {ok}")
+    print(f"worst backward error: cholesky and pivots at bandwidth <= {_BLOCK} {error(narrow)},"
+          f" eigh {error(eigh)}")
+    ok = mismatches == 0 and narrow <= BOUND and eigh <= EIGH_BOUND
+    print(f"no mismatch, cholesky and pivots within {BOUND:g}, eigh within {EIGH_BOUND:g}: {ok}")
     raise SystemExit(0 if ok else 1)
 
 

@@ -146,9 +146,9 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     C S C^T left of b, which reaches only its first bw rows.  While
     bw <= _BLOCK np.linalg.cholesky factors the whole window; its first
     columns are C on b and below (S_b = I).  Where that fails,
-    _pivoted_window takes guarded 1x1 pivots at the window's few rows
-    that are not diagonally dominant (Bunch & Kaufman, Math. Comp. 31,
-    1977); C stays triangular and S_b holds their signs.  Where it
+    _pivoted_window tries a guarded unpivoted LDL^T: C triangular, S_b
+    the signs of 1x1 pivots at its few rows not diagonally dominant, no
+    interchanges, stable by its growth guards and eigh fallback.  Where it
     refuses, and at every block when bw > _BLOCK (a window costs
     (bw + _BLOCK)^3 / 3), the window's first columns are factored in
     their top block and scaled below by its inverse and S_b:
