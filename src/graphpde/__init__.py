@@ -51,7 +51,6 @@ from .nonlinearity import (
     ar_lower_bound,
     check_f,
     check_h,
-    evaluate,
     f1_verdict,
     odd_poly,
     parse_nonlinearity,
@@ -92,7 +91,7 @@ __all__ = [
     "build_graph", "build_spike_endpoint", "check_f", "check_h",
     "compute_boundary", "dirichlet_energy", "directional_derivative",
     "edge_energy", "embedding_constants", "energy",
-    "enforce_dirichlet", "evaluate", "f1_verdict", "first_eigenvalue",
+    "enforce_dirichlet", "f1_verdict", "first_eigenvalue",
     "format_graph_text", "gradient", "gradient_form",
     "green_residual", "integrate", "is_dirichlet", "laplacian", "lp",
     "mountain_pass", "norm", "odd_poly", "parse_graph_file",

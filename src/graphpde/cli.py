@@ -29,7 +29,7 @@ from dataclasses import fields, replace
 import numpy as np
 
 from .graphs import GraphError, GraphFile, parse_graph_file
-from .nonlinearity import GridSpec, HypothesisVerdict, ar_lower_bound, parse_nonlinearity
+from .nonlinearity import HypothesisVerdict, ar_lower_bound, parse_nonlinearity
 from .solver import (
     RunLog,
     SolverConfig,
@@ -346,7 +346,7 @@ def _cmd_check(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
     --nl) and the eigen step succeeds.  F1 holds by construction and is
     not reported."""
     emit.add(_meta(ns))
-    verdicts, failures = verify(gf, nl, ns.h0, ("one", "two"), ns.m0, every=True)
+    verdicts, failures = verify(gf, nl, ns.h0, ("one", "two"), every=True)
     code = 0 if failures is None else 1
     for v in verdicts:
         if v.name[0] == "H":
@@ -359,8 +359,7 @@ def _cmd_check(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
             emit.add(_verdict_record(v))
     if nl is not None and nl.ar_theta is not None and nl.ar_M is not None:
         try:
-            grid = GridSpec.default(M=nl.ar_M, M0=ns.m0)
-            bound = ar_lower_bound(nl, nl.ar_theta, nl.ar_M, grid)
+            bound = ar_lower_bound(nl, nl.ar_theta, nl.ar_M)
         except ValueError as exc:  # the bound is undefined; it is on no route
             bound = HypothesisVerdict("AR-bound", False, str(exc))
         emit.add(_verdict_record(bound))

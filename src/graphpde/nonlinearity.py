@@ -1,4 +1,4 @@
-"""Nonlinearity families and sampled hypothesis checks.
+"""Nonlinearity families and exact hypothesis checks.
 
 Built-in families (all x-independent, F the antiderivative with
 F(0) = 0, f_u the u-derivative):
@@ -17,10 +17,10 @@ c_k u |u|^(k-1), each power through the same kernel.
 
 Hypothesis checks on the coefficient h are named H1 (uniform lower
 bound), H2 (1/h summable, on a finite graph: no zeros) and H3 (an upper
-bound on the h integral).  Checks on f are named F1..F8; sampled checks
-scan a uniform grid and report a witness point, so a "holds" verdict is
-evidence on the sampled range, not a proof.  Comparisons that are exact
-equalities in closed form carry a 1e-12 relative float guard.
+bound on the h integral).  Checks on f are named F1..F8 and decided on
+all of R: with u = -t or t, f, F and f_u are sums of powers of t > 0,
+and a failed verdict names a u where the inequality fails.  Comparisons
+that are exact equalities in closed form carry a 1e-12 relative guard.
 """
 
 from __future__ import annotations
@@ -32,9 +32,7 @@ from typing import Mapping
 
 import numpy as np
 
-_REL_GUARD = 1e-12  # slack for closed-form equality cases in sampled checks
-F6_DEFAULT_THRESHOLD = 1e3  # f(u)/u at the range edge that the F6 proxy requires
-GRID_POINTS = 10001  # points of every sampling grid: GridSpec, the |F| scan, F8
+_REL_GUARD = 1e-12  # slack, relative to the terms' magnitudes, for closed-form equality cases
 
 
 @dataclass(frozen=True)
@@ -148,6 +146,8 @@ def parse_nonlinearity(spec: str) -> Nonlinearity:
         for key, val in params.items():
             if not key.startswith("c") or not key[1:].isdigit():
                 raise ValueError(f"odd_poly parameters look like c1, c3, ..., got {key!r}")
+            if int(key[1:]) in coeffs:  # c1 and c01 name the same degree
+                raise ValueError(f"duplicate degree {int(key[1:])} in {spec!r}")
             coeffs[int(key[1:])] = val
         return odd_poly(coeffs)
     raise ValueError(f"unknown nonlinearity family {family!r}")
@@ -173,7 +173,7 @@ def _abs_pow(u, k):
     Each squaring doubles the relative error of its input, so binary
     powering is within k 2^-52 of |u|^k, while float pow is within an
     ulp for every k.  The cap 64 keeps that gap at most 2^-46 (1.4e-14),
-    well under the 1e-12 guard of the sampled checks; past the cap
+    well under the 1e-12 guard of the checks; past the cap
     the error bound would grow with k, so float pow takes over."""
     if not (1.0 <= k <= 64.0 and float(k).is_integer()):
         return np.abs(u) ** k
@@ -217,22 +217,95 @@ def reaction_derivative(nl: Nonlinearity, u):
     return out
 
 
-def evaluate(nl: Nonlinearity, u):
-    """Return (f, F, f_u) at u; scalar in, scalar out.  Callers that
-    need one quantity call reaction, antiderivative or
-    reaction_derivative directly."""
-    scalar = np.isscalar(u) or np.ndim(u) == 0
-    arr = np.asarray(u, dtype=float)
-    f, F, fu = reaction(nl, arr), antiderivative(nl, arr), reaction_derivative(nl, arr)
-    if scalar:
-        return float(f), float(F), float(fu)
-    return f, F, fu
+# ----- power sums ----- #
+
+def _f_terms(nl: Nonlinearity, sign: float):
+    """f at u = sign t, t > 0, as the (b, s) pairs of a sum of b t^s; F(u)
+    is then the sum of sign b t^(s+1) / (s+1), and u f_u the sum of b s t^s."""
+    if nl.family == "odd_poly":
+        return [(sign * c, float(k)) for k, c in nl.coeffs]
+    return [(sign, nl.p - 1.0)] + [(nl.eps, 0.0)] * (nl.family == "power_plus_const")
 
 
+def _F_terms(nl: Nonlinearity, sign: float):
+    return [(sign * b / (s + 1.0), s + 1.0) for b, s in _f_terms(nl, sign)]
+
+
+def _merged(pairs):
+    """The sum of the (b, s) pairs as (b, s, m) terms by increasing s, m
+    the sum of |b| merged into the term; a b within _REL_GUARD m of 0
+    cancels exactly and becomes 0, while m stays in the guard's scale."""
+    merged: dict[float, tuple[float, float]] = {}
+    for b, s in pairs:
+        b0, m0 = merged.get(s, (0.0, 0.0))
+        merged[s] = (b0 + b, m0 + abs(b))
+    return [(b if abs(b) > _REL_GUARD * m else 0.0, s, m)
+            for s, (b, m) in sorted(merged.items()) if m > 0.0]
+
+
+def _ratio(terms, t: float) -> float:
+    """sum b t^s over sum m t^s at a finite t >= 0, both divided by t^e
+    (e the largest s for t > 1, else the smallest) so no power overflows;
+    at t = 0 the limit t -> 0+."""
+    e = terms[-1][1] if t > 1.0 else terms[0][1]
+    w = [t ** (s - e) for _, s, _ in terms]
+    value = sum(b * x for (b, _, _), x in zip(terms, w))
+    return value / sum(m * x for (_, _, m), x in zip(terms, w))
+
+
+def _sign_changes(terms, lo: float, hi: float) -> list[float]:
+    """The points of (lo, hi), increasing, where the sum of terms changes
+    sign: in closed form for two terms, else by bisection between the
+    sign changes of the derivative of the sum over its lowest power."""
+    terms = [(b, s, 1.0) for b, s, _ in terms if b != 0.0]  # m = 1: only signs are read
+    if len(terms) < 2:
+        return []
+    (b0, s0, _), (b1, s1, _) = terms[:2]
+    if len(terms) == 2:  # b0 t^s0 = -b1 t^s1
+        with np.errstate(over="ignore"):
+            t = float(np.exp((math.log(abs(b0)) - math.log(abs(b1))) / (s1 - s0)))
+        return [t] if (b0 < 0.0) != (b1 < 0.0) and lo < t < hi else []
+    slope = [(b * (s - s0), s - s0 - 1.0, 1.0) for b, s, _ in terms[1:]]
+    cuts = [lo, *_sign_changes(slope, lo, hi), min(hi, sys.float_info.max)]
+    roots = []
+    for a, b in zip(cuts, cuts[1:]):
+        neg = _ratio(terms, a) < 0.0
+        if neg == (_ratio(terms, b) < 0.0):
+            continue
+        for _ in range(200):
+            mid = math.sqrt(max(a, 5e-324)) * math.sqrt(b) if 4.0 * a < b else a + 0.5 * (b - a)
+            if not a < mid < b:
+                break
+            a, b = (mid, b) if (_ratio(terms, mid) < 0.0) == neg else (a, mid)
+        roots.append(a + 0.5 * (b - a))
+    return roots
+
+
+def _lowest(pairs, lo: float):
+    """(r, t): the least r over t >= lo of the sum of the (b, s) pairs over
+    the sum of its terms' magnitudes, and the smallest t reaching it, among
+    lo (unless every term vanishes there), the derivative's sign changes
+    and the largest float, or 2 max(1, roots) if the sum falls unbounded."""
+    terms = _merged(pairs)
+    lead = [(b, s) for b, s, _ in terms if b != 0.0]
+    if not lead:
+        return 0.0, lo
+    points = [lo] * (lo > 0.0 or terms[0][1] == 0.0)
+    points += _sign_changes([(b * s, s - 1.0, 0.0) for b, s in lead if s > 0.0], lo, math.inf)
+    falls = lead[-1][0] < 0.0 < lead[-1][1]
+    points.append(min(2.0 * max([lo, 1.0, *_sign_changes(terms, lo, math.inf)]) if falls
+                      else math.inf, sys.float_info.max))
+    ratios = [_ratio(terms, t) for t in points]
+    k = int(np.argmin(ratios))
+    return ratios[k], points[k]
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def antiderivative_peak(nl: Nonlinearity, u_max: float):
-    """max |F| over GRID_POINTS uniform grid points on [-u_max, u_max],
-    and the first of them where it is attained."""
-    us = np.linspace(-u_max, u_max, GRID_POINTS)
+    """max |F| on [-u_max, u_max] and the smallest u where it is reached:
+    at +-u_max or at a sign change of f, each evaluated by antiderivative."""
+    us = np.sort([-u_max, u_max] + [sign * t for sign in (-1.0, 1.0) for t in
+                                    _sign_changes(_merged(_f_terms(nl, sign)), 0.0, u_max)])
     big_f = np.abs(antiderivative(nl, us))
     k = int(np.argmax(big_f))
     return float(big_f[k]), float(us[k])
@@ -250,12 +323,11 @@ def smoothness_note(nl: Nonlinearity) -> str:
     return f"{nl.family} with p = {nl.p:g}: f is C^1 on R and smooth away from u = 0"
 
 
-# ----- sampled checks ----- #
+# ----- exact checks ----- #
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform symmetric sampling grid of GRID_POINTS points on
-    [-u_max, u_max]."""
+    """A range [-u_max, u_max] that check_f and ar_lower_bound take, unread."""
 
     u_max: float
 
@@ -263,19 +335,7 @@ class GridSpec:
         if not self.u_max > 0.0:
             raise ValueError(f"u_max must be positive, got {self.u_max}")
 
-    def values(self) -> np.ndarray:
-        return np.linspace(-self.u_max, self.u_max, GRID_POINTS)
-
-    def label(self) -> str:
-        return f"[-{self.u_max:g}, {self.u_max:g}] with {GRID_POINTS} points"
-
-    @staticmethod
-    def default(M: float | None = None, M0: float | None = None) -> "GridSpec":
-        u_max = 10.0
-        for bound in (M, M0):
-            if bound is not None:
-                u_max = max(u_max, 2.0 * float(bound))
-        return GridSpec(u_max)
+    default = staticmethod(lambda: GridSpec(10.0))
 
 
 @dataclass(frozen=True)
@@ -283,8 +343,8 @@ class HypothesisVerdict:
     """Outcome of one hypothesis check.
 
     witness describes the failing point or the certified bound;
-    sampled_range records the grid for sampled checks (None for exact
-    ones); data carries the numeric constants behind the verdict.
+    sampled_range names the points an h check reads (None for the f
+    checks); data carries the numeric constants behind the verdict.
     """
 
     name: str
@@ -343,219 +403,131 @@ def check_h(graph, partition, h, which: str, h0: float | None = None) -> Hypothe
     raise ValueError(f"unknown h-hypothesis {which!r}")
 
 
+def _verdict(name, claims, values, holds, data) -> HypothesisVerdict:
+    """Verdict name, failed at u = sign t where the first of claims (claim,
+    sign, pairs, lo, slack) has _lowest(pairs, lo) at most -slack, named
+    with the quantities values(u) (+ 0.0 prints -0 as 0); else holds."""
+    for claim, sign, pairs, lo, slack in claims:
+        r, t = _lowest(pairs, lo)
+        if not r > -slack:
+            u = sign * t + 0.0
+            shown = ", ".join(f"{key} = {value + 0.0:g}" for key, value in values(u).items())
+            return HypothesisVerdict(name, False, f"{claim} at u = {u:g}: {shown}", data=data)
+    return HypothesisVerdict(name, True, holds, data=data)
+
+
 def f1_verdict(nl: Nonlinearity) -> HypothesisVerdict:
     """F1 is a smoothness statement; for the built-in families it holds
-    by construction and is reported analytically, not sampled."""
+    by construction and is reported analytically."""
     return HypothesisVerdict("F1", True, smoothness_note(nl))
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def check_f(
-    nl: Nonlinearity,
-    which: str,
-    grid: GridSpec,
-    *,
-    theta: float | None = None,
-    M: float | None = None,
-    C: float | None = None,
-    p: float | None = None,
-) -> HypothesisVerdict:
-    """Sampled checks F2..F7 on the nonlinearity.
+def check_f(nl: Nonlinearity, which: str, grid: GridSpec | None = None, *,
+            theta: float | None = None, M: float | None = None,
+            C: float | None = None, p: float | None = None) -> HypothesisVerdict:
+    """Checks F2..F7 on the nonlinearity, decided on all of R.
 
-    F2  f(0) = 0 and f_u(0) = 0 (exact, from closed forms)
+    F2  f(0) = 0 and f_u(0) = 0
     F3  |f(u)| <= C (1 + |u|^(p-1))              needs C, p
     F4  0 < theta F(u) <= u f(u) for |u| >= M    needs theta, M
-    F5  f(u)/u nondecreasing on u > 0
-    F6  proxy: f(u_max)/u_max >= F6_DEFAULT_THRESHOLD at the range edge
-    F7  f(0) != 0 (exact)
+    F5  f(u)/u nondecreasing on u > 0, i.e. u f_u - f >= 0
+    F6  f(u)/u -> infinity as u -> -infinity and as u -> infinity
+    F7  f(0) != 0
 
-    Constants default to the ones stored on the nonlinearity.  F3..F6
-    fail at the first grid point where f or F is not finite.  F8 needs
-    the ball's constants and is decided by f8_verdict alone.
-    """
-    theta = nl.ar_theta if theta is None else theta
-    M = nl.ar_M if M is None else M
-    C = nl.growth_C if C is None else C
-    p = nl.growth_p if p is None else p
+    F3..F5 ask sums of powers of t = |u| to stay nonnegative, F6 reads
+    the leading power of f(u)/u.  Constants default to the ones stored
+    on the nonlinearity; grid is not read.  F8 is f8_verdict's."""
+    theta, M = (nl.ar_theta if theta is None else theta), (nl.ar_M if M is None else M)
+    C, p = (nl.growth_C if C is None else C), (nl.growth_p if p is None else p)
+    if which in ("F2", "F7"):
+        f0, fu0 = float(reaction(nl, 0.0)), float(reaction_derivative(nl, 0.0))
+        if which == "F7":
+            return HypothesisVerdict("F7", f0 != 0.0, f"f(0) = {f0:g} (must be nonzero)",
+                                     data={"f0": f0})
+        return HypothesisVerdict(
+            "F2", f0 == 0.0 and fu0 == 0.0,
+            f"f(0) = {f0:g}, f_u(0) = {fu0:g} (both must vanish)", data={"f0": f0, "fu0": fu0},
+        )
+    if which == "F3" and not (C is not None and p is not None and C > 0.0 and p > 2.0):
+        raise ValueError(f"F3 needs the growth constants C > 0 and p > 2, got C={C}, p={p}")
+    if which == "F4" and not (theta is not None and M is not None and theta > 2.0 and M > 0.0):
+        raise ValueError(f"F4 needs the constants theta > 2 and M > 0, got theta={theta}, M={M}")
 
-    if which == "F2":
-        f0, _, fu0 = evaluate(nl, 0.0)
-        holds = f0 == 0.0 and fu0 == 0.0
-        return HypothesisVerdict(
-            "F2", holds, f"f(0) = {f0:g}, f_u(0) = {fu0:g} (both must vanish)",
-            data={"f0": f0, "fu0": fu0},
-        )
-    if which == "F7":
-        f0 = float(reaction(nl, 0.0))
-        holds = f0 != 0.0
-        return HypothesisVerdict(
-            "F7", holds, f"f(0) = {f0:g} (must be nonzero)", data={"f0": f0}
-        )
-
-    if which == "F3" and (C is None or p is None):
-        raise ValueError("F3 needs the growth constants C and p")
-    if which == "F3" and not (C > 0.0 and p > 2.0):
-        raise ValueError(f"F3 needs C > 0 and p > 2, got C={C}, p={p}")
-    if which == "F4" and (theta is None or M is None):
-        raise ValueError("F4 needs the constants theta and M")
-    if which == "F4" and not (theta > 2.0 and M > 0.0):
-        raise ValueError(f"F4 needs theta > 2 and M > 0, got theta={theta}, M={M}")
-    us = grid.values()
-    if which == "F4" and not (np.abs(us) >= M).any():
-        raise ValueError(f"grid {grid.label()} does not reach |u| >= M = {M:g}")
-    f, F = reaction(nl, us), antiderivative(nl, us)
-    finite = np.isfinite(f) & np.isfinite(F)
-    if which in ("F3", "F4", "F5", "F6") and not finite.all():
-        return HypothesisVerdict(
-            which, False, f"f or F is not finite at u = {us[np.argmin(finite)]:g}, the first "
-            "such grid point", sampled_range=grid.label(),
-        )
-
-    if which == "F3":
-        bound = C * (1.0 + _abs_pow(us, p - 1.0))
-        slack = bound * (1.0 + _REL_GUARD)
-        bad = np.abs(f) > slack
-        if bad.any():
-            k = int(np.argmax(np.abs(f) - slack))
-            return HypothesisVerdict(
-                "F3", False,
-                f"|f({us[k]:g})| = {abs(f[k]):g} exceeds C(1+|u|^(p-1)) = {bound[k]:g}",
-                sampled_range=grid.label(), data={"C": C, "p": p},
-            )
-        worst = int(np.argmax(np.abs(f) / bound))
-        return HypothesisVerdict(
-            "F3", True,
-            f"|f| <= C(1+|u|^(p-1)) on the grid; tightest at u = {us[worst]:g}",
-            sampled_range=grid.label(), data={"C": C, "p": p},
-        )
-    if which == "F4":
-        sel = np.abs(us) >= M
-        lhs = theta * F[sel]
-        rhs = us[sel] * f[sel]
-        uu = us[sel]
-        pos_bad = lhs <= 0.0
-        ineq_bad = lhs > rhs + _REL_GUARD * np.maximum(1.0, np.abs(rhs))
-        bad = pos_bad | ineq_bad
-        if bad.any():
-            k = int(np.argmax(bad))
-            reason = "theta F <= 0" if pos_bad[k] else "theta F > u f"
-            return HypothesisVerdict(
-                "F4", False,
-                f"{reason} at u = {uu[k]:g} (theta F = {lhs[k]:g}, u f = {rhs[k]:g})",
-                sampled_range=grid.label(), data={"theta": theta, "M": M},
-            )
-        return HypothesisVerdict(
-            "F4", True,
-            f"0 < theta F(u) <= u f(u) at every grid point with |u| >= {M:g}",
-            sampled_range=grid.label(), data={"theta": theta, "M": M},
-        )
-    if which == "F5":
-        sel = us > 0.0
-        up = us[sel]
-        ratio = f[sel] / up
-        diffs = np.diff(ratio)
-        tol = _REL_GUARD * np.maximum(1.0, np.abs(ratio[:-1]))
-        bad = diffs < -tol
-        if bad.any():
-            k = int(np.argmax(bad))
-            return HypothesisVerdict(
-                "F5", False,
-                f"f(u)/u decreases from {ratio[k]:g} at u = {up[k]:g} "
-                f"to {ratio[k + 1]:g} at u = {up[k + 1]:g}",
-                sampled_range=grid.label(),
-            )
-        return HypothesisVerdict(
-            "F5", True, "f(u)/u is nondecreasing across the positive grid points",
-            sampled_range=grid.label(),
-        )
+    if which == "F3":  # C (1 + t^(p-1)) -+ f >= 0
+        bound = [(C, 0.0), (C, p - 1.0)]
+        return _verdict("F3", [
+            ("|f(u)| > C(1+|u|^(p-1))", sign, bound + [(pm * b, s) for b, s in _f_terms(nl, sign)],
+             0.0, _REL_GUARD) for sign in (-1.0, 1.0) for pm in (-1.0, 1.0)
+        ], lambda u: {"|f|": abs(float(reaction(nl, u))),
+                      "C(1+|u|^(p-1))": C * (1.0 + float(_abs_pow(np.float64(u), p - 1.0)))},
+            "|f(u)| <= C(1+|u|^(p-1)) for every u", {"C": C, "p": p})
+    if which == "F4":  # F > 0, and u f - theta F over theta, so no coefficient overflows
+        claims = [(claim, sign, pairs, M, slack) for sign in (-1.0, 1.0)
+                  for claim, pairs, slack in (
+                      ("theta F <= 0", _F_terms(nl, sign), 0.0),
+                      ("theta F > u f", [(sign * b / theta, s + 1.0) for b, s in _f_terms(nl, sign)]
+                       + [(-b, s) for b, s in _F_terms(nl, sign)], _REL_GUARD))]
+        return _verdict("F4", claims, lambda u: {
+            "theta F": theta * float(antiderivative(nl, u)), "u f": u * float(reaction(nl, u))},
+            f"0 < theta F(u) <= u f(u) for every |u| >= {M:g}", {"theta": theta, "M": M})
+    if which == "F5":  # u f_u - f = sum b (s - 1) t^s >= 0 for u = t > 0
+        pairs = [(b * (s - 1.0), s) for b, s in _f_terms(nl, 1.0)]
+        return _verdict("F5", [("u f_u - f < 0", 1.0, pairs, 0.0, _REL_GUARD)], lambda u: {
+            "u f_u - f": u * float(reaction_derivative(nl, u)) - float(reaction(nl, u))},
+            "f(u)/u is nondecreasing on u > 0", {})
     if which == "F6":
-        edge = float(us[-1])
-        ratio = float(f[-1] / edge)
-        holds = ratio >= F6_DEFAULT_THRESHOLD
+        for sign in (-1.0, 1.0):  # f(u)/u = sign sum b t^(s-1)
+            b, s = ([(b, s) for b, s, _ in _merged(_f_terms(nl, sign)) if b] or [(0.0, 1.0)])[-1]
+            if not (s > 1.0 and sign * b > 0.0):
+                return HypothesisVerdict("F6", False, (
+                    f"f(u)/u stays bounded above as u -> {'-' if sign < 0 else '+'}infinity: "
+                    f"its leading power there is {sign * b:g} |u|^{s - 1.0:g}"))
         return HypothesisVerdict(
-            "F6", holds,
-            f"proxy for f(u)/u -> infinity: f({edge:g})/{edge:g} = {ratio:g} vs "
-            f"threshold {F6_DEFAULT_THRESHOLD:g} (sampled evidence, not a proof)",
-            sampled_range=grid.label(),
-            data={"ratio": ratio, "threshold": F6_DEFAULT_THRESHOLD},
-        )
+            "F6", True, "f(u)/u -> infinity as u -> -infinity and as u -> +infinity")
     raise ValueError(f"unknown f-hypothesis {which!r}")
 
 
 def f8_verdict(max_abs, u_at, M0, beta, mu_min, h0) -> HypothesisVerdict:
     """F8, max |F| on [-M0, M0] <= M0^2/(2 (beta+1) mu_min h0), from
-    max_abs, the largest |F| on GRID_POINTS uniform grid points over
-    [-M0, M0], attained first at u_at (see antiderivative_peak)."""
+    max_abs and u_at, the smallest u reaching it (antiderivative_peak)."""
     bound = M0 ** 2 / (2.0 * (beta + 1.0) * mu_min * h0)
     holds = max_abs <= bound * (1.0 + _REL_GUARD)
     return HypothesisVerdict(
         "F8", holds,
         f"max |F| on [-M0, M0] is {max_abs:g} at u = {u_at:g} vs bound "
         f"M0^2/(2(beta+1) mu_min h0) = {bound:g}",
-        sampled_range=f"[-{M0:g}, {M0:g}] with {GRID_POINTS} points",
         data={"max_abs_F": max_abs, "bound": bound, "beta": beta},
     )
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def ar_lower_bound(
-    nl: Nonlinearity, theta: float, M: float, grid: GridSpec
-) -> HypothesisVerdict:
+def ar_lower_bound(nl: Nonlinearity, theta: float, M: float,
+                   grid: GridSpec | None = None) -> HypothesisVerdict:
     """Superquadratic lower bound implied by the AR condition.
 
-    With c_side = theta ln M - ln F(+-M), checks
-    F(u) >= exp(-c_side) |u|^theta for grid points with |u| >= M (the
-    additive slack constant is zero on this range), with equality at
-    u = M by construction.  Requires F(+-M) > 0; a nonpositive value
-    means the AR condition already fails at M, and one that is not
-    finite leaves the bound undefined.  Fails at the first grid point
-    where F or the bound is not finite, as where exp(-c_side) overflows.
-    """
+    With c_side = theta ln M - ln F(+-M), checks F(u) >= exp(-c_side)
+    |u|^theta = F(+-M) (|u|/M)^theta for every |u| >= M (the additive
+    slack constant is zero on this range), with equality at u = M.
+    Raises where F(+-M) is not positive (the AR condition fails at M) or
+    not finite; an exp(-c_side) that overflows fails.  grid is not read."""
     if not (theta > 2.0 and M > 0.0):
         raise ValueError(f"need theta > 2 and M > 0, got theta={theta}, M={M}")
     F_plus = float(antiderivative(nl, float(M)))
     F_minus = float(antiderivative(nl, -float(M)))
     for side, u, value in (("M", M, F_plus), ("-M", -M, F_minus)):
-        if not math.isfinite(value):
-            raise ValueError(f"F({side}) is not finite at {side} = {u:g}: the "
-                             "superquadratic lower bound is undefined")
-        if value <= 0.0:
-            raise ValueError(
-                f"F({side}) = {value:g} is not positive at {side} = {u:g}: the superquadratic "
-                f"lower bound is undefined (AR condition fails at {side})"
-            )
-    c_plus = theta * math.log(M) - math.log(F_plus)
-    c_minus = theta * math.log(M) - math.log(F_minus)
-
-    us = grid.values()
-    F = antiderivative(nl, us)
-    sides = []
-    for sel, c in ((us >= M, c_plus), (us <= -M, c_minus)):
-        try:
-            scale = math.exp(-c)
-        except OverflowError:  # the bound is not finite on this side
-            scale = math.inf
-        sides.append((sel, scale * _abs_pow(us[sel], theta)))
-    finite = np.isfinite(F)
-    for sel, lower in sides:
-        finite[sel] &= np.isfinite(lower)
-    holds = bool(finite.all())
-    if not holds:
-        witness = (f"F or its lower bound is not finite at u = {us[np.argmin(finite)]:g}, "
-                   "the first such grid point")
-    else:
-        witness = f"F(u) >= exp(-c) |u|^theta on the grid for |u| >= {M:g}, equality at u = {M:g}"
-        for sel, lower in sides:
-            slack = 1e-9 * (1.0 + np.abs(lower))
-            bad = F[sel] < lower - slack
-            if bad.any():
-                k = int(np.argmax(bad))
-                holds = False
-                witness = (f"F({us[sel][k]:g}) = {F[sel][k]:g} falls below "
-                           f"exp(-c) |u|^theta = {lower[k]:g}")
-                break
-    return HypothesisVerdict(
-        "AR-bound", holds, witness, sampled_range=grid.label(),
-        data={"theta": float(theta), "M": float(M),
-              "c_plus": c_plus, "c_minus": c_minus, "slack_constant": 0.0},
-    )
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"F({side}) = {value:g} is not positive at {side} = {u:g}: the "
+                             f"superquadratic lower bound is undefined (AR condition fails at "
+                             f"{side})" if value <= 0.0 else f"F({side}) is not finite at {side} = "
+                             f"{u:g}: the superquadratic lower bound is undefined")
+    data = {"theta": float(theta), "M": float(M), "slack_constant": 0.0,
+            "c_plus": theta * math.log(M) - math.log(F_plus),
+            "c_minus": theta * math.log(M) - math.log(F_minus)}
+    return _verdict("AR-bound", [  # in r = |u|/M, so that no coefficient overflows
+        ("F(u) < exp(-c) |u|^theta", sign * M, [(b * float(np.power(M, s)), s) for b, s in
+                                                 _F_terms(nl, sign)] + [(-value, theta)], 1.0,
+         _REL_GUARD) for sign, value in ((-1.0, F_minus), (1.0, F_plus))
+    ], lambda u: {"F": float(antiderivative(nl, u)), "exp(-c) |u|^theta":
+                  (F_plus if u > 0 else F_minus) * float(np.power(abs(u) / M, theta))},
+        f"F(u) >= exp(-c) |u|^theta for every |u| >= {M:g}, equality at u = {M:g}", data)

@@ -48,7 +48,6 @@ import numpy as np
 
 from .calculus import _interior_matrix
 from .nonlinearity import (
-    GridSpec,
     HypothesisVerdict,
     check_f,
     check_h,
@@ -211,11 +210,10 @@ def embedding_hypothesis(verdicts) -> str | None:
     return next((v.name for v in verdicts if v.name in ("H1", "H3") and v.holds), None)
 
 
-def verify(source, nl, h0, theorems, m0=None, every=False):
+def verify(source, nl, h0, theorems, every=False):
     """Judge the routes of ROUTES for theorems on the coefficient h of
-    source (a Problem or a GraphFile) with lower bound h0, and on nl
-    sampled on GridSpec.default(M=nl.ar_M, M0=m0); when nl is None, on
-    the h side of each route alone.
+    source (a Problem or a GraphFile) with lower bound h0, and on nl;
+    when nl is None, on the h side of each route alone.
 
     The h verdicts are checked first, by name.  Then each route in turn
     checks the f verdicts it names, and the first route that holds ends
@@ -235,11 +233,10 @@ def verify(source, nl, h0, theorems, m0=None, every=False):
         n for n in names if n in checked
         or (n[0] == "F" and all(getattr(nl, c) is not None for c in _F_CONSTANTS.get(n, ())))
     ]
-    grid = None if nl is None else GridSpec.default(M=nl.ar_M, M0=m0)
 
     def verdict(name):
         if name not in checked:
-            checked[name] = f1_verdict(nl) if name == "F1" else check_f(nl, name, grid)
+            checked[name] = f1_verdict(nl) if name == "F1" else check_f(nl, name)
         return checked[name]
 
     if every:
@@ -257,11 +254,11 @@ def verify(source, nl, h0, theorems, m0=None, every=False):
     return list(checked.values()), failures
 
 
-def _gate(problem: Problem, theorem: str, m0=None):
+def _gate(problem: Problem, theorem: str):
     """The verdicts behind the first route of theorem that holds for
     problem; a SolverError that lists every route's failures when none
     does, and why a failure blocks where its witness does not say."""
-    verdicts, failures = verify(problem, problem.nl, problem.h0, (theorem,), m0)
+    verdicts, failures = verify(problem, problem.nl, problem.h0, (theorem,))
     if failures is None:
         return verdicts
     detail = " | ".join("; ".join(f"{v.name}: {v.witness}" for v in f) for f in failures)
@@ -504,12 +501,13 @@ def mountain_pass(
     config = config or SolverConfig()
     log = RunLog() if log is None else log
     if config.verify_hypotheses:
-        log.verdicts += _gate(problem, "one", config.m0)
+        log.verdicts += _gate(problem, "one")
     mu = problem._form.mu
     endpoint = build_spike_endpoint(problem)[problem._form.omega]
     precondition = None
     npts = PATH_POINTS
-    path = np.linspace(0.0, 1.0, npts)[:, None] * endpoint[None, :]
+    # npts even steps from 0, ending exactly at 1
+    path = np.append(np.arange(npts - 1) * (1.0 / (npts - 1)), 1.0)[:, None] * endpoint[None, :]
     trace = log.traces["mountain_pass"] = []
     level = math.inf
     stop = "budget"
@@ -640,8 +638,8 @@ def two_solutions(
 
     Ball specification is either rho directly, or m0 (pointwise range
     bound), in which case the squared ball radius is m0^2/(mu_min h0),
-    the antiderivative is scanned on [-m0, m0] and the smallness check
-    F8 must pass.  beta defaults to the largest admissible value from
+    max |F| is taken on [-m0, m0] and the smallness check F8 must
+    pass.  beta defaults to the largest admissible value from
     the ball constants and must satisfy 0 < beta <= that bound.
 
     log receives the verdicts once the whole gate has passed, then what
@@ -658,7 +656,7 @@ def two_solutions(
             "the two-solution pipeline needs h0, the asserted lower bound of h"
         )
     m0 = config.m0
-    verdicts = _gate(problem, "two", m0)
+    verdicts = _gate(problem, "two")
     hypothesis = embedding_hypothesis(verdicts)
     if m0 is not None:
         rho = m0 * m0 / (problem.graph.mu_min * problem.h0)

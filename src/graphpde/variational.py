@@ -193,11 +193,11 @@ class BallConstants:
     """Constants for the small-ball branch of the two-solution setup.
 
     kappa converts the energy-ball radius sqrt(rho) into the pointwise
-    range |u| <= u_bound = kappa sqrt(rho) scanned for the antiderivative
-    maximum; beta_max = rho / (2 max|F|) - 1 is the largest admissible
-    beta, +inf when F vanishes identically on the range and not a valid
-    choice when <= 0.  u_at_max, the first scanned point where |F| peaks,
-    feeds the F8 witness and is left out of reports (repr=False).
+    range |u| <= u_bound = kappa sqrt(rho) on which max |F| is taken;
+    beta_max = rho / (2 max|F|) - 1 is the largest admissible beta, +inf
+    when F vanishes identically on the range and not a valid choice when
+    <= 0.  u_at_max, the smallest u where |F| peaks, feeds the F8
+    witness and is left out of reports (repr=False).
     """
 
     kappa: float
@@ -217,7 +217,7 @@ def ball_constants(
 ) -> BallConstants:
     """Largest admissible beta for the energy ball of radius sqrt(rho).
 
-    Scans |F| over [-u_bound, u_bound] (antiderivative_peak) and inverts
+    Takes max |F| over [-u_bound, u_bound] (antiderivative_peak) and inverts
     the smallness condition beta + 1 <= rho / (2 max |F|).  u_bound is
     the ball's pointwise range kappa sqrt(rho), kappa the embedding_kappa
     of kappa_choice (H1 or H3), unless the caller gives it.  The proof's
@@ -232,8 +232,7 @@ def ball_constants(
     )
     if u_bound is None:
         u_bound = kappa * math.sqrt(rho)
-    with np.errstate(over="ignore", invalid="ignore"):
-        max_abs, u_at = antiderivative_peak(problem.nl, u_bound)
+    max_abs, u_at = antiderivative_peak(problem.nl, u_bound)
     if not math.isfinite(max_abs):
         raise ValueError(f"max |F| on [-{u_bound:g}, {u_bound:g}] is not finite "
                          f"(at u = {u_at:g}): the smallness condition is undefined")

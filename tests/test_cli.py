@@ -92,9 +92,12 @@ def test_check_no_valid_h_hypothesis(graph_file, capsys):
 
 def test_check_reaction_routes(graph_file, capsys):
     path = graph_file(PATH3)
-    # monotone route blocked by the narrow-grid F6 proxy, AR route absent,
-    # nontrivial route blocked by F7: nothing passes
-    assert run(["check", path, "--nl", "power:p=4"]) == 1
+    # the monotone route F5 + F6 holds for u^3 without AR constants
+    assert run(["check", path, "--nl", "power:p=4"]) == 0
+    capsys.readouterr()
+    # the defocusing cubic fails F5 and F6, the AR route is absent and
+    # the nontrivial route is blocked by F7: nothing passes
+    assert run(["check", path, "--nl", "odd_poly:c3=-1"]) == 1
     capsys.readouterr()
     # with AR constants the F2+F4 route passes
     assert run(["check", path, "--nl", "power:p=4", "--theta", "4", "--M", "1"]) == 0
@@ -174,18 +177,65 @@ def test_solve_text_report(graph_file, capsys):
 
 
 def test_solve_gate_failure_reports_verdicts(graph_file, capsys):
-    code = run(["solve", graph_file(PATH3), "--nl", "power:p=4"])
+    code = run(["solve", graph_file(PATH3), "--nl", "odd_poly:c3=-1"])
     assert code == 1
     out = capsys.readouterr().out
     error_lines = [ln for ln in out.splitlines() if ln.startswith("error ")]
     assert len(error_lines) == 1
-    assert "F6" in error_lines[0]
-    assert "not a proof" in error_lines[0]
+    assert "F5: u f_u - f < 0 at u = " in error_lines[0]
+    assert "F6: f(u)/u stays bounded above as u -> -infinity" in error_lines[0]
+
+
+def _hypotheses(argv, capsys):
+    """The exit code and the hypothesis records, by name, of a jsonl run
+    that writes nothing to stderr and only finite numbers."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would raise out of run()
+        code = run([*argv, "--format", "jsonl"])
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    records = jsonl_records(captured.out)
+    for value in _scalars(records):
+        assert not isinstance(value, float) or math.isfinite(value)
+    return code, {r["name"]: r for r in records if r["record"] == "hypothesis"}
+
+
+def _witness_u(record):
+    return float(record["witness"].split("at u = ")[1].split(":")[0])
+
+
+def test_check_fails_f4_and_f5_past_every_sampled_range(graph_file, capsys):
+    # u f - 3F = u^4/4 - u^6/(2 10^4) and u f_u - f = 2u^3 - 4u^5/10^4
+    # turn negative past |u| = 70.7
+    code, verdicts = _hypotheses(["check", graph_file(PATH3), "--h0", "1", "--nl",
+                                  "odd_poly:c3=1,c5=-1e-4", "--theta", "3", "--M", "1"], capsys)
+    assert code == 1
+    for name in ("F4", "F5"):
+        assert not verdicts[name]["holds"]
+        assert 70.7 < abs(_witness_u(verdicts[name])) < math.inf
+
+
+def test_solve_accepts_a_slowly_superlinear_power(graph_file, capsys):
+    # f(u)/u = |u|^(1/2) grows without bound, so the monotone route holds
+    code, verdicts = _hypotheses(["solve", graph_file(PATH3), "--h0", "1", "--nl", "power:p=2.5"],
+                                 capsys)
+    assert code == 0
+    assert list(verdicts) == ["H1", "H2", "F1", "F5", "F6"]
+    assert all(v["holds"] for v in verdicts.values())
+
+
+def test_solve_on_a_lattice_needs_no_ar_constants(graph_file, capsys):
+    graph, part = lattice(12)
+    path = graph_file(format_graph_text(graph, part, np.ones(graph.n)))
+    code, verdicts = _hypotheses(["solve", path, "--nl", "power:p=4"], capsys)
+    assert code == 0
+    assert [(name, v["holds"]) for name, v in verdicts.items()] == [
+        ("H2", True), ("F1", True), ("F5", True), ("F6", True)]
 
 
 def test_solve_falls_back_to_the_route_check_accepts(graph_file, capsys):
-    # F4 fails for theta = 5 > p, the monotone route F5 + F6 holds on the
-    # grid [-40, 40] that M = 20 asks for: check and solve both accept
+    # F4 fails for theta = 5 > p, and the monotone route F5 + F6 holds:
+    # check and solve both accept
     args = [graph_file(PATH3), "--nl", "power:p=4", "--theta", "5", "--M", "20"]
     assert run(["check", *args]) == 0
     assert "exit_code 0" in capsys.readouterr().out
@@ -352,20 +402,17 @@ def test_commands_in_one_process_match_fresh_runs(graph_file, tmp_path, capsys):
         assert (fresh.returncode, fresh.stdout) == report
 
 
-@pytest.mark.parametrize("flags", [["--M0", "1e200"], ["--M", "1e200", "--theta", "4"]])
-def test_check_fails_where_the_samples_overflow(flags, graph_file, capsys):
-    # f and F overflow on the sampled grid [-2e200, 2e200]: the verdicts
-    # that read them fail, and no warning or non-finite number gets out
-    argv = ["check", graph_file(PATH3), "--h0", "1", "--nl", "power:p=4", *flags,
-            "--format", "jsonl"]
-    assert run(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    records = [r for r in jsonl_records(captured.out) if r["record"] != "meta"]
-    body = json.dumps(records)
-    assert "inf" not in body and "nan" not in body
-    failed = {r["name"] for r in records if r["record"] == "hypothesis" and not r["holds"]}
-    assert {"F5", "F6"} <= failed
+@pytest.mark.parametrize("flags", [["--M0", "1e200"], ["--M", "1e200", "--theta", "4"],
+                                   ["--theta", "4", "--M", "1", "--M0", "1e200"]])
+def test_check_decides_where_f_and_F_overflow(flags, graph_file, capsys):
+    # f and F overflow past |u| = 1e77, and the verdicts are decided on
+    # all of R all the same: F4 (with constants), F5 and F6 hold, and no
+    # warning or non-finite number gets out
+    code, verdicts = _hypotheses(["check", graph_file(PATH3), "--h0", "1", "--nl", "power:p=4",
+                                  *flags], capsys)
+    assert code == 0
+    assert all(verdicts[name]["holds"] for name in ("F5", "F6") + ("F4",) * ("--theta" in flags))
+    assert all(v["sampled_range"] is None for name, v in verdicts.items() if name[0] == "F")
 
 
 def _refused_without_overflow(argv, capsys):
@@ -378,12 +425,14 @@ def _refused_without_overflow(argv, capsys):
 
 
 def test_ar_bound_fails_where_F_overflows(graph_file, capsys):
-    # F(+-M) is finite, F on the grid beyond M = 1e77 is not
-    out = _refused_without_overflow(
+    # F(+-M) is finite, F past M = 1e77 is not; F(u) = F(M) (|u|/M)^4
+    # falls below F(M) (|u|/M)^5 at every |u| > M, decided without F there
+    code, bound = _ar_bound_record(
         ["check", graph_file(PATH3), "--h0", "1", "--nl", "power:p=4",
-         "--M", "1e77", "--theta", "4"], capsys)
-    assert "AR-bound holds" not in out
-    assert "F or its lower bound is not finite at u = -2e+77" in out
+         "--M", "1e77", "--theta", "5"], capsys)
+    assert code == 0  # the monotone route holds
+    assert not bound["holds"]
+    assert bound["witness"].startswith("F(u) < exp(-c) |u|^theta at u = -2e+77: F = ")
 
 
 def _ar_bound_record(argv, capsys):
@@ -403,9 +452,18 @@ def test_ar_bound_fails_where_its_scale_overflows(graph_file, capsys):
     # exp(-c) = F(M) / M^theta overflows for theta = 1100, M = 0.5
     code, bound = _ar_bound_record(
         ["check", graph_file(PATH3), "--nl", "power:p=4", "--theta", "1100", "--M", "0.5"], capsys)
-    assert code == 1  # the F6 proxy fails on the default grid, as without --theta
+    assert code == 0  # the monotone route holds, as without --theta
     assert not bound["holds"]
-    assert bound["witness"] == "F or its lower bound is not finite at u = -10, the first such grid point"
+    assert bound["witness"] == "F(u) < exp(-c) |u|^theta at u = -1: F = 0.25, exp(-c) |u|^theta = inf"
+
+
+def test_a_degree_given_twice_exits_2(graph_file, capsys):
+    # c1 and c01 name the same degree: refused, not silently overwritten
+    argv = ["check", graph_file(PATH3), "--nl", "odd_poly:c1=1,c01=2"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "input error: duplicate degree 1 in 'odd_poly:c1=1,c01=2'\n"
 
 
 def test_undefined_ar_bound_is_a_failed_verdict(graph_file, capsys):
@@ -657,12 +715,12 @@ def test_console_script_entry_point(graph_file, tmp_path):
 # "name+" when the verdict holds and "name-" when it fails.
 HYPOTHESIS_RECORDS = [
     (("power:p=4",), {
-        "check": (1, "H1+ H2+ H3- F2+ F5+ F6- F7-"),
-        "solve": (1, ""),
+        "check": (0, "H1+ H2+ H3- F2+ F5+ F6+ F7-"),
+        "solve": (0, "H1+ H2+ F1+ F5+ F6+"),
         "solve2": (1, ""),
     }),
     (("power:p=4", "--theta", "4", "--M", "1"), {
-        "check": (0, "H1+ H2+ H3- F2+ F5+ F6- F7- F4+ AR-bound+"),
+        "check": (0, "H1+ H2+ H3- F2+ F5+ F6+ F7- F4+ AR-bound+"),
         "solve": (0, "H1+ H2+ F1+ F2+ F4+"),
         "solve2": (1, ""),
     }),
@@ -672,38 +730,38 @@ HYPOTHESIS_RECORDS = [
         "solve2": (1, ""),
     }),
     (("power:p=4", "--theta", "4"), {
-        "check": (1, "H1+ H2+ H3- F2+ F5+ F6- F7-"),
-        "solve": (1, ""),
+        "check": (0, "H1+ H2+ H3- F2+ F5+ F6+ F7-"),
+        "solve": (0, "H1+ H2+ F1+ F5+ F6+"),
         "solve2": (1, ""),
     }),
     (("power:p=4", "--M", "1"), {
-        "check": (1, "H1+ H2+ H3- F2+ F5+ F6- F7-"),
-        "solve": (1, ""),
+        "check": (0, "H1+ H2+ H3- F2+ F5+ F6+ F7-"),
+        "solve": (0, "H1+ H2+ F1+ F5+ F6+"),
         "solve2": (1, ""),
     }),
     (("power_plus_const:p=4,eps=0.1",), {
-        "check": (0, "H1+ H2+ H3- F2- F5- F6- F7+"),
+        "check": (0, "H1+ H2+ H3- F2- F5- F6+ F7+"),
         "solve": (1, ""),
         "solve2": (0, "H1+ H2+ H3- F7+ F1+ beta-range+"),
     }),
     (("power_plus_const:p=4,eps=0.1", "--theta", "3", "--M", "2"), {
-        "check": (0, "H1+ H2+ H3- F2- F5- F6- F7+ F4+ AR-bound+"),
+        "check": (0, "H1+ H2+ H3- F2- F5- F6+ F7+ F4+ AR-bound+"),
         "solve": (1, ""),
         "solve2": (0, "H1+ H2+ H3- F7+ F1+ F4+ beta-range+"),
     }),
     (("power_plus_const:p=4,eps=0.1", "--theta", "4", "--M", "1"), {
-        "check": (1, "H1+ H2+ H3- F2- F5- F6- F7+ F4- AR-bound-"),
+        "check": (1, "H1+ H2+ H3- F2- F5- F6+ F7+ F4- AR-bound-"),
         "solve": (1, ""),
         "solve2": (1, ""),
     }),
     (("odd_poly:c1=-1,c3=1",), {
-        "check": (1, "H1+ H2+ H3- F2- F5+ F6- F7-"),
-        "solve": (1, ""),
+        "check": (0, "H1+ H2+ H3- F2- F5+ F6+ F7-"),
+        "solve": (0, "H1+ H2+ F1+ F5+ F6+"),
         "solve2": (1, ""),
     }),
     (("odd_poly:c1=-1,c3=1", "--theta", "3", "--M", "2"), {
-        "check": (1, "H1+ H2+ H3- F2- F5+ F6- F7- F4+ AR-bound+"),
-        "solve": (1, ""),
+        "check": (0, "H1+ H2+ H3- F2- F5+ F6+ F7- F4+ AR-bound+"),
+        "solve": (0, "H1+ H2+ F1+ F2- F4+ F5+ F6+"),
         "solve2": (1, ""),
     }),
 ]
@@ -714,7 +772,7 @@ HYPOTHESIS_RECORDS = [
 H_LOW = PATH3.replace("v b auto 1 omega", "v b auto 0.2 omega")
 H_LOW_RECORDS = [
     (("power:p=4", "--theta", "4", "--M", "1"), {
-        "check": (1, "H1- H2+ H3+ F2+ F5+ F6- F7- F4+ AR-bound+"),
+        "check": (1, "H1- H2+ H3+ F2+ F5+ F6+ F7- F4+ AR-bound+"),
         "solve": (1, ""),
         "solve2": (1, ""),
     }),
@@ -724,7 +782,7 @@ H_LOW_RECORDS = [
         "solve2": (1, ""),
     }),
     (("power_plus_const:p=4,eps=0.1",), {
-        "check": (0, "H1- H2+ H3+ F2- F5- F6- F7+"),
+        "check": (0, "H1- H2+ H3+ F2- F5- F6+ F7+"),
         "solve": (1, ""),
         "solve2": (0, "H1- H2+ H3+ F7+ F1+ beta-range+"),
     }),
@@ -861,6 +919,11 @@ def _cli_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_cli_cases())
 @example(case=(PATH3, ["check", "--h0", "1", "--nl", "power:p=4", "--M0", "1e200", "--format", "jsonl"]))
+@example(case=(PATH3, ["check", "--h0", "1", "--nl", "odd_poly:c3=1,c5=-1e-4", "--theta", "3",
+                       "--M", "1", "--format", "jsonl"]))
+@example(case=(PATH3, ["solve", "--h0", "1", "--nl", "power:p=2.5", "--format", "jsonl"]))
+@example(case=(PATH3, ["check", "--h0", "1", "--nl", "power:p=4", "--theta", "4", "--M", "1",
+                       "--M0", "1e200", "--format", "jsonl"]))
 @example(case=(PATH3, ["check", "--nl", "power:p=4", "--theta", "1100", "--M", "0.5",
                        "--format", "jsonl"]))
 @example(case=(PATH3, ["check", "--nl", "odd_poly:c1=-1,c5=1", "--theta", "4", "--M", "0.5",

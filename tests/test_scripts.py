@@ -17,6 +17,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("calculus_identity_sweep.py", ["--trials", "5"], "all within 1e-12: True"),
     ("band_factor_sweep.py", ["--trials", "4"],
      "no mismatch, cholesky and pivots within 1e-13, eigh within 1e-11: True"),
+    ("report_sweep.py", ["--only", "path3"], "5 reports: 5 exit 0"),
 ])
 def test_script_runs(script, args, expect):
     env = dict(os.environ, PYTHONPATH=str(Path(graphpde.__file__).resolve().parents[1]))

@@ -29,7 +29,7 @@ import graphpde.nonlinearity
 import graphpde.solver
 import graphpde.variational
 from graphpde.calculus import _interior_matrix
-from graphpde.nonlinearity import GRID_POINTS, reaction_derivative
+from graphpde.nonlinearity import reaction_derivative
 from graphpde.solver import (
     _climbing_move,
     _newton_polish,
@@ -138,14 +138,14 @@ def test_mountain_pass_trace_and_verdicts():
 def test_mountain_pass_monotone_route_uses_f5_f6():
     problem = three_path_problem(power(5))  # no growth constants attached
     log = RunLog()
-    mountain_pass(problem, log=log)  # F6: f(10)/10 = 1000
+    mountain_pass(problem, log=log)
     names = [v.name for v in log.verdicts]
     assert "F5" in names and "F6" in names and "F2" not in names
 
 
 def test_mountain_pass_falls_back_to_the_monotone_route():
-    # F4 fails for theta = 5 > p; M = 20 widens the grid to [-40, 40],
-    # where the F6 proxy reads 1600; F3 is attached to both routes
+    # F4 fails for theta = 5 > p, and the monotone route F5 + F6 holds;
+    # F3 is attached to both routes
     problem = three_path_problem(power(4, theta=5.0, M=20.0, C=1.0, growth_p=4.0))
     log = RunLog()
     sol = mountain_pass(problem, log=log)
@@ -157,12 +157,13 @@ def test_mountain_pass_falls_back_to_the_monotone_route():
 
 
 def test_mountain_pass_gate_failure_is_reported():
-    problem = three_path_problem(power(4))
-    # the default grid edge gives ratio 100 against the 1e3 threshold:
-    # honest sampled evidence is "not superlinear enough", so it rejects
+    # the defocusing cubic f = -u^3: f(u)/u = -u^2 falls, so F5 and F6 fail,
+    # and without AR constants no other route applies
+    problem = three_path_problem(odd_poly({3: -1.0}))
     with pytest.raises(SolverError) as err:
         mountain_pass(problem)
-    assert "F6" in str(err.value)
+    assert "F5: u f_u - f < 0 at u = " in str(err.value)
+    assert "F6: f(u)/u stays bounded above" in str(err.value)
 
 
 def test_mountain_pass_f2_blocks_shifted_reaction():
@@ -391,19 +392,21 @@ def test_two_solutions_m0_mode_matches_rho_mode():
 
 
 def test_two_solutions_m0_mode_scans_the_antiderivative_once(monkeypatch):
-    # the ball constants and F8 share one scan of F on [-M0, M0]
+    # the ball constants and F8 share one max |F| on [-M0, M0]: F at -M0,
+    # at the root -0.1^(1/3) of f = u^3 + 0.1 and at M0
     m0 = 1.0
     scans = []
     original = graphpde.nonlinearity.antiderivative
 
     def counted(nl, u):
         if np.ndim(u) == 1 and u.size > 1 and u[0] == -m0 and u[-1] == m0:
-            scans.append(u.size)
+            scans.append(u.tolist())
         return original(nl, u)
 
     monkeypatch.setattr(graphpde.nonlinearity, "antiderivative", counted)
     report = two_solutions(three_path_problem(PLUS_CONST), SolverConfig(m0=m0))
-    assert scans == [GRID_POINTS]
+    assert len(scans) == 1 and len(scans[0]) == 3
+    assert scans[0][1] == pytest.approx(-0.1 ** (1 / 3), rel=1e-15)
     f8 = [v for v in report.hypothesis_verdicts if v.name == "F8"]
     assert len(f8) == 1 and f8[0].holds
 

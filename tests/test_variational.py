@@ -14,7 +14,6 @@ from graphpde import (
     directional_derivative,
     embedding_constants,
     energy,
-    evaluate,
     gradient,
     integrate,
     odd_poly,
@@ -23,7 +22,7 @@ from graphpde import (
     power_plus_const,
 )
 from graphpde.calculus import H_NORM, laplacian, norm
-from graphpde.nonlinearity import reaction
+from graphpde.nonlinearity import antiderivative, reaction
 from graphpde.variational import _kernel, h_norm
 from util import (
     random_connected_graph,
@@ -64,7 +63,7 @@ def problem_with_exterior(rng, nl):
 def per_vertex_energy(problem, u):
     """The energy through the per-vertex gradient form."""
     graph, part = problem.graph, problem.partition
-    _, big_f, _ = evaluate(problem.nl, u)
+    big_f = antiderivative(problem.nl, u)
     mass = integrate(graph, problem.interior_h() * u * u, part.omega)
     return 0.5 * (dirichlet_energy(graph, part, u) + mass) - integrate(graph, big_f, part.omega)
 
@@ -148,7 +147,7 @@ def test_directional_derivative_identities(rng):
         assert dd == pytest.approx(g[x], rel=1e-12, abs=1e-12)
 
     # pairing with u gives the h-norm square minus the reaction pairing
-    f, _, _ = evaluate(problem.nl, u)
+    f = reaction(problem.nl, u)
     expect = norm(graph, part, u, H_NORM, h=problem.h) ** 2 - integrate(
         graph, f * u, part.omega
     )
@@ -384,7 +383,7 @@ def test_kernel_matches_the_public_functions_and_per_vertex_references(rng):
             else:
                 with pytest.raises(ValueError, match="radicand is negative"):
                     h_norm(problem, u)
-            _, big_f, _ = evaluate(problem.nl, u)
+            big_f = antiderivative(problem.nl, u)
             expect = 0.5 * radicand - integrate(graph, big_f, omega)
             scale = grad_sq + mass + integrate(graph, np.abs(big_f), omega)
             assert value1 == pytest.approx(expect, abs=1e-13 * scale)
