@@ -2,8 +2,11 @@
 
 The sweep runs five jsonl commands, in process, on 104 graphs: path3,
 grid12, grid30, grid40 and the 100 random graphs s<seed>rand<i> that
-perfbench.corpus.random_graph draws, four per rng seed 0-24.  The
-commands are
+perfbench.corpus.random_graph draws, four per rng seed 0-24.  It also
+runs them on 42 fixed variants of the path3 and grid12 files, named
+path3-<variant> and grid12-<variant> (see malformed): 40 that the graph
+reader rejects, each an exit 2 with one stderr line, and 2 valid ones
+in another layout.  The commands are
 
     eigen --h0 1
     check --h0 1 --nl power:p=4 --theta 4 --M 1
@@ -12,7 +15,8 @@ commands are
     solve2 --nl power_plus_const:p=4,eps=0.01 --M0 0.5 --h0 1
 
 For each report it keeps the exit code and, per record line, the
-record's label and the sha256 of the line.  The label is the record
+record's label and the sha256 of the line, plus that of stderr when
+anything reached it.  The label is the record
 kind; a hypothesis record's adds its name and + if it holds, - if it
 fails, so a verdict that flips shows as two labels.  --out FILE writes
 them as JSON.  --against FILE compares this run with a file written
@@ -60,6 +64,51 @@ def graphs():
     return out
 
 
+def _field(line: str, k: int, token: str) -> str:
+    tokens = line.split()
+    tokens[k] = token
+    return " ".join(tokens)
+
+
+def malformed(name: str, text: str) -> list[tuple[str, str]]:
+    """(name-variant, text) for fixed edits of a graph file: one break of
+    each rule the graph reader checks, two pairs of bad lines where the
+    earlier one must be reported, and the valid file with comment and
+    blank lines, tabs and CRLF endings."""
+    lines = text.splitlines()
+    v = [line for line in lines if line.startswith("v ")]
+    e = [line for line in lines if line.startswith("e ")]
+    _, a, b, w = e[0].split()
+    variants = {
+        "short_e": v + e[:-1] + [e[-1].rsplit(" ", 1)[0]],
+        "long_v": [v[0] + " # interior"] + v[1:] + e,
+        "unknown_record": v + ["x 1 2"] + e,
+        "late_v": v + e + ["v late auto 1 omega"],
+        "duplicate_vertex": v + [v[0]] + e,
+        "non_real_h": [_field(v[0], 3, "1.0.0")] + v[1:] + e,
+        "non_finite_h": v[:-1] + [_field(v[-1], 3, "nan")] + e,
+        "non_positive_measure": v[:-1] + [_field(v[-1], 2, "-1")] + e,
+        "bad_role": v[:-1] + [_field(v[-1], 4, "interior")] + e,
+        "mixed_measure": [_field(v[0], 2, "1.5")] + v[1:] + e,
+        "unknown_id": v + [f"e {a} nowhere {w}"] + e[1:],
+        "self_loop": v + [f"e {a} {a} {w}"] + e[1:],
+        "non_real_weight": v + [_field(e[0], 3, "x")] + e[1:],
+        "non_finite_weight": v + e[:-1] + [_field(e[-1], 3, "inf")],
+        "non_positive_weight": v + [_field(e[0], 3, "0")] + e[1:],
+        "duplicate_edge": v + e + [f"e {b} {a} {w}"],
+        "duplicate_edge_then_bad_weight":
+            v + e[:1] + [f"e {b} {a} 2"] + e[1:-1] + [_field(e[-1], 3, "nan")],
+        "bad_weight_then_late_v": v + [_field(e[0], 3, "-1")] + e[1:] + ["v late auto 1 omega"],
+        "isolated_vertex": v + ["v alone auto 1 outside"] + e,
+        "no_omega": [_field(line, 4, "boundary") for line in v] + e,
+    }
+    out = [(f"{name}-{variant}", "".join(line + "\n" for line in body))
+           for variant, body in variants.items()]
+    layout = ["# comment", *(line.replace(" ", "\t") for line in v), "", "  #", *e]
+    out.append((f"{name}-crlf_tabs_comments", "\r\n".join(layout) + "\r\n"))
+    return out
+
+
 def label(line: str) -> str:
     record = json.loads(line)
     kind = record.get("record", "?")
@@ -71,22 +120,31 @@ def label(line: str) -> str:
 def sweep(only=()):
     """{"<graph> <command line>": {"exit": code, "records": [[label, sha256], ...]}}"""
     inputs = [g for g in graphs() if not only or g.name in only]
+    variants = [(name, text) for base in (corpus.path3(), corpus.lattice(12))
+                for name, text in malformed(base.name, corpus.graph_text(base))
+                if not only or name in only]
     reports = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # relative graph paths keep the meta records the same from run to run
         try:
-            for g in corpus.write(inputs, "."):
+            files = [(g.name, g.path) for g in corpus.write(inputs, ".")]
+            for name, text in variants:
+                path = os.path.join(".", name + ".graph")
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+                files.append((name, path))
+            for name, path in files:
                 for command in COMMANDS:
                     out, err = io.StringIO(), io.StringIO()
                     with redirect_stdout(out), redirect_stderr(err):
-                        code = run([command[0], g.path, *command[1:], "--format", "jsonl"])
+                        code = run([command[0], path, *command[1:], "--format", "jsonl"])
                     lines = out.getvalue().splitlines()
                     records = [[label(line), hashlib.sha256(line.encode()).hexdigest()]
                                for line in lines]
                     if err.getvalue():
                         records.append(["stderr", hashlib.sha256(err.getvalue().encode()).hexdigest()])
-                    reports[f"{g.name} {' '.join(command)}"] = {"exit": code, "records": records}
+                    reports[f"{name} {' '.join(command)}"] = {"exit": code, "records": records}
         finally:
             os.chdir(cwd)
     return reports

@@ -243,7 +243,7 @@ def _fields_record(kind: str, obj) -> dict:
 
 
 def _u_map(graph, u) -> dict:
-    return {vid: float(u[i]) for i, vid in enumerate(graph.vertex_ids)}
+    return dict(zip(graph.vertex_ids, u.tolist()))
 
 
 def _solution_record(graph, sol, index: int) -> dict:

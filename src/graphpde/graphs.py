@@ -10,7 +10,8 @@ Functions on a graph are plain float64 numpy arrays of length n indexed
 by vertex position.  A Dirichlet function is exactly zero on boundary
 and exterior vertices; operators always see the zero-extended values.
 
-Graph text format (one record per line, '#' starts a comment):
+Graph text format (one record per line; a blank line, or one whose
+first token starts with '#', is skipped):
 
     v <id> <measure|auto> <h-value> <omega|boundary|outside>
     e <id1> <id2> <weight>
@@ -21,16 +22,26 @@ h column must parse as a real number; it is only meaningful on omega
 vertices.  Declared roles are cross-checked against the recomputed
 boundary of the declared omega set.
 
-Loading checks each line once, as it is read, and builds each array
-once.  A malformed line, a mix of "auto" and numeric measures and the
-first vertex in input order whose declared role the recomputed
-partition contradicts raise GraphParseError with the line number.
+Loading reads the file column by column: one pass splits each line and
+files its tokens by record type, then each column (ids, measures, h,
+roles, edge ends, weights) is converted and checked in bulk, and each
+array is built once.  The error raised is the one a line-by-line
+reading meets first: the earliest bad line, and on it the first check
+that fails, in the order v after e, token count, duplicate id, measure,
+h, role for a v line and token count, unknown id, self-loop, weight,
+duplicate edge for an e line.  File-wide errors follow: no vertices, a
+mix of "auto" and numeric measures, a vertex the derived measure leaves
+at zero (a GraphError without a line), no omega vertex, and the first
+vertex in input order whose declared role the recomputed partition
+contradicts.  All but the derived-measure one are GraphParseErrors; those
+that concern one line carry its number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -289,73 +300,100 @@ class GraphFile:
 
 
 _ROLES = ("omega", "boundary", "outside")
+_ROLE_CODES = {role: code for code, role in enumerate(_ROLES)}
 
 
 def parse_graph_text(text: str) -> GraphFile:
-    """Parse the v/e line format; errors carry 1-based line numbers."""
-    index: dict[str, int] = {}
-    rows: list[tuple] = []  # per vertex: line, measure (None for "auto"), h, role code
-    pairs: list[int] = []  # endpoint indices, two per edge
-    weights: list[float] = []
-    seen: set[tuple[int, int]] = set()
+    """Parse the v/e line format; errors carry 1-based line numbers.
 
+    The pass files the tokens of each v and e line in a flat list per
+    record type, and a line it cannot file ends it.  Each column check
+    then names its first failing line: the earliest wins, and on one
+    line the check a line-by-line reading makes first."""
+    v_lines: list[int] = []
+    v_tokens: list[str] = []  # five per v line
+    e_lines: list[int] = []
+    e_tokens: list[str] = []  # four per e line
+    errors: list[GraphParseError] = []  # per check its first failing line, in line check order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
-        if not tokens:
-            continue
-        if tokens[0] == "e":
-            if len(tokens) != 4:
-                raise GraphParseError(
-                    f"e line needs 4 tokens 'e <id1> <id2> <weight>', got {len(tokens)}", lineno
-                )
-            _, a, b, wtok = tokens
-            i, j = index.get(a), index.get(b)
-            if i is None or j is None:
-                unknown = a if i is None else b
-                raise GraphParseError(f"edge references unknown vertex id {unknown!r}", lineno)
-            if i == j:
-                raise GraphParseError(f"self-loop at vertex {a!r}", lineno)
-            w = _parse_real(wtok, "weight", lineno, positive=True)
-            key = (i, j) if i < j else (j, i)
-            if key in seen:
-                raise GraphParseError(f"duplicate edge ({a!r}, {b!r})", lineno)
-            seen.add(key)
-            pairs += (i, j)
-            weights.append(w)
-        elif tokens[0] == "v":
-            if weights:
-                raise GraphParseError("v line after first e line", lineno)
-            if len(tokens) != 5:
-                raise GraphParseError(
-                    f"v line needs 5 tokens 'v <id> <measure|auto> <h> <role>', got {len(tokens)}",
-                    lineno,
-                )
-            _, vid, mtok, htok, role = tokens
-            if vid in index:
-                raise GraphParseError(f"duplicate vertex id {vid!r}", lineno)
-            meas = None if mtok == "auto" else _parse_real(mtok, "measure", lineno, positive=True)
-            hval = _parse_real(htok, "h-value", lineno)
-            if role not in _ROLES:
-                raise GraphParseError(
-                    f"role must be one of {', '.join(_ROLES)}, got {role!r}", lineno
-                )
-            index[vid] = len(rows)
-            rows.append((lineno, meas, hval, _ROLES.index(role)))
-        elif not tokens[0].startswith("#"):
-            raise GraphParseError(f"unknown record type {tokens[0]!r}", lineno)
+        if len(tokens) == 4 and tokens[0] == "e":
+            e_lines.append(lineno)
+            e_tokens += tokens
+        elif len(tokens) == 5 and tokens[0] == "v" and not e_lines:
+            v_lines.append(lineno)
+            v_tokens += tokens
+        elif tokens and not tokens[0].startswith("#"):
+            stop = GraphParseError(_unfiled_line(tokens, bool(e_lines)), lineno)
+            break
+    else:
+        stop = None
 
-    if not index:
+    # v lines: duplicate id, measure, h, role
+    ids, m_tok, h_tok, roles = (v_tokens[c::5] for c in range(1, 5))
+    del v_tokens
+    nv = len(ids)
+    index = dict(zip(ids, range(nv)))
+    if len(index) < nv:
+        first = dict(zip(reversed(ids), reversed(range(nv))))
+        k = next(k for k, vid in enumerate(ids) if first[vid] != k)
+        errors.append(GraphParseError(f"duplicate vertex id {ids[k]!r}", v_lines[k]))
+    autos = m_tok.count("auto")
+    mu = None
+    if not autos:
+        mu = _reals(m_tok, v_lines, "measure", errors, positive=True)
+    elif autos < nv:  # rejected once the lines pass; their numbers are checked first
+        rows = [k for k, tok in enumerate(m_tok) if tok != "auto"]
+        _reals([m_tok[k] for k in rows], [v_lines[k] for k in rows], "measure", errors,
+               positive=True)
+    h = _reals(h_tok, v_lines, "h-value", errors)
+    codes = list(map(_ROLE_CODES.get, roles))
+    if None in codes:
+        k = codes.index(None)
+        errors.append(GraphParseError(
+            f"role must be one of {', '.join(_ROLES)}, got {roles[k]!r}", v_lines[k]))
+    del h_tok, roles
+
+    # e lines: unknown id (the first end before the second), self-loop,
+    # weight, duplicate; an unknown id reads as -1, so no later check
+    # fails first on its line or matches a known edge
+    a, b, w_tok = (e_tokens[c::4] for c in (1, 2, 3))
+    del e_tokens
+    i = np.fromiter(map(index.get, a, repeat(-1)), np.int64, len(a))
+    j = np.fromiter(map(index.get, b, repeat(-1)), np.int64, len(b))
+    lo = np.minimum(i, j)
+    unknown = np.flatnonzero(lo < 0)
+    if unknown.size:
+        k = unknown[0]
+        errors.append(GraphParseError(
+            f"edge references unknown vertex id {a[k] if i[k] < 0 else b[k]!r}", e_lines[k]))
+    loops = np.flatnonzero(i == j)
+    if loops.size:
+        errors.append(GraphParseError(f"self-loop at vertex {a[loops[0]]!r}", e_lines[loops[0]]))
+    weight = _reals(w_tok, e_lines, "weight", errors, positive=True)
+    # a key's later lines are its duplicates; the stable sort keeps them after its first
+    key = lo * nv + np.maximum(i, j)
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if repeats.size:
+        k = repeats.min()
+        errors.append(GraphParseError(f"duplicate edge ({a[k]!r}, {b[k]!r})", e_lines[k]))
+    del a, b, w_tok
+
+    if stop is not None:
+        errors.append(stop)
+    if errors:
+        raise min(errors, key=lambda err: err.line)
+    if not nv:
         raise GraphParseError("no vertices in file")
-    v_line, v_measure, v_h, v_role = zip(*rows)
-    if 0 < v_measure.count(None) < len(rows):
-        k = v_measure.index(None)
+    if 0 < autos < nv:
+        k = m_tok.index("auto")
         raise GraphParseError("mixing 'auto' and numeric measures is not allowed "
-                              f"(vertex {list(index)[k]!r} is 'auto')", v_line[k])
+                              f"(vertex {ids[k]!r} is 'auto')", v_lines[k])
 
-    edge_index = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    mu = None if v_measure[0] is None else np.array(v_measure)
-    graph = _assemble(index, edge_index, np.array(weights), mu)
-    declared = np.array(v_role)
+    graph = _assemble(index, np.column_stack((i, j)), weight, mu)
+    declared = np.array(codes)
     if not (declared == 0).any():
         raise GraphParseError("file declares no omega vertices")
     partition = _partition(graph, declared == 0)
@@ -366,11 +404,46 @@ def parse_graph_text(text: str) -> GraphFile:
     if wrong.size:
         k = int(wrong[0])
         raise GraphParseError(
-            f"vertex {graph.vertex_ids[k]!r} declared {_ROLES[v_role[k]]!r} "
-            f"but the declared omega set makes it {_ROLES[actual[k]]!r}", v_line[k],
+            f"vertex {graph.vertex_ids[k]!r} declared {_ROLES[codes[k]]!r} "
+            f"but the declared omega set makes it {_ROLES[actual[k]]!r}", v_lines[k],
         )
 
-    return GraphFile(graph=graph, partition=partition, h=np.array(v_h))
+    return GraphFile(graph=graph, partition=partition, h=h)
+
+
+def _unfiled_line(tokens: list[str], after_e: bool) -> str:
+    """Why a line with these tokens cannot be filed as a v or e line."""
+    if tokens[0] == "e":
+        return f"e line needs 4 tokens 'e <id1> <id2> <weight>', got {len(tokens)}"
+    if tokens[0] == "v":
+        if after_e:
+            return "v line after first e line"
+        return f"v line needs 5 tokens 'v <id> <measure|auto> <h> <role>', got {len(tokens)}"
+    return f"unknown record type {tokens[0]!r}"
+
+
+def _reals(tokens: list[str], lines: list[int], what: str, errors: list[GraphParseError],
+           positive: bool = False) -> np.ndarray | None:
+    """The tokens as float64, read by float as _parse_real reads each;
+    None when one fails _parse_real's tests, and its error for the first
+    such token goes to errors.  The bulk tests decide whether one fails,
+    and _parse_real, token by token, finds and words it."""
+    try:
+        values = np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        pass
+    else:
+        ok = np.isfinite(values)
+        if positive:
+            ok &= values > 0.0
+        if ok.all():
+            return values
+    for token, lineno in zip(tokens, lines):
+        try:
+            _parse_real(token, what, lineno, positive)
+        except GraphParseError as exc:
+            errors.append(exc)
+            return None
 
 
 def _parse_real(token: str, what: str, lineno: int, positive: bool = False) -> float:

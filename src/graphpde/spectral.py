@@ -232,6 +232,7 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a result that leaves floating point is refused
 def first_eigenvalue(
     graph: WeightedGraph,
     partition: DomainPartition,
@@ -249,7 +250,8 @@ def first_eigenvalue(
     L is factored once; each iteration only back-substitutes.  u is v
     with zeros off omega; the residual is max |L u - lambda M u| there,
     with L u = -mu laplacian(u).  Raises ValueError when max_iterations
-    pass unstopped.
+    pass unstopped, or when lambda1 or the residual is not finite (a
+    finite residual also bounds every value of u).
     """
     if partition.boundary.size == 0:
         raise ValueError(
@@ -291,6 +293,10 @@ def first_eigenvalue(
     u = op.expand(v)
     lu = -mu * laplacian(graph, u)[op.omega]  # L u, as u = 0 off omega
     residual = float(np.max(np.abs(lu - lam * mu * v)))
+    if not (math.isfinite(lam) and math.isfinite(residual)):
+        raise ValueError(
+            f"the first eigenvalue leaves floating point: lambda1 = {lam}, residual = {residual}"
+        )
     return EigenResult(lambda1=lam, eigenfunction=u, iterations=iterations, residual=residual)
 
 
@@ -353,14 +359,15 @@ def embedding_constants(
     eigen: EigenResult | None = None,
 ) -> ConstantsReport:
     """Collect lambda1, the norm-equivalence factor and the embedding
-    constants for the given uniform lower bound h0 of h."""
+    constants for the given uniform lower bound h0 of h.  Raises
+    ValueError when one of them is not finite."""
     h0 = float(h0)
     if not h0 > 0.0:
         raise ValueError(f"h0 must be positive, got {h0}")
     kappa = embedding_kappa(graph, partition, h, h0, hypothesis)  # before any eigen work
     eigen = eigen or first_eigenvalue(graph, partition)
     mu_min = graph.mu_min
-    return ConstantsReport(
+    constants = ConstantsReport(
         lambda1=eigen.lambda1,
         equiv_upper=1.0 + 1.0 / eigen.lambda1,
         mu_min=mu_min,
@@ -370,3 +377,7 @@ def embedding_constants(
         hypothesis=hypothesis,
         omega_measure=integrate(graph, np.ones(graph.n), partition.omega),
     )
+    for name, value in vars(constants).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"the constant {name} leaves floating point: {value}")
+    return constants

@@ -128,6 +128,29 @@ def test_eigen_reports_non_convergence(graph_file, capsys):
     assert records[-1]["message"] == "inverse power iteration did not converge in 1 iterations"
 
 
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--h0", "1"],
+    ["check", "--h0", "1", "--nl", "power:p=4", "--theta", "4", "--M", "1"],
+], ids=["eigen", "check"])
+@pytest.mark.parametrize("text,message", [
+    # a subnormal weight makes mu_min subnormal: sup_embedding overflows
+    ("v a auto 1 omega\nv b auto 1 boundary\ne a b 1e-320\n",
+     "the constant sup_embedding leaves floating point: inf"),
+    # a subnormal measure: lambda1 itself overflows
+    ("v a 1e-320 1 omega\nv b 1 1 boundary\ne a b 1\n",
+     "the first eigenvalue leaves floating point: lambda1 = inf, residual = nan"),
+], ids=["subnormal_weight", "subnormal_measure"])
+def test_eigen_step_refuses_non_finite_numbers(argv, text, message, graph_file, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would raise out of run()
+        code = run([argv[0], graph_file(text), *argv[1:], "--format", "jsonl"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    records = jsonl_records(captured.out)
+    assert {"record": "error", "message": message} in records
+    assert "constants" not in [r["record"] for r in records]
+
+
 def test_gradcheck_command(graph_file, capsys):
     path = graph_file(PATH3)
     code = run(["gradcheck", path, "--nl", "odd_poly:c1=-1,c3=1", "--seed", "7"])

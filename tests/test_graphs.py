@@ -15,6 +15,7 @@ from graphpde import (
 )
 from util import (
     lattice,
+    parse_graph_text_loop,
     path_graph,
     random_connected_graph,
     random_partition,
@@ -344,3 +345,202 @@ def test_parse_error_order(text, cls, message):
         parse_graph_text(text)
     assert type(err.value) is cls
     assert str(err.value) == message
+
+
+# ----- parity with the line-by-line reference ----- #
+
+BAD_NUMBERS = ("x", "1e", "1,5", "0x10", "nan", "-nan", "inf", "-Infinity", "1e400",
+               "0", "-0.0", "-2", "1e-400", "1_0", "\u0663", "5e-324")
+
+
+def _pick(rng, seq):
+    return seq[int(rng.integers(len(seq)))]
+
+
+def _rows(lines, kind):
+    """Positions of the well-formed lines of this record type."""
+    return [k for k, tokens in enumerate(lines)
+            if tokens[:1] == [kind] and len(tokens) == (5 if kind == "v" else 4)]
+
+
+class _NoLine(Exception):
+    """An earlier corruption left no line that this one applies to."""
+
+
+def _row(rng, lines, *kinds):
+    rows = [k for kind in kinds for k in _rows(lines, kind)]
+    if not rows:
+        raise _NoLine
+    return _pick(rng, rows)
+
+
+def _drop_token(rng, lines):
+    tokens = lines[_row(rng, lines, "v", "e")]
+    del tokens[int(rng.integers(len(tokens)))]
+
+
+def _add_token(rng, lines):
+    tokens = lines[_row(rng, lines, "v", "e")]
+    tokens.insert(int(rng.integers(1, len(tokens) + 1)), _pick(rng, ("x", "1", "#", "omega")))
+
+
+def _unknown_id(rng, lines):
+    lines[_row(rng, lines, "e")][int(rng.integers(1, 3))] = "zz"
+
+
+def _self_loop(rng, lines):
+    tokens = lines[_row(rng, lines, "e")]
+    tokens[1] = tokens[2]
+
+
+def _duplicate_vertex(rng, lines):
+    k = _row(rng, lines, "v")
+    copy = list(lines[k])
+    copy[3] = _pick(rng, (copy[3], "0", "nan"))
+    lines.insert(int(rng.integers(k + 1, _rows(lines, "v")[-1] + 2)), copy)
+
+
+def _duplicate_edge(rng, lines, bad_weight_after=False):
+    k = _row(rng, lines, "e")
+    _, a, b, w = lines[k]
+    at = int(rng.integers(k + 1, _rows(lines, "e")[-1] + 2))
+    lines.insert(at, ["e", *_pick(rng, ((a, b), (b, a))), _pick(rng, (w, "2"))])
+    later = [r for r in _rows(lines, "e") if r > at]
+    if bad_weight_after and later:
+        lines[_pick(rng, later)][3] = _pick(rng, BAD_NUMBERS[:13])
+
+
+def _bad_weight_before_v_after_e(rng, lines):
+    k = _row(rng, lines, "e")
+    lines[k][3] = _pick(rng, BAD_NUMBERS[:13])
+    lines.insert(int(rng.integers(k + 1, len(lines) + 1)), ["v", "late", "auto", "1", "omega"])
+
+
+def _bad_number(rng, lines):
+    tokens = lines[_row(rng, lines, "v", "e")]
+    tokens[3 if tokens[0] == "e" else int(rng.integers(2, 4))] = _pick(rng, BAD_NUMBERS)
+
+
+def _bad_role(rng, lines):
+    lines[_row(rng, lines, "v")][4] = _pick(rng, ("inside", "Omega", "auto", "omega,"))
+
+
+def _other_role(rng, lines):
+    tokens = lines[_row(rng, lines, "v")]
+    tokens[4] = _pick(rng, [role for role in ("omega", "boundary", "outside") if role != tokens[4]])
+
+
+def _mixed_measure(rng, lines):
+    tokens = lines[_row(rng, lines, "v")]
+    tokens[2] = "1.5" if tokens[2] == "auto" else "auto"
+
+
+def _drop_line(rng, lines):
+    del lines[_row(rng, lines, "v", "e")]
+
+
+def _move_vertex_down(rng, lines):
+    k = _row(rng, lines, "v")
+    lines.insert(int(rng.integers(k, len(lines))), lines.pop(k))
+
+
+def _isolate_vertex(rng, lines):
+    vid = lines[_row(rng, lines, "v")][1]
+    lines[:] = [tokens for tokens in lines if vid not in tokens[1:3] or tokens[0] != "e"]
+
+
+def _unknown_record(rng, lines):
+    tokens = lines[_row(rng, lines, "v", "e")]
+    tokens[0] = _pick(rng, ("V", "x", "edge", "#v"))
+
+
+CORRUPTIONS = {
+    "none": lambda rng, lines: None,
+    "drop_token": _drop_token,
+    "add_token": _add_token,
+    "unknown_id": _unknown_id,
+    "self_loop": _self_loop,
+    "duplicate_vertex": _duplicate_vertex,
+    "duplicate_edge": _duplicate_edge,
+    "duplicate_edge_before_bad_weight": lambda rng, lines: _duplicate_edge(rng, lines, True),
+    "bad_weight_before_v_after_e": _bad_weight_before_v_after_e,
+    "bad_number": _bad_number,
+    "bad_role": _bad_role,
+    "other_role": _other_role,
+    "mixed_measure": _mixed_measure,
+    "drop_line": _drop_line,
+    "move_vertex_down": _move_vertex_down,
+    "isolate_vertex": _isolate_vertex,
+    "unknown_record": _unknown_record,
+}
+
+
+def _base_lines(rng):
+    """The token lines of a valid file: a random graph in either measure
+    mode, or a small lattice, whose vertices may be shuffled."""
+    if rng.random() < 0.25:
+        graph, part = lattice(int(rng.integers(3, 6)), rng if rng.random() < 0.5 else None)
+    else:
+        graph = random_connected_graph(rng, 3, 12, _pick(rng, ("derived", "given")))
+        part = random_partition(rng, graph)
+    text = format_graph_text(graph, part, rng.uniform(-3.0, 3.0, size=graph.n))
+    return [line.split() for line in text.splitlines()]
+
+
+def _render(rng, lines):
+    """The lines with random separators, comment and blank lines, and
+    LF or CRLF endings."""
+    out = []
+    for tokens in lines:
+        if rng.random() < 0.1:
+            out.append(_pick(rng, ("", "   ", "\t", "# note", "#", "#v a auto 1 omega")))
+        line = tokens[0] if tokens else ""
+        for token in tokens[1:]:
+            line += _pick(rng, (" ", " ", "\t", "  ", " \t ")) + token
+        out.append(_pick(rng, ("", "", " ", "\t")) + line)
+    eol = _pick(rng, ("\n", "\r\n"))
+    return eol.join(out) + _pick(rng, (eol, ""))
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("kind", sorted(CORRUPTIONS))
+def test_parse_matches_the_line_loop(kind):
+    """The column loader and the line-by-line reference agree on corrupted
+    files: the same exception type, message and line, or the same arrays
+    bit for bit.  Half the files carry one or two more corruptions of any
+    kind, so several bad lines compete for the first error."""
+    rng = np.random.default_rng(sorted(CORRUPTIONS).index(kind))
+    failures = 0
+    for _ in range(40):
+        lines = _base_lines(rng)
+        CORRUPTIONS[kind](rng, lines)
+        for _ in range(int(rng.integers(0, 3)) if rng.random() < 0.5 else 0):
+            try:
+                _pick(rng, list(CORRUPTIONS.values()))(rng, lines)
+            except _NoLine:
+                pass
+        text = _render(rng, lines)
+        want, got = _outcome(parse_graph_text_loop, text), _outcome(parse_graph_text, text)
+        if isinstance(want, GraphError):
+            failures += 1
+            assert type(got) is type(want), text
+            assert str(got) == str(want), text
+            assert getattr(got, "line", None) == getattr(want, "line", None)
+            continue
+        assert isinstance(got, type(want)), text
+        for name in GRAPH_ARRAYS:
+            assert_same_bits(getattr(got.graph, name), getattr(want.graph, name))
+        for name in PARTITION_ARRAYS:
+            assert_same_bits(getattr(got.partition, name), getattr(want.partition, name))
+        assert_same_bits(got.h, want.h)
+        assert got.graph.vertex_ids == want.graph.vertex_ids
+        assert got.graph.measure_mode == want.graph.measure_mode
+        assert got.graph.mu_min == want.graph.mu_min
+        assert got.partition.connected is want.partition.connected
+    assert failures > 0 if kind != "none" else failures < 40

@@ -5,6 +5,15 @@ from collections import deque
 import numpy as np
 
 from graphpde import Problem, build_graph, compute_boundary, dirichlet_energy, integrate
+from graphpde.graphs import (
+    _ROLES,
+    GraphFile,
+    GraphParseError,
+    _assemble,
+    _parse_real,
+    _partition,
+    _role_codes,
+)
 from graphpde.nonlinearity import reaction_derivative
 
 
@@ -219,3 +228,86 @@ def bisect(fn, lo, hi, tol=1e-15, max_iter=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def parse_graph_text_loop(text):
+    """Line-by-line reference for graphs.parse_graph_text: each line is
+    checked in full as it is read, so the first bad line in file order
+    raises, with the error its first failing check gives."""
+    index = {}
+    rows = []  # per vertex: line, measure (None for "auto"), h, role code
+    pairs = []  # endpoint indices, two per edge
+    weights = []
+    seen = set()
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        if tokens[0] == "e":
+            if len(tokens) != 4:
+                raise GraphParseError(
+                    f"e line needs 4 tokens 'e <id1> <id2> <weight>', got {len(tokens)}", lineno
+                )
+            _, a, b, wtok = tokens
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
+                unknown = a if i is None else b
+                raise GraphParseError(f"edge references unknown vertex id {unknown!r}", lineno)
+            if i == j:
+                raise GraphParseError(f"self-loop at vertex {a!r}", lineno)
+            w = _parse_real(wtok, "weight", lineno, positive=True)
+            key = (i, j) if i < j else (j, i)
+            if key in seen:
+                raise GraphParseError(f"duplicate edge ({a!r}, {b!r})", lineno)
+            seen.add(key)
+            pairs += (i, j)
+            weights.append(w)
+        elif tokens[0] == "v":
+            if weights:
+                raise GraphParseError("v line after first e line", lineno)
+            if len(tokens) != 5:
+                raise GraphParseError(
+                    f"v line needs 5 tokens 'v <id> <measure|auto> <h> <role>', got {len(tokens)}",
+                    lineno,
+                )
+            _, vid, mtok, htok, role = tokens
+            if vid in index:
+                raise GraphParseError(f"duplicate vertex id {vid!r}", lineno)
+            meas = None if mtok == "auto" else _parse_real(mtok, "measure", lineno, positive=True)
+            hval = _parse_real(htok, "h-value", lineno)
+            if role not in _ROLES:
+                raise GraphParseError(
+                    f"role must be one of {', '.join(_ROLES)}, got {role!r}", lineno
+                )
+            index[vid] = len(rows)
+            rows.append((lineno, meas, hval, _ROLES.index(role)))
+        elif not tokens[0].startswith("#"):
+            raise GraphParseError(f"unknown record type {tokens[0]!r}", lineno)
+
+    if not index:
+        raise GraphParseError("no vertices in file")
+    v_line, v_measure, v_h, v_role = zip(*rows)
+    if 0 < v_measure.count(None) < len(rows):
+        k = v_measure.index(None)
+        raise GraphParseError("mixing 'auto' and numeric measures is not allowed "
+                              f"(vertex {list(index)[k]!r} is 'auto')", v_line[k])
+
+    edge_index = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    mu = None if v_measure[0] is None else np.array(v_measure)
+    graph = _assemble(index, edge_index, np.array(weights), mu)
+    declared = np.array(v_role)
+    if not (declared == 0).any():
+        raise GraphParseError("file declares no omega vertices")
+    partition = _partition(graph, declared == 0)
+
+    actual = _role_codes(partition)
+    wrong = np.flatnonzero(declared != actual)
+    if wrong.size:
+        k = int(wrong[0])
+        raise GraphParseError(
+            f"vertex {graph.vertex_ids[k]!r} declared {_ROLES[v_role[k]]!r} "
+            f"but the declared omega set makes it {_ROLES[actual[k]]!r}", v_line[k],
+        )
+
+    return GraphFile(graph=graph, partition=partition, h=np.array(v_h))
