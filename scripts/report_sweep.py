@@ -3,8 +3,8 @@
 The sweep runs five jsonl commands, in process, on 104 graphs: path3,
 grid12, grid30, grid40 and the 100 random graphs s<seed>rand<i> that
 perfbench.corpus.random_graph draws, four per rng seed 0-24.  It also
-runs them on 42 fixed variants of the path3 and grid12 files, named
-path3-<variant> and grid12-<variant> (see malformed): 40 that the graph
+runs them on 43 fixed variants of the path3 and grid12 files, named
+path3-<variant> and grid12-<variant> (see malformed): 41 that the graph
 reader rejects, each an exit 2 with one stderr line, and 2 valid ones
 in another layout.  The commands are
 
@@ -74,7 +74,8 @@ def malformed(name: str, text: str) -> list[tuple[str, str]]:
     """(name-variant, text) for fixed edits of a graph file: one break of
     each rule the graph reader checks, two pairs of bad lines where the
     earlier one must be reported, and the valid file with comment and
-    blank lines, tabs and CRLF endings."""
+    blank lines, tabs and CRLF endings.  On path3 every weight is also
+    set to 1e308, so its middle vertex's derived measure overflows."""
     lines = text.splitlines()
     v = [line for line in lines if line.startswith("v ")]
     e = [line for line in lines if line.startswith("e ")]
@@ -102,6 +103,8 @@ def malformed(name: str, text: str) -> list[tuple[str, str]]:
         "isolated_vertex": v + ["v alone auto 1 outside"] + e,
         "no_omega": [_field(line, 4, "boundary") for line in v] + e,
     }
+    if name == "path3":
+        variants["overflowing_measure"] = v + [_field(line, 3, "1e308") for line in e]
     out = [(f"{name}-{variant}", "".join(line + "\n" for line in body))
            for variant, body in variants.items()]
     layout = ["# comment", *(line.replace(" ", "\t") for line in v), "", "  #", *e]

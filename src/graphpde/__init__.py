@@ -4,7 +4,7 @@ finite weighted graphs with Dirichlet boundary data.
 The pieces, bottom up: weighted graphs and interior/boundary partitions
 (graphs), the measure-weighted Laplacian with its quadratic form, norms
 and integrals (calculus), the first Dirichlet eigenvalue and embedding
-constants (spectral), reaction-term families with sampled hypothesis
+constants (spectral), reaction-term families with exact hypothesis
 checks (nonlinearity), the energy functional and its derivatives
 (variational), and the critical-point solvers (solver).  The cli module
 wraps everything behind the `graphpde` command.

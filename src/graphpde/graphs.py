@@ -1,10 +1,10 @@
 """Finite weighted graphs with an interior/boundary/exterior split.
 
 Vertices are opaque string ids mapped to dense indices 0..n-1 in input
-order.  Edge weights are symmetric and strictly positive.  The vertex
-measure mu(x) is either supplied per vertex ("given" mode) or derived as
-the sum of incident edge weights ("derived" mode); either way it must be
-strictly positive everywhere.
+order.  Edge weights are symmetric, finite and strictly positive.  The
+vertex measure mu(x) is either supplied per vertex ("given" mode) or
+derived as the sum of incident edge weights ("derived" mode); either way
+it must be finite and strictly positive everywhere.
 
 Functions on a graph are plain float64 numpy arrays of length n indexed
 by vertex position.  A Dirichlet function is exactly zero on boundary
@@ -22,16 +22,23 @@ h column must parse as a real number; it is only meaningful on omega
 vertices.  Declared roles are cross-checked against the recomputed
 boundary of the declared omega set.
 
-Loading reads the file column by column: one pass splits each line and
-files its tokens by record type, then each column (ids, measures, h,
-roles, edge ends, weights) is converted and checked in bulk, and each
-array is built once.  The error raised is the one a line-by-line
+One rule set serves build_graph and the file reader: _check_columns
+checks the columns of ids, given measures, edge ends and weights in
+bulk (duplicate id; measure real, finite, positive; unknown edge end;
+self-loop; weight real, finite, positive; duplicate edge), and
+_assemble rejects a derived measure that is zero or overflows.  Each
+rule names its first failing row, a vertex before an edge.  build_graph
+raises that message as a GraphError.
+
+The reader adds the checks only a file has.  One pass splits each line
+and files its tokens by record type; then the shared checks, h and the
+role run on the columns.  The error raised is the one a line-by-line
 reading meets first: the earliest bad line, and on it the first check
 that fails, in the order v after e, token count, duplicate id, measure,
 h, role for a v line and token count, unknown id, self-loop, weight,
 duplicate edge for an e line.  File-wide errors follow: no vertices, a
-mix of "auto" and numeric measures, a vertex the derived measure leaves
-at zero (a GraphError without a line), no omega vertex, and the first
+mix of "auto" and numeric measures, a derived measure that is zero or
+overflows (a GraphError without a line), no omega vertex, and the first
 vertex in input order whose declared role the recomputed partition
 contradicts.  All but the derived-measure one are GraphParseErrors; those
 that concern one line carry its number.
@@ -118,62 +125,81 @@ def build_graph(
     measure_mode: str = "derived",
     measures: Mapping[str, float] | None = None,
 ) -> WeightedGraph:
-    """Validate and assemble a WeightedGraph.
-
-    Rejects duplicate ids, self-loops, duplicate edges, nonpositive
-    weights and nonpositive measures.  In derived mode every vertex
-    needs at least one edge, otherwise its measure would vanish.
-    """
-    ids = tuple(str(v) for v in vertices)
+    """Check and assemble a WeightedGraph by the rules it shares with the
+    file reader (_check_columns, _assemble); the reader's checks of h,
+    roles and layout are file-only.  A GraphError with the reader's
+    message, less its line number, names the first bad vertex, or else
+    the first bad edge."""
+    ids = list(map(str, vertices))
     if not ids:
         raise GraphError("graph needs at least one vertex")
-    index: dict[str, int] = {}
-    for k, vid in enumerate(ids):
-        if vid in index:
-            raise GraphError(f"duplicate vertex id {vid!r}")
-        index[vid] = k
     if measure_mode not in ("given", "derived"):
         raise GraphError(f"measure_mode must be 'given' or 'derived', got {measure_mode!r}")
-
-    pairs: list[tuple[int, int]] = []
-    weights: list[float] = []
-    seen: dict[tuple[int, int], float] = {}
-    for a, b, w in edges:
-        for vid in (a, b):
-            if vid not in index:
-                raise GraphError(f"edge references unknown vertex id {vid!r}")
-        i, j = index[a], index[b]
-        if i == j:
-            raise GraphError(f"self-loop at vertex {a!r} is not allowed")
-        w = float(w)
-        if not w > 0.0:
-            raise GraphError(f"edge ({a!r}, {b!r}) has nonpositive weight {w}")
-        key = (i, j) if i < j else (j, i)
-        if key in seen:
-            if seen[key] != w:
-                raise GraphError(f"duplicate edge ({a!r}, {b!r}) with conflicting weight")
-            raise GraphError(f"duplicate edge ({a!r}, {b!r})")
-        seen[key] = w
-        pairs.append((i, j))
-        weights.append(w)
-
     mu = None
     if measure_mode == "given":
         if measures is None:
             raise GraphError("measure_mode='given' requires a measures mapping")
-        mu = np.empty(len(ids))
-        for vid, k in index.items():
-            if vid not in measures:
-                raise GraphError(f"no measure given for vertex {vid!r}")
-            mu[k] = float(measures[vid])
-            if not mu[k] > 0.0:
-                raise GraphError(f"vertex {vid!r} has nonpositive measure {mu[k]}")
-    return _assemble(index, np.array(pairs, dtype=np.int64).reshape(-1, 2), np.array(weights), mu)
+        try:
+            mu = list(map(measures.__getitem__, ids))
+        except KeyError as exc:
+            raise GraphError(f"no measure given for vertex {exc.args[0]!r}") from None
+    edges = list(edges)
+    a, b, w = zip(*edges, strict=True) if edges else ((), (), ())
+    # a vertex's row is its position, an edge's follows the last vertex's
+    nv = len(ids)
+    index, mu, edge_index, weight, errors = _check_columns(
+        ids, range(nv), mu, a, b, w, range(nv, nv + len(edges)))
+    if errors:
+        raise GraphError(min(errors, key=lambda err: err[0])[1])
+    return _assemble(index, edge_index, weight, mu)
+
+
+def _check_columns(ids, rows, measures, a, b, weights, edge_rows):
+    """The rules every graph meets, on the columns of vertex ids, their
+    given measures (None for derived ones) and rows, and of edge ends,
+    weights and rows.  Returns the id index, the measures, the (m, 2)
+    edge ends, the weights and the errors: (row, message) for each
+    rule's first failing row, in the order a row's checks run: duplicate
+    id, measure; unknown end (the first before the second), self-loop,
+    weight, duplicate edge."""
+    errors: list[tuple[int, str]] = []
+    nv = len(ids)
+    index = dict(zip(ids, range(nv)))
+    if len(index) < nv:
+        first = dict(zip(reversed(ids), reversed(range(nv))))
+        k = next(k for k, vid in enumerate(ids) if first[vid] != k)
+        errors.append((rows[k], f"duplicate vertex id {ids[k]!r}"))
+    if measures is not None:
+        measures = _reals(measures, rows, "measure", errors, positive=True)
+    # an unknown end reads as -1, so no later check fails first on its
+    # row or matches a known edge
+    i = np.fromiter(map(index.get, a, repeat(-1)), np.int64, len(a))
+    j = np.fromiter(map(index.get, b, repeat(-1)), np.int64, len(b))
+    lo = np.minimum(i, j)
+    unknown = np.flatnonzero(lo < 0)
+    if unknown.size:
+        k = unknown[0]
+        errors.append((edge_rows[k],
+                       f"edge references unknown vertex id {a[k] if i[k] < 0 else b[k]!r}"))
+    loops = np.flatnonzero(i == j)
+    if loops.size:
+        errors.append((edge_rows[loops[0]], f"self-loop at vertex {a[loops[0]]!r}"))
+    weights = _reals(weights, edge_rows, "weight", errors, positive=True)
+    # a key's later rows are its duplicates; the stable sort keeps them after its first
+    key = lo * nv + np.maximum(i, j)
+    order = np.argsort(key, kind="stable")
+    ranked = key[order]
+    repeats = order[1:][ranked[1:] == ranked[:-1]]
+    if repeats.size:
+        k = repeats.min()
+        errors.append((edge_rows[k], f"duplicate edge ({a[k]!r}, {b[k]!r})"))
+    return index, measures, np.column_stack((i, j)), weights, errors
 
 
 def _assemble(index: dict[str, int], edge_index, weight, mu) -> WeightedGraph:
     """The graph on index's vertices and the checked edges; mu is the
-    given measure, None for the derived one, whose zeros it rejects."""
+    given measure, None for the derived one, whose zeros and overflows
+    it rejects."""
     ids = tuple(index)
     n = len(ids)
     # every incidence (center, neighbour, weight), edge by edge
@@ -185,11 +211,13 @@ def _assemble(index: dict[str, int], edge_index, weight, mu) -> WeightedGraph:
         # order (np.bincount adds in index order) so the value is
         # bit-for-bit the in-order adjacency sum.
         mu = np.bincount(center, weights=inc_w, minlength=n)
-        isolated = np.flatnonzero(~(mu > 0.0))
-        if isolated.size:
-            raise GraphError(
-                f"vertex {ids[isolated[0]]!r} has no incident edge; derived measure would be zero"
-            )
+        bad = np.flatnonzero(~(mu > 0.0) | (mu == np.inf))
+        if bad.size:
+            vid = ids[bad[0]]
+            if mu[bad[0]] == 0.0:
+                raise GraphError(f"vertex {vid!r} has no incident edge; derived measure would be zero")
+            raise GraphError(f"vertex {vid!r} has incident weights that overflow; "
+                             "derived measure would be inf")
 
     # grouped by center; the stable sort keeps stored edge order within a group
     order = np.argsort(center, kind="stable")
@@ -314,7 +342,6 @@ def parse_graph_text(text: str) -> GraphFile:
     v_tokens: list[str] = []  # five per v line
     e_lines: list[int] = []
     e_tokens: list[str] = []  # four per e line
-    errors: list[GraphParseError] = []  # per check its first failing line, in line check order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if len(tokens) == 4 and tokens[0] == "e":
@@ -324,67 +351,36 @@ def parse_graph_text(text: str) -> GraphFile:
             v_lines.append(lineno)
             v_tokens += tokens
         elif tokens and not tokens[0].startswith("#"):
-            stop = GraphParseError(_unfiled_line(tokens, bool(e_lines)), lineno)
+            stop = (lineno, _unfiled_line(tokens, bool(e_lines)))
             break
     else:
         stop = None
 
-    # v lines: duplicate id, measure, h, role
     ids, m_tok, h_tok, roles = (v_tokens[c::5] for c in range(1, 5))
     del v_tokens
+    a, b, w_tok = (e_tokens[c::4] for c in (1, 2, 3))
+    del e_tokens
     nv = len(ids)
-    index = dict(zip(ids, range(nv)))
-    if len(index) < nv:
-        first = dict(zip(reversed(ids), reversed(range(nv))))
-        k = next(k for k, vid in enumerate(ids) if first[vid] != k)
-        errors.append(GraphParseError(f"duplicate vertex id {ids[k]!r}", v_lines[k]))
     autos = m_tok.count("auto")
-    mu = None
-    if not autos:
-        mu = _reals(m_tok, v_lines, "measure", errors, positive=True)
-    elif autos < nv:  # rejected once the lines pass; their numbers are checked first
-        rows = [k for k, tok in enumerate(m_tok) if tok != "auto"]
-        _reals([m_tok[k] for k in rows], [v_lines[k] for k in rows], "measure", errors,
-               positive=True)
+    measures = None if autos == nv else m_tok
+    if autos and measures:  # a mix is rejected once the lines pass; its numbers are checked first
+        measures = ["1" if tok == "auto" else tok for tok in m_tok]
+    index, mu, edge_index, weight, errors = _check_columns(
+        ids, v_lines, measures, a, b, w_tok, e_lines)
+    del a, b, w_tok
+    # then the checks only a file has: h, role, an unfiled line; on
+    # one line the earliest check's error comes first in errors
     h = _reals(h_tok, v_lines, "h-value", errors)
     codes = list(map(_ROLE_CODES.get, roles))
     if None in codes:
         k = codes.index(None)
-        errors.append(GraphParseError(
-            f"role must be one of {', '.join(_ROLES)}, got {roles[k]!r}", v_lines[k]))
+        errors.append((v_lines[k], f"role must be one of {', '.join(_ROLES)}, got {roles[k]!r}"))
     del h_tok, roles
-
-    # e lines: unknown id (the first end before the second), self-loop,
-    # weight, duplicate; an unknown id reads as -1, so no later check
-    # fails first on its line or matches a known edge
-    a, b, w_tok = (e_tokens[c::4] for c in (1, 2, 3))
-    del e_tokens
-    i = np.fromiter(map(index.get, a, repeat(-1)), np.int64, len(a))
-    j = np.fromiter(map(index.get, b, repeat(-1)), np.int64, len(b))
-    lo = np.minimum(i, j)
-    unknown = np.flatnonzero(lo < 0)
-    if unknown.size:
-        k = unknown[0]
-        errors.append(GraphParseError(
-            f"edge references unknown vertex id {a[k] if i[k] < 0 else b[k]!r}", e_lines[k]))
-    loops = np.flatnonzero(i == j)
-    if loops.size:
-        errors.append(GraphParseError(f"self-loop at vertex {a[loops[0]]!r}", e_lines[loops[0]]))
-    weight = _reals(w_tok, e_lines, "weight", errors, positive=True)
-    # a key's later lines are its duplicates; the stable sort keeps them after its first
-    key = lo * nv + np.maximum(i, j)
-    order = np.argsort(key, kind="stable")
-    ranked = key[order]
-    repeats = order[1:][ranked[1:] == ranked[:-1]]
-    if repeats.size:
-        k = repeats.min()
-        errors.append(GraphParseError(f"duplicate edge ({a[k]!r}, {b[k]!r})", e_lines[k]))
-    del a, b, w_tok
-
     if stop is not None:
         errors.append(stop)
     if errors:
-        raise min(errors, key=lambda err: err.line)
+        line, message = min(errors, key=lambda err: err[0])
+        raise GraphParseError(message, line)
     if not nv:
         raise GraphParseError("no vertices in file")
     if 0 < autos < nv:
@@ -392,7 +388,7 @@ def parse_graph_text(text: str) -> GraphFile:
         raise GraphParseError("mixing 'auto' and numeric measures is not allowed "
                               f"(vertex {ids[k]!r} is 'auto')", v_lines[k])
 
-    graph = _assemble(index, np.column_stack((i, j)), weight, mu)
+    graph = _assemble(index, edge_index, weight, mu)
     declared = np.array(codes)
     if not (declared == 0).any():
         raise GraphParseError("file declares no omega vertices")
@@ -422,15 +418,15 @@ def _unfiled_line(tokens: list[str], after_e: bool) -> str:
     return f"unknown record type {tokens[0]!r}"
 
 
-def _reals(tokens: list[str], lines: list[int], what: str, errors: list[GraphParseError],
+def _reals(tokens, rows, what: str, errors: list[tuple[int, str]],
            positive: bool = False) -> np.ndarray | None:
-    """The tokens as float64, read by float as _parse_real reads each;
-    None when one fails _parse_real's tests, and its error for the first
-    such token goes to errors.  The bulk tests decide whether one fails,
-    and _parse_real, token by token, finds and words it."""
+    """The tokens as float64, read by float; None when one is not a
+    finite (positive) real, and (row, message) for the first such token
+    goes to errors.  The bulk tests decide whether one fails, and
+    _real_error, token by token, finds and words it."""
     try:
         values = np.fromiter(map(float, tokens), np.float64, len(tokens))
-    except ValueError:
+    except (TypeError, ValueError):
         pass
     else:
         ok = np.isfinite(values)
@@ -438,24 +434,24 @@ def _reals(tokens: list[str], lines: list[int], what: str, errors: list[GraphPar
             ok &= values > 0.0
         if ok.all():
             return values
-    for token, lineno in zip(tokens, lines):
-        try:
-            _parse_real(token, what, lineno, positive)
-        except GraphParseError as exc:
-            errors.append(exc)
+    for token, row in zip(tokens, rows):
+        message = _real_error(token, what, positive)
+        if message:
+            errors.append((row, message))
             return None
 
 
-def _parse_real(token: str, what: str, lineno: int, positive: bool = False) -> float:
+def _real_error(token, what: str, positive: bool = False) -> str | None:
+    """Why float(token) is not a finite (positive) real, or None."""
     try:
         val = float(token)
-    except ValueError:
-        raise GraphParseError(f"{what} must be a real number, got {token!r}", lineno) from None
+    except (TypeError, ValueError):
+        return f"{what} must be a real number, got {token!r}"
     if not math.isfinite(val):
-        raise GraphParseError(f"{what} must be finite, got {token!r}", lineno)
+        return f"{what} must be finite, got {token!r}"
     if positive and not val > 0.0:
-        raise GraphParseError(f"{what} must be positive, got {token}", lineno)
-    return val
+        return f"{what} must be positive, got {token}"
+    return None
 
 
 def _role_codes(partition: DomainPartition) -> np.ndarray:

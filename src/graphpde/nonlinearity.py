@@ -392,7 +392,8 @@ def check_h(graph, partition, h, which: str, h0: float | None = None) -> Hypothe
         if h0 is None or not h0 > 0.0:
             raise ValueError("H3 needs a positive h0")
         h_int = float(graph.measure[omega] @ h_omega)
-        bound = 1.0 / (graph.mu_min * h0)
+        mu_h0 = graph.mu_min * h0
+        bound = 1.0 / mu_h0 if mu_h0 else math.inf  # mu_h0 may underflow to 0
         holds = h_int <= bound
         return HypothesisVerdict(
             "H3", holds,

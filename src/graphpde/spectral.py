@@ -366,13 +366,13 @@ def embedding_constants(
         raise ValueError(f"h0 must be positive, got {h0}")
     kappa = embedding_kappa(graph, partition, h, h0, hypothesis)  # before any eigen work
     eigen = eigen or first_eigenvalue(graph, partition)
-    mu_min = graph.mu_min
+    mu_h0 = graph.mu_min * h0
     constants = ConstantsReport(
         lambda1=eigen.lambda1,
         equiv_upper=1.0 + 1.0 / eigen.lambda1,
-        mu_min=mu_min,
+        mu_min=graph.mu_min,
         h0=h0,
-        sup_embedding=math.sqrt(1.0 / (mu_min * h0)),
+        sup_embedding=math.sqrt(1.0 / mu_h0) if mu_h0 else math.inf,  # refused below
         kappa=kappa,
         hypothesis=hypothesis,
         omega_measure=integrate(graph, np.ones(graph.n), partition.omega),

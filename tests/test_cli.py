@@ -131,7 +131,10 @@ def test_eigen_reports_non_convergence(graph_file, capsys):
 @pytest.mark.parametrize("argv", [
     ["eigen", "--h0", "1"],
     ["check", "--h0", "1", "--nl", "power:p=4", "--theta", "4", "--M", "1"],
-], ids=["eigen", "check"])
+    # mu_min * h0 underflows to 0: H3's bound and sup_embedding are inf
+    ["eigen", "--h0", "1e-10"],
+    ["check", "--h0", "1e-10"],
+], ids=["eigen", "check", "eigen_h0_tiny", "check_h0_tiny"])
 @pytest.mark.parametrize("text,message", [
     # a subnormal weight makes mu_min subnormal: sup_embedding overflows
     ("v a auto 1 omega\nv b auto 1 boundary\ne a b 1e-320\n",
@@ -149,6 +152,22 @@ def test_eigen_step_refuses_non_finite_numbers(argv, text, message, graph_file, 
     records = jsonl_records(captured.out)
     assert {"record": "error", "message": message} in records
     assert "constants" not in [r["record"] for r in records]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigen", "--h0", "1"],
+    ["check", "--h0", "1"],
+    ["solve", "--nl", "power:p=4", "--theta", "4", "--M", "1"],
+    ["solve2", "--nl", "power_plus_const:p=4,eps=0.1", "--rho", "1", "--h0", "1"],
+], ids=lambda argv: argv[0])
+def test_overflowing_derived_measure_exits_2(argv, graph_file, capsys):
+    path = graph_file("v a auto 1 omega\nv b auto 1 boundary\nv c auto 1 boundary\n"
+                      "e a b 1e308\ne a c 1e308\n")
+    assert run([argv[0], path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"input error: {path}: vertex 'a' has incident weights that "
+                            "overflow; derived measure would be inf\n")
 
 
 def test_gradcheck_command(graph_file, capsys):

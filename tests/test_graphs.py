@@ -1,5 +1,7 @@
 """Graph construction, partitions and the text format."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -71,11 +73,18 @@ def test_neighbors_symmetric(rng):
         (["a", "b"], [("a", "b", 1.0)], {"a": 1.0}, "given"),   # measure missing
         (["a", "b"], [("a", "b", 1.0)], {"a": 1.0, "b": 0.0}, "given"),  # bad measure
         (["a", "b", "c"], [("a", "b", 1.0)], None, "derived"),  # isolated vertex
+        (["a", "b"], [("a", "b", np.inf)], None, "derived"),    # infinite weight
+        (["a", "b"], [("a", "b", np.nan)], None, "derived"),    # nan weight
+        (["a", "b"], [("a", "b", "x")], None, "derived"),       # non-numeric weight
+        (["a", "b"], [("a", "b", None)], None, "derived"),      # no weight
+        (["a", "b"], [("a", "b", 1.0)], {"a": 1.0, "b": np.inf}, "given"),  # infinite measure
+        (["a", "b", "c"], [("a", "b", 1e308), ("b", "c", 1e308)], None, "derived"),  # mu(b) = inf
     ],
 )
 def test_build_graph_rejects(vertices, edges, measures, mode):
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError) as err:
         build_graph(vertices, edges, measure_mode=mode, measures=measures)
+    assert type(err.value) is GraphError
 
 
 def test_build_graph_bad_mode():
@@ -314,6 +323,101 @@ def test_parse_matches_build_on_random_graphs(rng, mode):
         connected.append(part.connected)
         assert_loads_as_built(graph, part, rng.uniform(-3.0, 3.0, size=graph.n))
     assert not all(connected) and any(connected)
+
+
+def _build_from_text(text):
+    """build_graph on the token columns of a graph file's v and e lines:
+    the ids, the measures when none is "auto", the edge ends and the
+    weights, all as the strings the file holds."""
+    rows = [line.split() for line in text.splitlines()]
+    ids = [row[1] for row in rows if row[0] == "v"]
+    measures = [row[2] for row in rows if row[0] == "v"]
+    edges = [tuple(row[1:]) for row in rows if row[0] == "e"]
+    if "auto" in measures:
+        return build_graph(ids, edges)
+    return build_graph(ids, edges, measure_mode="given", measures=dict(zip(ids, measures)))
+
+
+def _build_cases():
+    """(graph, partition, h): random graphs in both measure modes, and
+    the lattice listed row by row and shuffled."""
+    rng = np.random.default_rng(25)
+    for mode in ("derived", "given"):
+        for _ in range(40):
+            graph = random_connected_graph(rng, measure_mode=mode)
+            yield graph, random_subset_partition(rng, graph), rng.uniform(-3.0, 3.0, graph.n)
+    for order in (None, np.random.default_rng(7)):
+        graph, part = lattice(30, order)
+        yield graph, part, np.ones(graph.n)
+
+
+def test_build_graph_matches_the_reader():
+    # build_graph on floats, build_graph on the file's tokens and the
+    # reader on the file give the same arrays, bit for bit
+    for graph, part, h in _build_cases():
+        text = format_graph_text(graph, part, h)
+        read = parse_graph_text(text).graph
+        for built in (graph, _build_from_text(text)):
+            for name in GRAPH_ARRAYS:
+                assert_same_bits(getattr(built, name), getattr(read, name))
+            assert built.vertex_ids == read.vertex_ids
+            assert built.measure_mode == read.measure_mode
+            assert type(built.mu_min) is float and built.mu_min == read.mu_min
+
+
+SHARED_RULES = [
+    # v lines: duplicate id, measure
+    ("v a auto 0 omega\nv b auto 0 boundary\nv a auto 0 boundary\ne a b 1\n",
+     "duplicate vertex id 'a'"),
+    ("v a 1 0 omega\nv b x 0 boundary\ne a b 1\n", "measure must be a real number, got 'x'"),
+    ("v a 1 0 omega\nv b inf 0 boundary\ne a b 1\n", "measure must be finite, got 'inf'"),
+    ("v a 1 0 omega\nv b -0.0 0 boundary\ne a b 1\n", "measure must be positive, got -0.0"),
+    # a bad vertex comes before a bad edge
+    ("v a 1 0 omega\nv b 0 0 boundary\ne a a 1\n", "measure must be positive, got 0"),
+    ("v a auto 0 omega\nv a auto 0 boundary\ne a z 1\n", "duplicate vertex id 'a'"),
+    # e lines: unknown end (the first before the second), self-loop, weight, duplicate
+    ("v a auto 0 omega\nv b auto 0 boundary\ne a z 1\n",
+     "edge references unknown vertex id 'z'"),
+    ("v a auto 0 omega\nv b auto 0 boundary\ne y z 1\n",
+     "edge references unknown vertex id 'y'"),
+    ("v a auto 0 omega\nv b auto 0 boundary\ne a b 1\ne b b 1\n", "self-loop at vertex 'b'"),
+    ("v a auto 0 omega\nv b auto 0 boundary\ne a b 1e\n", "weight must be a real number, got '1e'"),
+    ("v a auto 0 omega\nv b auto 0 boundary\ne a b nan\n", "weight must be finite, got 'nan'"),
+    ("v a auto 0 omega\nv b auto 0 boundary\ne a b -2\n", "weight must be positive, got -2"),
+    ("v a auto 0 omega\nv b auto 0 boundary\ne a b 1\ne b a 1\n", "duplicate edge ('b', 'a')"),
+    # the earliest bad edge, and on it the first failing check
+    ("v a auto 0 omega\nv b auto 0 boundary\ne a b 1\ne b a 0\ne a a 1\n",
+     "weight must be positive, got 0"),
+    ("v a auto 0 omega\nv b auto 0 boundary\ne a b 1\ne b a 1\ne a b x\n",
+     "duplicate edge ('b', 'a')"),
+    ("v a auto 0 omega\nv b auto 0 boundary\ne a a x\ne b a 1\n", "self-loop at vertex 'a'"),
+    # the derived measure, checked once the columns pass: no line on either side
+    ("v a auto 0 boundary\nv b auto 1 omega\nv c auto 0 boundary\ne a b 1e308\ne b c 1e308\n",
+     "vertex 'b' has incident weights that overflow; derived measure would be inf"),
+    ("v a auto 0 omega\nv b auto 0 boundary\nv c auto 0 outside\ne a b 1\n",
+     "vertex 'c' has no incident edge; derived measure would be zero"),
+]
+
+
+@pytest.mark.parametrize("text,message", SHARED_RULES)
+def test_build_graph_words_the_readers_rules(text, message):
+    # build_graph raises a plain GraphError with the reader's message, less its line
+    with pytest.raises(GraphError) as read:
+        parse_graph_text(text)
+    with pytest.raises(GraphError) as built:
+        _build_from_text(text)
+    assert type(built.value) is GraphError
+    assert str(built.value) == message
+    assert re.sub(r"^line \d+: ", "", str(read.value)) == message
+
+
+def test_every_reader_rejects_an_overflowing_derived_measure():
+    text = "v a auto 1 omega\nv b auto 1 boundary\nv c auto 1 boundary\ne a b 1e308\ne a c 1e308\n"
+    message = "vertex 'a' has incident weights that overflow; derived measure would be inf"
+    for load in (parse_graph_text, parse_graph_text_loop, _build_from_text):
+        with pytest.raises(GraphError) as err:
+            load(text)
+        assert type(err.value) is GraphError and str(err.value) == message
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,8 @@ from graphpde.graphs import (
     GraphFile,
     GraphParseError,
     _assemble,
-    _parse_real,
     _partition,
+    _real_error,
     _role_codes,
 )
 from graphpde.nonlinearity import reaction_derivative
@@ -228,6 +228,14 @@ def bisect(fn, lo, hi, tol=1e-15, max_iter=200):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _parse_real(token, what, lineno, positive=False):
+    """The token as a float, or the reader's error for it on line lineno."""
+    message = _real_error(token, what, positive)
+    if message:
+        raise GraphParseError(message, lineno)
+    return float(token)
 
 
 def parse_graph_text_loop(text):
