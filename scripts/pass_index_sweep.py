@@ -1,0 +1,131 @@
+"""Check the Morse index of every mountain-pass solution on fixed corpora.
+
+Runs graphpde.solver.mountain_pass, hypotheses off, with power:p=<p>
+and h = 1 on
+
+    the 103-problem corpus at p = 2.5, 3 and 4: path3, grid12, grid30
+        and the 100 random graphs s<seed>rand<i> that
+        perfbench.corpus.random_graph draws, four per rng seed 0-24;
+    the test generator at p = 4: 400 graphs gen<seed>_<i> of 5-25
+        vertices, 200 per rng seed 11 and 12, the draws of the tests'
+        random_connected_graph with random_partition.
+
+Each solution's Morse index is counted here, from numpy's dense
+eigvalsh of the Hessian L + diag(mu (1 - f_u(u))) on the interior
+unknowns, assembled from the corpus's own edge lists, not by the
+package.  For each set the script prints the failures, the stop
+reasons, the escapes (calls of solver._escape_direction) and the most
+descent steps (trace rows) of a run, and it exits 1 on any failure or
+index other than 1.  --only NAME restricts every set to the named
+graphs.
+
+    PYTHONPATH=src python scripts/pass_index_sweep.py
+    PYTHONPATH=src python scripts/pass_index_sweep.py --only s10rand3 --only path3
+"""
+
+import argparse
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench import corpus  # noqa: E402
+
+import graphpde.solver  # noqa: E402
+from graphpde import (  # noqa: E402
+    Problem, RunLog, SolverConfig, SolverError, build_graph, compute_boundary, power,
+)
+
+
+def corpus_inputs():
+    out = [corpus.path3(), corpus.lattice(12), corpus.lattice(30)]
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        out += [corpus.random_graph(rng, f"s{seed}rand{i}") for i in range(4)]
+    return out
+
+
+def generator_inputs():
+    out = []
+    for seed in (11, 12):
+        rng = np.random.default_rng(seed)
+        out += [corpus.random_graph(rng, f"gen{seed}_{i}", 5, 25) for i in range(200)]
+    return out
+
+
+def dense_index(inp, u, p):
+    """Negative eigenvalues of the Hessian at u (one value per vertex)."""
+    n = len(inp.ids)
+    hess = np.zeros((n, n))
+    for a, b, w in inp.edges:
+        hess[a, a] += w
+        hess[b, b] += w
+        hess[a, b] -= w
+        hess[b, a] -= w
+    mu = np.diag(hess).copy()  # the derived measure, the incident weights
+    hess += np.diag(mu * (1.0 - (p - 1.0) * np.abs(u) ** (p - 2.0)))
+    omega = list(inp.omega)
+    return int(np.sum(np.linalg.eigvalsh(hess[np.ix_(omega, omega)]) < 0.0))
+
+
+def sweep(label, inputs, p, escapes):
+    failures, wrong, stops, per_run, steps = [], [], Counter(), [], 0
+    for inp in inputs:
+        graph = build_graph(inp.ids, [(inp.ids[a], inp.ids[b], w) for a, b, w in inp.edges])
+        part = compute_boundary(graph, [inp.ids[i] for i in inp.omega])
+        problem = Problem(graph, part, np.ones(graph.n), power(p))
+        log = RunLog()
+        escapes.clear()
+        try:
+            sol = graphpde.solver.mountain_pass(
+                problem, SolverConfig(verify_hypotheses=False), log=log)
+        except SolverError as exc:
+            failures.append(f"{inp.name}: {exc}")
+            continue
+        finally:
+            stops[log.stops.get("mountain_pass")] += 1
+            per_run.append(len(escapes))
+            steps = max(steps, len(log.traces.get("mountain_pass", ())))
+        index = dense_index(inp, sol.u, p)
+        if index != 1:
+            wrong.append(f"{inp.name} index {index}")
+    print(f"{label}: {len(inputs)} problems, {len(failures)} failures, "
+          f"{len(inputs) - len(failures) - len(wrong)} at index 1")
+    print(f"  stops {dict(sorted(stops.items()))}")
+    print(f"  escapes {sum(per_run)} (at most {max(per_run, default=0)} in a run), "
+          f"most steps {steps}")
+    for line in failures + wrong:
+        print(f"  {line}")
+    return not failures and not wrong
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--only", action="append", metavar="NAME",
+                        help="restrict the sweep to this graph (repeatable)")
+    args = parser.parse_args(argv)
+
+    def chosen(inputs):
+        return [inp for inp in inputs if args.only is None or inp.name in args.only]
+
+    escapes = []
+    escape = graphpde.solver._escape_direction
+
+    def counted(problem, w, index):
+        escapes.append(index)
+        return escape(problem, w, index)
+
+    graphpde.solver._escape_direction = counted
+    ok = True
+    for p in (2.5, 3.0, 4.0):
+        ok &= sweep(f"corpus p={p:g}", chosen(corpus_inputs()), p, escapes)
+    ok &= sweep("test generator p=4", chosen(generator_inputs()), 4.0, escapes)
+    print(f"every solution at index 1: {ok}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,7 @@ boundary); zero-order terms integrate over the interior only.  Neighbor
 sums accumulate in stored edge order.  The Dirichlet unknowns are the
 values on the interior: _interior_laplacian, the one vertex -> unknown
 map, holds the Laplacian on them that the energy, the eigen step, P,
-Newton and the climbing move read (_interior_matrix: its band).
+Newton and the escape read (_interior_matrix: its band).
 """
 
 from __future__ import annotations

@@ -61,9 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # per command: its help, what --tol means, what --max-iter means
     eigen = ("eigen tolerance (default 1e-12)", "eigen iteration budget (default 500)")
-    loops = ("gradient-norm stop of the path deformation (default 1e-8); the eigen "
+    loops = ("gradient-norm stop of the descent (default 1e-8); the eigen "
              "step and the ball minimizer's Newton iteration keep their defaults",
-             "iteration budget of the path deformation (default 5000)")
+             "step budget of the descent (default 5000)")
     commands = {
         "check": ("verify coefficient and reaction-term hypotheses", *eigen),
         "eigen": ("first eigenvalue and eigenfunction of the interior Laplacian", *eigen),
@@ -91,8 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
         p.add_argument("--out", help="also write the report to this file")
         p.add_argument("--format", choices=("text", "jsonl"), default="text")
-        p.add_argument("--emit-path-profile", dest="emit_path_profile", metavar="PATH",
-                       help="write (snapshot, position, energy) CSV of the path deformation")
     return parser
 
 
@@ -188,6 +186,7 @@ def _text_lines(r: dict) -> list[str]:
             f"solution {i} residual_max {_fmt(r['residual_max'])}",
             f"solution {i} h_norm {_fmt(r['h_norm'])}",
             f"solution {i} in_ball {_fmt(r['in_ball'])}",
+            f"solution {i} morse_index {r['morse_index']}",
         ]
         lines += [f"u {vid} {val:.17g}" for vid, val in r["u"].items()]
         return lines
@@ -256,6 +255,7 @@ def _solution_record(graph, sol, index: int) -> dict:
         "residual_max": _fin(sol.residual_max),
         "h_norm": _fin(sol.h_norm),
         "in_ball": bool(sol.in_ball),
+        "morse_index": sol.morse_index,
         "rho_used": None if sol.rho_used is None else _fin(sol.rho_used),
         "u": _u_map(graph, sol.u),
     }
@@ -284,17 +284,6 @@ def _given(**flags) -> dict:
 def _solver_config(ns: argparse.Namespace) -> SolverConfig:
     budget = _given(deform_tol=ns.tol, deform_steps=ns.max_iter)
     return SolverConfig(rho=ns.rho, beta=ns.beta, m0=ns.m0, **budget)
-
-
-def _write_profile(ns: argparse.Namespace, snapshots) -> None:
-    if ns.emit_path_profile is None:
-        return
-    lines = ["snapshot,s,energy"]
-    for snap, positions, values in snapshots:
-        for s, val in zip(positions, values):
-            lines.append(f"{snap},{s:.17g},{val:.17g}")
-    with open(ns.emit_path_profile, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 def _eigen_records(
@@ -326,15 +315,14 @@ def _eigen_records(
     return True
 
 
-def _solve_failure(ns: argparse.Namespace, log: RunLog, exc, emit: _Report) -> int:
+def _solve_failure(log: RunLog, exc, emit: _Report) -> int:
     """Report a failed solve: the run log's verdicts, its traces by
-    solver name and the error; write its path profile."""
+    solver name and the error."""
     for v in log.verdicts:
         emit.add(_verdict_record(v))
     for name in sorted(log.traces):
         emit.add(_trace_record(log, name))
     emit.add({"record": "error", "message": str(exc)})
-    _write_profile(ns, log.profile)
     return 1
 
 
@@ -433,7 +421,7 @@ def _cmd_solve(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
     try:
         sol = mountain_pass(problem, config, log=log)
     except SolverError as exc:
-        return _solve_failure(ns, log, exc, emit)
+        return _solve_failure(log, exc, emit)
     for v in log.verdicts:
         emit.add(_verdict_record(v))
     hyp = embedding_hypothesis(coefficient_verdicts(gf, ns.h0, ("H1", "H3")))
@@ -443,7 +431,6 @@ def _cmd_solve(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
     emit.add(_trace_record(log, "mountain_pass"))
     ps = ps_diagnostic(log.traces.values(), (sol,))
     emit.add({"record": "summary", "solutions": 1, "ps_diagnostic": ps})
-    _write_profile(ns, log.profile)
     return 0
 
 
@@ -464,7 +451,7 @@ def _cmd_solve2(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int
     try:
         report = two_solutions(problem, config, log=log)
     except SolverError as exc:
-        return _solve_failure(ns, log, exc, emit)
+        return _solve_failure(log, exc, emit)
     for v in report.hypothesis_verdicts:
         emit.add(_verdict_record(v))
     emit.add(_fields_record("constants", report.constants))
@@ -478,7 +465,6 @@ def _cmd_solve2(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int
         "record": "summary", "solutions": len(report.solutions),
         "distinct_gap": _fin(gap), "ps_diagnostic": report.ps_diagnostic,
     })
-    _write_profile(ns, log.profile)
     return 0
 
 
@@ -526,8 +512,6 @@ def run(argv=None) -> int:
     except (SolverError, ValueError) as exc:
         emit.add({"record": "error", "message": str(exc)})
         code = 1
-    except OSError as exc:  # the --emit-path-profile file cannot be written
-        return _input_error(str(exc))
     text = emit.render()
     if ns.out is not None:
         try:

@@ -129,7 +129,7 @@ def build_graph(
     file reader (_check_columns, _assemble); the reader's checks of h,
     roles and layout are file-only.  A GraphError with the reader's
     message, less its line number, names the first bad vertex, or else
-    the first bad edge."""
+    the first bad edge.  Vertex ids and edge ends are compared as str()."""
     ids = list(map(str, vertices))
     if not ids:
         raise GraphError("graph needs at least one vertex")
@@ -145,6 +145,7 @@ def build_graph(
             raise GraphError(f"no measure given for vertex {exc.args[0]!r}") from None
     edges = list(edges)
     a, b, w = zip(*edges, strict=True) if edges else ((), (), ())
+    a, b = tuple(map(str, a)), tuple(map(str, b))
     # a vertex's row is its position, an edge's follows the last vertex's
     nv = len(ids)
     index, mu, edge_index, weight, errors = _check_columns(

@@ -2,10 +2,9 @@
 
 Three entry points:
 
-    mountain_pass   deforms a polygonal path from 0 to a spike endpoint
-                    with nonpositive energy, climbing its maximizing
-                    point up to the saddle, which Newton iteration then
-                    refines into a positive-level critical point
+    mountain_pass   descends on the Nehari manifold from the energy's
+                    peak on the ray of a spike endpoint and hands over
+                    to Newton iteration at a point of Morse index 1
     ball_minimize   Newton iteration from the zero function, accepted
                     when it converges to a point of Morse index 0
                     strictly inside the ball of radius sqrt(rho)
@@ -15,27 +14,24 @@ Three entry points:
 Each writes what it sees into an optional RunLog as it runs, so the
 record of a run survives a SolverError.
 
-The path deformation steps along the Sobolev gradient: the Riesz
-representative P^(-1) g of the Euclidean gradient g in the inner
-product of P = L + diag(mu |h|) on interior unknowns, with L the
-interior Laplacian.  Where h > 0, P is the Gram matrix of the h-norm,
-the metric the energy is posed in, so one unit step undoes the
-quadratic part of the energy whatever the weights and measures.  P is
-factored once per deformation, and Newton's indefinite Jacobian once
-per step, by the band factor spectral._band_solver.  Along the path
-tangent the climbing image does not take the Sobolev step: where the
-energy's exact curvature there is negative it takes the 1-D Newton step
-to the maximum along the tangent, and otherwise reflects the tangential
-part of the Sobolev gradient.
+The descent steps along the Sobolev gradient: the Riesz representative
+P^(-1) g of the Euclidean gradient g in the inner product of
+P = L + diag(mu |h|) on interior unknowns, with L the interior
+Laplacian.  Where h > 0, P is the Gram matrix of the h-norm, the metric
+the energy is posed in, so one unit step undoes the quadratic part of
+the energy whatever the weights and measures.  Each step then returns
+to the Nehari manifold by the peak on its ray (Li & Zhou, SIAM J. Sci.
+Comput. 23, 2001; Horak, Numer. Math. 98, 2004).  P, Newton's
+indefinite Jacobians and an escape's shifted Hessian are factored by
+spectral._band_solver, whose negative pivots count the Morse index.
 
-The solvers iterate on interior values only: the path is a (P, |omega|)
-array and every iterate an (|omega|,) vector.  They evaluate through
-variational._kernel, which checks nothing, and expand only the reported
-Solution's u to every vertex; the Dirichlet check of the public energy
-functions runs on calls from outside the solvers.
+The solvers iterate on interior values only, (|omega|,) vectors.  They
+evaluate through variational._kernel, which checks nothing, and expand
+only the reported Solution's u to every vertex; the Dirichlet check of
+the public energy functions runs on calls from outside the solvers.
 
-All loops are deterministic: no randomness, fixed tie-breaking (lowest
-input order), and a nonincreasing record of the sampled path level.
+All loops are deterministic: no randomness and fixed tie-breaking
+(lowest input order).
 """
 
 from __future__ import annotations
@@ -62,14 +58,14 @@ from .variational import BallConstants, Problem, _h_norm, _kernel, ball_constant
 TRIVIAL_SUP = 1e-10    # sup-norm below which an iterate counts as the zero function
 DISTINCT_SUP = 1e-6    # sup-norm gap two reported solutions must exceed
 SPHERE_MARGIN = 1e-8   # how far inside the constraint sphere "interior" starts
-STALL_WINDOW = 100     # iterations over which path-level progress is measured
-STALL_DROP = 1e-15     # minimum sampled-level progress per window
-PATH_POINTS = 41       # points of the deformation path, both endpoints included
 NEWTON_TOL = 1e-12     # vertexwise residual Newton refinement must reach
 NEWTON_MAX = 50        # Newton iterations before refinement gives up
 NEWTON_TRY = 8         # Newton iterations of the mountain pass's hand-off attempt
 NEWTON_CUT = 0.1       # residual factor each attempt step after the first must reach
-SPIKE_DOUBLINGS = 60   # doublings of the spike height before the endpoint search gives up
+NEWTON_EVERY = 5       # descent steps from one Newton attempt to the next, the first at step 0
+ESCAPE_STEP = 0.1      # length of an escape step, relative to the point it leaves
+ESCAPE_SOLVES = 5      # block inverse-iteration solves that find an escape direction
+SPIKE_DOUBLINGS = 60   # doublings (halvings) before the spike or ray-peak search gives up
 
 # The alternative hypothesis sets under which the existence theorems
 # hold, on the coefficient h (H1-H3) and on the reaction term f (F1-F8),
@@ -100,11 +96,11 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Budgets of the path deformation and the ball setup.
+    """Budgets of the mountain pass's descent and the ball setup.
 
-    The deformation stops when the Euclidean gradient norm reaches
-    deform_tol or after deform_steps iterations; neither bounds the
-    ball minimizer's Newton iteration.  rho is the squared radius of the
+    The descent stops when the Euclidean gradient norm reaches
+    deform_tol or after deform_steps steps; neither bounds the ball
+    minimizer's Newton iteration.  rho is the squared radius of the
     constraint ball (weighted Sobolev norm); beta the smallness
     parameter for the two-solution setup (computed from the ball
     constants when absent); m0 switches the two-solution pipeline to the
@@ -136,7 +132,9 @@ class Solution:
     route that produced it, and whether it lies in the constraint ball
     (rho_used is the squared radius that flag refers to, None when no
     ball was in play).  kind "trivial" marks the zero function, only
-    reported when f(x, 0) = 0 makes it an actual solution."""
+    reported when f(x, 0) = 0 makes it an actual solution.  morse_index
+    is the number of negative eigenvalues of the Hessian at u, the
+    negative pivots of its band factor."""
 
     u: np.ndarray
     energy_value: float
@@ -146,6 +144,7 @@ class Solution:
     in_ball: bool
     rho_used: float | None
     h_norm: float
+    morse_index: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,18 +168,16 @@ class SolveReport:
 class RunLog:
     """What the solvers saw: the verdicts of the gates that passed, the
     (level, gradient norm) rows of each loop by solver name (set afresh
-    as the loop starts; mountain_pass's is the sampled level, a running
-    minimum of path samples, not a bound on the saddle; ball_min's is
-    the energy of each Newton iterate), why each loop stopped by solver
-    name ("newton_handoff", "tolerance", "stall", "budget" or
+    as the loop starts; mountain_pass's level is the energy of each
+    descent iterate, the peak of its ray; ball_min's the energy of each
+    Newton iterate), and why each loop stopped by solver name
+    ("newton_handoff", "tolerance", "budget", "backtracking" or
     "endpoint_maximum" for mountain_pass; "tolerance" or "newton_failed"
-    for ball_min), and (iteration, arc positions, energies) snapshots of
-    the path every 50 iterations and at the end."""
+    for ball_min)."""
 
     verdicts: list[HypothesisVerdict] = field(default_factory=list)
     traces: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     stops: dict[str, str] = field(default_factory=dict)
-    profile: list[tuple[int, np.ndarray, np.ndarray]] = field(default_factory=list)
 
 
 def ps_diagnostic(traces, solutions) -> bool:
@@ -299,36 +296,6 @@ def build_spike_endpoint(problem: Problem) -> np.ndarray:
     )
 
 
-def _arc_positions(path: np.ndarray) -> np.ndarray:
-    """Euclidean arc length from the start to each path point, as a
-    fraction of the whole path's length."""
-    seg = np.sqrt(np.sum(np.diff(path, axis=0) ** 2, axis=1))
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    return cum / cum[-1]
-
-
-def _resample_path(path: np.ndarray, i: int, deltas: np.ndarray, seg: np.ndarray) -> np.ndarray:
-    """The path with the points on each side of point i redistributed
-    uniformly by Euclidean arc length, both sides in one pass; deltas
-    and seg hold the segment vectors and their lengths.  Point i (the
-    climbing image) and both endpoints stay exactly; a whole-path
-    resample would interpolate the image away."""
-    npts = len(path)
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    k = np.arange(npts, dtype=float)
-    right = (cum[-1] - cum[i]) / (npts - 1 - i)
-    targets = np.where(k < i, k * (cum[i] / i), cum[i] + (k - i) * right)
-    idx = np.minimum(np.searchsorted(cum, targets, side="right") - 1, npts - 2)
-    length = seg[idx]
-    local = np.divide(targets - cum[idx], length, out=np.zeros(npts), where=length > 0.0)
-    out = deltas.take(idx, axis=0)
-    out *= local[:, None]
-    out += path.take(idx, axis=0)
-    for j in (0, i, npts - 1):
-        out[j] = path[j]
-    return out
-
-
 def _sobolev_direction(problem: Problem):
     """Factor P = L + diag(mu |h|) on the interior unknowns once and
     return its solve g -> P^(-1) g on interior vectors.
@@ -343,32 +310,81 @@ def _sobolev_direction(problem: Problem):
     return _band_solver(pband)
 
 
-def _climbing_move(problem: Problem, precondition, gvec, tau, u) -> np.ndarray:
-    """Climbing-image move at u along the path tangent tau: the
-    Sobolev gradient P^(-1) g with its part along tau, in the P inner
-    product, replaced, so that a step against the move descends across
-    the path and climbs along it.
+@np.errstate(over="ignore", invalid="ignore")  # a slope that overflows is not positive
+def _ray_peak(problem: Problem, v: np.ndarray):
+    """The peak of the energy on the ray t v, t > 0, as (t v, its
+    energy), or None when none is found.
 
-    Across the path the move keeps P^(-1) g - (g . tau)/(tau^T P tau) tau.
-    Along tau it is the 1-D Newton step (g . tau)/c tau when the exact
-    curvature c = tau^T H tau is negative, H = L + diag(mu (h - f_u)) the
-    energy's Hessian at u; otherwise the tangential part is reflected,
-    -(g . tau)/(tau^T P tau) tau.  tau^T P tau and c add their diagonals
-    to tau^T L tau, the interior Laplacian's edge sum.  A zero tau
-    (coincident neighbours) gives no tangent: the move is P^(-1) g."""
-    move = precondition(gvec)
-    sq = tau * tau
-    grad = problem._form.quadratic(tau)
-    tpt = grad + float(sq @ np.abs(problem._mu_h))
-    if tpt > 0.0:
-        fu = reaction_derivative(problem.nl, u)
-        curv = grad + float(sq @ (problem._mu_h - problem._form.mu * fu))
-        slope = float(gvec @ tau)
-        if curv < 0.0:
-            move += (slope / curv - slope / tpt) * tau
-        else:
-            move -= (2.0 * slope / tpt) * tau
-    return move
+    The peak is a root of d/dt energy(t v) = t |v|_h^2 - sum mu f(t v) v
+    where it falls through 0.  From t = 1 the root is bracketed by at
+    most SPIKE_DOUBLINGS doublings while that slope is positive, or else
+    halvings while it is not, then refined by Newton's method on the
+    slope, with f_u, bisecting when a step leaves the bracket, until a
+    step no longer moves t.
+    """
+    nl = problem.nl
+    sq = float(_kernel(problem, v, value=False)[0])
+    mv = problem._form.mu * v
+
+    def slope(t):
+        return t * sq - float(mv @ reaction(nl, t * v))
+
+    t, rising = 1.0, slope(1.0) > 0.0
+    for _ in range(SPIKE_DOUBLINGS):
+        t = 2.0 * t if rising else 0.5 * t
+        if (slope(t) > 0.0) != rising:
+            break
+    else:
+        return None
+    lo, hi = (0.5 * t, t) if rising else (t, 2.0 * t)
+    for _ in range(100):
+        value = slope(t)
+        if value == 0.0:
+            break
+        lo, hi = (t, hi) if value > 0.0 else (lo, t)
+        curvature = sq - float((mv * v) @ reaction_derivative(nl, t * v))
+        nxt = t - value / curvature if curvature else math.nan
+        if nxt == t:
+            break
+        if not lo < nxt < hi:
+            nxt = lo + 0.5 * (hi - lo)
+            if not lo < nxt < hi:
+                break
+        t = nxt
+    u = t * v
+    return u, float(_kernel(problem, u)[1])
+
+
+def _escape_direction(problem: Problem, w: np.ndarray, index: int):
+    """A unit direction of negative curvature at w, a critical point of
+    Morse index index >= 2: the Ritz vector of negative Ritz value least
+    aligned with w, or None.
+
+    The Hessian H = L + diag(mu (h - f_u(w))) is shifted below its
+    Gershgorin bound, min(w_off + mu (h - f_u)), by a thousandth of its
+    largest |diagonal|, so its band factor is a Cholesky factor.
+    ESCAPE_SOLVES block inverse-iteration solves, each orthonormalized by
+    QR, turn the unit vectors at H's index + 1 least diagonals (ties to
+    the earliest) towards its lowest eigenvectors.  Only H's projection
+    on them, assembled over the edges like the energy, goes to eigh.
+    """
+    form = problem._form
+    rows = form.w_off + problem._mu_h - form.mu * reaction_derivative(problem.nl, w)
+    band = _interior_matrix(form)
+    band[0] += rows - form.w_off
+    shift = float(np.min(rows)) - 1e-3 * float(np.max(np.abs(band[0])))
+    band[0] -= shift
+    solve = _band_solver(band)
+    x = np.zeros((len(w), min(index + 1, len(w))))
+    x[np.argsort(rows, kind="stable")[: x.shape[1]], np.arange(x.shape[1])] = 1.0
+    for _ in range(ESCAPE_SOLVES):
+        x = np.linalg.qr(solve(x))[0]
+    d = x[form.ends[0]] - x[form.ends[1]]
+    ritz, z = np.linalg.eigh(d.T @ (form.w[:, None] * d) + x.T @ (rows[:, None] * x))
+    y = x @ z[:, ritz < 0.0]
+    if not y.shape[1]:
+        return None
+    return y[:, int(np.argmin(np.abs(w @ y)))]
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging step fails as not finite
@@ -381,13 +397,12 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     diagonal, row 0 of one lower band, in place and factored by
     _band_solver once per step.  A singular Jacobian or a non-finite step
     raises a SolverError that names it; no step is retried.  Returns
-    (u, residual_max, index).  An attempt takes at most NEWTON_TRY
-    iterations and gives up with a SolverError when one after the first
-    cuts the residual by less than NEWTON_CUT; converged, it factors the
-    Hessian at u, and index is its Morse index, the number of negative
-    eigenvalues.  Otherwise index is None.  A trace list receives the
-    (energy, Euclidean gradient norm) row of each iterate, also of one
-    that fails.
+    (u, residual_max, index): converged, it factors the Hessian at u,
+    and index is its Morse index, the number of negative eigenvalues.
+    An attempt takes at most NEWTON_TRY iterations and gives up with a
+    SolverError when one after the first cuts the residual by less than
+    NEWTON_CUT.  A trace list receives the (energy, Euclidean gradient
+    norm) row of each iterate, also of one that fails.
     """
     mu, h = problem._form.mu, problem.h[problem._form.omega]
     jac = _interior_matrix(problem._form)
@@ -409,7 +424,7 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
             trace.append((float(value), float(np.linalg.norm(mu * r))))
         res_max = float(np.max(np.abs(r)))
         if res_max <= NEWTON_TOL:
-            return u, res_max, factor(step).negatives if attempt else None
+            return u, res_max, factor(step).negatives
         if step == budget:
             break
         if attempt and step >= 2 and not res_max <= NEWTON_CUT * prev:
@@ -431,24 +446,22 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     )
 
 
-def _newton_handoff(problem: Problem, u0: np.ndarray, level: float):
-    """Newton from u0 as an attempt (_newton_polish), accepted as
-    (u, residual_max) only when it converges to a nonzero point of Morse
-    index 1 whose energy is at most level; None otherwise, also when
-    Newton fails (a SolverError, a singular Jacobian among them)."""
+def _newton_attempt(problem: Problem, u0: np.ndarray):
+    """Newton from u0 as an attempt (_newton_polish): (u, residual_max,
+    index) when it converges to a nonzero point, None otherwise, also
+    when Newton fails (a SolverError, a singular Jacobian among them)."""
     try:
         u, res_max, index = _newton_polish(problem, u0, attempt=True)
     except SolverError:
         return None
-    ok = index == 1 and np.max(np.abs(u)) >= TRIVIAL_SUP and _kernel(problem, u)[1] <= level
-    return (u, res_max) if ok else None
+    return (u, res_max, index) if np.max(np.abs(u)) >= TRIVIAL_SUP else None
 
 
 def _is_trivial_collapse(problem: Problem, u) -> bool:
     return reaction(problem.nl, 0.0) == 0.0 and float(np.max(np.abs(u))) < TRIVIAL_SUP
 
 
-def _finish_solution(problem, kind, config, u, res_max) -> Solution:
+def _finish_solution(problem, kind, config, u, res_max, index) -> Solution:
     """The Solution at interior values u, expanded to every vertex."""
     hn = _h_norm(problem, u)
     _, value, r = _kernel(problem, u, residual=True)
@@ -462,6 +475,7 @@ def _finish_solution(problem, kind, config, u, res_max) -> Solution:
         in_ball=(rho is not None and hn < math.sqrt(rho)),
         rho_used=rho,
         h_norm=hn,
+        morse_index=index,
     )
 
 
@@ -471,101 +485,92 @@ def mountain_pass(
     *,
     log: RunLog | None = None,
 ) -> Solution:
-    """Pass-level critical point via path deformation plus Newton.
+    """Pass-level critical point by descent on the Nehari manifold plus
+    Newton.
 
-    The segment from 0 to the spike endpoint is discretized into
-    PATH_POINTS points.  Each iteration evaluates the energy along the
-    path, records the sampled level (the running minimum over
-    iterations of the pre-move maximum of the path's samples,
-    nonincreasing by construction, and below the saddle's energy by up
-    to the sampling gap) and moves the maximizing point as a climbing image
-    (_climbing_move): down the Sobolev gradient across the path and, along
-    the path tangent, by the 1-D Newton step where the energy's curvature
-    along it is negative (otherwise up the reflected Sobolev gradient),
-    by a unit step capped at the path spacing.  Both sides of the image
-    are then redistributed by arc length in one pass, keeping the image
-    where it moved.  The loop leaves for Newton refinement when the
-    image's Euclidean gradient norm reaches deform_tol, or when the
-    sampled level stalls, or when deform_steps iterations are spent;
-    refinement failure after a stall or a spent budget names that stop.
+    Every iterate u is the energy's peak on its ray (_ray_peak), a point
+    of the Nehari manifold {u != 0 : energy'(u) u = 0}, where the
+    mountain-pass points are local minima.  The first is the peak on the
+    spike endpoint's ray; without one of positive energy no barrier
+    separates 0 from the endpoint.  A step moves u to the peak of
+    u - s P^(-1) g, g the gradient, when its energy is at most
+    energy(u) - s g.P^(-1)g/2 (Armijo), halving s from 1 otherwise.  The
+    loop stops when |g| reaches deform_tol, after deform_steps steps, or
+    when halving no longer moves the point ("backtracking").
 
-    Before the first move, Newton runs from the initial path's maximizer
-    as an attempt (_newton_handoff).  When it reaches NEWTON_TOL at a
-    nonzero point of Morse index 1, read off the Hessian's factor there,
-    with energy at most the iteration-0 level, that is the solution and
-    neither the deformation nor P's factor runs.
+    At step 0 and every NEWTON_EVERY steps after, Newton runs from u as
+    an attempt (_newton_attempt) and converges, or not, to w.  When
+    energy(w) <= energy(u), w of Morse index 1 (the Hessian factor's
+    count) is the solution, and w of index >= 2 is escaped: u becomes the
+    lower peak of w +- ESCAPE_STEP |w| y, y from _escape_direction.  P is
+    factored at the first step that needs it.  After any other stop
+    Newton refines u in full, and a result of index other than 1 is
+    refused.
 
-    log receives the gate's verdicts, the "mountain_pass" trace, its
-    stop reason and the path profile.
+    log receives the gate's verdicts, the "mountain_pass" trace, one
+    (energy, gradient norm) row per iterate, and its stop reason.
     """
     config = config or SolverConfig()
     log = RunLog() if log is None else log
     if config.verify_hypotheses:
         log.verdicts += _gate(problem, "one")
     mu = problem._form.mu
-    endpoint = build_spike_endpoint(problem)[problem._form.omega]
-    precondition = None
-    npts = PATH_POINTS
-    # npts even steps from 0, ending exactly at 1
-    path = np.append(np.arange(npts - 1) * (1.0 / (npts - 1)), 1.0)[:, None] * endpoint[None, :]
     trace = log.traces["mountain_pass"] = []
-    level = math.inf
+    peak = _ray_peak(problem, build_spike_endpoint(problem)[problem._form.omega])
+    if peak is None or not peak[1] > 0.0:
+        log.stops["mountain_pass"] = "endpoint_maximum"
+        raise SolverError(
+            "the path maximum sits at an endpoint; no interior energy "
+            "barrier separates 0 from the spike endpoint"
+        )
+    u, level = peak
+    precondition = None
     stop = "budget"
     for k in range(config.deform_steps):
-        values = _kernel(problem, path)[1]
-        i = int(np.argmax(values))
-        level = min(level, float(values[i]))
-        if k % 50 == 0:
-            log.profile.append((k, _arc_positions(path), values))
-        gvec = mu * _kernel(problem, path[i], value=False, residual=True)[2]
+        gvec = mu * _kernel(problem, u, value=False, residual=True)[2]
         gn = math.sqrt(gvec @ gvec)
         trace.append((level, gn))
-        if i == 0 or i == npts - 1:
-            log.stops["mountain_pass"] = "endpoint_maximum"
-            raise SolverError(
-                "the path maximum sits at an endpoint; no interior energy "
-                "barrier separates 0 from the spike endpoint"
-            )
+        found = _newton_attempt(problem, u) if k % NEWTON_EVERY == 0 else None
+        if found is not None and _kernel(problem, found[0])[1] <= level:
+            w, res_max, index = found
+            if index == 1:
+                log.stops["mountain_pass"] = "newton_handoff"
+                return _finish_solution(problem, "mountain_pass", config, w, res_max, index)
+            y = _escape_direction(problem, w, index) if index >= 2 else None
+            if y is not None:
+                y *= ESCAPE_STEP * math.sqrt(w @ w)
+                peaks = [p for p in (_ray_peak(problem, w + y), _ray_peak(problem, w - y)) if p]
+                if peaks:
+                    u, level = min(peaks, key=lambda p: p[1])
+                    continue
         if gn <= config.deform_tol:
             stop = "tolerance"
             break
-        if k >= STALL_WINDOW and trace[k - STALL_WINDOW][0] - level < STALL_DROP:
-            stop = "stall"
-            break
-        if k == 0:
-            handed = _newton_handoff(problem, path[i], level)
-            if handed is not None:
-                log.stops["mountain_pass"] = "newton_handoff"
-                return _finish_solution(problem, "mountain_pass", config, *handed)
+        if precondition is None:
             precondition = _sobolev_direction(problem)
-        move = _climbing_move(problem, precondition, gvec, path[i + 1] - path[i - 1], path[i])
-        deltas = path[1:] - path[:-1]
-        seg = np.sqrt(np.einsum("ij,ij->i", deltas, deltas))
-        spacing = float(np.sum(seg)) / (npts - 1)
-        alpha = 1.0
-        mn = math.sqrt(move @ move)
-        if mn > spacing:
-            alpha = spacing / mn
-        path[i] -= alpha * move
-        for j in (i - 1, i):
-            deltas[j] = path[j + 1] - path[j]
-            seg[j] = math.sqrt(deltas[j] @ deltas[j])
-        path = _resample_path(path, i, deltas, seg)
+        d = precondition(gvec)
+        drop = 0.5 * float(gvec @ d)
+        s = 1.0
+        while not np.array_equal(v := u - s * d, u):
+            peak = _ray_peak(problem, v)
+            if peak is not None and peak[1] <= level - s * drop:
+                break
+            s *= 0.5
+        else:
+            stop = "backtracking"
+            break
+        u, level = peak
     del precondition
     log.stops["mountain_pass"] = stop
-    if stop == "budget":
-        values = _kernel(problem, path)[1]
-        i = int(np.argmax(values))
-    # values holds the energies of the final path on every way out of the loop
-    log.profile.append((len(trace), _arc_positions(path), values))
     try:
-        u, res_max, _ = _newton_polish(problem, path[i])
+        u, res_max, index = _newton_polish(problem, u)
     except SolverError as exc:
         if stop != "tolerance":
-            how = "stalled" if stop == "stall" else "spent its iteration budget"
+            how = {"budget": "spent its iteration budget",
+                   "backtracking": "exhausted its backtracking"}[stop]
             raise SolverError(
-                f"path deformation {how} at sampled level {level:.17g} and "
-                f"Newton refinement from the maximizer failed: {exc}"
+                f"descent {how} at energy {level:.17g} and Newton "
+                f"refinement from the iterate failed: {exc}"
             ) from exc
         raise
     if _is_trivial_collapse(problem, u):
@@ -573,7 +578,12 @@ def mountain_pass(
             "deformation collapsed to the zero function; no pass-level "
             "critical point was isolated"
         )
-    return _finish_solution(problem, "mountain_pass", config, u, res_max)
+    if index != 1:
+        raise SolverError(
+            f"descent stopped by {stop} and Newton refinement converged to a critical "
+            f"point of Morse index {index}, not a mountain-pass point of index 1"
+        )
+    return _finish_solution(problem, "mountain_pass", config, u, res_max, index)
 
 
 def ball_minimize(
@@ -614,7 +624,7 @@ def ball_minimize(
         raise SolverError(f"{refused} failed: {exc}") from exc
     log.stops["ball_min"] = "tolerance"
     if _is_trivial_collapse(problem, u):
-        return _finish_solution(problem, "trivial", config, u, res_max)
+        return _finish_solution(problem, "trivial", config, u, res_max, index)
     if index != 0:
         raise SolverError(
             f"{refused} converged to a critical point of Morse index {index}, not a minimizer"
@@ -625,7 +635,7 @@ def ball_minimize(
             f"{refused} converged on or past the constraint sphere (h-norm "
             f"{hn:.6g} against radius {radius:.6g})"
         )
-    return _finish_solution(problem, "ball_min", config, u, res_max)
+    return _finish_solution(problem, "ball_min", config, u, res_max, index)
 
 
 def two_solutions(

@@ -115,7 +115,7 @@ def _kernel(problem: Problem, v, value: bool = True, residual: bool = False):
     # maps each block above its threshold (128 KiB at start) afresh until
     # a larger one is freed; freeing this one, the largest of the call,
     # keeps the later temporaries of a stacked call on the heap (mapping
-    # them tripled the time of a 41-point path at 784 unknowns).
+    # them tripled the time of a 41-row stack at 784 unknowns).
     ends = v[..., form.ends]
     d = ends[..., 0, :] - ends[..., 1, :]
     del ends

@@ -526,24 +526,6 @@ def test_ball_constants_refuse_an_overflowed_max(graph_file, capsys):
     assert "max |F| on [-1e+200, 1e+200] is not finite" in out
 
 
-def test_emit_path_profile(graph_file, tmp_path, capsys):
-    profile = tmp_path / "profile.csv"
-    code = run([
-        "solve", graph_file(PATH3), "--nl", "power:p=4", "--theta", "4",
-        "--M", "1", "--emit-path-profile", str(profile),
-    ])
-    assert code == 0
-    rows = profile.read_text().splitlines()
-    assert rows[0] == "snapshot,s,energy"
-    snapshots = set()
-    for row in rows[1:]:
-        snap, s, val = row.split(",")
-        snapshots.add(int(snap))
-        assert 0.0 <= float(s) <= 1.0
-        float(val)
-    assert 0 in snapshots and len(snapshots) >= 2
-
-
 def test_solve2_failure_after_the_gate_reports_the_run_log(graph_file, capsys):
     # 8 x 8 lattice keeping only the edges that touch the interior, so the
     # corners drop out and mu_min = 1: the gate passes, then Newton from
@@ -572,40 +554,47 @@ def test_solve2_failure_after_the_gate_reports_the_run_log(graph_file, capsys):
     assert recs[-1]["message"].endswith("(h-norm 1.12749 against radius 1)")
 
 
-def test_solve_on_a_lattice_reports_the_newton_handoff(graph_file, tmp_path, capsys):
-    # Newton from the initial path's maximum lands on the index-1 point:
-    # one trace row, whose gradient norm is far above the tolerance, and
-    # the stop reason that says the deformation was skipped
+def test_solve_on_a_lattice_reports_the_newton_handoff(graph_file, capsys):
+    # Newton from the spike ray's peak lands on the index-1 point: one
+    # trace row, whose gradient norm is far above the tolerance, and the
+    # stop reason that says the descent was skipped
     graph, part = lattice(12)
     path = graph_file(format_graph_text(graph, part, np.ones(graph.n)))
-    profile = tmp_path / "profile.csv"
     args = ["solve", path, "--nl", "power:p=4", "--theta", "4", "--M", "1"]
-    assert run([*args, "--format", "jsonl", "--emit-path-profile", str(profile)]) == 0
+    assert run([*args, "--format", "jsonl"]) == 0
     recs = jsonl_records(capsys.readouterr().out)
     [trace] = [r for r in recs if r["record"] == "trace"]
     assert trace["solver"] == "mountain_pass" and trace["stop"] == "newton_handoff"
     assert len(trace["levels"]) == len(trace["grad_norms"]) == 1
     assert trace["grad_norms"][0] > 1.0
-    assert {row.split(",")[0] for row in profile.read_text().splitlines()[1:]} == {"0"}
+    [sol] = [r for r in recs if r["record"] == "solution"]
+    assert sol["morse_index"] == 1
     assert run(args) == 0
     out = capsys.readouterr().out.splitlines()
     assert "trace mountain_pass iterations 1" in out
     assert "trace mountain_pass stop newton_handoff" in out
+    assert "solution 1 morse_index 1" in out
 
 
 def test_solve2_reports_why_each_loop_stopped(graph_file, capsys):
-    # path3's hand-off is refused: the 41 samples straddle the saddle, so
-    # Newton's point lies above the sampled level
+    # path3 has one unknown: the spike ray's peak is the saddle, and
+    # Newton from it is accepted at step 0, one trace row
     args = ["solve2", graph_file(PATH3), "--nl", "power_plus_const:p=4,eps=0.1",
             "--rho", "1", "--h0", "1"]
     assert run([*args, "--format", "jsonl"]) == 0
     recs = jsonl_records(capsys.readouterr().out)
-    stops = {r["solver"]: r["stop"] for r in recs if r["record"] == "trace"}
-    assert stops == {"ball_min": "tolerance", "mountain_pass": "tolerance"}
+    traces = {r["solver"]: r for r in recs if r["record"] == "trace"}
+    assert {name: r["stop"] for name, r in traces.items()} == {
+        "ball_min": "tolerance", "mountain_pass": "newton_handoff"}
+    assert len(traces["mountain_pass"]["levels"]) == 1
+    assert [r["morse_index"] for r in recs if r["record"] == "solution"] == [0, 1]
     assert run(args) == 0
     out = capsys.readouterr().out.splitlines()
     assert "trace ball_min stop tolerance" in out
-    assert "trace mountain_pass stop tolerance" in out
+    assert "trace mountain_pass iterations 1" in out
+    assert "trace mountain_pass stop newton_handoff" in out
+    assert ["solution 1 morse_index 0", "solution 2 morse_index 1"] == [
+        line for line in out if "morse_index" in line]
 
 
 def test_solve2_m0_mode(graph_file, capsys):
@@ -647,11 +636,6 @@ def test_solve2_rejects_zero_preserving_reaction(graph_file, capsys):
         (["check", "{disconnected}", "--h0", "1"], "connected"),
         (["check", "{latin1}", "--h0", "1"], "{latin1}: 'utf-8' codec"),
         (["check", "{path}", "--h0", "1", "--out", "{tmp}"], "{tmp}"),
-        (
-            ["solve", "{path}", "--nl", "power:p=4", "--theta", "4", "--M", "1",
-             "--emit-path-profile", "{tmp}/missing/profile.csv"],
-            "{tmp}/missing/profile.csv",
-        ),
     ],
 )
 def test_input_errors_exit_2(argv, needle, graph_file, tmp_path, capsys):
@@ -677,26 +661,24 @@ def test_unknown_command_exits_2(graph_file, capsys):
 
 
 def test_singular_newton_jacobian_exits_1(graph_file, monkeypatch, capsys):
-    # every factor but P's is singular: the hand-off is refused, the
-    # deformation stops short of Newton's tolerance, and Newton from its
-    # maximizer fails at its first step
-    original = graphpde.solver._band_solver
+    # every factor is singular: the attempt at step 0 is refused, the
+    # descent stops at its tolerance, and Newton at the iterate fails
+    # when it factors the Hessian for the Morse index
     calls = []
 
-    def singular_but_p(band):
+    def singular(band):
         calls.append(band.shape)
-        if len(calls) != 2:
-            raise np.linalg.LinAlgError("singular matrix")
-        return original(band)
+        raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr(graphpde.solver, "_band_solver", singular_but_p)
+    monkeypatch.setattr(graphpde.solver, "_band_solver", singular)
     code = run(["solve", graph_file(PATH3), "--nl", "power:p=4", "--theta", "4",
                 "--M", "1", "--tol", "1e-3", "--format", "jsonl"])
     assert code == 1
     recs = jsonl_records(capsys.readouterr().out)
     assert recs[-1] == {"record": "error", "message": "Newton's Jacobian is singular at step 0"}
-    assert [r["record"] for r in recs].count("trace") == 1
-    assert len(calls) == 3
+    [trace] = [r for r in recs if r["record"] == "trace"]
+    assert trace["stop"] == "tolerance" and len(trace["levels"]) == 1
+    assert len(calls) == 2
 
 
 def _console_scripts(bin_dir):

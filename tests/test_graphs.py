@@ -79,6 +79,7 @@ def test_neighbors_symmetric(rng):
         (["a", "b"], [("a", "b", None)], None, "derived"),      # no weight
         (["a", "b"], [("a", "b", 1.0)], {"a": 1.0, "b": np.inf}, "given"),  # infinite measure
         (["a", "b", "c"], [("a", "b", 1e308), ("b", "c", 1e308)], None, "derived"),  # mu(b) = inf
+        (["a", "b"], [(["a"], "b", 1.0)], None, "derived"),     # unhashable end
     ],
 )
 def test_build_graph_rejects(vertices, edges, measures, mode):

@@ -20,6 +20,9 @@ KNOWN_MISSING_SPANS = {
     ("variational", "norm"), ("variational", "evaluate"),
     # deleted with the ball minimizer's descent loop; no work goes untimed
     ("solver", "_descent_step"),
+    # deleted with the mountain pass's path, which alone resampled; its
+    # descent has no such step, so the per-layer resample time reads 0
+    ("solver", "_resample_path"),
 }
 
 

@@ -30,12 +30,7 @@ import graphpde.solver
 import graphpde.variational
 from graphpde.calculus import _interior_matrix
 from graphpde.nonlinearity import reaction_derivative
-from graphpde.solver import (
-    _climbing_move,
-    _newton_polish,
-    _resample_path,
-    _sobolev_direction,
-)
+from graphpde.solver import _newton_polish, _ray_peak, _sobolev_direction
 from util import (
     band_matrix,
     bisect,
@@ -47,7 +42,6 @@ from util import (
     random_connected_graph,
     random_dirichlet,
     random_partition,
-    resample_about,
     three_path_problem,
 )
 
@@ -61,10 +55,10 @@ LARGE_ROOT = bisect(lambda t: 2 * t - t**3 - 0.1, 1.0, 1.4)
 
 
 @pytest.fixture
-def deform_only(monkeypatch):
-    """The mountain pass with its Newton hand-off refused, so that the
-    deformation loop runs on inputs that would otherwise skip it."""
-    monkeypatch.setattr(graphpde.solver, "_newton_handoff", lambda *args: None)
+def descent_only(monkeypatch):
+    """The mountain pass with every Newton attempt refused, so that the
+    descent runs on inputs that would otherwise hand off or escape."""
+    monkeypatch.setattr(graphpde.solver, "_newton_attempt", lambda *args: None)
 
 
 def test_spike_endpoint_oracle():
@@ -124,11 +118,11 @@ def test_mountain_pass_trace_and_verdicts():
     sol = mountain_pass(problem, log=log)
     trace, verdicts = log.traces["mountain_pass"], log.verdicts
     assert sol.residual_max <= 1e-12
-    levels = [lv for lv, _ in trace]
-    assert all(b <= a + 1e-15 for a, b in zip(levels, levels[1:]))
-    # the discrete path max undershoots the exact saddle by at most the
-    # sampling gap; the sampled level must still land near it
-    assert abs(levels[-1] - sol.energy_value) <= 0.05
+    # the peak of the spike ray is the saddle itself, so Newton accepts
+    # it at step 0 and the trace holds that one iterate
+    assert log.stops == {"mountain_pass": "newton_handoff"}
+    assert len(trace) == 1
+    assert trace[0][0] == pytest.approx(sol.energy_value, rel=1e-14)
     names = [v.name for v in verdicts]
     assert "H1" in names and "H2" in names and "F1" in names
     assert "F2" in names and "F4" in names  # superquadratic-constants route
@@ -173,10 +167,10 @@ def test_mountain_pass_f2_blocks_shifted_reaction():
     assert "F2" in str(err.value)
 
 
-def test_mountain_pass_refuses_a_collapse_to_zero(monkeypatch, deform_only):
+def test_mountain_pass_refuses_a_collapse_to_zero(monkeypatch, descent_only):
     # f(x, 0) = 0 makes 0 a critical point; Newton landing there isolates no pass
     monkeypatch.setattr(
-        graphpde.solver, "_newton_polish", lambda problem, u0: (np.zeros_like(u0), 0.0, None)
+        graphpde.solver, "_newton_polish", lambda problem, u0: (np.zeros_like(u0), 0.0, 0)
     )
     with pytest.raises(SolverError, match="^deformation collapsed to the zero function"):
         mountain_pass(three_path_problem(POWER4))
@@ -189,17 +183,24 @@ def test_mountain_pass_no_barrier():
     assert "endpoint" in str(err.value)
 
 
-def test_mountain_pass_failure_keeps_its_trace_in_the_log():
+def test_mountain_pass_failure_keeps_its_trace_in_the_log(monkeypatch, descent_only):
+    # three descent steps, then the final Newton spends its one iteration
+    monkeypatch.setattr(graphpde.solver, "NEWTON_MAX", 1)
+    log = RunLog()
+    with pytest.raises(SolverError, match="^descent spent its iteration budget"):
+        mountain_pass(lattice_problem(12, POWER4), SolverConfig(deform_steps=3), log=log)
+    rows = log.traces["mountain_pass"]
+    assert len(rows) == 3
+    assert all(math.isfinite(a) and math.isfinite(b) for a, b in rows)
+    assert all(b <= a for (a, _), (b, _) in zip(rows, rows[1:]))
+    # without a barrier no iterate exists, and the trace is empty
     log = RunLog()
     with pytest.raises(SolverError, match="endpoint"):
         mountain_pass(
             three_path_problem(power_plus_const(4, 10.0)),
             SolverConfig(verify_hypotheses=False), log=log,
         )
-    rows = log.traces["mountain_pass"]
-    assert len(rows) >= 1
-    assert all(math.isfinite(a) and math.isfinite(b) for a, b in rows)
-    assert log.profile[0][0] == 0
+    assert log.traces == {"mountain_pass": []}
 
 
 def test_mountain_pass_on_random_graph(rng):
@@ -216,29 +217,7 @@ def test_mountain_pass_on_random_graph(rng):
     assert all(b <= a + 1e-15 for a, b in zip(levels, levels[1:]))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: three_path_problem(POWER4),
-    lambda: lattice_problem(5, POWER4),
-], ids=["path3", "grid5"])
-def test_mountain_pass_evaluates_the_path_in_one_batch(monkeypatch, make):
-    calls = []
-    original = graphpde.solver._kernel
-
-    def counted(problem, v, *args, **kwargs):
-        calls.append(np.ndim(v))
-        return original(problem, v, *args, **kwargs)
-
-    monkeypatch.setattr(graphpde.solver, "_kernel", counted)
-    config = SolverConfig()
-    log = RunLog()
-    sol = mountain_pass(make(), config, log=log)
-    trace = log.traces["mountain_pass"]
-    assert sol.residual_max <= 1e-12
-    assert len(calls) < graphpde.solver.PATH_POINTS * len(trace)
-    assert calls.count(2) == len(trace)
-
-
-def test_mountain_pass_loop_holds_interior_vectors_only(monkeypatch, deform_only):
+def test_mountain_pass_loop_holds_interior_vectors_only(monkeypatch, descent_only):
     # the loops validate no Dirichlet vector per iteration, and every
     # energy evaluation sees interior values only (100 of 144 vertices)
     problem = lattice_problem(12, POWER4)
@@ -257,7 +236,7 @@ def test_mountain_pass_loop_holds_interior_vectors_only(monkeypatch, deform_only
     monkeypatch.setattr(graphpde.solver, "_kernel", recorded_kernel)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(), log=log)
-    assert len(log.traces["mountain_pass"]) > 20
+    assert len(log.traces["mountain_pass"]) > 5
     assert len(checks) <= 2
     assert widths == {problem.partition.omega.size}
     assert sol.u.shape == (problem.graph.n,)
@@ -565,14 +544,17 @@ def test_ball_minimize_newton_from_zero_converges_fast():
     assert len(trace) <= 5
 
 
-def test_mountain_pass_lattice_exits_by_tolerance(deform_only):
+def test_mountain_pass_lattice_exits_by_tolerance(descent_only):
     config = SolverConfig()
     log = RunLog()
     sol = mountain_pass(lattice_problem(12, POWER4), config, log=log)
     trace = log.traces["mountain_pass"]
+    assert log.stops == {"mountain_pass": "tolerance"}
     assert trace[-1][1] <= config.deform_tol
-    assert len(trace) < graphpde.solver.STALL_WINDOW
+    assert len(trace) <= 20
+    assert all(b <= a for (a, _), (b, _) in zip(trace, trace[1:]))
     assert sol.residual_max <= graphpde.solver.NEWTON_TOL
+    assert sol.morse_index == 1
 
 
 def _p_matrix(problem):
@@ -607,112 +589,26 @@ def test_sobolev_direction_solves_the_h_gram_matrix(rng):
         assert d.shape == g.shape
 
 
-def test_climbing_move_reverses_the_tangential_part(rng):
-    # at u = 0 with h > 0 the curvature along tau is tau^T P tau > 0
-    for _ in range(20):
-        problem = _mixed_sign_problem(rng)
-        problem = Problem(
-            graph=problem.graph, partition=problem.partition,
-            h=np.abs(problem.h) + 0.1, nl=POWER4,
-        )
-        part = problem.partition
-        pmat = _p_matrix(problem)
-        precondition = _sobolev_direction(problem)
-        g = random_dirichlet(rng, problem.graph, part)[part.omega]
-        tau = random_dirichlet(rng, problem.graph, part)[part.omega]
-        move = _climbing_move(problem, precondition, g, tau, np.zeros(part.omega.size))
-        base = precondition(g)
-        # the change is along tau, and the P-component along tau flips
-        coef = (move - base) / tau
-        assert np.allclose(coef, coef[0], rtol=1e-9)
-        assert tau @ pmat @ move == pytest.approx(-(g @ tau), rel=1e-9)
-
-
-def test_climbing_move_takes_the_newton_step_along_negative_curvature(rng):
-    checked = 0
-    for _ in range(40):
-        problem = _mixed_sign_problem(rng)
-        part = problem.partition
-        pmat = _p_matrix(problem)
-        precondition = _sobolev_direction(problem)
-        u = random_dirichlet(rng, problem.graph, part)
-        g = random_dirichlet(rng, problem.graph, part)[part.omega]
-        t = random_dirichlet(rng, problem.graph, part)[part.omega]
-        curv = t @ hessian(problem, u) @ t
-        if not curv < 0.0:
-            continue
-        move = _climbing_move(problem, precondition, g, t, u[part.omega])
-        coef = (move - precondition(g)) / t
-        assert np.allclose(coef, coef[0], rtol=1e-9)
-        tpt = t @ pmat @ t
-        assert t @ pmat @ move == pytest.approx((g @ t) * tpt / curv, rel=1e-9)
-        checked += 1
-    assert checked >= 10
-
-
-def test_climbing_move_without_tangent_does_not_reflect(rng):
-    problem = lattice_problem(5, POWER4)
-    precondition = _sobolev_direction(problem)
-    omega = problem.partition.omega
-    g = random_dirichlet(rng, problem.graph, problem.partition)[omega]
-    u = random_dirichlet(rng, problem.graph, problem.partition)[omega]
-    with np.errstate(all="raise"):
-        move = _climbing_move(problem, precondition, g, np.zeros(omega.size), u)
-    assert np.array_equal(move, precondition(g))
-
-
-def _segments(path):
-    deltas = np.diff(path, axis=0)
-    return deltas, np.sqrt(np.sum(deltas * deltas, axis=1))
-
-
-@pytest.mark.parametrize("i", [1, 7, 20, 39])
-def test_resample_about_keeps_the_image(rng, i):
-    # two straight legs 0 -> image -> end, points unevenly spread on each
-    image, end = rng.normal(size=6), rng.normal(size=6)
-    left = np.sort(rng.uniform(size=i - 1))
-    right = np.sort(rng.uniform(size=39 - i))
-    path = np.vstack([
-        np.zeros(6), left[:, None] * image, image,
-        image + right[:, None] * (end - image), end,
-    ])
-    out = _resample_path(path, i, *_segments(path))
-    for k in (0, i, 40):
-        assert np.array_equal(out[k], path[k])
-    for side in (out[: i + 1], out[i:]):
-        seg = np.linalg.norm(np.diff(side, axis=0), axis=1)
-        assert np.allclose(seg, seg.mean(), rtol=1e-9)
-    assert not np.allclose(out, path)
-
-
-@pytest.mark.parametrize("npts", [3, 5, 41])
-def test_resample_path_matches_the_per_side_reference(rng, npts):
-    for trial in range(30):
-        path = np.cumsum(rng.normal(size=(npts, 8)), axis=0)
-        path[0] = 0.0
-        if trial % 3 == 1:
-            # coincident points, one of them next to the middle image
-            for k in [npts // 2, *rng.integers(0, npts - 1, size=npts // 4)]:
-                path[k + 1] = path[k]
-        for i in sorted({1, npts // 2, npts - 2}):
-            out = _resample_path(path, i, *_segments(path))
-            expect = resample_about(path, i)
-            for k in (0, i, npts - 1):
-                assert np.array_equal(out[k], path[k])
-            scale = np.max(np.abs(expect))
-            assert np.allclose(out, expect, rtol=1e-13, atol=1e-13 * scale)
-
-
-def test_mountain_pass_path3_climbs_to_the_saddle():
-    # the Sobolev reflection oscillated here (multiplier -1 at p = 4) and
-    # stalled after 101 iterations; the Newton step along tau converges
-    config = SolverConfig()
-    log = RunLog()
-    sol = mountain_pass(three_path_problem(POWER4), config, log=log)
-    trace = log.traces["mountain_pass"]
-    assert trace[-1][1] <= config.deform_tol
-    assert len(trace) <= 5
-    assert sol.u[1] == pytest.approx(math.sqrt(2.0), rel=1e-12)
+def test_ray_peak_is_the_root_of_the_radial_derivative(rng):
+    # power: the peak of t -> energy(t v) is t = (|v|_h^2 / sum mu |v|^p)^(1/(p-2));
+    # plus-const: the larger of the two roots of the radial derivative
+    for nl in (POWER4, POWER3, power(2.5), power(7)):
+        problem = lattice_problem(5, nl)
+        omega = problem.partition.omega
+        for _ in range(10):
+            v = random_dirichlet(rng, problem.graph, problem.partition)[omega]
+            for scale in (1e-6, 1.0, 1e6):
+                u, value = _ray_peak(problem, scale * v)
+                sq = float(v @ hessian(problem, np.zeros(problem.graph.n)) @ v)
+                mass = float(problem._form.mu @ np.abs(v) ** nl.p)
+                t = (sq / mass) ** (1.0 / (nl.p - 2.0))
+                assert u == pytest.approx(t * v, rel=1e-12, abs=1e-12 * t * np.max(np.abs(v)))
+                assert value == pytest.approx(energy(problem, problem._form.expand(u)), rel=1e-14)
+    problem = three_path_problem(PLUS_CONST)
+    for v in (0.5, 1.0, 1.5):  # from below and from above the peak
+        u, _ = _ray_peak(problem, np.array([v]))
+        assert u[0] == pytest.approx(LARGE_ROOT, rel=1e-14)
+    assert _ray_peak(three_path_problem(power_plus_const(4, 10.0)), np.array([1.0])) is None
 
 
 def test_mountain_pass_lattice_takes_few_iterations():
@@ -722,27 +618,26 @@ def test_mountain_pass_lattice_takes_few_iterations():
     assert len(trace) <= 45
 
 
-def test_mountain_pass_random_graphs_do_not_stall(deform_only):
+def test_mountain_pass_random_graphs_end_at_index_one():
     rng = np.random.default_rng(11)
-    config = SolverConfig()
     for _ in range(40):
         graph = random_connected_graph(rng, n_min=5, n_max=25)
         part = random_partition(rng, graph)
         problem = Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER4, h0=1.0)
         log = RunLog()
-        sol = mountain_pass(problem, config, log=log)
-        trace = log.traces["mountain_pass"]
-        assert trace[-1][1] <= config.deform_tol
+        sol = mountain_pass(problem, SolverConfig(), log=log)
+        assert log.stops == {"mountain_pass": "newton_handoff"}
         assert sol.residual_max <= graphpde.solver.NEWTON_TOL
+        assert sol.morse_index == morse_index(problem, sol.u) == 1
 
 
-def test_newton_refuses_a_singular_jacobian(monkeypatch, deform_only):
+def test_newton_refuses_a_singular_jacobian(monkeypatch, descent_only):
     original = graphpde.solver._band_solver
     calls = []
 
     def fail_first_newton(band):
         calls.append(band_matrix(band))
-        if len(calls) == 2:  # calls[0] is P, factored once at the deformation's first move
+        if len(calls) == 2:  # calls[0] is P, factored once at the descent's first step
             raise np.linalg.LinAlgError("singular matrix")
         return original(band)
 
@@ -760,11 +655,11 @@ def test_newton_refuses_a_non_finite_step(monkeypatch):
         _newton_polish(three_path_problem(POWER4), np.array([1.4]))
 
 
-def test_newton_failure_refuses_the_handoff(monkeypatch):
+def test_newton_failure_refuses_the_attempt(monkeypatch):
     # a singular Jacobian, at a step or at the converged point, is a refusal
     problem = three_path_problem(POWER4)
     start = np.array([1.4])
-    assert graphpde.solver._newton_handoff(problem, start, 3.0) is not None
+    assert graphpde.solver._newton_attempt(problem, start) is not None
     original = graphpde.solver._band_solver
     for fail_at in (1, 4):  # the first step's factor; the index factor after 3 steps
         factors = []
@@ -776,7 +671,7 @@ def test_newton_failure_refuses_the_handoff(monkeypatch):
             return original(band)
 
         monkeypatch.setattr(graphpde.solver, "_band_solver", singular)
-        assert graphpde.solver._newton_handoff(problem, start, 3.0) is None
+        assert graphpde.solver._newton_attempt(problem, start) is None
         assert len(factors) == fail_at
 
 
@@ -850,28 +745,24 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
     assert checked >= 10
 
 
-def test_solutions_have_the_expected_morse_index(deform_only):
+def test_solutions_have_the_expected_morse_index():
+    # the index a solution reports is the count of the dense eigenvalues
     rng = np.random.default_rng(7)
-    tolerance_exits = 0
     for _ in range(12):
         graph = random_connected_graph(rng, n_min=5, n_max=25)
         part = random_partition(rng, graph)
         h = np.ones(graph.n)
-        config = SolverConfig()
-        log = RunLog()
         pass_problem = Problem(graph=graph, partition=part, h=h, nl=POWER4, h0=1.0)
-        sol = mountain_pass(pass_problem, config, log=log)
-        trace = log.traces["mountain_pass"]
-        if trace[-1][1] <= config.deform_tol:
-            tolerance_exits += 1
-            assert morse_index(pass_problem, sol.u) == 1
+        sol = mountain_pass(pass_problem, SolverConfig())
+        assert sol.morse_index == morse_index(pass_problem, sol.u) == 1
         ball_problem = Problem(
             graph=graph, partition=part, h=h, nl=power_plus_const(4, 0.01), h0=1.0
         )
         ball = ball_minimize(ball_problem, SolverConfig(rho=1.0))
         assert ball.kind == "ball_min"
-        assert morse_index(ball_problem, ball.u) == 0
-    assert tolerance_exits >= 6
+        assert ball.morse_index == morse_index(ball_problem, ball.u) == 0
+    trivial = ball_minimize(three_path_problem(POWER4), SolverConfig(rho=1.0))
+    assert trivial.kind == "trivial" and trivial.morse_index == 0
 
 
 def test_ball_minimize_accepts_only_interior_minima():
@@ -901,27 +792,11 @@ def test_ball_minimize_accepts_only_interior_minima():
     assert kinds == {"ball_min": 258, "trivial": 120, "refused": 102}
 
 
-def test_mountain_pass_profile_reports_arc_positions(deform_only):
-    log = RunLog()
-    mountain_pass(lattice_problem(12, POWER4), log=log)
-    profile = log.profile
-    for _, positions, _ in profile:
-        assert positions[0] == 0.0 and positions[-1] == 1.0
-        assert np.all(np.diff(positions) > 0.0)
-    # the last path was resampled about its maximizer: uniform on each side
-    _, positions, values = profile[-1]
-    i = int(np.argmax(values))
-    right = len(positions) - 1 - i
-    assert np.allclose(np.diff(positions[: i + 1]), positions[i] / i, rtol=1e-9)
-    assert np.allclose(np.diff(positions[i:]), (1.0 - positions[i]) / right, rtol=1e-9)
-    assert not np.allclose(positions, np.linspace(0.0, 1.0, len(positions)))
-
-
-def _deformed(problem, config=None):
-    """mountain_pass with the hand-off refused: (solution, log)."""
+def _descended(problem, config=None):
+    """mountain_pass with every Newton attempt refused: (solution, log)."""
     log = RunLog()
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(graphpde.solver, "_newton_handoff", lambda *args: None)
+        m.setattr(graphpde.solver, "_newton_attempt", lambda *args: None)
         sol = mountain_pass(problem, config or SolverConfig(), log=log)
     return sol, log
 
@@ -932,19 +807,16 @@ def _never_factor_p(problem):
 
 def test_mountain_pass_hands_off_to_newton_on_the_lattice(monkeypatch):
     problem = lattice_problem(12, POWER4)
-    deformed, full = _deformed(problem)
+    descended, full = _descended(problem)
     assert full.stops["mountain_pass"] == "tolerance"
-    assert len(full.traces["mountain_pass"]) > 20
+    assert len(full.traces["mountain_pass"]) > 5
     monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
     assert log.traces["mountain_pass"] == full.traces["mountain_pass"][:1]
-    # the profile holds the initial path alone
-    assert [snap for snap, _, _ in log.profile] == [0]
-    assert np.allclose(log.profile[0][1], np.linspace(0.0, 1.0, graphpde.solver.PATH_POINTS))
-    assert float(np.max(np.abs(sol.u - deformed.u))) <= 1e-15
-    assert sol.energy_value == pytest.approx(deformed.energy_value, rel=1e-14)
+    assert float(np.max(np.abs(sol.u - descended.u))) <= 1e-15
+    assert sol.energy_value == pytest.approx(descended.energy_value, rel=1e-14)
     assert sol.residual_max <= graphpde.solver.NEWTON_TOL
     assert morse_index(problem, sol.u) == 1
 
@@ -977,73 +849,119 @@ def test_lattice_handoff_factors_its_jacobians_without_eigh(monkeypatch):
     assert factors[-1][1].negatives == morse_index(problem, sol.u) == 1
 
 
-def _corpus_s10rand2():
-    """perfbench.corpus.random_graph(default_rng(10)), third draw: the
-    corpus generator and the tests' random_connected_graph with
+def _corpus_problem(seed, i, nl=POWER4):
+    """perfbench.corpus.random_graph(default_rng(seed)), draw i (from 0):
+    the corpus generator and the tests' random_connected_graph with
     random_partition take the same draws in the same order."""
-    rng = np.random.default_rng(10)
-    for _ in range(3):
+    rng = np.random.default_rng(seed)
+    for _ in range(i + 1):
         graph = random_connected_graph(rng)
         part = random_partition(rng, graph)
-    return Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER4, h0=1.0)
+    return Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=nl, h0=1.0)
 
 
-def test_handoff_refuses_a_point_of_index_two(monkeypatch):
-    # with the convergence monitor off, Newton from the initial maximum
-    # converges below the level, to a point of Morse index 2; the index
-    # gate alone refuses it, and the deformation runs as without a hand-off
-    problem = _corpus_s10rand2()
-    assert problem.partition.omega.size == 40
-    deformed, full = _deformed(problem)
-    monkeypatch.setattr(graphpde.solver, "NEWTON_CUT", math.inf)
-    monkeypatch.setattr(graphpde.solver, "NEWTON_TRY", graphpde.solver.NEWTON_MAX)
+@pytest.mark.parametrize("p, seed, i", [
+    pytest.param(p, seed, i, id=f"p{p}-s{seed}rand{i}") for p, seed, i in (
+        (3, 5, 1), (3, 7, 2), (3, 9, 1), (3, 12, 1), (3, 14, 1), (3, 15, 1), (3, 17, 2),
+        (3, 23, 2), (4, 10, 3), (4, 13, 3), (4, 15, 1), (4, 19, 0), (4, 20, 0),
+    )
+])
+def test_mountain_pass_escapes_points_of_higher_index(p, seed, i):
+    # the path deformation the descent replaced ended at index 2-4 on the
+    # p = 3 graphs, and the descent without its escape at index 2 on the
+    # p = 4 ones
+    problem = _corpus_problem(seed, i, power(p))
+    log = RunLog()
+    sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+    assert log.stops == {"mountain_pass": "newton_handoff"}
+    assert sol.morse_index == morse_index(problem, sol.u) == 1
+
+
+def test_escape_direction_has_negative_curvature_without_dense_eigh(monkeypatch):
+    # the points an escape leaves, of Morse index 2 to 4
+    points, escape = [], graphpde.solver._escape_direction
+
+    def recorded(problem, w, index):
+        points.append((problem, w.copy(), index))
+        return escape(problem, w, index)
+
+    monkeypatch.setattr(graphpde.solver, "_escape_direction", recorded)
+    for seed, i in ((10, 3), (12, 1), (14, 1), (7, 2)):
+        mountain_pass(_corpus_problem(seed, i), SolverConfig(verify_hypotheses=False))
+    assert sorted(index for _, _, index in points) == [2, 3, 4, 4]
+    eigh, shapes = np.linalg.eigh, []
+
+    def counted(a):
+        shapes.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for problem, w, index in points:
+        shapes.clear()
+        y = escape(problem, w, index)
+        n = len(w)
+        assert all(shape[-1] < n for shape in shapes) and len(shapes) == 1
+        assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-12)
+        hess = hessian(problem, problem._form.expand(w))
+        assert y @ hess @ y < 0.0
+        # of the negative eigenvectors, y is the one least aligned with w
+        lam, q = np.linalg.eigh(hess)
+        assert np.sum(lam < 0.0) == index
+        assert abs(y @ w) <= 1.01 * np.min(np.abs(q[:, :index].T @ w))
+
+
+def test_an_attempt_at_index_two_escapes(monkeypatch):
+    # Newton from the spike ray's peak converges to a point of Morse index
+    # 2 below the peak's energy; the descent escapes it and hands off at
+    # index 1 from the escaped iterate
+    problem = _corpus_problem(10, 3)
+    assert problem.partition.omega.size == 30
     attempts = []
-    polish = graphpde.solver._newton_polish
+    attempt = graphpde.solver._newton_attempt
 
-    def recorded(problem, u0, attempt=False):
-        out = polish(problem, u0, attempt)
-        if attempt:
-            attempts.append(out)
+    def recorded(problem, u0):
+        out = attempt(problem, u0)
+        attempts.append(out and out[2])
         return out
 
-    monkeypatch.setattr(graphpde.solver, "_newton_polish", recorded)
+    monkeypatch.setattr(graphpde.solver, "_newton_attempt", recorded)
+    log = RunLog()
+    sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+    assert 2 in attempts and attempts[-1] == 1
+    assert log.stops == {"mountain_pass": "newton_handoff"}
+    assert sol.morse_index == morse_index(problem, sol.u) == 1
+
+
+def test_handoff_refuses_a_point_above_the_iterate(monkeypatch):
+    # an index-1 point above the iterate's energy is refused: the constant
+    # 1/2 on the lattice's interior has energy far above the bump's peak
+    problem = lattice_problem(12, POWER4)
+    high = np.full(problem.partition.omega.size, 0.5)
+    monkeypatch.setattr(graphpde.solver, "_newton_attempt", lambda *args: (high, 0.0, 1))
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(), log=log)
-    [(u_omega, res_max, index)] = attempts
-    u = np.zeros(problem.graph.n)
-    u[problem.partition.omega] = u_omega
-    assert res_max <= graphpde.solver.NEWTON_TOL and float(np.max(np.abs(u))) > 1.0
-    assert index == morse_index(problem, u) == 2
-    assert energy(problem, u) <= log.traces["mountain_pass"][0][0]
-    assert log.stops == full.stops == {"mountain_pass": "tolerance"}
-    assert log.traces == full.traces
-    assert np.array_equal(sol.u, deformed.u)
-    assert morse_index(problem, sol.u) == 1
+    assert log.stops == {"mountain_pass": "tolerance"}
+    assert sol.energy_value < energy(problem, problem._form.expand(high))
 
 
-def test_handoff_refuses_a_point_above_the_level():
-    # on path3 Newton from the initial maximum, at 1.4, reaches the saddle
-    # sqrt(2) of energy 2; the 41 samples straddle it, so the level is lower
-    problem = three_path_problem(POWER4)
-    log = RunLog()
-    sol = mountain_pass(problem, SolverConfig(), log=log)
-    level = log.traces["mountain_pass"][0][0]
-    assert log.stops["mountain_pass"] == "tolerance"
-    assert level < sol.energy_value == pytest.approx(2.0, rel=1e-12)
-    start = np.array([1.4])
-    assert graphpde.solver._newton_handoff(problem, start, level) is None
-    u, res_max = graphpde.solver._newton_handoff(problem, start, 2.0 + 1e-12)
-    assert u[0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    assert res_max <= graphpde.solver.NEWTON_TOL
+def test_path3_hands_off_at_step_0():
+    # one unknown: the spike ray's peak is the saddle, and Newton from it
+    # is accepted at step 0, where the path's sampled level refused it
+    for nl, root in ((POWER4, math.sqrt(2.0)), (PLUS_CONST, LARGE_ROOT)):
+        log = RunLog()
+        sol = mountain_pass(three_path_problem(nl), SolverConfig(verify_hypotheses=False), log=log)
+        assert log.stops == {"mountain_pass": "newton_handoff"}
+        assert len(log.traces["mountain_pass"]) == 1
+        assert sol.u[1] == pytest.approx(root, rel=1e-14)
 
 
-def test_handoff_refuses_the_zero_function(monkeypatch):
+def test_attempt_refuses_the_zero_function(monkeypatch):
     problem = three_path_problem(POWER4)
     for u, accepted in ((np.zeros(1), False), (np.full(1, 1e-9), True)):
         monkeypatch.setattr(
             graphpde.solver, "_newton_polish", lambda *args, u=u, **kwargs: (u, 0.0, 1)
         )
-        assert (graphpde.solver._newton_handoff(problem, np.ones(1), 2.0) is not None) == accepted
+        assert (graphpde.solver._newton_attempt(problem, np.ones(1)) is not None) == accepted
 
 
 def test_handoff_attempt_gives_up_after_two_factors(monkeypatch):
@@ -1096,7 +1014,7 @@ def test_accepted_handoffs_have_index_one(monkeypatch):
 def test_loops_record_why_they_stopped():
     cases = [
         (lattice_problem(12, POWER4), SolverConfig(), "newton_handoff"),
-        (three_path_problem(POWER4), SolverConfig(), "tolerance"),
+        (three_path_problem(POWER4), SolverConfig(), "newton_handoff"),
     ]
     for problem, config, stop in cases:
         log = RunLog()
@@ -1109,21 +1027,17 @@ def test_loops_record_why_they_stopped():
             SolverConfig(verify_hypotheses=False), log=log,
         )
     assert log.stops == {"mountain_pass": "endpoint_maximum"}
-    # the budget and a stall, on the loop itself
-    _, log = _deformed(lattice_problem(12, POWER4), SolverConfig(deform_steps=3))
+    # the budget, and backtracking that no longer moves the iterate before
+    # the gradient norm reaches 1e-300, on the loop itself
+    _, log = _descended(lattice_problem(12, POWER4), SolverConfig(deform_steps=3))
     assert log.stops == {"mountain_pass": "budget"}
     assert len(log.traces["mountain_pass"]) == 3
-    rng = np.random.default_rng(12)
-    for _ in range(96):
-        graph = random_connected_graph(rng, n_min=5, n_max=25)
-        part = random_partition(rng, graph)
-    stalled = Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER4, h0=1.0)
-    log = RunLog()
-    mountain_pass(stalled, SolverConfig(verify_hypotheses=False), log=log)
-    assert log.stops == {"mountain_pass": "stall"}
+    sol, log = _descended(lattice_problem(12, POWER4), SolverConfig(deform_tol=1e-300))
+    assert log.stops == {"mountain_pass": "backtracking"}
+    assert sol.morse_index == 1
 
     # the ball's Newton converges, inside the ball or not, or fails; the
-    # deformation's budget and tolerance do not bound it
+    # descent's budget and tolerance do not bound it
     ball = power_plus_const(4, 0.01)
     for problem, config, stop in (
         (lattice_problem(12, ball), SolverConfig(rho=1.0), "tolerance"),
@@ -1140,17 +1054,26 @@ def test_loops_record_why_they_stopped():
         assert log.stops == {"ball_min": stop}
 
 
-def test_newton_failure_names_the_budget_stop(monkeypatch):
-    # the deformation spends its one iteration, then Newton from the
-    # maximizer spends its one step: both budget exits in one run
+def test_newton_failure_names_the_budget_stop(monkeypatch, descent_only):
+    # the descent spends its one step, then Newton from the iterate
+    # spends its one step: both budget exits in one run
     monkeypatch.setattr(graphpde.solver, "NEWTON_MAX", 1)
     log = RunLog()
-    problem = three_path_problem(power(4, theta=4, M=1))
     with pytest.raises(SolverError) as err:
-        mountain_pass(problem, SolverConfig(deform_steps=1), log=log)
+        mountain_pass(lattice_problem(12, POWER4), SolverConfig(deform_steps=1), log=log)
     assert log.stops == {"mountain_pass": "budget"}
     message = str(err.value)
-    assert message.startswith("path deformation spent its iteration budget at sampled level ")
-    assert "stalled" not in message
+    assert message.startswith("descent spent its iteration budget at energy ")
     assert re.search(r"Newton refinement did not reach residual 1e-12 in 1 iterations "
                      r"\(residual [-+.0-9e]+\)$", message)
+
+
+def test_a_final_point_of_index_two_is_refused(monkeypatch, descent_only):
+    # without its attempts the descent ends next to a point of index 2
+    problem = _corpus_problem(10, 3)
+    log = RunLog()
+    with pytest.raises(SolverError, match=r"^descent stopped by \w+ and Newton refinement "
+                                          r"converged to a critical point of Morse index 2, "
+                                          r"not a mountain-pass point of index 1$"):
+        mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+    assert log.stops["mountain_pass"] in ("tolerance", "backtracking", "budget")

@@ -111,34 +111,6 @@ def lower_band(a, bandwidth):
     return band
 
 
-def resample_side(points):
-    """Per-side reference for the solver's one-pass resample: the points
-    redistributed uniformly by Euclidean arc length along their polygon,
-    both ends kept exactly."""
-    deltas = np.diff(points, axis=0)
-    seg = np.sqrt(np.sum(deltas * deltas, axis=1))
-    cum = np.concatenate(([0.0], np.cumsum(seg)))
-    total = cum[-1]
-    if not total > 0.0:
-        return points
-    targets = np.linspace(0.0, total, len(points))
-    idx = np.clip(np.searchsorted(cum, targets, side="right") - 1, 0, len(seg) - 1)
-    safe = np.where(seg[idx] > 0.0, seg[idx], 1.0)
-    local = np.where(seg[idx] > 0.0, (targets - cum[idx]) / safe, 0.0)
-    out = points[idx] + local[:, None] * deltas[idx]
-    out[0] = points[0]
-    out[-1] = points[-1]
-    return out
-
-
-def resample_about(path, i):
-    """Each side of path point i resampled on its own by resample_side."""
-    out = path.copy()
-    out[: i + 1] = resample_side(path[: i + 1])
-    out[i:] = resample_side(path[i:])
-    return out
-
-
 def hessian(problem, u):
     """The energy's Hessian at u in the interior unknowns,
     L_int + diag(mu (h - f_u)), with L_int from the per-vertex assembly."""
