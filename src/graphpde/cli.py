@@ -60,7 +60,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     # per command: its help, what --tol means, what --max-iter means
-    eigen = ("eigen tolerance (default 1e-12)", "eigen iteration budget (default 500)")
+    eigen = ("relative change of lambda1 between Lanczos steps that stops the eigen "
+             "step (default 1e-12)", "Lanczos step budget of the eigen step (default 500)")
     loops = ("gradient-norm stop of the descent (default 1e-8); the eigen "
              "step and the ball minimizer's Newton iteration keep their defaults",
              "step budget of the descent (default 5000)")
@@ -288,14 +289,15 @@ def _solver_config(ns: argparse.Namespace) -> SolverConfig:
 
 def _eigen_records(
     emit: _Report, gf: GraphFile, h0, hypothesis, tol=None, max_iter=None,
-    eigenfunction=False,
+    eigenfunction=False, form=None,
 ) -> bool:
     """Emit the eigenvalue record (and the eigenfunction when asked),
-    then the constants record when a hypothesis on h supports them.
-    Returns False when the constants cannot be formed; an error record
-    stands in their place."""
+    then the constants record when a hypothesis on h supports them; form
+    is the interior Laplacian when a Problem already holds it.  Returns
+    False when the constants cannot be formed; an error record stands in
+    their place."""
     budget = _given(tolerance=tol, max_iterations=max_iter)
-    eigen = first_eigenvalue(gf.graph, gf.partition, **budget)
+    eigen = first_eigenvalue(gf.graph, gf.partition, form=form, **budget)
     emit.add({
         "record": "eigenvalue", "lambda1": _fin(eigen.lambda1),
         "iterations": eigen.iterations, "residual": _fin(eigen.residual),
@@ -425,7 +427,7 @@ def _cmd_solve(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
     for v in log.verdicts:
         emit.add(_verdict_record(v))
     hyp = embedding_hypothesis(coefficient_verdicts(gf, ns.h0, ("H1", "H3")))
-    if not _eigen_records(emit, gf, ns.h0, hyp):
+    if not _eigen_records(emit, gf, ns.h0, hyp, form=problem._form):
         return 1
     emit.add(_solution_record(gf.graph, sol, 1))
     emit.add(_trace_record(log, "mountain_pass"))

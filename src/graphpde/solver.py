@@ -318,9 +318,11 @@ def _ray_peak(problem: Problem, v: np.ndarray):
     The peak is a root of d/dt energy(t v) = t |v|_h^2 - sum mu f(t v) v
     where it falls through 0.  From t = 1 the root is bracketed by at
     most SPIKE_DOUBLINGS doublings while that slope is positive, or else
-    halvings while it is not, then refined by Newton's method on the
-    slope, with f_u, bisecting when a step leaves the bracket, until a
-    step no longer moves t.
+    halvings while it is not.  When no halving finds it positive (a well
+    that f(x, 0) != 0 digs near 0 can hold t = 1), doublings from t = 1
+    look for the rise above 1 and then for the fall after it.  The root
+    is refined by Newton's method on the slope, with f_u, bisecting when
+    a step leaves the bracket, until a step no longer moves t.
     """
     nl = problem.nl
     sq = float(_kernel(problem, v, value=False)[0])
@@ -329,14 +331,23 @@ def _ray_peak(problem: Problem, v: np.ndarray):
     def slope(t):
         return t * sq - float(mv @ reaction(nl, t * v))
 
-    t, rising = 1.0, slope(1.0) > 0.0
-    for _ in range(SPIKE_DOUBLINGS):
-        t = 2.0 * t if rising else 0.5 * t
-        if (slope(t) > 0.0) != rising:
-            break
-    else:
+    def walk(t, factor, rising):
+        """The first of up to SPIKE_DOUBLINGS multiples of t by factor
+        where the slope's sign turns, or None."""
+        for _ in range(SPIKE_DOUBLINGS):
+            t *= factor
+            if (slope(t) > 0.0) != rising:
+                return t
         return None
-    lo, hi = (0.5 * t, t) if rising else (t, 2.0 * t)
+
+    t = 1.0
+    if not slope(t) > 0.0:
+        t = walk(t, 0.5, False) or walk(t, 2.0, False)
+    if t is not None and t >= 1.0:
+        t = walk(t, 2.0, True)
+    if t is None:
+        return None
+    lo, hi = (t, 2.0 * t) if t < 1.0 else (0.5 * t, t)
     for _ in range(100):
         value = slope(t)
         if value == 0.0:
@@ -720,7 +731,7 @@ def two_solutions(
             f"{gap:g} < {DISTINCT_SUP:g}); both iteration traces are in the run log"
         )
 
-    eigen = first_eigenvalue(problem.graph, problem.partition)
+    eigen = first_eigenvalue(problem.graph, problem.partition, form=problem._form)
     constants = embedding_constants(
         problem.graph, problem.partition, problem.h, problem.h0,
         hypothesis=hypothesis, eigen=eigen,

@@ -7,14 +7,18 @@ The first eigenvalue is the minimum of the Rayleigh quotient
 over Dirichlet functions, computed as the smallest eigenvalue of the
 generalized problem L u = lambda M u on interior unknowns, where L is
 the weighted Dirichlet Laplacian and M = diag(mu), both read off
-calculus._interior_laplacian, L kept as its band.  Small problems are
-solved densely with eigh; large ones by inverse iteration on interior
-values v that factors L once, by _band_solver (a = C S C^T, S = +-1:
-Cholesky windows; where Cholesky fails, 1x1 pivots at the window's rows
-that are not diagonally dominant, or else eigh blocks), and then only
-back-substitutes.  v^T L v is the interior Laplacian's edge sum, and
-the residual's L u is -mu times the graph Laplacian of u, a second
-route, so neither applies L as a matrix.
+calculus._interior_laplacian, L kept as its band.  One kernel serves
+every graph: Lanczos on L^(-1) M with full reorthogonalization
+(Ericsson & Ruhe, Math. Comp. 35, 1980; Parlett, The Symmetric
+Eigenvalue Problem, SIAM 1998, ch. 13).  It factors L once, by
+_band_solver (a = C S C^T, S = +-1: Cholesky windows; where Cholesky
+fails, 1x1 pivots at the window's rows that are not diagonally
+dominant, or else eigh blocks), and then only back-substitutes; its
+only dense eigensolve is of the j x j tridiagonal after j steps.  The
+reported lambda1 is the Rayleigh quotient of the Ritz vector, with
+v^T L v the interior Laplacian's edge sum, and the residual's L u is
+-mu times the graph Laplacian of u, a second route, so neither applies
+L as a matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import _interior_laplacian, _interior_matrix, integrate, laplacian
+from .calculus import (
+    _interior_laplacian, _interior_matrix, _InteriorLaplacian, integrate, laplacian,
+)
 from .graphs import DomainPartition, WeightedGraph
 
 
@@ -33,8 +39,9 @@ from .graphs import DomainPartition, WeightedGraph
 class EigenResult:
     """lambda1 with its eigenfunction (Dirichlet, normalized so that
     int_omega u^2 dmu = 1, first nonzero entry positive), the number of
-    inverse iterations (0 on the dense branch) and the residual
-    max |L u - lambda1 M u| over the interior unknowns, absolute."""
+    Lanczos steps, one band solve each (0 for one interior unknown), and
+    the residual max |L u - lambda1 M u| over the interior unknowns,
+    absolute."""
 
     lambda1: float
     eigenfunction: np.ndarray
@@ -42,8 +49,6 @@ class EigenResult:
     residual: float
 
 
-# Most interior unknowns first_eigenvalue solves densely with eigh.
-DENSE_CUTOFF = 200
 # Row/column block size of _band_solver; np.linalg.cholesky sees at most
 # a block's window of 2 _BLOCK rows, and below an eigh block C fills it.
 _BLOCK = 64
@@ -232,26 +237,87 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     return solve
 
 
+def _lanczos(op: _InteriorLaplacian, tolerance: float, max_iterations: int):
+    """(v, lambda, steps) for lambda1 of L v = lambda M v: Lanczos on
+    L^(-1) M, self-adjoint in <x, y> = x^T M y / sum(mu) (unit mean
+    square, so v^T L v does not overflow where mu is tiny), from the
+    constant 1.  Each step solves with L's band factor, made once,
+    orthogonalizes against the whole basis twice and takes eigh of the
+    tridiagonal T_j.  Once T_j's largest eigenvalue theta moves by at
+    most sqrt(tolerance) * theta (1 / theta is the Rayleigh quotient of
+    L^(-1) M at v, whose error is at most lambda's), a step forms the
+    Ritz vector v and lambda, its Rayleigh quotient with v^T L v an edge
+    sum, so lambda >= lambda1 whatever the factor's rounding.  Stops
+    when lambda moves by at most tolerance * lambda between two
+    consecutive steps, or when the Krylov space is invariant: it spans
+    every unknown (one unknown takes no step) or the next basis vector is
+    0.  Raises ValueError after max_iterations steps, or when a basis
+    vector leaves floating point.
+    """
+    mu, n, total = op.mu, len(op.mu), float(np.sum(op.mu))
+    p, v = mu / total, np.ones(n)
+    lam = op.quadratic(v) / total
+    if n == 1:
+        return v, lam, 0
+    solve = _band_solver(_interior_matrix(op))
+    size = min(n, max_iterations, 8)  # rows of the basis and of T, doubled when full
+    q, tri = np.empty((size, n)), np.zeros((size, size))
+    q[0] = v
+    for steps in range(1, min(n, max_iterations) + 1):
+        basis = q[:steps]
+        w = solve(mu * basis[-1])
+        h = basis @ (p * w)
+        tri[steps - 1, steps - 1] = h[-1]
+        w -= h @ basis
+        w -= (basis @ (p * w)) @ basis
+        b = math.sqrt(float(w @ (p * w)))
+        if not b < math.inf:
+            raise ValueError(
+                f"the first eigenvalue leaves floating point: Lanczos step {steps} gives {b}"
+            )
+        last = steps == n or b == 0.0  # the Krylov space is invariant
+        if steps == 1:  # T_1 = [theta], whose Ritz vector is the start
+            theta = h[-1]
+        else:
+            ritz, s = np.linalg.eigh(tri[:steps, :steps])  # reads the lower band
+            theta, theta_old = ritz[-1], theta
+            if last or abs(theta - theta_old) <= math.sqrt(tolerance) * theta:
+                v = s[:, -1] @ basis
+                lam, lam_old = op.quadratic(v) / float(v @ (mu * v)), lam
+                if abs(lam - lam_old) <= tolerance * lam:
+                    break
+            else:
+                lam = math.nan  # the next lambda has no predecessor to compare with
+        if last:
+            break
+        if steps == size:
+            size = min(2 * size, n)
+            q = np.concatenate((q, np.empty((size - steps, n))))
+            tri = np.pad(tri, (0, size - steps))
+        tri[steps, steps - 1] = b
+        q[steps] = w / b
+    else:
+        raise ValueError(f"Lanczos did not converge in {max_iterations} steps")
+    return v, lam, steps
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a result that leaves floating point is refused
 def first_eigenvalue(
     graph: WeightedGraph,
     partition: DomainPartition,
     tolerance: float = 1e-12,
     max_iterations: int = 500,
+    *,
+    form: _InteriorLaplacian | None = None,
 ) -> EigenResult:
-    """Smallest Dirichlet eigenvalue of the domain.
+    """Smallest Dirichlet eigenvalue of the domain, by _lanczos on the
+    interior values v.
 
-    Up to DENSE_CUTOFF interior vertices the dense symmetric problem
-    M^(-1/2) L M^(-1/2) is solved by eigh (tolerance and max_iterations
-    unused).  Above that, inverse iteration runs on the interior values
-    v from the constant of unit mass: v <- L^(-1) M v, rescaled to
-    int_omega v^2 dmu = 1, with lambda = v^T L v (an edge sum), until
-    successive lambdas differ by at most tolerance * max(1, |lambda|).
-    L is factored once; each iteration only back-substitutes.  u is v
-    with zeros off omega; the residual is max |L u - lambda M u| there,
-    with L u = -mu laplacian(u).  Raises ValueError when max_iterations
-    pass unstopped, or when lambda1 or the residual is not finite (a
-    finite residual also bounds every value of u).
+    form is the interior Laplacian of partition when the caller holds it
+    (Problem._form).  u is v with zeros off omega; the residual is
+    max |L u - lambda M u| there, with L u = -mu laplacian(u).  Raises
+    ValueError when _lanczos does, or when lambda1 or the residual is
+    not finite (a finite residual also bounds every value of u).
     """
     if partition.boundary.size == 0:
         raise ValueError(
@@ -261,32 +327,10 @@ def first_eigenvalue(
     if not partition.connected:
         raise ValueError("interior plus boundary must be connected")
 
-    op = _interior_laplacian(graph, partition)
+    op = _interior_laplacian(graph, partition) if form is None else form
     mu = op.mu
-    iterations = 0
-    if len(mu) <= DENSE_CUTOFF:
-        low = _band_panel(_interior_matrix(op), 0, len(mu))[: len(mu)]
-        d = 1.0 / np.sqrt(mu)
-        smat = (low + np.tril(low, -1).T) * d[:, None] * d[None, :]
-        smat = 0.5 * (smat + smat.T)
-        evals, evecs = np.linalg.eigh(smat)
-        lam = float(evals[0])
-        v = d * evecs[:, 0]  # back to the generalized problem; int u^2 dmu = 1
-    else:
-        solve = _band_solver(_interior_matrix(op))
-        v = np.full(len(mu), 1.0 / math.sqrt(float(np.sum(mu))))
-        lam = op.quadratic(v)
-        for iterations in range(1, max_iterations + 1):
-            z = solve(mu * v)
-            v = z / math.sqrt(float(z @ (mu * z)))
-            lam, lam_old = op.quadratic(v), lam
-            if abs(lam - lam_old) <= tolerance * max(1.0, abs(lam)):
-                break
-        else:
-            raise ValueError(
-                f"inverse power iteration did not converge in {max_iterations} iterations"
-            )
-
+    v, lam, iterations = _lanczos(op, tolerance, max_iterations)
+    v = v / math.sqrt(float(v @ (mu * v)))  # int_omega v^2 dmu = 1
     size = np.abs(v)
     if v[np.argmax(size > 1e-14 * np.max(size))] < 0.0:  # first nonzero entry
         v = -v

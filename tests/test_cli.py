@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import graphpde
 from graphpde.cli import run
-from graphpde.graphs import format_graph_text, parse_graph_file
+from graphpde.graphs import build_graph, compute_boundary, format_graph_text, parse_graph_file
 from graphpde.nonlinearity import parse_nonlinearity
 from graphpde.solver import verify
 from util import lattice
@@ -118,14 +118,67 @@ def test_eigen_command(graph_file, capsys):
 
 
 def test_eigen_reports_non_convergence(graph_file, capsys):
-    # 225 interior unknowns take the inverse iteration, which needs more
-    # than one step
+    # 225 interior unknowns: Lanczos needs more than one step
     graph, part = lattice(17)
     path = graph_file(format_graph_text(graph, part, np.ones(graph.n)))
     assert run(["eigen", path, "--max-iter", "1", "--format", "jsonl"]) == 1
     records = jsonl_records(capsys.readouterr().out)
     assert [r["record"] for r in records] == ["meta", "error"]
-    assert records[-1]["message"] == "inverse power iteration did not converge in 1 iterations"
+    assert records[-1]["message"] == "Lanczos did not converge in 1 steps"
+
+
+def _twin_lattices(k, scale):
+    """Two k x k unit lattices, a and b, joined by one edge between their
+    rims; b's weights are scaled, and both keep the measures the unscaled
+    lattice derives.  The interiors do not touch, so lambda1 is a's
+    1 - cos(pi / (k - 1)), and b's lambda1, scale times that, is
+    lambda2."""
+    graph, part = lattice(k)
+    ids = graph.vertex_ids
+    edges = [
+        (side + ids[i], side + ids[j], float(w) * factor)
+        for side, factor in (("a", 1.0), ("b", scale))
+        for (i, j), w in zip(graph.edge_index, graph.edge_weight)
+    ]
+    edges.append((f"a0,{k // 2}", f"b0,{k // 2}", 1.0))
+    measures = {side + v: float(m) for side in "ab" for v, m in zip(ids, graph.measure)}
+    twin = build_graph([side + v for side in "ab" for v in ids], edges,
+                       measure_mode="given", measures=measures)
+    return twin, compute_boundary(twin, [side + ids[i] for side in "ab" for i in part.omega])
+
+
+def test_eigen_separates_nearly_equal_eigenvalues(graph_file, capsys):
+    # lambda2 / lambda1 = 1.001: inverse iteration converges by that factor
+    # per step, too slowly for the default 500 steps
+    twin, part = _twin_lattices(16, 1.001)
+    path = graph_file(format_graph_text(twin, part, np.ones(twin.n)))
+    assert run(["eigen", path, "--format", "jsonl"]) == 0
+    records = {r["record"]: r for r in jsonl_records(capsys.readouterr().out)}
+    assert records["eigenvalue"]["lambda1"] == pytest.approx(1.0 - math.cos(math.pi / 15), rel=1e-13)
+    assert records["eigenvalue"]["iterations"] <= 15
+    u = records["eigenfunction"]["u"]
+    assert max(abs(val) for vid, val in u.items() if vid[0] == "b") <= 1e-6 * max(u.values())
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--h0", "1", "--nl", "power:p=4", "--theta", "4", "--M", "1"],
+    ["eigen", "--h0", "1"],
+    ["solve", "--nl", "power:p=4", "--theta", "4", "--M", "1"],
+    ["solve2", "--nl", "power_plus_const:p=4,eps=0.1", "--rho", "1", "--h0", "1"],
+], ids=lambda argv: argv[0])
+def test_one_interior_laplacian_per_command(argv, graph_file, monkeypatch, capsys):
+    # solve and solve2 hand their Problem's operator to the eigen step
+    builds = []
+    original = graphpde.calculus._interior_laplacian
+
+    def counted(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(graphpde.variational, "_interior_laplacian", counted)
+    monkeypatch.setattr(graphpde.spectral, "_interior_laplacian", counted)
+    assert run([argv[0], graph_file(PATH3), *argv[1:]]) == 0
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -611,6 +611,19 @@ def test_ray_peak_is_the_root_of_the_radial_derivative(rng):
     assert _ray_peak(three_path_problem(power_plus_const(4, 10.0)), np.array([1.0])) is None
 
 
+def test_ray_peak_looks_above_one_when_halving_finds_no_rise():
+    # on the ray of v = 0.01 at path3's unknown the slope of energy(t v),
+    # 4e-4 t - 0.02 (1e-6 t^3 + 0.1), is negative from t = 1 down to 0; it
+    # turns positive past t = 5 and falls through 0 again at the peak
+    problem = three_path_problem(PLUS_CONST)
+    u, value = _ray_peak(problem, np.array([0.01]))
+    assert u[0] == pytest.approx(LARGE_ROOT, rel=1e-14)
+    assert u[0] == pytest.approx(1.38851746, rel=1e-8)
+    u1, value1 = _ray_peak(problem, np.array([1.0]))
+    assert u[0] == pytest.approx(u1[0], rel=1e-14)
+    assert value == pytest.approx(value1, rel=1e-14)
+
+
 def test_mountain_pass_lattice_takes_few_iterations():
     log = RunLog()
     mountain_pass(lattice_problem(12, POWER4), SolverConfig(), log=log)

@@ -1,6 +1,7 @@
 """First Dirichlet eigenvalue and embedding constants."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ def test_eigen_oracle_three_path(path3):
     graph, part = path3
     res = first_eigenvalue(graph, part)
     assert res.lambda1 == pytest.approx(1.0, abs=1e-12)
-    assert res.iterations == 0
+    assert res.iterations == 0  # one unknown: the start spans the space, no Lanczos step
     assert res.residual <= 1e-12
     assert res.eigenfunction[part.boundary].tolist() == [0.0, 0.0]
     assert res.eigenfunction[1] == pytest.approx(1 / math.sqrt(2), rel=1e-12)
@@ -123,6 +124,17 @@ def _log_uniform_weights(rng, graph):
     return build_graph(ids, edges, measure_mode="given", measures=measures)
 
 
+def _dense_eigh(graph, part):
+    """numpy's dense eigh of M^(-1/2) L M^(-1/2), with L from the
+    per-vertex assembly: lambda1, that matrix's 2-norm and the Rayleigh
+    quotient of eigh's first eigenvector, from the per-vertex form."""
+    d = 1.0 / np.sqrt(graph.measure[part.omega])
+    lam, vec = np.linalg.eigh(interior_matrix_loop(graph, part) * d[:, None] * d[None, :])
+    u = np.zeros(graph.n)
+    u[part.omega] = d * vec[:, 0]
+    return lam[0], float(np.max(np.abs(lam))), rayleigh_quotient(graph, part, u)
+
+
 def test_iterative_agrees_with_dense(rng):
     cases = []
     for k in range(22):
@@ -138,26 +150,25 @@ def test_iterative_agrees_with_dense(rng):
         cases.append((graph, part, wide))
     eps = np.finfo(float).eps
     for graph, part, wide in cases:
-        dense = first_eigenvalue(graph, part)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "DENSE_CUTOFF", 0)
-            iterative = first_eigenvalue(graph, part)
-        assert dense.iterations == 0
-        assert iterative.iterations >= 1
+        res = first_eigenvalue(graph, part)
+        dense, norm2, quotient = _dense_eigh(graph, part)
+        assert res.iterations >= 1
+        # lambda1 minimizes the Rayleigh quotient: the Ritz vector's is no
+        # larger than that of eigh's eigenvector
+        assert res.lambda1 <= quotient * (1 + 1e-13)
         if wide:
-            # the kept stop rule |dlambda| <= tol max(1, |lambda|) is absolute
-            # for lambda < 1, so small eigenvalues agree on that scale only
-            assert abs(iterative.lambda1 - dense.lambda1) <= 1e-9 * max(1.0, dense.lambda1)
+            # eigh's error is absolute, about eps times the matrix's norm,
+            # which here can exceed lambda1 itself
+            assert abs(res.lambda1 - dense) <= part.omega.size * eps * norm2
         else:
-            assert iterative.lambda1 == pytest.approx(dense.lambda1, rel=1e-9)
+            assert res.lambda1 == pytest.approx(dense, rel=1e-11)
         # the residual is the dense max |L u - lambda M u|, up to rounding
         lmat = interior_matrix_loop(graph, part)
         mu = graph.measure[part.omega]
-        for res in (dense, iterative):
-            u = res.eigenfunction[part.omega]
-            want = np.max(np.abs(lmat @ u - res.lambda1 * mu * u))
-            scale = np.max(np.abs(lmat) @ np.abs(u) + abs(res.lambda1) * mu * np.abs(u))
-            assert abs(res.residual - want) <= (graph.n + 4) * eps * scale
+        u = res.eigenfunction[part.omega]
+        want = np.max(np.abs(lmat @ u - res.lambda1 * mu * u))
+        scale = np.max(np.abs(lmat) @ np.abs(u) + abs(res.lambda1) * mu * np.abs(u))
+        assert abs(res.residual - want) <= (graph.n + 4) * eps * scale
 
 
 def test_iterative_factors_once(monkeypatch, rng):
@@ -165,7 +176,7 @@ def test_iterative_factors_once(monkeypatch, rng):
     part = random_partition(rng, graph)
     if part.omega.size < 2:
         part = compute_boundary(graph, [graph.vertex_ids[i] for i in range(10)])
-    dense = first_eigenvalue(graph, part)
+    dense = _dense_eigh(graph, part)[0]
     # 225 interior unknowns of bandwidth 15: four blocks, one factor each,
     # of the block's columns and the 15 rows below them
     big_graph, big_part = lattice(17)
@@ -186,17 +197,16 @@ def test_iterative_factors_once(monkeypatch, rng):
     monkeypatch.setattr(np.linalg, "cholesky", counted)
     monkeypatch.setattr(np.linalg, "solve", refactoring_solve)
     monkeypatch.setattr(np.linalg, "inv", inverse)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 0)
     iterative = first_eigenvalue(graph, part)
     assert factorizations == [(part.omega.size, part.omega.size)]
     assert iterative.iterations >= 1
-    assert iterative.lambda1 == pytest.approx(dense.lambda1, rel=1e-9)
+    assert iterative.lambda1 == pytest.approx(dense, rel=1e-11)
 
     factorizations.clear()
     big = first_eigenvalue(big_graph, big_part)
     assert len(factorizations) == math.ceil(225 / _BLOCK) == 4
     assert all(rows == cols <= _BLOCK + 15 for rows, cols in factorizations)
-    assert big.lambda1 == pytest.approx(1.0 - math.cos(math.pi / 16), rel=1e-10)
+    assert big.lambda1 == pytest.approx(1.0 - math.cos(math.pi / 16), rel=1e-13)
 
 
 def _banded_spd(rng, n, bandwidth):
@@ -469,10 +479,10 @@ def test_band_solver_counts_eigenvalues_below_a_shift_on_the_lattice():
 
 def test_default_iterative_branch_lattice_oracle():
     graph, part = lattice(17)
-    assert part.omega.size == 225 > spectral.DENSE_CUTOFF
+    assert part.omega.size == 225
     res = first_eigenvalue(graph, part)
     assert res.iterations >= 1
-    assert res.lambda1 == pytest.approx(1.0 - math.cos(math.pi / 16), rel=1e-10)
+    assert res.lambda1 == pytest.approx(1.0 - math.cos(math.pi / 16), rel=1e-13)
     u = res.eigenfunction
     assert np.all(u[part.boundary] == 0.0) and np.all(u[part.exterior] == 0.0)
     assert integrate(graph, u * u, part.omega) == pytest.approx(1.0, rel=1e-12)
@@ -488,7 +498,6 @@ def test_inverse_iteration_reads_the_interior_laplacian(monkeypatch):
     monkeypatch.setattr("graphpde.calculus.edge_energy", closure_pass)
     monkeypatch.setattr(spectral, "edge_energy", closure_pass, raising=False)
     graph, part = lattice(17)
-    assert part.omega.size > spectral.DENSE_CUTOFF
     res = first_eigenvalue(graph, part)
     assert res.iterations >= 1
     assert res.lambda1 == pytest.approx(1.0 - math.cos(math.pi / 16), rel=1e-10)
@@ -496,8 +505,46 @@ def test_inverse_iteration_reads_the_interior_laplacian(monkeypatch):
 
 def test_eigen_reports_non_convergence():
     graph, part = lattice(17)
-    with pytest.raises(ValueError, match="did not converge in 1 iterations"):
+    with pytest.raises(ValueError, match="^Lanczos did not converge in 1 steps$"):
         first_eigenvalue(graph, part, max_iterations=1)
+
+
+@pytest.mark.parametrize("k", [12, 30, 40])
+def test_lattice_lambda1_in_seven_lanczos_steps(k):
+    # the benchmark's lattices: lambda1 to 1e-13 relative in at most 7
+    # band solves
+    graph, part = lattice(k)
+    res = first_eigenvalue(graph, part)
+    assert res.lambda1 == pytest.approx(1.0 - math.cos(math.pi / (k - 1)), rel=1e-13)
+    assert res.iterations <= 7
+    assert res.residual <= 1e-9
+
+
+def test_tiny_lambda1_has_a_relative_stop():
+    # a 30-vertex unit path under measures that put lambda1 at 7.0e-12,
+    # where an absolute stop |dlambda| <= 1e-12 ends inverse iteration
+    # after 2 steps, 1.4e-4 off; lambda_k = (2 - 2 cos(k pi / 31)) / mu
+    unit = 2.0 - 2.0 * math.cos(math.pi / 31)
+    ids = [f"v{i}" for i in range(32)]
+    graph = path_graph(ids, measure_mode="given", measures={v: unit / 7.0e-12 for v in ids})
+    part = compute_boundary(graph, ids[1:-1])
+    res = first_eigenvalue(graph, part)
+    assert res.lambda1 == pytest.approx(7.0e-12, rel=1e-13)
+    assert res.iterations > 2
+
+
+def test_invariant_start_stops_without_dividing_by_zero():
+    # L = [[16, -4], [-4, 5]] and M = diag(24, 2): L 1 = M 1 / 2, and the
+    # factor's solve is exact, so the first Lanczos step leaves nothing
+    # orthogonal to the start, beta is 0, and the kernel stops there
+    graph = path_graph("abcd", [12.0, 4.0, 1.0], measure_mode="given",
+                       measures={"a": 1.0, "b": 24.0, "c": 2.0, "d": 1.0})
+    part = compute_boundary(graph, ["b", "c"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = first_eigenvalue(graph, part)
+    assert res.iterations == 1
+    assert (res.lambda1, res.residual) == (0.5, 0.0)
 
 
 def test_eigen_rejects_empty_boundary(path3):
