@@ -14,9 +14,12 @@ Each solution's Morse index is counted here, from numpy's dense
 eigvalsh of the Hessian L + diag(mu (1 - f_u(u))) on the interior
 unknowns, assembled from the corpus's own edge lists, not by the
 package.  For each set the script prints the failures, the stop
-reasons, the escapes (calls of solver._escape_direction) and the most
-descent steps (trace rows) of a run, and it exits 1 on any failure or
-index other than 1.  --only NAME restricts every set to the named
+reasons, the escapes (calls of solver._escape_direction), the most
+descent steps (trace rows) of a run, the Newton runs (calls of
+solver._newton_polish) and the band factors (calls of
+solver._band_solver: Newton's Jacobians and Hessians, P and the
+escapes' shifted Hessians), and it exits 1 on any failure or index
+other than 1.  --only NAME restricts every set to the named
 graphs.
 
     PYTHONPATH=src python scripts/pass_index_sweep.py
@@ -71,8 +74,9 @@ def dense_index(inp, u, p):
     return int(np.sum(np.linalg.eigvalsh(hess[np.ix_(omega, omega)]) < 0.0))
 
 
-def sweep(label, inputs, p, escapes):
+def sweep(label, inputs, p, escapes, calls):
     failures, wrong, stops, per_run, steps = [], [], Counter(), [], 0
+    calls.clear()
     for inp in inputs:
         graph = build_graph(inp.ids, [(inp.ids[a], inp.ids[b], w) for a, b, w in inp.edges])
         part = compute_boundary(graph, [inp.ids[i] for i in inp.omega])
@@ -97,6 +101,7 @@ def sweep(label, inputs, p, escapes):
     print(f"  stops {dict(sorted(stops.items()))}")
     print(f"  escapes {sum(per_run)} (at most {max(per_run, default=0)} in a run), "
           f"most steps {steps}")
+    print(f"  newton runs {calls['newton']}, band factors {calls['factor']}")
     for line in failures + wrong:
         print(f"  {line}")
     return not failures and not wrong
@@ -111,18 +116,30 @@ def main(argv=None) -> int:
     def chosen(inputs):
         return [inp for inp in inputs if args.only is None or inp.name in args.only]
 
-    escapes = []
+    escapes, calls = [], Counter()
     escape = graphpde.solver._escape_direction
+    newton = graphpde.solver._newton_polish
+    band_solver = graphpde.solver._band_solver
 
-    def counted(problem, w, index):
+    def counted_escape(problem, w, index):
         escapes.append(index)
         return escape(problem, w, index)
 
-    graphpde.solver._escape_direction = counted
+    def counted_newton(*args, **kwargs):
+        calls["newton"] += 1
+        return newton(*args, **kwargs)
+
+    def counted_factor(band):
+        calls["factor"] += 1
+        return band_solver(band)
+
+    graphpde.solver._escape_direction = counted_escape
+    graphpde.solver._newton_polish = counted_newton
+    graphpde.solver._band_solver = counted_factor
     ok = True
     for p in (2.5, 3.0, 4.0):
-        ok &= sweep(f"corpus p={p:g}", chosen(corpus_inputs()), p, escapes)
-    ok &= sweep("test generator p=4", chosen(generator_inputs()), 4.0, escapes)
+        ok &= sweep(f"corpus p={p:g}", chosen(corpus_inputs()), p, escapes, calls)
+    ok &= sweep("test generator p=4", chosen(generator_inputs()), 4.0, escapes, calls)
     print(f"every solution at index 1: {ok}")
     return 0 if ok else 1
 

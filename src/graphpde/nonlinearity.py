@@ -282,14 +282,20 @@ def _sign_changes(terms, lo: float, hi: float) -> list[float]:
 
 
 def _lowest(pairs, lo: float):
-    """(r, t): the least r over t >= lo of the sum of the (b, s) pairs over
-    the sum of its terms' magnitudes, and the smallest t reaching it, among
-    lo (unless every term vanishes there), the derivative's sign changes
-    and the largest float, or 2 max(1, roots) if the sum falls unbounded."""
+    """(r, t, x): the least r over t >= lo of the sum of the (b, s) pairs
+    over the sum of its terms' magnitudes, and the smallest t reaching it,
+    among lo (unless every term vanishes there), the derivative's sign
+    changes and the largest float, or 2 max(1, roots) if the sum falls
+    unbounded.  When its highest term b t^s falls (b < 0 < s) and no point
+    reaches r <= -_REL_GUARD, that term decides: r is b / m, the ratio's
+    limit, at t = inf.  Where r <= 0, a t past top, the largest t at which
+    no term m t^s exceeds 2^-16 times the largest float, moves to top if
+    the sum is negative there, so that a witness's quantities stay finite.
+    x is ln t for a t = inf (_fall_log), else None."""
     terms = _merged(pairs)
     lead = [(b, s) for b, s, _ in terms if b != 0.0]
     if not lead:
-        return 0.0, lo
+        return 0.0, lo, None
     points = [lo] * (lo > 0.0 or terms[0][1] == 0.0)
     points += _sign_changes([(b * s, s - 1.0, 0.0) for b, s in lead if s > 0.0], lo, math.inf)
     falls = lead[-1][0] < 0.0 < lead[-1][1]
@@ -297,7 +303,38 @@ def _lowest(pairs, lo: float):
                       else math.inf, sys.float_info.max))
     ratios = [_ratio(terms, t) for t in points]
     k = int(np.argmin(ratios))
-    return ratios[k], points[k]
+    r, t = ratios[k], points[k]
+    b, s, m = terms[-1]
+    if b < 0.0 < s and not r <= -_REL_GUARD:
+        r, t = b / m, math.inf
+    if r > 0.0:  # every claim holds: no witness to place
+        return r, t, None
+    ceiling = math.log(2.0 ** -16 * sys.float_info.max)
+    top = math.exp(min([ceiling] + [(ceiling - math.log(m)) / s for _, s, m in terms if s > 0.0]))
+    if t > top and lo <= top and _ratio(terms, top) < 0.0:
+        t = top
+    return r, t, _fall_log(terms, math.log(max(lo, top))) if t == math.inf else None
+
+
+def _fall_log(terms, x: float) -> float:
+    """ln t of a t > e^x where the sum of terms, whose highest term falls
+    and which is nonnegative at e^x, is negative: bisected in x = ln t,
+    between x and the x past which its highest term outgrows each of the
+    k others k-fold, on the sum over its highest power, which stays
+    finite for every x."""
+    (bl, sl, _), others = terms[-1], [(b, s) for b, s, _ in terms[:-1] if b != 0.0]
+    hi = 1.0 + max([x] + [(math.log(len(others)) + math.log(abs(b)) - math.log(-bl)) / (sl - s)
+                          for b, s in others])
+
+    def negative(y):
+        return bl + sum(b * math.exp((s - sl) * y) for b, s in others) < 0.0
+
+    for _ in range(200):
+        mid = x + 0.5 * (hi - x)
+        if not x < mid < hi:
+            break
+        x, hi = (x, mid) if negative(mid) else (mid, hi)
+    return hi
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -407,13 +444,24 @@ def check_h(graph, partition, h, which: str, h0: float | None = None) -> Hypothe
 def _verdict(name, claims, values, holds, data) -> HypothesisVerdict:
     """Verdict name, failed at u = sign t where the first of claims (claim,
     sign, pairs, lo, slack) has _lowest(pairs, lo) at most -slack, named
-    with the quantities values(u) (+ 0.0 prints -0 as 0); else holds."""
+    with the quantities values(u) (+ 0.0 prints -0 as 0), or, where one
+    overflows, with u alone, computed in decimal from ln t; else holds."""
     for claim, sign, pairs, lo, slack in claims:
-        r, t = _lowest(pairs, lo)
-        if not r > -slack:
-            u = sign * t + 0.0
-            shown = ", ".join(f"{key} = {value + 0.0:g}" for key, value in values(u).items())
+        r, t, x = _lowest(pairs, lo)
+        if r > -slack:
+            continue
+        u = sign * t + 0.0
+        shown = values(u)
+        if all(math.isfinite(value) for value in shown.values()):
+            shown = ", ".join(f"{key} = {value + 0.0:g}" for key, value in shown.items())
             return HypothesisVerdict(name, False, f"{claim} at u = {u:g}: {shown}", data=data)
+        import decimal  # here, so that no command pays its import unless it prints such a u
+
+        six = decimal.Context(prec=6)
+        u = six.multiply(six.exp(decimal.Decimal(math.log(t) if x is None else x)),
+                         decimal.Decimal(sign)).normalize(six)
+        return HypothesisVerdict(
+            name, False, f"{claim} at u = {u:g}, where its quantities overflow a float", data=data)
     return HypothesisVerdict(name, True, holds, data=data)
 
 

@@ -398,6 +398,13 @@ def _escape_direction(problem: Problem, w: np.ndarray, index: int):
     return y[:, int(np.argmin(np.abs(w @ y)))]
 
 
+def _rounding_level(problem: Problem, u: np.ndarray, r: np.ndarray) -> float:
+    """2^-52 times the largest magnitude of the residual r's two terms at
+    u, L u / mu = r + f(u) and f(u): the size of r's rounding."""
+    f = reaction(problem.nl, u)
+    return float(np.finfo(float).eps * max(np.max(np.abs(r + f)), np.max(np.abs(f))))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a diverging step fails as not finite
 def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trace=None):
     """Refine a candidate, given by its interior values, to vertexwise
@@ -406,14 +413,21 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     The linearization at u restricted to interior unknowns is the
     interior Laplacian matrix plus diag(mu (h - f_u)), written into the
     diagonal, row 0 of one lower band, in place and factored by
-    _band_solver once per step.  A singular Jacobian or a non-finite step
-    raises a SolverError that names it; no step is retried.  Returns
-    (u, residual_max, index): converged, it factors the Hessian at u,
+    _band_solver.  Each step factors it afresh at its iterate, except a
+    chord step, which solves with the factor of the step before (Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, SIAM 1995).
+    That step must have been fresh and cut the residual from r_prev to
+    r, and the chord residual it predicts, r (r / r_prev), must be at or
+    below NEWTON_TOL and r's rounding level (_rounding_level).  The step
+    after a chord step is fresh, and a kept factor is dropped before the
+    next one is made.  A singular Jacobian or a non-finite step raises a
+    SolverError that names it; no step is retried.  Returns (u,
+    residual_max, index): converged, it factors the Hessian at u afresh,
     and index is its Morse index, the number of negative eigenvalues.
     An attempt takes at most NEWTON_TRY iterations and gives up with a
-    SolverError when one after the first cuts the residual by less than
-    NEWTON_CUT.  A trace list receives the (energy, Euclidean gradient
-    norm) row of each iterate, also of one that fails.
+    SolverError when a fresh step after the first cuts the residual by
+    less than NEWTON_CUT.  A trace list receives the (energy, Euclidean
+    gradient norm) row of each iterate, also of one that fails.
     """
     mu, h = problem._form.mu, problem.h[problem._form.omega]
     jac = _interior_matrix(problem._form)
@@ -421,6 +435,7 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     budget = NEWTON_TRY if attempt else NEWTON_MAX
     prev = math.inf
     rises = 0
+    solve = None  # the factor of the last step, while that step was fresh
 
     def factor(step):
         jac[0] = problem._form.diag + mu * (h - reaction_derivative(problem.nl, u))
@@ -435,10 +450,11 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
             trace.append((float(value), float(np.linalg.norm(mu * r))))
         res_max = float(np.max(np.abs(r)))
         if res_max <= NEWTON_TOL:
+            solve = None
             return u, res_max, factor(step).negatives
         if step == budget:
             break
-        if attempt and step >= 2 and not res_max <= NEWTON_CUT * prev:
+        if attempt and step >= 2 and solve is not None and not res_max <= NEWTON_CUT * prev:
             raise SolverError(f"Newton attempt cut the residual only from {prev:g} to {res_max:g}")
         rises = rises + 1 if res_max > prev else 0
         if rises >= 5:
@@ -446,8 +462,15 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
                 "Newton refinement diverged: the residual rose five "
                 f"consecutive iterations (latest {res_max:g})"
             )
+        chord = (solve is not None and (predicted := res_max * (res_max / prev)) <= NEWTON_TOL
+                 and predicted <= _rounding_level(problem, u, r))
         prev = res_max
-        delta = factor(step)(-(mu * r))
+        if not chord:
+            solve = None  # before factor(step), so that two factors never coexist
+            solve = factor(step)
+        delta = solve(-(mu * r))
+        if chord:
+            solve = None
         if not np.all(np.isfinite(delta)):
             raise SolverError(f"Newton step {step} is not finite")
         u += delta

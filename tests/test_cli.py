@@ -527,7 +527,8 @@ def test_ar_bound_fails_where_F_overflows(graph_file, capsys):
          "--M", "1e77", "--theta", "5"], capsys)
     assert code == 0  # the monotone route holds
     assert not bound["holds"]
-    assert bound["witness"].startswith("F(u) < exp(-c) |u|^theta at u = -2e+77: F = ")
+    assert bound["witness"] == (
+        "F(u) < exp(-c) |u|^theta at u = -2e+77, where its quantities overflow a float")
 
 
 def _ar_bound_record(argv, capsys):
@@ -544,12 +545,15 @@ def _ar_bound_record(argv, capsys):
 
 
 def test_ar_bound_fails_where_its_scale_overflows(graph_file, capsys):
-    # exp(-c) = F(M) / M^theta overflows for theta = 1100, M = 0.5
+    # exp(-c) = F(M) / M^theta overflows for theta = 1100, M = 0.5; the
+    # witness is the |u| where exp(-c) |u|^theta reaches 2^-16 of the
+    # largest float, so that it names finite quantities
     code, bound = _ar_bound_record(
         ["check", graph_file(PATH3), "--nl", "power:p=4", "--theta", "1100", "--M", "0.5"], capsys)
     assert code == 0  # the monotone route holds, as without --theta
     assert not bound["holds"]
-    assert bound["witness"] == "F(u) < exp(-c) |u|^theta at u = -1: F = 0.25, exp(-c) |u|^theta = inf"
+    assert bound["witness"] == (
+        "F(u) < exp(-c) |u|^theta at u = -0.947251: F = 0.20128, exp(-c) |u|^theta = 2.74306e+303")
 
 
 def test_a_degree_given_twice_exits_2(graph_file, capsys):

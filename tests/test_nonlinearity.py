@@ -350,6 +350,30 @@ def test_f3_growth():
         check_f(power(4), "F3", GRID)
 
 
+def test_f3_decides_a_fall_past_the_largest_float():
+    # u^2 outgrows 100 (1 + |u|^1.99609375) only past |u| = 100^256 = 1e512,
+    # where no float reaches: the leading powers decide, and the witness
+    # names u alone
+    verdict = check_f(power(3), "F3", C=100.0, p=2.99609375)
+    assert not verdict.holds
+    assert verdict.witness == (
+        "|f(u)| > C(1+|u|^(p-1)) at u = -1e+512, where its quantities overflow a float")
+    assert check_f(power(3), "F3", C=100.0, p=3.0).holds
+
+
+def test_f3_witness_quantities_are_finite():
+    # |u|^1.1 exceeds 0.1 (1 + |u|^1.1015625) from |u| of about 1 up to
+    # about 1e640; the witness is a float whose quantities are floats too
+    verdict = check_f(power(2.1), "F3", C=0.1, p=2.1015625)
+    assert not verdict.holds
+    match = re.fullmatch(r"\|f\(u\)\| > C\(1\+\|u\|\^\(p-1\)\) at u = (\S+): "
+                         r"\|f\| = (\S+), C\(1\+\|u\|\^\(p-1\)\) = (\S+)", verdict.witness)
+    assert match, verdict.witness
+    u, f, bound = (float(g) for g in match.groups())
+    assert all(math.isfinite(v) for v in (u, f, bound)) and f > bound
+    assert abs(float(reaction(power(2.1), u))) > 0.1 * (1.0 + abs(u) ** 1.1015625)
+
+
 def test_f4_superquadraticity():
     assert check_f(power(4), "F4", GRID, theta=4.0, M=1.0).holds
     assert check_f(power_plus_const(4, 0.1), "F4", GRID, theta=3.0, M=2.0).holds
@@ -473,7 +497,8 @@ def test_checks_decide_where_f_or_F_overflow():
         assert all(math.isfinite(v) for v in verdict.data.values())
     verdict = check_f(odd_poly({3: 1.0, 5: -1.0}), "F4", theta=3.0, M=1e200)
     assert not verdict.holds
-    assert verdict.witness.startswith("theta F <= 0 at u = -1e+200: ")
+    # F = u^4 / 4 - u^6 / 6 overflows at M, so the witness names u alone
+    assert verdict.witness == "theta F <= 0 at u = -1e+200, where its quantities overflow a float"
     with pytest.raises(ValueError, match=r"^F\(M\) is not finite at M = 1e\+200"):
         ar_lower_bound(power(4), 4.0, 1e200, grid)
 

@@ -3,6 +3,7 @@
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -856,10 +857,75 @@ def test_lattice_handoff_factors_its_jacobians_without_eigh(monkeypatch):
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
-    assert calls == [] and len(factors) == 5
+    # three fresh steps, a chord step on the third one's factor and the
+    # index's factor of the Hessian at the returned point
+    assert calls == [] and len(factors) == 4
     for band, solve in factors:
         assert solve.negatives == int(np.sum(np.linalg.eigvalsh(band_matrix(band)) < 0.0))
+    assert np.array_equal(band_matrix(factors[-1][0]), hessian(problem, sol.u))
     assert factors[-1][1].negatives == morse_index(problem, sol.u) == 1
+
+
+def _counted_factors(monkeypatch, step=None):
+    """Wrap solver._band_solver: returns a list that receives, per factor
+    made, [solves so far, live factors made before it]; step(solve, y)
+    may stand in for a factor's solves after its first."""
+    band_solver, made, refs = graphpde.solver._band_solver, [], []
+
+    def counted(band):
+        solve = band_solver(band)
+        row = [0, sum(ref() is not None for ref in refs)]
+        made.append(row)
+
+        def wrapped(y):
+            row[0] += 1
+            return solve(y) if step is None or row[0] == 1 else step(solve, y)
+
+        wrapped.negatives = solve.negatives
+        refs.append(weakref.ref(wrapped))
+        return wrapped
+
+    monkeypatch.setattr(graphpde.solver, "_band_solver", counted)
+    return made
+
+
+@pytest.mark.parametrize("k", [12, 30])
+def test_lattice_handoff_takes_a_chord_step(monkeypatch, k):
+    # residuals 3.5e-1, 6.1e-3, 5.9e-6, 9.7e-12: the third step's cut
+    # predicts a chord residual far below rounding, so the fourth step
+    # reuses its factor; only the index's factor follows, never solved
+    problem = lattice_problem(k, POWER4)
+    made = _counted_factors(monkeypatch)
+    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
+    log = RunLog()
+    sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+    assert log.stops["mountain_pass"] == "newton_handoff"
+    assert made == [[1, 0], [1, 0], [2, 0], [0, 0]]
+    assert sol.residual_max < 1e-15 and sol.morse_index == 1
+
+
+def test_ball_run_factors_every_step_afresh(monkeypatch):
+    # path3's residuals fall too slowly for a chord prediction to reach
+    # rounding: three fresh steps and the index's factor, one per trace row
+    made = _counted_factors(monkeypatch)
+    log = RunLog()
+    ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0), log=log)
+    assert made == [[1, 0], [1, 0], [1, 0], [0, 0]] and len(log.traces["ball_min"]) == 4
+
+
+def test_chord_step_that_misses_refactors(monkeypatch):
+    # a chord step that goes only half way cuts the residual twofold, not
+    # NEWTON_CUT's tenfold; the attempt goes on with a fresh factor and
+    # still hands off at descent step 0, so P is never factored
+    problem = lattice_problem(12, POWER4)
+    made = _counted_factors(monkeypatch, step=lambda solve, y: 0.5 * solve(y))
+    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
+    log = RunLog()
+    sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+    assert log.stops["mountain_pass"] == "newton_handoff"
+    assert len(log.traces["mountain_pass"]) == 1
+    assert made == [[1, 0], [1, 0], [2, 0], [1, 0], [0, 0]]
+    assert sol.residual_max <= graphpde.solver.NEWTON_TOL and sol.morse_index == 1
 
 
 def _corpus_problem(seed, i, nl=POWER4):
