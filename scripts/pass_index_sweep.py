@@ -18,9 +18,11 @@ reasons, the escapes (calls of solver._escape_direction), the most
 descent steps (trace rows) of a run, the Newton runs (calls of
 solver._newton_polish) and the band factors (calls of
 solver._band_solver: Newton's Jacobians and Hessians, P and the
-escapes' shifted Hessians), and it exits 1 on any failure or index
-other than 1.  --only NAME restricts every set to the named
-graphs.
+escapes' shifted Hessians).  The next line counts the band windows
+whose Cholesky failed, by their route (calls of
+spectral._pivoted_window): factored with 1x1 pivots, or refused and
+sent to eigh.  It exits 1 on any failure or index other than 1.
+--only NAME restricts every set to the named graphs.
 
     PYTHONPATH=src python scripts/pass_index_sweep.py
     PYTHONPATH=src python scripts/pass_index_sweep.py --only s10rand3 --only path3
@@ -38,6 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import corpus  # noqa: E402
 
 import graphpde.solver  # noqa: E402
+import graphpde.spectral  # noqa: E402
 from graphpde import (  # noqa: E402
     Problem, RunLog, SolverConfig, SolverError, build_graph, compute_boundary, power,
 )
@@ -102,6 +105,7 @@ def sweep(label, inputs, p, escapes, calls):
     print(f"  escapes {sum(per_run)} (at most {max(per_run, default=0)} in a run), "
           f"most steps {steps}")
     print(f"  newton runs {calls['newton']}, band factors {calls['factor']}")
+    print(f"  pivot windows {calls['pivoted']} factored, {calls['refused']} refused")
     for line in failures + wrong:
         print(f"  {line}")
     return not failures and not wrong
@@ -120,6 +124,7 @@ def main(argv=None) -> int:
     escape = graphpde.solver._escape_direction
     newton = graphpde.solver._newton_polish
     band_solver = graphpde.solver._band_solver
+    pivoted = graphpde.spectral._pivoted_window
 
     def counted_escape(problem, w, index):
         escapes.append(index)
@@ -133,7 +138,13 @@ def main(argv=None) -> int:
         calls["factor"] += 1
         return band_solver(band)
 
+    def counted_pivots(*args):
+        c = pivoted(*args)
+        calls["refused" if c is None else "pivoted"] += 1
+        return c
+
     graphpde.solver._escape_direction = counted_escape
+    graphpde.spectral._pivoted_window = counted_pivots
     graphpde.solver._newton_polish = counted_newton
     graphpde.solver._band_solver = counted_factor
     ok = True

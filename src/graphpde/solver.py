@@ -402,7 +402,7 @@ def _rounding_level(problem: Problem, u: np.ndarray, r: np.ndarray) -> float:
     """2^-52 times the largest magnitude of the residual r's two terms at
     u, L u / mu = r + f(u) and f(u): the size of r's rounding."""
     f = reaction(problem.nl, u)
-    return float(np.finfo(float).eps * max(np.max(np.abs(r + f)), np.max(np.abs(f))))
+    return float(2.0**-52 * max(np.max(np.abs(r + f)), np.max(np.abs(f))))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging step fails as not finite
@@ -497,8 +497,8 @@ def _is_trivial_collapse(problem: Problem, u) -> bool:
 
 def _finish_solution(problem, kind, config, u, res_max, index) -> Solution:
     """The Solution at interior values u, expanded to every vertex."""
-    hn = _h_norm(problem, u)
-    _, value, r = _kernel(problem, u, residual=True)
+    quad, value, r = _kernel(problem, u, residual=True)
+    hn = _h_norm(quad)
     rho = config.rho
     return Solution(
         u=problem._form.expand(u),
@@ -663,7 +663,7 @@ def ball_minimize(
         raise SolverError(
             f"{refused} converged to a critical point of Morse index {index}, not a minimizer"
         )
-    hn, radius = _h_norm(problem, u), math.sqrt(config.rho)
+    hn, radius = _h_norm(_kernel(problem, u, value=False)[0]), math.sqrt(config.rho)
     if hn >= radius - SPHERE_MARGIN:
         raise SolverError(
             f"{refused} converged on or past the constraint sphere (h-norm "

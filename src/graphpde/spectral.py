@@ -86,12 +86,20 @@ def _invert_lower(t: np.ndarray) -> None:
         a21[...] = -(blocks[..., s:, s:] @ a21 @ blocks[..., :s, :s])
 
 
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """np.linalg.cholesky, or its LinAlgError at once where a diagonal entry is not > 0."""
+    if not a.diagonal().min() > 0.0:
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+    return np.linalg.cholesky(a)
+
+
 def _pivoted_window(window: np.ndarray, m: int, s: np.ndarray) -> np.ndarray | None:
     """Lower triangular C with window = C S C^T on its first m columns,
     the window read from its lower triangle, or None.  A 1x1 pivot d
     (C = |d|^(1/2), S = sign d, then a rank-1 Schur update) is taken at
     each row j < m not strictly diagonally dominant, a_jj <= sum_(l != j)
-    |a_jl|; np.linalg.cholesky factors the rows between pivots, the last
+    |a_jl|, updating only down to its column's last nonzero (the window
+    is banded); _cholesky factors the rows between pivots, the last
     segment down to the window's end, or to row m when the rows below
     the block are not definite.  None without such a row, with more than
     _PIVOTS, when a segment's Cholesky fails or a _GROWTH guard trips;
@@ -106,7 +114,7 @@ def _pivoted_window(window: np.ndarray, m: int, s: np.ndarray) -> np.ndarray | N
     c, signs, start = np.zeros_like(a), np.ones(m), 0
 
     def segment(i, j):  # Cholesky on rows i .. j - 1, C below them and their update
-        c[i:j, i:j] = top = np.linalg.cholesky(a[i:j, i:j])
+        c[i:j, i:j] = top = _cholesky(a[i:j, i:j])
         c[j:, i:j] = np.linalg.solve(top, a[j:, i:j].T).T
         a[j:, j:] -= c[j:, i:j] @ c[j:, i:j].T
 
@@ -121,11 +129,12 @@ def _pivoted_window(window: np.ndarray, m: int, s: np.ndarray) -> np.ndarray | N
             c[p, p] = root = math.sqrt(abs(pivot))
             start = p + 1
             if start < len(a):
-                c[start:, p] = a[start:, p] * (sign / root)
-                a[start:, start:] -= sign * np.outer(c[start:, p], c[start:, p])
+                c[start:, p] = col = a[start:, p] * (sign / root)
+                end = start + 1 + int(np.flatnonzero(col).max(initial=-1))
+                a[start:end, start:end] -= sign * np.outer(col[: end - start], col[: end - start])
         if start < len(a):
             try:
-                c[start:, start:] = np.linalg.cholesky(a[start:, start:])
+                c[start:, start:] = _cholesky(a[start:, start:])
             except np.linalg.LinAlgError:
                 if start < m:
                     segment(start, m)
@@ -149,15 +158,16 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     window, a on rows and columns b's start .. hi - 1, hi = min(n, b's
     end + bw), read off the band by _band_panel, minus the band of
     C S C^T left of b, which reaches only its first bw rows.  While
-    bw <= _BLOCK np.linalg.cholesky factors the whole window; its first
-    columns are C on b and below (S_b = I).  Where that fails,
+    bw <= _BLOCK _cholesky factors the whole window; its first columns
+    are C on b and below (S_b = I).  Where that fails (at once where a
+    diagonal entry is not > 0, as at the spike's row of Newton's Jacobian),
     _pivoted_window tries a guarded unpivoted LDL^T: C triangular, S_b
     the signs of 1x1 pivots at its few rows not diagonally dominant, no
     interchanges, stable by its growth guards and eigh fallback.  Where it
     refuses, and at every block when bw > _BLOCK (a window costs
     (bw + _BLOCK)^3 / 3), the window's first columns are factored in
     their top block and scaled below by its inverse and S_b:
-    np.linalg.cholesky (S_b = I, inverted by _invert_lower on an
+    _cholesky (S_b = I, inverted by _invert_lower on an
     identity-padded copy), or where that fails np.linalg.eigh (C_bb =
     Q |Lambda|^(1/2), inverse (Q |Lambda|^(-1/2))^T, S_b = sign Lambda;
     the rows of C below it fill that block, so a later window whose left
@@ -168,49 +178,61 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
 
     C is kept as two panels per block b, never as an n x n array:
     below, C on b's columns and rows b's end .. hi - 1; and row, C on
-    b's rows and columns lo .. b's start - 1, gathered for the update
-    from the below panels it crosses.  The windows' C_bb wait in one
-    identity-padded stack that the first solve inverts in place
-    (_invert_lower), so a factor asked only for negatives inverts
-    nothing.  A solve substitutes forward with the row panels,
-    multiplies by S and substitutes back with the below panels.  The
+    b's rows and columns lo .. b's start - 1, a view of the below panel
+    of the block before b while bw <= _BLOCK (lo >= b's start - bw, or
+    that block's start after eigh), else gathered from the below panels
+    it crosses.  The windows' C_bb wait in one zero stack, identity only
+    where _invert_lower would divide by 0 (the last block's padding, the
+    slot of a block off the window route); the first solve inverts it in
+    place, so a factor asked only for negatives inverts nothing.  A
+    solve substitutes forward with the row panels, multiplies by S
+    unless S = I (kept as a flag) and substitutes back with the below
+    panels, skipping empty products.  The
     factor costs O(n (bw + _BLOCK)^2), about n^3 / 3 for a full band,
     and a solve O(n (bw + _BLOCK)).  y may be a vector or an (n, k)
     matrix.
     """
     bw, n = len(band) - 1, band.shape[1]
-    s = np.ones(n)  # the diagonal of S
+    s, signed = np.ones(n), False  # the diagonal of S, and whether it has a -1
     edge = np.arange(n)  # column j, or the first column of j's block if eigh factored it
     size = 1 << (min(n, _BLOCK) - 1).bit_length()
-    stack = np.tile(np.eye(size), (math.ceil(n / _BLOCK) if bw <= _BLOCK else 0, 1, 1))
+    stack = np.zeros((math.ceil(n / _BLOCK) if bw <= _BLOCK else 0, size, size))
+    diagonal = stack.reshape(len(stack), size * size)[:, :: size + 1]
+    diagonal[-1:, (n - 1) % _BLOCK + 1 :] = 1.0  # the last block's padding rows
     blocks = []
     for i, k in enumerate(range(0, n, _BLOCK)):
         b = slice(k, min(k + _BLOCK, n))
         m = b.stop - k
         lo, hi = int(edge[max(0, k - bw)]), min(n, b.stop + bw)
         c = min(hi - k, bw)  # C left of b is zero below row k + bw
-        left = np.zeros((c, k - lo))  # C on rows k .. k + c - 1, columns lo .. k - 1
-        for b2, _, hi2, _, _, below in blocks[lo // _BLOCK :]:
-            start = max(b2.start, lo)
-            left[: hi2 - k, start - lo : b2.stop - lo] = below[k - b2.stop :, start - b2.start :]
-        # C S on those rows; unscaled while S = I, so P and L keep numpy's A @ A.T path
-        scaled = left * s[lo:k] if s.min() < 0.0 else left
+        if bw <= _BLOCK and k > lo:  # all in the block before b: a view of its below panel
+            left = blocks[-1][5][:, lo - blocks[-1][0].start :]
+        else:  # C on rows k .. k + c - 1, columns lo .. k - 1
+            left = np.zeros((c, k - lo))
+            for b2, _, hi2, _, _, below in blocks[lo // _BLOCK :]:
+                start = max(b2.start, lo)
+                left[: hi2 - k, start - lo : b2.stop - lo] = below[k - b2.stop :, start - b2.start :]
         width = hi - k if bw <= _BLOCK else m  # the window, or its first m columns
         window = _band_panel(band, k, width)[: hi - k]
-        window[:c, : min(c, width)] -= left @ scaled[:width].T
+        if k > lo:
+            # C S on those rows; unscaled while S = I, so P and L keep numpy's A @ A.T path
+            scaled = left * s[lo:k] if signed else left
+            window[:c, : min(c, width)] -= left @ scaled[:width].T
         if bw <= _BLOCK:
             try:
-                cw = np.linalg.cholesky(window)
+                cw = _cholesky(window)
             except np.linalg.LinAlgError:
                 cw = _pivoted_window(window, m, s[b])
+                signed = signed or bool(s[b].min() < 0.0)
             if cw is not None:
                 stack[i, :m, :m] = cw[:m, :m]
                 blocks.append((b, lo, hi, stack[i, :m, :m], left[:m], cw[m:, :m].copy()))
                 continue
+            diagonal[i] = 1.0  # an identity the first solve inverts and no solve reads
         panel = window[:, :m]
         t = np.eye(size)
         try:
-            t[:m, :m] = np.linalg.cholesky(panel[:m])
+            t[:m, :m] = _cholesky(panel[:m])
             _invert_lower(t[None])
             inv = t[:m, :m]
         except np.linalg.LinAlgError:
@@ -218,6 +240,7 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             if not lam.all():
                 raise np.linalg.LinAlgError("Singular matrix") from None
             inv, s[b], edge[b] = (q / np.sqrt(np.abs(lam))).T, np.sign(lam), k
+            signed = signed or bool(lam.min() < 0.0)
         blocks.append((b, lo, hi, inv, left[:m], panel[m:] @ inv.T * s[b]))
     pending = [stack]  # inverted in place by the first solve
 
@@ -226,14 +249,16 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             _invert_lower(pending.pop())
         z = np.array(y, dtype=float)
         for b, lo, _, inv, row, _ in blocks:
-            z[b.start : b.start + len(row)] -= row @ z[lo : b.start]
+            if b.start > lo:
+                z[b.start : b.start + len(row)] -= row @ z[lo : b.start]
             z[b] = inv @ z[b]
-        z.T[...] *= s  # S on every column of z
+        if signed:
+            z.T[...] *= s  # S on every column of z
         for b, _, hi, inv, _, below in reversed(blocks):
-            z[b] = inv.T @ (z[b] - below.T @ z[b.stop : hi])
+            z[b] = inv.T @ (z[b] - below.T @ z[b.stop : hi] if hi > b.stop else z[b])
         return z
 
-    solve.negatives = int(np.count_nonzero(s < 0.0))
+    solve.negatives = int(np.count_nonzero(s < 0.0)) if signed else 0
     return solve
 
 

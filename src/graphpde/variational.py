@@ -129,8 +129,8 @@ def _kernel(problem: Problem, v, value: bool = True, residual: bool = False):
     return quad, val, lv / form.mu - reaction(problem.nl, v)
 
 
-def _h_norm(problem: Problem, v) -> float:
-    radicand = float(_kernel(problem, v, value=False)[0])
+def _h_norm(quad) -> float:  # from its square, _kernel's first value
+    radicand = float(quad)
     if radicand < 0.0:
         raise ValueError(f"h-norm radicand is negative ({radicand}); h is not admissible")
     return math.sqrt(radicand)
@@ -148,7 +148,7 @@ def energy(problem: Problem, u):
 def h_norm(problem: Problem, u) -> float:
     """Weighted Sobolev norm sqrt(int_closure |grad u|^2 + int_omega h u^2)
     of a Dirichlet function, assembled like the energy."""
-    return _h_norm(problem, _require_dirichlet(problem, u))
+    return _h_norm(_kernel(problem, _require_dirichlet(problem, u), value=False)[0])
 
 
 def pointwise_residual(problem: Problem, u) -> np.ndarray:

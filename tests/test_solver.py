@@ -28,9 +28,10 @@ from graphpde import (
 )
 import graphpde.nonlinearity
 import graphpde.solver
+import graphpde.spectral
 import graphpde.variational
 from graphpde.calculus import _interior_matrix
-from graphpde.nonlinearity import reaction_derivative
+from graphpde.nonlinearity import parse_nonlinearity, reaction_derivative
 from graphpde.solver import _newton_polish, _ray_peak, _sobolev_direction
 from util import (
     band_matrix,
@@ -954,6 +955,68 @@ def test_mountain_pass_escapes_points_of_higher_index(p, seed, i):
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops == {"mountain_pass": "newton_handoff"}
     assert sol.morse_index == morse_index(problem, sol.u) == 1
+
+
+# odd_poly and power_plus_const, whose Jacobians also take 1x1 pivots:
+# path3, grid12 and perfbench.corpus.random_graph's four draws per seed 0-9
+@pytest.mark.parametrize("spec", [
+    "odd_poly:c3=1,c5=1", "odd_poly:c1=-0.5,c3=1", "power_plus_const:p=3,eps=0.05",
+])
+@pytest.mark.parametrize("graphs", ["path3", "grid12", *range(10)])
+def test_mountain_pass_reaches_index_one_on_other_reaction_families(path3, spec, graphs):
+    nl = parse_nonlinearity(spec)
+    if graphs == "path3":
+        problems = [Problem(*path3, h=np.ones(3), nl=nl, h0=1.0)]
+    elif graphs == "grid12":
+        problems = [lattice_problem(12, nl)]
+    else:
+        rng = np.random.default_rng(graphs)
+        problems = []
+        for _ in range(4):
+            graph = random_connected_graph(rng)
+            part = random_partition(rng, graph)
+            problems.append(Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=nl, h0=1.0))
+    for problem in problems:
+        sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False))
+        assert sol.morse_index == morse_index(problem, sol.u) == 1
+
+
+def test_handoff_jacobian_calls_no_cholesky_sure_to_fail(monkeypatch):
+    # the spike's row of Newton's Jacobian on grid12 has a negative
+    # diagonal entry: its window goes to the 1x1 pivots without a
+    # np.linalg.cholesky call, and the route and inertia stay as they were
+    jacobians, band_solver = [], graphpde.solver._band_solver
+
+    def recorded(band):
+        jacobians.append(band.copy())
+        return band_solver(band)
+
+    monkeypatch.setattr(graphpde.solver, "_band_solver", recorded)
+    mountain_pass(lattice_problem(12, POWER4), SolverConfig(verify_hypotheses=False))
+    assert len(jacobians) == 4 and all(band[0, 0] < 0.0 for band in jacobians)
+    cholesky, pivoted, calls = np.linalg.cholesky, graphpde.spectral._pivoted_window, []
+
+    def counted(a):
+        calls.append((len(a), bool(np.all(a.diagonal() > 0.0))))
+        return cholesky(a)
+
+    def routed(*args):
+        c = pivoted(*args)
+        calls.append("pivots" if c is not None else None)
+        return c
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    monkeypatch.setattr(graphpde.spectral, "_pivoted_window", routed)
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh route"))
+    for band in jacobians:
+        calls.clear()
+        solve = band_solver(band)
+        # block 0: a pivot at row 0 and Cholesky on the 73 rows below it;
+        # block 1: Cholesky on its window
+        assert calls == [(73, True), "pivots", (36, True)]
+        assert solve.negatives == int(np.sum(np.linalg.eigvalsh(band_matrix(band)) < 0.0)) == 1
+        y = np.arange(1.0, 101.0)
+        assert np.linalg.norm(band_matrix(band) @ solve(y) - y) <= 1e-12 * np.linalg.norm(y)
 
 
 def test_escape_direction_has_negative_curvature_without_dense_eigh(monkeypatch):

@@ -416,6 +416,86 @@ def test_band_solver_sends_what_the_pivots_refuse_to_eigh(monkeypatch, rng):
     assert calls == [None, (3, 3)]
 
 
+def test_band_solver_inverts_around_an_eigh_block_and_padding(monkeypatch, rng):
+    # 150 unknowns, so the last block has padding rows; the middle block
+    # holds more weak rows than _PIVOTS and goes to eigh, and C left of
+    # the last block is its below panel, from its first column.  The
+    # stacked inverse meets neither slot's zero diagonal: no division by
+    # zero, as an error
+    calls = _routes(monkeypatch)
+    a = _dominant_band(rng, 150, 3)
+    rows = list(range(70, 120, 8))[: _PIVOTS + 1]
+    a[rows, rows] *= -2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_solver(rng, a, 3)
+    assert calls == [None, (_BLOCK, _BLOCK)]
+    assert _band_solver(lower_band(a, 3)).negatives == _negatives(a) == _PIVOTS + 1
+
+
+@pytest.mark.parametrize("a, negatives", [(4.0, 0), (-4.0, 1), (2.0, 0), (-2.0, 1)])
+def test_band_solver_one_unknown(a, negatives):
+    # one Cholesky or one 1x1 pivot; sqrt(4) and its inverse are exact, so
+    # there x = y / a to the last bit; for a = 2, within the two roundings
+    # of 1 / sqrt(2)
+    solve = _band_solver(np.array([[a]]))
+    assert solve.negatives == negatives
+    y = np.array([[3.0, -7.0, 0.1]])
+    for x, want in ((solve(y), y / a), (solve(y[:, 0]), y[:, 0] / a)):
+        if abs(a) == 4.0:
+            assert x.tolist() == want.tolist()
+        else:
+            assert np.all(np.abs(x - want) <= 2.0**-51 * np.abs(want))
+
+
+def _full_update_window(window, m):
+    """_pivoted_window's (C, S_b) on windows whose guards all pass, with
+    each pivot's rank-1 Schur update over every row below it."""
+    a = window * np.tri(len(window))
+    mag = np.abs(a)
+    (weak,) = np.nonzero(3.0 * a.diagonal()[:m] <= mag[:m].sum(1) + mag[:, :m].sum(0))
+    c, signs, start = np.zeros_like(a), np.ones(m), 0
+
+    def segment(i, j):
+        c[i:j, i:j] = top = np.linalg.cholesky(a[i:j, i:j])
+        c[j:, i:j] = np.linalg.solve(top, a[j:, i:j].T).T
+        a[j:, j:] -= c[j:, i:j] @ c[j:, i:j].T
+
+    for p in weak.tolist():
+        if p > start:
+            segment(start, p)
+        signs[p] = sign = math.copysign(1.0, a[p, p])
+        c[p, p] = root = math.sqrt(abs(a[p, p]))
+        start = p + 1
+        c[start:, p] = a[start:, p] * (sign / root)
+        a[start:, start:] -= sign * np.outer(c[start:, p], c[start:, p])
+    if start < len(a):
+        c[start:, start:] = np.linalg.cholesky(a[start:, start:])
+    return c, signs
+
+
+@pytest.mark.parametrize("bandwidth", [1, 5, 10, 30])
+def test_pivoted_window_updates_only_its_band(rng, bandwidth):
+    # a pivot's update stops at its column's last nonzero row; rows past
+    # it would only subtract zeros, so C and S_b are those of the full
+    # update, bit for bit, with pivots at the start, middle and end
+    m = _BLOCK
+    for pivots in ([0], [31], [m - 1], [0, 1], [m - 2, m - 1], [0, 31, m - 1]):
+        for rows in (m + bandwidth, m):  # rows below the block, or none
+            a = _dominant_band(rng, rows, bandwidth)
+            a[pivots, pivots] *= -2.0
+            if bandwidth >= 5:  # the first pivot weak but positive: half its row's sum
+                p = pivots[0]
+                a[p, p] = 0.5 * (np.abs(a[p]).sum() + a[p, p])
+            window, s = np.tril(a), np.ones(m)
+            c = spectral._pivoted_window(window.copy(), m, s)
+            want, signs = _full_update_window(window, m)
+            assert c is not None and c.tobytes() == want.tobytes()
+            assert s.tolist() == signs.tolist()
+            assert [s[p] for p in pivots] == [1.0 if j == 0 and bandwidth >= 5 else -1.0
+                                              for j in range(len(pivots))]
+
+
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
 def test_band_solver_counts_negative_eigenvalues(monkeypatch, rng, n):
     # the -1s of S are the inertia of a: symmetric random bands shifted
