@@ -18,11 +18,17 @@ reasons, the escapes (calls of solver._escape_direction), the most
 descent steps (trace rows) of a run, the Newton runs (calls of
 solver._newton_polish) and the band factors (calls of
 solver._band_solver: Newton's Jacobians and Hessians, P and the
-escapes' shifted Hessians).  The next line counts the band windows
-whose Cholesky failed, by their route (calls of
-spectral._pivoted_window): factored with 1x1 pivots, or refused and
-sent to eigh.  It exits 1 on any failure or index other than 1.
---only NAME restricts every set to the named graphs.
+escapes' shifted Hessians).  Then come Newton's chord steps (solves
+with a factor made inside _newton_polish, after its first solve), the
+attempts that gave up, by the SolverError that ended them (a fresh
+step's cut short of NEWTON_CUT, five rises, the budget, a singular
+Jacobian, a non-finite step), and the band windows whose Cholesky
+failed, by their route (calls of spectral._pivoted_window): factored
+with 1x1 pivots, or refused and sent to eigh.  It exits 1 on any
+failure, on an index other than 1, or on a set whose band factors
+exceed its ceiling in FACTOR_CEILINGS, the counts Newton's chord
+steps brought them down to, so that a change cannot give that saving
+back unseen.  --only NAME restricts every set to the named graphs.
 
     PYTHONPATH=src python scripts/pass_index_sweep.py
     PYTHONPATH=src python scripts/pass_index_sweep.py --only s10rand3 --only path3
@@ -44,6 +50,15 @@ import graphpde.spectral  # noqa: E402
 from graphpde import (  # noqa: E402
     Problem, RunLog, SolverConfig, SolverError, build_graph, compute_boundary, power,
 )
+
+
+# band factors per full set, the most a change may take
+FACTOR_CEILINGS = {"corpus p=2.5": 1351, "corpus p=3": 1100, "corpus p=4": 645,
+                   "test generator p=4": 2914}
+# the SolverError messages of an attempt that gives up, by reason
+GIVE_UPS = {"cut": "Newton attempt cut", "rises": "Newton refinement diverged",
+            "budget": "Newton refinement did not reach", "singular": "Newton's Jacobian is singular",
+            "non-finite": "Newton step"}
 
 
 def corpus_inputs():
@@ -105,10 +120,15 @@ def sweep(label, inputs, p, escapes, calls):
     print(f"  escapes {sum(per_run)} (at most {max(per_run, default=0)} in a run), "
           f"most steps {steps}")
     print(f"  newton runs {calls['newton']}, band factors {calls['factor']}")
+    print(f"  chord steps {calls['chord']}, attempts gave up: "
+          + ", ".join(f"{why} {calls[why]}" for why in GIVE_UPS))
     print(f"  pivot windows {calls['pivoted']} factored, {calls['refused']} refused")
+    within = calls["factor"] <= FACTOR_CEILINGS[label]
+    if not within:
+        print(f"  band factors above the ceiling {FACTOR_CEILINGS[label]}")
     for line in failures + wrong:
         print(f"  {line}")
-    return not failures and not wrong
+    return not failures and not wrong, within
 
 
 def main(argv=None) -> int:
@@ -130,13 +150,35 @@ def main(argv=None) -> int:
         escapes.append(index)
         return escape(problem, w, index)
 
+    in_newton = []
+
     def counted_newton(*args, **kwargs):
         calls["newton"] += 1
-        return newton(*args, **kwargs)
+        in_newton.append(True)
+        try:
+            return newton(*args, **kwargs)
+        except SolverError as exc:
+            if kwargs.get("attempt"):
+                calls[next(why for why, start in GIVE_UPS.items()
+                           if str(exc).startswith(start))] += 1
+            raise
+        finally:
+            in_newton.pop()
 
     def counted_factor(band):
         calls["factor"] += 1
-        return band_solver(band)
+        solve = band_solver(band)
+        if not in_newton:
+            return solve
+        solves = []
+
+        def counted_solve(y):
+            calls["chord"] += len(solves) > 0
+            solves.append(1)
+            return solve(y)
+
+        counted_solve.negatives = solve.negatives
+        return counted_solve
 
     def counted_pivots(*args):
         c = pivoted(*args)
@@ -147,12 +189,13 @@ def main(argv=None) -> int:
     graphpde.spectral._pivoted_window = counted_pivots
     graphpde.solver._newton_polish = counted_newton
     graphpde.solver._band_solver = counted_factor
-    ok = True
-    for p in (2.5, 3.0, 4.0):
-        ok &= sweep(f"corpus p={p:g}", chosen(corpus_inputs()), p, escapes, calls)
-    ok &= sweep("test generator p=4", chosen(generator_inputs()), 4.0, escapes, calls)
-    print(f"every solution at index 1: {ok}")
-    return 0 if ok else 1
+    sets = [(f"corpus p={p:g}", corpus_inputs(), p) for p in (2.5, 3.0, 4.0)]
+    sets.append(("test generator p=4", generator_inputs(), 4.0))
+    results = [sweep(label, chosen(inputs), p, escapes, calls) for label, inputs, p in sets]
+    solved, within = (all(col) for col in zip(*results))
+    print(f"every solution at index 1: {solved}")
+    print(f"band factors within the ceilings: {within}")
+    return 0 if solved and within else 1
 
 
 if __name__ == "__main__":

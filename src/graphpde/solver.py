@@ -24,6 +24,9 @@ to the Nehari manifold by the peak on its ray (Li & Zhou, SIAM J. Sci.
 Comput. 23, 2001; Horak, Numer. Math. 98, 2004).  P, Newton's
 indefinite Jacobians and an escape's shifted Hessian are factored by
 spectral._band_solver, whose negative pivots count the Morse index.
+Newton keeps a factor for as long as its steps cut the residual
+hundredfold (chord steps), and reads a Morse index of 0 off the
+Hessian's diagonal where the diagonal proves it, without a factor.
 
 The solvers iterate on interior values only, (|omega|,) vectors.  They
 evaluate through variational._kernel, which checks nothing, and expand
@@ -53,7 +56,7 @@ from .nonlinearity import (
     reaction_derivative,
 )
 from .spectral import ConstantsReport, _band_solver, embedding_constants, first_eigenvalue
-from .variational import BallConstants, Problem, _h_norm, _kernel, ball_constants
+from .variational import BallConstants, Problem, _h_norm, _kernel, _value, ball_constants
 
 TRIVIAL_SUP = 1e-10    # sup-norm below which an iterate counts as the zero function
 DISTINCT_SUP = 1e-6    # sup-norm gap two reported solutions must exceed
@@ -61,7 +64,8 @@ SPHERE_MARGIN = 1e-8   # how far inside the constraint sphere "interior" starts
 NEWTON_TOL = 1e-12     # vertexwise residual Newton refinement must reach
 NEWTON_MAX = 50        # Newton iterations before refinement gives up
 NEWTON_TRY = 8         # Newton iterations of the mountain pass's hand-off attempt
-NEWTON_CUT = 0.1       # residual factor each attempt step after the first must reach
+NEWTON_CUT = 0.1       # residual factor each fresh attempt step after the first must reach;
+                       # a step that reaches its square lets the next one reuse its factor
 NEWTON_EVERY = 5       # descent steps from one Newton attempt to the next, the first at step 0
 ESCAPE_STEP = 0.1      # length of an escape step, relative to the point it leaves
 ESCAPE_SOLVES = 5      # block inverse-iteration solves that find an escape direction
@@ -134,7 +138,8 @@ class Solution:
     ball was in play).  kind "trivial" marks the zero function, only
     reported when f(x, 0) = 0 makes it an actual solution.  morse_index
     is the number of negative eigenvalues of the Hessian at u, the
-    negative pivots of its band factor."""
+    negative pivots of its band factor, or 0 where its diagonal proves
+    it (_newton_polish)."""
 
     u: np.ndarray
     energy_value: float
@@ -413,21 +418,29 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     The linearization at u restricted to interior unknowns is the
     interior Laplacian matrix plus diag(mu (h - f_u)), written into the
     diagonal, row 0 of one lower band, in place and factored by
-    _band_solver.  Each step factors it afresh at its iterate, except a
-    chord step, which solves with the factor of the step before (Kelley,
-    Iterative Methods for Linear and Nonlinear Equations, SIAM 1995).
-    That step must have been fresh and cut the residual from r_prev to
-    r, and the chord residual it predicts, r (r / r_prev), must be at or
-    below NEWTON_TOL and r's rounding level (_rounding_level).  The step
-    after a chord step is fresh, and a kept factor is dropped before the
-    next one is made.  A singular Jacobian or a non-finite step raises a
-    SolverError that names it; no step is retried.  Returns (u,
-    residual_max, index): converged, it factors the Hessian at u afresh,
-    and index is its Morse index, the number of negative eigenvalues.
-    An attempt takes at most NEWTON_TRY iterations and gives up with a
-    SolverError when a fresh step after the first cuts the residual by
-    less than NEWTON_CUT.  A trace list receives the (energy, Euclidean
-    gradient norm) row of each iterate, also of one that fails.
+    _band_solver.  A step keeps the last fresh factor while the steps
+    since cut fast (chord steps; Kelley, Iterative Methods for Linear and
+    Nonlinear Equations, SIAM 1995, 5.4): it solves with the kept factor
+    when the step before cut the residual from r_prev to r <=
+    NEWTON_CUT^2 r_prev, and otherwise drops it and factors afresh at its
+    iterate, so that two factors never coexist.  Once r <= NEWTON_TOL
+    after a chord step, one more chord step is taken when the residual it
+    predicts, r (r / r_prev), is at or below r's rounding level
+    (_rounding_level).  A singular Jacobian or a non-finite step raises a
+    SolverError that names it; no step is retried.
+
+    Returns (u, residual_max, index, the _kernel pass at u with energy
+    and residual).  index is the Morse index at u, the number of negative
+    eigenvalues of the Hessian.  As L is positive semidefinite, the
+    Hessian's least eigenvalue is at least min mu (h - f_u) (Weyl); when
+    every entry exceeds 2^-40 of its terms' size mu (|h| + |f_u|), a
+    margin far above their rounding, index is 0 without a factor, and
+    otherwise the Hessian at u is factored afresh.  An attempt takes at
+    most NEWTON_TRY iterations and gives up with a SolverError when a
+    fresh step after the first cuts the residual by less than
+    NEWTON_CUT; a chord step that does so only ends the chord steps.  A
+    trace list receives the (energy, Euclidean gradient norm) row of
+    each iterate, also of one that fails.
     """
     mu, h = problem._form.mu, problem.h[problem._form.omega]
     jac = _interior_matrix(problem._form)
@@ -435,42 +448,53 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     budget = NEWTON_TRY if attempt else NEWTON_MAX
     prev = math.inf
     rises = 0
-    solve = None  # the factor of the last step, while that step was fresh
+    solve = None     # the kept factor, of the last fresh step
+    fresh = False    # whether the last step factored afresh
+    finish = False   # whether the run took its one chord step past NEWTON_TOL
 
-    def factor(step):
-        jac[0] = problem._form.diag + mu * (h - reaction_derivative(problem.nl, u))
+    def factor(step, zero_order):
+        jac[0] = problem._form.diag + zero_order
         try:
             return _band_solver(jac)
         except np.linalg.LinAlgError:
             raise SolverError(f"Newton's Jacobian is singular at step {step}") from None
 
     for step in range(budget + 1):
-        _, value, r = _kernel(problem, u, value=trace is not None, residual=True)
+        quad, value, r = _kernel(problem, u, value=trace is not None, residual=True)
         if trace is not None:
             trace.append((float(value), float(np.linalg.norm(mu * r))))
         res_max = float(np.max(np.abs(r)))
         if res_max <= NEWTON_TOL:
-            solve = None
-            return u, res_max, factor(step).negatives
-        if step == budget:
-            break
-        if attempt and step >= 2 and solve is not None and not res_max <= NEWTON_CUT * prev:
-            raise SolverError(f"Newton attempt cut the residual only from {prev:g} to {res_max:g}")
+            # after a chord step, one more when it is predicted to land at rounding
+            chord = (solve is not None and not fresh and not finish and step < budget
+                     and res_max * (res_max / prev) <= _rounding_level(problem, u, r))
+            if not chord:
+                solve = None
+                at_u = (quad, _value(problem, u, quad) if value is None else value, r)
+                fu = reaction_derivative(problem.nl, u)
+                zero_order = mu * (h - fu)
+                if np.all(zero_order > 2.0**-40 * mu * (np.abs(h) + np.abs(fu))):
+                    return u, res_max, 0, at_u
+                return u, res_max, factor(step, zero_order).negatives, at_u
+            finish = True
+        else:
+            if step == budget:
+                break
+            if attempt and step >= 2 and fresh and not res_max <= NEWTON_CUT * prev:
+                raise SolverError(
+                    f"Newton attempt cut the residual only from {prev:g} to {res_max:g}")
+            chord = solve is not None and res_max <= NEWTON_CUT**2 * prev
         rises = rises + 1 if res_max > prev else 0
         if rises >= 5:
             raise SolverError(
                 "Newton refinement diverged: the residual rose five "
                 f"consecutive iterations (latest {res_max:g})"
             )
-        chord = (solve is not None and (predicted := res_max * (res_max / prev)) <= NEWTON_TOL
-                 and predicted <= _rounding_level(problem, u, r))
-        prev = res_max
-        if not chord:
+        fresh, prev = not chord, res_max
+        if fresh:
             solve = None  # before factor(step), so that two factors never coexist
-            solve = factor(step)
+            solve = factor(step, mu * (h - reaction_derivative(problem.nl, u)))
         delta = solve(-(mu * r))
-        if chord:
-            solve = None
         if not np.all(np.isfinite(delta)):
             raise SolverError(f"Newton step {step} is not finite")
         u += delta
@@ -481,23 +505,25 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
 
 
 def _newton_attempt(problem: Problem, u0: np.ndarray):
-    """Newton from u0 as an attempt (_newton_polish): (u, residual_max,
-    index) when it converges to a nonzero point, None otherwise, also
-    when Newton fails (a SolverError, a singular Jacobian among them)."""
+    """Newton from u0 as an attempt (_newton_polish): its (u,
+    residual_max, index, kernel pass) when it converges to a nonzero
+    point, None otherwise, also when Newton fails (a SolverError, a
+    singular Jacobian among them)."""
     try:
-        u, res_max, index = _newton_polish(problem, u0, attempt=True)
+        found = _newton_polish(problem, u0, attempt=True)
     except SolverError:
         return None
-    return (u, res_max, index) if np.max(np.abs(u)) >= TRIVIAL_SUP else None
+    return found if np.max(np.abs(found[0])) >= TRIVIAL_SUP else None
 
 
 def _is_trivial_collapse(problem: Problem, u) -> bool:
     return reaction(problem.nl, 0.0) == 0.0 and float(np.max(np.abs(u))) < TRIVIAL_SUP
 
 
-def _finish_solution(problem, kind, config, u, res_max, index) -> Solution:
-    """The Solution at interior values u, expanded to every vertex."""
-    quad, value, r = _kernel(problem, u, residual=True)
+def _finish_solution(problem, kind, config, u, res_max, index, at_u) -> Solution:
+    """The Solution at interior values u, expanded to every vertex, from
+    _newton_polish's result: at_u is the _kernel pass at u."""
+    quad, value, r = at_u
     hn = _h_norm(quad)
     rho = config.rho
     return Solution(
@@ -565,11 +591,11 @@ def mountain_pass(
         gn = math.sqrt(gvec @ gvec)
         trace.append((level, gn))
         found = _newton_attempt(problem, u) if k % NEWTON_EVERY == 0 else None
-        if found is not None and _kernel(problem, found[0])[1] <= level:
-            w, res_max, index = found
+        if found is not None and found[3][1] <= level:  # the energy of Newton's point
+            w, _, index, _ = found
             if index == 1:
                 log.stops["mountain_pass"] = "newton_handoff"
-                return _finish_solution(problem, "mountain_pass", config, w, res_max, index)
+                return _finish_solution(problem, "mountain_pass", config, *found)
             y = _escape_direction(problem, w, index) if index >= 2 else None
             if y is not None:
                 y *= ESCAPE_STEP * math.sqrt(w @ w)
@@ -597,7 +623,7 @@ def mountain_pass(
     del precondition
     log.stops["mountain_pass"] = stop
     try:
-        u, res_max, index = _newton_polish(problem, u)
+        found = _newton_polish(problem, u)
     except SolverError as exc:
         if stop != "tolerance":
             how = {"budget": "spent its iteration budget",
@@ -607,6 +633,7 @@ def mountain_pass(
                 f"refinement from the iterate failed: {exc}"
             ) from exc
         raise
+    u, _, index, _ = found
     if _is_trivial_collapse(problem, u):
         raise SolverError(
             "deformation collapsed to the zero function; no pass-level "
@@ -617,7 +644,7 @@ def mountain_pass(
             f"descent stopped by {stop} and Newton refinement converged to a critical "
             f"point of Morse index {index}, not a mountain-pass point of index 1"
         )
-    return _finish_solution(problem, "mountain_pass", config, u, res_max, index)
+    return _finish_solution(problem, "mountain_pass", config, *found)
 
 
 def ball_minimize(
@@ -650,26 +677,25 @@ def ball_minimize(
     trace = log.traces["ball_min"] = []
     refused = "no interior minimizer found: Newton from the zero function"
     try:
-        u, res_max, index = _newton_polish(
-            problem, np.zeros(len(problem._form.mu)), attempt=True, trace=trace
-        )
+        found = _newton_polish(problem, np.zeros(len(problem._form.mu)), attempt=True, trace=trace)
     except SolverError as exc:
         log.stops["ball_min"] = "newton_failed"
         raise SolverError(f"{refused} failed: {exc}") from exc
     log.stops["ball_min"] = "tolerance"
+    u, _, index, at_u = found
     if _is_trivial_collapse(problem, u):
-        return _finish_solution(problem, "trivial", config, u, res_max, index)
+        return _finish_solution(problem, "trivial", config, *found)
     if index != 0:
         raise SolverError(
             f"{refused} converged to a critical point of Morse index {index}, not a minimizer"
         )
-    hn, radius = _h_norm(_kernel(problem, u, value=False)[0]), math.sqrt(config.rho)
+    hn, radius = _h_norm(at_u[0]), math.sqrt(config.rho)
     if hn >= radius - SPHERE_MARGIN:
         raise SolverError(
             f"{refused} converged on or past the constraint sphere (h-norm "
             f"{hn:.6g} against radius {radius:.6g})"
         )
-    return _finish_solution(problem, "ball_min", config, u, res_max, index)
+    return _finish_solution(problem, "ball_min", config, *found)
 
 
 def two_solutions(

@@ -121,12 +121,18 @@ def _kernel(problem: Problem, v, value: bool = True, residual: bool = False):
     del ends
     diag = form.w_off + problem._mu_h
     quad = (d * d) @ form.w + (v * v) @ diag
-    val = 0.5 * quad - antiderivative(problem.nl, v) @ form.mu if value else None
+    val = _value(problem, v, quad) if value else None
     if not residual:
         return quad, val, None
     wd, k = form.w * d, len(v)
     lv = np.bincount(form.ends[0], wd, k) - np.bincount(form.ends[1], wd, k) + diag * v
     return quad, val, lv / form.mu - reaction(problem.nl, v)
+
+
+def _value(problem: Problem, v, quad):
+    """The energy at interior values v from their squared h-norm quad,
+    as _kernel computes it."""
+    return 0.5 * quad - antiderivative(problem.nl, v) @ problem._form.mu
 
 
 def _h_norm(quad) -> float:  # from its square, _kernel's first value

@@ -172,7 +172,8 @@ def test_mountain_pass_f2_blocks_shifted_reaction():
 def test_mountain_pass_refuses_a_collapse_to_zero(monkeypatch, descent_only):
     # f(x, 0) = 0 makes 0 a critical point; Newton landing there isolates no pass
     monkeypatch.setattr(
-        graphpde.solver, "_newton_polish", lambda problem, u0: (np.zeros_like(u0), 0.0, 0)
+        graphpde.solver, "_newton_polish",
+        lambda problem, u0: (np.zeros_like(u0), 0.0, 0, (0.0, 0.0, np.zeros_like(u0))),
     )
     with pytest.raises(SolverError, match="^deformation collapsed to the zero function"):
         mountain_pass(three_path_problem(POWER4))
@@ -247,11 +248,11 @@ def test_mountain_pass_loop_holds_interior_vectors_only(monkeypatch, descent_onl
 def test_ball_minimize_traces_one_row_per_newton_iterate():
     # Newton from 0 on lattice(40) converges outside the ball; the other
     # two converge inside it.  Each row is an iterate's (energy, |mu r|),
-    # the first at 0, where mu r = -eps mu
+    # the first at 0, where mu r = -eps mu; chord steps add iterates
     for problem, rows, accepted in (
-        (lattice_problem(40, PLUS_CONST), 4, False),
-        (lattice_problem(12, power_plus_const(4, 0.01)), 3, True),
-        (three_path_problem(PLUS_CONST), 4, True),
+        (lattice_problem(40, PLUS_CONST), 5, False),
+        (lattice_problem(12, power_plus_const(4, 0.01)), 4, True),
+        (three_path_problem(PLUS_CONST), 6, True),
     ):
         log = RunLog()
         if accepted:
@@ -308,7 +309,11 @@ def test_ball_minimize_pinned_to_sphere():
 def _converged_at(value, index):
     """A stand-in for _newton_polish that converges at value everywhere
     with Morse index index."""
-    return lambda problem, u0, attempt=False, trace=None: (np.full_like(u0, value), 0.0, index)
+    def polish(problem, u0, attempt=False, trace=None):
+        u = np.full_like(u0, value)
+        return u, 0.0, index, graphpde.solver._kernel(problem, u, residual=True)
+
+    return polish
 
 
 def test_ball_minimize_refuses_newton_leaving_the_ball(monkeypatch):
@@ -537,13 +542,16 @@ def test_mountain_pass_in_ball_flag():
     assert sol.h_norm == pytest.approx(2 * math.sqrt(2), rel=1e-9)
 
 
-def test_ball_minimize_newton_from_zero_converges_fast():
-    # Newton converges quadratically from 0 to the small root
+def test_ball_minimize_newton_from_zero_converges_fast(monkeypatch):
+    # Newton from 0 to the small root on one factor: every step after the
+    # first cuts the residual at least a hundredfold and reuses it, and
+    # the index 0 is read off the Hessian's diagonal
+    made = _counted_factors(monkeypatch)
     log = RunLog()
     sol = ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0), log=log)
     trace = log.traces["ball_min"]
     assert abs(sol.u[1] - SMALL_ROOT) <= 1e-8
-    assert len(trace) <= 5
+    assert len(made) == 1 and len(trace) <= 6
 
 
 def test_mountain_pass_lattice_exits_by_tolerance(descent_only):
@@ -676,7 +684,7 @@ def test_newton_failure_refuses_the_attempt(monkeypatch):
     start = np.array([1.4])
     assert graphpde.solver._newton_attempt(problem, start) is not None
     original = graphpde.solver._band_solver
-    for fail_at in (1, 4):  # the first step's factor; the index factor after 3 steps
+    for fail_at in (1, 3):  # the first step's factor; the index factor after 2 fresh steps
         factors = []
 
         def singular(band, fail_at=fail_at):
@@ -858,9 +866,9 @@ def test_lattice_handoff_factors_its_jacobians_without_eigh(monkeypatch):
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
-    # three fresh steps, a chord step on the third one's factor and the
-    # index's factor of the Hessian at the returned point
-    assert calls == [] and len(factors) == 4
+    # two fresh steps, four chord steps on the second one's factor and
+    # the index's factor of the Hessian at the returned point
+    assert calls == [] and len(factors) == 3
     for band, solve in factors:
         assert solve.negatives == int(np.sum(np.linalg.eigvalsh(band_matrix(band)) < 0.0))
     assert np.array_equal(band_matrix(factors[-1][0]), hessian(problem, sol.u))
@@ -892,32 +900,37 @@ def _counted_factors(monkeypatch, step=None):
 
 @pytest.mark.parametrize("k", [12, 30])
 def test_lattice_handoff_takes_a_chord_step(monkeypatch, k):
-    # residuals 3.5e-1, 6.1e-3, 5.9e-6, 9.7e-12: the third step's cut
-    # predicts a chord residual far below rounding, so the fourth step
-    # reuses its factor; only the index's factor follows, never solved
+    # residuals 3.5e-1, 6.1e-3, 5.9e-6, 1.3e-8, 3.5e-11, 8.7e-14, 4.4e-16:
+    # from the second step on each cuts a hundredfold or more, so steps
+    # three to five reuse the second one's factor, and 8.7e-14 after a
+    # chord step predicts a chord residual below rounding, so a sixth
+    # step reuses it too; only the index's factor follows, never solved
     problem = lattice_problem(k, POWER4)
     made = _counted_factors(monkeypatch)
     monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
-    assert made == [[1, 0], [1, 0], [2, 0], [0, 0]]
+    assert made == [[1, 0], [5, 0], [0, 0]]
     assert sol.residual_max < 1e-15 and sol.morse_index == 1
 
 
-def test_ball_run_factors_every_step_afresh(monkeypatch):
-    # path3's residuals fall too slowly for a chord prediction to reach
-    # rounding: three fresh steps and the index's factor, one per trace row
+def test_ball_run_solves_every_step_on_one_factor(monkeypatch):
+    # path3's residuals 1e-1, 1.3e-4, 4.7e-7, 1.8e-9, 6.6e-12, 2.5e-14
+    # fall at least a hundredfold a step: five steps on the first factor;
+    # 2.5e-14 predicts no chord residual at rounding, so no sixth step,
+    # and the index 0 needs no factor: mu (h - f_u) > 0 at the root
     made = _counted_factors(monkeypatch)
     log = RunLog()
     ball_minimize(three_path_problem(PLUS_CONST), SolverConfig(rho=1.0), log=log)
-    assert made == [[1, 0], [1, 0], [1, 0], [0, 0]] and len(log.traces["ball_min"]) == 4
+    assert made == [[5, 0]] and len(log.traces["ball_min"]) == 6
 
 
 def test_chord_step_that_misses_refactors(monkeypatch):
     # a chord step that goes only half way cuts the residual twofold, not
     # NEWTON_CUT's tenfold; the attempt goes on with a fresh factor and
-    # still hands off at descent step 0, so P is never factored
+    # still hands off at descent step 0, so P is never factored.  Both
+    # chord steps, from 5.9e-6 and from 2.4e-12, fall short so
     problem = lattice_problem(12, POWER4)
     made = _counted_factors(monkeypatch, step=lambda solve, y: 0.5 * solve(y))
     monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
@@ -925,8 +938,133 @@ def test_chord_step_that_misses_refactors(monkeypatch):
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
     assert len(log.traces["mountain_pass"]) == 1
-    assert made == [[1, 0], [1, 0], [2, 0], [1, 0], [0, 0]]
+    assert made == [[1, 0], [2, 0], [2, 0], [1, 0], [0, 0]]
     assert sol.residual_max <= graphpde.solver.NEWTON_TOL and sol.morse_index == 1
+
+
+def test_chord_step_that_misses_the_squared_cut_refactors(monkeypatch):
+    # a chord step at 95% cuts 5.9e-6 to 3.1e-7, within NEWTON_CUT but
+    # short of its square: the next step factors afresh, and the attempt
+    # neither gives up nor reuses the factor again
+    problem = lattice_problem(12, POWER4)
+    made = _counted_factors(monkeypatch, step=lambda solve, y: 0.95 * solve(y))
+    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
+    log = RunLog()
+    sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+    assert log.stops["mountain_pass"] == "newton_handoff"
+    assert len(log.traces["mountain_pass"]) == 1
+    assert made == [[1, 0], [2, 0], [1, 0], [0, 0]]
+    assert sol.residual_max <= graphpde.solver.NEWTON_TOL and sol.morse_index == 1
+
+
+def test_newton_takes_one_finishing_chord_step(monkeypatch):
+    # path3 from 1.4: residuals 5.6e-2, 8.8e-4, 2.0e-7, 9.5e-11, 4.4e-14
+    # and 4.4e-16.  4.4e-14 is below NEWTON_TOL after a chord step, and
+    # its cut predicts a residual below rounding, so one more chord step
+    # lands there; none follows it
+    made = _counted_factors(monkeypatch)
+    trace = []
+    u, res_max, index, _ = _newton_polish(three_path_problem(POWER4), np.array([1.4]),
+                                          trace=trace)
+    assert made == [[1, 0], [4, 0], [0, 0]] and len(trace) == 6
+    assert res_max < 1e-15 and u[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert index == 1
+
+
+@pytest.mark.parametrize("k", [1, 12])
+def test_index_zero_is_read_off_the_diagonal_without_a_factor(monkeypatch, k):
+    # at the zero function f_u = 0, so mu (h - f_u) = mu h > 0 for h = 1
+    problem = three_path_problem(POWER4) if k == 1 else lattice_problem(k, POWER4)
+    made = _counted_factors(monkeypatch)
+    u, res_max, index, _ = _newton_polish(problem, np.zeros(problem.partition.omega.size))
+    assert made == [] and res_max == 0.0
+    assert index == morse_index(problem, problem._form.expand(u)) == 0
+
+
+@pytest.mark.parametrize("low, index", [(-0.01, 0), (-0.5, 0), (-3.0, 3)])
+def test_index_with_a_sign_changing_h_is_factored(monkeypatch, low, index):
+    # h = low on three interior vertices of grid12, 1 elsewhere: the
+    # diagonal bound is negative, so the Hessian L + diag(mu h) at the
+    # zero function is factored, definite for a small dip and not for a
+    # deep one
+    graph, part = lattice(12)
+    h = np.ones(graph.n)
+    h[part.omega[[0, 45, 99]]] = low
+    problem = Problem(graph=graph, partition=part, h=h, nl=POWER4)
+    made = _counted_factors(monkeypatch)
+    u, _, found, _ = _newton_polish(problem, np.zeros(part.omega.size))
+    assert len(made) == 1
+    assert found == morse_index(problem, problem._form.expand(u)) == index
+
+
+@pytest.mark.parametrize("gap, factored", [(2.0**-50, True), (2.0**-30, False)])
+def test_index_certificate_keeps_a_rounding_margin(monkeypatch, gap, factored):
+    # f = (1 - gap) u + u^3 has f_u(0) = 1 - gap, so mu (h - f_u) = mu gap
+    # at the zero function: positive, but within rounding of h and f_u
+    # for gap = 2^-50, where the Hessian is factored instead
+    problem = lattice_problem(12, odd_poly({1: 1.0 - gap, 3: 1.0}))
+    made = _counted_factors(monkeypatch)
+    u, _, index, _ = _newton_polish(problem, np.zeros(problem.partition.omega.size))
+    assert len(made) == factored
+    assert index == morse_index(problem, problem._form.expand(u)) == 0
+
+
+def _kernel_calls_at(monkeypatch):
+    """Wrap solver._kernel: returns a list that receives a copy of the
+    point of every call."""
+    kernel, points = graphpde.solver._kernel, []
+
+    def recorded(problem, v, *args, **kwargs):
+        points.append(np.array(v, copy=True))
+        return kernel(problem, v, *args, **kwargs)
+
+    monkeypatch.setattr(graphpde.solver, "_kernel", recorded)
+    return points
+
+
+@pytest.mark.parametrize("trace", [None, []])
+def test_newton_hands_back_its_last_kernel_pass(trace):
+    # bit for bit what a fresh kernel call at the returned point gives
+    for problem, u0 in (
+        (lattice_problem(12, POWER4), None),
+        (lattice_problem(12, power_plus_const(4, 0.01)), 0.0),
+        (three_path_problem(PLUS_CONST), 0.0),
+        (three_path_problem(POWER4), 1.4),
+    ):
+        if u0 is None:
+            start = mountain_pass(problem, SolverConfig(verify_hypotheses=False)).u
+            start = 1.001 * start[problem.partition.omega]
+        else:
+            start = np.full(problem.partition.omega.size, u0)
+        u, res_max, _, (quad, value, r) = _newton_polish(problem, start, trace=trace)
+        fresh = graphpde.variational._kernel(problem, u, residual=True)
+        assert quad == fresh[0] and value == fresh[1] and np.array_equal(r, fresh[2])
+        assert res_max == float(np.max(np.abs(fresh[2])))
+
+
+@pytest.mark.parametrize("case", ["ball-grid12", "ball-path3", "handoff", "polish"])
+def test_solutions_take_one_kernel_pass_at_their_point(monkeypatch, case):
+    # the ball's sphere test, the hand-off's energy test and the Solution
+    # read Newton's last pass: one kernel call at the returned point, and
+    # the reported values are those of a fresh call, bit for bit
+    problem = {
+        "ball-grid12": lattice_problem(12, power_plus_const(4, 0.01)),
+        "ball-path3": three_path_problem(PLUS_CONST),
+    }.get(case) or lattice_problem(12, POWER4)
+    if case == "polish":
+        monkeypatch.setattr(graphpde.solver, "_newton_attempt", lambda *args: None)
+    points = _kernel_calls_at(monkeypatch)
+    if case.startswith("ball"):
+        sol = ball_minimize(problem, SolverConfig(rho=1.0))
+    else:
+        sol = mountain_pass(problem, SolverConfig())
+    u = sol.u[problem.partition.omega]
+    assert sum(np.array_equal(p, u) for p in points) == 1
+    quad, value, r = graphpde.variational._kernel(problem, u, residual=True)
+    assert sol.energy_value == float(value)
+    assert sol.h_norm == graphpde.variational._h_norm(quad)
+    assert sol.grad_norm == float(np.linalg.norm(problem._form.mu * r))
+    assert sol.residual_max == float(np.max(np.abs(r)))
 
 
 def _corpus_problem(seed, i, nl=POWER4):
@@ -993,7 +1131,7 @@ def test_handoff_jacobian_calls_no_cholesky_sure_to_fail(monkeypatch):
 
     monkeypatch.setattr(graphpde.solver, "_band_solver", recorded)
     mountain_pass(lattice_problem(12, POWER4), SolverConfig(verify_hypotheses=False))
-    assert len(jacobians) == 4 and all(band[0, 0] < 0.0 for band in jacobians)
+    assert len(jacobians) == 3 and all(band[0, 0] < 0.0 for band in jacobians)
     cholesky, pivoted, calls = np.linalg.cholesky, graphpde.spectral._pivoted_window, []
 
     def counted(a):
@@ -1079,7 +1217,8 @@ def test_handoff_refuses_a_point_above_the_iterate(monkeypatch):
     # 1/2 on the lattice's interior has energy far above the bump's peak
     problem = lattice_problem(12, POWER4)
     high = np.full(problem.partition.omega.size, 0.5)
-    monkeypatch.setattr(graphpde.solver, "_newton_attempt", lambda *args: (high, 0.0, 1))
+    found = (high, 0.0, 1, graphpde.solver._kernel(problem, high, residual=True))
+    monkeypatch.setattr(graphpde.solver, "_newton_attempt", lambda *args: found)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(), log=log)
     assert log.stops == {"mountain_pass": "tolerance"}
@@ -1101,7 +1240,8 @@ def test_attempt_refuses_the_zero_function(monkeypatch):
     problem = three_path_problem(POWER4)
     for u, accepted in ((np.zeros(1), False), (np.full(1, 1e-9), True)):
         monkeypatch.setattr(
-            graphpde.solver, "_newton_polish", lambda *args, u=u, **kwargs: (u, 0.0, 1)
+            graphpde.solver, "_newton_polish",
+            lambda *args, u=u, **kwargs: (u, 0.0, 1, (0.0, 0.0, np.zeros_like(u))),
         )
         assert (graphpde.solver._newton_attempt(problem, np.ones(1)) is not None) == accepted
 
