@@ -21,10 +21,10 @@ solver._band_solver: Newton's Jacobians and Hessians, P and the
 escapes' shifted Hessians).  Then come Newton's chord steps (solves
 with a factor made inside _newton_polish, after its first solve), the
 attempts that gave up, by the SolverError that ended them (a fresh
-step's cut short of NEWTON_CUT, five rises, the budget, a singular
-Jacobian, a non-finite step), and the band windows whose Cholesky
-failed, by their route (calls of spectral._pivoted_window): factored
-with 1x1 pivots, or refused and sent to eigh.  It exits 1 on any
+step's cut short of NEWTON_CUT, the budget, a singular Jacobian, a
+non-finite step), and the band windows whose Cholesky failed, by their
+route (calls of spectral._pivoted_window): factored with 1x1 pivots,
+or refused and sent to eigh.  It exits 1 on any
 failure, on an index other than 1, or on a set whose band factors
 exceed its ceiling in FACTOR_CEILINGS, the counts Newton's chord
 steps brought them down to, so that a change cannot give that saving
@@ -56,9 +56,8 @@ from graphpde import (  # noqa: E402
 FACTOR_CEILINGS = {"corpus p=2.5": 1351, "corpus p=3": 1100, "corpus p=4": 645,
                    "test generator p=4": 2914}
 # the SolverError messages of an attempt that gives up, by reason
-GIVE_UPS = {"cut": "Newton attempt cut", "rises": "Newton refinement diverged",
-            "budget": "Newton refinement did not reach", "singular": "Newton's Jacobian is singular",
-            "non-finite": "Newton step"}
+GIVE_UPS = {"cut": "Newton attempt cut", "budget": "Newton refinement did not reach",
+            "singular": "Newton's Jacobian is singular", "non-finite": "Newton step"}
 
 
 def corpus_inputs():

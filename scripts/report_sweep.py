@@ -1,6 +1,6 @@
 """Run the report sweep and compare it with an earlier run.
 
-The sweep runs five jsonl commands, in process, on 104 graphs: path3,
+The sweep runs five commands, in process, on 104 graphs: path3,
 grid12, grid30, grid40 and the 100 random graphs s<seed>rand<i> that
 perfbench.corpus.random_graph draws, four per rng seed 0-24.  It also
 runs them on 43 fixed variants of the path3 and grid12 files, named
@@ -14,11 +14,14 @@ in another layout.  The commands are
     solve2 --nl power_plus_const:p=4,eps=0.1 --rho 1 --h0 1
     solve2 --nl power_plus_const:p=4,eps=0.01 --M0 0.5 --h0 1
 
-For each report it keeps the exit code and, per record line, the
-record's label and the sha256 of the line, plus that of stderr when
-anything reached it.  The label is the record
-kind; a hypothesis record's adds its name and + if it holds, - if it
-fails, so a verdict that flips shows as two labels.  --out FILE writes
+Each command runs twice, with --format jsonl and with --format text,
+and both outputs go into one report.  For each report it keeps the
+exit code of the jsonl run and, per output line, a label and the
+sha256 of the line, plus that of stderr when anything reached it.  A
+jsonl line's label is the record kind; a hypothesis record's adds its
+name and + if it holds, - if it fails, so a verdict that flips shows as
+two labels.  A text line's label is "text" and its first word; the text
+run's stderr is labelled "text stderr".  --out FILE writes
 them as JSON.  --against FILE compares this run with a file written
 before, prints the changed reports grouped by command and record label,
 and exits 1 if any changed.  --only NAME restricts the sweep, and the
@@ -120,6 +123,22 @@ def label(line: str) -> str:
     return f"{kind} {record['name']}{'+' if record['holds'] else '-'}"
 
 
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _run(argv, line_label, err_label):
+    """The exit code of one in-process run, and [label, sha256] per
+    stdout line, plus err_label's when anything reached stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = run(argv)
+    records = [[line_label(line), _digest(line)] for line in out.getvalue().splitlines()]
+    if err.getvalue():
+        records.append([err_label, _digest(err.getvalue())])
+    return code, records
+
+
 def sweep(only=()):
     """{"<graph> <command line>": {"exit": code, "records": [[label, sha256], ...]}}"""
     inputs = [g for g in graphs() if not only or g.name in only]
@@ -139,14 +158,11 @@ def sweep(only=()):
                 files.append((name, path))
             for name, path in files:
                 for command in COMMANDS:
-                    out, err = io.StringIO(), io.StringIO()
-                    with redirect_stdout(out), redirect_stderr(err):
-                        code = run([command[0], path, *command[1:], "--format", "jsonl"])
-                    lines = out.getvalue().splitlines()
-                    records = [[label(line), hashlib.sha256(line.encode()).hexdigest()]
-                               for line in lines]
-                    if err.getvalue():
-                        records.append(["stderr", hashlib.sha256(err.getvalue().encode()).hexdigest()])
+                    code, records = _run([command[0], path, *command[1:], "--format", "jsonl"],
+                                         label, "stderr")
+                    records += _run([command[0], path, *command[1:], "--format", "text"],
+                                    lambda line: "text " + line.split(" ", 1)[0],
+                                    "text stderr")[1]
                     reports[f"{name} {' '.join(command)}"] = {"exit": code, "records": records}
         finally:
             os.chdir(cwd)

@@ -4,7 +4,6 @@ Subcommands:
 
     check      hypothesis verdicts, first eigenvalue, embedding constants
     eigen      first eigenvalue and eigenfunction
-    gradcheck  finite-difference audit of the energy gradient
     solve      one pass-level solution
     solve2     the two-solution pipeline
 
@@ -42,13 +41,7 @@ from .solver import (
     verify,
 )
 from .spectral import embedding_constants, first_eigenvalue
-from .variational import (
-    Problem,
-    directional_derivative,
-    energy,
-    gradient,
-    pointwise_residual,
-)
+from .variational import Problem
 
 
 @functools.cache
@@ -68,8 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = {
         "check": ("verify coefficient and reaction-term hypotheses", *eigen),
         "eigen": ("first eigenvalue and eigenfunction of the interior Laplacian", *eigen),
-        "gradcheck": ("audit the energy gradient against finite differences",
-                      "relative-error threshold of the audit (default 1e-6)", "not used"),
         "solve": ("find one pass-level solution", *loops),
         "solve2": ("find a ball minimizer and a pass-level solution", *loops),
     }
@@ -89,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="pointwise range bound; switches solve2 to the derived-ball mode")
         p.add_argument("--tol", type=float, help=tol_help)
         p.add_argument("--max-iter", type=int, dest="max_iter", help=iter_help)
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized audits")
         p.add_argument("--out", help="also write the report to this file")
         p.add_argument("--format", choices=("text", "jsonl"), default="text")
     return parser
@@ -138,7 +128,7 @@ class _Report:
 # meta record key -> the flag's argparse destination, in text-report order
 _META_KEYS = {"nonlinearity": "nl", "h0": "h0", "theta": "theta", "M": "ar_scale",
               "rho": "rho", "beta": "beta", "M0": "m0", "tol": "tol",
-              "max_iter": "max_iter", "seed": "seed"}
+              "max_iter": "max_iter"}
 
 
 def _text_lines(r: dict) -> list[str]:
@@ -149,10 +139,7 @@ def _text_lines(r: dict) -> list[str]:
         ]
     if kind == "hypothesis":
         word = "holds" if r["holds"] else "fails"
-        line = f"hypothesis {r['name']} {word}: {r['witness']}"
-        if r.get("sampled_range"):
-            line += f" [sampled on {r['sampled_range']}]"
-        return [line]
+        return [f"hypothesis {r['name']} {word}: {r['witness']}"]
     if kind == "eigenvalue":
         return [
             f"lambda1 {_fmt(r['lambda1'])}",
@@ -201,15 +188,10 @@ def _text_lines(r: dict) -> list[str]:
         if r["stop"] is not None:
             lines.append(f"trace {r['solver']} stop {r['stop']}")
         return lines
-    if kind == "gradcheck":
-        return [
-            f"gradcheck trial {r['trial']} max_rel_error {_fmt(r['max_rel_error'])} "
-            f"max_delta_error {_fmt(r['max_delta_error'])} pass {_fmt(r['pass'])}"
-        ]
     if kind == "error":
         return [f"error {r['message']}"]
     if kind == "summary":
-        keys = ("solutions", "distinct_gap", "ps_diagnostic", "tolerance", "pass", "exit_code")
+        keys = ("solutions", "distinct_gap", "ps_diagnostic", "exit_code")
         return [f"{key} {_fmt(r[key])}" for key in keys if key in r]
     return [f"{kind} {json.dumps(r, sort_keys=True)}"]
 
@@ -231,7 +213,6 @@ def _verdict_record(v) -> dict:
         "name": v.name,
         "holds": bool(v.holds),
         "witness": v.witness,
-        "sampled_range": v.sampled_range,
         "data": {k: _fin(val) for k, val in dict(v.data).items()},
     }
 
@@ -364,52 +345,6 @@ def _cmd_eigen(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
     return 0 if ok else 1
 
 
-def _cmd_gradcheck(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
-    if nl is None:
-        return _input_error("gradcheck needs --nl")
-    try:
-        problem = Problem(gf.graph, gf.partition, gf.h, nl, h0=ns.h0)
-    except ValueError as exc:
-        return _input_error(str(exc))
-    emit.add(_meta(ns))
-    tol = ns.tol if ns.tol is not None else 1e-6
-    rng = np.random.default_rng(ns.seed)
-    omega = problem.partition.omega
-    n = problem.graph.n
-    overall = True
-    for trial in range(1, 6):
-        u = np.zeros(n)
-        u[omega] = rng.uniform(-2.0, 2.0, size=len(omega))
-        # a non-finite number fails the trial; np.max keeps a nan error (max() drops it)
-        rels, deltas, finite = [0.0], [0.0], True
-        with np.errstate(all="ignore"):
-            grad = gradient(problem, u)
-            resid = pointwise_residual(problem, u)
-            for x in omega:
-                step = 1e-6 * (1.0 + abs(u[x]))
-                up = u.copy(); up[x] += step
-                dn = u.copy(); dn[x] -= step
-                e_up, e_dn = energy(problem, up), energy(problem, dn)
-                fd = (e_up - e_dn) / (2.0 * step)
-                rels.append(abs(grad[x] - fd) / max(1.0, abs(grad[x]), abs(fd)))
-                test = np.zeros(n)
-                test[x] = 1.0
-                dd = directional_derivative(problem, u, test)
-                expect = problem.graph.measure[x] * resid[x]
-                deltas.append(abs(dd - expect) / max(1.0, abs(expect)))
-                finite = finite and bool(np.all(np.isfinite([e_up, e_dn, grad[x], fd, dd, expect])))
-        max_rel, max_delta = float(np.max(rels)), float(np.max(deltas))
-        ok = finite and max_rel <= tol and max_delta <= 1e-12
-        overall = overall and ok
-        emit.add({
-            "record": "gradcheck", "trial": trial,
-            "max_rel_error": _fin(max_rel), "max_delta_error": _fin(max_delta),
-            "pass": ok,
-        })
-    emit.add({"record": "summary", "tolerance": _fin(tol), "pass": overall})
-    return 0 if overall else 1
-
-
 def _cmd_solve(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int:
     if nl is None:
         return _input_error("solve needs --nl")
@@ -473,7 +408,6 @@ def _cmd_solve2(ns: argparse.Namespace, gf: GraphFile, nl, emit: _Report) -> int
 _COMMANDS = {
     "check": _cmd_check,
     "eigen": _cmd_eigen,
-    "gradcheck": _cmd_gradcheck,
     "solve": _cmd_solve,
     "solve2": _cmd_solve2,
 }
@@ -490,8 +424,6 @@ def run(argv=None) -> int:
             return _input_error(f"{flag} must be positive and finite, got {value:g}")
     if ns.theta is not None and not 2.0 < ns.theta < math.inf:
         return _input_error(f"--theta must be finite and exceed 2, got {ns.theta:g}")
-    if ns.seed < 0:
-        return _input_error(f"--seed must be non-negative, got {ns.seed}")
     try:
         gf = parse_graph_file(ns.graph)
     except OSError as exc:

@@ -379,15 +379,13 @@ class GridSpec:
 class HypothesisVerdict:
     """Outcome of one hypothesis check.
 
-    witness describes the failing point or the certified bound;
-    sampled_range names the points an h check reads (None for the f
-    checks); data carries the numeric constants behind the verdict.
+    witness describes the failing point or the certified bound; data
+    carries the numeric constants behind the verdict.
     """
 
     name: str
     holds: bool
     witness: str
-    sampled_range: str | None = None
     data: Mapping[str, float] = field(default_factory=dict)
 
 
@@ -407,7 +405,6 @@ def check_h(graph, partition, h, which: str, h0: float | None = None) -> Hypothe
         return HypothesisVerdict(
             "H1", hmin >= h0,
             f"min h on the interior is {hmin:g} at vertex {vid!r} (required >= h0 = {h0:g})",
-            sampled_range="interior vertices",
             data={"h_min": hmin, "h0": float(h0)},
         )
     if which == "H2":
@@ -415,14 +412,11 @@ def check_h(graph, partition, h, which: str, h0: float | None = None) -> Hypothe
         if zeros.size:
             vid = graph.vertex_ids[int(omega[zeros[0]])]
             return HypothesisVerdict(
-                "H2", False, f"h vanishes at vertex {vid!r}; 1/h is not summable",
-                sampled_range="interior vertices",
-            )
+                "H2", False, f"h vanishes at vertex {vid!r}; 1/h is not summable")
         l1 = float(np.dot(graph.measure[omega], 1.0 / np.abs(h_omega)))
         return HypothesisVerdict(
             "H2", True,
             f"h has no interior zeros; int 1/|h| dmu = {l1:g}",
-            sampled_range="interior vertices",
             data={"l1_of_inverse": l1},
         )
     if which == "H3":
@@ -435,7 +429,6 @@ def check_h(graph, partition, h, which: str, h0: float | None = None) -> Hypothe
         return HypothesisVerdict(
             "H3", holds,
             f"int_omega h dmu = {h_int:g} vs bound 1/(mu_min h0) = {bound:g}",
-            sampled_range="interior vertices",
             data={"h_integral": float(h_int), "bound": float(bound)},
         )
     raise ValueError(f"unknown h-hypothesis {which!r}")

@@ -447,7 +447,6 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     u = np.array(u0, dtype=float, copy=True)
     budget = NEWTON_TRY if attempt else NEWTON_MAX
     prev = math.inf
-    rises = 0
     solve = None     # the kept factor, of the last fresh step
     fresh = False    # whether the last step factored afresh
     finish = False   # whether the run took its one chord step past NEWTON_TOL
@@ -484,12 +483,6 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
                 raise SolverError(
                     f"Newton attempt cut the residual only from {prev:g} to {res_max:g}")
             chord = solve is not None and res_max <= NEWTON_CUT**2 * prev
-        rises = rises + 1 if res_max > prev else 0
-        if rises >= 5:
-            raise SolverError(
-                "Newton refinement diverged: the residual rose five "
-                f"consecutive iterations (latest {res_max:g})"
-            )
         fresh, prev = not chord, res_max
         if fresh:
             solve = None  # before factor(step), so that two factors never coexist

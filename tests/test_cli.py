@@ -223,36 +223,21 @@ def test_overflowing_derived_measure_exits_2(argv, graph_file, capsys):
                             "overflow; derived measure would be inf\n")
 
 
-def test_gradcheck_command(graph_file, capsys):
-    path = graph_file(PATH3)
-    code = run(["gradcheck", path, "--nl", "odd_poly:c1=-1,c3=1", "--seed", "7"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert out.count("gradcheck trial") == 5
-    assert "pass true" in out
-    assert "tolerance 1e-06" in out
-
-
-def test_gradcheck_fails_trials_with_non_finite_numbers(graph_file, capsys):
-    # the energies of trials 3-5 overflow; nan errors must not pass
-    argv = ["gradcheck", graph_file(PATH3), "--h0", "1", "--nl", "odd_poly:c999999999=1",
-            "--format", "jsonl"]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # a warning would raise out of run()
-        code = run(argv)
+@pytest.mark.parametrize("argv, refused", [
+    pytest.param(["gradcheck", "--nl", "power:p=4"], "gradcheck", id="gradcheck"),
+    pytest.param(["check", "--nl", "power:p=4", "--seed", "1"], "--seed", id="seed-check"),
+    pytest.param(["eigen", "--seed", "1"], "--seed", id="seed-eigen"),
+    pytest.param(["solve", "--nl", "power:p=4", "--seed", "1"], "--seed", id="seed-solve"),
+    pytest.param(["solve2", "--nl", "power_plus_const:p=4,eps=0.1", "--seed", "1"], "--seed",
+                 id="seed-solve2"),
+])
+def test_removed_command_and_flag_exit_2(argv, refused, graph_file, capsys):
+    # no command audits the gradient and no command takes a seed: a usage error
+    assert run([argv[0], graph_file(PATH3), *argv[1:]]) == 2
     captured = capsys.readouterr()
-    assert code == 1
-    assert captured.err == ""
-    records = [json.loads(line) for line in captured.out.splitlines()]
-    trials = [r for r in records if r["record"] == "gradcheck"]
-    assert [r["pass"] for r in trials] == [True, True, False, False, False]
-    for r in trials[2:]:
-        assert "nan" in (r["max_rel_error"], r["max_delta_error"])
-    assert records[-1] == {"record": "summary", "tolerance": 1e-06, "pass": False}
-
-
-def test_gradcheck_requires_nl(graph_file, capsys):
-    assert run(["gradcheck", graph_file(PATH3)]) == 2
+    assert captured.out == ""
+    assert captured.err.startswith("usage: graphpde ")
+    assert "error: " in captured.err and refused in captured.err
 
 
 def test_solve_text_report(graph_file, capsys):
@@ -507,7 +492,57 @@ def test_check_decides_where_f_and_F_overflow(flags, graph_file, capsys):
                                   *flags], capsys)
     assert code == 0
     assert all(verdicts[name]["holds"] for name in ("F5", "F6") + ("F4",) * ("--theta" in flags))
-    assert all(v["sampled_range"] is None for name, v in verdicts.items() if name[0] == "F")
+
+
+# one passing run of each command, all but eigen with hypothesis records
+COMMAND_RUNS = {
+    "check": ["--h0", "1", "--nl", "power:p=4", "--theta", "4", "--M", "1"],
+    "eigen": ["--h0", "1"],
+    "solve": ["--h0", "1", "--nl", "power:p=4"],
+    "solve2": ["--h0", "1", "--nl", "power_plus_const:p=4,eps=0.1", "--rho", "1"],
+}
+
+
+def _report(command, fmt, graph_file, capsys):
+    argv = [command, graph_file(PATH3), *COMMAND_RUNS[command], "--format", fmt]
+    assert run(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "solve2"])
+def test_hypothesis_records_carry_five_keys(command, graph_file, capsys):
+    records = [r for r in jsonl_records(_report(command, "jsonl", graph_file, capsys))
+               if r["record"] == "hypothesis"]
+    assert records
+    for r in records:
+        assert set(r) == {"record", "name", "holds", "witness", "data"}
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "solve2"])
+def test_hypothesis_text_lines_end_at_the_witness(command, graph_file, capsys):
+    # the text line is the jsonl record's name, verdict and witness, with no suffix
+    records = [r for r in jsonl_records(_report(command, "jsonl", graph_file, capsys))
+               if r["record"] == "hypothesis"]
+    lines = [line for line in _report(command, "text", graph_file, capsys).splitlines()
+             if line.startswith("hypothesis ")]
+    assert records
+    assert lines == [f"hypothesis {r['name']} {'holds' if r['holds'] else 'fails'}: "
+                     f"{r['witness']}" for r in records]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+@pytest.mark.parametrize("command", ["check", "eigen", "solve", "solve2"])
+def test_reports_carry_no_seed(command, fmt, graph_file, capsys):
+    out = _report(command, fmt, graph_file, capsys)
+    if fmt == "jsonl":
+        meta = jsonl_records(out)[0]
+        assert meta["record"] == "meta" and meta["command"] == command
+        assert set(meta) == {"record", "command", "graph", "nonlinearity", "h0", "theta", "M",
+                             "rho", "beta", "M0", "tol", "max_iter"}
+    else:
+        lines = out.splitlines()
+        assert lines[0] == f"command {command}"
+        assert not any(line.split()[0] == "seed" for line in lines)
 
 
 def _refused_without_overflow(argv, capsys):
@@ -909,14 +944,13 @@ def test_check_exits_0_exactly_when_a_theorem_route_holds(
     assert (code == 0) == any(holds)
 
 
-@pytest.mark.parametrize("command", ["check", "eigen", "gradcheck", "solve", "solve2"])
+@pytest.mark.parametrize("command", ["check", "eigen", "solve", "solve2"])
 @pytest.mark.parametrize("flag,value,rule", [
     ("--M0", "-1", "be positive and finite"), ("--M0", "0", "be positive and finite"),
     ("--M0", "nan", "be positive and finite"), ("--rho", "-3", "be positive and finite"),
     ("--beta", "-1", "be positive and finite"), ("--tol", "-1", "be positive and finite"),
     ("--max-iter", "0", "be positive and finite"), ("--h0", "inf", "be positive and finite"),
     ("--M", "-5", "be positive and finite"), ("--theta", "1", "be finite and exceed 2"),
-    ("--seed", "-1", "be non-negative"),
 ])
 def test_bad_flag_values_exit_2(command, flag, value, rule, graph_file, capsys):
     # no --nl: the flag is refused before any command checks what it needs
@@ -927,7 +961,7 @@ def test_bad_flag_values_exit_2(command, flag, value, rule, graph_file, capsys):
     assert captured.err == f"input error: {flag} must {rule}, got {value}\n"
 
 
-@pytest.mark.parametrize("command", ["check", "solve", "solve2", "gradcheck"])
+@pytest.mark.parametrize("command", ["check", "solve", "solve2"])
 @pytest.mark.parametrize("spec", [
     "power:p=inf", "power_plus_const:p=inf,eps=0.1", "odd_poly:c3=nan", "odd_poly:c3=inf",
 ])

@@ -392,7 +392,7 @@ def test_f4_and_f5_fail_past_every_sampled_range():
     nl = odd_poly({3: 1.0, 5: -1e-4})
     for which, constants in (("F4", {"theta": 3.0, "M": 1.0}), ("F5", {})):
         verdict = check_f(nl, which, **constants)
-        assert not verdict.holds and verdict.sampled_range is None
+        assert not verdict.holds
         assert 70.7 < _witness(verdict) < math.inf
 
 
@@ -412,7 +412,7 @@ def test_f6_leading_power():
     # f(u)/u has a positive exponent and a positive coefficient
     for nl in (power(4), power(2.5), power_plus_const(3, -5.0), odd_poly({1: -1.0, 3: 1.0})):
         verdict = check_f(nl, "F6", GRID)
-        assert verdict.holds and verdict.data == {} and verdict.sampled_range is None
+        assert verdict.holds and verdict.data == {}
     for coeffs, witness in [
         ({1: 2.0}, "f(u)/u stays bounded above as u -> -infinity: "
                    "its leading power there is 2 |u|^0"),
@@ -434,7 +434,6 @@ def test_f8_smallness():
     assert (max_abs, u_at) == (0.25, -1.0)  # ties go to the smaller u
     eq = f8_verdict(max_abs, u_at, 1.0, 1.0, 1.0, 1.0)
     assert eq.holds
-    assert eq.sampled_range is None
     assert not f8_verdict(max_abs, u_at, 1.0, 1.2, 1.0, 1.0).holds
     for beta in (0.1, 0.5, 0.99):
         assert f8_verdict(max_abs, u_at, 1.0, beta, 1.0, 1.0).holds

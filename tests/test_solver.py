@@ -699,9 +699,11 @@ def test_newton_failure_refuses_the_attempt(monkeypatch):
 
 
 def test_newton_divergence_is_refused(monkeypatch):
-    # a unit step up from 1.4 moves away from the root sqrt(2): |2u - u^3| rises each step
+    # a unit step up from 1.4 moves away from the root sqrt(2): |2u - u^3| rises each
+    # step, until the iteration budget or a non-finite step ends the run
     monkeypatch.setattr(graphpde.solver, "_band_solver", lambda band: np.ones_like)
-    with pytest.raises(SolverError, match="^Newton refinement diverged: the residual rose five "):
+    refused = r"^Newton (refinement did not reach residual|step \d+ is not finite)"
+    with pytest.raises(SolverError, match=refused):
         _newton_polish(three_path_problem(POWER4), np.array([1.4]))
 
 

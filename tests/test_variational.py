@@ -133,6 +133,30 @@ def test_gradient_matches_finite_differences(rng):
             assert abs(g[x] - fd) / denom <= 1e-6
 
 
+@pytest.mark.parametrize("nl", [
+    power(4), power(3), power(2.5), power_plus_const(4, 0.1), odd_poly({1: -1.0, 3: 1.0}),
+], ids=["power4", "power3", "power2.5", "plus_const", "odd_poly"])
+def test_three_path_gradient_audit(nl):
+    # acceptance criterion 2 on the hand-oracle domain: five interior values
+    # in [-2, 2], each checked against central differences of the energy and
+    # against the pairing with the interior vertex's indicator
+    problem = three_path_problem(nl)
+    b = int(problem.partition.omega[0])
+    indicator = np.zeros(3)
+    indicator[b] = 1.0
+    for t in np.random.default_rng(7).uniform(-2.0, 2.0, size=5):
+        u = spike(problem, t)
+        g = gradient(problem, u)
+        step = 1e-6 * (1.0 + abs(t))
+        fd = (energy(problem, spike(problem, t + step))
+              - energy(problem, spike(problem, t - step))) / (2 * step)
+        expect = problem.graph.measure[b] * pointwise_residual(problem, u)[b]
+        dd = directional_derivative(problem, u, indicator)
+        assert np.all(np.isfinite([g[b], fd, dd, expect]))
+        assert abs(g[b] - fd) / max(1.0, abs(g[b]), abs(fd)) <= 1e-6
+        assert abs(dd - expect) / max(1.0, abs(expect)) <= 1e-12
+
+
 def test_directional_derivative_identities(rng):
     problem = random_problem(rng, power(4))
     graph, part = problem.graph, problem.partition
