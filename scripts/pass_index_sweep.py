@@ -18,17 +18,21 @@ reasons, the escapes (calls of solver._escape_direction), the most
 descent steps (trace rows) of a run, the Newton runs (calls of
 solver._newton_polish) and the band factors (calls of
 solver._band_solver: Newton's Jacobians and Hessians, P and the
-escapes' shifted Hessians).  Then come Newton's chord steps (solves
-with a factor made inside _newton_polish, after its first solve), the
-attempts that gave up, by the SolverError that ended them (a fresh
-step's cut short of NEWTON_CUT, the budget, a singular Jacobian, a
-non-finite step), and the band windows whose Cholesky failed, by their
-route (calls of spectral._pivoted_window): factored with 1x1 pivots,
-or refused and sent to eigh.  It exits 1 on any
-failure, on an index other than 1, or on a set whose band factors
-exceed its ceiling in FACTOR_CEILINGS, the counts Newton's chord
-steps brought them down to, so that a change cannot give that saving
-back unseen.  --only NAME restricts every set to the named graphs.
+escapes' shifted Hessians).  Then come the Newton runs that converged,
+by how they took the Morse index of their point: read off the
+Hessian's diagonal and the point's own curvature, at 0 or at 1, or
+from a factor of the Hessian (a factor made last in the run and never
+solved with).  Then Newton's chord steps (solves with a factor made
+inside _newton_polish, after its first solve), the attempts that gave
+up, by the SolverError that ended them (a fresh step's cut short of
+NEWTON_CUT, the budget, a singular Jacobian, a non-finite step), and
+the band windows whose Cholesky failed, by their route (calls of
+spectral._pivoted_window): factored with 1x1 pivots, or refused and
+sent to eigh.  It exits 1 on any failure, on an index other than 1,
+or on a set whose band factors exceed its ceiling in FACTOR_CEILINGS,
+the counts that Newton's chord steps and its index bracket brought
+them down to, so that a change cannot give that saving back unseen.
+--only NAME restricts every set to the named graphs.
 
     PYTHONPATH=src python scripts/pass_index_sweep.py
     PYTHONPATH=src python scripts/pass_index_sweep.py --only s10rand3 --only path3
@@ -53,8 +57,8 @@ from graphpde import (  # noqa: E402
 
 
 # band factors per full set, the most a change may take
-FACTOR_CEILINGS = {"corpus p=2.5": 1351, "corpus p=3": 1100, "corpus p=4": 645,
-                   "test generator p=4": 2914}
+FACTOR_CEILINGS = {"corpus p=2.5": 1330, "corpus p=3": 1026, "corpus p=4": 545,
+                   "test generator p=4": 2549}
 # the SolverError messages of an attempt that gives up, by reason
 GIVE_UPS = {"cut": "Newton attempt cut", "budget": "Newton refinement did not reach",
             "singular": "Newton's Jacobian is singular", "non-finite": "Newton step"}
@@ -119,6 +123,8 @@ def sweep(label, inputs, p, escapes, calls):
     print(f"  escapes {sum(per_run)} (at most {max(per_run, default=0)} in a run), "
           f"most steps {steps}")
     print(f"  newton runs {calls['newton']}, band factors {calls['factor']}")
+    print(f"  index off the diagonal at 0 {calls['index 0 diagonal']}, "
+          f"at 1 {calls['index 1 diagonal']}; factored {calls['index factored']}")
     print(f"  chord steps {calls['chord']}, attempts gave up: "
           + ", ".join(f"{why} {calls[why]}" for why in GIVE_UPS))
     print(f"  pivot windows {calls['pivoted']} factored, {calls['refused']} refused")
@@ -149,13 +155,14 @@ def main(argv=None) -> int:
         escapes.append(index)
         return escape(problem, w, index)
 
-    in_newton = []
+    in_newton = []  # per Newton run in progress, the solves made with each of its factors
 
     def counted_newton(*args, **kwargs):
         calls["newton"] += 1
-        in_newton.append(True)
+        solves = []
+        in_newton.append(solves)
         try:
-            return newton(*args, **kwargs)
+            found = newton(*args, **kwargs)
         except SolverError as exc:
             if kwargs.get("attempt"):
                 calls[next(why for why, start in GIVE_UPS.items()
@@ -163,17 +170,22 @@ def main(argv=None) -> int:
             raise
         finally:
             in_newton.pop()
+        # every factor but the index's is solved with at once
+        factored = solves and not solves[-1]
+        calls["index factored" if factored else f"index {found[2]} diagonal"] += 1
+        return found
 
     def counted_factor(band):
         calls["factor"] += 1
         solve = band_solver(band)
         if not in_newton:
             return solve
-        solves = []
+        solves, i = in_newton[-1], len(in_newton[-1])
+        solves.append(0)
 
         def counted_solve(y):
-            calls["chord"] += len(solves) > 0
-            solves.append(1)
+            calls["chord"] += solves[i] > 0
+            solves[i] += 1
             return solve(y)
 
         counted_solve.negatives = solve.negatives

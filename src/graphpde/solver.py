@@ -25,8 +25,9 @@ Comput. 23, 2001; Horak, Numer. Math. 98, 2004).  P, Newton's
 indefinite Jacobians and an escape's shifted Hessian are factored by
 spectral._band_solver, whose negative pivots count the Morse index.
 Newton keeps a factor for as long as its steps cut the residual
-hundredfold (chord steps), and reads a Morse index of 0 off the
-Hessian's diagonal where the diagonal proves it, without a factor.
+hundredfold (chord steps), and reads a Morse index of 0 or 1 without a
+factor where the Hessian's diagonal and the point's own curvature
+bracket it to one value.
 
 The solvers iterate on interior values only, (|omega|,) vectors.  They
 evaluate through variational._kernel, which checks nothing, and expand
@@ -138,8 +139,8 @@ class Solution:
     ball was in play).  kind "trivial" marks the zero function, only
     reported when f(x, 0) = 0 makes it an actual solution.  morse_index
     is the number of negative eigenvalues of the Hessian at u, the
-    negative pivots of its band factor, or 0 where its diagonal proves
-    it (_newton_polish)."""
+    negative pivots of its band factor, or 0 or 1 where its diagonal and
+    the curvature at u bracket it (_newton_polish)."""
 
     u: np.ndarray
     energy_value: float
@@ -318,7 +319,7 @@ def _sobolev_direction(problem: Problem):
 @np.errstate(over="ignore", invalid="ignore")  # a slope that overflows is not positive
 def _ray_peak(problem: Problem, v: np.ndarray):
     """The peak of the energy on the ray t v, t > 0, as (t v, its
-    energy), or None when none is found.
+    energy, its pointwise residual), or None when none is found.
 
     The peak is a root of d/dt energy(t v) = t |v|_h^2 - sum mu f(t v) v
     where it falls through 0.  From t = 1 the root is bracketed by at
@@ -368,7 +369,8 @@ def _ray_peak(problem: Problem, v: np.ndarray):
                 break
         t = nxt
     u = t * v
-    return u, float(_kernel(problem, u)[1])
+    _, value, r = _kernel(problem, u, residual=True)
+    return u, float(value), r
 
 
 def _escape_direction(problem: Problem, w: np.ndarray, index: int):
@@ -431,16 +433,22 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
 
     Returns (u, residual_max, index, the _kernel pass at u with energy
     and residual).  index is the Morse index at u, the number of negative
-    eigenvalues of the Hessian.  As L is positive semidefinite, the
-    Hessian's least eigenvalue is at least min mu (h - f_u) (Weyl); when
-    every entry exceeds 2^-40 of its terms' size mu (|h| + |f_u|), a
-    margin far above their rounding, index is 0 without a factor, and
-    otherwise the Hessian at u is factored afresh.  An attempt takes at
-    most NEWTON_TRY iterations and gives up with a SolverError when a
-    fresh step after the first cuts the residual by less than
-    NEWTON_CUT; a chord step that does so only ends the chord steps.  A
-    trace list receives the (energy, Euclidean gradient norm) row of
-    each iterate, also of one that fails.
+    eigenvalues of the Hessian H = L + diag(D), D = mu (h - f_u), and is
+    bracketed without a factor.  upper counts the entries of D at or
+    below 2^-40 of their terms' size mu (|h| + |f_u|), a margin far above
+    their rounding: H = (L + max(D, 0)) - E, E >= 0 of rank upper, and
+    L is positive definite, so H has at most upper negative eigenvalues
+    (Weyl; Horn & Johnson, Matrix Analysis, 4.3).  lower is 1 when the
+    curvature u^T H u = quad - sum mu f_u u^2, quad from the last pass,
+    is below minus gamma_n (quad + 2 sum mu (|h| + |f_u|) u^2), a bound
+    on its rounding with n = edges + 2 |omega| + 8 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3), else 0.  When lower
+    equals upper, that is the index; otherwise H is factored.  An
+    attempt takes at most NEWTON_TRY iterations and gives up with a
+    SolverError when a fresh step after the first cuts the residual by
+    less than NEWTON_CUT; a chord step that does so only ends the chord
+    steps.  A trace list receives the (energy, Euclidean gradient norm)
+    row of each iterate, also of one that fails.
     """
     mu, h = problem._form.mu, problem.h[problem._form.omega]
     jac = _interior_matrix(problem._form)
@@ -471,9 +479,13 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
                 solve = None
                 at_u = (quad, _value(problem, u, quad) if value is None else value, r)
                 fu = reaction_derivative(problem.nl, u)
-                zero_order = mu * (h - fu)
-                if np.all(zero_order > 2.0**-40 * mu * (np.abs(h) + np.abs(fu))):
-                    return u, res_max, 0, at_u
+                zero_order, size = mu * (h - fu), mu * (np.abs(h) + np.abs(fu))
+                upper = int(np.count_nonzero(~(zero_order > 2.0**-40 * size)))
+                nu = 2.0**-53 * (len(problem._form.w) + 2 * len(u) + 8)
+                rounding = nu / (1.0 - nu) * (quad + 2.0 * (size @ (u * u)))
+                lower = int(quad - (mu * fu * u) @ u < -rounding)
+                if lower == upper:
+                    return u, res_max, upper, at_u
                 return u, res_max, factor(step, zero_order).negatives, at_u
             finish = True
         else:
@@ -576,11 +588,11 @@ def mountain_pass(
             "the path maximum sits at an endpoint; no interior energy "
             "barrier separates 0 from the spike endpoint"
         )
-    u, level = peak
+    u, level, r = peak
     precondition = None
     stop = "budget"
     for k in range(config.deform_steps):
-        gvec = mu * _kernel(problem, u, value=False, residual=True)[2]
+        gvec = mu * r
         gn = math.sqrt(gvec @ gvec)
         trace.append((level, gn))
         found = _newton_attempt(problem, u) if k % NEWTON_EVERY == 0 else None
@@ -594,7 +606,7 @@ def mountain_pass(
                 y *= ESCAPE_STEP * math.sqrt(w @ w)
                 peaks = [p for p in (_ray_peak(problem, w + y), _ray_peak(problem, w - y)) if p]
                 if peaks:
-                    u, level = min(peaks, key=lambda p: p[1])
+                    u, level, r = min(peaks, key=lambda p: p[1])
                     continue
         if gn <= config.deform_tol:
             stop = "tolerance"
@@ -612,7 +624,7 @@ def mountain_pass(
         else:
             stop = "backtracking"
             break
-        u, level = peak
+        u, level, r = peak
     del precondition
     log.stops["mountain_pass"] = stop
     try:

@@ -31,6 +31,21 @@ PATH3 = (
     "e b c 1\n"
 )
 
+# path3 and a second interior vertex d, which no edge joins to b, with
+# h = -1/2: at the spike's root two entries of the Hessian's diagonal are
+# negative, so its Morse index takes a factor
+SPLIT_PATH = (
+    "v a auto 0 boundary\n"
+    "v b auto 1 omega\n"
+    "v c auto 0 boundary\n"
+    "v d auto -0.5 omega\n"
+    "v e auto 0 boundary\n"
+    "e a b 1\n"
+    "e b c 1\n"
+    "e c d 1\n"
+    "e d e 1\n"
+)
+
 H_ZERO = PATH3.replace("v b auto 1 omega", "v b auto 0 omega")
 H_WEAK = PATH3.replace("v b auto 1 omega", "v b auto 0.6 omega")
 
@@ -762,15 +777,40 @@ def test_singular_newton_jacobian_exits_1(graph_file, monkeypatch, capsys):
         calls.append(band.shape)
         raise np.linalg.LinAlgError("singular matrix")
 
+    command = ["solve", graph_file(SPLIT_PATH), "--nl", "power:p=4", "--theta", "4",
+               "--M", "1", "--tol", "1e-3", "--format", "jsonl"]
+    assert run(command) == 0
+    recs = jsonl_records(capsys.readouterr().out)
+    assert [r["morse_index"] for r in recs if r["record"] == "solution"] == [1]
     monkeypatch.setattr(graphpde.solver, "_band_solver", singular)
-    code = run(["solve", graph_file(PATH3), "--nl", "power:p=4", "--theta", "4",
-                "--M", "1", "--tol", "1e-3", "--format", "jsonl"])
-    assert code == 1
+    assert run(command) == 1
     recs = jsonl_records(capsys.readouterr().out)
     assert recs[-1] == {"record": "error", "message": "Newton's Jacobian is singular at step 0"}
     [trace] = [r for r in recs if r["record"] == "trace"]
     assert trace["stop"] == "tolerance" and len(trace["levels"]) == 1
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("command, factors", [
+    (["solve", "--nl", "power:p=4", "--theta", "4", "--M", "1"], 0),
+    (["solve2", "--nl", "power_plus_const:p=4,eps=0.1", "--rho", "1", "--h0", "1"], 1),
+])
+def test_path3_commands_make_their_pinned_band_factors(graph_file, monkeypatch, command,
+                                                      factors):
+    # the spike's ray peak is path3's root, where the Morse index 1 is read
+    # off the diagonal: one entry in doubt and negative curvature; solve2's
+    # ball run factors once, at the zero function, and reads its index 0
+    # off the diagonal too
+    band_solver, calls = graphpde.spectral._band_solver, []
+
+    def counted(band):
+        calls.append(band.shape)
+        return band_solver(band)
+
+    monkeypatch.setattr(graphpde.solver, "_band_solver", counted)
+    monkeypatch.setattr(graphpde.spectral, "_band_solver", counted)
+    assert run([command[0], graph_file(PATH3), *command[1:]]) == 0
+    assert len(calls) == factors
 
 
 def _console_scripts(bin_dir):

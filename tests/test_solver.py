@@ -41,6 +41,7 @@ from util import (
     lattice,
     lattice_problem,
     morse_index,
+    path_graph,
     random_connected_graph,
     random_dirichlet,
     random_partition,
@@ -608,15 +609,17 @@ def test_ray_peak_is_the_root_of_the_radial_derivative(rng):
         for _ in range(10):
             v = random_dirichlet(rng, problem.graph, problem.partition)[omega]
             for scale in (1e-6, 1.0, 1e6):
-                u, value = _ray_peak(problem, scale * v)
+                u, value, r = _ray_peak(problem, scale * v)
                 sq = float(v @ hessian(problem, np.zeros(problem.graph.n)) @ v)
                 mass = float(problem._form.mu @ np.abs(v) ** nl.p)
                 t = (sq / mass) ** (1.0 / (nl.p - 2.0))
                 assert u == pytest.approx(t * v, rel=1e-12, abs=1e-12 * t * np.max(np.abs(v)))
                 assert value == pytest.approx(energy(problem, problem._form.expand(u)), rel=1e-14)
+                fresh = graphpde.variational._kernel(problem, u, residual=True)
+                assert value == float(fresh[1]) and np.array_equal(r, fresh[2])
     problem = three_path_problem(PLUS_CONST)
     for v in (0.5, 1.0, 1.5):  # from below and from above the peak
-        u, _ = _ray_peak(problem, np.array([v]))
+        u, _, _ = _ray_peak(problem, np.array([v]))
         assert u[0] == pytest.approx(LARGE_ROOT, rel=1e-14)
     assert _ray_peak(three_path_problem(power_plus_const(4, 10.0)), np.array([1.0])) is None
 
@@ -626,10 +629,10 @@ def test_ray_peak_looks_above_one_when_halving_finds_no_rise():
     # 4e-4 t - 0.02 (1e-6 t^3 + 0.1), is negative from t = 1 down to 0; it
     # turns positive past t = 5 and falls through 0 again at the peak
     problem = three_path_problem(PLUS_CONST)
-    u, value = _ray_peak(problem, np.array([0.01]))
+    u, value, _ = _ray_peak(problem, np.array([0.01]))
     assert u[0] == pytest.approx(LARGE_ROOT, rel=1e-14)
     assert u[0] == pytest.approx(1.38851746, rel=1e-8)
-    u1, value1 = _ray_peak(problem, np.array([1.0]))
+    u1, value1, _ = _ray_peak(problem, np.array([1.0]))
     assert u[0] == pytest.approx(u1[0], rel=1e-14)
     assert value == pytest.approx(value1, rel=1e-14)
 
@@ -679,9 +682,11 @@ def test_newton_refuses_a_non_finite_step(monkeypatch):
 
 
 def test_newton_failure_refuses_the_attempt(monkeypatch):
-    # a singular Jacobian, at a step or at the converged point, is a refusal
-    problem = three_path_problem(POWER4)
-    start = np.array([1.4])
+    # a singular Jacobian, at a step or at the converged point, is a
+    # refusal; on the split path two entries of the Hessian's diagonal are
+    # in doubt at the root, so its index takes a factor
+    problem = _split_path_problem()
+    start = np.array([1.4, 0.0])
     assert graphpde.solver._newton_attempt(problem, start) is not None
     original = graphpde.solver._band_solver
     for fail_at in (1, 3):  # the first step's factor; the index factor after 2 fresh steps
@@ -738,8 +743,8 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
     original = graphpde.solver._band_solver
     jacobians, points = [], []
 
-    def record_factor(band):
-        jacobians.append(band_matrix(band))
+    def record_factor(band):  # with the point of the derivative call just before it
+        jacobians.append((band_matrix(band), points[-1]))
         return original(band)
 
     def record_derivative(nl, u):
@@ -760,10 +765,11 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
             m.setattr(graphpde.solver, "_band_solver", record_factor)
             m.setattr(graphpde.solver, "reaction_derivative", record_derivative)
             _newton_polish(problem, start[part.omega])
-        assert len(jacobians) == len(points) >= 1
+        assert len(points) >= len(jacobians) >= 1
+        assert len({id(u_omega) for _, u_omega in jacobians}) == len(jacobians)
         lmat = band_matrix(_interior_matrix(problem._form))
         mu = graph.measure[part.omega]
-        for jac, u_omega in zip(jacobians, points):
+        for jac, u_omega in jacobians:
             fu = reaction_derivative(problem.nl, u_omega)
             assert np.array_equal(jac, lmat + np.diag(mu * (problem.h[part.omega] - fu)))
             checked += 1
@@ -868,13 +874,12 @@ def test_lattice_handoff_factors_its_jacobians_without_eigh(monkeypatch):
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
-    # two fresh steps, four chord steps on the second one's factor and
-    # the index's factor of the Hessian at the returned point
-    assert calls == [] and len(factors) == 3
+    # two fresh steps and four chord steps on the second one's factor; the
+    # index at the returned point is read off the Hessian's diagonal
+    assert calls == [] and len(factors) == 2
     for band, solve in factors:
-        assert solve.negatives == int(np.sum(np.linalg.eigvalsh(band_matrix(band)) < 0.0))
-    assert np.array_equal(band_matrix(factors[-1][0]), hessian(problem, sol.u))
-    assert factors[-1][1].negatives == morse_index(problem, sol.u) == 1
+        assert solve.negatives == int(np.sum(np.linalg.eigvalsh(band_matrix(band)) < 0.0)) == 1
+    assert sol.morse_index == morse_index(problem, sol.u) == 1
 
 
 def _counted_factors(monkeypatch, step=None):
@@ -906,14 +911,15 @@ def test_lattice_handoff_takes_a_chord_step(monkeypatch, k):
     # from the second step on each cuts a hundredfold or more, so steps
     # three to five reuse the second one's factor, and 8.7e-14 after a
     # chord step predicts a chord residual below rounding, so a sixth
-    # step reuses it too; only the index's factor follows, never solved
+    # step reuses it too.  No factor follows: one diagonal entry of the
+    # Hessian, the spike's, is in doubt, and the curvature u^T H u < 0
     problem = lattice_problem(k, POWER4)
     made = _counted_factors(monkeypatch)
     monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
-    assert made == [[1, 0], [5, 0], [0, 0]]
+    assert made == [[1, 0], [5, 0]]
     assert sol.residual_max < 1e-15 and sol.morse_index == 1
 
 
@@ -940,7 +946,7 @@ def test_chord_step_that_misses_refactors(monkeypatch):
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
     assert len(log.traces["mountain_pass"]) == 1
-    assert made == [[1, 0], [2, 0], [2, 0], [1, 0], [0, 0]]
+    assert made == [[1, 0], [2, 0], [2, 0], [1, 0]]
     assert sol.residual_max <= graphpde.solver.NEWTON_TOL and sol.morse_index == 1
 
 
@@ -955,7 +961,7 @@ def test_chord_step_that_misses_the_squared_cut_refactors(monkeypatch):
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
     assert len(log.traces["mountain_pass"]) == 1
-    assert made == [[1, 0], [2, 0], [1, 0], [0, 0]]
+    assert made == [[1, 0], [2, 0], [1, 0]]
     assert sol.residual_max <= graphpde.solver.NEWTON_TOL and sol.morse_index == 1
 
 
@@ -963,14 +969,24 @@ def test_newton_takes_one_finishing_chord_step(monkeypatch):
     # path3 from 1.4: residuals 5.6e-2, 8.8e-4, 2.0e-7, 9.5e-11, 4.4e-14
     # and 4.4e-16.  4.4e-14 is below NEWTON_TOL after a chord step, and
     # its cut predicts a residual below rounding, so one more chord step
-    # lands there; none follows it
+    # lands there; none follows it, and the index takes no factor
     made = _counted_factors(monkeypatch)
     trace = []
     u, res_max, index, _ = _newton_polish(three_path_problem(POWER4), np.array([1.4]),
                                           trace=trace)
-    assert made == [[1, 0], [4, 0], [0, 0]] and len(trace) == 6
+    assert made == [[1, 0], [4, 0]] and len(trace) == 6
     assert res_max < 1e-15 and u[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert index == 1
+
+
+def _split_path_problem():
+    """The unit 5-path a-b-c-d-e with interior {b, d}, which no edge
+    joins, power:p=4 and h = 1 but at d, where h = -1/2.  At its root
+    (sqrt(2), 0) two entries of mu (h - f_u) are negative, b's and d's,
+    and the Hessian diag(-8, 1) has Morse index 1."""
+    graph = path_graph("abcde")
+    h = np.array([1.0, 1.0, 1.0, -0.5, 1.0])
+    return Problem(graph=graph, partition=compute_boundary(graph, ["b", "d"]), h=h, nl=POWER4)
 
 
 @pytest.mark.parametrize("k", [1, 12])
@@ -997,6 +1013,81 @@ def test_index_with_a_sign_changing_h_is_factored(monkeypatch, low, index):
     u, _, found, _ = _newton_polish(problem, np.zeros(part.omega.size))
     assert len(made) == 1
     assert found == morse_index(problem, problem._form.expand(u)) == index
+
+
+def test_index_with_one_entry_in_doubt_and_no_curvature_is_factored(monkeypatch):
+    # h = -0.01 at one interior vertex of grid12: at the zero function one
+    # entry of mu (h - f_u) is negative and u^T H u = 0, so the diagonal
+    # bounds the index by 0 and 1, and the factor finds L + diag(mu h) definite
+    graph, part = lattice(12)
+    h = np.ones(graph.n)
+    h[part.omega[45]] = -0.01
+    problem = Problem(graph=graph, partition=part, h=h, nl=POWER4)
+    made = _counted_factors(monkeypatch)
+    u, _, index, _ = _newton_polish(problem, np.zeros(part.omega.size))
+    assert made == [[0, 0]]
+    assert index == morse_index(problem, problem._form.expand(u)) == 0
+
+
+@pytest.mark.parametrize("case, index", [("split-path", 1), ("grid12", 2)])
+def test_index_with_two_entries_in_doubt_is_factored(monkeypatch, case, index):
+    # the split path's root, with curvature u^T H u = -16 < 0, and grid12's
+    # zero function with h = -3 at two interior vertices far apart: the
+    # diagonal bounds the index by 1 and 2, and by 0 and 2
+    if case == "split-path":
+        problem, start = _split_path_problem(), np.array([math.sqrt(2.0), 0.0])
+    else:
+        graph, part = lattice(12)
+        h = np.ones(graph.n)
+        h[part.omega[[0, 99]]] = -3.0
+        problem, start = Problem(graph=graph, partition=part, h=h, nl=POWER4), np.zeros(100)
+    made = _counted_factors(monkeypatch)
+    u, res_max, found, _ = _newton_polish(problem, start)
+    assert res_max <= graphpde.solver.NEWTON_TOL and made == [[0, 0]]
+    assert found == morse_index(problem, problem._form.expand(u)) == index
+
+
+def test_index_bracket_keeps_a_rounding_margin_on_the_curvature(monkeypatch):
+    # path3 with h = 5/4 + 2^-52 and f = 9/4 u: the Hessian is the 1x1
+    # 2 + 2 (h - 9/4) = 2^-51 > 0, computed exactly, and the residual is 0
+    # at every u.  One entry of mu (h - f_u) is negative, and at u = 0.525
+    # the curvature quad - sum mu f_u u^2 computes to -2^-52, inside its
+    # rounding: the index takes a factor, and it is 0
+    problem = three_path_problem(odd_poly({1: 2.25}), h_value=1.25 + 2.0**-52)
+    u = np.array([0.525])
+    quad = graphpde.variational._kernel(problem, u, value=False)[0]
+    assert quad - (problem._form.mu * 2.25 * u) @ u < 0.0
+    made = _counted_factors(monkeypatch)
+    found, res_max, index, _ = _newton_polish(problem, u)
+    assert res_max == 0.0 and np.array_equal(found, u) and made == [[0, 0]]
+    assert index == morse_index(problem, problem._form.expand(u)) == 0
+
+
+def test_index_bracket_agrees_with_the_dense_count_on_the_corpus(monkeypatch):
+    # the 100-graph corpus at p = 3: at the points Newton converges to, one
+    # entry of mu (h - f_u) is in doubt at some and several at others; every
+    # index reported, read off the diagonal or from a factor, is the dense count
+    newton, found = graphpde.solver._newton_polish, []
+
+    def recorded(problem, *args, **kwargs):
+        out = newton(problem, *args, **kwargs)
+        found.append((problem, out[0], out[2]))
+        return out
+
+    monkeypatch.setattr(graphpde.solver, "_newton_polish", recorded)
+    for seed in range(25):
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            graph = random_connected_graph(rng)
+            part = random_partition(rng, graph)
+            problem = Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER3)
+            mountain_pass(problem, SolverConfig(verify_hypotheses=False))
+    doubts = set()
+    for problem, u, index in found:
+        zero_order = 1.0 - reaction_derivative(problem.nl, u)
+        doubts.add(min(int(np.sum(zero_order <= 0.0)), 2))
+        assert index == morse_index(problem, problem._form.expand(u))
+    assert len(found) > 100 and doubts == {1, 2}
 
 
 @pytest.mark.parametrize("gap, factored", [(2.0**-50, True), (2.0**-30, False)])
@@ -1133,7 +1224,7 @@ def test_handoff_jacobian_calls_no_cholesky_sure_to_fail(monkeypatch):
 
     monkeypatch.setattr(graphpde.solver, "_band_solver", recorded)
     mountain_pass(lattice_problem(12, POWER4), SolverConfig(verify_hypotheses=False))
-    assert len(jacobians) == 3 and all(band[0, 0] < 0.0 for band in jacobians)
+    assert len(jacobians) == 2 and all(band[0, 0] < 0.0 for band in jacobians)
     cholesky, pivoted, calls = np.linalg.cholesky, graphpde.spectral._pivoted_window, []
 
     def counted(a):
