@@ -18,21 +18,26 @@ reasons, the escapes (calls of solver._escape_direction), the most
 descent steps (trace rows) of a run, the Newton runs (calls of
 solver._newton_polish) and the band factors (calls of
 solver._band_solver: Newton's Jacobians and Hessians, P and the
-escapes' shifted Hessians).  Then come the Newton runs that converged,
+escapes' shifted Hessians).  Then Newton's Jacobian work by kind: the
+zero-point Jacobians J0 factored (at most one per problem), the
+Jacobians J(u) factored for a step, and the low-rank updates of J0
+(solver._updated_solve) with their largest and total rank (the
+columns of their solve with J0).  Then the Newton runs that converged,
 by how they took the Morse index of their point: read off the
 Hessian's diagonal and the point's own curvature, at 0 or at 1, or
-from a factor of the Hessian (a factor made last in the run and never
-solved with).  Then Newton's chord steps (solves with a factor made
-inside _newton_polish, after its first solve), the attempts that gave
-up, by the SolverError that ended them (a fresh step's cut short of
-NEWTON_CUT, the budget, a singular Jacobian, a non-finite step), and
-the band windows whose Cholesky failed, by their route (calls of
-spectral._pivoted_window): factored with 1x1 pivots, or refused and
-sent to eigh.  It exits 1 on any failure, on an index other than 1,
-or on a set whose band factors exceed its ceiling in FACTOR_CEILINGS,
-the counts that Newton's chord steps and its index bracket brought
-them down to, so that a change cannot give that saving back unseen.
---only NAME restricts every set to the named graphs.
+from a factor of the Hessian (a factor of J(u) made last in the run
+and never solved with).  Then Newton's chord steps (solves with a
+step's factor of J(u) or low-rank update after its first), the
+attempts that gave up, by the SolverError that ended them (an exact
+step's cut short of NEWTON_CUT, the budget, a singular Jacobian, a
+non-finite step), and the band windows whose Cholesky failed, by their
+route (calls of spectral._pivoted_window): factored with 1x1 pivots,
+or refused and sent to eigh.  It exits 1 on any failure, on an index
+other than 1, or on a set whose band factors exceed its ceiling in
+FACTOR_CEILINGS, the counts that Newton's chord steps, its index
+bracket and its low-rank updates of J0 brought them down to, so that a
+change cannot give that saving back unseen.  --only NAME restricts
+every set to the named graphs.
 
     PYTHONPATH=src python scripts/pass_index_sweep.py
     PYTHONPATH=src python scripts/pass_index_sweep.py --only s10rand3 --only path3
@@ -57,8 +62,8 @@ from graphpde import (  # noqa: E402
 
 
 # band factors per full set, the most a change may take
-FACTOR_CEILINGS = {"corpus p=2.5": 1330, "corpus p=3": 1026, "corpus p=4": 545,
-                   "test generator p=4": 2549}
+FACTOR_CEILINGS = {"corpus p=2.5": 332, "corpus p=3": 338, "corpus p=4": 321,
+                   "test generator p=4": 1321}
 # the SolverError messages of an attempt that gives up, by reason
 GIVE_UPS = {"cut": "Newton attempt cut", "budget": "Newton refinement did not reach",
             "singular": "Newton's Jacobian is singular", "non-finite": "Newton step"}
@@ -123,6 +128,9 @@ def sweep(label, inputs, p, escapes, calls):
     print(f"  escapes {sum(per_run)} (at most {max(per_run, default=0)} in a run), "
           f"most steps {steps}")
     print(f"  newton runs {calls['newton']}, band factors {calls['factor']}")
+    print(f"  newton's jacobians: J0 factored {calls['zero']}, J(u) factored for a step "
+          f"{calls['exact'] - calls['index factored']}, low-rank updates of J0 "
+          f"{calls['update']} (largest rank {calls['largest rank']}, total rank {calls['rank']})")
     print(f"  index off the diagonal at 0 {calls['index 0 diagonal']}, "
           f"at 1 {calls['index 1 diagonal']}; factored {calls['index factored']}")
     print(f"  chord steps {calls['chord']}, attempts gave up: "
@@ -149,6 +157,8 @@ def main(argv=None) -> int:
     escape = graphpde.solver._escape_direction
     newton = graphpde.solver._newton_polish
     band_solver = graphpde.solver._band_solver
+    zero_solve = graphpde.solver._ZeroJacobian.solve
+    updated_solve = graphpde.solver._updated_solve
     pivoted = graphpde.spectral._pivoted_window
 
     def counted_escape(problem, w, index):
@@ -156,6 +166,7 @@ def main(argv=None) -> int:
         return escape(problem, w, index)
 
     in_newton = []  # per Newton run in progress, the solves made with each of its factors
+    in_zero = []    # while J0 is factored
 
     def counted_newton(*args, **kwargs):
         calls["newton"] += 1
@@ -170,26 +181,56 @@ def main(argv=None) -> int:
             raise
         finally:
             in_newton.pop()
-        # every factor but the index's is solved with at once
+        # every factor of J(u) but the index's is solved with at once
         factored = solves and not solves[-1]
         calls["index factored" if factored else f"index {found[2]} diagonal"] += 1
         return found
 
+    def chords(solve, counts, i):
+        """solve, counting a chord step at each call after its first in counts[i]."""
+        def counted_solve(y):
+            calls["chord"] += counts[i] > 0
+            counts[i] += 1
+            return solve(y)
+
+        return counted_solve
+
     def counted_factor(band):
         calls["factor"] += 1
         solve = band_solver(band)
-        if not in_newton:
+        if in_zero or not in_newton:
             return solve
-        solves, i = in_newton[-1], len(in_newton[-1])
+        calls["exact"] += 1
+        solves = in_newton[-1]
         solves.append(0)
-
-        def counted_solve(y):
-            calls["chord"] += solves[i] > 0
-            solves[i] += 1
-            return solve(y)
-
+        counted_solve = chords(solve, solves, len(solves) - 1)
         counted_solve.negatives = solve.negatives
         return counted_solve
+
+    def counted_zero(zero):
+        calls["zero"] += not zero._made
+        in_zero.append(zero)
+        try:
+            solve = zero_solve(zero)
+        finally:
+            in_zero.pop()
+        if solve is None:
+            return None
+
+        def ranked(y):  # a solve with |K| columns makes a low-rank update
+            if y.ndim == 2:
+                calls["rank"] += y.shape[1]
+                calls["largest rank"] = max(calls["largest rank"], y.shape[1])
+            return solve(y)
+
+        return ranked
+
+    def counted_update(zero, delta):
+        found = updated_solve(zero, delta)
+        if found is None:
+            return None
+        calls["update"] += 1
+        return chords(found[0], [0], 0), found[1]
 
     def counted_pivots(*args):
         c = pivoted(*args)
@@ -200,6 +241,8 @@ def main(argv=None) -> int:
     graphpde.spectral._pivoted_window = counted_pivots
     graphpde.solver._newton_polish = counted_newton
     graphpde.solver._band_solver = counted_factor
+    graphpde.solver._ZeroJacobian.solve = counted_zero
+    graphpde.solver._updated_solve = counted_update
     sets = [(f"corpus p={p:g}", corpus_inputs(), p) for p in (2.5, 3.0, 4.0)]
     sets.append(("test generator p=4", generator_inputs(), 4.0))
     results = [sweep(label, chosen(inputs), p, escapes, calls) for label, inputs, p in sets]

@@ -24,10 +24,13 @@ to the Nehari manifold by the peak on its ray (Li & Zhou, SIAM J. Sci.
 Comput. 23, 2001; Horak, Numer. Math. 98, 2004).  P, Newton's
 indefinite Jacobians and an escape's shifted Hessian are factored by
 spectral._band_solver, whose negative pivots count the Morse index.
-Newton keeps a factor for as long as its steps cut the residual
-hundredfold (chord steps), and reads a Morse index of 0 or 1 without a
-factor where the Hessian's diagonal and the point's own curvature
-bracket it to one value.
+Newton factors its Jacobian at the zero function once per command and
+solves its steps with low-rank updates of it where J(u) differs from
+it on few vertices, factors J(u) itself where it does not, keeps what
+it solves with for as long as its steps cut the residual hundredfold
+(chord steps), and reads a Morse index of 0 or 1 without a factor where
+the Hessian's diagonal and the point's own curvature bracket it to one
+value.
 
 The solvers iterate on interior values only, (|omega|,) vectors.  They
 evaluate through variational._kernel, which checks nothing, and expand
@@ -56,7 +59,13 @@ from .nonlinearity import (
     reaction,
     reaction_derivative,
 )
-from .spectral import ConstantsReport, _band_solver, embedding_constants, first_eigenvalue
+from .spectral import (
+    _BLOCK,
+    ConstantsReport,
+    _band_solver,
+    embedding_constants,
+    first_eigenvalue,
+)
 from .variational import BallConstants, Problem, _h_norm, _kernel, _value, ball_constants
 
 TRIVIAL_SUP = 1e-10    # sup-norm below which an iterate counts as the zero function
@@ -140,7 +149,8 @@ class Solution:
     reported when f(x, 0) = 0 makes it an actual solution.  morse_index
     is the number of negative eigenvalues of the Hessian at u, the
     negative pivots of its band factor, or 0 or 1 where its diagonal and
-    the curvature at u bracket it (_newton_polish)."""
+    the curvature at u bracket it (_newton_polish); never read off the
+    zero-point Jacobian or its low-rank updates that Newton steps with."""
 
     u: np.ndarray
     energy_value: float
@@ -319,7 +329,8 @@ def _sobolev_direction(problem: Problem):
 @np.errstate(over="ignore", invalid="ignore")  # a slope that overflows is not positive
 def _ray_peak(problem: Problem, v: np.ndarray):
     """The peak of the energy on the ray t v, t > 0, as (t v, its
-    energy, its pointwise residual), or None when none is found.
+    _kernel pass (squared h-norm, energy, pointwise residual)), or None
+    when none is found; Newton from the peak reads that pass.
 
     The peak is a root of d/dt energy(t v) = t |v|_h^2 - sum mu f(t v) v
     where it falls through 0.  From t = 1 the root is bracketed by at
@@ -369,8 +380,8 @@ def _ray_peak(problem: Problem, v: np.ndarray):
                 break
         t = nxt
     u = t * v
-    _, value, r = _kernel(problem, u, residual=True)
-    return u, float(value), r
+    quad, value, r = _kernel(problem, u, residual=True)
+    return u, (quad, float(value), r)
 
 
 def _escape_direction(problem: Problem, w: np.ndarray, index: int):
@@ -405,6 +416,78 @@ def _escape_direction(problem: Problem, w: np.ndarray, index: int):
     return y[:, int(np.argmin(np.abs(w @ y)))]
 
 
+class _ZeroJacobian:
+    """Newton's Jacobian at the zero function, J0 = L + diag(mu (h -
+    f_u(0))), factored by _band_solver at its first solve and kept;
+    solve() is None where J0 is singular.  The solvers make one per
+    command and hand it to every Newton run on the problem."""
+
+    def __init__(self, problem: Problem):
+        form = problem._form
+        self.problem = problem
+        self.fu = reaction_derivative(problem.nl, np.zeros(len(form.mu)))
+        self.diag = form.diag + form.mu * (problem.h[form.omega] - self.fu)
+        self._solve, self._made = None, False
+
+    def solve(self):
+        if not self._made:
+            self._made = True
+            band = _interior_matrix(self.problem._form)
+            band[0] = self.diag
+            try:
+                self._solve = _band_solver(band)
+            except np.linalg.LinAlgError:
+                pass
+        return self._solve
+
+
+def _updated_solve(zero: _ZeroJacobian, delta: np.ndarray):
+    """Solve with J0 - diag(delta), delta = mu (f_u(u) - f_u(0)), by
+    the Woodbury identity: (solve, whether it is approximate), or None
+    where a factor of J(u) should be made instead.
+
+    Only the entries K where |delta| > NEWTON_CUT^3 |J0's diagonal|
+    enter, so the dropped part of J(u) - J0 is within NEWTON_CUT^3 of
+    J0 entry by entry, a tenth of the NEWTON_CUT^2 cut that keeps a
+    chord step's solve; the solve is exact when K holds every nonzero of
+    delta (at the spike's ray, one).  On the lattices and the corpus the
+    hand-off then cuts the residual as with J(u); NEWTON_CUT^2 takes
+    more steps, more factors of J(u) after weak cuts and more time, and
+    NEWTON_CUT^4 gains nothing.  One solve of J0 with |K| columns, Z =
+    J0^(-1) E_K, and the capacitance C = I - diag(delta_K) Z_K give (J0
+    - E_K diag(delta_K) E_K^T)^(-1) b = y + Z C^(-1) (delta_K y_K), y =
+    J0^(-1) b, for vectors b (Hager, SIAM Rev. 31, 1989).  None when J0
+    or C is singular, or when |K| exceeds _BLOCK: the update costs as
+    much as a factor of J(u) and its solve at 80 to 110 columns on the
+    12, 30 and 40 lattices, about bw + _BLOCK, and at most 0.7 of it up
+    to _BLOCK.
+    """
+    solve0 = zero.solve()
+    if solve0 is None:
+        return None
+    (keep,) = np.nonzero(np.abs(delta) > NEWTON_CUT**3 * np.abs(zero.diag))
+    k = len(keep)
+    approximate = bool(k < np.count_nonzero(delta))
+    if k > _BLOCK:
+        return None
+    if not k:
+        return solve0, approximate
+    columns = np.zeros((len(delta), k))
+    columns[keep, np.arange(k)] = 1.0
+    z = solve0(columns)
+    scale = delta[keep]
+    try:
+        inverse = np.linalg.inv(np.eye(k) - scale[:, None] * z[keep])
+    except np.linalg.LinAlgError:
+        return None
+
+    def solve(b):
+        y = solve0(b)
+        return y + z @ (inverse @ (scale * y[keep]))
+
+    return solve, approximate
+
+
 def _rounding_level(problem: Problem, u: np.ndarray, r: np.ndarray) -> float:
     """2^-52 times the largest magnitude of the residual r's two terms at
     u, L u / mu = r + f(u) and f(u): the size of r's rounding."""
@@ -413,23 +496,37 @@ def _rounding_level(problem: Problem, u: np.ndarray, r: np.ndarray) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging step fails as not finite
-def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trace=None):
+def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trace=None,
+                   at_u0=None, zero: _ZeroJacobian | None = None):
     """Refine a candidate, given by its interior values, to vertexwise
-    residual <= NEWTON_TOL.
+    residual <= NEWTON_TOL; at_u0, when given, is the _kernel pass at u0
+    with energy and residual, which step 0 then reads.
 
-    The linearization at u restricted to interior unknowns is the
-    interior Laplacian matrix plus diag(mu (h - f_u)), written into the
-    diagonal, row 0 of one lower band, in place and factored by
-    _band_solver.  A step keeps the last fresh factor while the steps
-    since cut fast (chord steps; Kelley, Iterative Methods for Linear and
-    Nonlinear Equations, SIAM 1995, 5.4): it solves with the kept factor
-    when the step before cut the residual from r_prev to r <=
-    NEWTON_CUT^2 r_prev, and otherwise drops it and factors afresh at its
-    iterate, so that two factors never coexist.  Once r <= NEWTON_TOL
-    after a chord step, one more chord step is taken when the residual it
-    predicts, r (r / r_prev), is at or below r's rounding level
-    (_rounding_level).  A singular Jacobian or a non-finite step raises a
-    SolverError that names it; no step is retried.
+    The linearization at u restricted to interior unknowns is J(u) =
+    J0 - diag(delta), J0 the Jacobian at the zero function (zero, the
+    caller's _ZeroJacobian, or one of this run's own) and delta = mu
+    (f_u(u) - f_u(0)).  A fresh step solves with J0 updated on the
+    entries of delta not negligible against J0's diagonal
+    (_updated_solve): Newton's step where that update is exact, as at
+    the spike's ray, and an approximate Jacobian's elsewhere.  A fresh
+    step after a chord or approximate one (which cut the residual by
+    less than NEWTON_CUT^2), and every step where the update does not
+    apply (J0 or its capacitance singular, a spread update), factors
+    J(u) afresh: the interior Laplacian matrix plus diag(mu (h - f_u)),
+    written into the diagonal, row 0 of one lower band, and factored by
+    _band_solver.
+    A step keeps the last fresh solve while the steps since cut fast
+    (chord steps; Kelley, Iterative Methods for Linear and Nonlinear
+    Equations, SIAM 1995, 5.4): it solves with the kept one when the
+    step before cut the residual from r_prev to r <= NEWTON_CUT^2 r_prev,
+    and otherwise drops it before making a fresh one, so that two
+    factors of J(u) never coexist.  Once r <= NEWTON_TOL after a chord
+    step, one more is taken when the residual it predicts, r (r /
+    r_prev), is at or below r's rounding level (_rounding_level); with an
+    approximate Jacobian, which converges only linearly, steps go on
+    while they cut to r <= NEWTON_CUT^2 r_prev and r is above that level.
+    A singular Jacobian or a non-finite step raises a SolverError that
+    names it; no step is retried.
 
     Returns (u, residual_max, index, the _kernel pass at u with energy
     and residual).  index is the Morse index at u, the number of negative
@@ -443,23 +540,26 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     is below minus gamma_n (quad + 2 sum mu (|h| + |f_u|) u^2), a bound
     on its rounding with n = edges + 2 |omega| + 8 (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, ch. 3), else 0.  When lower
-    equals upper, that is the index; otherwise H is factored.  An
-    attempt takes at most NEWTON_TRY iterations and gives up with a
-    SolverError when a fresh step after the first cuts the residual by
-    less than NEWTON_CUT; a chord step that does so only ends the chord
-    steps.  A trace list receives the (energy, Euclidean gradient norm)
-    row of each iterate, also of one that fails.
+    equals upper, that is the index; otherwise H is factored, never
+    read off an approximate Jacobian.  An attempt takes at most
+    NEWTON_TRY iterations and gives up with a SolverError when an exact
+    Newton step after the first cuts the residual by less than
+    NEWTON_CUT; a chord or approximate step that does so only ends the
+    chord steps.  A trace list receives the (energy, Euclidean gradient
+    norm) row of each iterate, also of one that fails.
     """
     mu, h = problem._form.mu, problem.h[problem._form.omega]
-    jac = _interior_matrix(problem._form)
+    zero = zero or _ZeroJacobian(problem)
     u = np.array(u0, dtype=float, copy=True)
     budget = NEWTON_TRY if attempt else NEWTON_MAX
     prev = math.inf
-    solve = None     # the kept factor, of the last fresh step
-    fresh = False    # whether the last step factored afresh
-    finish = False   # whether the run took its one chord step past NEWTON_TOL
+    solve = None         # the kept solve, of the last fresh step
+    fresh = False        # whether the last step made it
+    approximate = False  # whether it solves with an approximate Jacobian (_updated_solve)
+    finish = False       # whether the run took its one chord step past NEWTON_TOL
 
     def factor(step, zero_order):
+        jac = _interior_matrix(problem._form)
         jac[0] = problem._form.diag + zero_order
         try:
             return _band_solver(jac)
@@ -467,14 +567,22 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
             raise SolverError(f"Newton's Jacobian is singular at step {step}") from None
 
     for step in range(budget + 1):
-        quad, value, r = _kernel(problem, u, value=trace is not None, residual=True)
+        if step or at_u0 is None:
+            quad, value, r = _kernel(problem, u, value=trace is not None, residual=True)
+        else:
+            quad, value, r = at_u0
         if trace is not None:
             trace.append((float(value), float(np.linalg.norm(mu * r))))
         res_max = float(np.max(np.abs(r)))
         if res_max <= NEWTON_TOL:
-            # after a chord step, one more when it is predicted to land at rounding
-            chord = (solve is not None and not fresh and not finish and step < budget
-                     and res_max * (res_max / prev) <= _rounding_level(problem, u, r))
+            # with an approximate Jacobian, steps while they cut fast down to
+            # rounding; after a chord step, one more when predicted to land there
+            if approximate:
+                chord = (step < budget and res_max <= NEWTON_CUT**2 * prev
+                         and res_max > _rounding_level(problem, u, r))
+            else:
+                chord = (solve is not None and not fresh and not finish and step < budget
+                         and res_max * (res_max / prev) <= _rounding_level(problem, u, r))
             if not chord:
                 solve = None
                 at_u = (quad, _value(problem, u, quad) if value is None else value, r)
@@ -491,14 +599,19 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
         else:
             if step == budget:
                 break
-            if attempt and step >= 2 and fresh and not res_max <= NEWTON_CUT * prev:
+            if (attempt and step >= 2 and fresh and not approximate
+                    and not res_max <= NEWTON_CUT * prev):
                 raise SolverError(
                     f"Newton attempt cut the residual only from {prev:g} to {res_max:g}")
             chord = solve is not None and res_max <= NEWTON_CUT**2 * prev
-        fresh, prev = not chord, res_max
-        if fresh:
+        if not chord:
+            fu = reaction_derivative(problem.nl, u)
+            # after a chord or approximate step that cut too little, J(u) itself
+            updated = (None if solve is not None and (approximate or not fresh)
+                       else _updated_solve(zero, mu * (fu - zero.fu)))
             solve = None  # before factor(step), so that two factors never coexist
-            solve = factor(step, mu * (h - reaction_derivative(problem.nl, u)))
+            solve, approximate = updated or (factor(step, mu * (h - fu)), False)
+        fresh, prev = not chord, res_max
         delta = solve(-(mu * r))
         if not np.all(np.isfinite(delta)):
             raise SolverError(f"Newton step {step} is not finite")
@@ -509,13 +622,14 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     )
 
 
-def _newton_attempt(problem: Problem, u0: np.ndarray):
-    """Newton from u0 as an attempt (_newton_polish): its (u,
-    residual_max, index, kernel pass) when it converges to a nonzero
-    point, None otherwise, also when Newton fails (a SolverError, a
-    singular Jacobian among them)."""
+def _newton_attempt(problem: Problem, u0: np.ndarray, at_u0=None, zero=None):
+    """Newton from u0, at_u0 its _kernel pass if known, as an attempt
+    (_newton_polish, with zero's J0): its (u, residual_max, index,
+    kernel pass) when it converges to a nonzero point, None otherwise,
+    also when Newton fails (a SolverError, a singular Jacobian among
+    them)."""
     try:
-        found = _newton_polish(problem, u0, attempt=True)
+        found = _newton_polish(problem, u0, attempt=True, at_u0=at_u0, zero=zero)
     except SolverError:
         return None
     return found if np.max(np.abs(found[0])) >= TRIVIAL_SUP else None
@@ -549,6 +663,7 @@ def mountain_pass(
     config: SolverConfig | None = None,
     *,
     log: RunLog | None = None,
+    zero: _ZeroJacobian | None = None,
 ) -> Solution:
     """Pass-level critical point by descent on the Nehari manifold plus
     Newton.
@@ -570,7 +685,9 @@ def mountain_pass(
     lower peak of w +- ESCAPE_STEP |w| y, y from _escape_direction.  P is
     factored at the first step that needs it.  After any other stop
     Newton refines u in full, and a result of index other than 1 is
-    refused.
+    refused.  Every Newton run starts from u's ray-peak pass and solves
+    with one J0, zero's when given (two_solutions shares it with the ball
+    minimizer), else one made here and dropped on return.
 
     log receives the gate's verdicts, the "mountain_pass" trace, one
     (energy, gradient norm) row per iterate, and its stop reason.
@@ -580,22 +697,25 @@ def mountain_pass(
     if config.verify_hypotheses:
         log.verdicts += _gate(problem, "one")
     mu = problem._form.mu
+    zero = zero or _ZeroJacobian(problem)
     trace = log.traces["mountain_pass"] = []
     peak = _ray_peak(problem, build_spike_endpoint(problem)[problem._form.omega])
-    if peak is None or not peak[1] > 0.0:
+    if peak is None or not peak[1][1] > 0.0:
         log.stops["mountain_pass"] = "endpoint_maximum"
         raise SolverError(
             "the path maximum sits at an endpoint; no interior energy "
             "barrier separates 0 from the spike endpoint"
         )
-    u, level, r = peak
+    u, (quad, level, r) = peak
     precondition = None
     stop = "budget"
     for k in range(config.deform_steps):
         gvec = mu * r
         gn = math.sqrt(gvec @ gvec)
         trace.append((level, gn))
-        found = _newton_attempt(problem, u) if k % NEWTON_EVERY == 0 else None
+        found = None
+        if k % NEWTON_EVERY == 0:
+            found = _newton_attempt(problem, u, (quad, level, r), zero)
         if found is not None and found[3][1] <= level:  # the energy of Newton's point
             w, _, index, _ = found
             if index == 1:
@@ -606,7 +726,7 @@ def mountain_pass(
                 y *= ESCAPE_STEP * math.sqrt(w @ w)
                 peaks = [p for p in (_ray_peak(problem, w + y), _ray_peak(problem, w - y)) if p]
                 if peaks:
-                    u, level, r = min(peaks, key=lambda p: p[1])
+                    u, (quad, level, r) = min(peaks, key=lambda p: p[1][1])
                     continue
         if gn <= config.deform_tol:
             stop = "tolerance"
@@ -618,17 +738,17 @@ def mountain_pass(
         s = 1.0
         while not np.array_equal(v := u - s * d, u):
             peak = _ray_peak(problem, v)
-            if peak is not None and peak[1] <= level - s * drop:
+            if peak is not None and peak[1][1] <= level - s * drop:
                 break
             s *= 0.5
         else:
             stop = "backtracking"
             break
-        u, level, r = peak
+        u, (quad, level, r) = peak
     del precondition
     log.stops["mountain_pass"] = stop
     try:
-        found = _newton_polish(problem, u)
+        found = _newton_polish(problem, u, at_u0=(quad, level, r), zero=zero)
     except SolverError as exc:
         if stop != "tolerance":
             how = {"budget": "spent its iteration budget",
@@ -657,6 +777,7 @@ def ball_minimize(
     config: SolverConfig | None = None,
     *,
     log: RunLog | None = None,
+    zero: _ZeroJacobian | None = None,
 ) -> Solution:
     """Local minimizer of the energy strictly inside the ball h-norm <
     sqrt(rho).
@@ -669,7 +790,8 @@ def ball_minimize(
     Newton starts at residual 0; it is returned with kind="trivial"
     rather than treated as an error.  log receives the gate's verdicts,
     the "ball_min" trace (one row per Newton iterate) and its stop,
-    "tolerance" or "newton_failed".
+    "tolerance" or "newton_failed".  zero, when given, is the J0 that
+    Newton solves with (two_solutions shares it with the mountain pass).
     """
     config = config or SolverConfig()
     log = RunLog() if log is None else log
@@ -682,7 +804,8 @@ def ball_minimize(
     trace = log.traces["ball_min"] = []
     refused = "no interior minimizer found: Newton from the zero function"
     try:
-        found = _newton_polish(problem, np.zeros(len(problem._form.mu)), attempt=True, trace=trace)
+        found = _newton_polish(problem, np.zeros(len(problem._form.mu)), attempt=True,
+                               trace=trace, zero=zero)
     except SolverError as exc:
         log.stops["ball_min"] = "newton_failed"
         raise SolverError(f"{refused} failed: {exc}") from exc
@@ -718,7 +841,8 @@ def two_solutions(
     the ball constants and must satisfy 0 < beta <= that bound.
 
     log receives the verdicts once the whole gate has passed, then what
-    both solvers write.
+    both solvers write.  Their Newton runs share one J0 (zero), dropped
+    before the eigen step factors L.
     """
     config = config or SolverConfig()
     log = RunLog() if log is None else log
@@ -768,8 +892,10 @@ def two_solutions(
 
     log.verdicts += verdicts
     sub = dataclasses.replace(config, verify_hypotheses=False, rho=rho, m0=None)
-    ball_sol = ball_minimize(problem, sub, log=log)
-    pass_sol = mountain_pass(problem, sub, log=log)
+    zero = _ZeroJacobian(problem)
+    ball_sol = ball_minimize(problem, sub, log=log, zero=zero)
+    pass_sol = mountain_pass(problem, sub, log=log, zero=zero)
+    del zero  # before the eigen step factors L
 
     for sol in (ball_sol, pass_sol):
         if sol.kind == "trivial" or float(np.max(np.abs(sol.u))) < TRIVIAL_SUP:

@@ -813,6 +813,30 @@ def test_path3_commands_make_their_pinned_band_factors(graph_file, monkeypatch, 
     assert len(calls) == factors
 
 
+@pytest.mark.parametrize("command, k", [
+    (["solve", "--nl", "power:p=4", "--theta", "4", "--M", "1"], 12),
+    (["solve", "--nl", "power:p=4", "--theta", "4", "--M", "1"], 30),
+    (["solve2", "--nl", "power_plus_const:p=4,eps=0.01", "--M0", "0.5", "--h0", "1"], 12),
+])
+def test_lattice_commands_make_two_definite_band_factors(graph_file, monkeypatch, command, k):
+    # Newton's Jacobian at the zero function, shared by solve2's ball
+    # minimizer and mountain pass, whose steps update it at low rank, and
+    # then L for the eigen step; each is positive definite
+    graph, part = lattice(k)
+    path = graph_file(format_graph_text(graph, part, np.ones(graph.n)))
+    band_solver, negatives = graphpde.spectral._band_solver, []
+
+    def counted(band):
+        solve = band_solver(band)
+        negatives.append(solve.negatives)
+        return solve
+
+    monkeypatch.setattr(graphpde.solver, "_band_solver", counted)
+    monkeypatch.setattr(graphpde.spectral, "_band_solver", counted)
+    assert run([command[0], path, *command[1:], "--format", "jsonl"]) == 0
+    assert negatives == [0, 0]
+
+
 def _console_scripts(bin_dir):
     """Write the launchers an installer makes for ``[project.scripts]``.
 

@@ -174,7 +174,8 @@ def test_mountain_pass_refuses_a_collapse_to_zero(monkeypatch, descent_only):
     # f(x, 0) = 0 makes 0 a critical point; Newton landing there isolates no pass
     monkeypatch.setattr(
         graphpde.solver, "_newton_polish",
-        lambda problem, u0: (np.zeros_like(u0), 0.0, 0, (0.0, 0.0, np.zeros_like(u0))),
+        lambda problem, u0, at_u0, zero: (
+            np.zeros_like(u0), 0.0, 0, (0.0, 0.0, np.zeros_like(u0))),
     )
     with pytest.raises(SolverError, match="^deformation collapsed to the zero function"):
         mountain_pass(three_path_problem(POWER4))
@@ -310,7 +311,7 @@ def test_ball_minimize_pinned_to_sphere():
 def _converged_at(value, index):
     """A stand-in for _newton_polish that converges at value everywhere
     with Morse index index."""
-    def polish(problem, u0, attempt=False, trace=None):
+    def polish(problem, u0, attempt=False, trace=None, zero=None):
         u = np.full_like(u0, value)
         return u, 0.0, index, graphpde.solver._kernel(problem, u, residual=True)
 
@@ -473,7 +474,7 @@ def test_two_solutions_attaches_f4_when_constants_present():
 def test_two_solutions_refuses_one_function_twice(monkeypatch):
     monkeypatch.setattr(
         graphpde.solver, "mountain_pass",
-        lambda problem, config, log: ball_minimize(problem, config, log=log),
+        lambda problem, config, log, zero: ball_minimize(problem, config, log=log, zero=zero),
     )
     with pytest.raises(SolverError, match=r"^the two routes converged to the same function "
                                           r"\(sup-norm gap 0 < 1e-06\)"):
@@ -609,17 +610,18 @@ def test_ray_peak_is_the_root_of_the_radial_derivative(rng):
         for _ in range(10):
             v = random_dirichlet(rng, problem.graph, problem.partition)[omega]
             for scale in (1e-6, 1.0, 1e6):
-                u, value, r = _ray_peak(problem, scale * v)
+                u, (quad, value, r) = _ray_peak(problem, scale * v)
                 sq = float(v @ hessian(problem, np.zeros(problem.graph.n)) @ v)
                 mass = float(problem._form.mu @ np.abs(v) ** nl.p)
                 t = (sq / mass) ** (1.0 / (nl.p - 2.0))
                 assert u == pytest.approx(t * v, rel=1e-12, abs=1e-12 * t * np.max(np.abs(v)))
                 assert value == pytest.approx(energy(problem, problem._form.expand(u)), rel=1e-14)
                 fresh = graphpde.variational._kernel(problem, u, residual=True)
-                assert value == float(fresh[1]) and np.array_equal(r, fresh[2])
+                assert quad == fresh[0] and value == float(fresh[1])
+                assert np.array_equal(r, fresh[2])
     problem = three_path_problem(PLUS_CONST)
     for v in (0.5, 1.0, 1.5):  # from below and from above the peak
-        u, _, _ = _ray_peak(problem, np.array([v]))
+        u, _ = _ray_peak(problem, np.array([v]))
         assert u[0] == pytest.approx(LARGE_ROOT, rel=1e-14)
     assert _ray_peak(three_path_problem(power_plus_const(4, 10.0)), np.array([1.0])) is None
 
@@ -629,10 +631,10 @@ def test_ray_peak_looks_above_one_when_halving_finds_no_rise():
     # 4e-4 t - 0.02 (1e-6 t^3 + 0.1), is negative from t = 1 down to 0; it
     # turns positive past t = 5 and falls through 0 again at the peak
     problem = three_path_problem(PLUS_CONST)
-    u, value, _ = _ray_peak(problem, np.array([0.01]))
+    u, (_, value, _) = _ray_peak(problem, np.array([0.01]))
     assert u[0] == pytest.approx(LARGE_ROOT, rel=1e-14)
     assert u[0] == pytest.approx(1.38851746, rel=1e-8)
-    u1, value1, _ = _ray_peak(problem, np.array([1.0]))
+    u1, (_, value1, _) = _ray_peak(problem, np.array([1.0]))
     assert u[0] == pytest.approx(u1[0], rel=1e-14)
     assert value == pytest.approx(value1, rel=1e-14)
 
@@ -658,21 +660,25 @@ def test_mountain_pass_random_graphs_end_at_index_one():
 
 
 def test_newton_refuses_a_singular_jacobian(monkeypatch, descent_only):
+    # Newton from the descent's last iterate: a singular J0 sends step 0
+    # to a factor of J(u), and that one singular too ends the solve
     original = graphpde.solver._band_solver
     calls = []
 
-    def fail_first_newton(band):
+    def fail_newton(band):
         calls.append(band_matrix(band))
-        if len(calls) == 2:  # calls[0] is P, factored once at the descent's first step
+        if len(calls) > 1:  # calls[0] is P, factored once at the descent's first step
             raise np.linalg.LinAlgError("singular matrix")
         return original(band)
 
-    monkeypatch.setattr(graphpde.solver, "_band_solver", fail_first_newton)
+    monkeypatch.setattr(graphpde.solver, "_band_solver", fail_newton)
     problem = lattice_problem(5, POWER4)
     with pytest.raises(SolverError, match="^Newton's Jacobian is singular at step 0$"):
         mountain_pass(problem, SolverConfig())
     assert np.allclose(calls[0], _p_matrix(problem), rtol=1e-14, atol=0.0)
-    assert len(calls) == 2  # no second factor of the same step
+    assert np.array_equal(calls[1], hessian(problem, np.zeros(problem.graph.n)))
+    assert len(calls) == 3  # J0, then J(u) at step 0, and no second factor of that step
+    assert not np.array_equal(calls[2], calls[1])
 
 
 def test_newton_refuses_a_non_finite_step(monkeypatch):
@@ -689,18 +695,20 @@ def test_newton_failure_refuses_the_attempt(monkeypatch):
     start = np.array([1.4, 0.0])
     assert graphpde.solver._newton_attempt(problem, start) is not None
     original = graphpde.solver._band_solver
-    for fail_at in (1, 3):  # the first step's factor; the index factor after 2 fresh steps
+    # J0 and then J(u) at step 0; the index factor after exact rank-1
+    # updates of J0 (d's entry of J(u) - J0 is 0) at every step
+    for failing in ({1, 2}, {2}):
         factors = []
 
-        def singular(band, fail_at=fail_at):
+        def singular(band, failing=failing):
             factors.append(band.shape)
-            if len(factors) == fail_at:
+            if len(factors) in failing:
                 raise np.linalg.LinAlgError("singular matrix")
             return original(band)
 
         monkeypatch.setattr(graphpde.solver, "_band_solver", singular)
         assert graphpde.solver._newton_attempt(problem, start) is None
-        assert len(factors) == fail_at
+        assert len(factors) == 2
 
 
 def test_newton_divergence_is_refused(monkeypatch):
@@ -740,6 +748,9 @@ def test_lattice40_allocates_no_dense_interior_matrix():
 
 
 def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
+    # J0, the run's first factor, is the assembled form at the zero
+    # function; with the low-rank update refused, every factor is J(u) at
+    # the point of the derivative call just before it
     original = graphpde.solver._band_solver
     jacobians, points = [], []
 
@@ -759,21 +770,26 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
         config = SolverConfig()
         start = mountain_pass(problem, config).u
         start[part.omega] *= 1.0 + 1e-3 * rng.uniform(-1.0, 1.0, size=part.omega.size)
-        jacobians.clear()
-        points.clear()
-        with monkeypatch.context() as m:
-            m.setattr(graphpde.solver, "_band_solver", record_factor)
-            m.setattr(graphpde.solver, "reaction_derivative", record_derivative)
-            _newton_polish(problem, start[part.omega])
-        assert len(points) >= len(jacobians) >= 1
-        assert len({id(u_omega) for _, u_omega in jacobians}) == len(jacobians)
         lmat = band_matrix(_interior_matrix(problem._form))
         mu = graph.measure[part.omega]
-        for jac, u_omega in jacobians:
-            fu = reaction_derivative(problem.nl, u_omega)
-            assert np.array_equal(jac, lmat + np.diag(mu * (problem.h[part.omega] - fu)))
-            checked += 1
-    assert checked >= 10
+        for updates in (True, False):
+            jacobians.clear()
+            points.clear()
+            with monkeypatch.context() as m:
+                m.setattr(graphpde.solver, "_band_solver", record_factor)
+                m.setattr(graphpde.solver, "reaction_derivative", record_derivative)
+                if not updates:
+                    m.setattr(graphpde.solver, "_updated_solve", lambda zero, delta: None)
+                _newton_polish(problem, start[part.omega])
+            assert len(points) >= len(jacobians) >= 1
+            if updates:
+                jacobians[0] = (jacobians[0][0], np.zeros(part.omega.size))
+            assert len({id(u_omega) for _, u_omega in jacobians}) == len(jacobians)
+            for jac, u_omega in jacobians:
+                fu = reaction_derivative(problem.nl, u_omega)
+                assert np.array_equal(jac, lmat + np.diag(mu * (problem.h[part.omega] - fu)))
+                checked += 1
+    assert checked >= 20
 
 
 def test_solutions_have_the_expected_morse_index():
@@ -853,9 +869,8 @@ def test_mountain_pass_hands_off_to_newton_on_the_lattice(monkeypatch):
 
 
 def test_lattice_handoff_factors_its_jacobians_without_eigh(monkeypatch):
-    # each Newton Jacobian of the hand-off has one row that is not
-    # diagonally dominant, the spike's unknown 0: the band factor takes a
-    # 1x1 pivot there, and its -1s still count the negative eigenvalues
+    # the hand-off's one factor is J0 = L + diag(mu h), positive definite;
+    # its steps solve with low-rank updates of it, and no eigh runs
     problem = lattice_problem(12, POWER4)
     eigh, band_solver = np.linalg.eigh, graphpde.solver._band_solver
     calls, factors = [], []
@@ -874,11 +889,11 @@ def test_lattice_handoff_factors_its_jacobians_without_eigh(monkeypatch):
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
-    # two fresh steps and four chord steps on the second one's factor; the
-    # index at the returned point is read off the Hessian's diagonal
-    assert calls == [] and len(factors) == 2
-    for band, solve in factors:
-        assert solve.negatives == int(np.sum(np.linalg.eigvalsh(band_matrix(band)) < 0.0)) == 1
+    # the index at the returned point is read off the Hessian's diagonal
+    assert calls == [] and len(factors) == 1
+    [(band, solve)] = factors
+    assert np.array_equal(band_matrix(band), hessian(problem, np.zeros(problem.graph.n)))
+    assert solve.negatives == int(np.sum(np.linalg.eigvalsh(band_matrix(band)) < 0.0)) == 0
     assert sol.morse_index == morse_index(problem, sol.u) == 1
 
 
@@ -905,21 +920,83 @@ def _counted_factors(monkeypatch, step=None):
     return made
 
 
+def _newton_operators(monkeypatch, step=None):
+    """Wrap what Newton's steps solve with: returns a list that receives,
+    in order, ["J0"] when J0 is factored and, per operator a fresh step
+    makes, [kind, solves so far]: kind "update <rank>" for a low-rank
+    update of J0 (its rank the columns of its solve with J0), with
+    " approximate" where it drops entries of J(u) - J0, or "factor" for a
+    band factor of J(u).  step(solve, y) may stand in for an operator's
+    solves after its first."""
+    solver = graphpde.solver
+    updated_solve, band_solver = solver._updated_solve, solver._band_solver
+    zero_solve = solver._ZeroJacobian.solve
+    made, ranks, in_zero = [], [], []
+
+    def wrapped(solve, row):
+        def counted(y):
+            row[1] += 1
+            return solve(y) if step is None or row[1] == 1 else step(solve, y)
+        return counted
+
+    def zero(self):
+        in_zero.append(self)
+        try:
+            solve = zero_solve(self)
+        finally:
+            in_zero.pop()
+
+        def ranked(y):
+            ranks.append(y.shape[1] if y.ndim == 2 else 0)
+            return solve(y)
+
+        return solve and ranked
+
+    def updated(zero, delta):
+        ranks.clear()
+        found = updated_solve(zero, delta)
+        if found is None:
+            return None
+        row = [f"update {max(ranks, default=0)}" + " approximate" * found[1], 0]
+        made.append(row)
+        return wrapped(found[0], row), found[1]
+
+    def factored(band):
+        solve = band_solver(band)
+        if in_zero:
+            made.append(["J0"])
+            return solve
+        row = ["factor", 0]
+        made.append(row)
+        counted = wrapped(solve, row)
+        counted.negatives = solve.negatives
+        return counted
+
+    monkeypatch.setattr(solver, "_updated_solve", updated)
+    monkeypatch.setattr(solver, "_band_solver", factored)
+    monkeypatch.setattr(solver._ZeroJacobian, "solve", zero)
+    return made
+
+
 @pytest.mark.parametrize("k", [12, 30])
 def test_lattice_handoff_takes_a_chord_step(monkeypatch, k):
-    # residuals 3.5e-1, 6.1e-3, 5.9e-6, 1.3e-8, 3.5e-11, 8.7e-14, 4.4e-16:
-    # from the second step on each cuts a hundredfold or more, so steps
-    # three to five reuse the second one's factor, and 8.7e-14 after a
-    # chord step predicts a chord residual below rounding, so a sixth
-    # step reuses it too.  No factor follows: one diagonal entry of the
-    # Hessian, the spike's, is in doubt, and the curvature u^T H u < 0
+    # residuals 3.5e-1, 6.1e-3, 5.9e-6, 1.3e-8, 3.5e-11, 9.0e-14, 4.4e-16,
+    # as with J(u) itself: J0 is the only factor.  Step 1 is Newton's by a
+    # rank-1 update of J0 (at the spike's ray only the spike's entry of
+    # J(u) - J0 is nonzero); step 2 updates J0 on the four entries above
+    # NEWTON_CUT^3 of its diagonal and drops the rest, and from there each
+    # step cuts a hundredfold or more, so steps three to five reuse it, and
+    # with that approximate Jacobian so does the step past 1e-12, which
+    # lands at the residual's rounding.  No factor follows: one diagonal
+    # entry of the Hessian, the spike's, is in doubt, and the curvature
+    # u^T H u < 0
     problem = lattice_problem(k, POWER4)
-    made = _counted_factors(monkeypatch)
+    made = _newton_operators(monkeypatch)
     monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
-    assert made == [[1, 0], [5, 0]]
+    assert made == [["J0"], ["update 1", 1], ["update 4 approximate", 5]]
     assert sol.residual_max < 1e-15 and sol.morse_index == 1
 
 
@@ -934,49 +1011,215 @@ def test_ball_run_solves_every_step_on_one_factor(monkeypatch):
     assert made == [[5, 0]] and len(log.traces["ball_min"]) == 6
 
 
+def test_approximate_steps_stop_at_the_rounding_level(monkeypatch):
+    # s3rand0 of the p = 4 corpus, 4 unknowns: residuals 4.6e-1, 1.3e-2,
+    # 3.4e-5, 1.8e-7, 9.7e-10, 5.2e-12, 2.8e-14 and 1.6e-16 after a rank-1
+    # and a rank-3 update that drops an entry.  Each step on the
+    # approximate Jacobian cuts a hundredfold or more; the last lands at
+    # the residual's rounding level, 6.1e-16, and no step follows it
+    problem = _corpus_problem(3, 0)
+    made = _newton_operators(monkeypatch)
+    sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False))
+    assert made == [["J0"], ["update 1", 1], ["update 3 approximate", 6]]
+    u = sol.u[problem.partition.omega]
+    r = graphpde.variational._kernel(problem, u, residual=True)[2]
+    assert sol.residual_max <= graphpde.solver._rounding_level(problem, u, r)
+
+
 def test_chord_step_that_misses_refactors(monkeypatch):
     # a chord step that goes only half way cuts the residual twofold, not
-    # NEWTON_CUT's tenfold; the attempt goes on with a fresh factor and
-    # still hands off at descent step 0, so P is never factored.  Both
-    # chord steps, from 5.9e-6 and from 2.4e-12, fall short so
+    # NEWTON_CUT's tenfold; the attempt goes on with a fresh factor of J(u)
+    # and still hands off at descent step 0, so P is never factored.  Both
+    # chord steps, from 5.9e-6 on the approximate update and from 2.5e-12
+    # on the factor, fall short so
     problem = lattice_problem(12, POWER4)
-    made = _counted_factors(monkeypatch, step=lambda solve, y: 0.5 * solve(y))
+    made = _newton_operators(monkeypatch, step=lambda solve, y: 0.5 * solve(y))
     monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
     assert len(log.traces["mountain_pass"]) == 1
-    assert made == [[1, 0], [2, 0], [2, 0], [1, 0]]
+    assert made == [["J0"], ["update 1", 1], ["update 4 approximate", 2], ["factor", 2],
+                    ["factor", 1]]
     assert sol.residual_max <= graphpde.solver.NEWTON_TOL and sol.morse_index == 1
 
 
 def test_chord_step_that_misses_the_squared_cut_refactors(monkeypatch):
     # a chord step at 95% cuts 5.9e-6 to 3.1e-7, within NEWTON_CUT but
-    # short of its square: the next step factors afresh, and the attempt
-    # neither gives up nor reuses the factor again
+    # short of its square: the next step factors J(u) afresh, and the
+    # attempt neither gives up nor reuses the update again
     problem = lattice_problem(12, POWER4)
-    made = _counted_factors(monkeypatch, step=lambda solve, y: 0.95 * solve(y))
+    made = _newton_operators(monkeypatch, step=lambda solve, y: 0.95 * solve(y))
     monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
     assert len(log.traces["mountain_pass"]) == 1
-    assert made == [[1, 0], [2, 0], [1, 0]]
+    assert made == [["J0"], ["update 1", 1], ["update 4 approximate", 2], ["factor", 1]]
     assert sol.residual_max <= graphpde.solver.NEWTON_TOL and sol.morse_index == 1
 
 
 def test_newton_takes_one_finishing_chord_step(monkeypatch):
     # path3 from 1.4: residuals 5.6e-2, 8.8e-4, 2.0e-7, 9.5e-11, 4.4e-14
-    # and 4.4e-16.  4.4e-14 is below NEWTON_TOL after a chord step, and
-    # its cut predicts a residual below rounding, so one more chord step
-    # lands there; none follows it, and the index takes no factor
-    made = _counted_factors(monkeypatch)
+    # and 4.4e-16.  Each fresh step is Newton's, a rank-1 update of J0.
+    # 4.4e-14 is below NEWTON_TOL after a chord step, and its cut predicts
+    # a residual below rounding, so one more chord step lands there; none
+    # follows it, and the index takes no factor
+    made = _newton_operators(monkeypatch)
     trace = []
     u, res_max, index, _ = _newton_polish(three_path_problem(POWER4), np.array([1.4]),
                                           trace=trace)
-    assert made == [[1, 0], [4, 0]] and len(trace) == 6
+    assert made == [["J0"], ["update 1", 1], ["update 1", 4]] and len(trace) == 6
     assert res_max < 1e-15 and u[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert index == 1
+
+
+def _updated_case(problem, u):
+    """(J0 as a dense matrix, delta = mu (f_u(u) - f_u(0)), the entries
+    K of delta that _updated_solve keeps, its result) at interior u."""
+    zero = graphpde.solver._ZeroJacobian(problem)
+    delta = problem._form.mu * (reaction_derivative(problem.nl, u) - zero.fu)
+    keep = np.abs(delta) > graphpde.solver.NEWTON_CUT**3 * np.abs(zero.diag)
+    j0 = hessian(problem, np.zeros(problem.graph.n))
+    return j0, delta, keep, graphpde.solver._updated_solve(zero, delta)
+
+
+def test_low_rank_update_solves_j0_updated_on_its_entries(rng):
+    # near grid12's mountain-pass point and on a random graph, against a
+    # dense solve of J0 - diag(delta on K): K holds the spike, its two
+    # neighbours and their common neighbour on the lattice, and drops
+    # entries J(u) - J0 does have
+    problem = lattice_problem(12, POWER4)
+    start = mountain_pass(problem, SolverConfig(verify_hypotheses=False)).u
+    cases = [(problem, 1.001 * start[problem.partition.omega], 4)]
+    graph = random_connected_graph(rng, n_min=15, n_max=25)
+    part = random_partition(rng, graph)
+    cases.append((Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER4),
+                  rng.uniform(0.5, 2.0, size=part.omega.size), part.omega.size))
+    for problem, u, rank in cases:
+        j0, delta, keep, (solve, approximate) = _updated_case(problem, u)
+        assert np.count_nonzero(keep) == rank and approximate == (rank < len(u))
+        b = rng.standard_normal(len(u))
+        dense = np.linalg.solve(j0 - np.diag(np.where(keep, delta, 0.0)), b)
+        assert np.linalg.norm(solve(b) - dense) <= 1e-12 * np.linalg.norm(dense)
+        if approximate:  # what it drops moves the solve
+            exact = np.linalg.solve(hessian(problem, problem._form.expand(u)), b)
+            assert np.linalg.norm(solve(b) - exact) > 1e-6 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("k", [1, 12])
+def test_low_rank_update_at_the_spike_is_newtons_step(rng, k):
+    # at the spike's ray peak one entry of J(u) - J0 is nonzero: the
+    # update keeps it and solves with the exact Jacobian
+    problem = three_path_problem(POWER4) if k == 1 else lattice_problem(k, POWER4)
+    u, _ = _ray_peak(problem, build_spike_endpoint(problem)[problem.partition.omega])
+    j0, delta, keep, (solve, approximate) = _updated_case(problem, u)
+    assert np.count_nonzero(delta) == np.count_nonzero(keep) == 1 and not approximate
+    b = rng.standard_normal(len(u))
+    exact = np.linalg.solve(hessian(problem, problem._form.expand(u)), b)
+    assert np.linalg.norm(solve(b) - exact) <= 1e-12 * np.linalg.norm(exact)
+
+
+def test_low_rank_update_without_entries_solves_with_j0():
+    # at the zero function J(u) = J0: the update is J0's own solve, exact
+    problem = lattice_problem(12, PLUS_CONST)
+    zero = graphpde.solver._ZeroJacobian(problem)
+    solve, approximate = graphpde.solver._updated_solve(zero, np.zeros(100))
+    assert solve is zero.solve() and not approximate
+
+
+def test_spread_update_factors_j_of_u():
+    # on grid12 with h = 0.01 the solution spreads over the lattice: more
+    # than _BLOCK entries of J(u) - J0 count, and the update is refused
+    graph, part = lattice(12)
+    problem = Problem(graph=graph, partition=part, h=np.full(graph.n, 0.01), nl=POWER4)
+    _, _, keep, found = _updated_case(problem, np.full(100, 0.5))
+    assert np.count_nonzero(keep) > graphpde.solver._BLOCK and found is None
+
+
+@pytest.mark.parametrize("fails", ["J0", "capacitance"])
+def test_singular_zero_jacobian_falls_back_to_factors(monkeypatch, fails):
+    # a singular J0, asked for once, or a singular capacitance: every
+    # fresh step factors J(u), as without the update, and the hand-off
+    # still converges at index 1
+    problem = lattice_problem(12, POWER4)
+    j0 = hessian(problem, np.zeros(problem.graph.n))
+    band_solver, factors = graphpde.solver._band_solver, []
+
+    def singular_j0(band):
+        factors.append(np.array_equal(band_matrix(band), j0))
+        if factors[-1] and fails == "J0":
+            raise np.linalg.LinAlgError("singular matrix")
+        return band_solver(band)
+
+    def singular(a):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(graphpde.solver, "_band_solver", singular_j0)
+    if fails == "capacitance":
+        monkeypatch.setattr(np.linalg, "inv", singular)
+    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
+    log = RunLog()
+    sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+    assert log.stops["mountain_pass"] == "newton_handoff"
+    assert factors == [True, False, False]
+    assert sol.residual_max <= graphpde.solver.NEWTON_TOL
+    assert sol.morse_index == morse_index(problem, sol.u) == 1
+
+
+@pytest.mark.parametrize("bumps, index", [([0], 2), ([9], 2), ([0, 99], 3)])
+def test_index_is_never_read_off_an_approximate_jacobian(monkeypatch, bumps, index):
+    # h = -3 at one interior vertex of grid12 makes J0 indefinite, with
+    # one negative eigenvalue.  Newton from bumps of 1.5 away from it
+    # converges to a point whose Hessian has more: steps solve with low-rank
+    # updates of J0, and the index comes from a factor of the Hessian
+    graph, part = lattice(12)
+    h = np.ones(graph.n)
+    h[part.omega[45]] = -3.0
+    problem = Problem(graph=graph, partition=part, h=h, nl=POWER4)
+    made = _newton_operators(monkeypatch)
+    start = np.zeros(part.omega.size)
+    start[bumps] = 1.5
+    u, res_max, found, _ = _newton_polish(problem, start)
+    assert res_max <= graphpde.solver.NEWTON_TOL and made[0] == ["J0"]
+    assert any(row[0].startswith("update") for row in made) and made[-1] == ["factor", 0]
+    assert int(np.sum(np.linalg.eigvalsh(hessian(problem, np.zeros(graph.n))) < 0.0)) == 1
+    assert found == morse_index(problem, problem._form.expand(u)) == index
+
+
+@pytest.mark.parametrize("case", ["two_solutions", "escape"])
+def test_solvers_share_one_j0_per_command(monkeypatch, case):
+    # two_solutions factors J0 once for the ball's Newton and the mountain
+    # pass's, and drops it before the eigen step factors L; a mountain
+    # pass that escapes a point of index 2 factors it once for all its
+    # Newton runs, and drops it on return
+    zero_solve, newton = graphpde.solver._ZeroJacobian.solve, graphpde.solver._newton_polish
+    made, live, runs = [], [], []
+
+    def counted(self):
+        if not self._made:
+            made.append(weakref.ref(self))
+        return zero_solve(self)
+
+    def counted_newton(*args, **kwargs):
+        runs.append(args[1])
+        return newton(*args, **kwargs)
+
+    eigen = graphpde.solver.first_eigenvalue
+
+    def first_eigenvalue(*args, **kwargs):
+        live.extend(ref() is not None for ref in made)
+        return eigen(*args, **kwargs)
+
+    monkeypatch.setattr(graphpde.solver._ZeroJacobian, "solve", counted)
+    monkeypatch.setattr(graphpde.solver, "_newton_polish", counted_newton)
+    monkeypatch.setattr(graphpde.solver, "first_eigenvalue", first_eigenvalue)
+    if case == "two_solutions":
+        two_solutions(lattice_problem(12, power_plus_const(4, 0.01)), SolverConfig(m0=0.5))
+    else:
+        mountain_pass(_corpus_problem(10, 3), SolverConfig(verify_hypotheses=False))
+        live.extend(ref() is not None for ref in made)
+    assert len(runs) >= 2 and len(made) == 1 and live == [False]
 
 
 def _split_path_problem():
@@ -1160,6 +1403,27 @@ def test_solutions_take_one_kernel_pass_at_their_point(monkeypatch, case):
     assert sol.residual_max == float(np.max(np.abs(r)))
 
 
+@pytest.mark.parametrize("case", ["attempt", "polish"])
+def test_newton_reads_the_ray_peaks_kernel_pass(monkeypatch, case):
+    # Newton's step 0 reads the pass _ray_peak made at its start point,
+    # the spike ray's peak for the attempt and the descent's last iterate
+    # for the polish: one kernel call there, with the residual
+    problem = lattice_problem(12, POWER4)
+    if case == "polish":
+        monkeypatch.setattr(graphpde.solver, "_newton_attempt", lambda *args: None)
+    starts, polish = [], graphpde.solver._newton_polish
+
+    def recorded(problem, u0, *args, **kwargs):
+        starts.append(np.array(u0, copy=True))
+        return polish(problem, u0, *args, **kwargs)
+
+    monkeypatch.setattr(graphpde.solver, "_newton_polish", recorded)
+    points = _kernel_calls_at(monkeypatch)
+    mountain_pass(problem, SolverConfig(verify_hypotheses=False))
+    assert len(starts) == 1
+    assert sum(np.array_equal(p, starts[0]) for p in points) == 1
+
+
 def _corpus_problem(seed, i, nl=POWER4):
     """perfbench.corpus.random_graph(default_rng(seed)), draw i (from 0):
     the corpus generator and the tests' random_connected_graph with
@@ -1215,15 +1479,19 @@ def test_mountain_pass_reaches_index_one_on_other_reaction_families(path3, spec,
 def test_handoff_jacobian_calls_no_cholesky_sure_to_fail(monkeypatch):
     # the spike's row of Newton's Jacobian on grid12 has a negative
     # diagonal entry: its window goes to the 1x1 pivots without a
-    # np.linalg.cholesky call, and the route and inertia stay as they were
+    # np.linalg.cholesky call, and the route and inertia stay as they were.
+    # With the low-rank update refused, the hand-off factors J(u) at its
+    # two fresh steps
     jacobians, band_solver = [], graphpde.solver._band_solver
 
     def recorded(band):
         jacobians.append(band.copy())
         return band_solver(band)
 
-    monkeypatch.setattr(graphpde.solver, "_band_solver", recorded)
-    mountain_pass(lattice_problem(12, POWER4), SolverConfig(verify_hypotheses=False))
+    with monkeypatch.context() as m:
+        m.setattr(graphpde.solver, "_band_solver", recorded)
+        m.setattr(graphpde.solver, "_updated_solve", lambda zero, delta: None)
+        mountain_pass(lattice_problem(12, POWER4), SolverConfig(verify_hypotheses=False))
     assert len(jacobians) == 2 and all(band[0, 0] < 0.0 for band in jacobians)
     cholesky, pivoted, calls = np.linalg.cholesky, graphpde.spectral._pivoted_window, []
 
@@ -1292,8 +1560,8 @@ def test_an_attempt_at_index_two_escapes(monkeypatch):
     attempts = []
     attempt = graphpde.solver._newton_attempt
 
-    def recorded(problem, u0):
-        out = attempt(problem, u0)
+    def recorded(problem, *args):
+        out = attempt(problem, *args)
         attempts.append(out and out[2])
         return out
 
