@@ -19,10 +19,11 @@ descent steps (trace rows) of a run, the Newton runs (calls of
 solver._newton_polish) and the band factors (calls of
 solver._band_solver: Newton's Jacobians and Hessians, P and the
 escapes' shifted Hessians).  Then Newton's Jacobian work by kind: the
-zero-point Jacobians J0 factored (at most one per problem), the
-Jacobians J(u) factored for a step, and the low-rank updates of J0
-(solver._updated_solve) with their largest and total rank (the
-columns of their solve with J0).  Then the Newton runs that converged,
+factors of P = L + diag(mu |h|) that the descent and Newton share (at
+most one per problem; with h = 1, P is the Jacobian at the zero
+function), the Jacobians J(u) factored for a step, and the low-rank
+updates of P (solver._updated_solve) with their largest and total rank
+(the columns of their solve with P).  Then the Newton runs that converged,
 by how they took the Morse index of their point: read off the
 Hessian's diagonal and the point's own curvature, at 0 or at 1, or
 from a factor of the Hessian (a factor of J(u) made last in the run
@@ -35,8 +36,9 @@ route (calls of spectral._pivoted_window): factored with 1x1 pivots,
 or refused and sent to eigh.  It exits 1 on any failure, on an index
 other than 1, or on a set whose band factors exceed its ceiling in
 FACTOR_CEILINGS, the counts that Newton's chord steps, its index
-bracket and its low-rank updates of J0 brought them down to, so that a
-change cannot give that saving back unseen.  --only NAME restricts
+bracket, its low-rank updates and the one factor of P it shares with
+the descent brought them down to, so that a change cannot give that
+saving back unseen.  --only NAME restricts
 every set to the named graphs.
 
     PYTHONPATH=src python scripts/pass_index_sweep.py
@@ -62,8 +64,8 @@ from graphpde import (  # noqa: E402
 
 
 # band factors per full set, the most a change may take
-FACTOR_CEILINGS = {"corpus p=2.5": 332, "corpus p=3": 338, "corpus p=4": 321,
-                   "test generator p=4": 1321}
+FACTOR_CEILINGS = {"corpus p=2.5": 238, "corpus p=3": 262, "corpus p=4": 283,
+                   "test generator p=4": 1158}
 # the SolverError messages of an attempt that gives up, by reason
 GIVE_UPS = {"cut": "Newton attempt cut", "budget": "Newton refinement did not reach",
             "singular": "Newton's Jacobian is singular", "non-finite": "Newton step"}
@@ -128,8 +130,8 @@ def sweep(label, inputs, p, escapes, calls):
     print(f"  escapes {sum(per_run)} (at most {max(per_run, default=0)} in a run), "
           f"most steps {steps}")
     print(f"  newton runs {calls['newton']}, band factors {calls['factor']}")
-    print(f"  newton's jacobians: J0 factored {calls['zero']}, J(u) factored for a step "
-          f"{calls['exact'] - calls['index factored']}, low-rank updates of J0 "
+    print(f"  newton's jacobians: shared P factored {calls['gram']}, J(u) factored for a step "
+          f"{calls['exact'] - calls['index factored']}, low-rank updates of P "
           f"{calls['update']} (largest rank {calls['largest rank']}, total rank {calls['rank']})")
     print(f"  index off the diagonal at 0 {calls['index 0 diagonal']}, "
           f"at 1 {calls['index 1 diagonal']}; factored {calls['index factored']}")
@@ -157,7 +159,7 @@ def main(argv=None) -> int:
     escape = graphpde.solver._escape_direction
     newton = graphpde.solver._newton_polish
     band_solver = graphpde.solver._band_solver
-    zero_solve = graphpde.solver._ZeroJacobian.solve
+    gram_solve = graphpde.solver._Gram.solve
     updated_solve = graphpde.solver._updated_solve
     pivoted = graphpde.spectral._pivoted_window
 
@@ -166,7 +168,7 @@ def main(argv=None) -> int:
         return escape(problem, w, index)
 
     in_newton = []  # per Newton run in progress, the solves made with each of its factors
-    in_zero = []    # while J0 is factored
+    in_gram = []    # while P is factored
 
     def counted_newton(*args, **kwargs):
         calls["newton"] += 1
@@ -198,7 +200,7 @@ def main(argv=None) -> int:
     def counted_factor(band):
         calls["factor"] += 1
         solve = band_solver(band)
-        if in_zero or not in_newton:
+        if in_gram or not in_newton:
             return solve
         calls["exact"] += 1
         solves = in_newton[-1]
@@ -207,13 +209,13 @@ def main(argv=None) -> int:
         counted_solve.negatives = solve.negatives
         return counted_solve
 
-    def counted_zero(zero):
-        calls["zero"] += not zero._made
-        in_zero.append(zero)
+    def counted_gram(gram):
+        calls["gram"] += not gram._made
+        in_gram.append(gram)
         try:
-            solve = zero_solve(zero)
+            solve = gram_solve(gram)
         finally:
-            in_zero.pop()
+            in_gram.pop()
         if solve is None:
             return None
 
@@ -225,8 +227,8 @@ def main(argv=None) -> int:
 
         return ranked
 
-    def counted_update(zero, delta):
-        found = updated_solve(zero, delta)
+    def counted_update(gram, fu):
+        found = updated_solve(gram, fu)
         if found is None:
             return None
         calls["update"] += 1
@@ -241,7 +243,7 @@ def main(argv=None) -> int:
     graphpde.spectral._pivoted_window = counted_pivots
     graphpde.solver._newton_polish = counted_newton
     graphpde.solver._band_solver = counted_factor
-    graphpde.solver._ZeroJacobian.solve = counted_zero
+    graphpde.solver._Gram.solve = counted_gram
     graphpde.solver._updated_solve = counted_update
     sets = [(f"corpus p={p:g}", corpus_inputs(), p) for p in (2.5, 3.0, 4.0)]
     sets.append(("test generator p=4", generator_inputs(), 4.0))

@@ -10,8 +10,9 @@ seminorm integrates |grad u|^2 over the closure (interior plus
 boundary); zero-order terms integrate over the interior only.  Neighbor
 sums accumulate in stored edge order.  The Dirichlet unknowns are the
 values on the interior: _interior_laplacian, the one vertex -> unknown
-map, holds the Laplacian on them that the energy, the eigen step, P,
-Newton and the escape read (_interior_matrix: its band).
+map, holds the Laplacian on them that the energy, the eigen step and the
+solvers read (_interior_matrix: its band, whose diagonal the solvers'
+P, Newton's Jacobians and the escape's Hessian replace).
 """
 
 from __future__ import annotations

@@ -21,16 +21,18 @@ Laplacian.  Where h > 0, P is the Gram matrix of the h-norm, the metric
 the energy is posed in, so one unit step undoes the quadratic part of
 the energy whatever the weights and measures.  Each step then returns
 to the Nehari manifold by the peak on its ray (Li & Zhou, SIAM J. Sci.
-Comput. 23, 2001; Horak, Numer. Math. 98, 2004).  P, Newton's
-indefinite Jacobians and an escape's shifted Hessian are factored by
-spectral._band_solver, whose negative pivots count the Morse index.
-Newton factors its Jacobian at the zero function once per command and
-solves its steps with low-rank updates of it where J(u) differs from
-it on few vertices, factors J(u) itself where it does not, keeps what
-it solves with for as long as its steps cut the residual hundredfold
+Comput. 23, 2001; Horak, Numer. Math. 98, 2004).  Where also
+f_u(0) = 0, P is Newton's Jacobian at the zero function, and J(u)
+differs from it only where f_u(u) != 0 or h < 0.  So one factor of P
+per command serves both: the descent solves with it, and Newton solves
+its steps with low-rank updates of it where J(u) differs from it on
+few vertices, factors J(u) itself where it does not, keeps what it
+solves with for as long as its steps cut the residual hundredfold
 (chord steps), and reads a Morse index of 0 or 1 without a factor where
 the Hessian's diagonal and the point's own curvature bracket it to one
-value.
+value.  P, Newton's indefinite Jacobians and an escape's shifted
+Hessian are factored by spectral._band_solver (_band_factor), whose
+negative pivots count the Morse index.
 
 The solvers iterate on interior values only, (|omega|,) vectors.  They
 evaluate through variational._kernel, which checks nothing, and expand
@@ -149,8 +151,8 @@ class Solution:
     reported when f(x, 0) = 0 makes it an actual solution.  morse_index
     is the number of negative eigenvalues of the Hessian at u, the
     negative pivots of its band factor, or 0 or 1 where its diagonal and
-    the curvature at u bracket it (_newton_polish); never read off the
-    zero-point Jacobian or its low-rank updates that Newton steps with."""
+    the curvature at u bracket it (_newton_polish); never read off P or
+    the low-rank updates of it that Newton steps with."""
 
     u: np.ndarray
     energy_value: float
@@ -312,20 +314,6 @@ def build_spike_endpoint(problem: Problem) -> np.ndarray:
     )
 
 
-def _sobolev_direction(problem: Problem):
-    """Factor P = L + diag(mu |h|) on the interior unknowns once and
-    return its solve g -> P^(-1) g on interior vectors.
-
-    L is symmetric positive definite for every admissible problem (a
-    nonempty boundary and a connected closure), and the |h| keeps P so
-    where h is negative.  P is assembled as its lower band, and only
-    its factor is kept.
-    """
-    pband = _interior_matrix(problem._form)
-    pband[0] += np.abs(problem._mu_h)
-    return _band_solver(pband)
-
-
 @np.errstate(over="ignore", invalid="ignore")  # a slope that overflows is not positive
 def _ray_peak(problem: Problem, v: np.ndarray):
     """The peak of the energy on the ray t v, t > 0, as (t v, its
@@ -384,6 +372,14 @@ def _ray_peak(problem: Problem, v: np.ndarray):
     return u, (quad, float(value), r)
 
 
+def _band_factor(form, diag: np.ndarray):
+    """_band_solver's factor of the interior Laplacian with its diagonal
+    replaced by diag: _interior_matrix's band with diag in row 0."""
+    band = _interior_matrix(form)
+    band[0] = diag
+    return _band_solver(band)
+
+
 def _escape_direction(problem: Problem, w: np.ndarray, index: int):
     """A unit direction of negative curvature at w, a critical point of
     Morse index index >= 2: the Ritz vector of negative Ritz value least
@@ -399,11 +395,9 @@ def _escape_direction(problem: Problem, w: np.ndarray, index: int):
     """
     form = problem._form
     rows = form.w_off + problem._mu_h - form.mu * reaction_derivative(problem.nl, w)
-    band = _interior_matrix(form)
-    band[0] += rows - form.w_off
-    shift = float(np.min(rows)) - 1e-3 * float(np.max(np.abs(band[0])))
-    band[0] -= shift
-    solve = _band_solver(band)
+    diag = form.diag + (rows - form.w_off)
+    shift = float(np.min(rows)) - 1e-3 * float(np.max(np.abs(diag)))
+    solve = _band_factor(form, diag - shift)
     x = np.zeros((len(w), min(index + 1, len(w))))
     x[np.argsort(rows, kind="stable")[: x.shape[1]], np.arange(x.shape[1])] = 1.0
     for _ in range(ESCAPE_SOLVES):
@@ -416,56 +410,59 @@ def _escape_direction(problem: Problem, w: np.ndarray, index: int):
     return y[:, int(np.argmin(np.abs(w @ y)))]
 
 
-class _ZeroJacobian:
-    """Newton's Jacobian at the zero function, J0 = L + diag(mu (h -
-    f_u(0))), factored by _band_solver at its first solve and kept;
-    solve() is None where J0 is singular.  The solvers make one per
-    command and hand it to every Newton run on the problem."""
+class _Gram:
+    """P = L + diag(mu |h|) on the interior unknowns, the Gram matrix of
+    the h-norm where h >= 0, factored by _band_factor at its first solve
+    and kept; solve() is None where P is singular.  L is positive
+    definite for every admissible problem (a nonempty boundary and a
+    connected closure), and the |h| keeps P so where h is negative.  The
+    descent steps along its solve, and Newton solves with its low-rank
+    updates: J(u) = P - diag(offset + mu f_u(u)), offset = |mu h| - mu h,
+    zero where h >= 0.  The solvers make one per command and share it."""
 
     def __init__(self, problem: Problem):
-        form = problem._form
-        self.problem = problem
-        self.fu = reaction_derivative(problem.nl, np.zeros(len(form.mu)))
-        self.diag = form.diag + form.mu * (problem.h[form.omega] - self.fu)
+        mu_h = problem._mu_h
+        self.form = problem._form
+        self.diag = self.form.diag + np.abs(mu_h)
+        self.offset = np.abs(mu_h) - mu_h
         self._solve, self._made = None, False
 
     def solve(self):
         if not self._made:
             self._made = True
-            band = _interior_matrix(self.problem._form)
-            band[0] = self.diag
             try:
-                self._solve = _band_solver(band)
+                self._solve = _band_factor(self.form, self.diag)
             except np.linalg.LinAlgError:
                 pass
         return self._solve
 
 
-def _updated_solve(zero: _ZeroJacobian, delta: np.ndarray):
-    """Solve with J0 - diag(delta), delta = mu (f_u(u) - f_u(0)), by
-    the Woodbury identity: (solve, whether it is approximate), or None
-    where a factor of J(u) should be made instead.
+def _updated_solve(gram: _Gram, fu: np.ndarray):
+    """Solve with J(u) = P - diag(delta), delta = |mu h| - mu h + mu fu,
+    fu = f_u(u), by the Woodbury identity: (solve, whether it is
+    approximate), or None where a factor of J(u) should be made instead.
 
-    Only the entries K where |delta| > NEWTON_CUT^3 |J0's diagonal|
-    enter, so the dropped part of J(u) - J0 is within NEWTON_CUT^3 of
-    J0 entry by entry, a tenth of the NEWTON_CUT^2 cut that keeps a
-    chord step's solve; the solve is exact when K holds every nonzero of
-    delta (at the spike's ray, one).  On the lattices and the corpus the
-    hand-off then cuts the residual as with J(u); NEWTON_CUT^2 takes
-    more steps, more factors of J(u) after weak cuts and more time, and
-    NEWTON_CUT^4 gains nothing.  One solve of J0 with |K| columns, Z =
-    J0^(-1) E_K, and the capacitance C = I - diag(delta_K) Z_K give (J0
-    - E_K diag(delta_K) E_K^T)^(-1) b = y + Z C^(-1) (delta_K y_K), y =
-    J0^(-1) b, for vectors b (Hager, SIAM Rev. 31, 1989).  None when J0
-    or C is singular, or when |K| exceeds _BLOCK: the update costs as
-    much as a factor of J(u) and its solve at 80 to 110 columns on the
-    12, 30 and 40 lattices, about bw + _BLOCK, and at most 0.7 of it up
-    to _BLOCK.
+    Only the entries K where |delta| > NEWTON_CUT^3 |P's diagonal|
+    enter, so the dropped part of J(u) - P is within NEWTON_CUT^3 of P
+    entry by entry, a tenth of the NEWTON_CUT^2 cut that keeps a chord
+    step's solve; the solve is exact when K holds every nonzero of delta
+    (one, at the spike's ray where h >= 0 and f_u(0) = 0).  On the
+    lattices and the corpus the hand-off then cuts the residual as with
+    J(u); NEWTON_CUT^2 takes more steps, more factors of J(u) after weak
+    cuts and more time, and NEWTON_CUT^4 gains nothing.  One solve of P
+    with |K| columns, Z = P^(-1) E_K, and the capacitance C = I -
+    diag(delta_K) Z_K give (P - E_K diag(delta_K) E_K^T)^(-1) b = y + Z
+    C^(-1) (delta_K y_K), y = P^(-1) b, for vectors b (Hager, SIAM Rev.
+    31, 1989).  None when P or C is singular, or when |K| exceeds
+    _BLOCK: the update costs as much as a factor of J(u) and its solve
+    at 80 to 110 columns on the 12, 30 and 40 lattices, about bw +
+    _BLOCK, and at most 0.7 of it up to _BLOCK.
     """
-    solve0 = zero.solve()
+    solve0 = gram.solve()
     if solve0 is None:
         return None
-    (keep,) = np.nonzero(np.abs(delta) > NEWTON_CUT**3 * np.abs(zero.diag))
+    delta = gram.offset + gram.form.mu * fu
+    (keep,) = np.nonzero(np.abs(delta) > NEWTON_CUT**3 * np.abs(gram.diag))
     k = len(keep)
     approximate = bool(k < np.count_nonzero(delta))
     if k > _BLOCK:
@@ -497,24 +494,23 @@ def _rounding_level(problem: Problem, u: np.ndarray, r: np.ndarray) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging step fails as not finite
 def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trace=None,
-                   at_u0=None, zero: _ZeroJacobian | None = None):
+                   at_u0=None, gram: _Gram | None = None):
     """Refine a candidate, given by its interior values, to vertexwise
     residual <= NEWTON_TOL; at_u0, when given, is the _kernel pass at u0
     with energy and residual, which step 0 then reads.
 
     The linearization at u restricted to interior unknowns is J(u) =
-    J0 - diag(delta), J0 the Jacobian at the zero function (zero, the
-    caller's _ZeroJacobian, or one of this run's own) and delta = mu
-    (f_u(u) - f_u(0)).  A fresh step solves with J0 updated on the
-    entries of delta not negligible against J0's diagonal
+    P - diag(delta), P = L + diag(mu |h|) (gram, the caller's _Gram, or
+    one of this run's own; J(0) where h >= 0 and f_u(0) = 0) and delta =
+    |mu h| - mu h + mu f_u(u).  A fresh step solves with P updated on
+    the entries of delta not negligible against P's diagonal
     (_updated_solve): Newton's step where that update is exact, as at
     the spike's ray, and an approximate Jacobian's elsewhere.  A fresh
     step after a chord or approximate one (which cut the residual by
     less than NEWTON_CUT^2), and every step where the update does not
-    apply (J0 or its capacitance singular, a spread update), factors
-    J(u) afresh: the interior Laplacian matrix plus diag(mu (h - f_u)),
-    written into the diagonal, row 0 of one lower band, and factored by
-    _band_solver.
+    apply (P or its capacitance singular, a spread update), factors
+    J(u) afresh: the interior Laplacian with diagonal L's plus mu (h -
+    f_u), factored by _band_factor.
     A step keeps the last fresh solve while the steps since cut fast
     (chord steps; Kelley, Iterative Methods for Linear and Nonlinear
     Equations, SIAM 1995, 5.4): it solves with the kept one when the
@@ -549,7 +545,7 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     norm) row of each iterate, also of one that fails.
     """
     mu, h = problem._form.mu, problem.h[problem._form.omega]
-    zero = zero or _ZeroJacobian(problem)
+    gram = gram or _Gram(problem)
     u = np.array(u0, dtype=float, copy=True)
     budget = NEWTON_TRY if attempt else NEWTON_MAX
     prev = math.inf
@@ -559,10 +555,8 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     finish = False       # whether the run took its one chord step past NEWTON_TOL
 
     def factor(step, zero_order):
-        jac = _interior_matrix(problem._form)
-        jac[0] = problem._form.diag + zero_order
         try:
-            return _band_solver(jac)
+            return _band_factor(problem._form, problem._form.diag + zero_order)
         except np.linalg.LinAlgError:
             raise SolverError(f"Newton's Jacobian is singular at step {step}") from None
 
@@ -608,7 +602,7 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
             fu = reaction_derivative(problem.nl, u)
             # after a chord or approximate step that cut too little, J(u) itself
             updated = (None if solve is not None and (approximate or not fresh)
-                       else _updated_solve(zero, mu * (fu - zero.fu)))
+                       else _updated_solve(gram, fu))
             solve = None  # before factor(step), so that two factors never coexist
             solve, approximate = updated or (factor(step, mu * (h - fu)), False)
         fresh, prev = not chord, res_max
@@ -622,14 +616,14 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     )
 
 
-def _newton_attempt(problem: Problem, u0: np.ndarray, at_u0=None, zero=None):
+def _newton_attempt(problem: Problem, u0: np.ndarray, at_u0=None, gram=None):
     """Newton from u0, at_u0 its _kernel pass if known, as an attempt
-    (_newton_polish, with zero's J0): its (u, residual_max, index,
+    (_newton_polish, with gram's P): its (u, residual_max, index,
     kernel pass) when it converges to a nonzero point, None otherwise,
     also when Newton fails (a SolverError, a singular Jacobian among
     them)."""
     try:
-        found = _newton_polish(problem, u0, attempt=True, at_u0=at_u0, zero=zero)
+        found = _newton_polish(problem, u0, attempt=True, at_u0=at_u0, gram=gram)
     except SolverError:
         return None
     return found if np.max(np.abs(found[0])) >= TRIVIAL_SUP else None
@@ -663,7 +657,7 @@ def mountain_pass(
     config: SolverConfig | None = None,
     *,
     log: RunLog | None = None,
-    zero: _ZeroJacobian | None = None,
+    gram: _Gram | None = None,
 ) -> Solution:
     """Pass-level critical point by descent on the Nehari manifold plus
     Newton.
@@ -682,12 +676,13 @@ def mountain_pass(
     an attempt (_newton_attempt) and converges, or not, to w.  When
     energy(w) <= energy(u), w of Morse index 1 (the Hessian factor's
     count) is the solution, and w of index >= 2 is escaped: u becomes the
-    lower peak of w +- ESCAPE_STEP |w| y, y from _escape_direction.  P is
-    factored at the first step that needs it.  After any other stop
-    Newton refines u in full, and a result of index other than 1 is
-    refused.  Every Newton run starts from u's ray-peak pass and solves
-    with one J0, zero's when given (two_solutions shares it with the ball
-    minimizer), else one made here and dropped on return.
+    lower peak of w +- ESCAPE_STEP |w| y, y from _escape_direction.  After
+    any other stop Newton refines u in full, and a result of index other
+    than 1 is refused.  Every Newton run starts from u's ray-peak pass.
+    The descent's steps and every Newton run solve with one factor of P,
+    gram's when given (two_solutions shares it with the ball minimizer),
+    else one made here and dropped on return; it is factored at the
+    first solve that needs it.
 
     log receives the gate's verdicts, the "mountain_pass" trace, one
     (energy, gradient norm) row per iterate, and its stop reason.
@@ -697,7 +692,7 @@ def mountain_pass(
     if config.verify_hypotheses:
         log.verdicts += _gate(problem, "one")
     mu = problem._form.mu
-    zero = zero or _ZeroJacobian(problem)
+    gram = gram or _Gram(problem)
     trace = log.traces["mountain_pass"] = []
     peak = _ray_peak(problem, build_spike_endpoint(problem)[problem._form.omega])
     if peak is None or not peak[1][1] > 0.0:
@@ -707,7 +702,6 @@ def mountain_pass(
             "barrier separates 0 from the spike endpoint"
         )
     u, (quad, level, r) = peak
-    precondition = None
     stop = "budget"
     for k in range(config.deform_steps):
         gvec = mu * r
@@ -715,7 +709,7 @@ def mountain_pass(
         trace.append((level, gn))
         found = None
         if k % NEWTON_EVERY == 0:
-            found = _newton_attempt(problem, u, (quad, level, r), zero)
+            found = _newton_attempt(problem, u, (quad, level, r), gram)
         if found is not None and found[3][1] <= level:  # the energy of Newton's point
             w, _, index, _ = found
             if index == 1:
@@ -731,9 +725,9 @@ def mountain_pass(
         if gn <= config.deform_tol:
             stop = "tolerance"
             break
-        if precondition is None:
-            precondition = _sobolev_direction(problem)
-        d = precondition(gvec)
+        if (solve := gram.solve()) is None:  # P is positive definite on admissible problems
+            raise SolverError("the Sobolev metric P = L + diag(mu |h|) is singular")
+        d = solve(gvec)
         drop = 0.5 * float(gvec @ d)
         s = 1.0
         while not np.array_equal(v := u - s * d, u):
@@ -745,10 +739,9 @@ def mountain_pass(
             stop = "backtracking"
             break
         u, (quad, level, r) = peak
-    del precondition
     log.stops["mountain_pass"] = stop
     try:
-        found = _newton_polish(problem, u, at_u0=(quad, level, r), zero=zero)
+        found = _newton_polish(problem, u, at_u0=(quad, level, r), gram=gram)
     except SolverError as exc:
         if stop != "tolerance":
             how = {"budget": "spent its iteration budget",
@@ -777,7 +770,7 @@ def ball_minimize(
     config: SolverConfig | None = None,
     *,
     log: RunLog | None = None,
-    zero: _ZeroJacobian | None = None,
+    gram: _Gram | None = None,
 ) -> Solution:
     """Local minimizer of the energy strictly inside the ball h-norm <
     sqrt(rho).
@@ -790,8 +783,9 @@ def ball_minimize(
     Newton starts at residual 0; it is returned with kind="trivial"
     rather than treated as an error.  log receives the gate's verdicts,
     the "ball_min" trace (one row per Newton iterate) and its stop,
-    "tolerance" or "newton_failed".  zero, when given, is the J0 that
-    Newton solves with (two_solutions shares it with the mountain pass).
+    "tolerance" or "newton_failed".  gram, when given, is the P whose
+    updates Newton solves with (two_solutions shares it with the
+    mountain pass).
     """
     config = config or SolverConfig()
     log = RunLog() if log is None else log
@@ -805,7 +799,7 @@ def ball_minimize(
     refused = "no interior minimizer found: Newton from the zero function"
     try:
         found = _newton_polish(problem, np.zeros(len(problem._form.mu)), attempt=True,
-                               trace=trace, zero=zero)
+                               trace=trace, gram=gram)
     except SolverError as exc:
         log.stops["ball_min"] = "newton_failed"
         raise SolverError(f"{refused} failed: {exc}") from exc
@@ -841,8 +835,8 @@ def two_solutions(
     the ball constants and must satisfy 0 < beta <= that bound.
 
     log receives the verdicts once the whole gate has passed, then what
-    both solvers write.  Their Newton runs share one J0 (zero), dropped
-    before the eigen step factors L.
+    both solvers write.  They share one P (gram), dropped before the
+    eigen step factors L.
     """
     config = config or SolverConfig()
     log = RunLog() if log is None else log
@@ -892,10 +886,10 @@ def two_solutions(
 
     log.verdicts += verdicts
     sub = dataclasses.replace(config, verify_hypotheses=False, rho=rho, m0=None)
-    zero = _ZeroJacobian(problem)
-    ball_sol = ball_minimize(problem, sub, log=log, zero=zero)
-    pass_sol = mountain_pass(problem, sub, log=log, zero=zero)
-    del zero  # before the eigen step factors L
+    gram = _Gram(problem)
+    ball_sol = ball_minimize(problem, sub, log=log, gram=gram)
+    pass_sol = mountain_pass(problem, sub, log=log, gram=gram)
+    del gram  # before the eigen step factors L
 
     for sol in (ball_sol, pass_sol):
         if sol.kind == "trivial" or float(np.max(np.abs(sol.u))) < TRIVIAL_SUP:

@@ -819,9 +819,9 @@ def test_path3_commands_make_their_pinned_band_factors(graph_file, monkeypatch, 
     (["solve2", "--nl", "power_plus_const:p=4,eps=0.01", "--M0", "0.5", "--h0", "1"], 12),
 ])
 def test_lattice_commands_make_two_definite_band_factors(graph_file, monkeypatch, command, k):
-    # Newton's Jacobian at the zero function, shared by solve2's ball
-    # minimizer and mountain pass, whose steps update it at low rank, and
-    # then L for the eigen step; each is positive definite
+    # P = L + diag(mu h), Newton's Jacobian at the zero function, shared
+    # by solve2's ball minimizer and mountain pass, whose steps update it
+    # at low rank, and then L for the eigen step; each is positive definite
     graph, part = lattice(k)
     path = graph_file(format_graph_text(graph, part, np.ones(graph.n)))
     band_solver, negatives = graphpde.spectral._band_solver, []

@@ -32,7 +32,7 @@ import graphpde.spectral
 import graphpde.variational
 from graphpde.calculus import _interior_matrix
 from graphpde.nonlinearity import parse_nonlinearity, reaction_derivative
-from graphpde.solver import _newton_polish, _ray_peak, _sobolev_direction
+from graphpde.solver import _Gram, _newton_polish, _ray_peak
 from util import (
     band_matrix,
     bisect,
@@ -174,7 +174,7 @@ def test_mountain_pass_refuses_a_collapse_to_zero(monkeypatch, descent_only):
     # f(x, 0) = 0 makes 0 a critical point; Newton landing there isolates no pass
     monkeypatch.setattr(
         graphpde.solver, "_newton_polish",
-        lambda problem, u0, at_u0, zero: (
+        lambda problem, u0, at_u0, gram: (
             np.zeros_like(u0), 0.0, 0, (0.0, 0.0, np.zeros_like(u0))),
     )
     with pytest.raises(SolverError, match="^deformation collapsed to the zero function"):
@@ -311,7 +311,7 @@ def test_ball_minimize_pinned_to_sphere():
 def _converged_at(value, index):
     """A stand-in for _newton_polish that converges at value everywhere
     with Morse index index."""
-    def polish(problem, u0, attempt=False, trace=None, zero=None):
+    def polish(problem, u0, attempt=False, trace=None, gram=None):
         u = np.full_like(u0, value)
         return u, 0.0, index, graphpde.solver._kernel(problem, u, residual=True)
 
@@ -474,7 +474,7 @@ def test_two_solutions_attaches_f4_when_constants_present():
 def test_two_solutions_refuses_one_function_twice(monkeypatch):
     monkeypatch.setattr(
         graphpde.solver, "mountain_pass",
-        lambda problem, config, log, zero: ball_minimize(problem, config, log=log, zero=zero),
+        lambda problem, config, log, gram: ball_minimize(problem, config, log=log, gram=gram),
     )
     with pytest.raises(SolverError, match=r"^the two routes converged to the same function "
                                           r"\(sup-norm gap 0 < 1e-06\)"):
@@ -584,7 +584,7 @@ def _mixed_sign_problem(rng):
     return Problem(graph=graph, partition=part, h=h, nl=POWER4)
 
 
-def test_sobolev_direction_solves_the_h_gram_matrix(rng):
+def test_gram_factor_solves_the_h_gram_matrix(rng):
     problems = [_mixed_sign_problem(rng) for _ in range(20)]
     # 100 interior unknowns, two factor blocks: in row order (bandwidth
     # 10) and shuffled (a full band)
@@ -595,7 +595,7 @@ def test_sobolev_direction_solves_the_h_gram_matrix(rng):
     assert bandwidths[0] == 10 and bandwidths[1] > 64
     for problem in problems:
         g = random_dirichlet(rng, problem.graph, problem.partition)[problem.partition.omega]
-        d = _sobolev_direction(problem)(g)
+        d = _Gram(problem).solve()(g)
         expect = np.linalg.solve(_p_matrix(problem), g)
         assert np.allclose(d, expect, rtol=1e-10, atol=1e-12 * np.max(np.abs(expect)))
         assert d.shape == g.shape
@@ -660,10 +660,11 @@ def test_mountain_pass_random_graphs_end_at_index_one():
 
 
 def test_newton_refuses_a_singular_jacobian(monkeypatch, descent_only):
-    # Newton from the descent's last iterate: a singular J0 sends step 0
-    # to a factor of J(u), and that one singular too ends the solve
-    original = graphpde.solver._band_solver
-    calls = []
+    # Newton from the descent's last iterate, with the descent's P shared
+    # and its capacitance singular: step 0 factors J(u), and that one
+    # singular too ends the solve
+    original, newton = graphpde.solver._band_solver, graphpde.solver._newton_polish
+    calls, starts = [], []
 
     def fail_newton(band):
         calls.append(band_matrix(band))
@@ -671,14 +672,36 @@ def test_newton_refuses_a_singular_jacobian(monkeypatch, descent_only):
             raise np.linalg.LinAlgError("singular matrix")
         return original(band)
 
+    def singular(a):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    def recorded(problem, u0, **kwargs):
+        starts.append(u0.copy())
+        return newton(problem, u0, **kwargs)
+
     monkeypatch.setattr(graphpde.solver, "_band_solver", fail_newton)
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    monkeypatch.setattr(graphpde.solver, "_newton_polish", recorded)
     problem = lattice_problem(5, POWER4)
     with pytest.raises(SolverError, match="^Newton's Jacobian is singular at step 0$"):
         mountain_pass(problem, SolverConfig())
     assert np.allclose(calls[0], _p_matrix(problem), rtol=1e-14, atol=0.0)
-    assert np.array_equal(calls[1], hessian(problem, np.zeros(problem.graph.n)))
-    assert len(calls) == 3  # J0, then J(u) at step 0, and no second factor of that step
-    assert not np.array_equal(calls[2], calls[1])
+    [start] = starts
+    assert np.allclose(calls[1], hessian(problem, problem._form.expand(start)),
+                       rtol=1e-14, atol=0.0)
+    assert len(calls) == 2  # P, then J(u) at step 0, and no second factor of that step
+
+
+def test_descent_refuses_a_singular_metric(monkeypatch, descent_only):
+    # P is positive definite on every admissible problem; a factor that
+    # fails anyway ends the descent with a SolverError that names P
+    def singular(band):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(graphpde.solver, "_band_solver", singular)
+    with pytest.raises(SolverError, match=r"^the Sobolev metric P = L \+ diag\(mu \|h\|\) "
+                                          r"is singular$"):
+        mountain_pass(lattice_problem(5, POWER4), SolverConfig())
 
 
 def test_newton_refuses_a_non_finite_step(monkeypatch):
@@ -695,8 +718,8 @@ def test_newton_failure_refuses_the_attempt(monkeypatch):
     start = np.array([1.4, 0.0])
     assert graphpde.solver._newton_attempt(problem, start) is not None
     original = graphpde.solver._band_solver
-    # J0 and then J(u) at step 0; the index factor after exact rank-1
-    # updates of J0 (d's entry of J(u) - J0 is 0) at every step
+    # P and then J(u) at step 0; the index factor after exact rank-2
+    # updates of P (d's entry of J(u) - P is |mu h| - mu h) at every step
     for failing in ({1, 2}, {2}):
         factors = []
 
@@ -748,8 +771,8 @@ def test_lattice40_allocates_no_dense_interior_matrix():
 
 
 def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
-    # J0, the run's first factor, is the assembled form at the zero
-    # function; with the low-rank update refused, every factor is J(u) at
+    # P, the run's first factor, is the assembled form at the zero
+    # function, h = 1; with the low-rank update refused, every factor is J(u) at
     # the point of the derivative call just before it
     original = graphpde.solver._band_solver
     jacobians, points = [], []
@@ -779,7 +802,7 @@ def test_newton_jacobian_matches_the_assembled_form(monkeypatch, rng):
                 m.setattr(graphpde.solver, "_band_solver", record_factor)
                 m.setattr(graphpde.solver, "reaction_derivative", record_derivative)
                 if not updates:
-                    m.setattr(graphpde.solver, "_updated_solve", lambda zero, delta: None)
+                    m.setattr(graphpde.solver, "_updated_solve", lambda gram, fu: None)
                 _newton_polish(problem, start[part.omega])
             assert len(points) >= len(jacobians) >= 1
             if updates:
@@ -848,16 +871,11 @@ def _descended(problem, config=None):
     return sol, log
 
 
-def _never_factor_p(problem):
-    raise AssertionError("P factored")
-
-
 def test_mountain_pass_hands_off_to_newton_on_the_lattice(monkeypatch):
     problem = lattice_problem(12, POWER4)
     descended, full = _descended(problem)
     assert full.stops["mountain_pass"] == "tolerance"
     assert len(full.traces["mountain_pass"]) > 5
-    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
@@ -869,8 +887,9 @@ def test_mountain_pass_hands_off_to_newton_on_the_lattice(monkeypatch):
 
 
 def test_lattice_handoff_factors_its_jacobians_without_eigh(monkeypatch):
-    # the hand-off's one factor is J0 = L + diag(mu h), positive definite;
-    # its steps solve with low-rank updates of it, and no eigh runs
+    # the hand-off's one factor is P = L + diag(mu h), positive definite
+    # and the Hessian at the zero function; its steps solve with low-rank
+    # updates of it, and no eigh runs
     problem = lattice_problem(12, POWER4)
     eigh, band_solver = np.linalg.eigh, graphpde.solver._band_solver
     calls, factors = [], []
@@ -885,10 +904,10 @@ def test_lattice_handoff_factors_its_jacobians_without_eigh(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(graphpde.solver, "_band_solver", recorded)
-    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
+    assert len(log.traces["mountain_pass"]) == 1
     # the index at the returned point is read off the Hessian's diagonal
     assert calls == [] and len(factors) == 1
     [(band, solve)] = factors
@@ -922,16 +941,16 @@ def _counted_factors(monkeypatch, step=None):
 
 def _newton_operators(monkeypatch, step=None):
     """Wrap what Newton's steps solve with: returns a list that receives,
-    in order, ["J0"] when J0 is factored and, per operator a fresh step
-    makes, [kind, solves so far]: kind "update <rank>" for a low-rank
-    update of J0 (its rank the columns of its solve with J0), with
-    " approximate" where it drops entries of J(u) - J0, or "factor" for a
-    band factor of J(u).  step(solve, y) may stand in for an operator's
-    solves after its first."""
+    in order, ["P"] when the shared P = L + diag(mu |h|) is factored and,
+    per operator a fresh step makes, [kind, solves so far]: kind "update
+    <rank>" for a low-rank update of P (its rank the columns of its solve
+    with P), with " approximate" where it drops entries of J(u) - P, or
+    "factor" for a band factor of J(u).  step(solve, y) may stand in for
+    an operator's solves after its first."""
     solver = graphpde.solver
     updated_solve, band_solver = solver._updated_solve, solver._band_solver
-    zero_solve = solver._ZeroJacobian.solve
-    made, ranks, in_zero = [], [], []
+    gram_solve = solver._Gram.solve
+    made, ranks, in_gram = [], [], []
 
     def wrapped(solve, row):
         def counted(y):
@@ -939,12 +958,12 @@ def _newton_operators(monkeypatch, step=None):
             return solve(y) if step is None or row[1] == 1 else step(solve, y)
         return counted
 
-    def zero(self):
-        in_zero.append(self)
+    def gram(self):
+        in_gram.append(self)
         try:
-            solve = zero_solve(self)
+            solve = gram_solve(self)
         finally:
-            in_zero.pop()
+            in_gram.pop()
 
         def ranked(y):
             ranks.append(y.shape[1] if y.ndim == 2 else 0)
@@ -952,9 +971,9 @@ def _newton_operators(monkeypatch, step=None):
 
         return solve and ranked
 
-    def updated(zero, delta):
+    def updated(gram, fu):
         ranks.clear()
-        found = updated_solve(zero, delta)
+        found = updated_solve(gram, fu)
         if found is None:
             return None
         row = [f"update {max(ranks, default=0)}" + " approximate" * found[1], 0]
@@ -963,8 +982,8 @@ def _newton_operators(monkeypatch, step=None):
 
     def factored(band):
         solve = band_solver(band)
-        if in_zero:
-            made.append(["J0"])
+        if in_gram:
+            made.append(["P"])
             return solve
         row = ["factor", 0]
         made.append(row)
@@ -974,16 +993,16 @@ def _newton_operators(monkeypatch, step=None):
 
     monkeypatch.setattr(solver, "_updated_solve", updated)
     monkeypatch.setattr(solver, "_band_solver", factored)
-    monkeypatch.setattr(solver._ZeroJacobian, "solve", zero)
+    monkeypatch.setattr(solver._Gram, "solve", gram)
     return made
 
 
 @pytest.mark.parametrize("k", [12, 30])
 def test_lattice_handoff_takes_a_chord_step(monkeypatch, k):
     # residuals 3.5e-1, 6.1e-3, 5.9e-6, 1.3e-8, 3.5e-11, 9.0e-14, 4.4e-16,
-    # as with J(u) itself: J0 is the only factor.  Step 1 is Newton's by a
-    # rank-1 update of J0 (at the spike's ray only the spike's entry of
-    # J(u) - J0 is nonzero); step 2 updates J0 on the four entries above
+    # as with J(u) itself: P = J(0) is the only factor.  Step 1 is Newton's
+    # by a rank-1 update of P (at the spike's ray only the spike's entry of
+    # J(u) - P is nonzero); step 2 updates P on the four entries above
     # NEWTON_CUT^3 of its diagonal and drops the rest, and from there each
     # step cuts a hundredfold or more, so steps three to five reuse it, and
     # with that approximate Jacobian so does the step past 1e-12, which
@@ -992,11 +1011,11 @@ def test_lattice_handoff_takes_a_chord_step(monkeypatch, k):
     # u^T H u < 0
     problem = lattice_problem(k, POWER4)
     made = _newton_operators(monkeypatch)
-    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
-    assert made == [["J0"], ["update 1", 1], ["update 4 approximate", 5]]
+    assert len(log.traces["mountain_pass"]) == 1
+    assert made == [["P"], ["update 1", 1], ["update 4 approximate", 5]]
     assert sol.residual_max < 1e-15 and sol.morse_index == 1
 
 
@@ -1020,7 +1039,7 @@ def test_approximate_steps_stop_at_the_rounding_level(monkeypatch):
     problem = _corpus_problem(3, 0)
     made = _newton_operators(monkeypatch)
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False))
-    assert made == [["J0"], ["update 1", 1], ["update 3 approximate", 6]]
+    assert made == [["P"], ["update 1", 1], ["update 3 approximate", 6]]
     u = sol.u[problem.partition.omega]
     r = graphpde.variational._kernel(problem, u, residual=True)[2]
     assert sol.residual_max <= graphpde.solver._rounding_level(problem, u, r)
@@ -1029,17 +1048,16 @@ def test_approximate_steps_stop_at_the_rounding_level(monkeypatch):
 def test_chord_step_that_misses_refactors(monkeypatch):
     # a chord step that goes only half way cuts the residual twofold, not
     # NEWTON_CUT's tenfold; the attempt goes on with a fresh factor of J(u)
-    # and still hands off at descent step 0, so P is never factored.  Both
-    # chord steps, from 5.9e-6 on the approximate update and from 2.5e-12
-    # on the factor, fall short so
+    # and still hands off at descent step 0.  Both chord steps, from 5.9e-6
+    # on the approximate update and from 2.5e-12 on the factor, fall short
+    # so
     problem = lattice_problem(12, POWER4)
     made = _newton_operators(monkeypatch, step=lambda solve, y: 0.5 * solve(y))
-    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
     assert len(log.traces["mountain_pass"]) == 1
-    assert made == [["J0"], ["update 1", 1], ["update 4 approximate", 2], ["factor", 2],
+    assert made == [["P"], ["update 1", 1], ["update 4 approximate", 2], ["factor", 2],
                     ["factor", 1]]
     assert sol.residual_max <= graphpde.solver.NEWTON_TOL and sol.morse_index == 1
 
@@ -1050,18 +1068,17 @@ def test_chord_step_that_misses_the_squared_cut_refactors(monkeypatch):
     # attempt neither gives up nor reuses the update again
     problem = lattice_problem(12, POWER4)
     made = _newton_operators(monkeypatch, step=lambda solve, y: 0.95 * solve(y))
-    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
     assert len(log.traces["mountain_pass"]) == 1
-    assert made == [["J0"], ["update 1", 1], ["update 4 approximate", 2], ["factor", 1]]
+    assert made == [["P"], ["update 1", 1], ["update 4 approximate", 2], ["factor", 1]]
     assert sol.residual_max <= graphpde.solver.NEWTON_TOL and sol.morse_index == 1
 
 
 def test_newton_takes_one_finishing_chord_step(monkeypatch):
     # path3 from 1.4: residuals 5.6e-2, 8.8e-4, 2.0e-7, 9.5e-11, 4.4e-14
-    # and 4.4e-16.  Each fresh step is Newton's, a rank-1 update of J0.
+    # and 4.4e-16.  Each fresh step is Newton's, a rank-1 update of P.
     # 4.4e-14 is below NEWTON_TOL after a chord step, and its cut predicts
     # a residual below rounding, so one more chord step lands there; none
     # follows it, and the index takes no factor
@@ -1069,99 +1086,107 @@ def test_newton_takes_one_finishing_chord_step(monkeypatch):
     trace = []
     u, res_max, index, _ = _newton_polish(three_path_problem(POWER4), np.array([1.4]),
                                           trace=trace)
-    assert made == [["J0"], ["update 1", 1], ["update 1", 4]] and len(trace) == 6
+    assert made == [["P"], ["update 1", 1], ["update 1", 4]] and len(trace) == 6
     assert res_max < 1e-15 and u[0] == pytest.approx(math.sqrt(2.0), rel=1e-15)
     assert index == 1
 
 
 def _updated_case(problem, u):
-    """(J0 as a dense matrix, delta = mu (f_u(u) - f_u(0)), the entries
-    K of delta that _updated_solve keeps, its result) at interior u."""
-    zero = graphpde.solver._ZeroJacobian(problem)
-    delta = problem._form.mu * (reaction_derivative(problem.nl, u) - zero.fu)
-    keep = np.abs(delta) > graphpde.solver.NEWTON_CUT**3 * np.abs(zero.diag)
-    j0 = hessian(problem, np.zeros(problem.graph.n))
-    return j0, delta, keep, graphpde.solver._updated_solve(zero, delta)
+    """(P = L + diag(mu |h|) as a dense matrix, delta = |mu h| - mu h +
+    mu f_u(u), the entries K of delta that _updated_solve keeps, its
+    result) at interior u."""
+    gram, fu = _Gram(problem), reaction_derivative(problem.nl, u)
+    mu_h = problem._form.mu * problem.h[problem.partition.omega]
+    delta = np.abs(mu_h) - mu_h + problem._form.mu * fu
+    keep = np.abs(delta) > graphpde.solver.NEWTON_CUT**3 * np.abs(gram.diag)
+    return _p_matrix(problem), delta, keep, graphpde.solver._updated_solve(gram, fu)
 
 
-def test_low_rank_update_solves_j0_updated_on_its_entries(rng):
-    # near grid12's mountain-pass point and on a random graph, against a
-    # dense solve of J0 - diag(delta on K): K holds the spike, its two
-    # neighbours and their common neighbour on the lattice, and drops
-    # entries J(u) - J0 does have
+def test_low_rank_update_solves_p_updated_on_its_entries(rng):
+    # near grid12's mountain-pass point and on random graphs, with h = 1
+    # and with h of both signs, against a dense solve of P - diag(delta on
+    # K): K holds the spike, its two neighbours and their common neighbour
+    # on the lattice, and drops entries J(u) - P does have; on the random
+    # graphs K holds every entry, and the update is J(u) itself
     problem = lattice_problem(12, POWER4)
     start = mountain_pass(problem, SolverConfig(verify_hypotheses=False)).u
     cases = [(problem, 1.001 * start[problem.partition.omega], 4)]
-    graph = random_connected_graph(rng, n_min=15, n_max=25)
-    part = random_partition(rng, graph)
-    cases.append((Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER4),
-                  rng.uniform(0.5, 2.0, size=part.omega.size), part.omega.size))
+    for mixed in (False, True):
+        graph = random_connected_graph(rng, n_min=15, n_max=25)
+        part = random_partition(rng, graph)
+        h = rng.uniform(-2.0, 2.0, size=graph.n) if mixed else np.ones(graph.n)
+        assert np.any(h[part.omega] < 0.0) == mixed
+        cases.append((Problem(graph=graph, partition=part, h=h, nl=POWER4),
+                      rng.uniform(0.5, 2.0, size=part.omega.size), part.omega.size))
     for problem, u, rank in cases:
-        j0, delta, keep, (solve, approximate) = _updated_case(problem, u)
+        p, delta, keep, (solve, approximate) = _updated_case(problem, u)
         assert np.count_nonzero(keep) == rank and approximate == (rank < len(u))
         b = rng.standard_normal(len(u))
-        dense = np.linalg.solve(j0 - np.diag(np.where(keep, delta, 0.0)), b)
+        dense = np.linalg.solve(p - np.diag(np.where(keep, delta, 0.0)), b)
         assert np.linalg.norm(solve(b) - dense) <= 1e-12 * np.linalg.norm(dense)
+        exact = np.linalg.solve(hessian(problem, problem._form.expand(u)), b)
         if approximate:  # what it drops moves the solve
-            exact = np.linalg.solve(hessian(problem, problem._form.expand(u)), b)
             assert np.linalg.norm(solve(b) - exact) > 1e-6 * np.linalg.norm(exact)
+        else:
+            assert np.linalg.norm(solve(b) - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
 @pytest.mark.parametrize("k", [1, 12])
 def test_low_rank_update_at_the_spike_is_newtons_step(rng, k):
-    # at the spike's ray peak one entry of J(u) - J0 is nonzero: the
+    # at the spike's ray peak one entry of J(u) - P is nonzero: the
     # update keeps it and solves with the exact Jacobian
     problem = three_path_problem(POWER4) if k == 1 else lattice_problem(k, POWER4)
     u, _ = _ray_peak(problem, build_spike_endpoint(problem)[problem.partition.omega])
-    j0, delta, keep, (solve, approximate) = _updated_case(problem, u)
+    _, delta, keep, (solve, approximate) = _updated_case(problem, u)
     assert np.count_nonzero(delta) == np.count_nonzero(keep) == 1 and not approximate
     b = rng.standard_normal(len(u))
     exact = np.linalg.solve(hessian(problem, problem._form.expand(u)), b)
     assert np.linalg.norm(solve(b) - exact) <= 1e-12 * np.linalg.norm(exact)
 
 
-def test_low_rank_update_without_entries_solves_with_j0():
-    # at the zero function J(u) = J0: the update is J0's own solve, exact
+def test_low_rank_update_without_entries_solves_with_p():
+    # at the zero function with h = 1 and f_u(0) = 0, J(u) = P: the update
+    # is P's own solve, exact
     problem = lattice_problem(12, PLUS_CONST)
-    zero = graphpde.solver._ZeroJacobian(problem)
-    solve, approximate = graphpde.solver._updated_solve(zero, np.zeros(100))
-    assert solve is zero.solve() and not approximate
+    gram = _Gram(problem)
+    solve, approximate = graphpde.solver._updated_solve(gram, np.zeros(100))
+    assert solve is gram.solve() and not approximate
 
 
 def test_spread_update_factors_j_of_u():
     # on grid12 with h = 0.01 the solution spreads over the lattice: more
-    # than _BLOCK entries of J(u) - J0 count, and the update is refused
+    # than _BLOCK entries of J(u) - P count, and the update is refused
     graph, part = lattice(12)
     problem = Problem(graph=graph, partition=part, h=np.full(graph.n, 0.01), nl=POWER4)
     _, _, keep, found = _updated_case(problem, np.full(100, 0.5))
     assert np.count_nonzero(keep) > graphpde.solver._BLOCK and found is None
 
 
-@pytest.mark.parametrize("fails", ["J0", "capacitance"])
-def test_singular_zero_jacobian_falls_back_to_factors(monkeypatch, fails):
-    # a singular J0, asked for once, or a singular capacitance: every
+@pytest.mark.parametrize("fails", ["P", "capacitance"])
+def test_singular_gram_factor_falls_back_to_factors(monkeypatch, fails):
+    # a singular P, asked for once, or a singular capacitance: every
     # fresh step factors J(u), as without the update, and the hand-off
     # still converges at index 1
     problem = lattice_problem(12, POWER4)
-    j0 = hessian(problem, np.zeros(problem.graph.n))
+    p = _p_matrix(problem)
     band_solver, factors = graphpde.solver._band_solver, []
 
-    def singular_j0(band):
-        factors.append(np.array_equal(band_matrix(band), j0))
-        if factors[-1] and fails == "J0":
+    def singular_p(band):
+        factors.append(np.array_equal(band_matrix(band), p))
+        if factors[-1] and fails == "P":
             raise np.linalg.LinAlgError("singular matrix")
         return band_solver(band)
 
     def singular(a):
         raise np.linalg.LinAlgError("singular matrix")
 
-    monkeypatch.setattr(graphpde.solver, "_band_solver", singular_j0)
+    monkeypatch.setattr(graphpde.solver, "_band_solver", singular_p)
     if fails == "capacitance":
         monkeypatch.setattr(np.linalg, "inv", singular)
-    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
+    assert len(log.traces["mountain_pass"]) == 1
     assert factors == [True, False, False]
     assert sol.residual_max <= graphpde.solver.NEWTON_TOL
     assert sol.morse_index == morse_index(problem, sol.u) == 1
@@ -1169,10 +1194,11 @@ def test_singular_zero_jacobian_falls_back_to_factors(monkeypatch, fails):
 
 @pytest.mark.parametrize("bumps, index", [([0], 2), ([9], 2), ([0, 99], 3)])
 def test_index_is_never_read_off_an_approximate_jacobian(monkeypatch, bumps, index):
-    # h = -3 at one interior vertex of grid12 makes J0 indefinite, with
-    # one negative eigenvalue.  Newton from bumps of 1.5 away from it
-    # converges to a point whose Hessian has more: steps solve with low-rank
-    # updates of J0, and the index comes from a factor of the Hessian
+    # h = -3 at one interior vertex of grid12 makes the Hessian at the
+    # zero function indefinite, with one negative eigenvalue.  Newton from
+    # bumps of 1.5 away from it converges to a point whose Hessian has
+    # more: steps solve with low-rank updates of P, and the index comes
+    # from a factor of the Hessian
     graph, part = lattice(12)
     h = np.ones(graph.n)
     h[part.omega[45]] = -3.0
@@ -1181,25 +1207,25 @@ def test_index_is_never_read_off_an_approximate_jacobian(monkeypatch, bumps, ind
     start = np.zeros(part.omega.size)
     start[bumps] = 1.5
     u, res_max, found, _ = _newton_polish(problem, start)
-    assert res_max <= graphpde.solver.NEWTON_TOL and made[0] == ["J0"]
+    assert res_max <= graphpde.solver.NEWTON_TOL and made[0] == ["P"]
     assert any(row[0].startswith("update") for row in made) and made[-1] == ["factor", 0]
     assert int(np.sum(np.linalg.eigvalsh(hessian(problem, np.zeros(graph.n))) < 0.0)) == 1
     assert found == morse_index(problem, problem._form.expand(u)) == index
 
 
 @pytest.mark.parametrize("case", ["two_solutions", "escape"])
-def test_solvers_share_one_j0_per_command(monkeypatch, case):
-    # two_solutions factors J0 once for the ball's Newton and the mountain
+def test_solvers_share_one_p_per_command(monkeypatch, case):
+    # two_solutions factors P once for the ball's Newton and the mountain
     # pass's, and drops it before the eigen step factors L; a mountain
     # pass that escapes a point of index 2 factors it once for all its
-    # Newton runs, and drops it on return
-    zero_solve, newton = graphpde.solver._ZeroJacobian.solve, graphpde.solver._newton_polish
+    # Newton runs and its descent, and drops it on return
+    gram_solve, newton = graphpde.solver._Gram.solve, graphpde.solver._newton_polish
     made, live, runs = [], [], []
 
     def counted(self):
         if not self._made:
             made.append(weakref.ref(self))
-        return zero_solve(self)
+        return gram_solve(self)
 
     def counted_newton(*args, **kwargs):
         runs.append(args[1])
@@ -1211,7 +1237,7 @@ def test_solvers_share_one_j0_per_command(monkeypatch, case):
         live.extend(ref() is not None for ref in made)
         return eigen(*args, **kwargs)
 
-    monkeypatch.setattr(graphpde.solver._ZeroJacobian, "solve", counted)
+    monkeypatch.setattr(graphpde.solver._Gram, "solve", counted)
     monkeypatch.setattr(graphpde.solver, "_newton_polish", counted_newton)
     monkeypatch.setattr(graphpde.solver, "first_eigenvalue", first_eigenvalue)
     if case == "two_solutions":
@@ -1220,6 +1246,27 @@ def test_solvers_share_one_j0_per_command(monkeypatch, case):
         mountain_pass(_corpus_problem(10, 3), SolverConfig(verify_hypotheses=False))
         live.extend(ref() is not None for ref in made)
     assert len(runs) >= 2 and len(made) == 1 and live == [False]
+
+
+def test_descent_and_newton_share_one_factor(monkeypatch):
+    # s12rand3 of the p = 4 corpus descends 26 steps before it hands off.
+    # The descent's steps and every Newton run's updates solve with one
+    # factor of P, definite; the rest factor J(u)
+    problem = _corpus_problem(12, 3)
+    band_solver, negatives = graphpde.solver._band_solver, []
+
+    def recorded(band):
+        solve = band_solver(band)
+        negatives.append(solve.negatives)
+        return solve
+
+    monkeypatch.setattr(graphpde.solver, "_band_solver", recorded)
+    log = RunLog()
+    sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+    assert log.stops["mountain_pass"] == "newton_handoff"
+    assert len(log.traces["mountain_pass"]) == 26
+    assert negatives == [0, 2, 2, 0]
+    assert sol.morse_index == morse_index(problem, sol.u) == 1
 
 
 def _split_path_problem():
@@ -1490,7 +1537,7 @@ def test_handoff_jacobian_calls_no_cholesky_sure_to_fail(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(graphpde.solver, "_band_solver", recorded)
-        m.setattr(graphpde.solver, "_updated_solve", lambda zero, delta: None)
+        m.setattr(graphpde.solver, "_updated_solve", lambda gram, fu: None)
         mountain_pass(lattice_problem(12, POWER4), SolverConfig(verify_hypotheses=False))
     assert len(jacobians) == 2 and all(band[0, 0] < 0.0 for band in jacobians)
     cholesky, pivoted, calls = np.linalg.cholesky, graphpde.spectral._pivoted_window, []
@@ -1609,33 +1656,46 @@ def test_attempt_refuses_the_zero_function(monkeypatch):
 
 def test_handoff_attempt_gives_up_after_two_factors(monkeypatch):
     # h = 0.01 spreads the solution over the whole lattice; Newton from the
-    # initial maximum cuts the residual eightfold, then fivefold
+    # initial maximum cuts the residual eightfold, then fivefold, and the
+    # attempt at step 0 gives up having factored P and one J(u)
     graph, part = lattice(12)
     problem = Problem(graph=graph, partition=part, h=np.full(graph.n, 0.01), nl=POWER4, h0=0.01)
     factors = []
-    original = graphpde.solver._band_solver
+    original, attempt = graphpde.solver._band_solver, graphpde.solver._newton_attempt
+
+    class GaveUp(Exception):
+        pass
 
     def counted(band):
         factors.append(band.shape)
         return original(band)
 
+    def first_attempt(*args):
+        assert attempt(*args) is None
+        raise GaveUp
+
     monkeypatch.setattr(graphpde.solver, "_band_solver", counted)
-    with monkeypatch.context() as m:
-        m.setattr(graphpde.solver, "_sobolev_direction", _never_factor_p)
-        with pytest.raises(AssertionError, match="P factored"):
-            mountain_pass(problem, SolverConfig(verify_hypotheses=False))
+    monkeypatch.setattr(graphpde.solver, "_newton_attempt", first_attempt)
+    with pytest.raises(GaveUp):
+        mountain_pass(problem, SolverConfig(verify_hypotheses=False))
     assert len(factors) == 2
 
 
 def test_accepted_handoffs_have_index_one(monkeypatch):
-    # every run that reaches the first move is cut there
+    # every run that reaches the first move, a descent step or an escape,
+    # is cut at its first ray peak after the spike's
     class Moved(Exception):
         pass
 
-    def refuse(problem):
-        raise Moved
+    ray_peak, peaks = graphpde.solver._ray_peak, []
 
-    monkeypatch.setattr(graphpde.solver, "_sobolev_direction", refuse)
+    def first_peak_only(problem, v):
+        if peaks:
+            raise Moved
+        peaks.append(v)
+        return ray_peak(problem, v)
+
+    monkeypatch.setattr(graphpde.solver, "_ray_peak", first_peak_only)
     handoffs = 0
     for seed in (11, 12):
         rng = np.random.default_rng(seed)
@@ -1644,6 +1704,7 @@ def test_accepted_handoffs_have_index_one(monkeypatch):
             part = random_partition(rng, graph)
             problem = Problem(graph=graph, partition=part, h=np.ones(graph.n), nl=POWER4, h0=1.0)
             log = RunLog()
+            peaks.clear()
             try:
                 sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
             except Moved:
