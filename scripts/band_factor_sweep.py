@@ -1,11 +1,11 @@
 """Measure the band factor's inertia and backward error on random bands.
 
 spectral._band_solver factors a symmetric band a = C S C^T block by
-block, each block by one of three routes: a Cholesky factor (of the
+block, each block by one of two routes: a Cholesky factor (of the
 block's window while the bandwidth is at most 64, of its top block
-above that), 1x1 pivots at the window's rows that are not diagonally
-dominant (_pivoted_window), or np.linalg.eigh of the block.  This script
-sweeps three families of bands:
+above that or where the window's fails), or np.linalg.eigh of the
+block where its Cholesky fails.  This script sweeps three families of
+bands:
 
     definite   L L^T + delta I with L a random lower band
     shifted    a random symmetric band minus a shift that falls below,
@@ -14,18 +14,19 @@ sweeps three families of bands:
                positive diagonal, with one to four diagonal entries
                pushed negative, as Newton's Jacobian at a spike
 
-and files each band under the rarest route its blocks took (eigh, then
-pivots, then cholesky).  For each family and route it prints the number
-of bands and of blocks, the bands whose count of -1s in S differs from
+and files each band under eigh if any of its blocks took eigh, else
+under cholesky.  For each family and route it prints the number of
+bands and of blocks, the bands whose count of -1s in S differs from
 the number of negative eigenvalues of np.linalg.eigvalsh, and the worst
 normwise backward error |a x - y| / (|a| |x| + |y|) (2-norms) of a
 solve, for bandwidths up to 64 and above.  It exits 1 on any inertia
-mismatch, when a band at bandwidth <= 64 filed under cholesky or pivots
-has a backward error above BOUND, or when a band of any bandwidth filed
-under eigh has one above EIGH_BOUND.  The eigh route has the looser
-bound because its blocks have no growth guard: a block with an
-eigenvalue near zero amplifies the rounding of the rows below it (4.3e-12
-on one shifted band at seed 0, before and after the pivots were added).
+mismatch, when a band at bandwidth <= 64 filed under cholesky has a
+backward error above BOUND, when a bump band (Newton's Jacobian at a
+spike) of any route and bandwidth has one above BOUND, or when a band
+of any bandwidth filed under eigh has one above EIGH_BOUND.  The eigh
+route has the looser bound because its blocks have no growth guard: a
+block with an eigenvalue near zero amplifies the rounding of the rows
+below it (4.3e-12 on one shifted band at seed 0).
 """
 
 import argparse
@@ -34,11 +35,9 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from graphpde import spectral
 from graphpde.spectral import _BLOCK, _band_solver
 
-ROUTES = ("cholesky", "pivots", "eigh")
-BOUND = 1e-13  # cholesky and pivots, bandwidth <= 64
+BOUND = 1e-13  # cholesky at bandwidth <= 64, and bump bands on every route
 EIGH_BOUND = 1e-11  # eigh, any bandwidth
 
 
@@ -86,24 +85,19 @@ def lower_band(a, bandwidth):
 @contextmanager
 def routes_taken():
     """Count the blocks of the _band_solver calls made inside: those
-    factored by eigh and those by 1x1 pivots; the rest are Cholesky."""
-    counts = {"pivots": 0, "eigh": 0}
-    eigh, pivoted = np.linalg.eigh, spectral._pivoted_window
+    factored by eigh; the rest are Cholesky."""
+    counts = {"eigh": 0}
+    eigh = np.linalg.eigh
 
     def counted_eigh(a):
         counts["eigh"] += 1
         return eigh(a)
 
-    def counted_pivots(*args):
-        c = pivoted(*args)
-        counts["pivots"] += c is not None
-        return c
-
-    np.linalg.eigh, spectral._pivoted_window = counted_eigh, counted_pivots
+    np.linalg.eigh = counted_eigh
     try:
         yield counts
     finally:
-        np.linalg.eigh, spectral._pivoted_window = eigh, pivoted
+        np.linalg.eigh = eigh
 
 
 def measure(rng, a, bandwidth):
@@ -116,7 +110,7 @@ def measure(rng, a, bandwidth):
     norm_a = float(np.max(np.abs(lam)))
     backward = np.linalg.norm(a @ x - y) / (norm_a * np.linalg.norm(x) + np.linalg.norm(y))
     blocks = math.ceil(len(a) / _BLOCK)
-    counts["cholesky"] = blocks - counts["pivots"] - counts["eigh"]
+    counts["cholesky"] = blocks - counts["eigh"]
     return counts, solve.negatives == int(np.sum(lam < 0.0)), float(backward)
 
 
@@ -143,7 +137,7 @@ def main():
             low, high = (_BLOCK + 1, n) if wide else (0, min(n - 1, _BLOCK) + 1)
             bandwidth = int(rng.integers(low, high))
             counts, match, backward = measure(rng, family(rng, n, bandwidth), bandwidth)
-            route = next(r for r in reversed(ROUTES) if counts[r])
+            route = "eigh" if counts["eigh"] else "cholesky"
             row = rows.setdefault((name, route), [0, 0, 0, -math.inf, -math.inf])
             row[0] += 1
             row[1] += sum(counts.values())
@@ -158,13 +152,14 @@ def main():
         print(f"{name:10s} {route:9s} {bands:6d} {blocks:7d} {mismatches:10d}"
               f" {error(narrow):>16s} {error(wide):>15s}")
     mismatches = sum(row[2] for row in rows.values())
-    narrow = max((row[3] for (_, r), row in rows.items() if r != "eigh"), default=-math.inf)
+    narrow = max((row[3] for (_, r), row in rows.items() if r == "cholesky"), default=-math.inf)
+    bump = max((max(row[3:]) for (f, _), row in rows.items() if f == "bump"), default=-math.inf)
     eigh = max((max(row[3:]) for (_, r), row in rows.items() if r == "eigh"), default=-math.inf)
     print(f"inertia mismatches: {mismatches}")
-    print(f"worst backward error: cholesky and pivots at bandwidth <= {_BLOCK} {error(narrow)},"
-          f" eigh {error(eigh)}")
-    ok = mismatches == 0 and narrow <= BOUND and eigh <= EIGH_BOUND
-    print(f"no mismatch, cholesky and pivots within {BOUND:g}, eigh within {EIGH_BOUND:g}: {ok}")
+    print(f"worst backward error: cholesky at bandwidth <= {_BLOCK} {error(narrow)},"
+          f" bump {error(bump)}, eigh {error(eigh)}")
+    ok = mismatches == 0 and narrow <= BOUND and bump <= BOUND and eigh <= EIGH_BOUND
+    print(f"no mismatch, cholesky and bump within {BOUND:g}, eigh within {EIGH_BOUND:g}: {ok}")
     raise SystemExit(0 if ok else 1)
 
 

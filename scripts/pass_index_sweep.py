@@ -31,15 +31,14 @@ and never solved with).  Then Newton's chord steps (solves with a
 step's factor of J(u) or low-rank update after its first), the
 attempts that gave up, by the SolverError that ended them (an exact
 step's cut short of NEWTON_CUT, the budget, a singular Jacobian, a
-non-finite step), and the band windows whose Cholesky failed, by their
-route (calls of spectral._pivoted_window): factored with 1x1 pivots,
-or refused and sent to eigh.  It exits 1 on any failure, on an index
-other than 1, or on a set whose band factors exceed its ceiling in
-FACTOR_CEILINGS, the counts that Newton's chord steps, its index
-bracket, its low-rank updates and the one factor of P it shares with
-the descent brought them down to, so that a change cannot give that
-saving back unseen.  --only NAME restricts
-every set to the named graphs.
+non-finite step), and the blocks of the band factors that went to
+np.linalg.eigh, as every block whose Cholesky fails does.  It exits 1
+on any failure, on an index other than 1, or on a set whose band
+factors exceed its ceiling in FACTOR_CEILINGS, the counts that
+Newton's chord steps, its index bracket, its low-rank updates and the
+one factor of P it shares with the descent brought them down to, so
+that a change cannot give that saving back unseen.  --only NAME
+restricts every set to the named graphs.
 
     PYTHONPATH=src python scripts/pass_index_sweep.py
     PYTHONPATH=src python scripts/pass_index_sweep.py --only s10rand3 --only path3
@@ -57,7 +56,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import corpus  # noqa: E402
 
 import graphpde.solver  # noqa: E402
-import graphpde.spectral  # noqa: E402
 from graphpde import (  # noqa: E402
     Problem, RunLog, SolverConfig, SolverError, build_graph, compute_boundary, power,
 )
@@ -137,7 +135,7 @@ def sweep(label, inputs, p, escapes, calls):
           f"at 1 {calls['index 1 diagonal']}; factored {calls['index factored']}")
     print(f"  chord steps {calls['chord']}, attempts gave up: "
           + ", ".join(f"{why} {calls[why]}" for why in GIVE_UPS))
-    print(f"  pivot windows {calls['pivoted']} factored, {calls['refused']} refused")
+    print(f"  eigh blocks {calls['eigh']}")
     within = calls["factor"] <= FACTOR_CEILINGS[label]
     if not within:
         print(f"  band factors above the ceiling {FACTOR_CEILINGS[label]}")
@@ -161,7 +159,7 @@ def main(argv=None) -> int:
     band_solver = graphpde.solver._band_solver
     gram_solve = graphpde.solver._Gram.solve
     updated_solve = graphpde.solver._updated_solve
-    pivoted = graphpde.spectral._pivoted_window
+    eigh = np.linalg.eigh
 
     def counted_escape(problem, w, index):
         escapes.append(index)
@@ -169,6 +167,7 @@ def main(argv=None) -> int:
 
     in_newton = []  # per Newton run in progress, the solves made with each of its factors
     in_gram = []    # while P is factored
+    in_factor = []  # while a band is factored
 
     def counted_newton(*args, **kwargs):
         calls["newton"] += 1
@@ -199,7 +198,11 @@ def main(argv=None) -> int:
 
     def counted_factor(band):
         calls["factor"] += 1
-        solve = band_solver(band)
+        in_factor.append(band)
+        try:
+            solve = band_solver(band)
+        finally:
+            in_factor.pop()
         if in_gram or not in_newton:
             return solve
         calls["exact"] += 1
@@ -234,13 +237,12 @@ def main(argv=None) -> int:
         calls["update"] += 1
         return chords(found[0], [0], 0), found[1]
 
-    def counted_pivots(*args):
-        c = pivoted(*args)
-        calls["refused" if c is None else "pivoted"] += 1
-        return c
+    def counted_eigh(a):  # the escapes' Ritz problems call eigh outside a factor
+        calls["eigh"] += bool(in_factor)
+        return eigh(a)
 
     graphpde.solver._escape_direction = counted_escape
-    graphpde.spectral._pivoted_window = counted_pivots
+    np.linalg.eigh = counted_eigh
     graphpde.solver._newton_polish = counted_newton
     graphpde.solver._band_solver = counted_factor
     graphpde.solver._Gram.solve = counted_gram

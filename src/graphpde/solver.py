@@ -201,7 +201,8 @@ class RunLog:
 def ps_diagnostic(traces, solutions) -> bool:
     """The SolveReport flag: every iteration trace is nonempty with
     finite levels and gradient norms, and every solution reached the
-    Newton tolerance."""
+    Newton tolerance NEWTON_TOL; false on a solution whose Newton run
+    stopped above it, at the rounding of the residual's terms."""
     return bool(
         all(traces)
         and all(math.isfinite(a) and math.isfinite(b) for rows in traces for a, b in rows)
@@ -492,12 +493,28 @@ def _rounding_level(problem: Problem, u: np.ndarray, r: np.ndarray) -> float:
     return float(2.0**-52 * max(np.max(np.abs(r + f)), np.max(np.abs(f))))
 
 
+def _term_level(problem: Problem, u: np.ndarray) -> float:
+    """16 * 2^-52 times the largest sum of the residual's term sizes at
+    u, (|L| |u|) / mu + |h u| + |f(u)|, L the interior Laplacian: the
+    residual's rounding floor, as the terms' roundings do not cancel as
+    the terms do.  It lies above NEWTON_TOL where weights and measures
+    differ by orders of magnitude."""
+    form, a = problem._form, np.abs(u)
+    wa = form.w * a[form.ends]  # w |u| at each end of every edge inside omega
+    lu = (form.diag * a + np.bincount(form.ends[0], wa[1], len(a))
+          + np.bincount(form.ends[1], wa[0], len(a)))
+    size = lu / form.mu + np.abs(problem.h[form.omega] * u) + np.abs(reaction(problem.nl, u))
+    return float(16 * 2.0**-52 * np.max(size))
+
+
 @np.errstate(over="ignore", invalid="ignore")  # a diverging step fails as not finite
 def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trace=None,
                    at_u0=None, gram: _Gram | None = None):
     """Refine a candidate, given by its interior values, to vertexwise
-    residual <= NEWTON_TOL; at_u0, when given, is the _kernel pass at u0
-    with energy and residual, which step 0 then reads.
+    residual <= NEWTON_TOL, or to at most its terms' rounding
+    (_term_level) after a step that cut it by less than NEWTON_CUT; at_u0,
+    when given, is the _kernel pass at u0 with energy and residual, which
+    step 0 then reads.
 
     The linearization at u restricted to interior unknowns is J(u) =
     P - diag(delta), P = L + diag(mu |h|) (gram, the caller's _Gram, or
@@ -568,7 +585,9 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
         if trace is not None:
             trace.append((float(value), float(np.linalg.norm(mu * r))))
         res_max = float(np.max(np.abs(r)))
-        if res_max <= NEWTON_TOL:
+        # a step that cut by less than NEWTON_CUT down to its terms' rounding converges too
+        if res_max <= NEWTON_TOL or (not res_max <= NEWTON_CUT * prev
+                                     and res_max <= _term_level(problem, u)):
             # with an approximate Jacobian, steps while they cut fast down to
             # rounding; after a chord step, one more when predicted to land there
             if approximate:

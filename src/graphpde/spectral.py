@@ -12,8 +12,7 @@ every graph: Lanczos on L^(-1) M with full reorthogonalization
 (Ericsson & Ruhe, Math. Comp. 35, 1980; Parlett, The Symmetric
 Eigenvalue Problem, SIAM 1998, ch. 13).  It factors L once, by
 _band_solver (a = C S C^T, S = +-1: Cholesky windows; where Cholesky
-fails, 1x1 pivots at the window's rows that are not diagonally
-dominant, or else eigh blocks), and then only back-substitutes; its
+fails, a block's Cholesky or eigh), and then only back-substitutes; its
 only dense eigensolve is of the j x j tridiagonal after j steps.  The
 reported lambda1 is the Rayleigh quotient of the Ritz vector, with
 v^T L v the interior Laplacian's edge sum, and the residual's L u is
@@ -52,10 +51,6 @@ class EigenResult:
 # Row/column block size of _band_solver; np.linalg.cholesky sees at most
 # a block's window of 2 _BLOCK rows, and below an eigh block C fills it.
 _BLOCK = 64
-# Most 1x1 pivots _pivoted_window takes in a window, and its growth bound:
-# it refuses a pivot |d| <= max|diag| / _GROWTH, or C^2 above _GROWTH max|diag|.
-_PIVOTS = 4
-_GROWTH = 100.0
 
 
 def _band_panel(band: np.ndarray, k: int, m: int) -> np.ndarray:
@@ -93,59 +88,6 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
     return np.linalg.cholesky(a)
 
 
-def _pivoted_window(window: np.ndarray, m: int, s: np.ndarray) -> np.ndarray | None:
-    """Lower triangular C with window = C S C^T on its first m columns,
-    the window read from its lower triangle, or None.  A 1x1 pivot d
-    (C = |d|^(1/2), S = sign d, then a rank-1 Schur update) is taken at
-    each row j < m not strictly diagonally dominant, a_jj <= sum_(l != j)
-    |a_jl|, updating only down to its column's last nonzero (the window
-    is banded); _cholesky factors the rows between pivots, the last
-    segment down to the window's end, or to row m when the rows below
-    the block are not definite.  None without such a row, with more than
-    _PIVOTS, when a segment's Cholesky fails or a _GROWTH guard trips;
-    else s, the block's entries of S, takes the pivots' signs."""
-    a = window * np.tri(len(window))  # np.tril, at a third of its cost on one row
-    mag = np.abs(a)
-    # a_jj <= sum_(l != j) |a_jl| is 3 a_jj <= the sum of |a| along row j plus that down column j
-    (weak,) = np.nonzero(3.0 * a.diagonal()[:m] <= mag[:m].sum(1) + mag[:, :m].sum(0))
-    if not 0 < len(weak) <= _PIVOTS:
-        return None
-    scale = float(mag.diagonal().max())
-    c, signs, start = np.zeros_like(a), np.ones(m), 0
-
-    def segment(i, j):  # Cholesky on rows i .. j - 1, C below them and their update
-        c[i:j, i:j] = top = _cholesky(a[i:j, i:j])
-        c[j:, i:j] = np.linalg.solve(top, a[j:, i:j].T).T
-        a[j:, j:] -= c[j:, i:j] @ c[j:, i:j].T
-
-    try:
-        for p in weak.tolist():
-            if p > start:
-                segment(start, p)
-            pivot = float(a[p, p])
-            if not abs(pivot) > scale / _GROWTH:
-                return None
-            signs[p] = sign = math.copysign(1.0, pivot)
-            c[p, p] = root = math.sqrt(abs(pivot))
-            start = p + 1
-            if start < len(a):
-                c[start:, p] = col = a[start:, p] * (sign / root)
-                end = start + 1 + int(np.flatnonzero(col).max(initial=-1))
-                a[start:end, start:end] -= sign * np.outer(col[: end - start], col[: end - start])
-        if start < len(a):
-            try:
-                c[start:, start:] = _cholesky(a[start:, start:])
-            except np.linalg.LinAlgError:
-                if start < m:
-                    segment(start, m)
-    except np.linalg.LinAlgError:
-        return None
-    if np.abs(c[:, :m]).max() ** 2 > _GROWTH * scale:
-        return None
-    s[...] = signs
-    return c
-
-
 def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the symmetric nonsingular matrix a once; return
     y -> a^(-1) y, whose attribute negatives counts the -1s of S.
@@ -160,11 +102,8 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     C S C^T left of b, which reaches only its first bw rows.  While
     bw <= _BLOCK _cholesky factors the whole window; its first columns
     are C on b and below (S_b = I).  Where that fails (at once where a
-    diagonal entry is not > 0, as at the spike's row of Newton's Jacobian),
-    _pivoted_window tries a guarded unpivoted LDL^T: C triangular, S_b
-    the signs of 1x1 pivots at its few rows not diagonally dominant, no
-    interchanges, stable by its growth guards and eigh fallback.  Where it
-    refuses, and at every block when bw > _BLOCK (a window costs
+    diagonal entry is not > 0, as at the spike's row of Newton's
+    Jacobian), and at every block when bw > _BLOCK (a window costs
     (bw + _BLOCK)^3 / 3), the window's first columns are factored in
     their top block and scaled below by its inverse and S_b:
     _cholesky (S_b = I, inverted by _invert_lower on an
@@ -222,13 +161,11 @@ def _band_solver(band: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
             try:
                 cw = _cholesky(window)
             except np.linalg.LinAlgError:
-                cw = _pivoted_window(window, m, s[b])
-                signed = signed or bool(s[b].min() < 0.0)
-            if cw is not None:
+                diagonal[i] = 1.0  # an identity the first solve inverts and no solve reads
+            else:
                 stack[i, :m, :m] = cw[:m, :m]
                 blocks.append((b, lo, hi, stack[i, :m, :m], left[:m], cw[m:, :m].copy()))
                 continue
-            diagonal[i] = 1.0  # an identity the first solve inverts and no solve reads
         panel = window[:, :m]
         t = np.eye(size)
         try:

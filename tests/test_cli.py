@@ -1,5 +1,6 @@
 """Command line interface: exit codes, report formats, determinism."""
 
+import importlib.util
 import io
 import json
 import math
@@ -813,18 +814,37 @@ def test_path3_commands_make_their_pinned_band_factors(graph_file, monkeypatch, 
     assert len(calls) == factors
 
 
-@pytest.mark.parametrize("command, k", [
-    (["solve", "--nl", "power:p=4", "--theta", "4", "--M", "1"], 12),
-    (["solve", "--nl", "power:p=4", "--theta", "4", "--M", "1"], 30),
-    (["solve2", "--nl", "power_plus_const:p=4,eps=0.01", "--M0", "0.5", "--h0", "1"], 12),
+def _benchmark_graph(name):
+    """The graph text perfbench's corpus writes for path3 or grid<k>."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_corpus", Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py")
+    corpus = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(corpus)  # its dataclass looks itself up in sys.modules
+    inp = corpus.path3() if name == "path3" else corpus.lattice(int(name.removeprefix("grid")))
+    return corpus.graph_text(inp)
+
+
+@pytest.mark.parametrize("command, name, factors", [
+    (["solve", "--nl", "power:p=4", "--theta", "4", "--M", "1"], "grid12", 2),
+    (["solve", "--nl", "power:p=4", "--theta", "4", "--M", "1"], "grid30", 2),
+    (["solve2", "--nl", "power_plus_const:p=4,eps=0.01", "--M0", "0.5", "--h0", "1"], "grid12", 2),
+    (["solve2", "--nl", "power_plus_const:p=4,eps=0.01", "--rho", "1", "--h0", "1"], "grid12", 2),
+    (["solve2", "--nl", "power_plus_const:p=4,eps=0.1", "--rho", "1", "--h0", "1"], "path3", 1),
+    (["eigen", "--h0", "1"], "grid30", 1),
+    (["eigen", "--h0", "1"], "grid40", 1),
+    (["check", "--h0", "1", "--nl", "power:p=4", "--theta", "4", "--M", "1"], "grid30", 1),
+    (["check", "--h0", "1", "--nl", "power:p=4", "--theta", "4", "--M", "1"], "grid40", 1),
 ])
-def test_lattice_commands_make_two_definite_band_factors(graph_file, monkeypatch, command, k):
-    # P = L + diag(mu h), Newton's Jacobian at the zero function, shared
-    # by solve2's ball minimizer and mountain pass, whose steps update it
-    # at low rank, and then L for the eigen step; each is positive definite
-    graph, part = lattice(k)
-    path = graph_file(format_graph_text(graph, part, np.ones(graph.n)))
-    band_solver, negatives = graphpde.spectral._band_solver, []
+def test_benchmark_commands_make_only_definite_band_factors(graph_file, monkeypatch, command,
+                                                            name, factors):
+    # the benchmark's commands on its own graph files: P = L + diag(mu h),
+    # Newton's Jacobian at the zero function, shared by solve2's ball
+    # minimizer and mountain pass, whose steps update it at low rank, and
+    # then L for the eigen step; each is positive definite, so no block
+    # goes to eigh, and every Newton step cuts fast, so none reads the
+    # residual's term sizes
+    path = graph_file(_benchmark_graph(name))
+    band_solver, term_level, negatives = graphpde.spectral._band_solver, [], []
 
     def counted(band):
         solve = band_solver(band)
@@ -833,8 +853,10 @@ def test_lattice_commands_make_two_definite_band_factors(graph_file, monkeypatch
 
     monkeypatch.setattr(graphpde.solver, "_band_solver", counted)
     monkeypatch.setattr(graphpde.spectral, "_band_solver", counted)
+    monkeypatch.setattr(graphpde.solver, "_term_level", lambda *args: term_level.append(args))
     assert run([command[0], path, *command[1:], "--format", "jsonl"]) == 0
-    assert negatives == [0, 0]
+    assert negatives == [0] * factors
+    assert term_level == []
 
 
 def _console_scripts(bin_dir):

@@ -16,7 +16,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("two_solution_demo.py", [], "ps_diagnostic"),
     ("calculus_identity_sweep.py", ["--trials", "5"], "all within 1e-12: True"),
     ("band_factor_sweep.py", ["--trials", "4"],
-     "no mismatch, cholesky and pivots within 1e-13, eigh within 1e-11: True"),
+     "no mismatch, cholesky and bump within 1e-13, eigh within 1e-11: True"),
     ("report_sweep.py", ["--only", "path3"], "5 reports: 5 exit 0"),
     ("report_sweep.py", ["--only", "path3-self_loop", "--only", "path3-crlf_tabs_comments"],
      "10 reports: 5 exit 0, 5 exit 2"),

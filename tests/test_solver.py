@@ -710,6 +710,33 @@ def test_newton_refuses_a_non_finite_step(monkeypatch):
         _newton_polish(three_path_problem(POWER4), np.array([1.4]))
 
 
+def test_newton_stops_at_the_rounding_of_the_residuals_terms():
+    # logu31 of scripts/eigen_sweep.py: weights 10^U(-6, 6) with measures
+    # drawn for other weights.  The residual's terms, (|L| |u|) / mu among
+    # them, round above NEWTON_TOL, where Newton stalls until its budget
+    # is spent; it converges once a step cuts by less than NEWTON_CUT down
+    # to that rounding.  ps_diagnostic, which asks for NEWTON_TOL, reads
+    # false on such a solution
+    ids = ["v0", "v1", "v2", "v3", "v4"]
+    edges = [("v0", "v1", 219396.5862250769), ("v0", "v2", 0.0037250014780461946),
+             ("v1", "v4", 5096.598130356683), ("v2", "v3", 2.3386728511995927e-05)]
+    mu = [8.617891843155673, 13.319205616381847, 7.833476547654993, 2.8797489933601486,
+          9.655041327521019]
+    graph = build_graph(ids, edges, measure_mode="given", measures=dict(zip(ids, mu)))
+    part = compute_boundary(graph, ["v0", "v1", "v4"])
+    problem = Problem(graph=graph, partition=part, h=np.ones(5), nl=power(4))
+    log = RunLog()
+    sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+    v, form = sol.u[part.omega], problem._form
+    level = graphpde.solver._term_level(problem, v)
+    sizes = (np.abs(band_matrix(_interior_matrix(form))) @ np.abs(v) / form.mu + np.abs(v)
+             + np.abs(v) ** 3)  # h = 1, f(u) = u |u|^2
+    assert level == pytest.approx(16 * 2.0**-52 * sizes.max(), rel=1e-12)
+    assert graphpde.solver.NEWTON_TOL < sol.residual_max <= level
+    assert sol.morse_index == morse_index(problem, sol.u) == 1
+    assert not graphpde.solver.ps_diagnostic(log.traces.values(), (sol,))
+
+
 def test_newton_failure_refuses_the_attempt(monkeypatch):
     # a singular Jacobian, at a step or at the converged point, is a
     # refusal; on the split path two entries of the Hessian's diagonal are
@@ -1499,7 +1526,7 @@ def test_mountain_pass_escapes_points_of_higher_index(p, seed, i):
     assert sol.morse_index == morse_index(problem, sol.u) == 1
 
 
-# odd_poly and power_plus_const, whose Jacobians also take 1x1 pivots:
+# odd_poly and power_plus_const, whose Jacobians also go to eigh:
 # path3, grid12 and perfbench.corpus.random_graph's four draws per seed 0-9
 @pytest.mark.parametrize("spec", [
     "odd_poly:c3=1,c5=1", "odd_poly:c1=-0.5,c3=1", "power_plus_const:p=3,eps=0.05",
@@ -1525,7 +1552,7 @@ def test_mountain_pass_reaches_index_one_on_other_reaction_families(path3, spec,
 
 def test_handoff_jacobian_calls_no_cholesky_sure_to_fail(monkeypatch):
     # the spike's row of Newton's Jacobian on grid12 has a negative
-    # diagonal entry: its window goes to the 1x1 pivots without a
+    # diagonal entry: its window and its top block go to eigh without a
     # np.linalg.cholesky call, and the route and inertia stay as they were.
     # With the low-rank update refused, the hand-off factors J(u) at its
     # two fresh steps
@@ -1540,26 +1567,23 @@ def test_handoff_jacobian_calls_no_cholesky_sure_to_fail(monkeypatch):
         m.setattr(graphpde.solver, "_updated_solve", lambda gram, fu: None)
         mountain_pass(lattice_problem(12, POWER4), SolverConfig(verify_hypotheses=False))
     assert len(jacobians) == 2 and all(band[0, 0] < 0.0 for band in jacobians)
-    cholesky, pivoted, calls = np.linalg.cholesky, graphpde.spectral._pivoted_window, []
+    cholesky, eigh, calls = np.linalg.cholesky, np.linalg.eigh, []
 
     def counted(a):
         calls.append((len(a), bool(np.all(a.diagonal() > 0.0))))
         return cholesky(a)
 
-    def routed(*args):
-        c = pivoted(*args)
-        calls.append("pivots" if c is not None else None)
-        return c
+    def routed(a):
+        calls.append("eigh")
+        return eigh(a)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted)
-    monkeypatch.setattr(graphpde.spectral, "_pivoted_window", routed)
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: pytest.fail("eigh route"))
+    monkeypatch.setattr(np.linalg, "eigh", routed)
     for band in jacobians:
         calls.clear()
         solve = band_solver(band)
-        # block 0: a pivot at row 0 and Cholesky on the 73 rows below it;
-        # block 1: Cholesky on its window
-        assert calls == [(73, True), "pivots", (36, True)]
+        # block 0: eigh of its 64 rows; block 1: Cholesky on its window
+        assert calls == ["eigh", (36, True)]
         assert solve.negatives == int(np.sum(np.linalg.eigvalsh(band_matrix(band)) < 0.0)) == 1
         y = np.arange(1.0, 101.0)
         assert np.linalg.norm(band_matrix(band) @ solve(y) - y) <= 1e-12 * np.linalg.norm(y)

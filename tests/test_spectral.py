@@ -20,7 +20,7 @@ from graphpde import (
 )
 from graphpde import spectral
 from graphpde.calculus import _interior_laplacian, _interior_matrix
-from graphpde.spectral import _BLOCK, _GROWTH, _PIVOTS, _band_solver, _invert_lower
+from graphpde.spectral import _BLOCK, _band_solver, _invert_lower
 from util import (
     band_matrix,
     interior_matrix_loop,
@@ -292,20 +292,10 @@ def test_stacked_triangular_inverse_matches_inv(rng, m):
         assert not inverse[m:, :m].any() and not np.triu(inverse, 1).any()
 
 
-# eigh blocks of test_band_solver_factors_indefinite_matrices at
-# bandwidths 2 .. _BLOCK, as observed; 0 where not listed.  Denser
-# windows hold more weak rows than _PIVOTS, and the short last blocks of
-# 65, 129 and 300 unknowns take pivots
-_EIGH_BLOCKS = {
-    (63, 15): 1, (63, 62): 1, (64, 15): 1, (64, 63): 1, (65, 63): 1, (65, 64): 1,
-    (129, 63): 2, (129, 64): 2, (300, 63): 2, (300, 64): 2,
-}
-
-
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
 def test_band_solver_factors_indefinite_matrices(monkeypatch, rng, n):
-    # negative pivots in the first, a middle and the last block; each of
-    # those blocks, and only those, takes 1x1 pivots or goes to eigh
+    # negative diagonal entries in the first, a middle and the last block;
+    # each of those blocks, and only those, goes to eigh, at every bandwidth
     negative = sorted({0, (n // _BLOCK // 2) * _BLOCK, n - 1})
     blocks = len({i // _BLOCK for i in negative})
     calls = _routes(monkeypatch)
@@ -314,13 +304,7 @@ def test_band_solver_factors_indefinite_matrices(monkeypatch, rng, n):
         a[negative, negative] -= 3 * n + 4 * a[negative, negative]
         calls.clear()
         _check_solver(rng, a, bandwidth)
-        eighs = len([c for c in calls if isinstance(c, tuple)])
-        assert calls.count("pivots") + eighs == blocks
-        if bandwidth > _BLOCK:
-            assert eighs == blocks  # no window, so no pivots
-        else:
-            # at bandwidth <= 1 every other row is diagonally dominant: no eigh
-            assert eighs == _EIGH_BLOCKS.get((n, bandwidth), 0)
+        assert len(calls) == blocks
 
     # an exactly singular block stops the factor
     with pytest.raises(np.linalg.LinAlgError):
@@ -332,22 +316,14 @@ def _negatives(a):
 
 
 def _routes(monkeypatch):
-    """Record, from here on, each eigh call's shape and each
-    _pivoted_window result: "pivots" or None."""
-    eigh, pivoted = np.linalg.eigh, spectral._pivoted_window
-    calls = []
+    """Record, from here on, each eigh call's shape."""
+    eigh, calls = np.linalg.eigh, []
 
     def counted(a):
         calls.append(a.shape)
         return eigh(a)
 
-    def recorded(*args):
-        c = pivoted(*args)
-        calls.append(None if c is None else "pivots")
-        return c
-
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    monkeypatch.setattr(spectral, "_pivoted_window", recorded)
     return calls
 
 
@@ -360,18 +336,25 @@ def _dominant_band(rng, n, bandwidth):
     return a + np.diag(np.abs(a).sum(1) + rng.uniform(1.0, 2.0, n))
 
 
-def test_band_solver_pivots_within_and_below_a_block(monkeypatch, rng):
-    # 150 unknowns of bandwidth 10: blocks 0 .. 63, 64 .. 127, 128 .. 149
+def test_band_solver_takes_eigh_on_weak_rows_within_and_below_a_block(monkeypatch, rng):
+    # 150 unknowns of bandwidth 10: blocks 0 .. 63, 64 .. 127, 128 .. 149.
+    # Windows with 1 to 4 rows that are not diagonally dominant: a block
+    # holding a negative one goes to eigh; a block whose window reaches one
+    # only below the block keeps a Cholesky top block
     calls = _routes(monkeypatch)
     cases = [
-        # two adjacent pivots in mid-block, and the matrix's last row
-        ([96, 97, 149], ["pivots"] * 2),
+        # two adjacent negative rows in mid-block, and the matrix's last row
+        ([96, 97, 149], [(_BLOCK, _BLOCK), (22, 22)]),
         # a negative and a positive weak row in mid-block, a negative row in
         # the last block
-        ([90, 140], ["pivots"] * 2),
-        # a pivot in block 0, and a negative row of block 1 inside block 0's
-        # window: the last segment stops at the block's end
-        ([30, 70], ["pivots"] * 2),
+        ([90, 140], [(_BLOCK, _BLOCK), (22, 22)]),
+        # a negative row in block 0, and one of block 1 inside block 0's
+        # window: block 1's left edge is block 0's first column
+        ([30, 70], [(_BLOCK, _BLOCK)] * 2),
+        # block 1's first rows: block 0's window fails below the block only
+        ([64, 66], [(_BLOCK, _BLOCK)]),
+        # four negative rows in one window, the last on a block edge
+        ([3, 11, 19, 63], [(_BLOCK, _BLOCK)]),
     ]
     for negative, routes in cases:
         a = _dominant_band(rng, 150, 10)
@@ -381,61 +364,65 @@ def test_band_solver_pivots_within_and_below_a_block(monkeypatch, rng):
         calls.clear()
         _check_solver(rng, a, 10)
         assert calls == routes
-        assert _band_solver(lower_band(a, 10)).negatives == _negatives(a)
+        solve = _band_solver(lower_band(a, 10))
+        assert solve.negatives == _negatives(a) == len(negative)
+        y = rng.standard_normal(150)
+        x = solve(y)  # normwise backward error |a x - y| / (|a|_2 |x| + |y|)
+        norms = np.linalg.norm(a, 2) * np.linalg.norm(x) + np.linalg.norm(y)
+        assert np.linalg.norm(a @ x - y) <= 1e-13 * norms
 
 
-def test_band_solver_sends_what_the_pivots_refuse_to_eigh(monkeypatch, rng):
+def test_band_solver_sends_what_cholesky_refuses_to_eigh(monkeypatch, rng):
     calls = _routes(monkeypatch)
-    # more weak rows than _PIVOTS in one window
+    # five weak rows in one window
     a = _dominant_band(rng, 40, 3)
-    rows = list(range(3, 40, 8))[: _PIVOTS + 1]
+    rows = list(range(3, 40, 8))
     a[rows, rows] *= -2.0
     calls.clear()
     _check_solver(rng, a, 3)
-    assert calls == [None, (40, 40)]
-    assert _band_solver(lower_band(a, 3)).negatives == _negatives(a) == _PIVOTS + 1
-    # a pivot at or below max|diag| / _GROWTH
+    assert calls == [(40, 40)]
+    assert _band_solver(lower_band(a, 3)).negatives == _negatives(a) == 5
+    # a negative entry 200 times below max|diag|
     a = _dominant_band(rng, 40, 3)
-    a[0, 0] = -np.abs(np.diag(a)).max() / (2 * _GROWTH)
+    a[0, 0] = -np.abs(np.diag(a)).max() / 200.0
     calls.clear()
     _check_solver(rng, a, 3)
-    assert calls == [None, (40, 40)]
-    # a pivot above the guard whose column grows C^2 past _GROWTH max|diag|
+    assert calls == [(40, 40)]
+    # a small negative entry beside an off-diagonal one 100 times its size
     a = _dominant_band(rng, 40, 3)
     scale = np.abs(np.diag(a)).max()
-    a[0, 0] = -scale / (0.5 * _GROWTH)
+    a[0, 0] = -scale / 50.0
     a[1, 0] = a[0, 1] = 2 * scale
     calls.clear()
     _check_solver(rng, a, 3)
-    assert calls == [None, (40, 40)]
-    # an exactly singular window: the pivot at its zero row is refused,
-    # and eigh's zero eigenvalue stops the factor
+    assert calls == [(40, 40)]
+    # an exactly singular window: eigh's zero eigenvalue stops the factor
     calls.clear()
     with pytest.raises(np.linalg.LinAlgError):
         _band_solver(np.array([[1.0, 0.0, -1.0]]))
-    assert calls == [None, (3, 3)]
+    assert calls == [(3, 3)]
 
 
 def test_band_solver_inverts_around_an_eigh_block_and_padding(monkeypatch, rng):
     # 150 unknowns, so the last block has padding rows; the middle block
-    # holds more weak rows than _PIVOTS and goes to eigh, and C left of
-    # the last block is its below panel, from its first column.  The
-    # stacked inverse meets neither slot's zero diagonal: no division by
-    # zero, as an error
+    # holds five negative rows and goes to eigh, and C left of the last
+    # block is its below panel, from its first column.  The stacked
+    # inverse meets neither slot's zero diagonal: no division by zero, as
+    # an error
     calls = _routes(monkeypatch)
     a = _dominant_band(rng, 150, 3)
-    rows = list(range(70, 120, 8))[: _PIVOTS + 1]
+    rows = list(range(70, 120, 8))[:5]
     a[rows, rows] *= -2.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _check_solver(rng, a, 3)
-    assert calls == [None, (_BLOCK, _BLOCK)]
-    assert _band_solver(lower_band(a, 3)).negatives == _negatives(a) == _PIVOTS + 1
+    assert calls == [(_BLOCK, _BLOCK)]
+    assert _band_solver(lower_band(a, 3)).negatives == _negatives(a) == 5
 
 
 @pytest.mark.parametrize("a, negatives", [(4.0, 0), (-4.0, 1), (2.0, 0), (-2.0, 1)])
 def test_band_solver_one_unknown(a, negatives):
-    # one Cholesky or one 1x1 pivot; sqrt(4) and its inverse are exact, so
+    # one Cholesky or one 1x1 eigh; sqrt(4) and its inverse are exact, so
     # there x = y / a to the last bit; for a = 2, within the two roundings
     # of 1 / sqrt(2)
     solve = _band_solver(np.array([[a]]))
@@ -448,71 +435,17 @@ def test_band_solver_one_unknown(a, negatives):
             assert np.all(np.abs(x - want) <= 2.0**-51 * np.abs(want))
 
 
-def _full_update_window(window, m):
-    """_pivoted_window's (C, S_b) on windows whose guards all pass, with
-    each pivot's rank-1 Schur update over every row below it."""
-    a = window * np.tri(len(window))
-    mag = np.abs(a)
-    (weak,) = np.nonzero(3.0 * a.diagonal()[:m] <= mag[:m].sum(1) + mag[:, :m].sum(0))
-    c, signs, start = np.zeros_like(a), np.ones(m), 0
-
-    def segment(i, j):
-        c[i:j, i:j] = top = np.linalg.cholesky(a[i:j, i:j])
-        c[j:, i:j] = np.linalg.solve(top, a[j:, i:j].T).T
-        a[j:, j:] -= c[j:, i:j] @ c[j:, i:j].T
-
-    for p in weak.tolist():
-        if p > start:
-            segment(start, p)
-        signs[p] = sign = math.copysign(1.0, a[p, p])
-        c[p, p] = root = math.sqrt(abs(a[p, p]))
-        start = p + 1
-        c[start:, p] = a[start:, p] * (sign / root)
-        a[start:, start:] -= sign * np.outer(c[start:, p], c[start:, p])
-    if start < len(a):
-        c[start:, start:] = np.linalg.cholesky(a[start:, start:])
-    return c, signs
-
-
-@pytest.mark.parametrize("bandwidth", [1, 5, 10, 30])
-def test_pivoted_window_updates_only_its_band(rng, bandwidth):
-    # a pivot's update stops at its column's last nonzero row; rows past
-    # it would only subtract zeros, so C and S_b are those of the full
-    # update, bit for bit, with pivots at the start, middle and end
-    m = _BLOCK
-    for pivots in ([0], [31], [m - 1], [0, 1], [m - 2, m - 1], [0, 31, m - 1]):
-        for rows in (m + bandwidth, m):  # rows below the block, or none
-            a = _dominant_band(rng, rows, bandwidth)
-            a[pivots, pivots] *= -2.0
-            if bandwidth >= 5:  # the first pivot weak but positive: half its row's sum
-                p = pivots[0]
-                a[p, p] = 0.5 * (np.abs(a[p]).sum() + a[p, p])
-            window, s = np.tril(a), np.ones(m)
-            c = spectral._pivoted_window(window.copy(), m, s)
-            want, signs = _full_update_window(window, m)
-            assert c is not None and c.tobytes() == want.tobytes()
-            assert s.tolist() == signs.tolist()
-            assert [s[p] for p in pivots] == [1.0 if j == 0 and bandwidth >= 5 else -1.0
-                                              for j in range(len(pivots))]
-
-
 @pytest.mark.parametrize("n", [1, 63, 64, 65, 129, 300])
 def test_band_solver_counts_negative_eigenvalues(monkeypatch, rng, n):
     # the -1s of S are the inertia of a: symmetric random bands shifted
     # to between two eigenvalues, so a block-by-block sweep of Cholesky
-    # windows, 1x1 pivots and eigh blocks meets every sign pattern of pivots
-    eigh, pivoted = np.linalg.eigh, spectral._pivoted_window
-    calls = []
+    # windows and eigh blocks meets every sign pattern of S; a -1 in S
+    # comes only from eigh
+    eigh, calls = np.linalg.eigh, []
 
     def counted(a):
         calls.append(a.shape)
         return eigh(a)
-
-    def signed(window, m, s):
-        c = pivoted(window, m, s)
-        if c is not None and s.min() < 0.0:
-            calls.append("-1 pivot")
-        return c
 
     for bandwidth in sorted({min(bw, n - 1) for bw in (*_BANDWIDTHS, n - 1)}):
         i, j = np.indices((n, n))
@@ -526,7 +459,6 @@ def test_band_solver_counts_negative_eigenvalues(monkeypatch, rng, n):
             calls.clear()
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "eigh", counted)
-                m.setattr(spectral, "_pivoted_window", signed)
                 negatives = _band_solver(lower_band(a, bandwidth)).negatives
             assert negatives == _negatives(a)
             assert (len(calls) > 0) == (negatives > 0)
