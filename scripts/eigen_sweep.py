@@ -22,7 +22,8 @@ For each set the script prints the graphs, the failures to converge,
 the worst relative error of lambda1 and the most Lanczos steps, and it
 exits 1 on any failure or on an error above DENSE_BOUND (eigh) or
 MP_BOUND (mpmath).  It needs mpmath (pip install mpmath) and takes
-about 3 s on one core.
+about 3 s on one core.  scripts/pass_index_sweep.py draws its
+log-uniform set with loguniform_inputs, which needs no mpmath.
 
     PYTHONPATH=src python scripts/eigen_sweep.py
 """
@@ -31,7 +32,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import mpmath
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -42,7 +42,6 @@ from graphpde import build_graph, compute_boundary, first_eigenvalue  # noqa: E4
 
 DENSE_BOUND = 1e-11
 MP_BOUND = 1e-7
-mpmath.mp.dps = 40
 
 
 def corpus_inputs():
@@ -132,8 +131,11 @@ def dense_reference(inp, mu):
 
 
 def mp_reference(inp, mu):
-    a = mpmath.matrix(scaled_laplacian(inp, mu, real=mpmath.mpf, sqrt=mpmath.sqrt))
-    return float(min(mpmath.eigsy(a, eigvals_only=True)))
+    import mpmath  # here, so that drawing the graphs needs no mpmath
+
+    with mpmath.workdps(40):
+        a = mpmath.matrix(scaled_laplacian(inp, mu, real=mpmath.mpf, sqrt=mpmath.sqrt))
+        return float(min(mpmath.eigsy(a, eigvals_only=True)))
 
 
 def main() -> int:

@@ -8,12 +8,15 @@ and h = 1 on
         perfbench.corpus.random_graph draws, four per rng seed 0-24;
     the test generator at p = 4: 400 graphs gen<seed>_<i> of 5-25
         vertices, 200 per rng seed 11 and 12, the draws of the tests'
-        random_connected_graph with random_partition.
+        random_connected_graph with random_partition;
+    the log-uniform graphs at p = 4: 80 graphs logu<i> of 5-25 vertices
+        with weights 10^U(-6, 6) and given measures, drawn by
+        scripts/eigen_sweep.py's loguniform_inputs.
 
 Each solution's Morse index is counted here, from numpy's dense
 eigvalsh of the Hessian L + diag(mu (1 - f_u(u))) on the interior
-unknowns, assembled from the corpus's own edge lists, not by the
-package.  For each set the script prints the failures, the stop
+unknowns, assembled from the set's own edge lists and measures, not by
+the package.  For each set the script prints the failures, the stop
 reasons, the escapes (calls of solver._escape_direction), the most
 descent steps (trace rows) of a run, the Newton runs (calls of
 solver._newton_polish) and the band factors (calls of
@@ -29,7 +32,7 @@ Hessian's diagonal and the point's own curvature, at 0 or at 1, or
 from a factor of the Hessian (a factor of J(u) made last in the run
 and never solved with).  Then Newton's chord steps (solves with a
 step's factor of J(u) or low-rank update after its first), the
-attempts that gave up, by the SolverError that ended them (an exact
+Newton runs that gave up, by the SolverError that ended them (an exact
 step's cut short of NEWTON_CUT, the budget, a singular Jacobian, a
 non-finite step), and the blocks of the band factors that went to
 np.linalg.eigh, as every block whose Cholesky fails does.  It exits 1
@@ -53,6 +56,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
+from eigen_sweep import generator_inputs, loguniform_inputs  # noqa: E402
 from perfbench import corpus  # noqa: E402
 
 import graphpde.solver  # noqa: E402
@@ -63,8 +67,8 @@ from graphpde import (  # noqa: E402
 
 # band factors per full set, the most a change may take
 FACTOR_CEILINGS = {"corpus p=2.5": 238, "corpus p=3": 262, "corpus p=4": 283,
-                   "test generator p=4": 1158}
-# the SolverError messages of an attempt that gives up, by reason
+                   "test generator p=4": 1158, "loguniform p=4": 303}
+# the SolverError messages of a Newton run that gives up, by reason
 GIVE_UPS = {"cut": "Newton attempt cut", "budget": "Newton refinement did not reach",
             "singular": "Newton's Jacobian is singular", "non-finite": "Newton step"}
 
@@ -77,16 +81,9 @@ def corpus_inputs():
     return out
 
 
-def generator_inputs():
-    out = []
-    for seed in (11, 12):
-        rng = np.random.default_rng(seed)
-        out += [corpus.random_graph(rng, f"gen{seed}_{i}", 5, 25) for i in range(200)]
-    return out
-
-
-def dense_index(inp, u, p):
-    """Negative eigenvalues of the Hessian at u (one value per vertex)."""
+def dense_index(inp, mu, u, p):
+    """Negative eigenvalues of the Hessian at u (one value per vertex),
+    with the measures mu, or the derived ones where mu is None."""
     n = len(inp.ids)
     hess = np.zeros((n, n))
     for a, b, w in inp.edges:
@@ -94,17 +91,21 @@ def dense_index(inp, u, p):
         hess[b, b] += w
         hess[a, b] -= w
         hess[b, a] -= w
-    mu = np.diag(hess).copy()  # the derived measure, the incident weights
-    hess += np.diag(mu * (1.0 - (p - 1.0) * np.abs(u) ** (p - 2.0)))
+    if mu is None:
+        mu = np.diag(hess).copy()  # the derived measure, the incident weights
+    hess += np.diag(np.asarray(mu) * (1.0 - (p - 1.0) * np.abs(u) ** (p - 2.0)))
     omega = list(inp.omega)
     return int(np.sum(np.linalg.eigvalsh(hess[np.ix_(omega, omega)]) < 0.0))
 
 
-def sweep(label, inputs, p, escapes, calls):
+def sweep(label, cases, p, escapes, calls):
+    """Solve each (input, given measures or None for derived ones) of cases."""
     failures, wrong, stops, per_run, steps = [], [], Counter(), [], 0
     calls.clear()
-    for inp in inputs:
-        graph = build_graph(inp.ids, [(inp.ids[a], inp.ids[b], w) for a, b, w in inp.edges])
+    for inp, mu in cases:
+        given = {} if mu is None else {"measure_mode": "given", "measures": dict(zip(inp.ids, mu))}
+        graph = build_graph(inp.ids, [(inp.ids[a], inp.ids[b], w) for a, b, w in inp.edges],
+                            **given)
         part = compute_boundary(graph, [inp.ids[i] for i in inp.omega])
         problem = Problem(graph, part, np.ones(graph.n), power(p))
         log = RunLog()
@@ -119,11 +120,11 @@ def sweep(label, inputs, p, escapes, calls):
             stops[log.stops.get("mountain_pass")] += 1
             per_run.append(len(escapes))
             steps = max(steps, len(log.traces.get("mountain_pass", ())))
-        index = dense_index(inp, sol.u, p)
+        index = dense_index(inp, mu, sol.u, p)
         if index != 1:
             wrong.append(f"{inp.name} index {index}")
-    print(f"{label}: {len(inputs)} problems, {len(failures)} failures, "
-          f"{len(inputs) - len(failures) - len(wrong)} at index 1")
+    print(f"{label}: {len(cases)} problems, {len(failures)} failures, "
+          f"{len(cases) - len(failures) - len(wrong)} at index 1")
     print(f"  stops {dict(sorted(stops.items()))}")
     print(f"  escapes {sum(per_run)} (at most {max(per_run, default=0)} in a run), "
           f"most steps {steps}")
@@ -150,8 +151,8 @@ def main(argv=None) -> int:
                         help="restrict the sweep to this graph (repeatable)")
     args = parser.parse_args(argv)
 
-    def chosen(inputs):
-        return [inp for inp in inputs if args.only is None or inp.name in args.only]
+    def chosen(cases):
+        return [case for case in cases if args.only is None or case[0].name in args.only]
 
     escapes, calls = [], Counter()
     escape = graphpde.solver._escape_direction
@@ -176,9 +177,7 @@ def main(argv=None) -> int:
         try:
             found = newton(*args, **kwargs)
         except SolverError as exc:
-            if kwargs.get("attempt"):
-                calls[next(why for why, start in GIVE_UPS.items()
-                           if str(exc).startswith(start))] += 1
+            calls[next(why for why, start in GIVE_UPS.items() if str(exc).startswith(start))] += 1
             raise
         finally:
             in_newton.pop()
@@ -247,9 +246,11 @@ def main(argv=None) -> int:
     graphpde.solver._band_solver = counted_factor
     graphpde.solver._Gram.solve = counted_gram
     graphpde.solver._updated_solve = counted_update
-    sets = [(f"corpus p={p:g}", corpus_inputs(), p) for p in (2.5, 3.0, 4.0)]
-    sets.append(("test generator p=4", generator_inputs(), 4.0))
-    results = [sweep(label, chosen(inputs), p, escapes, calls) for label, inputs, p in sets]
+    derived = [(inp, None) for inp in corpus_inputs()]
+    sets = [(f"corpus p={p:g}", derived, p) for p in (2.5, 3.0, 4.0)]
+    sets.append(("test generator p=4", [(inp, None) for inp in generator_inputs()], 4.0))
+    sets.append(("loguniform p=4", loguniform_inputs(), 4.0))
+    results = [sweep(label, chosen(cases), p, escapes, calls) for label, cases, p in sets]
     solved, within = (all(col) for col in zip(*results))
     print(f"every solution at index 1: {solved}")
     print(f"band factors within the ceilings: {within}")

@@ -391,8 +391,8 @@ class HypothesisVerdict:
 
 def check_h(graph, partition, h, which: str, h0: float | None = None) -> HypothesisVerdict:
     """Check H1 (h >= h0 on the interior), H2 (no zeros of h on the
-    interior, with the summed 1/|h| reported) or H3 (the h integral is
-    at most 1/(mu_min h0))."""
+    interior, with the summed 1/|h| reported, which must be a float) or
+    H3 (the h integral is at most 1/(mu_min h0))."""
     h = np.asarray(h, dtype=float)
     omega = partition.omega
     h_omega = h[omega]
@@ -413,7 +413,17 @@ def check_h(graph, partition, h, which: str, h0: float | None = None) -> Hypothe
             vid = graph.vertex_ids[int(omega[zeros[0]])]
             return HypothesisVerdict(
                 "H2", False, f"h vanishes at vertex {vid!r}; 1/h is not summable")
-        l1 = float(np.dot(graph.measure[omega], 1.0 / np.abs(h_omega)))
+        mu = graph.measure[omega]
+        with np.errstate(over="ignore"):
+            l1 = float(np.dot(mu, 1.0 / np.abs(h_omega)))
+        if not math.isfinite(l1):
+            # the largest term, compared by logarithms, which stay finite
+            k = int(np.argmax(np.log(mu) - np.log(np.abs(h_omega))))
+            vid = graph.vertex_ids[int(omega[k])]
+            return HypothesisVerdict(
+                "H2", False, f"int 1/|h| dmu leaves floating point; its largest term is "
+                f"mu = {mu[k]:g} over |h| = {abs(h_omega[k]):g} at vertex {vid!r}",
+                data={"mu": float(mu[k]), "h": float(h_omega[k])})
         return HypothesisVerdict(
             "H2", True,
             f"h has no interior zeros; int 1/|h| dmu = {l1:g}",

@@ -30,7 +30,8 @@ few vertices, factors J(u) itself where it does not, keeps what it
 solves with for as long as its steps cut the residual hundredfold
 (chord steps), and reads a Morse index of 0 or 1 without a factor where
 the Hessian's diagonal and the point's own curvature bracket it to one
-value.  P, Newton's indefinite Jacobians and an escape's shifted
+value.  Every Newton run takes at most NEWTON_MAX steps and gives up on
+a weak cut.  P, Newton's indefinite Jacobians and an escape's shifted
 Hessian are factored by spectral._band_solver (_band_factor), whose
 negative pivots count the Morse index.
 
@@ -45,6 +46,7 @@ All loops are deterministic: no randomness and fixed tie-breaking
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -74,11 +76,10 @@ TRIVIAL_SUP = 1e-10    # sup-norm below which an iterate counts as the zero func
 DISTINCT_SUP = 1e-6    # sup-norm gap two reported solutions must exceed
 SPHERE_MARGIN = 1e-8   # how far inside the constraint sphere "interior" starts
 NEWTON_TOL = 1e-12     # vertexwise residual Newton refinement must reach
-NEWTON_MAX = 50        # Newton iterations before refinement gives up
-NEWTON_TRY = 8         # Newton iterations of the mountain pass's hand-off attempt
-NEWTON_CUT = 0.1       # residual factor each fresh attempt step after the first must reach;
+NEWTON_MAX = 8         # Newton iterations before a run gives up
+NEWTON_CUT = 0.1       # residual factor each fresh exact step after the first must reach;
                        # a step that reaches its square lets the next one reuse its factor
-NEWTON_EVERY = 5       # descent steps from one Newton attempt to the next, the first at step 0
+NEWTON_EVERY = 5       # descent steps from one Newton hand-off to the next, the first at step 0
 ESCAPE_STEP = 0.1      # length of an escape step, relative to the point it leaves
 ESCAPE_SOLVES = 5      # block inverse-iteration solves that find an escape direction
 SPIKE_DOUBLINGS = 60   # doublings (halvings) before the spike or ray-peak search gives up
@@ -508,8 +509,8 @@ def _term_level(problem: Problem, u: np.ndarray) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a diverging step fails as not finite
-def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trace=None,
-                   at_u0=None, gram: _Gram | None = None):
+def _newton_polish(problem: Problem, u0: np.ndarray, trace=None, at_u0=None,
+                   gram: _Gram | None = None):
     """Refine a candidate, given by its interior values, to vertexwise
     residual <= NEWTON_TOL, or to at most its terms' rounding
     (_term_level) after a step that cut it by less than NEWTON_CUT; at_u0,
@@ -538,8 +539,13 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     r_prev), is at or below r's rounding level (_rounding_level); with an
     approximate Jacobian, which converges only linearly, steps go on
     while they cut to r <= NEWTON_CUT^2 r_prev and r is above that level.
-    A singular Jacobian or a non-finite step raises a SolverError that
-    names it; no step is retried.
+    A run gives up with a SolverError that names why: its NEWTON_MAX
+    iterations spent, an exact step after the first that cut the
+    residual by less than NEWTON_CUT (a chord or approximate one that
+    does so only ends the chord steps), a singular Jacobian or a
+    non-finite step; no step is retried.  A trace list receives the
+    (energy, Euclidean gradient norm) row of each iterate, also of one
+    that fails.
 
     Returns (u, residual_max, index, the _kernel pass at u with energy
     and residual).  index is the Morse index at u, the number of negative
@@ -554,17 +560,11 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
     on its rounding with n = edges + 2 |omega| + 8 (Higham, Accuracy and
     Stability of Numerical Algorithms, 2002, ch. 3), else 0.  When lower
     equals upper, that is the index; otherwise H is factored, never
-    read off an approximate Jacobian.  An attempt takes at most
-    NEWTON_TRY iterations and gives up with a SolverError when an exact
-    Newton step after the first cuts the residual by less than
-    NEWTON_CUT; a chord or approximate step that does so only ends the
-    chord steps.  A trace list receives the (energy, Euclidean gradient
-    norm) row of each iterate, also of one that fails.
+    read off an approximate Jacobian.
     """
     mu, h = problem._form.mu, problem.h[problem._form.omega]
     gram = gram or _Gram(problem)
     u = np.array(u0, dtype=float, copy=True)
-    budget = NEWTON_TRY if attempt else NEWTON_MAX
     prev = math.inf
     solve = None         # the kept solve, of the last fresh step
     fresh = False        # whether the last step made it
@@ -577,7 +577,7 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
         except np.linalg.LinAlgError:
             raise SolverError(f"Newton's Jacobian is singular at step {step}") from None
 
-    for step in range(budget + 1):
+    for step in range(NEWTON_MAX + 1):
         if step or at_u0 is None:
             quad, value, r = _kernel(problem, u, value=trace is not None, residual=True)
         else:
@@ -591,10 +591,10 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
             # with an approximate Jacobian, steps while they cut fast down to
             # rounding; after a chord step, one more when predicted to land there
             if approximate:
-                chord = (step < budget and res_max <= NEWTON_CUT**2 * prev
+                chord = (step < NEWTON_MAX and res_max <= NEWTON_CUT**2 * prev
                          and res_max > _rounding_level(problem, u, r))
             else:
-                chord = (solve is not None and not fresh and not finish and step < budget
+                chord = (solve is not None and not fresh and not finish and step < NEWTON_MAX
                          and res_max * (res_max / prev) <= _rounding_level(problem, u, r))
             if not chord:
                 solve = None
@@ -610,10 +610,10 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
                 return u, res_max, factor(step, zero_order).negatives, at_u
             finish = True
         else:
-            if step == budget:
-                break
-            if (attempt and step >= 2 and fresh and not approximate
-                    and not res_max <= NEWTON_CUT * prev):
+            if step == NEWTON_MAX:
+                raise SolverError(f"Newton refinement did not reach residual {NEWTON_TOL:g} in "
+                                  f"{NEWTON_MAX} iterations (residual {res_max:g})")
+            if step >= 2 and fresh and not approximate and not res_max <= NEWTON_CUT * prev:
                 raise SolverError(
                     f"Newton attempt cut the residual only from {prev:g} to {res_max:g}")
             chord = solve is not None and res_max <= NEWTON_CUT**2 * prev
@@ -629,23 +629,6 @@ def _newton_polish(problem: Problem, u0: np.ndarray, attempt: bool = False, trac
         if not np.all(np.isfinite(delta)):
             raise SolverError(f"Newton step {step} is not finite")
         u += delta
-    raise SolverError(
-        f"Newton refinement did not reach residual {NEWTON_TOL:g} in "
-        f"{budget} iterations (residual {res_max:g})"
-    )
-
-
-def _newton_attempt(problem: Problem, u0: np.ndarray, at_u0=None, gram=None):
-    """Newton from u0, at_u0 its _kernel pass if known, as an attempt
-    (_newton_polish, with gram's P): its (u, residual_max, index,
-    kernel pass) when it converges to a nonzero point, None otherwise,
-    also when Newton fails (a SolverError, a singular Jacobian among
-    them)."""
-    try:
-        found = _newton_polish(problem, u0, attempt=True, at_u0=at_u0, gram=gram)
-    except SolverError:
-        return None
-    return found if np.max(np.abs(found[0])) >= TRIVIAL_SUP else None
 
 
 def _is_trivial_collapse(problem: Problem, u) -> bool:
@@ -691,17 +674,17 @@ def mountain_pass(
     loop stops when |g| reaches deform_tol, after deform_steps steps, or
     when halving no longer moves the point ("backtracking").
 
-    At step 0 and every NEWTON_EVERY steps after, Newton runs from u as
-    an attempt (_newton_attempt) and converges, or not, to w.  When
-    energy(w) <= energy(u), w of Morse index 1 (the Hessian factor's
-    count) is the solution, and w of index >= 2 is escaped: u becomes the
-    lower peak of w +- ESCAPE_STEP |w| y, y from _escape_direction.  After
-    any other stop Newton refines u in full, and a result of index other
-    than 1 is refused.  Every Newton run starts from u's ray-peak pass.
-    The descent's steps and every Newton run solve with one factor of P,
-    gram's when given (two_solutions shares it with the ball minimizer),
-    else one made here and dropped on return; it is factored at the
-    first solve that needs it.
+    Newton (_newton_polish) runs from u's ray-peak pass at step 0, every
+    NEWTON_EVERY steps after and once after the descent stops.  In the
+    descent a run that fails is passed over, and one that converges to
+    a nonzero w with energy(w) <= energy(u) hands off: w of Morse index
+    1 is the solution, and w of index >= 2 is escaped, u becoming the
+    lower peak of w +- ESCAPE_STEP |w| y, y from _escape_direction.
+    After the stop, a failure is the error, and w must be nonzero and of
+    index 1.  The descent's steps and every Newton run solve with one
+    factor of P, gram's when given (two_solutions shares it with the ball
+    minimizer), else one made here and dropped on return; it is factored
+    at the first solve that needs it.
 
     log receives the gate's verdicts, the "mountain_pass" trace, one
     (energy, gradient norm) row per iterate, and its stop reason.
@@ -728,8 +711,9 @@ def mountain_pass(
         trace.append((level, gn))
         found = None
         if k % NEWTON_EVERY == 0:
-            found = _newton_attempt(problem, u, (quad, level, r), gram)
-        if found is not None and found[3][1] <= level:  # the energy of Newton's point
+            with contextlib.suppress(SolverError):
+                found = _newton_polish(problem, u, at_u0=(quad, level, r), gram=gram)
+        if found is not None and found[3][1] <= level and np.max(np.abs(found[0])) >= TRIVIAL_SUP:
             w, _, index, _ = found
             if index == 1:
                 log.stops["mountain_pass"] = "newton_handoff"
@@ -762,14 +746,11 @@ def mountain_pass(
     try:
         found = _newton_polish(problem, u, at_u0=(quad, level, r), gram=gram)
     except SolverError as exc:
-        if stop != "tolerance":
-            how = {"budget": "spent its iteration budget",
-                   "backtracking": "exhausted its backtracking"}[stop]
-            raise SolverError(
-                f"descent {how} at energy {level:.17g} and Newton "
-                f"refinement from the iterate failed: {exc}"
-            ) from exc
-        raise
+        if stop == "tolerance":
+            raise
+        how = "spent its iteration budget" if stop == "budget" else "exhausted its backtracking"
+        raise SolverError(f"descent {how} at energy {level:.17g} and Newton "
+                          f"refinement from the iterate failed: {exc}") from exc
     u, _, index, _ = found
     if _is_trivial_collapse(problem, u):
         raise SolverError(
@@ -794,7 +775,7 @@ def ball_minimize(
     """Local minimizer of the energy strictly inside the ball h-norm <
     sqrt(rho).
 
-    Newton runs from the zero function as an attempt (_newton_polish).
+    Newton runs from the zero function (_newton_polish).
     Its point is accepted when the Hessian there has Morse index 0 and
     its h-norm lies inside the sphere by SPHERE_MARGIN; otherwise, and
     when Newton fails, the error says "no interior minimizer found" and
@@ -817,8 +798,7 @@ def ball_minimize(
     trace = log.traces["ball_min"] = []
     refused = "no interior minimizer found: Newton from the zero function"
     try:
-        found = _newton_polish(problem, np.zeros(len(problem._form.mu)), attempt=True,
-                               trace=trace, gram=gram)
+        found = _newton_polish(problem, np.zeros(len(problem._form.mu)), trace=trace, gram=gram)
     except SolverError as exc:
         log.stops["ball_min"] = "newton_failed"
         raise SolverError(f"{refused} failed: {exc}") from exc

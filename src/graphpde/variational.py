@@ -19,9 +19,8 @@ the edges from x out of omega, so
 
 and the residual is (L v + mu h v)/mu - f(v), with L the interior
 Laplacian; mu times it is the Euclidean gradient.  The kernel takes a
-vector (k,) or a stack (P, k) of interior values and checks nothing;
-the solvers iterate on such arrays and call it directly.  energy (of a
-function (n,) or a stack (P, n)), gradient, h_norm and
+vector (k,) of interior values and checks nothing; the solvers iterate
+on such vectors and call it directly.  energy, gradient, h_norm and
 pointwise_residual check that u vanishes off the interior, then call
 it.  The per-vertex route (calculus.dirichlet_energy) is the cross-check.
 """
@@ -91,34 +90,26 @@ class Problem:
         return self._form.mu * self.h[self._form.omega]
 
 
-def _require_dirichlet(problem: Problem, u, name: str = "u", stack: bool = False):
-    """The interior values of u, one float per vertex, or with stack=True
-    also of a (P, n) stack of such rows, each checked to vanish off the
-    interior."""
+def _require_dirichlet(problem: Problem, u, name: str = "u"):
+    """The interior values of u, one float per vertex, checked to vanish
+    off the interior."""
     u = np.asarray(u, dtype=float)
-    if u.ndim not in ((1, 2) if stack else (1,)) or u.shape[-1] != problem.graph.n:
+    if u.shape != (problem.graph.n,):
         raise ValueError(
             f"{name} must hold one value per vertex ({problem.graph.n}), got shape {u.shape}"
         )
-    if not np.all(u[..., problem._form.off] == 0.0):
+    if not np.all(u[problem._form.off] == 0.0):
         raise ValueError(f"{name} must vanish outside the interior")
-    return u[..., problem._form.omega]
+    return u[problem._form.omega]
 
 
 def _kernel(problem: Problem, v, value: bool = True, residual: bool = False):
-    """The energy kernel, on interior values v of shape (k,) or a stack
-    (P, k): (squared h-norm, energy, pointwise residual), None for an
-    energy or residual not asked for; the residual needs shape (k,).
-    mu times the residual is the Euclidean gradient."""
+    """The energy kernel, on interior values v of shape (k,): (squared
+    h-norm, energy, pointwise residual), None for an energy or residual
+    not asked for.  mu times the residual is the Euclidean gradient."""
     form = problem._form
-    # Both ends of every edge in one gather, freed at once.  glibc malloc
-    # maps each block above its threshold (128 KiB at start) afresh until
-    # a larger one is freed; freeing this one, the largest of the call,
-    # keeps the later temporaries of a stacked call on the heap (mapping
-    # them tripled the time of a 41-row stack at 784 unknowns).
-    ends = v[..., form.ends]
-    d = ends[..., 0, :] - ends[..., 1, :]
-    del ends
+    ends = v[form.ends]  # both ends of every edge inside omega, in one gather
+    d = ends[0] - ends[1]
     diag = form.w_off + problem._mu_h
     quad = (d * d) @ form.w + (v * v) @ diag
     val = _value(problem, v, quad) if value else None
@@ -142,13 +133,10 @@ def _h_norm(quad) -> float:  # from its square, _kernel's first value
     return math.sqrt(radicand)
 
 
-def energy(problem: Problem, u):
+def energy(problem: Problem, u) -> float:
     """Value of the energy functional at a Dirichlet function u of shape
-    (n,), as a float, or at each row of a stack of shape (P, n), as a
-    (P,) array.  Raises ValueError when any row is nonzero off the
-    interior."""
-    value = _kernel(problem, _require_dirichlet(problem, u, stack=True))[1]
-    return float(value) if np.ndim(value) == 0 else value
+    (n,).  Raises ValueError when u is nonzero off the interior."""
+    return float(_kernel(problem, _require_dirichlet(problem, u))[1])
 
 
 def h_norm(problem: Problem, u) -> float:

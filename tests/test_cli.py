@@ -223,6 +223,34 @@ def test_eigen_step_refuses_non_finite_numbers(argv, text, message, graph_file, 
     assert "constants" not in [r["record"] for r in records]
 
 
+@pytest.mark.parametrize("argv", [["check"], ["solve", "--nl", "power:p=4"]],
+                         ids=lambda argv: argv[0])
+@pytest.mark.parametrize("text,witness,data", [
+    # one term mu/|h| past the largest float
+    (PATH3.replace("v b auto 1 omega", "v b auto 1e-320 omega"),
+     "mu = 2 over |h| = 9.99989e-321 at vertex 'b'", {"h": 1e-320, "mu": 2.0}),
+    # two finite terms whose sum is past it
+    ("v a 1 0 boundary\nv b 1e10 1e-298 omega\nv c 1.5e10 -1e-298 omega\n"
+     "v d 1 0 boundary\ne a b 1\ne b c 1\ne c d 1\n",
+     "mu = 1.5e+10 over |h| = 1e-298 at vertex 'c'", {"h": -1e-298, "mu": 1.5e10}),
+], ids=["subnormal_h", "sum"])
+def test_h2_fails_where_the_integral_of_one_over_h_leaves_floating_point(
+        argv, text, witness, data, graph_file, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would raise out of run()
+        code = run([argv[0], graph_file(text), *argv[1:], "--format", "jsonl"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    records = jsonl_records(captured.out)
+    witness = f"int 1/|h| dmu leaves floating point; its largest term is {witness}"
+    if argv[0] == "check":
+        assert {"record": "hypothesis", "name": "H2", "holds": False, "witness": witness,
+                "data": data} in records
+    else:
+        assert records[1:] == [{"record": "error", "message": "hypothesis verification "
+                                f"failed before solving: H2: {witness}"}]
+
+
 @pytest.mark.parametrize("argv", [
     ["eigen", "--h0", "1"],
     ["check", "--h0", "1"],

@@ -21,7 +21,8 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     ("report_sweep.py", ["--only", "path3-self_loop", "--only", "path3-crlf_tabs_comments"],
      "10 reports: 5 exit 0, 5 exit 2"),
     ("report_sweep.py", ["--only", "path3-overflowing_measure"], "5 reports: 5 exit 2"),
-    ("pass_index_sweep.py", ["--only", "path3", "--only", "grid12", "--only", "s10rand3"],
+    ("pass_index_sweep.py", ["--only", "path3", "--only", "grid12", "--only", "s10rand3",
+                             "--only", "logu29"],
      "every solution at index 1: True"),
 ])
 def test_script_runs(script, args, expect):

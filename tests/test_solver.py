@@ -57,11 +57,16 @@ SMALL_ROOT = bisect(lambda t: 2 * t - t**3 - 0.1, 0.0, 0.5)
 LARGE_ROOT = bisect(lambda t: 2 * t - t**3 - 0.1, 1.0, 1.4)
 
 
+def _without_handoffs(monkeypatch):
+    """The mountain pass with no Newton run before its descent stops, so
+    that the descent runs on inputs that would otherwise hand off or
+    escape: k % nan is nan, never 0, at every step k."""
+    monkeypatch.setattr(graphpde.solver, "NEWTON_EVERY", math.nan)
+
+
 @pytest.fixture
 def descent_only(monkeypatch):
-    """The mountain pass with every Newton attempt refused, so that the
-    descent runs on inputs that would otherwise hand off or escape."""
-    monkeypatch.setattr(graphpde.solver, "_newton_attempt", lambda *args: None)
+    _without_handoffs(monkeypatch)
 
 
 def test_spike_endpoint_oracle():
@@ -311,7 +316,7 @@ def test_ball_minimize_pinned_to_sphere():
 def _converged_at(value, index):
     """A stand-in for _newton_polish that converges at value everywhere
     with Morse index index."""
-    def polish(problem, u0, attempt=False, trace=None, gram=None):
+    def polish(problem, u0, trace=None, gram=None):
         u = np.full_like(u0, value)
         return u, 0.0, index, graphpde.solver._kernel(problem, u, residual=True)
 
@@ -710,23 +715,68 @@ def test_newton_refuses_a_non_finite_step(monkeypatch):
         _newton_polish(three_path_problem(POWER4), np.array([1.4]))
 
 
-def test_newton_stops_at_the_rounding_of_the_residuals_terms():
-    # logu31 of scripts/eigen_sweep.py: weights 10^U(-6, 6) with measures
-    # drawn for other weights.  The residual's terms, (|L| |u|) / mu among
-    # them, round above NEWTON_TOL, where Newton stalls until its budget
-    # is spent; it converges once a step cuts by less than NEWTON_CUT down
-    # to that rounding.  ps_diagnostic, which asks for NEWTON_TOL, reads
-    # false on such a solution
-    ids = ["v0", "v1", "v2", "v3", "v4"]
-    edges = [("v0", "v1", 219396.5862250769), ("v0", "v2", 0.0037250014780461946),
-             ("v1", "v4", 5096.598130356683), ("v2", "v3", 2.3386728511995927e-05)]
-    mu = [8.617891843155673, 13.319205616381847, 7.833476547654993, 2.8797489933601486,
-          9.655041327521019]
-    graph = build_graph(ids, edges, measure_mode="given", measures=dict(zip(ids, mu)))
-    part = compute_boundary(graph, ["v0", "v1", "v4"])
-    problem = Problem(graph=graph, partition=part, h=np.ones(5), nl=power(4))
+# logu29, logu30 and logu31 of scripts/eigen_sweep.py, vertices v0, v1,
+# ...: weights 10^U(-6, 6) with measures drawn for other weights, as
+# (edges by vertex index, measures, interior)
+LOG_UNIFORM = {
+    "logu29": (
+        [(0, 1, 0.002206821987908579), (0, 3, 175168.26915144504), (1, 2, 0.0819330773704906),
+         (1, 4, 14.290354634541512), (1, 5, 1.2368474354647519e-05),
+         (1, 6, 49053.06378170297), (3, 5, 1.7220392001186334e-05),
+         (4, 6, 0.053525528518551566), (4, 7, 42353.63523315568), (5, 8, 218739.9553238573),
+         (6, 8, 70421.90732116709)],
+        [4.4231352755674465, 22.06058618014324, 5.311495733583227, 5.659604094258711,
+         22.062614950598093, 8.315185536542776, 20.949818677045272, 8.541124240212348,
+         5.350938079900848],
+        [1, 3, 5, 6, 8]),
+    "logu30": (
+        [(0, 1, 0.012888579449804838), (0, 5, 747081.6391826258),
+         (0, 6, 0.00041694326977522166), (0, 8, 0.31377308899641193),
+         (1, 2, 462678.6330655772), (1, 4, 1.2038437279526136e-06),
+         (1, 9, 0.003473424851406856), (1, 15, 7148.40310301186),
+         (1, 19, 1.4085759393677447e-05), (2, 3, 137896.58771918085),
+         (2, 13, 10344.017401849642), (3, 7, 5.2073875447522385e-05),
+         (3, 11, 12.827771806368625), (5, 16, 4.634245246499058), (6, 18, 211.01932786683378),
+         (6, 22, 0.004809325444088551), (8, 10, 0.04072445944155273),
+         (10, 12, 0.0007755546094576473), (11, 14, 0.0031826870560545915),
+         (13, 20, 0.00012845319423399366), (14, 17, 71258.40173121946),
+         (14, 21, 44574.83718449477)],
+        [8.697422484637503, 30.75441829383546, 10.441871093767968, 13.755241291774041,
+         9.60928881643741, 12.756635790980964, 14.290849605455278, 5.0408727943001645,
+         4.61590031111977, 6.907516433629376, 7.094774058611721, 14.22581879009012,
+         3.3317668170497443, 15.01361762778469, 16.391183155616538, 9.015801877535264,
+         9.43437788839419, 0.9542900323318335, 8.691320129598795, 2.396778460062218,
+         5.712579412503309, 9.19996493238656, 3.4869356893300565],
+        [0, 1, 2, 3, 4, 5, 6, 8, 9, 13, 15, 16, 18, 19, 22]),
+    "logu31": (
+        [(0, 1, 219396.5862250769), (0, 2, 0.0037250014780461946), (1, 4, 5096.598130356683),
+         (2, 3, 2.3386728511995927e-05)],
+        [8.617891843155673, 13.319205616381847, 7.833476547654993, 2.8797489933601486,
+         9.655041327521019],
+        [0, 1, 4]),
+}
+
+
+@pytest.mark.parametrize("name, stop, rows", [
+    ("logu29", "tolerance", 25), ("logu30", "tolerance", 30), ("logu31", "newton_handoff", 26),
+])
+def test_newton_stops_at_the_rounding_of_the_residuals_terms(name, stop, rows):
+    # The residual's terms, (|L| |u|) / mu among them, round above
+    # NEWTON_TOL, where Newton stalls until its budget is spent; it
+    # converges once a step cuts by less than NEWTON_CUT down to that
+    # rounding.  logu31 hands off; the descents of logu29 and logu30, the
+    # only log-uniform graphs that no hand-off ends, stop by tolerance,
+    # and the Newton run after the stop converges there.  ps_diagnostic,
+    # which asks for NEWTON_TOL, reads false on such a solution
+    edges, mu, omega = LOG_UNIFORM[name]
+    ids = [f"v{i}" for i in range(len(mu))]
+    graph = build_graph(ids, [(ids[a], ids[b], w) for a, b, w in edges],
+                        measure_mode="given", measures=dict(zip(ids, mu)))
+    part = compute_boundary(graph, [ids[i] for i in omega])
+    problem = Problem(graph=graph, partition=part, h=np.ones(len(ids)), nl=power(4))
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+    assert log.stops == {"mountain_pass": stop} and len(log.traces["mountain_pass"]) == rows
     v, form = sol.u[part.omega], problem._form
     level = graphpde.solver._term_level(problem, v)
     sizes = (np.abs(band_matrix(_interior_matrix(form))) @ np.abs(v) / form.mu + np.abs(v)
@@ -738,12 +788,12 @@ def test_newton_stops_at_the_rounding_of_the_residuals_terms():
 
 
 def test_newton_failure_refuses_the_attempt(monkeypatch):
-    # a singular Jacobian, at a step or at the converged point, is a
-    # refusal; on the split path two entries of the Hessian's diagonal are
-    # in doubt at the root, so its index takes a factor
+    # a singular Jacobian, at a step or at the converged point, fails the
+    # run; on the split path two entries of the Hessian's diagonal are in
+    # doubt at the root, so its index takes a factor
     problem = _split_path_problem()
     start = np.array([1.4, 0.0])
-    assert graphpde.solver._newton_attempt(problem, start) is not None
+    _newton_polish(problem, start)
     original = graphpde.solver._band_solver
     # P and then J(u) at step 0; the index factor after exact rank-2
     # updates of P (d's entry of J(u) - P is |mu h| - mu h) at every step
@@ -757,15 +807,16 @@ def test_newton_failure_refuses_the_attempt(monkeypatch):
             return original(band)
 
         monkeypatch.setattr(graphpde.solver, "_band_solver", singular)
-        assert graphpde.solver._newton_attempt(problem, start) is None
+        with pytest.raises(SolverError, match=r"^Newton's Jacobian is singular at step \d+$"):
+            _newton_polish(problem, start)
         assert len(factors) == 2
 
 
 def test_newton_divergence_is_refused(monkeypatch):
     # a unit step up from 1.4 moves away from the root sqrt(2): |2u - u^3| rises each
-    # step, until the iteration budget or a non-finite step ends the run
+    # step, and step 2, the first held to NEWTON_CUT, ends the run
     monkeypatch.setattr(graphpde.solver, "_band_solver", lambda band: np.ones_like)
-    refused = r"^Newton (refinement did not reach residual|step \d+ is not finite)"
+    refused = r"^Newton attempt cut the residual only from 0.381121 to 0.674407$"
     with pytest.raises(SolverError, match=refused):
         _newton_polish(three_path_problem(POWER4), np.array([1.4]))
 
@@ -890,10 +941,10 @@ def test_ball_minimize_accepts_only_interior_minima():
 
 
 def _descended(problem, config=None):
-    """mountain_pass with every Newton attempt refused: (solution, log)."""
+    """mountain_pass without its hand-offs: (solution, log)."""
     log = RunLog()
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(graphpde.solver, "_newton_attempt", lambda *args: None)
+        _without_handoffs(m)
         sol = mountain_pass(problem, config or SolverConfig(), log=log)
     return sol, log
 
@@ -1462,7 +1513,7 @@ def test_solutions_take_one_kernel_pass_at_their_point(monkeypatch, case):
         "ball-path3": three_path_problem(PLUS_CONST),
     }.get(case) or lattice_problem(12, POWER4)
     if case == "polish":
-        monkeypatch.setattr(graphpde.solver, "_newton_attempt", lambda *args: None)
+        _without_handoffs(monkeypatch)
     points = _kernel_calls_at(monkeypatch)
     if case.startswith("ball"):
         sol = ball_minimize(problem, SolverConfig(rho=1.0))
@@ -1477,14 +1528,14 @@ def test_solutions_take_one_kernel_pass_at_their_point(monkeypatch, case):
     assert sol.residual_max == float(np.max(np.abs(r)))
 
 
-@pytest.mark.parametrize("case", ["attempt", "polish"])
+@pytest.mark.parametrize("case", ["handoff", "polish"])
 def test_newton_reads_the_ray_peaks_kernel_pass(monkeypatch, case):
     # Newton's step 0 reads the pass _ray_peak made at its start point,
-    # the spike ray's peak for the attempt and the descent's last iterate
-    # for the polish: one kernel call there, with the residual
+    # the spike ray's peak for the hand-off and the descent's last iterate
+    # for the run after its stop: one kernel call there, with the residual
     problem = lattice_problem(12, POWER4)
     if case == "polish":
-        monkeypatch.setattr(graphpde.solver, "_newton_attempt", lambda *args: None)
+        _without_handoffs(monkeypatch)
     starts, polish = [], graphpde.solver._newton_polish
 
     def recorded(problem, u0, *args, **kwargs):
@@ -1628,18 +1679,18 @@ def test_an_attempt_at_index_two_escapes(monkeypatch):
     # index 1 from the escaped iterate
     problem = _corpus_problem(10, 3)
     assert problem.partition.omega.size == 30
-    attempts = []
-    attempt = graphpde.solver._newton_attempt
+    indices = []
+    newton = graphpde.solver._newton_polish
 
-    def recorded(problem, *args):
-        out = attempt(problem, *args)
-        attempts.append(out and out[2])
+    def recorded(*args, **kwargs):
+        out = newton(*args, **kwargs)
+        indices.append(out[2])
         return out
 
-    monkeypatch.setattr(graphpde.solver, "_newton_attempt", recorded)
+    monkeypatch.setattr(graphpde.solver, "_newton_polish", recorded)
     log = RunLog()
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
-    assert 2 in attempts and attempts[-1] == 1
+    assert 2 in indices and indices[-1] == 1
     assert log.stops == {"mountain_pass": "newton_handoff"}
     assert sol.morse_index == morse_index(problem, sol.u) == 1
 
@@ -1650,8 +1701,10 @@ def test_handoff_refuses_a_point_above_the_iterate(monkeypatch):
     problem = lattice_problem(12, POWER4)
     high = np.full(problem.partition.omega.size, 0.5)
     found = (high, 0.0, 1, graphpde.solver._kernel(problem, high, residual=True))
-    monkeypatch.setattr(graphpde.solver, "_newton_attempt", lambda *args: found)
-    log = RunLog()
+    log, newton = RunLog(), graphpde.solver._newton_polish
+    # every hand-off converges to the high point; the run after the stop is Newton's own
+    monkeypatch.setattr(graphpde.solver, "_newton_polish",
+                        lambda *args, **kwargs: newton(*args, **kwargs) if log.stops else found)
     sol = mountain_pass(problem, SolverConfig(), log=log)
     assert log.stops == {"mountain_pass": "tolerance"}
     assert sol.energy_value < energy(problem, problem._form.expand(high))
@@ -1669,23 +1722,32 @@ def test_path3_hands_off_at_step_0():
 
 
 def test_attempt_refuses_the_zero_function(monkeypatch):
+    # Newton converging to 1e-9 at index 1 hands off at step 0; converging
+    # to 0 it does not, and the run after the descent's stop collapses
     problem = three_path_problem(POWER4)
     for u, accepted in ((np.zeros(1), False), (np.full(1, 1e-9), True)):
         monkeypatch.setattr(
             graphpde.solver, "_newton_polish",
             lambda *args, u=u, **kwargs: (u, 0.0, 1, (0.0, 0.0, np.zeros_like(u))),
         )
-        assert (graphpde.solver._newton_attempt(problem, np.ones(1)) is not None) == accepted
+        log = RunLog()
+        if accepted:
+            sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+            assert log.stops == {"mountain_pass": "newton_handoff"} and sol.u[1] == 1e-9
+        else:
+            with pytest.raises(SolverError, match="^deformation collapsed to the zero function"):
+                mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
+            assert log.stops == {"mountain_pass": "tolerance"}
 
 
 def test_handoff_attempt_gives_up_after_two_factors(monkeypatch):
     # h = 0.01 spreads the solution over the whole lattice; Newton from the
     # initial maximum cuts the residual eightfold, then fivefold, and the
-    # attempt at step 0 gives up having factored P and one J(u)
+    # hand-off at step 0 gives up having factored P and one J(u)
     graph, part = lattice(12)
     problem = Problem(graph=graph, partition=part, h=np.full(graph.n, 0.01), nl=POWER4, h0=0.01)
     factors = []
-    original, attempt = graphpde.solver._band_solver, graphpde.solver._newton_attempt
+    original, newton = graphpde.solver._band_solver, graphpde.solver._newton_polish
 
     class GaveUp(Exception):
         pass
@@ -1694,12 +1756,13 @@ def test_handoff_attempt_gives_up_after_two_factors(monkeypatch):
         factors.append(band.shape)
         return original(band)
 
-    def first_attempt(*args):
-        assert attempt(*args) is None
+    def first_run(*args, **kwargs):
+        with pytest.raises(SolverError, match="^Newton attempt cut the residual only from"):
+            newton(*args, **kwargs)
         raise GaveUp
 
     monkeypatch.setattr(graphpde.solver, "_band_solver", counted)
-    monkeypatch.setattr(graphpde.solver, "_newton_attempt", first_attempt)
+    monkeypatch.setattr(graphpde.solver, "_newton_polish", first_run)
     with pytest.raises(GaveUp):
         mountain_pass(problem, SolverConfig(verify_hypotheses=False))
     assert len(factors) == 2
@@ -1797,7 +1860,7 @@ def test_newton_failure_names_the_budget_stop(monkeypatch, descent_only):
 
 
 def test_a_final_point_of_index_two_is_refused(monkeypatch, descent_only):
-    # without its attempts the descent ends next to a point of index 2
+    # without its hand-offs the descent ends next to a point of index 2
     problem = _corpus_problem(10, 3)
     log = RunLog()
     with pytest.raises(SolverError, match=r"^descent stopped by \w+ and Newton refinement "

@@ -320,40 +320,23 @@ def test_mountain_pass_geometry_positive_on_small_spheres(rng):
         assert energy(problem, u) > 0.0
 
 
-def test_stacked_energy_matches_per_vertex_oracle(rng):
-    families = [power(4), power_plus_const(3, 0.1), odd_poly({1: -1.0, 3: 1.0})]
-    for trial in range(12):
-        problem = problem_with_exterior(rng, families[trial % len(families)])
-        stack = np.array([
-            random_dirichlet(rng, problem.graph, problem.partition) for _ in range(7)
-        ])
-        values = energy(problem, stack)
-        assert values.shape == (7,)
-        for u, value in zip(stack, values):
-            assert value == pytest.approx(per_vertex_energy(problem, u), rel=1e-12)
-
-
-def test_energy_of_one_function_is_a_float(rng):
+def test_energy_takes_one_dirichlet_function(rng):
+    # a float at one function of shape (n,); a stack of them, another
+    # shape or a nonzero value off the interior is refused
     problem = problem_with_exterior(rng, power(4))
-    u = random_dirichlet(rng, problem.graph, problem.partition)
+    graph, part = problem.graph, problem.partition
+    u = random_dirichlet(rng, graph, part)
     value = energy(problem, u)
     assert type(value) is float
     assert value == pytest.approx(per_vertex_energy(problem, u), rel=1e-12)
-    assert energy(problem, u[None, :]) == pytest.approx([value], rel=1e-14)
-
-
-def test_stacked_energy_rejects_a_non_dirichlet_row(rng):
-    problem = problem_with_exterior(rng, power(4))
-    graph, part = problem.graph, problem.partition
     for vertex in (part.boundary[0], part.exterior[0]):
-        stack = np.array([random_dirichlet(rng, graph, part) for _ in range(5)])
-        stack[3, vertex] = 1e-300
+        bad = u.copy()
+        bad[vertex] = 1e-300
         with pytest.raises(ValueError, match="vanish outside the interior"):
-            energy(problem, stack)
-    with pytest.raises(ValueError, match="one value per vertex"):
-        energy(problem, np.zeros((2, 2, graph.n)))
-    with pytest.raises(ValueError, match="one value per vertex"):
-        energy(problem, np.zeros(graph.n + 1))
+            energy(problem, bad)
+    for shape in ((1, graph.n), (2, 2, graph.n), (graph.n + 1,)):
+        with pytest.raises(ValueError, match="one value per vertex"):
+            energy(problem, np.zeros(shape))
 
 
 def test_h_norm_matches_calculus_norm(rng):
@@ -384,15 +367,11 @@ def test_kernel_matches_the_public_functions_and_per_vertex_references(rng):
         h = np.where(part.omega_mask, rng.uniform(-2.0, 2.0, size=graph.n), np.nan)
         problem = Problem(graph=graph, partition=part, h=h, nl=families[trial % 3])
         omega, mu = part.omega, graph.measure[part.omega]
-        stack = np.array([random_dirichlet(rng, graph, part) for _ in range(5)])
-        quads, values, none = _kernel(problem, stack[:, omega])
-        assert none is None and values.shape == quads.shape == (5,)
-        assert np.array_equal(values, energy(problem, stack))
-        for u, quad, value in zip(stack, quads, values):
+        for u in [random_dirichlet(rng, graph, part) for _ in range(5)]:
+            quad, value, none = _kernel(problem, u[omega])
             q1, value1, r = _kernel(problem, u[omega], residual=True)
+            assert none is None and (q1, value1) == (quad, value)
             assert value1 == energy(problem, u)
-            assert q1 == pytest.approx(quad, rel=1e-14, abs=1e-14 * abs(value))
-            assert value1 == pytest.approx(value, rel=1e-14, abs=1e-14 * q1)
             assert np.array_equal(pointwise_residual(problem, u)[omega], r)
             assert np.array_equal(gradient(problem, u)[omega], mu * r)
             assert np.all(pointwise_residual(problem, u)[~part.omega_mask] == 0.0)
