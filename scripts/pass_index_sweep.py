@@ -17,11 +17,12 @@ Each solution's Morse index is counted here, from numpy's dense
 eigvalsh of the Hessian L + diag(mu (1 - f_u(u))) on the interior
 unknowns, assembled from the set's own edge lists and measures, not by
 the package.  For each set the script prints the failures, the stop
-reasons, the escapes (calls of solver._escape_direction), the most
-descent steps (trace rows) of a run, the Newton runs (calls of
-solver._newton_polish) and the band factors (calls of
-solver._band_solver: Newton's Jacobians and Hessians, P and the
-escapes' shifted Hessians).  Then Newton's Jacobian work by kind: the
+reasons, the escapes (calls of solver._escape_direction) with their
+largest Ritz problem (the patch of vertices whose Hessian goes to
+np.linalg.eigh), the most descent steps (trace rows) of a run, the
+Newton runs (calls of solver._newton_polish) and the band factors
+(calls of solver._band_solver: Newton's Jacobians and Hessians and P;
+an escape factors nothing).  Then Newton's Jacobian work by kind: the
 factors of P = L + diag(mu |h|) that the descent and Newton share (at
 most one per problem; with h = 1, P is the Jacobian at the zero
 function), the Jacobians J(u) factored for a step, and the low-rank
@@ -38,9 +39,10 @@ non-finite step), and the blocks of the band factors that went to
 np.linalg.eigh, as every block whose Cholesky fails does.  It exits 1
 on any failure, on an index other than 1, or on a set whose band
 factors exceed its ceiling in FACTOR_CEILINGS, the counts that
-Newton's chord steps, its index bracket, its low-rank updates and the
-one factor of P it shares with the descent brought them down to, so
-that a change cannot give that saving back unseen.  --only NAME
+Newton's chord steps, its index bracket, its low-rank updates, the
+one factor of P it shares with the descent and the escapes' Ritz
+problems on a patch brought them down to, so that a change cannot give
+that saving back unseen.  --only NAME
 restricts every set to the named graphs.
 
     PYTHONPATH=src python scripts/pass_index_sweep.py
@@ -66,8 +68,8 @@ from graphpde import (  # noqa: E402
 
 
 # band factors per full set, the most a change may take
-FACTOR_CEILINGS = {"corpus p=2.5": 238, "corpus p=3": 262, "corpus p=4": 283,
-                   "test generator p=4": 1158, "loguniform p=4": 303}
+FACTOR_CEILINGS = {"corpus p=2.5": 232, "corpus p=3": 247, "corpus p=4": 270,
+                   "test generator p=4": 1123, "loguniform p=4": 302}
 # the SolverError messages of a Newton run that gives up, by reason
 GIVE_UPS = {"cut": "Newton attempt cut", "budget": "Newton refinement did not reach",
             "singular": "Newton's Jacobian is singular", "non-finite": "Newton step"}
@@ -126,8 +128,8 @@ def sweep(label, cases, p, escapes, calls):
     print(f"{label}: {len(cases)} problems, {len(failures)} failures, "
           f"{len(cases) - len(failures) - len(wrong)} at index 1")
     print(f"  stops {dict(sorted(stops.items()))}")
-    print(f"  escapes {sum(per_run)} (at most {max(per_run, default=0)} in a run), "
-          f"most steps {steps}")
+    print(f"  escapes {sum(per_run)} (at most {max(per_run, default=0)} in a run, "
+          f"largest patch {calls['patch']}), most steps {steps}")
     print(f"  newton runs {calls['newton']}, band factors {calls['factor']}")
     print(f"  newton's jacobians: shared P factored {calls['gram']}, J(u) factored for a step "
           f"{calls['exact'] - calls['index factored']}, low-rank updates of P "
@@ -162,9 +164,15 @@ def main(argv=None) -> int:
     updated_solve = graphpde.solver._updated_solve
     eigh = np.linalg.eigh
 
+    in_escape = []  # while an escape direction is found
+
     def counted_escape(problem, w, index):
         escapes.append(index)
-        return escape(problem, w, index)
+        in_escape.append(index)
+        try:
+            return escape(problem, w, index)
+        finally:
+            in_escape.pop()
 
     in_newton = []  # per Newton run in progress, the solves made with each of its factors
     in_gram = []    # while P is factored
@@ -238,6 +246,8 @@ def main(argv=None) -> int:
 
     def counted_eigh(a):  # the escapes' Ritz problems call eigh outside a factor
         calls["eigh"] += bool(in_factor)
+        if in_escape:
+            calls["patch"] = max(calls["patch"], len(a))
         return eigh(a)
 
     graphpde.solver._escape_direction = counted_escape

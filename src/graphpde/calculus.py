@@ -12,7 +12,7 @@ sums accumulate in stored edge order.  The Dirichlet unknowns are the
 values on the interior: _interior_laplacian, the one vertex -> unknown
 map, holds the Laplacian on them that the energy, the eigen step and the
 solvers read (_interior_matrix: its band, whose diagonal the solvers'
-P, Newton's Jacobians and the escape's Hessian replace).
+P and Newton's Jacobians replace).
 """
 
 from __future__ import annotations

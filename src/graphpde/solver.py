@@ -31,9 +31,9 @@ solves with for as long as its steps cut the residual hundredfold
 (chord steps), and reads a Morse index of 0 or 1 without a factor where
 the Hessian's diagonal and the point's own curvature bracket it to one
 value.  Every Newton run takes at most NEWTON_MAX steps and gives up on
-a weak cut.  P, Newton's indefinite Jacobians and an escape's shifted
-Hessian are factored by spectral._band_solver (_band_factor), whose
-negative pivots count the Morse index.
+a weak cut.  spectral._band_solver (_band_factor) factors P and Newton's
+indefinite Jacobians, whose negative pivots count the Morse index; an
+escape from a point of higher index factors nothing.
 
 The solvers iterate on interior values only, (|omega|,) vectors.  They
 evaluate through variational._kernel, which checks nothing, and expand
@@ -81,7 +81,6 @@ NEWTON_CUT = 0.1       # residual factor each fresh exact step after the first m
                        # a step that reaches its square lets the next one reuse its factor
 NEWTON_EVERY = 5       # descent steps from one Newton hand-off to the next, the first at step 0
 ESCAPE_STEP = 0.1      # length of an escape step, relative to the point it leaves
-ESCAPE_SOLVES = 5      # block inverse-iteration solves that find an escape direction
 SPIKE_DOUBLINGS = 60   # doublings (halvings) before the spike or ray-peak search gives up
 
 # The alternative hypothesis sets under which the existence theorems
@@ -286,6 +285,7 @@ def _gate(problem: Problem, theorem: str):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an energy that overflows fails, named, below
 def build_spike_endpoint(problem: Problem) -> np.ndarray:
     """Single-vertex spike t at the interior vertex of largest measure
     (ties to the earliest input vertex), with t doubled from 1 until the
@@ -387,23 +387,22 @@ def _escape_direction(problem: Problem, w: np.ndarray, index: int):
     Morse index index >= 2: the Ritz vector of negative Ritz value least
     aligned with w, or None.
 
-    The Hessian H = L + diag(mu (h - f_u(w))) is shifted below its
-    Gershgorin bound, min(w_off + mu (h - f_u)), by a thousandth of its
-    largest |diagonal|, so its band factor is a Cholesky factor.
-    ESCAPE_SOLVES block inverse-iteration solves, each orthonormalized by
-    QR, turn the unit vectors at H's index + 1 least diagonals (ties to
-    the earliest) towards its lowest eigenvectors.  Only H's projection
-    on them, assembled over the edges like the energy, goes to eigh.
+    The Ritz vectors are those of the Hessian H = L + diag(mu (h -
+    f_u(w))) on a patch: the index + 1 least entries of rows = w_off +
+    mu (h - f_u) (ties to the earliest) and their neighbours inside
+    omega.  H's projection on it, assembled over the edges like the
+    energy, goes to one small eigh, without a factor or a solve; a Ritz
+    vector of negative Ritz value has negative curvature (Cauchy
+    interlacing; Parlett, The Symmetric Eigenvalue Problem, 1998, ch. 10).
     """
     form = problem._form
     rows = form.w_off + problem._mu_h - form.mu * reaction_derivative(problem.nl, w)
-    diag = form.diag + (rows - form.w_off)
-    shift = float(np.min(rows)) - 1e-3 * float(np.max(np.abs(diag)))
-    solve = _band_factor(form, diag - shift)
-    x = np.zeros((len(w), min(index + 1, len(w))))
-    x[np.argsort(rows, kind="stable")[: x.shape[1]], np.arange(x.shape[1])] = 1.0
-    for _ in range(ESCAPE_SOLVES):
-        x = np.linalg.qr(solve(x))[0]
+    near = np.zeros(len(w), dtype=bool)
+    near[np.argsort(rows, kind="stable")[: index + 1]] = True
+    near[form.ends[::-1][near[form.ends]]] = True  # the other end of each edge that meets one
+    (patch,) = np.nonzero(near)
+    x = np.zeros((len(w), len(patch)))
+    x[patch, np.arange(len(patch))] = 1.0
     d = x[form.ends[0]] - x[form.ends[1]]
     ritz, z = np.linalg.eigh(d.T @ (form.w[:, None] * d) + x.T @ (rows[:, None] * x))
     y = x @ z[:, ritz < 0.0]
@@ -672,7 +671,7 @@ def mountain_pass(
     u - s P^(-1) g, g the gradient, when its energy is at most
     energy(u) - s g.P^(-1)g/2 (Armijo), halving s from 1 otherwise.  The
     loop stops when |g| reaches deform_tol, after deform_steps steps, or
-    when halving no longer moves the point ("backtracking").
+    when halving no longer moves u to a finite new point ("backtracking").
 
     Newton (_newton_polish) runs from u's ray-peak pass at step 0, every
     NEWTON_EVERY steps after and once after the descent stops.  In the
@@ -730,10 +729,10 @@ def mountain_pass(
             break
         if (solve := gram.solve()) is None:  # P is positive definite on admissible problems
             raise SolverError("the Sobolev metric P = L + diag(mu |h|) is singular")
-        d = solve(gvec)
+        d = solve(gvec) if np.all(np.isfinite(gvec)) else gvec  # then no trial point is finite
         drop = 0.5 * float(gvec @ d)
         s = 1.0
-        while not np.array_equal(v := u - s * d, u):
+        while np.all(np.isfinite(v := u - s * d)) and not np.array_equal(v, u):
             peak = _ray_peak(problem, v)
             if peak is not None and peak[1][1] <= level - s * drop:
                 break

@@ -820,6 +820,52 @@ def test_singular_newton_jacobian_exits_1(graph_file, monkeypatch, capsys):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("name", ["path3", "grid12"])
+def test_descent_ends_where_no_trial_point_is_finite(graph_file, monkeypatch, capsys, name):
+    # power:p=1e20 overflows on the first step's ray: the iterate there has
+    # energy -inf and gradient inf, no trial point of the next step is
+    # finite, and the descent stops by backtracking instead of halving on
+    # inf and nan points for ever; a bound on the ray peaks fails a
+    # regression instead of hanging the suite
+    ray_peak, calls = graphpde.solver._ray_peak, []
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= 20, "the descent does not end"
+        return ray_peak(*args)
+
+    monkeypatch.setattr(graphpde.solver, "_ray_peak", counted)
+    path = graph_file(_benchmark_graph(name))
+    assert run(["solve", path, "--nl", "power:p=1e20", "--format", "jsonl"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    recs = jsonl_records(captured.out)
+    [trace] = [r for r in recs if r["record"] == "trace"]
+    assert trace["stop"] == "backtracking" and trace["levels"][-1] == "-inf"
+    assert recs[-1] == {"record": "error", "message": (
+        "descent exhausted its backtracking at energy -inf and Newton refinement from the "
+        "iterate failed: Newton step 0 is not finite")}
+
+
+@pytest.mark.parametrize("text", [
+    PATH3.replace("v b auto 1 omega", "v b auto 1e300 omega"),
+    PATH3.replace("auto", "1e-300").replace(" 1\n", " 1e300\n"),
+], ids=["h", "measures"])
+def test_overflowing_spike_energy_prints_no_warning(graph_file, capfd, text):
+    # h = 1e300 at path3's interior vertex, or measures 1e-300 and weights
+    # 1e300: the spike's energy overflows at every doubling, and only the
+    # error record, which names the inf energies, says so
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a warning would raise out of run()
+        assert run(["solve", graph_file(text), "--nl", "power:p=4", "--theta", "4", "--M", "1",
+                    "--format", "jsonl"]) == 1
+    captured = capfd.readouterr()
+    assert captured.err == ""
+    message = jsonl_records(captured.out)[-1]["message"]
+    assert message.startswith("spike energy stayed positive through 60 doublings")
+    assert message.endswith("energy(1.15292e+18 * spike) = inf)")
+
+
 @pytest.mark.parametrize("command, factors", [
     (["solve", "--nl", "power:p=4", "--theta", "4", "--M", "1"], 0),
     (["solve2", "--nl", "power_plus_const:p=4,eps=0.1", "--rho", "1", "--h0", "1"], 1),

@@ -1329,7 +1329,7 @@ def test_solvers_share_one_p_per_command(monkeypatch, case):
 def test_descent_and_newton_share_one_factor(monkeypatch):
     # s12rand3 of the p = 4 corpus descends 26 steps before it hands off.
     # The descent's steps and every Newton run's updates solve with one
-    # factor of P, definite; the rest factor J(u)
+    # factor of P, definite; the rest factor J(u), and its escape none
     problem = _corpus_problem(12, 3)
     band_solver, negatives = graphpde.solver._band_solver, []
 
@@ -1343,7 +1343,7 @@ def test_descent_and_newton_share_one_factor(monkeypatch):
     sol = mountain_pass(problem, SolverConfig(verify_hypotheses=False), log=log)
     assert log.stops["mountain_pass"] == "newton_handoff"
     assert len(log.traces["mountain_pass"]) == 26
-    assert negatives == [0, 2, 2, 0]
+    assert negatives == [0, 2, 2]
     assert sol.morse_index == morse_index(problem, sol.u) == 1
 
 
@@ -1652,25 +1652,55 @@ def test_escape_direction_has_negative_curvature_without_dense_eigh(monkeypatch)
     for seed, i in ((10, 3), (12, 1), (14, 1), (7, 2)):
         mountain_pass(_corpus_problem(seed, i), SolverConfig(verify_hypotheses=False))
     assert sorted(index for _, _, index in points) == [2, 3, 4, 4]
-    eigh, shapes = np.linalg.eigh, []
+    eigh, shapes, factors = np.linalg.eigh, [], []
 
     def counted(a):
         shapes.append(a.shape)
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(graphpde.solver, "_band_solver", factors.append)
     for problem, w, index in points:
         shapes.clear()
         y = escape(problem, w, index)
         n = len(w)
-        assert all(shape[-1] < n for shape in shapes) and len(shapes) == 1
+        assert len(shapes) == 1 and shapes[0][-1] < n
         assert np.linalg.norm(y) == pytest.approx(1.0, rel=1e-12)
         hess = hessian(problem, problem._form.expand(w))
+        assert morse_index(problem, problem._form.expand(w)) == index
         assert y @ hess @ y < 0.0
-        # of the negative eigenvectors, y is the one least aligned with w
-        lam, q = np.linalg.eigh(hess)
-        assert np.sum(lam < 0.0) == index
-        assert abs(y @ w) <= 1.01 * np.min(np.abs(q[:, :index].T @ w))
+        _assert_patch_ritz_vector(y, hess, w, index, eigh)
+    assert factors == []
+
+
+def _assert_patch_ritz_vector(y, hess, w, index, eigh=np.linalg.eigh):
+    """y is, up to sign, the Ritz vector of the dense Hessian hess on the
+    patch of its index + 1 least row sums (ties to the earliest) and their
+    neighbours that, of those of negative Ritz value, is least aligned
+    with w."""
+    seeds = np.argsort(hess.sum(axis=1), kind="stable")[: index + 1]
+    patch = np.union1d(seeds, np.flatnonzero(np.any(hess[seeds] != 0.0, axis=0)))
+    ritz, z = eigh(hess[np.ix_(patch, patch)])
+    negative = np.zeros((len(w), int(np.sum(ritz < 0.0))))
+    negative[patch] = z[:, ritz < 0.0]
+    expected = negative[:, np.argmin(np.abs(w @ negative))]
+    assert min(np.linalg.norm(y - expected), np.linalg.norm(y + expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("index", [2, 3])
+def test_escape_patch_breaks_ties_to_the_earliest_vertices(index):
+    # on grid12, power:p=4, at w = 1 inside the interior's outer ring,
+    # every vertex of the inner 8 x 8 block has the least row w_off +
+    # mu (h - f_u) = 4 (1 - 3) = -8: the patch holds the earliest index + 1
+    # of them and their neighbours.  Seeded values of w in [0.5, 0.9] on
+    # the ring keep the patch's Ritz values and their alignments with w
+    # apart, which symmetry would tie at w = 1
+    problem = lattice_problem(12, POWER4)
+    ring = problem._form.w_off > 0.0
+    w = np.ones(ring.size)
+    w[ring] = np.random.default_rng(0).uniform(0.5, 0.9, int(ring.sum()))
+    y = graphpde.solver._escape_direction(problem, w, index)
+    _assert_patch_ritz_vector(y, hessian(problem, problem._form.expand(w)), w, index)
 
 
 def test_an_attempt_at_index_two_escapes(monkeypatch):
